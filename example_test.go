@@ -61,7 +61,7 @@ func ExampleRemoteCluster_KNN() {
 			FirstID: uint64(id*per) + 1,
 		}, nil
 	}
-	srv, err := distknn.ServeLocal(2, 1, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), 2, 1, shards, distknn.NodeOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -52,7 +52,7 @@ func TCPBatch(p Params) ([]*Table, error) {
 		Header: []string{"batch", "epochs", "wall_ms", "qps", "mean_rounds_per_q", "mean_msgs_per_q", "speedup_vs_b1"},
 	}
 
-	srv, err := distknn.ServeLocal(k, seed, distknn.PaperShards(seed, perNode), distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, distknn.PaperShards(seed, perNode), distknn.NodeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("tcpbatch serve: %w", err)
 	}

@@ -79,11 +79,11 @@ func TCPServe(p Params) ([]*Table, error) {
 	}
 
 	// Resident: one serving session, a stream of query epochs.
-	srv, err := distknn.ServeLocal(k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("tcpserve resident: %w", err)
 	}
-	rc, err := distknn.DialCluster(srv.Addr())
+	rc, err := distknn.DialScalarCluster(srv.Addr())
 	if err != nil {
 		srv.Close()
 		return nil, fmt.Errorf("tcpserve dial: %w", err)

@@ -69,9 +69,6 @@ func (h *Histogram) Observe(v int64) {
 	h.over.Add(1)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // Stopwatch carries a start instant across struct fields or function
 // boundaries so that the wall-clock read and the elapsed computation
 // both live inside obs. Use it where the start := time.Now() local-

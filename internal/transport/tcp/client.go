@@ -494,12 +494,14 @@ type LocalCluster struct {
 // the Env they are given. The cluster is ready to serve (and Addr dialable
 // by clients) when ServeLocal returns.
 func ServeLocal(k int, seed uint64, newHandler func() Handler) (*LocalCluster, error) {
-	return ServeLocalOptions(k, seed, FrontendOptions{}, newHandler)
+	return ServeLocalOptions(k, seed, FrontendOptions{}, nil, newHandler)
 }
 
 // ServeLocalOptions starts a loopback serving cluster with an explicit
 // epoch scheduler configuration (pipelining window, server-side batching).
-func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, newHandler func() Handler) (*LocalCluster, error) {
+// nodeReg receives every node's serve-loop telemetry (the k nodes share it,
+// so its node_* counters are cluster-wide totals); nil records nothing.
+func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Registry, newHandler func() Handler) (*LocalCluster, error) {
 	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, opts)
 	if err != nil {
 		return nil, err
@@ -513,7 +515,7 @@ func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, newHandler func
 			// A lost session (the node was evicted, or the frontend died
 			// first) is expected churn, not a cluster failure: the caller
 			// that evicted the node re-joins it — or meant to drop it.
-			if err := ServeNode(fe.Addr(), "127.0.0.1:0", "", newHandler()); err != nil && !errors.Is(err, ErrSessionLost) {
+			if err := ServeNodeObserved(fe.Addr(), "127.0.0.1:0", "", nodeReg, newHandler()); err != nil && !errors.Is(err, ErrSessionLost) {
 				lc.mu.Lock()
 				lc.nodeErrs = append(lc.nodeErrs, err)
 				lc.mu.Unlock()
@@ -537,7 +539,7 @@ func (lc *LocalCluster) Addr() string { return lc.fe.Addr() }
 func (lc *LocalCluster) Leader() int { return lc.fe.Leader() }
 
 // EvictNode forcibly retires node id (see Frontend.EvictNode); re-join it
-// with a fresh ServeNode against Addr.
+// with a fresh ServeNodeObserved against Addr.
 func (lc *LocalCluster) EvictNode(id int) error { return lc.fe.EvictNode(id) }
 
 // Close shuts the cluster down and reports the first failure observed by

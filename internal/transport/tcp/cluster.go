@@ -189,7 +189,7 @@ func RunNode(coordAddr, meshAddr string, prog kmachine.Program) (Metrics, error)
 	}
 	defer coord.Close()
 	if a.mode != wire.ModeOneShot {
-		return Metrics{}, fmt.Errorf("tcp: coordinator runs mode %d, RunNode requires one-shot; use ServeNode", a.mode)
+		return Metrics{}, fmt.Errorf("tcp: coordinator runs mode %d, RunNode requires one-shot; use ServeNodeObserved", a.mode)
 	}
 
 	conns, err := buildMesh(ln, a.id, a.k, a.addrs)

@@ -184,9 +184,9 @@ func (f *Frontend) Health() obs.Health {
 // Serve runs the session: it accepts the k node registrations, configures
 // the mesh, waits for every node's ready report, and then answers client
 // queries until Close. A connection's first frame decides its role —
-// KindRegister makes it a node control connection, KindQuery a client, and
-// KindRejoin (or a late KindRegister once the session is running) a node
-// re-joining after churn.
+// KindRegister makes it a node control connection, KindQueryTagged a
+// client, and KindRejoin (or a late KindRegister once the session is
+// running) a node re-joining after churn; any other first frame closes it.
 func (f *Frontend) Serve() error {
 	type reg struct {
 		conn net.Conn
@@ -230,7 +230,7 @@ func (f *Frontend) Serve() error {
 					}
 					<-f.ready
 					f.handleRejoin(conn, id, addr)
-				case wire.KindQuery, wire.KindQueryTagged:
+				case wire.KindQueryTagged:
 					f.serveClient(conn, payload)
 				default:
 					conn.Close()
@@ -466,7 +466,7 @@ func (f *Frontend) evictImplicated(reporter int, reporterGen, epoch uint64, lost
 }
 
 // EvictNode forcibly retires node id's seat and closes its control
-// connection: the node's ServeNode returns ErrSessionLost, and the seat
+// connection: the node's ServeNodeObserved returns ErrSessionLost, and the seat
 // becomes re-joinable. Epochs in flight on the node fail with a retryable
 // degraded error, and queries keep failing that way until a node takes the
 // seat back. It exists for operators (kick a wedged or partitioned node so
@@ -719,14 +719,13 @@ const maxClientOutstanding = 256
 // serveClient answers one client connection's query stream; first is the
 // already-read first frame.
 //
-// Untagged queries (wire.KindQuery) keep the legacy contract: strictly
-// in-order, one request/reply in flight. Tagged queries
-// (wire.KindQueryTagged) are the multiplexed data plane: each runs on its
-// own goroutine so many can overlap inside the epoch scheduler's window,
-// and its reply — written under a per-connection write lock — carries the
-// client's tag so completion order is free. Frame buffers are pooled: the
-// read loop checks a buffer out per frame and the query goroutine returns
-// it once the decoded query (which aliases the payload) is dead.
+// Every query is a tagged frame (wire.KindQueryTagged) and runs on its own
+// goroutine, so many can overlap inside the epoch scheduler's window; its
+// reply — written under a per-connection write lock — carries the client's
+// tag, so completion order is free. Any other frame ends the connection.
+// Frame buffers are pooled: the read loop checks a buffer out per frame and
+// the query goroutine returns it once the decoded query (which aliases the
+// payload) is dead.
 func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 	defer conn.Close()
 	if !f.trackClient(conn) {
@@ -735,7 +734,7 @@ func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 	defer f.untrackClient(conn)
 	<-f.ready
 
-	var wmu sync.Mutex // serializes reply frames (tagged goroutines race)
+	var wmu sync.Mutex // serializes reply frames (query goroutines race)
 	var wg sync.WaitGroup
 	// Close the socket before waiting: an in-flight reply writer blocked
 	// on a dead peer fails immediately instead of stalling the teardown.
@@ -745,17 +744,13 @@ func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 	}()
 	sem := make(chan struct{}, maxClientOutstanding)
 
-	writeReply := func(tagged bool, tag uint64, rep wire.Reply) error {
+	writeReply := func(tag uint64, rep wire.Reply) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		w := wire.GetWriter()
 		defer wire.PutWriter(w)
 		w.BeginFrame()
-		if tagged {
-			wire.AppendReplyTagged(w, tag, rep)
-		} else {
-			wire.AppendReply(w, rep)
-		}
+		wire.AppendReplyTagged(w, tag, rep)
 		//knnlint:allow lockio -- wmu exists to serialize reply writes to this client conn; nothing else hides behind it
 		return w.EndFrame(conn)
 	}
@@ -763,65 +758,41 @@ func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 	payload := first
 	for {
 		r := wire.NewReader(payload)
-		kind := r.Kind()
-		if kind != wire.KindQuery && kind != wire.KindQueryTagged {
+		kind, tag := r.Kind(), r.Varint()
+		if kind != wire.KindQueryTagged || r.Err() != nil {
+			// Not a query — or one without a tag to correlate a reply to.
 			wire.PutFrameBuf(payload)
 			return
 		}
-		tagged := kind == wire.KindQueryTagged
-		var tag uint64
-		if tagged {
-			tag = r.Varint()
-			if r.Err() != nil {
-				// Without a tag there is nothing to correlate a reply to.
-				wire.PutFrameBuf(payload)
-				return
-			}
+		var q wire.Query
+		err := wire.DecodeQueryInto(r, &q)
+		if f.readyErr != nil {
+			err = fmt.Errorf("cluster unavailable: %v", f.readyErr)
+		} else if err != nil {
+			err = fmt.Errorf("bad query: %v", err)
 		}
-		switch {
-		case f.readyErr != nil:
+		if err != nil {
 			wire.PutFrameBuf(payload)
-			if err := writeReply(tagged, tag, wire.Reply{Err: fmt.Sprintf("cluster unavailable: %v", f.readyErr)}); err != nil {
+			if werr := writeReply(tag, wire.Reply{Err: err.Error()}); werr != nil {
 				return
 			}
-		case !tagged:
-			// Legacy path: answer synchronously, preserving reply order.
-			var q wire.Query
-			var rep wire.Reply
-			if err := wire.DecodeQueryInto(r, &q); err != nil {
-				rep = wire.Reply{Err: fmt.Sprintf("bad query: %v", err)}
-			} else {
-				rep = f.answer(q)
-			}
-			wire.PutFrameBuf(payload)
-			if err := writeReply(false, 0, rep); err != nil {
-				return
-			}
-		default:
-			// Multiplexed path: the goroutine owns the frame buffer until
-			// the query (whose points alias it) is answered.
-			var q wire.Query
-			if err := wire.DecodeQueryInto(r, &q); err != nil {
-				wire.PutFrameBuf(payload)
-				if werr := writeReply(true, tag, wire.Reply{Err: fmt.Sprintf("bad query: %v", err)}); werr != nil {
-					return
-				}
-				break
-			}
+		} else {
+			// The goroutine owns the frame buffer until the query (whose
+			// points alias it) is answered.
 			sem <- struct{}{}
 			wg.Add(1)
-			go func(tag uint64, q wire.Query, payload []byte) {
+			go func(payload []byte) {
 				defer wg.Done()
 				rep := f.answer(q)
 				wire.PutFrameBuf(payload)
 				// A dead connection surfaces on the read loop's next
 				// ReadFrameInto; nothing to do about it here.
-				_ = writeReply(true, tag, rep)
+				_ = writeReply(tag, rep)
 				<-sem
-			}(tag, q, payload)
+			}(payload)
 		}
-		var err error
-		if payload, err = wire.ReadFrameInto(conn, wire.GetFrameBuf()); err != nil {
+		var rerr error
+		if payload, rerr = wire.ReadFrameInto(conn, wire.GetFrameBuf()); rerr != nil {
 			return
 		}
 	}
@@ -848,11 +819,15 @@ func (f *Frontend) answer(q wire.Query) wire.Reply {
 }
 
 // degradedLocked builds the retryable degraded reply naming the absent
-// seats, or returns ok=true when every seat is filled.
-func (f *Frontend) degradedLocked(verb string) (wire.Reply, bool) {
+// seats among need (nil: every seat), or returns ok=true when all of them
+// are filled.
+func (f *Frontend) degradedLocked(need []*feSlot) (wire.Reply, bool) {
+	if need == nil {
+		need = f.slots
+	}
 	var absent []int
 	var cause error
-	for _, s := range f.slots {
+	for _, s := range need {
 		if !s.present {
 			absent = append(absent, s.id)
 			if cause == nil {
@@ -863,7 +838,7 @@ func (f *Frontend) degradedLocked(verb string) (wire.Reply, bool) {
 	if len(absent) == 0 {
 		return wire.Reply{}, true
 	}
-	msg := fmt.Sprintf("cluster degraded (%d of %d nodes): %s node(s) %v", f.k-len(absent), f.k, verb, absent)
+	msg := fmt.Sprintf("cluster degraded (%d of %d nodes): waiting for node(s) %v", f.k-len(absent), f.k, absent)
 	if cause != nil {
 		msg += fmt.Sprintf(" (%v)", cause)
 	}

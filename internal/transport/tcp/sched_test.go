@@ -14,7 +14,7 @@ import (
 // configuration and handler factory.
 func startEchoClusterOptions(t *testing.T, k int, seed uint64, opts FrontendOptions, newHandler func() Handler) *LocalCluster {
 	t.Helper()
-	lc, err := ServeLocalOptions(k, seed, opts, newHandler)
+	lc, err := ServeLocalOptions(k, seed, opts, nil, newHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 	k := 3
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	lc, err := ServeLocalOptions(k, 91, FrontendOptions{Window: 4}, func() Handler {
+	lc, err := ServeLocalOptions(k, 91, FrontendOptions{Window: 4}, nil, func() Handler {
 		return &blockingHandler{entered: entered, release: release}
 	})
 	if err != nil {

@@ -3,10 +3,13 @@ package tcp
 import (
 	"fmt"
 	"math"
+	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"distknn/internal/core"
+	"distknn/internal/keys"
 	"distknn/internal/metricindex"
 	"distknn/internal/obs"
 	"distknn/internal/points"
@@ -14,37 +17,53 @@ import (
 )
 
 // This file is the frontend's epoch scheduler: the layer between the
-// client-serving goroutines and the mesh. It does two jobs.
+// client-serving goroutines and the nodes. Every query runs through one
+// pipeline — plan → contact set → per-seat sub-batch → dispatch wave →
+// collect → fold — and the two ways a query can run are two plans for it.
 //
-// Pipelined query epochs. Instead of serializing query epochs (one client
-// waits for another's round trip), the scheduler keeps up to Window epochs
-// in flight at once. Admission assigns each epoch its ordinal — and with it
-// the deterministic per-epoch seed DeriveSeed(sessionSeed, ordinal) — in
-// arrival order under the frontend lock, writes the dispatch to every
-// seated node, and registers a collation job; the per-node control pumps
-// push each arriving result or error frame to its job by epoch ordinal, so
-// replies complete out of order without any epoch waiting on an unrelated
-// one. Admission beyond the window blocks (backpressure on the client
+// A wave is one epoch: one ordinal, one dispatch frame per contacted seat,
+// one result frame back from each. A plan says which seats a wave contacts,
+// which points of the batch each seat is sent, and whether the contacted
+// nodes run the epoch on the mesh. The mesh plan is a single wave: every
+// seat, the whole batch, mesh on — the nodes run the paper's protocol among
+// themselves and each returns its share of the answer. The pruned plan
+// (FrontendOptions.Pruner) is up to two waves with the mesh off: each point
+// first probes its nearest shards, then reaches only the shards its
+// admission ball can still intersect — a contacted node returns its local
+// top-ℓ and the frontend folds. Either way the caller holds one window slot
+// for the whole query, dispatchWave is the only code that consumes an
+// ordinal and writes dispatch frames, and the per-seat results are filed
+// under the batch positions they answer before any plan-specific fold.
+//
+// Pipelining. Up to Window queries are in flight at once. A wave takes its
+// ordinal — and with it the deterministic per-epoch seed
+// DeriveSeed(sessionSeed, ordinal) — under the frontend lock and registers
+// a collation job before its first write; the per-node control pumps push
+// each arriving result or error frame to its job by ordinal, so replies
+// complete out of order without any epoch waiting on an unrelated one.
+// Admission beyond the window blocks (backpressure on the client
 // connection) until a slot frees. Answers are bit-identical to serialized
 // execution: every algorithm is exact, and the ordinal-derived seeds steer
 // only sampling and round counts, never results.
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ, point tag) coalesce into one
-// lockstep batch epoch: a query joins the open bucket for its key, and the
-// bucket flushes when it reaches MaxServerBatch points or after Linger —
+// batch query: a query joins the open bucket for its key, and the bucket
+// flushes when it reaches MaxServerBatch points or after Linger —
 // whichever comes first — turning the client-side KNNBatch amortization
 // (shared physical rounds, one dispatch) into a free win for many small
-// clients. Each coalesced query receives its own result; the epoch-wide
-// cost fields (rounds, messages, bytes) of the shared epoch are reported to
-// every participant.
+// clients. The flushed bucket runs through the same pipeline as any client
+// batch; each coalesced query receives its own result, and the epoch-wide
+// cost fields (rounds, messages, bytes) are reported to every participant.
 //
-// Churn interaction. A seat lost mid-flight fails exactly the epochs that
+// Churn interaction. A seat lost mid-flight fails exactly the waves that
 // were dispatched to it — each affected job completes with a retryable
 // degraded reply — while queued and coalescing queries never consume an
 // ordinal: they fail fast at admission with the usual degraded error until
-// the seat heals. Close fails every queued and in-flight epoch with a
-// retryable error instead of racing the control pumps.
+// the seat heals. A mesh wave needs every seat; a pruned wave only the
+// seats it contacts, so an absent seat whose shard the admission test
+// prunes does not fail the query. Close fails every queued and in-flight
+// wave with a retryable error instead of racing the control pumps.
 
 // dispatchTimeout bounds one dispatch frame's control-connection write.
 // The frontend lock is held across the write phase, so the deadline is
@@ -186,26 +205,20 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 	return sched
 }
 
-// epochJob is one in-flight query epoch's collation state: which (seat,
-// connection incarnation) pairs still owe a frame, the merged reply so far,
-// and how the epoch ends. All fields are guarded by scheduler.mu until done
-// closes; rep is immutable after.
+// epochJob is one in-flight wave's collation state: which (seat, connection
+// incarnation) pairs still owe a frame, each seat's result so far, and how
+// the wave ends. All fields are guarded by scheduler.mu until done closes
+// and are immutable after.
 type epochJob struct {
 	epoch uint64
-	q     wire.Query
-	// direct marks one wave of a pruned query: the epoch ran without a
-	// mesh round, its node results are collected raw in shares (per-seat
-	// attribution intact, for the pruned path's own merge and aggregation),
-	// and its window slot is owned by runPruned across both waves rather
-	// than by this job.
-	direct bool
-	// sub maps each direct wave target to the original batch indices of the
-	// points it was sent — its expected result is one entry per index, in
-	// this order. Set on every direct job; nil on scatter epochs (every
-	// node answers the full batch).
-	sub map[int][]int
-	// shares collects a direct wave's raw per-node results for the pruned
-	// path. Guarded by scheduler.mu until done closes, immutable after.
+	// n is the batch size and subs[id] the batch positions of the points
+	// seat id was sent, in frame order — the seat's result must carry one
+	// entry per position. subs is nil on a mesh wave: every seat answers the
+	// whole batch.
+	n    int
+	subs [][]int
+	// shares[id] is seat id's result (zero until it reports, and for a seat
+	// the wave did not contact).
 	shares []wire.NodeResult
 
 	expect    []uint64 // per node id: expected gen+1, or 0 once accounted
@@ -214,10 +227,12 @@ type epochJob struct {
 	lostCause error
 	errMsg    string // first (origin-preferred) epoch failure
 	errOrigin bool
-	rep       wire.Reply
-	finished  bool
-	done      chan struct{}
-	span      *obs.Span // epoch trace span; nil when tracing is off
+	// rep is the wave's outcome: the failure, or the epoch-wide cost (max
+	// rounds, total traffic) and leader of a wave whose every seat answered.
+	rep      wire.Reply
+	finished bool
+	done     chan struct{}
+	span     *obs.Span // epoch trace span; nil when tracing is off
 }
 
 // expectSet records that connection incarnation gen of seat id owes this
@@ -251,27 +266,56 @@ func (job *epochJob) fail(id int, cause error) {
 	}
 }
 
-// merge folds one node's result into the job: per query its winner share,
-// the leader's outcome, and the epoch cost (max rounds, total traffic). A
-// direct wave's results are instead kept whole in shares — the pruned path
-// needs each item's source seat for its deterministic Regress fold, so the
-// flattening merge below would lose exactly the attribution it depends on.
-func (job *epochJob) merge(nr wire.NodeResult) {
-	if nr.Rounds > job.rep.Rounds {
-		job.rep.Rounds = nr.Rounds
-	}
-	job.rep.Messages += nr.Messages
-	job.rep.Bytes += nr.Bytes
-	if job.direct {
-		job.shares = append(job.shares, nr)
-		return
-	}
-	for qi, qr := range nr.Queries {
-		job.rep.Results[qi].Items = append(job.rep.Results[qi].Items, qr.Winners...)
-		if nr.IsLeader {
-			job.rep.Results[qi].QueryOutcome = qr.QueryOutcome
+// collect files a finished wave's per-seat results under the batch
+// positions they answer: got[pi][id] becomes seat id's winner list for point
+// pi. A seat's result entries map by position through the sub-batch the
+// wave sent it (deliver has already verified the counts match); a (point,
+// seat) pair is dispatched at most once per query, so nothing is
+// overwritten.
+func (job *epochJob) collect(got [][][]points.Item) {
+	for id, nr := range job.shares {
+		for si, qr := range nr.Queries {
+			pi := si
+			if job.subs != nil {
+				pi = job.subs[id][si]
+			}
+			got[pi][id] = qr.Winners
 		}
 	}
+}
+
+// newGather allocates the per-point, per-seat winner lists collect fills.
+func newGather(n, k int) [][][]points.Item {
+	got, lists := make([][][]points.Item, n), make([][]points.Item, n*k)
+	for pi := range got {
+		got[pi] = lists[pi*k : (pi+1)*k : (pi+1)*k]
+	}
+	return got
+}
+
+// mergeItems merges one point's per-seat winner lists into ascending key
+// order. Keys are unique (distance, ID) pairs, so the order is total and
+// the merge has exactly one outcome regardless of which seat contributed
+// which item.
+func mergeItems(lists [][]points.Item) []points.Item {
+	var all []points.Item
+	for _, items := range lists {
+		all = append(all, items...)
+	}
+	points.SortItems(all)
+	return all
+}
+
+// sharesWithin cuts one point's per-seat winner lists (each in ascending
+// key order, as nodes report them) down to the items at or below the global
+// boundary key: seat id's share of the global top-ℓ, in the order the seat
+// itself would have summed it in a mesh epoch.
+func sharesWithin(lists [][]points.Item, boundary keys.Key) [][]points.Item {
+	shares := make([][]points.Item, len(lists))
+	for id, items := range lists {
+		shares[id] = items[:sort.Search(len(items), func(i int) bool { return boundary.Less(items[i].Key) })]
+	}
+	return shares
 }
 
 // closingReply is the retryable failure every queued, coalescing and
@@ -281,9 +325,9 @@ func closingReply() wire.Reply {
 }
 
 // submit answers one validated client query through the scheduler. Single
-// queries on a batching frontend coalesce first — the shared bucket epoch
-// (like any client batch) then routes through the pruned path, so server-side
-// batching and pruning compose instead of excluding each other.
+// queries on a batching frontend coalesce first — the shared bucket then
+// runs like any client batch, so server-side batching and pruning compose
+// instead of excluding each other.
 func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	// start feeds only the latency histogram below — an obs sink — which
 	// is what keeps detsource satisfied without an allow directive.
@@ -306,35 +350,26 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	return rep
 }
 
-// noteCountLocked mirrors the in-flight window depth into its gauge.
-// Caller holds sched.mu.
-func (sched *scheduler) noteCountLocked() {
-	sched.fm.inflight.Set(int64(sched.count))
-}
-
-// execute runs one (possibly batched) query: through the metric-index pruned
-// path when the whole batch is boundable, else as a full-scatter epoch.
+// execute runs one (possibly batched) query under one window slot: by the
+// pruned plan when the geometry can bound the whole batch, else by the mesh
+// plan. The slot covers every wave of the query — the probe and the gather
+// of a pruned query are halves of one answer, and parking the gather behind
+// fresh admissions could deadlock a full window of half-done queries.
 func (sched *scheduler) execute(q wire.Query) wire.Reply {
-	if rep, ok := sched.runPruned(q); ok {
-		return rep
+	dist, radius, pruned := sched.geometry(q)
+	if !pruned {
+		// Degraded fast-fail before admission: a mesh wave needs every
+		// seat, so a probe during an outage answers immediately — even
+		// while the window is full of doomed epochs — and consumes neither
+		// an ordinal nor a window slot.
+		f := sched.f
+		f.mu.Lock()
+		rep, ok := f.degradedLocked(f.slots)
+		f.mu.Unlock()
+		if !ok {
+			return rep
+		}
 	}
-	return sched.run(q)
-}
-
-// run executes q as one query epoch: admission (window backpressure),
-// dispatch (ordinal assignment + job registration) and collation wait.
-func (sched *scheduler) run(q wire.Query) wire.Reply {
-	// Degraded fast-fail before admission: a probe during an outage answers
-	// immediately — even while the window is full of doomed epochs — and
-	// consumes neither an ordinal nor a window slot.
-	f := sched.f
-	f.mu.Lock()
-	rep, ok := f.degradedLocked("waiting for")
-	f.mu.Unlock()
-	if !ok {
-		return rep
-	}
-
 	sched.mu.Lock()
 	for !sched.closed && sched.count >= sched.window {
 		sched.cond.Wait()
@@ -345,73 +380,158 @@ func (sched *scheduler) run(q wire.Query) wire.Reply {
 	}
 	sched.count++
 	sched.fm.occupancy.Observe(int64(sched.count))
-	sched.noteCountLocked()
+	sched.fm.inflight.Set(int64(sched.count))
 	sched.mu.Unlock()
-
-	job, rep := sched.dispatch(q)
-	if job == nil {
+	defer func() {
 		sched.mu.Lock()
 		// A concurrent shutdown already reset the counter (and closed
 		// gates all admission), so only a live scheduler's slot returns.
 		if !sched.closed {
 			sched.count--
-			sched.noteCountLocked()
+			sched.fm.inflight.Set(int64(sched.count))
 			sched.cond.Broadcast()
 		}
 		sched.mu.Unlock()
+	}()
+	if pruned {
+		return sched.runPruned(q, dist, radius)
+	}
+	return sched.run(q)
+}
+
+// run answers q by the mesh plan: one wave to every seat, the whole batch,
+// mesh on. The nodes select the global top-ℓ among themselves, so the fold
+// is a plain merge: per point, the union of the seats' winner shares in key
+// order plus the leader's outcome (boundary, selection stats and, for
+// Classify/Regress, the value the mesh aggregated).
+func (sched *scheduler) run(q wire.Query) wire.Reply {
+	job, rep := sched.runWave(q, true, nil)
+	if job == nil {
 		return rep
+	}
+	got := newGather(len(q.Points), sched.f.k)
+	job.collect(got)
+	rep = job.rep
+	rep.Results = make([]wire.QueryReply, len(q.Points))
+	for pi := range rep.Results {
+		qr := &rep.Results[pi]
+		for _, nr := range job.shares {
+			if nr.IsLeader {
+				qr.QueryOutcome = nr.Queries[pi].QueryOutcome
+			}
+		}
+		if q.Op == wire.OpKNN {
+			qr.Items = mergeItems(got[pi])
+		}
+	}
+	return rep
+}
+
+// runWave dispatches one wave and waits for its collation. It returns a nil
+// job (and the reply to send instead) when the wave could not run or did
+// not succeed.
+func (sched *scheduler) runWave(q wire.Query, mesh bool, subs [][]int) (*epochJob, wire.Reply) {
+	job, rep := sched.dispatchWave(q, mesh, subs)
+	if job == nil {
+		return nil, rep
 	}
 	<-job.done
 	job.span.Finish()
-	return job.rep
+	if job.rep.Err != "" {
+		return nil, job.rep
+	}
+	return job, wire.Reply{}
 }
 
-// dispatch assigns the epoch ordinal, ships the dispatch frame to every
-// seated node and registers the collation job. It returns a nil job (and
-// the reply to send instead) when the query cannot run — the cluster is
-// degraded, closing, or every dispatch write failed on the spot. The job is
-// registered before the first dispatch write, so a result can never arrive
-// unclaimed; both locks are held across the writes, which keeps seat
-// generations consistent with the expectation set.
-func (sched *scheduler) dispatch(q wire.Query) (*epochJob, wire.Reply) {
+// dispatchWave assigns the epoch ordinal, ships one wave of q and registers
+// its collation job. A mesh wave (subs nil) sends every seat the whole batch
+// as a KindDispatch frame; a direct wave sends seat id exactly the
+// sub-batch subs[id] of q's points as a KindDispatchDirect frame and does
+// not contact a seat whose sub-batch is empty. Every target that receives
+// the whole batch — all of them on a mesh wave, and always for a
+// single-point query — shares one encode-once frame; a strict sub-batch
+// gets a frame of its own. It returns a nil job (and the reply to send
+// instead) when the wave cannot run: the frontend is closing, or a seat the
+// wave contacts is absent — any other absent seat is invisible to a direct
+// wave, because the admission test already proved its shard irrelevant. The
+// job is registered before the first write, so a result can never arrive
+// unclaimed; f.mu is held across the writes, which keeps every seat's conn
+// and gen consistent with the expectation set.
+func (sched *scheduler) dispatchWave(q wire.Query, mesh bool, subs [][]int) (*epochJob, wire.Reply) {
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.slots == nil || f.closed.Load() {
 		return nil, closingReply()
 	}
-	if rep, ok := f.degradedLocked("waiting for"); !ok {
+	targets, appendFrame := f.slots, wire.AppendDispatch
+	if !mesh {
+		targets, appendFrame = nil, wire.AppendDispatchDirect
+		for _, s := range f.slots {
+			if len(subs[s.id]) > 0 {
+				targets = append(targets, s)
+			}
+		}
+	}
+	if rep, ok := f.degradedLocked(targets); !ok {
 		// No epoch is consumed: the query never ran, so the seed schedule
 		// of the successful query stream is unchanged by the outage.
 		return nil, rep
 	}
 	f.epoch++
 	epoch := f.epoch
-	// One pooled encode, fanned out to every node: the framed bytes are
-	// read-only across the concurrent writes below.
-	dw := wire.GetWriter()
-	dw.BeginFrame()
-	wire.AppendDispatch(dw, epoch, q)
-	dispatch, ferr := dw.FinishFrame()
-	if ferr != nil {
-		wire.PutWriter(dw)
-		return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
+	// Frames are built in pooled writers, which stay checked out until the
+	// writes are done because the framed bytes alias their buffers — and
+	// are read-only across the concurrent writes below.
+	var writers []*wire.Writer
+	defer func() {
+		for _, dw := range writers {
+			wire.PutWriter(dw)
+		}
+	}()
+	encode := func(sq wire.Query) ([]byte, error) {
+		dw := wire.GetWriter()
+		writers = append(writers, dw)
+		dw.BeginFrame()
+		appendFrame(dw, epoch, sq)
+		return dw.FinishFrame()
 	}
-	defer wire.PutWriter(dw)
+	frames := make([][]byte, len(targets))
+	var whole []byte
+	var pts [][]byte
+	for i, s := range targets {
+		var ferr error
+		switch {
+		case !mesh && len(subs[s.id]) < len(q.Points):
+			pts = pts[:0]
+			for _, pi := range subs[s.id] {
+				pts = append(pts, q.Points[pi])
+			}
+			frames[i], ferr = encode(wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: pts})
+		case whole == nil:
+			whole, ferr = encode(q)
+			frames[i] = whole
+		default:
+			frames[i] = whole
+		}
+		if ferr != nil {
+			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
+		}
+	}
 	sched.fm.epochsAdmitted.Inc()
 	job := &epochJob{
 		epoch:  epoch,
-		q:      q,
+		n:      len(q.Points),
+		subs:   subs,
+		shares: make([]wire.NodeResult, f.k),
 		expect: make([]uint64, f.k),
-		rep:    wire.Reply{Results: make([]wire.QueryReply, len(q.Points))},
 		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), false),
+		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), !mesh),
 	}
 	// Register the job with its full expectation set before any write, so
 	// a node answering instantly finds its job — then release sched.mu for
 	// the write phase: collation of unrelated epochs (and their client
-	// replies) must not queue behind these sockets. f.mu alone keeps every
-	// seat's conn and gen stable across the writes.
+	// replies) must not queue behind these sockets.
 	sched.mu.Lock()
 	if sched.closed {
 		// Close won the race since the f.closed check above: shutdown()
@@ -422,44 +542,52 @@ func (sched *scheduler) dispatch(q wire.Query) (*epochJob, wire.Reply) {
 		return nil, closingReply()
 	}
 	sched.inflight[epoch] = job
-	for _, s := range f.slots {
+	for _, s := range targets {
 		job.expectSet(s.id, s.gen)
 	}
 	sched.mu.Unlock()
-	// The writes run concurrently and bounded: a node that stopped
-	// draining its control connection (partitioned, stopped) must fail its
-	// write — and lose its seat — within one deadline rather than wedge
-	// the whole frontend, including the EvictNode that would remove it.
-	writeErrs := make([]error, len(f.slots))
-	var writes sync.WaitGroup
-	for i, s := range f.slots {
-		writes.Add(1)
-		go func(i int, s *feSlot) {
-			defer writes.Done()
-			s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-			_, writeErrs[i] = s.conn.Write(dispatch)
-			if writeErrs[i] == nil {
-				s.conn.SetWriteDeadline(time.Time{})
-			}
-		}(i, s)
+	// The writes are bounded: a target that stopped draining its control
+	// connection (partitioned, stopped) must fail its write — and lose its
+	// seat — within one deadline rather than wedge the whole frontend,
+	// including the EvictNode that would remove it. A one-target wave — the
+	// common case for a pruned single query — writes inline, skipping the
+	// goroutine fan-out and its allocations.
+	writeErrs := make([]error, len(targets))
+	if len(targets) == 1 {
+		conn := targets[0].conn
+		conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+		//knnlint:allow lockio -- deadline-bounded inline dispatch write; f.mu keeps the seat's conn/gen stable across it
+		_, writeErrs[0] = conn.Write(frames[0])
+	} else {
+		var writes sync.WaitGroup
+		for i, s := range targets {
+			writes.Add(1)
+			go func(i int, conn net.Conn) {
+				defer writes.Done()
+				conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+				_, writeErrs[i] = conn.Write(frames[i])
+			}(i, s.conn)
+		}
+		writes.Wait()
 	}
-	writes.Wait()
 	job.span.MarkDispatched()
 	sched.mu.Lock()
-	for i, s := range f.slots {
-		if err := writeErrs[i]; err != nil {
-			cause := fmt.Errorf("dispatch to node %d: %v", s.id, err)
-			gen := s.gen
-			f.markAbsentLocked(s, gen, cause)
-			// The node never received this epoch: withdraw its pre-filled
-			// expectation (unless the job already finished, e.g. a
-			// concurrent shutdown) and fail the epochs in flight on it.
-			if job.expectMatch(s.id, gen) && !job.finished {
-				job.expectClear(s.id)
-				job.fail(s.id, cause)
-			}
-			sched.seatLostLocked(s.id, gen, cause)
+	for i, s := range targets {
+		if writeErrs[i] == nil {
+			s.conn.SetWriteDeadline(time.Time{})
+			continue
 		}
+		cause := fmt.Errorf("dispatch to node %d: %v", s.id, writeErrs[i])
+		gen := s.gen
+		f.markAbsentLocked(s, gen, cause)
+		// The node never received this epoch: withdraw its pre-filled
+		// expectation (unless the job already finished, e.g. a
+		// concurrent shutdown) and fail the epochs in flight on it.
+		if job.expectMatch(s.id, gen) && !job.finished {
+			job.expectClear(s.id)
+			job.fail(s.id, cause)
+		}
+		sched.seatLostLocked(s.id, gen, cause)
 	}
 	sched.maybeFinishLocked(job)
 	sched.mu.Unlock()
@@ -503,20 +631,26 @@ func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
 		nr, derr := wire.DecodeNodeResult(r)
 		// A direct wave may have sent this node only a sub-batch; its
 		// result must cover exactly the points it was sent.
-		want := len(job.q.Points)
-		if job.sub != nil {
-			want = len(job.sub[id])
+		want := job.n
+		if job.subs != nil {
+			want = len(job.subs[id])
 		}
+		job.expectClear(id)
 		if derr != nil || nr.Node != id || len(nr.Queries) != want {
 			cause := fmt.Errorf("node %d sent a malformed result (%v)", id, derr)
-			job.expectClear(id)
 			job.fail(id, cause)
 			evict = &evictReq{cause: cause}
-		} else {
-			job.expectClear(id)
-			job.merge(nr)
-			job.span.MarkSeat(id)
+			break
 		}
+		// The seat's share, and its view of the epoch cost (max rounds,
+		// total traffic).
+		job.shares[id] = nr
+		if nr.Rounds > job.rep.Rounds {
+			job.rep.Rounds = nr.Rounds
+		}
+		job.rep.Messages += nr.Messages
+		job.rep.Bytes += nr.Bytes
+		job.span.MarkSeat(id)
 	case wire.KindError:
 		ne, derr := wire.DecodeNodeError(r)
 		if derr != nil {
@@ -615,9 +749,10 @@ func (sched *scheduler) seatLostLocked(id int, gen uint64, cause error) {
 // doomed as a unit, and the surviving nodes may be parked inside it waiting
 // for the lost peer's frames, so waiting for their reports could deadlock
 // the reply behind the very outage it describes. A lost seat wins
-// (retryable degraded reply), then an epoch failure, then the merged
-// result; late frames for a finished epoch are dropped. Caller holds
-// sched.mu.
+// (retryable degraded reply), then an epoch failure, then success (the
+// waiter folds the collected shares); late frames for a finished epoch are
+// dropped. The window slot is the query's, not the wave's: its owner
+// (execute) returns it. Caller holds sched.mu.
 func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	if job.finished || (job.expectN > 0 && len(job.lost) == 0) {
 		return
@@ -640,23 +775,12 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 		sched.fm.epochsFailed.Inc()
 	default:
 		job.rep.Leader = sched.f.leader
-		for qi := range job.rep.Results {
-			points.SortItems(job.rep.Results[qi].Items)
-			if job.q.Op != wire.OpKNN && !job.direct {
-				job.rep.Results[qi].Items = nil
-			}
-		}
 		sched.fm.meshRounds.Add(int64(job.rep.Rounds))
 		sched.fm.meshMessages.Add(job.rep.Messages)
 		sched.fm.meshBytes.Add(job.rep.Bytes)
 	}
 	job.span.MarkCollated(job.rep.Err, job.rep.Degraded)
 	delete(sched.inflight, job.epoch)
-	if !job.direct {
-		sched.count--
-		sched.noteCountLocked()
-		sched.cond.Broadcast()
-	}
 	close(job.done)
 }
 
@@ -681,7 +805,7 @@ func (sched *scheduler) shutdown() {
 	}
 	sched.inflight = make(map[uint64]*epochJob)
 	sched.count = 0
-	sched.noteCountLocked()
+	sched.fm.inflight.Set(0)
 	var open []*bucket
 	//knnlint:allow detsource -- shutdown fanout over independent buckets; each gets the same treatment
 	for key, b := range sched.buckets {
@@ -734,7 +858,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	// doom the bucket.
 	sched.f.mu.Lock()
 	prunable := sched.f.prunableLocked()
-	rep, ok := sched.f.degradedLocked("waiting for")
+	rep, ok := sched.f.degradedLocked(sched.f.slots)
 	sched.f.mu.Unlock()
 	if !ok && !prunable {
 		return rep
@@ -827,129 +951,78 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 }
 
 // ---------------------------------------------------------------------------
-// Metric-index pruned dispatch
+// The pruned plan
 // ---------------------------------------------------------------------------
 
-// runPruned answers q through the pruned dispatch path when it is eligible:
-// a Pruner is configured, every seat reported a metric summary, and the
-// geometry can bound every point of the batch. Every query shape rides it —
-// KNN, Classify and Regress, single points and whole batches alike — with
-// answers bit-identical to full scatter. ok=false sends the caller to the
-// ordinary scatter path.
-//
-// Churn semantics differ deliberately from full scatter. A scatter epoch
-// needs every seat, so any absent seat fails it fast — but a pruned batch
-// only needs the seats its points' balls can reach: an absent seat whose
-// shard the admission test prunes for every point does not fail the query,
-// while an absent seat that is selected (as a probe or by admission) fails
-// it with the usual retryable degraded reply.
-func (sched *scheduler) runPruned(q wire.Query) (wire.Reply, bool) {
+// geometry decides whether q can run by the pruned plan and, if so, returns
+// what the plan is computed from: dist[id][pi], the true distance from batch
+// point pi to shard id's centroid, and each shard's radius. It is eligible
+// when a Pruner is configured, every seat reported a metric summary, and
+// the geometry can speak for every point of the batch; every query shape
+// rides it — KNN, Classify and Regress, single points and whole batches
+// alike. ok=false selects the mesh plan.
+func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64, ok bool) {
 	f := sched.f
 	if f.pruner == nil {
-		return wire.Reply{}, false
+		return nil, nil, false
 	}
 	f.mu.Lock()
 	if !f.prunableLocked() {
 		f.mu.Unlock()
-		return wire.Reply{}, false
+		return nil, nil, false
 	}
 	// Summaries are immutable for a seat's lifetime (a re-joining node must
 	// reproduce its summary bit-for-bit), so the geometry is snapshotted
 	// once and used lock-free below.
-	radius := make([]float64, f.k)
+	radius = make([]float64, f.k)
 	center := make([][]byte, f.k)
 	for i, s := range f.slots {
 		radius[i] = s.summary.Radius
 		center[i] = s.summary.Center
 	}
 	f.mu.Unlock()
-	// dist[id][pi] is the true distance from batch point pi to shard id's
-	// centroid.
-	dist := make([][]float64, f.k)
+	dist = make([][]float64, f.k)
 	for id := range center {
 		dist[id] = make([]float64, len(q.Points))
 		for pi, p := range q.Points {
 			d, err := f.pruner.CenterDist(p, center[id])
 			if err != nil {
 				// The geometry cannot speak for this point (e.g. a dimension
-				// mismatch); full scatter runs the node-side validation and
+				// mismatch); the mesh plan runs the node-side validation and
 				// reports its error.
-				return wire.Reply{}, false
+				return nil, nil, false
 			}
 			dist[id][pi] = d
 		}
 	}
-
-	// One window slot covers both waves: the probe and the gather are
-	// halves of one query, and parking the gather behind fresh admissions
-	// could deadlock a full window of half-done pruned queries.
-	sched.mu.Lock()
-	for !sched.closed && sched.count >= sched.window {
-		sched.cond.Wait()
-	}
-	if sched.closed {
-		sched.mu.Unlock()
-		return closingReply(), true
-	}
-	sched.count++
-	sched.fm.occupancy.Observe(int64(sched.count))
-	sched.noteCountLocked()
-	sched.mu.Unlock()
-	rep := sched.prunedBatch(q, dist, radius)
-	sched.mu.Lock()
-	if !sched.closed {
-		sched.count--
-		sched.noteCountLocked()
-		sched.cond.Broadcast()
-	}
-	sched.mu.Unlock()
-	return rep, true
+	return dist, radius, true
 }
 
-// srcItem is one gathered winner together with the seat that holds it. The
-// source seat is what lets the frontend replay the mesh's aggregation
-// orders exactly — most visibly Regress's per-seat fold (regressItems).
-type srcItem struct {
-	points.Item
-	seat int
-}
-
-// sortSrcItems orders gathered winners by key. Keys are unique (distance,
-// ID) pairs, so the order is total and the merge has exactly one outcome
-// regardless of which shards contributed which items.
-func sortSrcItems(items []srcItem) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Key.Less(items[j].Key) })
-}
-
-// prunedBatch runs one admitted pruned query batch as up to two waves of
-// direct no-mesh epochs. Wave 1: every point probes its Probes nearest
-// present shards; the probe winners bound each point's global ℓ-th neighbor
-// distance from above. Wave 2: each shard receives exactly the sub-batch of
-// points whose admission ball can still intersect its centroid ball
-// (metricindex.AdmitSub) — a shard admitted by zero points is skipped
-// entirely. The frontend then merges and aggregates per point. Answers are
-// bit-identical to full scatter: the merged local top-ℓ of the contacted
-// shards provably contains each point's global top-ℓ (metricindex.Admit),
-// keys are unique (distance, ID) pairs so the sorted merge has exactly one
-// outcome, Classify replicates core.Classify's smallest-max-label vote, and
-// Regress replays the mesh's deterministic fold over per-seat partial sums
-// (regressItems). Cost reporting follows the path's own shape: Rounds
-// counts dispatch waves (1 or 2), Messages the total per-point shard
-// contacts — Σ over the batch of the number of shards each point was sent
-// to, so Messages/len(Points) is the contacted-nodes-per-query figure;
-// Bytes stays 0 (no mesh traffic) and the BSP selection stats (Survivors,
-// Iterations, FellBack) do not apply.
-func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
+// runPruned answers q by the pruned plan: up to two direct waves, mesh off.
+// Wave 1: every point probes its Probes nearest present shards; the probe
+// winners bound each point's global ℓ-th neighbor distance from above. Wave
+// 2: each shard receives exactly the sub-batch of points whose admission
+// ball can still intersect its centroid ball (metricindex.AdmitSub) — a
+// shard admitted by zero points is skipped entirely. The fold then selects
+// at the frontend what the mesh plan selects among the nodes: the merged
+// local top-ℓ of the contacted shards provably contains each point's global
+// top-ℓ (metricindex.Admit), so its first ℓ keys are the answer, each seat's
+// items at or below the ℓ-th key are the winner share the mesh would have
+// left on that seat, and Classify/Regress are core's own folds over those
+// shares (a pruned seat holds no global winner, so its empty share matches
+// the mesh too) — bit-identical to the mesh plan by construction. Cost
+// reporting follows the plan's own shape: Rounds counts dispatch waves (1 or
+// 2), Messages the total per-point shard contacts — Σ over the batch of the
+// number of shards each point was sent to, so Messages/len(Points) is the
+// contacted-nodes-per-query figure; Bytes stays 0 (no mesh traffic) and the
+// BSP selection stats (Survivors, Iterations, FellBack) do not apply.
+func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
 	f := sched.f
 	n := len(q.Points)
 
 	// Wave 1: per point, pick the present seats nearest the point (ties
 	// toward the lower id) and group the picks into per-seat sub-batches.
 	f.mu.Lock()
-	if f.slots == nil || f.closed.Load() {
-		f.mu.Unlock()
-		return closingReply()
-	}
 	var present []int
 	for _, s := range f.slots {
 		if s.present {
@@ -957,7 +1030,7 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 		}
 	}
 	if len(present) == 0 {
-		rep, _ := f.degradedLocked("waiting for")
+		rep, _ := f.degradedLocked(f.slots)
 		f.mu.Unlock()
 		return rep
 	}
@@ -991,27 +1064,17 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 			chosen[id] = false
 		}
 	}
-	var contacts int64
-	for _, sub := range wave1 {
-		contacts += int64(len(sub))
-	}
-	job, rep := sched.dispatchDirectWave(q, wave1)
+	got := newGather(n, f.k)
+	job, rep := sched.runWave(q, false, wave1)
 	if job == nil {
 		return rep
 	}
-	<-job.done
-	job.span.Finish()
-	if job.rep.Err != "" {
-		return job.rep
-	}
-	got := make([][]srcItem, n)
-	collectShares(got, job)
+	job.collect(got)
 	ub := make([]float64, n)
-	for pi := range got {
-		sortSrcItems(got[pi])
+	for pi := range ub {
 		ub[pi] = math.Inf(1)
-		if len(got[pi]) >= q.L {
-			ub[pi] = f.pruner.KeyDist(got[pi][q.L-1].Key.Dist)
+		if probed := mergeItems(got[pi]); len(probed) >= q.L {
+			ub[pi] = f.pruner.KeyDist(probed[q.L-1].Key.Dist)
 		}
 	}
 
@@ -1020,302 +1083,57 @@ func (sched *scheduler) prunedBatch(q wire.Query, dist [][]float64, radius []flo
 	// shards held fewer than ℓ points) every shard admits it and that point
 	// degenerates to a no-mesh scatter — still correct, just not cheaper.
 	wave2 := make([][]int, f.k)
-	wave2Any := false
-	for id := 0; id < f.k; id++ {
+	waves := 1
+	for id := range wave2 {
 		wave2[id] = metricindex.AdmitSub(dist[id], ub, radius[id], contacted[id])
 		if len(wave2[id]) > 0 {
-			wave2Any = true
-			contacts += int64(len(wave2[id]))
+			waves = 2
 		}
 	}
-	rounds := 1
-	if wave2Any {
-		rounds = 2
-		job2, rep2 := sched.dispatchDirectWave(q, wave2)
-		if job2 == nil {
-			return rep2
+	if waves == 2 {
+		if job, rep = sched.runWave(q, false, wave2); job == nil {
+			return rep
 		}
-		<-job2.done
-		job2.span.Finish()
-		if job2.rep.Err != "" {
-			return job2.rep
-		}
-		collectShares(got, job2)
-		for pi := range got {
-			sortSrcItems(got[pi])
-		}
+		job.collect(got)
 	}
 
 	results := make([]wire.QueryReply, n)
 	for pi := range results {
-		items := got[pi]
+		items := mergeItems(got[pi])
 		if len(items) > q.L {
 			items = items[:q.L]
 		}
 		qr := &results[pi]
 		qr.Boundary = items[len(items)-1].Key
+		var err error
 		switch q.Op {
 		case wire.OpKNN:
-			flat := make([]points.Item, len(items))
-			for i, it := range items {
-				flat[i] = it.Item
-			}
-			qr.Items = flat
+			qr.Items = items
 		case wire.OpClassify:
-			qr.Value = classifyItems(items)
+			qr.Value, err = core.ClassifyShares(sharesWithin(got[pi], qr.Boundary))
 		case wire.OpRegress:
-			qr.Value = regressItems(items, f.k, f.leader)
+			qr.Value, err = core.RegressShares(sharesWithin(got[pi], qr.Boundary), f.leader)
+		}
+		if err != nil {
+			return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
 		}
 	}
 	// Contacts and skips are recorded only for a query that answers: the
 	// counter then matches the Σ of client-observed QueryStats.Contacts.
-	sched.fm.pruneWaves.Add(int64(rounds))
-	sched.fm.pruneContacts.Add(contacts)
-	var skipped int64
-	for id := 0; id < f.k; id++ {
+	var contacts, skipped int64
+	for id := range wave1 {
+		contacts += int64(len(wave1[id]) + len(wave2[id]))
 		if len(wave1[id]) == 0 && len(wave2[id]) == 0 {
 			skipped++
 		}
 	}
+	sched.fm.pruneWaves.Add(int64(waves))
+	sched.fm.pruneContacts.Add(contacts)
 	sched.fm.pruneSkipped.Add(skipped)
 	return wire.Reply{
-		Rounds:   rounds,
+		Rounds:   waves,
 		Messages: contacts,
 		Leader:   f.leader,
 		Results:  results,
 	}
-}
-
-// collectShares unpacks one direct wave's raw node results into the
-// per-point gather: a node's result entries map by position through the
-// sub-batch the wave sent it (deliver has already verified the counts
-// match).
-func collectShares(got [][]srcItem, job *epochJob) {
-	for _, nr := range job.shares {
-		sub := job.sub[nr.Node]
-		for si, qr := range nr.Queries {
-			for _, it := range qr.Winners {
-				got[sub[si]] = append(got[sub[si]], srcItem{Item: it, seat: nr.Node})
-			}
-		}
-	}
-}
-
-// classifyItems replicates core.Classify's aggregation over the merged
-// global winners: the most frequent label, ties toward the smallest.
-func classifyItems(items []srcItem) float64 {
-	hist := make(map[float64]int64, 4)
-	for _, it := range items {
-		hist[it.Label]++
-	}
-	labels := make([]float64, 0, len(hist))
-	for label := range hist {
-		labels = append(labels, label)
-	}
-	sort.Float64s(labels)
-	var best float64
-	var bestCount int64 = -1
-	for _, label := range labels {
-		if hist[label] > bestCount {
-			best, bestCount = label, hist[label]
-		}
-	}
-	return best
-}
-
-// regressItems replays core.Regress's leader-side fold bit-for-bit over the
-// merged global winners. In a full-scatter epoch each seat's winner share
-// is exactly its slice of the global top-ℓ in ascending key order: the
-// leader folds its own share item by item from zero, then adds the other
-// seats' partial sums — a seat with no winners sends an exact 0.0 — in the
-// mesh's deterministic delivery order, ascending seat id. The pruned path
-// holds the same items tagged with their source seats, so it rebuilds each
-// seat's partial in ascending key order (the iteration order of the sorted
-// merge) and folds the partials in the same sequence; a seat the admission
-// test pruned holds no global winners by the metric-index argument, so its
-// implied 0.0 partial matches full scatter too. float64 addition is neither
-// associative nor commutative under rounding, which is why the order is
-// pinned this precisely.
-func regressItems(items []srcItem, k, leader int) float64 {
-	partial := make([]float64, k)
-	count := make([]int64, k)
-	for _, it := range items {
-		partial[it.seat] += it.Label
-		count[it.seat]++
-	}
-	sum, total := partial[leader], count[leader]
-	for id := 0; id < k; id++ {
-		if id != leader {
-			sum += partial[id]
-			total += count[id]
-		}
-	}
-	return sum / float64(total)
-}
-
-// dispatchDirectWave assigns an epoch ordinal and ships one direct
-// (no-mesh) wave of a pruned query: seat id receives exactly the sub-batch
-// subs[id] of q's points, and a seat with an empty sub-batch is not
-// contacted at all. When every contacted seat receives the full batch —
-// always true for a single-point query — the wave is encoded once as a
-// KindDispatchDirect frame and fanned out; otherwise each target gets its
-// own KindDispatchDirectSub frame carrying its sub-batch and the points'
-// original indices. A collation job expecting one result frame per target
-// is registered before any write. The wave mirrors dispatch with one
-// deliberate difference: only the targets must be present. A missing target
-// fails the query with the retryable degraded reply naming it; any other
-// absent seat is invisible here, because the admission test already proved
-// its shard irrelevant to this wave.
-func (sched *scheduler) dispatchDirectWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
-	f := sched.f
-	var targets []int
-	full := true
-	for id, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		targets = append(targets, id)
-		if len(sub) != len(q.Points) {
-			full = false
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.slots == nil || f.closed.Load() {
-		return nil, closingReply()
-	}
-	var absent []int
-	var lossCause error
-	for _, id := range targets {
-		if s := f.slots[id]; !s.present {
-			absent = append(absent, id)
-			if lossCause == nil {
-				lossCause = s.lastLoss
-			}
-		}
-	}
-	if len(absent) > 0 {
-		msg := fmt.Sprintf("cluster degraded (%d of %d nodes): pruned query needs node(s) %v", f.k-len(absent), f.k, absent)
-		if lossCause != nil {
-			msg += fmt.Sprintf(" (%v)", lossCause)
-		}
-		return nil, wire.Reply{Err: msg, Degraded: true}
-	}
-	f.epoch++
-	epoch := f.epoch
-	// Frame building reuses the pooled writers of the scatter path. A full
-	// wave is the encode-once fan-out: one read-only frame shared by every
-	// write below. A sub-batched wave builds one frame per target (each
-	// carries different points); the writers stay checked out until the
-	// writes are done, because the framed bytes alias their buffers.
-	writers := make([]*wire.Writer, 0, len(targets))
-	defer func() {
-		for _, dw := range writers {
-			wire.PutWriter(dw)
-		}
-	}()
-	frames := make([][]byte, len(targets))
-	if full {
-		dw := wire.GetWriter()
-		dw.BeginFrame()
-		wire.AppendDispatchDirect(dw, epoch, q)
-		frame, ferr := dw.FinishFrame()
-		if ferr != nil {
-			wire.PutWriter(dw)
-			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
-		}
-		writers = append(writers, dw)
-		for i := range frames {
-			frames[i] = frame
-		}
-	} else {
-		var pts [][]byte
-		for i, id := range targets {
-			sub := subs[id]
-			pts = pts[:0]
-			for _, pi := range sub {
-				pts = append(pts, q.Points[pi])
-			}
-			dw := wire.GetWriter()
-			dw.BeginFrame()
-			wire.AppendDispatchDirectSub(dw, epoch, sub, wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: pts})
-			frame, ferr := dw.FinishFrame()
-			if ferr != nil {
-				wire.PutWriter(dw)
-				return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
-			}
-			writers = append(writers, dw)
-			frames[i] = frame
-		}
-	}
-	sched.fm.epochsAdmitted.Inc()
-	job := &epochJob{
-		epoch:  epoch,
-		q:      q,
-		direct: true,
-		sub:    make(map[int][]int, len(targets)),
-		expect: make([]uint64, f.k),
-		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), true),
-	}
-	for _, id := range targets {
-		job.sub[id] = subs[id]
-	}
-	sched.mu.Lock()
-	if sched.closed {
-		sched.mu.Unlock()
-		return nil, closingReply()
-	}
-	sched.inflight[epoch] = job
-	for _, id := range targets {
-		job.expectSet(id, f.slots[id].gen)
-	}
-	sched.mu.Unlock()
-	// Bounded writes, exactly like dispatch: a target that stopped draining
-	// its control connection loses its seat within one deadline instead of
-	// wedging the frontend. A one-target wave — the common case for a
-	// pruned single query — writes inline, skipping the goroutine fan-out
-	// and its allocations.
-	writeErrs := make([]error, len(targets))
-	if len(targets) == 1 {
-		s := f.slots[targets[0]]
-		s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-		//knnlint:allow lockio -- deadline-bounded inline dispatch write; f.mu keeps the seat's conn/gen stable across it
-		_, writeErrs[0] = s.conn.Write(frames[0])
-		if writeErrs[0] == nil {
-			s.conn.SetWriteDeadline(time.Time{})
-		}
-	} else {
-		var writes sync.WaitGroup
-		for i, id := range targets {
-			writes.Add(1)
-			go func(i int, s *feSlot) {
-				defer writes.Done()
-				s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-				_, writeErrs[i] = s.conn.Write(frames[i])
-				if writeErrs[i] == nil {
-					s.conn.SetWriteDeadline(time.Time{})
-				}
-			}(i, f.slots[id])
-		}
-		writes.Wait()
-	}
-	job.span.MarkDispatched()
-	sched.mu.Lock()
-	for i, id := range targets {
-		if err := writeErrs[i]; err != nil {
-			s := f.slots[id]
-			cause := fmt.Errorf("dispatch to node %d: %v", s.id, err)
-			gen := s.gen
-			f.markAbsentLocked(s, gen, cause)
-			if job.expectMatch(s.id, gen) && !job.finished {
-				job.expectClear(s.id)
-				job.fail(s.id, cause)
-			}
-			sched.seatLostLocked(s.id, gen, cause)
-		}
-	}
-	sched.maybeFinishLocked(job)
-	sched.mu.Unlock()
-	return job, wire.Reply{}
 }

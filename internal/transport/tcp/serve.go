@@ -32,9 +32,9 @@ var handshakeTimeout = 30 * time.Second
 // ErrSessionLost marks a resident node's exit because its serving session
 // died under it — the frontend closed (or evicted) its control connection
 // without a clean shutdown frame. The node's seat is recoverable: re-join
-// by calling ServeNode (the frontend hands a late registration an absent
-// slot) or RejoinNode, as cmd/knnnode's -rejoin loop does. Matched with
-// errors.Is.
+// by calling ServeNodeObserved (the frontend hands a late registration an
+// absent slot) or RejoinNode, as cmd/knnnode's -rejoin loop does. Matched
+// with errors.Is.
 var ErrSessionLost = errors.New("tcp: serving session lost")
 
 // ErrDegraded marks a query refused (or failed in flight) because the
@@ -104,10 +104,14 @@ type Handler interface {
 	Direct(q wire.Query, qi int) (QueryResult, error)
 }
 
-// ServeNode joins the serving cluster at the frontend's address and stays
-// resident: it meshes up once, runs h.Setup as the setup epoch, reports
-// readiness, and then executes one BSP epoch per dispatched query batch
-// until the frontend shuts the session down (clean return).
+// ServeNodeObserved joins the serving cluster at the frontend's address and
+// stays resident: it meshes up once, runs h.Setup as the setup epoch, reports
+// readiness, and then executes one epoch per dispatched query batch until
+// the frontend shuts the session down (clean return). It is the one node
+// entry point; the node's serve-loop telemetry (epochs served, mesh
+// round/message/byte totals, control-plane frame bytes, pool traffic — see
+// metrics.go for the instrument names) is bound to reg, and a nil reg
+// records into a private registry.
 //
 // If the frontend is already past rendezvous and a cluster seat is absent
 // (its node died or was evicted), the registration is answered with a
@@ -128,14 +132,6 @@ type Handler interface {
 // seat, waiting for the lost peer to re-join; only the loss of the control
 // connection itself ends the session, with an error matching ErrSessionLost
 // so callers can re-join (see cmd/knnnode -rejoin).
-func ServeNode(coordAddr, meshAddr, advertise string, h Handler) error {
-	return serveNode(coordAddr, meshAddr, advertise, -1, h, nil, nil)
-}
-
-// ServeNodeObserved is ServeNode with the node's serve-loop telemetry
-// (epochs served, mesh round/message/byte totals, control-plane frame
-// bytes, pool traffic) bound to reg — see metrics.go for the
-// instrument names. A nil registry behaves exactly like ServeNode.
 func ServeNodeObserved(coordAddr, meshAddr, advertise string, reg *obs.Registry, h Handler) error {
 	return serveNode(coordAddr, meshAddr, advertise, -1, h, nil, reg)
 }
@@ -143,8 +139,8 @@ func ServeNodeObserved(coordAddr, meshAddr, advertise string, reg *obs.Registry,
 // RejoinNode re-joins a running serving session claiming a specific machine
 // index, which must be absent (its previous node dead or evicted). Use it
 // when the caller knows which seat it held — e.g. a supervisor restarting a
-// known shard; a plain ServeNode registration lets the frontend pick any
-// absent seat instead.
+// known shard; a plain ServeNodeObserved registration lets the frontend pick
+// any absent seat instead.
 func RejoinNode(coordAddr, meshAddr, advertise string, id int, h Handler) error {
 	if id < 0 {
 		return fmt.Errorf("tcp: rejoin needs a machine index, got %d", id)
@@ -249,21 +245,34 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	// read loop. In-flight epochs are drained before the mesh comes down,
 	// so a clean shutdown never strands a peer mid-exchange.
 	var ctrlMu sync.Mutex
-	// writeCtrl sends one control frame built in a pooled writer (frame
-	// already begun). The writer stays the caller's — its bytes are fully
-	// flushed on return, and the caller releases it with wire.PutWriter —
-	// so pooled-buffer ownership is provable function-locally (knnlint
-	// poolown).
-	writeCtrl := func(w *wire.Writer) error {
+	// report ends one dispatched epoch on the control connection: the
+	// node's result, or — when err is set — the failure report. Program
+	// failures are recoverable; mesh failures set the fatal bit and name
+	// the lost peer, and the node keeps its seat — the frontend gates
+	// dispatches until the implicated node re-joins. The pooled writer is
+	// checked out and released here, so its ownership is provable
+	// function-locally (knnlint poolown).
+	report := func(epoch uint64, nr wire.NodeResult, err error) {
+		var w *wire.Writer
+		if err != nil {
+			nm.epochErrors.Inc()
+			w = epochErrorFrame(epoch, err)
+		} else {
+			w = wire.GetWriter()
+			w.BeginFrame()
+			wire.AppendNodeResult(w, nr)
+		}
 		ctrlMu.Lock()
-		defer ctrlMu.Unlock()
 		//knnlint:allow lockio -- ctrlMu exists to serialize exactly this control write; no other state hides behind it
-		err := w.EndFrame(coord)
-		if err == nil {
+		werr := w.EndFrame(coord)
+		ctrlMu.Unlock()
+		if werr == nil {
 			// The writer still holds the whole frame after EndFrame.
 			nm.ctrlOut.Add(int64(len(w.Bytes())))
+		} else {
+			coord.Close()
 		}
-		return err
+		wire.PutWriter(w)
 	}
 	var epochs sync.WaitGroup
 	defer epochs.Wait()
@@ -308,25 +317,29 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 				// query either way, but the peer's epoch goroutine must
 				// not leak).
 				node.abortEpoch(epoch)
-				ew := epochErrorFrame(epoch, err)
-				werr := writeCtrl(ew)
-				wire.PutWriter(ew)
-				if werr != nil {
-					return fmt.Errorf("tcp: node %d report error: %v: %w", a.id, werr, ErrSessionLost)
-				}
+				report(epoch, wire.NodeResult{}, err)
 				continue
 			}
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				runDispatchedEpoch(er, epochSeed, q, h, a.id, info.Leader, writeCtrl, coord, nm)
+				nr, err := runMeshEpoch(er, epochSeed, q, h, a.id, info.Leader)
+				if err == nil {
+					nm.epochsServed.Inc()
+					nm.meshRounds.Add(int64(nr.Rounds))
+					nm.meshMessages.Add(nr.Messages)
+					nm.meshBytes.Add(nr.Bytes)
+				}
+				report(epoch, nr, err)
 				wire.PutFrameBuf(payload)
 			}()
 		case wire.KindDispatchDirect:
 			// A pruned epoch never touches the mesh: no beginEpoch (the
 			// demultiplexer's monotonic-ordinal invariant is for mesh
 			// epochs only — direct ordinals interleave freely), no seed,
-			// no peers. The node answers straight from its shard.
+			// no peers. The node answers straight from its shard, for
+			// exactly the points the frame carries — the whole client batch
+			// or the sub-batch the frontend's admission test left for it.
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
@@ -335,24 +348,11 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				runDirectEpoch(epoch, q, h, a.id, writeCtrl, coord, nm)
-				wire.PutFrameBuf(payload)
-			}()
-		case wire.KindDispatchDirectSub:
-			// One shard's sub-batch of a pruned batch epoch: answered exactly
-			// like a direct dispatch (no mesh, no seed), one winners-only
-			// result entry per sub-batch point in sub-batch order. The
-			// original batch indices are the frontend's bookkeeping — it maps
-			// this node's replies by position — so they are validated and
-			// dropped here.
-			epoch, _, q, err := wire.DecodeDispatchDirectSub(r)
-			if err != nil {
-				return fmt.Errorf("tcp: node %d bad sub-batch dispatch: %w", a.id, err)
-			}
-			epochs.Add(1)
-			go func() {
-				defer epochs.Done()
-				runDirectEpoch(epoch, q, h, a.id, writeCtrl, coord, nm)
+				nr, err := runDirectEpoch(epoch, q, h, a.id)
+				if err == nil {
+					nm.directServed.Inc()
+				}
+				report(epoch, nr, err)
 				wire.PutFrameBuf(payload)
 			}()
 		default:
@@ -361,12 +361,9 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 }
 
-// runDispatchedEpoch executes one dispatched query epoch and reports its
-// result (or failure) on the control connection. It runs on its own
-// goroutine; a failed control write closes the connection so the dispatch
-// read loop observes the session loss.
-func runDispatchedEpoch(er *epochRun, epochSeed uint64, q wire.Query, h Handler,
-	id, leader int, writeCtrl func(*wire.Writer) error, coord net.Conn, nm *nodeMetrics) {
+// runMeshEpoch executes one dispatched BSP query epoch on its own goroutine
+// and returns the node's result for the frontend.
+func runMeshEpoch(er *epochRun, epochSeed uint64, q wire.Query, h Handler, id, leader int) (wire.NodeResult, error) {
 	res := make([]QueryResult, len(q.Points))
 	var err error
 	if len(q.Points) == 1 {
@@ -391,23 +388,9 @@ func runDispatchedEpoch(er *epochRun, epochSeed uint64, q wire.Query, h Handler,
 		err = er.runBatch(epochSeed, progs)
 	}
 	if err != nil {
-		// Program failures are recoverable; mesh failures set the fatal
-		// bit and name the lost peer, and the node keeps its seat — the
-		// frontend gates dispatches until the implicated node re-joins.
-		nm.epochErrors.Inc()
-		ew := epochErrorFrame(er.epoch, err)
-		werr := writeCtrl(ew)
-		wire.PutWriter(ew)
-		if werr != nil {
-			coord.Close()
-		}
-		return
+		return wire.NodeResult{}, err
 	}
 	met := er.metrics
-	nm.epochsServed.Inc()
-	nm.meshRounds.Add(int64(met.Rounds))
-	nm.meshMessages.Add(met.Messages)
-	nm.meshBytes.Add(met.Bytes)
 	nr := wire.NodeResult{
 		Epoch:    er.epoch,
 		Node:     id,
@@ -432,22 +415,14 @@ func runDispatchedEpoch(er *epochRun, epochSeed uint64, q wire.Query, h Handler,
 			nr.Queries[qi].Value = qr.Value
 		}
 	}
-	w := wire.GetWriter()
-	w.BeginFrame()
-	wire.AppendNodeResult(w, nr)
-	werr := writeCtrl(w)
-	wire.PutWriter(w)
-	if werr != nil {
-		coord.Close()
-	}
+	return nr, nil
 }
 
 // runDirectEpoch answers one pruned (no-mesh) epoch: the node's local
-// top-ℓ winners per query point, reported as a winners-only NodeResult
-// (IsLeader false; zero mesh cost — the frontend accounts a pruned query's
-// cost itself). A failed query reports a recoverable (non-fatal) error.
-func runDirectEpoch(epoch uint64, q wire.Query, h Handler,
-	id int, writeCtrl func(*wire.Writer) error, coord net.Conn, nm *nodeMetrics) {
+// top-ℓ winners per query point, as a winners-only NodeResult (IsLeader
+// false; zero mesh cost — the frontend accounts a pruned query's cost
+// itself). A failed point fails the epoch with a recoverable error.
+func runDirectEpoch(epoch uint64, q wire.Query, h Handler, id int) (wire.NodeResult, error) {
 	nr := wire.NodeResult{
 		Epoch:   epoch,
 		Node:    id,
@@ -456,30 +431,11 @@ func runDirectEpoch(epoch uint64, q wire.Query, h Handler,
 	for qi := range q.Points {
 		res, err := h.Direct(q, qi)
 		if err != nil {
-			nm.epochErrors.Inc()
-			w := wire.GetWriter()
-			w.BeginFrame()
-			wire.AppendNodeError(w, wire.NodeError{
-				Epoch: epoch, Origin: true, LostPeer: -1, Msg: err.Error(),
-			})
-			werr := writeCtrl(w)
-			wire.PutWriter(w)
-			if werr != nil {
-				coord.Close()
-			}
-			return
+			return wire.NodeResult{}, err
 		}
 		nr.Queries[qi].Winners = res.Winners
 	}
-	nm.directServed.Inc()
-	w := wire.GetWriter()
-	w.BeginFrame()
-	wire.AppendNodeResult(w, nr)
-	werr := writeCtrl(w)
-	wire.PutWriter(w)
-	if werr != nil {
-		coord.Close()
-	}
+	return nr, nil
 }
 
 // serveAssignment is what a serving node learns at join time: a fresh
@@ -543,7 +499,7 @@ func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int
 			return fail(fmt.Errorf("tcp: bad assignment: %w", err))
 		}
 		if mode != wire.ModeServe {
-			return fail(fmt.Errorf("tcp: coordinator runs mode %d, ServeNode requires serving; use RunNode", mode))
+			return fail(fmt.Errorf("tcp: coordinator runs mode %d, a serving node requires mode serve; use RunNode", mode))
 		}
 		return coord, a, nil
 	case wire.KindRejoinAssign:
@@ -665,7 +621,7 @@ func buildServeMesh(n *Node, addrs []string) error {
 }
 
 // epochErrorFrame builds a failed-epoch report in a pooled writer (frame
-// begun, ready for writeCtrl/EndFrame): origin marks a failure of this
+// begun, ready for EndFrame): origin marks a failure of this
 // node's own program (as opposed to a peer's error frame or a transport
 // fault), fatal marks a broken mesh, and the lost peer is named when the
 // fault could be attributed, so the frontend can evict exactly the

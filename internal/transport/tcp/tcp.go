@@ -23,7 +23,7 @@
 //     runs, and everything is torn down — the coordinator carries no
 //     protocol traffic and exits after rendezvous.
 //
-//   - Serving (Frontend, ServeNode, ServeLocal, Client): the nodes stay
+//   - Serving (Frontend, ServeNodeObserved, ServeLocal, Client): the nodes stay
 //     resident after rendezvous, run a setup epoch once (leader election),
 //     and then execute one BSP epoch per query dispatched by the frontend,
 //     which also answers remote clients. Each epoch is an isolated run on

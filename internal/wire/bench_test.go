@@ -116,9 +116,9 @@ func BenchmarkReplyFramePath(b *testing.B) {
 }
 
 // BenchmarkDirectDispatchFramePath is the pruned dispatch's wave encoding:
-// a pooled writer frames one KindDispatchDirect fan-out frame plus one
-// KindDispatchDirectSub sub-batch frame per iteration, the way a two-wave
-// pruned batch builds them. The encode+frame side must stay at zero
+// a pooled writer frames one whole-batch KindDispatchDirect fan-out frame
+// plus one sub-batch frame of the same kind per iteration, the way a
+// two-wave pruned batch builds them. The encode+frame side must stay at zero
 // steady-state allocs/op, like the scatter path it reuses.
 func BenchmarkDirectDispatchFramePath(b *testing.B) {
 	pts := make([][]byte, 16)
@@ -126,8 +126,7 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 		pts[i] = EncodeScalarPoint(uint64(1000 * i))
 	}
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts}
-	sub := []int{1, 3, 4, 7, 11}
-	subQ := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts[:len(sub)]}
+	subQ := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts[:5]}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := GetWriter()
@@ -140,7 +139,7 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 
 		w = GetWriter()
 		w.BeginFrame()
-		AppendDispatchDirectSub(w, uint64(i), sub, subQ)
+		AppendDispatchDirect(w, uint64(i), subQ)
 		if err := w.EndFrame(io.Discard); err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +153,7 @@ func BenchmarkEncodeReplyLegacy(b *testing.B) {
 	rep := benchReply()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload := EncodeReply(rep)
+		payload := EncodeReplyTagged(uint64(i), rep)
 		buf := make([]byte, 4+len(payload))
 		copy(buf[4:], payload)
 		if _, err := io.Discard.Write(buf); err != nil {

@@ -42,10 +42,11 @@ const (
 	KindError Kind = 6
 	// KindShutdown: frontend → node, clean stop. Empty body.
 	KindShutdown Kind = 7
-	// KindQuery: client → frontend. Body: Query.
-	KindQuery Kind = 8
-	// KindReply: frontend → client. Body: Reply.
-	KindReply Kind = 9
+
+	// Kinds 8 and 9 (the untagged client query/reply pair) and 16 (the
+	// pruned sub-batch dispatch with an index list) are retired and never
+	// reused.
+
 	// KindRejoin: node → frontend, re-register into a running serving
 	// session. Body: Varint id+1 (0 asks the frontend to pick any absent
 	// slot), String mesh address. The frontend answers with KindRejoinAssign
@@ -57,14 +58,13 @@ const (
 	// presentCount, presentCount × Varint id (the peers currently serving,
 	// which the rejoining node must dial), then k × String mesh addresses.
 	KindRejoinAssign Kind = 11
-	// KindQueryTagged: client → frontend, a multiplexed query. Body:
-	// Varint tag (client-chosen request id, echoed verbatim in the reply),
-	// then a Query body. Tagged queries on one connection may be answered
-	// out of order; the untagged KindQuery keeps its strict in-order
-	// request/reply contract for legacy clients.
+	// KindQueryTagged: client → frontend, one query. Body: Varint tag
+	// (client-chosen request id, echoed verbatim in the reply), then a Query
+	// body. Queries on one connection may be answered out of order; the tag
+	// matches a reply to its query.
 	KindQueryTagged Kind = 12
-	// KindReplyTagged: frontend → client, the answer to one tagged query.
-	// Body: Varint tag, then a Reply body.
+	// KindReplyTagged: frontend → client, the answer to one query. Body:
+	// Varint tag, then a Reply body.
 	KindReplyTagged Kind = 13
 	// KindSummary: node → frontend, the node's metric-index shard summary,
 	// sent immediately after every KindReady (both the setup and the
@@ -79,19 +79,11 @@ const (
 	// its own shard without starting a BSP epoch — no election-derived
 	// rounds, no mesh traffic — and replies with a winners-only KindResult
 	// (IsLeader 0, Rounds/Messages/Bytes 0). Body: Varint epoch, then a
-	// Query body (identical layout to KindDispatch).
+	// Query body (identical layout to KindDispatch) holding exactly the
+	// points this node must answer — the whole client batch or any
+	// sub-batch of it; which batch positions they are is the frontend's
+	// bookkeeping.
 	KindDispatchDirect Kind = 15
-	// KindDispatchDirectSub: frontend → node, one shard's sub-batch of a
-	// pruned batch epoch. The frontend's per-point admission test sends each
-	// shard only the query points whose ball can intersect it, so different
-	// nodes of one wave receive different subsets; the frame carries each
-	// point's original batch index to keep the protocol self-describing (the
-	// frontend maps replies by position, nodes may ignore the indices). The
-	// node answers exactly like KindDispatchDirect: a winners-only KindResult
-	// with one entry per sub-batch point, in sub-batch order. Body: Varint
-	// epoch, Varint n, n × Varint original batch index, then a Query body
-	// whose batch is the n sub-batch points.
-	KindDispatchDirectSub Kind = 16
 )
 
 // Session modes carried in the KindAssign frame.
@@ -134,8 +126,8 @@ const MaxBatch = 4096
 // and a batch of one or more query points in their tagged encoding. The
 // batch is the wire-native query shape — a single query is a batch of one —
 // and the whole batch is answered in a single BSP epoch on the serving
-// mesh, the socket analogue of the in-process KNNBatch. It is the body of a
-// KindQuery frame and the tail of a KindDispatch frame.
+// mesh, the socket analogue of the in-process KNNBatch. It is the tail of
+// the KindQueryTagged, KindDispatch and KindDispatchDirect frames.
 type Query struct {
 	Op     uint8
 	L      int
@@ -152,19 +144,6 @@ func (q Query) append(w *Writer) {
 		w.Varint(uint64(len(p)))
 		w.Raw(p)
 	}
-}
-
-// EncodeQuery builds a KindQuery frame payload.
-func EncodeQuery(q Query) []byte {
-	var w Writer
-	AppendQuery(&w, q)
-	return w.Bytes()
-}
-
-// AppendQuery appends a KindQuery frame payload to w (for pooled writers).
-func AppendQuery(w *Writer, q Query) {
-	w.Kind(KindQuery)
-	q.append(w)
 }
 
 // EncodeQueryTagged builds a KindQueryTagged frame payload.
@@ -208,55 +187,6 @@ func AppendDispatchDirect(w *Writer, epoch uint64, q Query) {
 	w.Kind(KindDispatchDirect)
 	w.Varint(epoch)
 	q.append(w)
-}
-
-// EncodeDispatchDirectSub builds a KindDispatchDirectSub frame payload for
-// one shard's sub-batch of a pruned batch epoch.
-func EncodeDispatchDirectSub(epoch uint64, index []int, q Query) []byte {
-	var w Writer
-	AppendDispatchDirectSub(&w, epoch, index, q)
-	return w.Bytes()
-}
-
-// AppendDispatchDirectSub appends a KindDispatchDirectSub frame payload to
-// w. index carries the original batch index of each point of q, so
-// len(index) must equal len(q.Points).
-func AppendDispatchDirectSub(w *Writer, epoch uint64, index []int, q Query) {
-	w.Kind(KindDispatchDirectSub)
-	w.Varint(epoch)
-	w.Varint(uint64(len(index)))
-	for _, qi := range index {
-		w.Varint(uint64(qi))
-	}
-	q.append(w)
-}
-
-// DecodeDispatchDirectSub reads a KindDispatchDirectSub body; the kind byte
-// must already be consumed. The decoded points alias the reader's buffer.
-func DecodeDispatchDirectSub(r *Reader) (epoch uint64, index []int, q Query, err error) {
-	epoch = r.Varint()
-	count := r.Varint()
-	if r.Err() == nil && count > MaxBatch {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch of %d exceeds limit %d", count, MaxBatch)
-	}
-	if r.Err() == nil && count > uint64(r.Remaining()) {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch count %d exceeds payload", count)
-	}
-	index = make([]int, 0, count)
-	for i := uint64(0); i < count; i++ {
-		qi := r.Varint()
-		if r.Err() == nil && qi >= MaxBatch {
-			return 0, nil, Query{}, fmt.Errorf("wire: sub-batch index %d exceeds limit %d", qi, MaxBatch)
-		}
-		index = append(index, int(qi))
-	}
-	if q, err = DecodeQuery(r); err != nil {
-		return 0, nil, Query{}, err
-	}
-	if len(q.Points) != len(index) {
-		return 0, nil, Query{}, fmt.Errorf("wire: sub-batch carries %d indices for %d points", len(index), len(q.Points))
-	}
-	return epoch, index, q, nil
 }
 
 // DecodeQuery reads a Query body; the kind byte must already be consumed.
@@ -661,19 +591,6 @@ func (rep Reply) append(w *Writer) {
 		w.F64(qr.Value)
 		w.Items(qr.Items)
 	}
-}
-
-// EncodeReply builds a KindReply frame payload.
-func EncodeReply(rep Reply) []byte {
-	var w Writer
-	AppendReply(&w, rep)
-	return w.Bytes()
-}
-
-// AppendReply appends a KindReply frame payload to w (for pooled writers).
-func AppendReply(w *Writer, rep Reply) {
-	w.Kind(KindReply)
-	rep.append(w)
 }
 
 // EncodeReplyTagged builds a KindReplyTagged frame payload.

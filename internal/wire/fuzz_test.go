@@ -16,10 +16,10 @@ import (
 // ordinary unit tests; `go test -fuzz` explores from there.
 
 func FuzzDecodeQuery(f *testing.F) {
-	f.Add(EncodeQuery(Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}})[1:])
-	f.Add(EncodeQuery(Query{Op: OpClassify, L: 3, Tag: PointVector, Points: [][]byte{
+	f.Add(queryBody(Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}))
+	f.Add(queryBody(Query{Op: OpClassify, L: 3, Tag: PointVector, Points: [][]byte{
 		EncodeVectorPoint(points.Vector{1, 2}), EncodeVectorPoint(points.Vector{-0.5}),
-	}})[1:])
+	}}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -30,51 +30,13 @@ func FuzzDecodeQuery(f *testing.F) {
 		if len(q.Points) > MaxBatch {
 			t.Fatalf("decoded batch of %d beyond MaxBatch", len(q.Points))
 		}
-		enc := EncodeQuery(q)
-		q2, err := DecodeQuery(skipKind(t, enc, KindQuery))
+		enc := queryBody(q)
+		q2, err := DecodeQuery(NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(EncodeQuery(q2), enc) {
+		if !bytes.Equal(queryBody(q2), enc) {
 			t.Fatalf("query is not a re-encoding fixed point")
-		}
-	})
-}
-
-// FuzzDecodeDispatchDirectSub covers the pruned sub-batch dispatch: the
-// epoch and original-index prefix plus the shared query body decoder.
-func FuzzDecodeDispatchDirectSub(f *testing.F) {
-	f.Add(EncodeDispatchDirectSub(1, []int{0, 2}, Query{
-		Op: OpKNN, L: 10, Tag: PointScalar,
-		Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
-	})[1:])
-	f.Add(EncodeDispatchDirectSub(7, []int{3}, Query{
-		Op: OpRegress, L: 2, Tag: PointVector,
-		Points: [][]byte{EncodeVectorPoint(points.Vector{0.5, 1.5})},
-	})[1:])
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 0}) // index count beyond payload
-	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, index, q, err := DecodeDispatchDirectSub(NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(index) != len(q.Points) {
-			t.Fatalf("decoder admitted %d indices for %d points", len(index), len(q.Points))
-		}
-		for _, qi := range index {
-			if qi < 0 || qi >= MaxBatch {
-				t.Fatalf("decoder admitted out-of-range index %d", qi)
-			}
-		}
-		enc := EncodeDispatchDirectSub(epoch, index, q)
-		r2 := skipKind(t, enc, KindDispatchDirectSub)
-		epoch2, index2, q2, err := DecodeDispatchDirectSub(r2)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeDispatchDirectSub(epoch2, index2, q2), enc) {
-			t.Fatalf("sub-batch dispatch is not a re-encoding fixed point")
 		}
 	})
 }
@@ -105,27 +67,27 @@ func FuzzDecodeNodeResult(f *testing.F) {
 }
 
 func FuzzDecodeReply(f *testing.F) {
-	f.Add(EncodeReply(Reply{
+	f.Add(replyBody(Reply{
 		Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
 		Results: []QueryReply{{
 			QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4},
 			Items:        []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 		}},
-	})[1:])
-	f.Add(EncodeReply(Reply{Err: "nope"})[1:])
-	f.Add(EncodeReply(Reply{Err: "cluster degraded (1 of 2 nodes)", Degraded: true})[1:])
+	}))
+	f.Add(replyBody(Reply{Err: "nope"}))
+	f.Add(replyBody(Reply{Err: "cluster degraded (1 of 2 nodes)", Degraded: true}))
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReply(NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := EncodeReply(rep)
-		rep2, err := DecodeReply(skipKind(t, enc, KindReply))
+		enc := replyBody(rep)
+		rep2, err := DecodeReply(NewReader(enc))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(EncodeReply(rep2), enc) {
+		if !bytes.Equal(replyBody(rep2), enc) {
 			t.Fatalf("reply is not a re-encoding fixed point")
 		}
 	})
@@ -310,6 +272,12 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// queryBody and replyBody are the bare Query and Reply body encodings: the
+// tagged client frames with their kind byte and (one-byte) zero tag
+// stripped.
+func queryBody(q Query) []byte   { return EncodeQueryTagged(0, q)[2:] }
+func replyBody(rep Reply) []byte { return EncodeReplyTagged(0, rep)[2:] }
 
 // skipKind wraps an encoded frame in a Reader positioned after its kind
 // byte, asserting the kind on the way.

@@ -71,15 +71,14 @@ func docExamples() []struct {
 		{"mesh round frame", mesh.Bytes()},
 		{"vector point", EncodeVectorPoint(points.Vector{0.5, 1.5})},
 		{"bit vector point", EncodeBitVectorPoint(points.BitVector{5, 1})},
-		{"query", EncodeQuery(q)},
-		{"vector batch query", EncodeQuery(vq)},
-		{"tagged query", EncodeQueryTagged(300, q)},
+		{"query", EncodeQueryTagged(300, q)},
+		{"vector batch query", EncodeQueryTagged(301, vq)},
 		{"dispatch", EncodeDispatch(1, q)},
 		{"ready", rdy.Bytes()},
 		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
 		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
 		{"dispatch direct", EncodeDispatchDirect(1, q)},
-		{"dispatch direct sub", EncodeDispatchDirectSub(1, []int{0, 2}, Query{
+		{"dispatch direct sub-batch", EncodeDispatchDirect(2, Query{
 			Op: OpKNN, L: 10, Tag: PointScalar,
 			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
 		})},
@@ -103,7 +102,7 @@ func docExamples() []struct {
 			Present: []int{0},
 			Addrs:   []string{"127.0.0.1:9000", "127.0.0.1:9002"},
 		})},
-		{"reply", EncodeReply(Reply{
+		{"reply", EncodeReplyTagged(300, Reply{
 			Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
 			Results: []QueryReply{{
 				QueryOutcome: QueryOutcome{
@@ -112,18 +111,8 @@ func docExamples() []struct {
 				Items: []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 			}},
 		})},
-		{"error reply", EncodeReply(Reply{Err: "l=0 out of range [1, 10000]"})},
-		{"degraded reply", EncodeReply(Reply{Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true})},
-		{"tagged reply", EncodeReplyTagged(300, Reply{
-			Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
-			Results: []QueryReply{{
-				QueryOutcome: QueryOutcome{
-					Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4,
-				},
-				Items: []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
-			}},
-		})},
-		{"tagged degraded reply", EncodeReplyTagged(301, Reply{Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true})},
+		{"error reply", EncodeReplyTagged(302, Reply{Err: "l=0 out of range [1, 10000]"})},
+		{"degraded reply", EncodeReplyTagged(301, Reply{Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true})},
 	}
 }
 
@@ -163,8 +152,8 @@ func TestFrameRoundTrips(t *testing.T) {
 		EncodeScalarPoint(5),
 	}}
 	{
-		r := NewReader(EncodeQuery(q))
-		if kind := r.Kind(); kind != KindQuery {
+		r := NewReader(EncodeQueryTagged(9, q))
+		if kind := r.Kind(); kind != KindQueryTagged || r.Varint() != 9 {
 			t.Fatalf("kind %d", kind)
 		}
 		got, err := DecodeQuery(r)
@@ -186,8 +175,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		vq := Query{Op: OpKNN, L: 3, Tag: PointVector, Points: [][]byte{
 			EncodeVectorPoint(points.Vector{1.5, -2.25, 0}),
 		}}
-		r := NewReader(EncodeQuery(vq))
+		r := NewReader(EncodeQueryTagged(9, vq))
 		r.U8()
+		r.Varint()
 		got, err := DecodeQuery(r)
 		if err != nil {
 			t.Fatal(err)
@@ -287,8 +277,8 @@ func TestFrameRoundTrips(t *testing.T) {
 				},
 			},
 		}
-		r := NewReader(EncodeReply(rep))
-		if kind := r.Kind(); kind != KindReply {
+		r := NewReader(EncodeReplyTagged(9, rep))
+		if kind := r.Kind(); kind != KindReplyTagged || r.Varint() != 9 {
 			t.Fatalf("kind %d", kind)
 		}
 		got, err := DecodeReply(r)
@@ -307,8 +297,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		r := NewReader(EncodeReply(Reply{Err: "nope"}))
+		r := NewReader(EncodeReplyTagged(9, Reply{Err: "nope"}))
 		r.U8()
+		r.Varint()
 		got, err := DecodeReply(r)
 		if err != nil || got.Err != "nope" {
 			t.Fatalf("error reply round trip: %+v %v", got, err)
@@ -316,8 +307,8 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestTaggedFrameRoundTrips checks the multiplexed query/reply pair: the
-// tag survives the trip and the body decodes with the untagged decoders.
+// TestTaggedFrameRoundTrips checks the client query/reply pair across the
+// tag range: the tag survives the trip and the body decodes behind it.
 func TestTaggedFrameRoundTrips(t *testing.T) {
 	q := Query{Op: OpKNN, L: 7, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(42)}}
 	for _, tag := range []uint64{0, 1, 300, math.MaxUint64} {
@@ -360,11 +351,11 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 	if got, err := DecodeReply(r); err != nil || !got.Degraded || got.Err != "degraded" {
 		t.Fatalf("tagged degraded reply: %+v %v", got, err)
 	}
-	// The tagged and untagged encoders share one body encoding: stripping
-	// kind+tag from a tagged frame yields exactly the untagged body.
-	tagged := EncodeQueryTagged(1, q)
-	if !strings.HasSuffix(hexBytes(tagged), hexBytes(EncodeQuery(q)[1:])) {
-		t.Fatalf("tagged body drifted from untagged body")
+	// The client query and both dispatch kinds share one query body
+	// encoding: behind kind+tag and kind+epoch the bytes are identical.
+	body := hexBytes(EncodeQueryTagged(1, q)[2:])
+	if hexBytes(EncodeDispatch(1, q)[2:]) != body || hexBytes(EncodeDispatchDirect(1, q)[2:]) != body {
+		t.Fatalf("dispatch body drifted from the client query body")
 	}
 }
 

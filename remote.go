@@ -541,19 +541,27 @@ func (h *typedHandler[P]) Rejoin(id, k, leader int) (tcp.SessionInfo, error) {
 	return tcp.SessionInfo{Leader: leader, ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
 }
 
+// point decodes and validates query point qi of a dispatched batch against
+// the node's shard.
+func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
+	qp, err := h.pt.codec.Decode(q.Points[qi])
+	if err == nil && h.pt.check != nil {
+		err = h.pt.check(h.set, qp)
+	}
+	if err != nil {
+		return qp, fmt.Errorf("query %d: %w", qi, err)
+	}
+	return qp, nil
+}
+
 // Query answers one point of the dispatched batch. Calls for different
 // points of the same batch run concurrently (lockstep sub-programs of one
 // epoch); everything mutable here is call-local, and the Setup-written
 // shard, index and leader are only read.
 func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.QueryResult, error) {
-	qp, err := h.pt.codec.Decode(q.Points[qi])
+	qp, err := h.point(q, qi)
 	if err != nil {
-		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-	}
-	if h.pt.check != nil {
-		if err := h.pt.check(h.set, qp); err != nil {
-			return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-		}
+		return tcp.QueryResult{}, err
 	}
 	cfg := core.Config{
 		Leader:       h.leader,
@@ -588,14 +596,9 @@ func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.Query
 // node's local top-ℓ straight from its index, with no BSP epoch — the
 // frontend merges the contacted nodes' shares itself.
 func (h *typedHandler[P]) Direct(q wire.Query, qi int) (tcp.QueryResult, error) {
-	qp, err := h.pt.codec.Decode(q.Points[qi])
+	qp, err := h.point(q, qi)
 	if err != nil {
-		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-	}
-	if h.pt.check != nil {
-		if err := h.pt.check(h.set, qp); err != nil {
-			return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-		}
+		return tcp.QueryResult{}, err
 	}
 	return tcp.QueryResult{Winners: h.topL(qp, q.L)}, nil
 }
@@ -614,23 +617,10 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 	return tcp.ServeNodeObserved(coordAddr, meshAddr, opts.Advertise, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards, opts: opts})
 }
 
-// ServeScalarNode runs one resident scalar serving node.
-//
-// Deprecated: it is a thin wrapper over
-// ServeTypedNode(ScalarPoints(), …), kept for the pre-generic API.
-func ServeScalarNode(coordAddr, meshAddr string, shards ShardProvider[Scalar], opts NodeOptions) error {
-	return ServeTypedNode(ScalarPoints(), coordAddr, meshAddr, shards, opts)
-}
-
 // ServeVectorNode runs one resident vector serving node with a
 // k-d-tree-indexed shard.
 func ServeVectorNode(coordAddr, meshAddr string, shards ShardProvider[Vector], opts NodeOptions) error {
 	return ServeTypedNode(VectorPoints(), coordAddr, meshAddr, shards, opts)
-}
-
-// ServeBitVectorNode runs one resident bit-vector (Hamming) serving node.
-func ServeBitVectorNode(coordAddr, meshAddr string, shards ShardProvider[BitVector], opts NodeOptions) error {
-	return ServeTypedNode(BitVectorPoints(), coordAddr, meshAddr, shards, opts)
 }
 
 // Frontend is the client-facing endpoint of a TCP serving cluster: it
@@ -645,63 +635,13 @@ type Frontend struct {
 	fe *tcp.Frontend
 }
 
-// FrontendOptions tunes the frontend's epoch scheduler.
-type FrontendOptions struct {
-	// Window is the maximum number of query epochs in flight on the mesh
-	// at once; 1 serializes epochs. Default 8, capped at 64 (the mesh
-	// demultiplexer's buffering is budgeted for that depth).
-	Window int
-	// ServerBatch enables transparent server-side batching: concurrently
-	// arriving single-point queries with the same (op, ℓ, tag) coalesce
-	// into one lockstep batch epoch — the KNNBatch amortization without
-	// clients batching anything. Off by default (coalescing trades up to
-	// Linger of latency for throughput).
-	ServerBatch bool
-	// Linger bounds how long a partial coalesced batch waits for more
-	// queries (default 500µs). Only meaningful with ServerBatch.
-	Linger time.Duration
-	// MaxServerBatch caps a coalesced batch (default 64, at most
-	// wire.MaxBatch); a full batch flushes immediately.
-	MaxServerBatch int
-	// Pruner enables metric-index pruned dispatch for every query shape —
-	// KNN, Classify and Regress, single points and whole batches: each
-	// point probes its nearest shard(s) to bound its ℓ-th neighbor
-	// distance, then only the shards whose centroid ball can intersect
-	// that bound receive the point, with a shard needed by no point of a
-	// batch skipped entirely — answers stay bit-identical to full scatter.
-	// Pass the served PointType's Pruner(); nil (or a point type without
-	// pruning geometry, like cosine) keeps every query on the full-scatter
-	// path. Pruning pays off when shards are metrically tight, e.g. built
-	// by the anchor-clustered shard providers.
-	Pruner Pruner
-	// Probes is how many nearest shards each point contacts in the pruned
-	// path's bounding wave (default 1). More probes tighten the admission
-	// bound on overlapping clusters at the cost of more wave-1 contacts;
-	// answers are bit-identical for any value. Only meaningful with
-	// Pruner.
-	Probes int
-	// Metrics optionally receives the frontend's runtime metrics: query
-	// and epoch counters, window occupancy, coalesced batch sizes, query
-	// latency and pruning histograms. Nil records nothing.
-	Metrics *Metrics
-	// Trace optionally records one span per query epoch (admission →
-	// dispatch → per-seat arrival → collation → reply). Nil traces
-	// nothing.
-	Trace *Tracer
-}
-
-func (o FrontendOptions) lower() tcp.FrontendOptions {
-	return tcp.FrontendOptions{
-		Window:         o.Window,
-		ServerBatch:    o.ServerBatch,
-		Linger:         o.Linger,
-		MaxServerBatch: o.MaxServerBatch,
-		Pruner:         o.Pruner,
-		Probes:         o.Probes,
-		Metrics:        o.Metrics,
-		Trace:          o.Trace,
-	}
-}
+// FrontendOptions tunes the frontend's epoch scheduler: the pipelining
+// Window, transparent server-side batching (ServerBatch, Linger,
+// MaxServerBatch), metric-index pruned dispatch (Pruner — pass the served
+// PointType's Pruner() — and Probes), and the optional Metrics registry and
+// per-epoch Trace. The zero value is a pipelined, unbatched, unpruned,
+// unobserved frontend; see the field documentation on the aliased type.
+type FrontendOptions = tcp.FrontendOptions
 
 // NewFrontend starts the serving listener for a k-node cluster with
 // default FrontendOptions. seed is the session seed every node receives:
@@ -714,7 +654,7 @@ func NewFrontend(addr string, k int, seed uint64) (*Frontend, error) {
 // NewFrontendOptions starts the serving listener with an explicit epoch
 // scheduler configuration (pipelining window, server-side batching).
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
-	fe, err := tcp.NewFrontendOptions(addr, k, seed, opts.lower())
+	fe, err := tcp.NewFrontendOptions(addr, k, seed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -829,13 +769,6 @@ func DialVectorCluster(addr string) (*RemoteCluster[Vector], error) {
 // cluster's frontend.
 func DialBitVectorCluster(addr string) (*RemoteCluster[BitVector], error) {
 	return DialTypedCluster(BitVectorPoints(), addr)
-}
-
-// DialCluster connects to a scalar serving cluster's frontend.
-//
-// Deprecated: it is DialScalarCluster under the pre-generic name.
-func DialCluster(addr string) (*RemoteCluster[Scalar], error) {
-	return DialScalarCluster(addr)
 }
 
 // do ships one batch and returns the validated reply.
@@ -997,23 +930,16 @@ func ServeTypedLocal[P any](pt PointType[P], k int, seed uint64, shards ShardPro
 
 // ServeTypedLocalOptions starts a loopback TCP serving cluster with an
 // explicit epoch scheduler configuration (pipelining window, server-side
-// batching).
+// batching). The k in-process nodes share opts, so a NodeOptions.Metrics
+// registry receives their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
-	lc, err := tcp.ServeLocalOptions(k, seed, fopts.lower(), func() tcp.Handler {
+	lc, err := tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
 		return &typedHandler[P]{pt: pt, shards: shards, opts: opts}
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &LocalServer{lc: lc}, nil
-}
-
-// ServeLocal starts a loopback scalar TCP serving cluster.
-//
-// Deprecated: it is a thin wrapper over
-// ServeTypedLocal(ScalarPoints(), …), kept for the pre-generic API.
-func ServeLocal(k int, seed uint64, shards ShardProvider[Scalar], opts NodeOptions) (*LocalServer, error) {
-	return ServeTypedLocal(ScalarPoints(), k, seed, shards, opts)
 }
 
 // ServeVectorLocal starts a loopback vector TCP serving cluster with

@@ -66,7 +66,7 @@ func TestRemoteChurnBitIdenticalAfterRejoin(t *testing.T) {
 	}
 
 	// The churned cluster: same seed, same shards, same stream.
-	srv, err := distknn.ServeLocal(k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRemoteChurnBitIdenticalAfterRejoin(t *testing.T) {
 		t.Fatalf("query during the outage: got %v, want a degraded error", err)
 	}
 
-	// A fresh process re-joins: plain ServeScalarNode, no flags — the
+	// A fresh process re-joins: plain ServeTypedNode, no flags — the
 	// frontend hands it the absent seat and it rebuilds shard 1.
 	nodeDone := make(chan error, 1)
 	go func() {
-		nodeDone <- distknn.ServeScalarNode(srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
+		nodeDone <- distknn.ServeTypedNode(distknn.ScalarPoints(), srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
 	}()
 	waitServing(t, rc, churnQuery(seed, 0), l)
 
@@ -204,7 +204,7 @@ func TestRemoteClientRidesOutChurnTransparently(t *testing.T) {
 		l       = 5
 	)
 	shards := remoteShards(seed, perNode)
-	srv, err := distknn.ServeLocal(k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRemoteClientRidesOutChurnTransparently(t *testing.T) {
 	}
 	nodeDone := make(chan error, 1)
 	go func() {
-		nodeDone <- distknn.ServeScalarNode(srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
+		nodeDone <- distknn.ServeTypedNode(distknn.ScalarPoints(), srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
 	}()
 	// One call, issued while the cluster is degraded: the transparent
 	// retry waits out the re-join.

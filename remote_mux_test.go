@@ -85,7 +85,7 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 	// against a default (unpipelined, unbatched) frontend.
 	want := make([]muxAnswer, queries)
 	func() {
-		srv, err := distknn.ServeLocal(k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

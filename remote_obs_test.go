@@ -81,8 +81,10 @@ func TestRemoteObsMetricsMatchQueryStats(t *testing.T) {
 }
 
 // TestRemoteObsFullScatterMetrics pins the full-scatter counters: mesh
-// rounds and bytes accumulate (no pruning, so no contacts) and the
-// scheduler window gauge settles back to zero when the cluster is idle.
+// rounds and bytes accumulate (no pruning, so no contacts), the scheduler
+// window gauge settles back to zero when the cluster is idle, and a
+// loopback cluster's nodes record into the NodeOptions.Metrics registry
+// they were given — every one of the k nodes serves every mesh epoch.
 func TestRemoteObsFullScatterMetrics(t *testing.T) {
 	const (
 		k       = 2
@@ -91,10 +93,10 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 		queries = 12
 		l       = 4
 	)
-	reg := distknn.NewMetrics()
+	reg, nodeReg := distknn.NewMetrics(), distknn.NewMetrics()
 	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed,
 		distknn.PaperShards(seed, perNode),
-		distknn.NodeOptions{}, distknn.FrontendOptions{Metrics: reg})
+		distknn.NodeOptions{Metrics: nodeReg}, distknn.FrontendOptions{Metrics: reg})
 
 	var wantBytes int64
 	for i := 0; i < queries; i++ {
@@ -117,6 +119,9 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 	}
 	if got := s.Gauges["frontend_epochs_inflight"]; got != 0 {
 		t.Errorf("frontend_epochs_inflight = %d after the workload drained, want 0", got)
+	}
+	if got := nodeReg.Snapshot().Counters["node_epochs_served_total"]; got != k*queries {
+		t.Errorf("node_epochs_served_total = %d, want %d (k nodes × %d mesh epochs)", got, k*queries, queries)
 	}
 }
 

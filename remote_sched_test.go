@@ -80,7 +80,7 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 	// client, one query at a time.
 	want := make([]serialAnswer, queries)
 	func() {
-		srv, err := distknn.ServeLocal(k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

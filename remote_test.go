@@ -181,7 +181,7 @@ func TestRemoteClusterConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rc, err := distknn.DialCluster(srv.Addr())
+			rc, err := distknn.DialScalarCluster(srv.Addr())
 			if err != nil {
 				errs <- err
 				return

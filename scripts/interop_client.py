@@ -2,15 +2,14 @@
 """Wire-level interop client for a distknn scalar serving cluster.
 
 Speaks docs/PROTOCOL.md with nothing but the Python standard library:
-frames a single-point KNN query and a batched KNN query at a frontend,
+frames single-point KNN queries and a batched KNN query at a frontend,
 decodes the replies, and cross-checks them — the batch's per-query answers
 must be bit-identical to the solo answers, items must arrive in ascending
-(distance, id) order, and every reply must carry exactly l items. It then
-exercises the multiplexed path: every point again as a tagged query, all
-of them written before any reply is read, with the replies matched back
-by tag (the spec allows any completion order) and required bit-identical
-to the untagged answers. It is CI's proof that the spec is complete
-enough for a non-Go client.
+(distance, id) order, and every reply must carry exactly l items. Every
+query is a tagged frame; the solo queries are all written before any reply
+is read, with the replies matched back by tag (the spec allows any
+completion order). It is CI's proof that the spec is complete enough for a
+non-Go client.
 
 Usage: interop_client.py HOST:PORT [l] [point...]
 """
@@ -18,8 +17,7 @@ import socket
 import struct
 import sys
 
-KIND_QUERY, KIND_REPLY = 8, 9
-KIND_QUERY_TAGGED, KIND_REPLY_TAGGED = 12, 13
+KIND_QUERY, KIND_REPLY = 12, 13
 OP_KNN, TAG_SCALAR = 1, 1
 
 
@@ -89,12 +87,13 @@ def read_frame(sock):
     return payload
 
 
-def query_body(points, l):
-    body = bytes([OP_KNN]) + varint(l) + bytes([TAG_SCALAR]) + varint(len(points))
+def send_query(sock, tag, points, l):
+    body = bytes([KIND_QUERY]) + varint(tag) + bytes([OP_KNN]) + varint(l)
+    body += bytes([TAG_SCALAR]) + varint(len(points))
     for p in points:
         enc = struct.pack("<Q", p)
         body += varint(len(enc)) + enc
-    return body
+    send_frame(sock, body)
 
 
 def decode_reply(r):
@@ -120,32 +119,22 @@ def decode_reply(r):
     return results
 
 
-def knn_query(sock, points, l):
-    send_frame(sock, bytes([KIND_QUERY]) + query_body(points, l))
-    r = Reader(read_frame(sock))
-    if r.u8() != KIND_REPLY:
-        raise ValueError("expected a reply frame")
-    return decode_reply(r)
-
-
-def knn_tagged(sock, tagged_points, l):
-    """Send every (tag, point) as a tagged query before reading any reply,
-    then collect the tagged replies in whatever order they arrive."""
-    for tag, p in tagged_points:
-        send_frame(sock, bytes([KIND_QUERY_TAGGED]) + varint(tag) + query_body([p], l))
-    pending = {tag for tag, _ in tagged_points}
+def knn(sock, queries, l):
+    """Send every (tag, points) query before reading any reply, then collect
+    the replies in whatever order they arrive, keyed by tag."""
+    for tag, points in queries:
+        send_query(sock, tag, points, l)
+    pending = {tag for tag, _ in queries}
     by_tag = {}
-    for _ in tagged_points:
+    for _ in queries:
         r = Reader(read_frame(sock))
-        if r.u8() != KIND_REPLY_TAGGED:
-            raise ValueError("expected a tagged reply frame")
+        if r.u8() != KIND_REPLY:
+            raise ValueError("expected a reply frame")
         tag = r.varint()
         if tag not in pending:
             raise ValueError("reply for unknown or duplicate tag %d" % tag)
         pending.discard(tag)
         by_tag[tag] = decode_reply(r)
-    if pending:
-        raise ValueError("never answered tags %r" % sorted(pending))
     return by_tag
 
 
@@ -169,22 +158,16 @@ def main():
     l = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     points = [int(a) for a in sys.argv[3:]] or [12345, 7, 4096000, 2**31, 999999999]
     with socket.create_connection((host, int(port)), timeout=10) as sock:
-        solo = [knn_query(sock, [p], l)[0] for p in points]
+        # Every point as its own query, all outstanding at once.
+        replies = knn(sock, [(300 + i, [p]) for i, p in enumerate(points)], l)
+        solo = [replies[300 + i][0] for i in range(len(points))]
         check(solo, points, l)
-        batch = knn_query(sock, points, l)
+        batch = knn(sock, [(7, points)], l)[7]
         check(batch, points, l)
         if batch != solo:
             raise ValueError("batched answers differ from solo answers")
-        # Multiplexed path: every point as a tagged query, all outstanding
-        # at once on the same connection the untagged queries used.
-        tagged = knn_tagged(sock, [(300 + i, p) for i, p in enumerate(points)], l)
-        for i, p in enumerate(points):
-            results = tagged[300 + i]
-            check(results, [p], l)
-            if results[0] != solo[i]:
-                raise ValueError("tagged answer for point %d differs from the untagged one" % p)
-    print("interop: %d solo + 1 batched + %d tagged-outstanding queries verified (l=%d), all bit-identical"
-          % (len(points), len(points), l))
+    print("interop: %d outstanding solo + 1 batched query verified (l=%d), all bit-identical"
+          % (len(points), l))
 
 
 if __name__ == "__main__":
