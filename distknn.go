@@ -225,7 +225,7 @@ type Cluster[P any] struct {
 	leader  atomic.Int64  // cached election winner; re-derivable via ElectLeader
 	queries atomic.Uint64 // per-query seed-derivation counter
 	// localTopL computes machine i's ℓ nearest local points. The default
-	// is a streaming scan; NewVectorCluster installs a k-d-tree-backed
+	// is the shard's block scan; NewVectorCluster installs a k-d-tree-backed
 	// version. It must be safe for concurrent calls (both built-ins are:
 	// they only read the immutable shard). Accelerating this step changes
 	// local computation only — never the round/message complexity —

@@ -39,7 +39,6 @@ import (
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-	"distknn/internal/pq"
 )
 
 // ErrMonteCarloFailure is returned by every machine when a ModeMonteCarlo
@@ -142,11 +141,11 @@ func topL(items []points.Item, l int) []points.Item {
 		points.SortItems(out)
 		return out
 	}
-	acc := pq.New(l, func(a, b points.Item) bool { return a.Key.Less(b.Key) })
+	top := points.NewTopL(l)
 	for _, it := range items {
-		acc.Push(it)
+		top.Push(it)
 	}
-	return acc.Sorted()
+	return top.Sorted()
 }
 
 // log2Ceil returns ⌈log₂(x)⌉ for x ≥ 1 (0 for x = 1).

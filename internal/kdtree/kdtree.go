@@ -12,11 +12,9 @@ package kdtree
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"distknn/internal/keys"
 	"distknn/internal/points"
-	"distknn/internal/pq"
 )
 
 // Tree is an immutable k-d tree over a vector set. Build once, query many.
@@ -68,7 +66,7 @@ func (t *Tree) build(lo, hi, axis int) *node {
 		return nil
 	}
 	mid := (lo + hi) / 2
-	t.nthByAxis(lo, hi, mid, axis)
+	t.selectByAxis(lo, hi, mid, axis)
 	nd := &node{idx: t.perm[mid], axis: axis}
 	next := (axis + 1) % t.dim
 	nd.left = t.build(lo, mid, next)
@@ -76,19 +74,54 @@ func (t *Tree) build(lo, hi, axis int) *node {
 	return nd
 }
 
-// nthByAxis partially sorts perm[lo:hi) so that perm[nth] holds the element
-// whose axis coordinate is the nth smallest (ties broken by ID for
-// determinism).
-func (t *Tree) nthByAxis(lo, hi, nth, axis int) {
-	sub := t.perm[lo:hi]
-	sort.Slice(sub, func(a, b int) bool {
-		va, vb := t.pts[sub[a]][axis], t.pts[sub[b]][axis]
-		if va != vb {
-			return va < vb
+// before orders point a ahead of point b along axis, ties broken by ID —
+// a strict total order, so every range has exactly one median.
+func (t *Tree) before(a, b, axis int) bool {
+	va, vb := t.pts[a][axis], t.pts[b][axis]
+	if va != vb {
+		return va < vb
+	}
+	return t.ids[a] < t.ids[b]
+}
+
+// selectByAxis reorders perm[lo:hi) so that perm[nth] holds the point of
+// that rank along axis, with every point ordering before it on its left and
+// every point after it on its right: quickselect with a median-of-three
+// pivot, expected O(hi−lo). Which points land on each side is decided by
+// the order alone, not by how the selection got there, so the tree is
+// node for node the one a full sort of every range would build.
+func (t *Tree) selectByAxis(lo, hi, nth, axis int) {
+	perm := t.perm
+	for hi-lo > 1 {
+		// Median of first, middle and last goes to the end as the pivot.
+		mid, last := lo+(hi-lo)/2, hi-1
+		if t.before(perm[mid], perm[lo], axis) {
+			perm[lo], perm[mid] = perm[mid], perm[lo]
 		}
-		return t.ids[sub[a]] < t.ids[sub[b]]
-	})
-	_ = nth // full sort keeps build simple; O(n log² n) total, done once
+		if t.before(perm[last], perm[lo], axis) {
+			perm[lo], perm[last] = perm[last], perm[lo]
+		}
+		if t.before(perm[mid], perm[last], axis) {
+			perm[mid], perm[last] = perm[last], perm[mid]
+		}
+		pivot := perm[last]
+		store := lo
+		for i := lo; i < last; i++ {
+			if t.before(perm[i], pivot, axis) {
+				perm[i], perm[store] = perm[store], perm[i]
+				store++
+			}
+		}
+		perm[store], perm[last] = perm[last], perm[store]
+		switch {
+		case nth == store:
+			return
+		case nth < store:
+			hi = store
+		default:
+			lo = store + 1
+		}
+	}
 }
 
 // Len returns the number of indexed points.
@@ -98,48 +131,49 @@ func (t *Tree) Len() int { return len(t.pts) }
 // Items in ascending key order — bit-identical keys to points.L2, so results
 // can be cross-checked against brute force exactly.
 func (t *Tree) KNN(q points.Vector, l int) []points.Item {
-	if l < 1 || t.root == nil {
+	if l > len(t.pts) {
+		l = len(t.pts)
+	}
+	if l < 1 {
 		return nil
 	}
-	type cand struct {
-		d2  float64
-		idx int
-	}
-	best := pq.New(l, func(a, b cand) bool {
-		if a.d2 != b.d2 {
-			return a.d2 < b.d2
+	top := points.NewTopL(l)
+	s := search{t: t, q: q, top: top, cut: top.Cut()}
+	s.visit(t.root)
+	return s.top.Sorted()
+}
+
+// search is the state of one KNN descent: the accumulator and a copy of its
+// cutoff, which both the admission test and the plane test read.
+type search struct {
+	t   *Tree
+	q   points.Vector
+	top points.TopL
+	cut keys.Key
+}
+
+func (s *search) visit(nd *node) {
+	for nd != nil {
+		p := s.t.pts[nd.idx]
+		key := keys.Key{Dist: keys.MustEncodeFloat(sq2(p, s.q)), ID: s.t.ids[nd.idx]}
+		if key.Less(s.cut) {
+			s.top.Push(points.Item{Key: key, Label: s.t.labels[nd.idx]})
+			s.cut = s.top.Cut()
 		}
-		return t.ids[a.idx] < t.ids[b.idx]
-	})
-	var visit func(nd *node)
-	visit = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		p := t.pts[nd.idx]
-		best.Push(cand{d2: sq2(p, q), idx: nd.idx})
-		diff := q[nd.axis] - p[nd.axis]
+		diff := s.q[nd.axis] - p[nd.axis]
 		near, far := nd.left, nd.right
 		if diff > 0 {
-			near, far = nd.right, nd.left
+			near, far = far, near
 		}
-		visit(near)
+		s.visit(near)
 		// Only cross the splitting plane if the slab could contain a
-		// closer point than the current cutoff.
-		if !best.Full() || diff*diff <= best.Max().d2 {
-			visit(far)
+		// closer point than the current cutoff (any slab, while fewer
+		// than l points are held: the cutoff is then keys.MaxKey).
+		if math.Float64bits(diff*diff) > s.cut.Dist {
+			return
 		}
+		nd = far
 	}
-	visit(t.root)
-	cands := best.Sorted()
-	out := make([]points.Item, len(cands))
-	for i, c := range cands {
-		out[i] = points.Item{
-			Key:   keys.Key{Dist: keys.MustEncodeFloat(c.d2), ID: t.ids[c.idx]},
-			Label: t.labels[c.idx],
-		}
-	}
-	return out
 }
 
 // CountWithin returns the number of points at squared Euclidean distance

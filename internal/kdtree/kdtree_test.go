@@ -1,6 +1,8 @@
 package kdtree
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 
 	"distknn/internal/points"
@@ -151,6 +153,114 @@ func TestKNNKeysMatchL2Encoding(t *testing.T) {
 					t.Fatalf("key dist %d != L2 encoding %d", item.Key.Dist, want)
 				}
 			}
+		}
+	}
+}
+
+// buildBySort is the reference Build is held to: the same recursion, with
+// every range fully sorted by (axis coordinate, ID) before its middle
+// element becomes the node — what Build did before it selected the median.
+func buildBySort(s *points.Set[points.Vector], perm []int, axis int) *node {
+	if len(perm) == 0 {
+		return nil
+	}
+	sort.Slice(perm, func(a, b int) bool {
+		va, vb := s.Pts[perm[a]][axis], s.Pts[perm[b]][axis]
+		if va != vb {
+			return va < vb
+		}
+		return s.IDs[perm[a]] < s.IDs[perm[b]]
+	})
+	mid := len(perm) / 2
+	next := (axis + 1) % len(s.Pts[0])
+	return &node{
+		idx:   perm[mid],
+		axis:  axis,
+		left:  buildBySort(s, perm[:mid], next),
+		right: buildBySort(s, perm[mid+1:], next),
+	}
+}
+
+func sameTree(t *testing.T, got, want *node, path string) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("node %q: present in one tree only", path)
+		}
+		return
+	}
+	if got.idx != want.idx || got.axis != want.axis {
+		t.Fatalf("node %q: point %d on axis %d, reference has point %d on axis %d", path, got.idx, got.axis, want.idx, want.axis)
+	}
+	sameTree(t, got.left, want.left, path+"L")
+	sameTree(t, got.right, want.right, path+"R")
+}
+
+// TestBuildMatchesFullSortReference: selecting the median must produce, node
+// for node, the tree that sorting every range produces — on distinct
+// coordinates, on coordinates drawn from three values (long runs of ties
+// broken by ID), and when every point is the same point.
+func TestBuildMatchesFullSortReference(t *testing.T) {
+	rng := xrand.New(31)
+	inputs := map[string]func() points.Vector{
+		"random":    func() points.Vector { return points.Vector{rng.Float64(), rng.Float64(), rng.Float64()} },
+		"duplicate": func() points.Vector { return points.Vector{float64(rng.IntN(3)), float64(rng.IntN(3))} },
+		"all-equal": func() points.Vector { return points.Vector{0.5, 0.5} },
+	}
+	for name, draw := range inputs {
+		for _, n := range []int{1, 2, 3, 10, 257, 1000} {
+			pts := make([]points.Vector, n)
+			for i := range pts {
+				pts[i] = draw()
+			}
+			s, err := points.NewSet(pts, nil, points.L2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// IDs in no particular order, so ties do not fall by position.
+			rng.Shuffle(n, func(i, j int) { s.IDs[i], s.IDs[j] = s.IDs[j], s.IDs[i] })
+			tree, err := Build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = i
+			}
+			sameTree(t, tree.root, buildBySort(s, perm, 0), name+":")
+		}
+	}
+}
+
+// TestKNNClampsL: asked for far more neighbours than it indexes, the tree
+// reserves for what it holds.
+func TestKNNClampsL(t *testing.T) {
+	tree, s := buildRandom(t, 11, 100, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := tree.KNN(points.Vector{0.5, 0.5, 0.5}, 3<<20)
+	runtime.ReadMemStats(&after)
+	if len(got) != s.Len() {
+		t.Fatalf("kept %d items, want all %d", len(got), s.Len())
+	}
+	for i := 1; i < len(got); i++ {
+		if !got[i-1].Key.Less(got[i].Key) {
+			t.Fatalf("rank %d out of order", i)
+		}
+	}
+	// TotalAlloc is process-wide, so leave room for the runtime's own
+	// allocations; reserving l slots would take 72 MiB.
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(s.Len()*24+64<<10); grew > limit {
+		t.Errorf("l = 3·2²⁰ over %d points allocated %d bytes, want at most %d", s.Len(), grew, limit)
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	s := points.GenUniformVectors(xrand.New(1), 1<<16, 3)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Build(s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

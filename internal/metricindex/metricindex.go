@@ -18,6 +18,7 @@ package metricindex
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distknn/internal/points"
 	"distknn/internal/wire"
@@ -58,12 +59,11 @@ func KCenter[P any](pts []P, metric points.Metric[P], k int, seed uint64) Cluste
 	}
 	first := int(xrand.NewStream(seed, 0).Uint64N(uint64(n)))
 	cl.Anchors = append(cl.Anchors, first)
+	batch := points.BatchOf(metric)
 	// minDist[i] is the encoded distance from point i to its nearest chosen
 	// anchor; Assign tracks which anchor that is.
 	minDist := make([]uint64, n)
-	for i := range pts {
-		minDist[i] = metric(pts[i], pts[first])
-	}
+	batch(pts, pts[first], minDist)
 	for len(cl.Anchors) < k {
 		far := 0
 		for i := 1; i < n; i++ {
@@ -73,12 +73,14 @@ func KCenter[P any](pts []P, metric points.Metric[P], k int, seed uint64) Cluste
 		}
 		a := len(cl.Anchors)
 		cl.Anchors = append(cl.Anchors, far)
-		for i := range pts {
-			if d := metric(pts[i], pts[far]); d < minDist[i] {
-				minDist[i] = d
-				cl.Assign[i] = a
+		batch.ForBlocks(pts, pts[far], func(lo int, dist []uint64) {
+			for j, d := range dist {
+				if d < minDist[lo+j] {
+					minDist[lo+j] = d
+					cl.Assign[lo+j] = a
+				}
 			}
-		}
+		})
 	}
 	for _, c := range cl.Assign {
 		cl.Sizes[c]++
@@ -86,11 +88,23 @@ func KCenter[P any](pts []P, metric points.Metric[P], k int, seed uint64) Cluste
 	return cl
 }
 
+// maxDist returns the largest encoded distance from center to any of pts
+// (0 for none): a max-reduction over blocks of the batch kernel. The kernel
+// measures metric(point, center); metrics are symmetric, so that is the
+// distance from the center.
+func maxDist[P any](pts []P, center P, batch points.Batch[P]) uint64 {
+	var far uint64
+	batch.ForBlocks(pts, center, func(_ int, dist []uint64) {
+		far = max(far, slices.Max(dist))
+	})
+	return far
+}
+
 // ApproxMedoid returns the index of an approximate medoid of pts: among a
 // deterministic strided sample of up to 16 candidates, the one whose
 // farthest point is nearest (ties toward the earlier candidate). It is the
 // center a node falls back to when its shard carries no explicit anchor —
-// O(16·n) metric calls, paid once at shard load.
+// 16 passes of the metric's batch kernel, paid once at shard load.
 func ApproxMedoid[P any](pts []P, metric points.Metric[P]) int {
 	n := len(pts)
 	if n == 0 {
@@ -100,32 +114,25 @@ func ApproxMedoid[P any](pts []P, metric points.Metric[P]) int {
 	if stride < 1 {
 		stride = 1
 	}
+	batch := points.BatchOf(metric)
 	best, bestRadius := -1, uint64(0)
 	for c := 0; c < n; c += stride {
-		var radius uint64
-		for i := range pts {
-			if d := metric(pts[c], pts[i]); d > radius {
-				radius = d
-			}
-		}
-		if best == -1 || radius < bestRadius {
+		if radius := maxDist(pts, pts[c], batch); best == -1 || radius < bestRadius {
 			best, bestRadius = c, radius
 		}
 	}
 	return best
 }
 
-// Radius returns the true-distance radius of pts around center: the maximum
-// keyDist-decoded metric distance from the center to any point (0 for an
-// empty shard).
+// Radius returns the true-distance radius of pts around center: the
+// keyDist-decoded distance from the center to its farthest point (0 for an
+// empty shard). keyDist decodes an order-preserving encoding, so the
+// farthest point in encoded distance is the farthest in true distance.
 func Radius[P any](pts []P, center P, metric points.Metric[P], keyDist func(uint64) float64) float64 {
-	var r float64
-	for i := range pts {
-		if d := keyDist(metric(center, pts[i])); d > r {
-			r = d
-		}
+	if len(pts) == 0 {
+		return 0
 	}
-	return r
+	return keyDist(maxDist(pts, center, points.BatchOf(metric)))
 }
 
 // admitSlack is the relative safety margin of the admission test. The exact

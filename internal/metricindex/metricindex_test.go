@@ -167,3 +167,13 @@ func TestPruningPreservesTopL(t *testing.T) {
 		t.Fatal("tightly clustered data should prune at least one shard across 50 queries")
 	}
 }
+
+// BenchmarkApproxMedoid is the summary pass a node pays at bring-up for an
+// anchorless shard, at the size of the paper's scalar shard.
+func BenchmarkApproxMedoid(b *testing.B) {
+	set := points.GenUniformScalars(xrand.New(1), 1<<20, points.PaperDomain)
+	b.ReportAllocs()
+	for b.Loop() {
+		ApproxMedoid(set.Pts, points.ScalarMetric)
+	}
+}

@@ -125,40 +125,4 @@ func BenchmarkL2Reference(b *testing.B) {
 	}
 }
 
-func BenchmarkHamming(b *testing.B) {
-	for _, words := range []int{4, 16, 64} {
-		rng := rand.New(rand.NewPCG(5, 6))
-		va := make(BitVector, words)
-		vb := make(BitVector, words)
-		for i := range va {
-			va[i], vb[i] = rng.Uint64(), rng.Uint64()
-		}
-		b.Run(benchDim(words), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(words * 8))
-			for i := 0; i < b.N; i++ {
-				sinkU64 = Hamming(va, vb)
-			}
-		})
-	}
-}
-
-func BenchmarkHammingReference(b *testing.B) {
-	for _, words := range []int{4, 16, 64} {
-		rng := rand.New(rand.NewPCG(5, 6))
-		va := make(BitVector, words)
-		vb := make(BitVector, words)
-		for i := range va {
-			va[i], vb[i] = rng.Uint64(), rng.Uint64()
-		}
-		b.Run(benchDim(words), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(words * 8))
-			for i := 0; i < b.N; i++ {
-				sinkU64 = refHamming(va, vb)
-			}
-		})
-	}
-}
-
 func benchDim(d int) string { return fmt.Sprintf("dim%d", d) }

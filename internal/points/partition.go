@@ -103,6 +103,7 @@ func Partition[P any](s *Set[P], k int, strategy Partitioner, rng *rand.Rand) ([
 			IDs:    make([]uint64, sz),
 			Labels: make([]float64, sz),
 			Metric: s.Metric,
+			batch:  s.batch,
 		}
 		for j := 0; j < sz; j++ {
 			src := idx[pos]
@@ -122,7 +123,7 @@ func Merge[P any](parts []*Set[P]) *Set[P] {
 	out := &Set[P]{}
 	for _, p := range parts {
 		if out.Metric == nil {
-			out.Metric = p.Metric
+			out.Metric, out.batch = p.Metric, p.batch
 		}
 		out.Pts = append(out.Pts, p.Pts...)
 		out.IDs = append(out.IDs, p.IDs...)

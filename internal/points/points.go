@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"distknn/internal/keys"
-	"distknn/internal/pq"
 )
 
 // Item is the per-point value the distributed layer operates on: the total
@@ -36,12 +35,15 @@ type Item struct {
 type Metric[P any] func(a, b P) uint64
 
 // Set is one machine's (or the whole instance's) collection of labeled
-// points together with the metric that compares them.
+// points together with the metric that compares them. Build one with NewSet
+// (or Partition / Merge over sets built that way): the constructors pair
+// Metric with its batch kernel, which TopLItems scans with.
 type Set[P any] struct {
 	Pts    []P
 	IDs    []uint64
 	Labels []float64
 	Metric Metric[P]
+	batch  Batch[P] // BatchOf(Metric)
 }
 
 // NewSet builds a Set with sequential unique IDs starting at firstID.
@@ -60,7 +62,7 @@ func NewSet[P any](pts []P, labels []float64, metric Metric[P], firstID uint64) 
 	if labels == nil {
 		labels = make([]float64, len(pts))
 	}
-	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, Metric: metric}, nil
+	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, Metric: metric, batch: BatchOf(metric)}, nil
 }
 
 // Len returns the number of points in the set.
@@ -237,11 +239,10 @@ func Cosine(a, b Vector) uint64 {
 type BitVector []uint64
 
 // Hamming counts differing bits: a popcount over the xor of each word
-// pair. The straight loop already keeps the popcount off the critical
-// path (measured faster than a two-accumulator unroll at every dim);
-// the bounds-check hint on b is what matters.
+// pair. The straight loop inlines into the batch kernel and already keeps
+// the popcount off the critical path (measured faster than a
+// two-accumulator unroll at every dim).
 func Hamming(a, b BitVector) uint64 {
-	b = b[:len(a)]
 	var n uint64
 	for i := range a {
 		n += uint64(bits.OnesCount64(a[i] ^ b[i]))
@@ -249,18 +250,33 @@ func Hamming(a, b BitVector) uint64 {
 	return n
 }
 
-// TopLItems returns the l items nearest to q in ascending key order without
-// materializing all n items: a streaming bounded heap, O(l) memory and
-// O(n log l) time. This is the local preprocessing step every distributed
-// ℓ-NN algorithm starts from ("if a machine has more than ℓ points it keeps
-// the ℓ closest", Section 2.2).
+// TopLItems returns the l items nearest to q in ascending key order — the
+// local preprocessing step every distributed ℓ-NN algorithm starts from
+// ("if a machine has more than ℓ points it keeps the ℓ closest", Section
+// 2.2). It is a block scan: the set's batch kernel fills a block of
+// distances, each distance is compared with the current cutoff before
+// anything else is read, and only the few points that beat it (about
+// ℓ·ln(n/ℓ) on unordered data) are lowered to Items and sifted into the
+// bounded heap. O(n) distance work, O(min(l, n)) memory, one allocation.
 func (s *Set[P]) TopLItems(q P, l int) []Item {
+	n := len(s.Pts)
+	if l > n {
+		l = n
+	}
 	if l < 1 {
 		return nil
 	}
-	acc := pq.New(l, func(a, b Item) bool { return a.Key.Less(b.Key) })
-	for i := range s.Pts {
-		acc.Push(s.Item(i, q))
-	}
-	return acc.Sorted()
+	top := NewTopL(l)
+	cut := top.Cut()
+	s.batch.ForBlocks(s.Pts, q, func(lo int, dist []uint64) {
+		ids, labels := s.IDs[lo:lo+len(dist)], s.Labels[lo:lo+len(dist)]
+		for i, d := range dist {
+			if d > cut.Dist || (d == cut.Dist && ids[i] >= cut.ID) {
+				continue
+			}
+			top.Push(Item{Key: keys.Key{Dist: d, ID: ids[i]}, Label: labels[i]})
+			cut = top.Cut()
+		}
+	})
+	return top.Sorted()
 }

@@ -157,7 +157,9 @@ type PointType[P any] struct {
 	codec  wire.PointCodec[P]
 	metric points.Metric[P]
 	// index builds the local top-ℓ accelerator for a shard; nil selects
-	// the streaming O(n log ℓ) scan.
+	// the block scan (points.Set.TopLItems): the metric's batch kernel
+	// fills a block of distances, and only those that beat the current
+	// cutoff reach the bounded heap.
 	index func(set *points.Set[P]) (func(q P, l int) []Item, error)
 	// check validates a decoded query point against the shard (e.g. the
 	// vector dimension); nil means no validation.
@@ -211,7 +213,9 @@ func vectorCompat(q, c Vector) error {
 }
 
 // ScalarPoints is the paper's workload: one-dimensional integer points
-// under |a−b| distance, answered from a streaming scan.
+// under |a−b| distance, answered from the block scan with the hand-written
+// scalar kernel — deliberately no index: this is the paper's un-indexed
+// local step.
 func ScalarPoints() PointType[Scalar] {
 	return PointType[Scalar]{
 		codec:   wire.ScalarCodec,
@@ -244,8 +248,9 @@ func VectorPoints() PointType[Vector] {
 }
 
 // L1Points is the Manhattan-distance vector workload, answered from the
-// streaming top-ℓ scan. Served results are bit-identical to an in-process
-// NewCluster built over the merged data with points.L1.
+// block scan through the per-point kernel adaptor. Served results are
+// bit-identical to an in-process NewCluster built over the merged data with
+// points.L1.
 func L1Points() PointType[Vector] {
 	return PointType[Vector]{
 		codec:   wire.VectorCodec,
@@ -257,8 +262,9 @@ func L1Points() PointType[Vector] {
 }
 
 // LInfPoints is the Chebyshev-distance (L∞) vector workload, answered from
-// the streaming top-ℓ scan. Served results are bit-identical to an
-// in-process NewCluster built over the merged data with points.LInf.
+// the block scan through the per-point kernel adaptor. Served results are
+// bit-identical to an in-process NewCluster built over the merged data with
+// points.LInf.
 func LInfPoints() PointType[Vector] {
 	return PointType[Vector]{
 		codec:   wire.VectorCodec,
@@ -270,10 +276,10 @@ func LInfPoints() PointType[Vector] {
 }
 
 // CosinePoints is the cosine-distance vector workload (1 − cosine
-// similarity), answered from the streaming top-ℓ scan. Cosine distance
-// violates the triangle inequality, so the type deliberately carries no
-// pruning geometry — its Pruner is nil and clusters serving it always run
-// full-scatter epochs. Served results are bit-identical to an in-process
+// similarity), answered from the block scan through the per-point kernel
+// adaptor. Cosine distance violates the triangle inequality, so the type
+// deliberately carries no pruning geometry — its Pruner is nil and clusters
+// serving it always run full-scatter epochs. Served results are bit-identical to an in-process
 // NewCluster built over the merged data with points.Cosine.
 func CosinePoints() PointType[Vector] {
 	return PointType[Vector]{
@@ -284,9 +290,9 @@ func CosinePoints() PointType[Vector] {
 }
 
 // BitVectorPoints is the bit-packed Hamming workload (binary feature
-// sketches, 64 features per word), answered from the streaming top-ℓ scan
-// — popcount distances are cheap enough that a spatial index buys little.
-// Served results are bit-identical to an in-process NewCluster built over
+// sketches, 64 features per word), answered from the block scan with the
+// hand-written Hamming kernel — popcount distances are cheap enough that a
+// spatial index buys little. Served results are bit-identical to an in-process NewCluster built over
 // the same global data with points.Hamming.
 func BitVectorPoints() PointType[BitVector] {
 	return PointType[BitVector]{
