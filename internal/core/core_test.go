@@ -234,6 +234,29 @@ func TestKNNRoundsBeatSimpleForLargeL(t *testing.T) {
 	}
 }
 
+func TestKNNRoundLaw(t *testing.T) {
+	// With every message inside one round's bandwidth, Algorithm 2's cost
+	// is exact: four prelude rounds (samples, prune, counts, proceed), then
+	// Algorithm 1 at two rounds an iteration plus its statistics and finish
+	// rounds — on the pruned candidates or, after a fallback, on the whole
+	// local top-ℓ alike. A single machine never communicates.
+	for _, k := range []int{1, 2, 4, 8} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			locals, _, _ := makeInstance(seed, 4096, k, points.PartitionRandom)
+			res, _, met := runAlgo(t, seed, -1, locals, Config{Leader: 0, L: 64}, KNN)
+			if k == 1 {
+				if met.Messages != 0 || met.Rounds != 0 {
+					t.Errorf("k=1 seed=%d: %d messages in %d rounds, want none", seed, met.Messages, met.Rounds)
+				}
+				continue
+			}
+			if want := 2*res.Iterations + 6; met.Rounds != want {
+				t.Errorf("k=%d seed=%d: %d rounds for %d iterations, want %d", k, seed, met.Rounds, res.Iterations, want)
+			}
+		}
+	}
+}
+
 func TestKNNRoundsGrowLogarithmicallyInL(t *testing.T) {
 	rounds := func(l int) int {
 		locals, _, _ := makeInstance(11, 16384, 8, points.PartitionRandom)

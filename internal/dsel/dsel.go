@@ -6,11 +6,21 @@
 // Three protocols share one worker loop and differ only in leader strategy:
 //
 //   - FindLSmallest — the paper's Algorithm 1: the leader repeatedly draws a
-//     pivot uniformly at random from the keys still in range (by first
-//     picking a machine with probability proportional to its in-range count,
-//     then letting that machine pick uniformly — Lemma 2.1), counts the keys
-//     at or below the pivot, and halves the search. O(log n) rounds and
-//     O(k log n) messages w.h.p. (Theorem 2.2).
+//     pivot uniformly at random from the keys still in range (a machine with
+//     probability proportional to its in-range count, then a key uniform
+//     within that machine — Lemma 2.1), counts the keys at or below the
+//     pivot, and halves the search. O(log n) rounds and O(k log n) messages
+//     w.h.p. (Theorem 2.2). An iteration is two rounds, not the four of the
+//     algorithm as printed: the leader never asks the drawn machine for a
+//     pivot, because every worker already sent one. The query names both
+//     sides of the pivot, (lo, p] and (p, hi]; a worker answers with its
+//     count on each side and one key drawn uniformly from each non-empty
+//     side (only the leader learns which side survives), and the opening
+//     statistics carry one uniform local key the same way. The leader's
+//     weighted machine choice then selects among candidates it holds —
+//     machine i with probability n_i/total, its candidate uniform among its
+//     n_i surviving keys and drawn independently of the choice, which is
+//     Lemma 2.1's distribution exactly. Rounds = 2·iterations + 2.
 //
 //   - SaukasSong — the deterministic baseline from Saukas & Song (SC '98),
 //     the closest prior work cited by the paper: each round the leader takes
@@ -26,10 +36,16 @@
 // moves the lower boundary is itself excluded from the next iteration, which
 // avoids the double-count that a closed-interval reading of the paper's
 // pseudocode would allow.
+//
+// Every message is O(1) keys: the largest, the split query, is 49 bytes, and
+// none exceeds 56, so with kmachine.MessageOverheadBytes each crosses the
+// simulator's default 64-byte link in one round.
 package dsel
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 
 	"distknn/internal/keys"
@@ -42,9 +58,9 @@ import (
 // Message kinds. Workers answer any query kind, so every leader strategy can
 // drive the same worker loop.
 const (
-	msgStats       = iota + 1 // worker → leader: count [+ min + max]
-	msgPickPivot              // leader → one worker: lo, hi
-	msgPivotReply             // worker → leader: pivot
+	msgStats       = iota + 1 // worker → leader: count [+ min + max + uniform key]
+	msgSplit                  // leader → all: lo, p, hi — count and draw in (lo, p] and (p, hi]
+	msgSplitReply             // worker → leader: count below, count above [+ key below] [+ key above]
 	msgCount                  // leader → all: lo, p — count keys in (lo, p]
 	msgCountReply             // worker → leader: count
 	msgMedianQuery            // leader → all: lo, hi — median of keys in (lo, hi]
@@ -125,7 +141,7 @@ func validateLocal(local []keys.Key) error {
 // runWorker announces local statistics, then answers leader queries until a
 // finished message arrives.
 func runWorker(m kmachine.Env, leader int, local []keys.Key) (Result, error) {
-	m.Send(leader, encodeStats(local))
+	m.Send(leader, encodeStats(m.Rand(), local))
 	m.EndRound()
 	for {
 		for _, msg := range m.Gather(1) {
@@ -135,19 +151,12 @@ func runWorker(m kmachine.Env, leader int, local []keys.Key) (Result, error) {
 			r := wire.NewReader(msg.Payload)
 			kind := r.U8()
 			switch kind {
-			case msgPickPivot:
-				lo, hi := r.Key(), r.Key()
+			case msgSplit:
+				lo, p, hi := r.Key(), r.Key(), r.Key()
 				if err := r.Err(); err != nil {
-					return Result{}, fmt.Errorf("dsel: bad pivot query: %w", err)
+					return Result{}, fmt.Errorf("dsel: bad split query: %w", err)
 				}
-				pivot, ok := pickUniform(m, local, lo, hi)
-				if !ok {
-					return Result{}, fmt.Errorf("dsel: machine %d asked for a pivot but has no key in range", m.ID())
-				}
-				var w wire.Writer
-				w.U8(msgPivotReply)
-				w.Key(pivot)
-				m.Send(leader, w.Bytes())
+				m.Send(leader, encodeSplitReply(splitPick(m.Rand(), local, lo, p, hi)))
 			case msgCount:
 				lo, p := r.Key(), r.Key()
 				if err := r.Err(); err != nil {
@@ -182,33 +191,94 @@ func runWorker(m kmachine.Env, leader int, local []keys.Key) (Result, error) {
 	}
 }
 
-// pickUniform draws a uniformly random local key inside (lo, hi].
-func pickUniform(m kmachine.Env, local []keys.Key, lo, hi keys.Key) (keys.Key, bool) {
-	var inRange []keys.Key
+// pick is one machine's share of one side of a pivot: how many of its keys
+// lie there and, when n > 0, one of them drawn uniformly at random.
+type pick struct {
+	n    int64
+	cand keys.Key
+}
+
+// splitPick is a machine's whole share of an Algorithm 1 iteration: count
+// the local keys in (lo, p] and in (p, hi] and draw one key uniformly from
+// each non-empty side. It allocates nothing: a count pass, one draw per
+// non-empty side, and an index pass that stops at the later drawn key. Both
+// passes classify a key with borrow arithmetic instead of branches — on
+// random keys the comparisons are coin flips a predictor cannot learn.
+func splitPick(rng *rand.Rand, local []keys.Key, lo, p, hi keys.Key) (low, high pick) {
 	for _, k := range local {
-		if lo.Less(k) && k.LessEq(hi) {
-			inRange = append(inRange, k)
+		in := less(lo, k) &^ less(hi, k)
+		below := in &^ less(p, k)
+		low.n += below
+		high.n += in - below
+	}
+	// wantLow / wantHigh are the 1-based positions of the drawn keys within
+	// their sides; −1 is "none wanted" (empty side) or "already found".
+	wantLow, wantHigh := int64(-1), int64(-1)
+	if low.n > 0 {
+		wantLow = rng.Int64N(low.n) + 1
+	}
+	if high.n > 0 {
+		wantHigh = rng.Int64N(high.n) + 1
+	}
+	var seenLow, seenHigh int64
+	for _, k := range local {
+		if wantLow < 0 && wantHigh < 0 {
+			break
+		}
+		in := less(lo, k) &^ less(hi, k)
+		below := in &^ less(p, k)
+		seenLow += below
+		seenHigh += in - below
+		// A counter first reaches its target on the key that moved it.
+		if seenLow == wantLow {
+			low.cand, wantLow = k, -1
+		}
+		if seenHigh == wantHigh {
+			high.cand, wantHigh = k, -1
 		}
 	}
-	if len(inRange) == 0 {
-		return keys.Key{}, false
-	}
-	return inRange[m.Rand().IntN(len(inRange))], true
+	return low, high
+}
+
+// less is 1 when a < b and 0 otherwise: the borrow out of the 128-bit
+// subtraction a − b.
+func less(a, b keys.Key) int64 {
+	_, borrow := bits.Sub64(a.ID, b.ID, 0)
+	_, borrow = bits.Sub64(a.Dist, b.Dist, borrow)
+	return int64(borrow)
 }
 
 // ---------------------------------------------------------------------------
 // Leader bookkeeping shared by the strategies
 // ---------------------------------------------------------------------------
 
+// half is the leader's view of one side of a pivot — or, embedded in
+// leaderState, of the whole active range: the in-range keys per machine,
+// their sum, and (what Algorithm 1 draws its next pivot from) one key per
+// non-empty machine, uniform among that machine's keys on this side.
+type half struct {
+	counts []int64
+	cands  []keys.Key
+	total  int64
+}
+
+func newHalf(k int) half {
+	return half{counts: make([]int64, k), cands: make([]keys.Key, k)}
+}
+
+func (h *half) set(i int, p pick) {
+	h.counts[i], h.cands[i] = p.n, p.cand
+	h.total += p.n
+}
+
 // leaderState tracks the leader's view: the active half-open range (lo, hi],
-// the remaining rank within it, and per-machine in-range counts.
+// the remaining rank within it, and what each machine holds inside it.
 type leaderState struct {
 	m      kmachine.Env
 	local  []keys.Key
 	lo, hi keys.Key
-	l      int64   // rank still sought inside (lo, hi]
-	counts []int64 // in-range keys per machine
-	total  int64
+	l      int64 // rank still sought inside (lo, hi]
+	half         // of the active range
 	iters  int
 }
 
@@ -217,21 +287,20 @@ type leaderState struct {
 func initLeader(m kmachine.Env, local []keys.Key, l int) (*leaderState, error) {
 	k := m.K()
 	st := &leaderState{
-		m:      m,
-		local:  local,
-		lo:     keys.MinKey,
-		counts: make([]int64, k),
-		l:      int64(l),
+		m:     m,
+		local: local,
+		lo:    keys.MinKey,
+		half:  newHalf(k),
+		l:     int64(l),
 	}
-	st.counts[m.ID()] = int64(len(local))
-	globalMin, globalMax := keys.MaxKey, keys.MinKey
+	globalMax := keys.MinKey
 	for _, key := range local {
-		if key.Less(globalMin) {
-			globalMin = key
-		}
 		if globalMax.Less(key) {
 			globalMax = key
 		}
+	}
+	if len(local) > 0 {
+		st.set(m.ID(), pick{int64(len(local)), local[m.Rand().IntN(len(local))]})
 	}
 	if k > 1 {
 		m.EndRound()
@@ -240,24 +309,22 @@ func initLeader(m kmachine.Env, local []keys.Key, l int) (*leaderState, error) {
 			if kind := r.U8(); kind != msgStats {
 				return nil, fmt.Errorf("dsel: expected stats from %d, got kind %d", msg.From, kind)
 			}
-			cnt := int64(r.Varint())
-			if cnt > 0 {
-				mn, mx := r.Key(), r.Key()
-				if mn.Less(globalMin) {
-					globalMin = mn
-				}
-				if globalMax.Less(mx) {
-					globalMax = mx
-				}
+			share := pick{n: int64(r.Varint())}
+			var mn, mx keys.Key
+			if share.n > 0 {
+				mn, mx, share.cand = r.Key(), r.Key(), r.Key()
 			}
 			if err := r.Err(); err != nil {
 				return nil, fmt.Errorf("dsel: bad stats from %d: %w", msg.From, err)
 			}
-			st.counts[msg.From] = cnt
+			if share.n < 0 || share.cand.Less(mn) || mx.Less(share.cand) {
+				return nil, fmt.Errorf("dsel: bad stats from %d: count %d, or a candidate outside [min, max]", msg.From, share.n)
+			}
+			if globalMax.Less(mx) {
+				globalMax = mx
+			}
+			st.set(msg.From, share)
 		}
-	}
-	for _, c := range st.counts {
-		st.total += c
 	}
 	if int64(l) < 1 || int64(l) > st.total {
 		return nil, fmt.Errorf("dsel: rank %d out of range [1, %d]", l, st.total)
@@ -267,11 +334,14 @@ func initLeader(m kmachine.Env, local []keys.Key, l int) (*leaderState, error) {
 }
 
 // countBelow broadcasts a count query for (st.lo, p] and returns the
-// per-machine counts plus their sum. Two rounds, 2(k−1) messages.
-func (st *leaderState) countBelow(p keys.Key) ([]int64, int64) {
+// per-machine counts plus their sum. Two rounds, 2(k−1) messages. A reply
+// that is truncated, of the wrong kind, or claims more keys than its sender
+// holds in range is an error: decoding it as a count would silently move the
+// boundary.
+func (st *leaderState) countBelow(p keys.Key) (half, error) {
 	k := st.m.K()
-	perMachine := make([]int64, k)
-	perMachine[st.m.ID()] = int64(seqselect.CountInRange(st.local, st.lo, p))
+	low := half{counts: make([]int64, k)}
+	low.counts[st.m.ID()] = int64(seqselect.CountInRange(st.local, st.lo, p))
 	if k > 1 {
 		var w wire.Writer
 		w.U8(msgCount)
@@ -282,39 +352,106 @@ func (st *leaderState) countBelow(p keys.Key) ([]int64, int64) {
 		for _, msg := range st.m.Gather(k - 1) {
 			r := wire.NewReader(msg.Payload)
 			if kind := r.U8(); kind != msgCountReply {
-				panic(fmt.Sprintf("dsel: expected count reply from %d, got kind %d", msg.From, kind))
+				return half{}, fmt.Errorf("dsel: expected count reply from %d, got kind %d", msg.From, kind)
 			}
-			perMachine[msg.From] = int64(r.Varint())
+			n := r.Varint()
+			if err := r.Err(); err != nil {
+				return half{}, fmt.Errorf("dsel: bad count reply from %d: %w", msg.From, err)
+			}
+			if n > uint64(st.counts[msg.From]) {
+				return half{}, fmt.Errorf("dsel: machine %d counted %d keys below the pivot but holds %d in range",
+					msg.From, n, st.counts[msg.From])
+			}
+			low.counts[msg.From] = int64(n)
 		}
 	}
-	var s int64
-	for _, c := range perMachine {
-		s += c
+	for _, c := range low.counts {
+		low.total += c
 	}
-	return perMachine, s
+	return low, nil
+}
+
+// above derives the per-machine counts in (p, st.hi] from those in
+// (st.lo, p], for the strategies whose count query names only one side.
+func (st *leaderState) above(low half) half {
+	high := half{counts: make([]int64, len(st.counts)), total: st.total - low.total}
+	for i, c := range low.counts {
+		high.counts[i] = st.counts[i] - c
+	}
+	return high
+}
+
+// split is Algorithm 1's count step: it broadcasts (st.lo, p, st.hi) and
+// returns, for each side of p, every machine's count and uniform candidate.
+// Two rounds, 2(k−1) messages. Replies are checked against what the leader
+// already knows — the two counts must add up to the sender's in-range count,
+// a non-empty side must come with a candidate, and the candidate must lie on
+// its side — so a malformed reply fails the run instead of moving the
+// boundary or stalling the search on a pivot outside the range.
+func (st *leaderState) split(p keys.Key) (low, high half, err error) {
+	k := st.m.K()
+	low, high = newHalf(k), newHalf(k)
+	ownLow, ownHigh := splitPick(st.m.Rand(), st.local, st.lo, p, st.hi)
+	low.set(st.m.ID(), ownLow)
+	high.set(st.m.ID(), ownHigh)
+	if k == 1 {
+		return low, high, nil
+	}
+	var w wire.Writer
+	w.U8(msgSplit)
+	w.Key(st.lo)
+	w.Key(p)
+	w.Key(st.hi)
+	st.m.Broadcast(w.Bytes())
+	st.m.EndRound()
+	for _, msg := range st.m.Gather(k - 1) {
+		r := wire.NewReader(msg.Payload)
+		if kind := r.U8(); kind != msgSplitReply {
+			return half{}, half{}, fmt.Errorf("dsel: expected split reply from %d, got kind %d", msg.From, kind)
+		}
+		nLow, nHigh := r.Varint(), r.Varint()
+		var below, above pick
+		if nLow > 0 {
+			below.cand = r.Key()
+		}
+		if nHigh > 0 {
+			above.cand = r.Key()
+		}
+		if err := r.Err(); err != nil {
+			return half{}, half{}, fmt.Errorf("dsel: bad split reply from %d: %w", msg.From, err)
+		}
+		held := uint64(st.counts[msg.From])
+		if nLow > held || nHigh != held-nLow {
+			return half{}, half{}, fmt.Errorf("dsel: machine %d split its %d in-range keys into %d + %d",
+				msg.From, held, nLow, nHigh)
+		}
+		below.n, above.n = int64(nLow), int64(nHigh)
+		if below.n > 0 && !(st.lo.Less(below.cand) && below.cand.LessEq(p)) ||
+			above.n > 0 && !(p.Less(above.cand) && above.cand.LessEq(st.hi)) {
+			return half{}, half{}, fmt.Errorf("dsel: machine %d sent a candidate outside its side of the pivot", msg.From)
+		}
+		low.set(msg.From, below)
+		high.set(msg.From, above)
+	}
+	return low, high, nil
 }
 
 // apply folds a pivot's count outcome into the state following the
-// randomized-selection recurrence. It returns the final boundary and true
-// when the search is complete.
-func (st *leaderState) apply(pivot keys.Key, perMachine []int64, s int64) (keys.Key, bool) {
+// randomized-selection recurrence: low and high describe (lo, pivot] and
+// (pivot, hi], and the side holding the sought rank becomes the active
+// range. It returns the final boundary and true when the search is complete.
+func (st *leaderState) apply(pivot keys.Key, low, high half) (keys.Key, bool) {
 	st.iters++
 	switch {
-	case s == st.l:
+	case low.total == st.l:
 		return pivot, true
-	case s < st.l:
+	case low.total < st.l:
 		// Everything in (lo, pivot] is a winner; continue above it.
-		st.l -= s
-		st.lo = pivot
-		for i := range st.counts {
-			st.counts[i] -= perMachine[i]
-		}
-		st.total -= s
+		st.l -= low.total
+		st.lo, st.half = pivot, high
 	default:
 		// The boundary lies in (lo, pivot]; discard everything above.
-		st.hi = pivot
-		copy(st.counts, perMachine)
-		st.total = s
+		st.hi, st.half = pivot, low
 	}
 	if st.total == st.l {
 		// All remaining in-range keys are winners.
@@ -350,38 +487,18 @@ func leadAlg1(m kmachine.Env, local []keys.Key, l int, opts Options) (Result, er
 		return st.finish(st.hi), nil
 	}
 	for {
-		// Pick the pivot machine with probability n_i / total, then a
-		// uniform key within it — uniform overall by Lemma 2.1.
-		i := xrand.WeightedChoice(m.Rand(), st.counts)
-		var pivot keys.Key
-		if i == m.ID() {
-			p, ok := pickUniform(m, local, st.lo, st.hi)
-			if !ok {
-				return Result{}, fmt.Errorf("dsel: leader count bookkeeping corrupt")
-			}
-			pivot = p
-		} else {
-			var w wire.Writer
-			w.U8(msgPickPivot)
-			w.Key(st.lo)
-			w.Key(st.hi)
-			m.Send(i, w.Bytes())
-			m.EndRound()
-			reply := m.Gather(1)[0]
-			r := wire.NewReader(reply.Payload)
-			if kind := r.U8(); kind != msgPivotReply {
-				return Result{}, fmt.Errorf("dsel: expected pivot reply, got kind %d", kind)
-			}
-			pivot = r.Key()
-			if err := r.Err(); err != nil {
-				return Result{}, fmt.Errorf("dsel: bad pivot reply: %w", err)
-			}
-		}
+		// Pick the pivot machine with probability n_i / total and take the
+		// key it already drew uniformly from its in-range keys — uniform
+		// overall by Lemma 2.1, with no message exchanged.
+		pivot := st.cands[xrand.WeightedChoice(m.Rand(), st.counts)]
 		if opts.OnPivot != nil {
 			opts.OnPivot(pivot, st.lo, st.hi, st.total)
 		}
-		perMachine, s := st.countBelow(pivot)
-		if boundary, done := st.apply(pivot, perMachine, s); done {
+		low, high, err := st.split(pivot)
+		if err != nil {
+			return Result{}, err
+		}
+		if boundary, done := st.apply(pivot, low, high); done {
 			return st.finish(boundary), nil
 		}
 	}
@@ -440,8 +557,11 @@ func leadSaukasSong(m kmachine.Env, local []keys.Key, l int) (Result, error) {
 				break
 			}
 		}
-		perMachine, s := st.countBelow(pivot)
-		if boundary, done := st.apply(pivot, perMachine, s); done {
+		low, err := st.countBelow(pivot)
+		if err != nil {
+			return Result{}, err
+		}
+		if boundary, done := st.apply(pivot, low, st.above(low)); done {
 			return st.finish(boundary), nil
 		}
 	}
@@ -479,9 +599,12 @@ func leadBinarySearch(m kmachine.Env, local []keys.Key, l int) (Result, error) {
 	lo128, hi128 := keys.MinKey, st.hi
 	for lo128.Less(hi128) {
 		mid := keys.Midpoint(lo128, hi128)
-		_, s := st.countBelow(mid)
+		low, err := st.countBelow(mid)
+		if err != nil {
+			return Result{}, err
+		}
 		st.iters++
-		if s >= st.l {
+		if low.total >= st.l {
 			hi128 = mid
 		} else {
 			lo128 = keys.Inc(mid)

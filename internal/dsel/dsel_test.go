@@ -11,6 +11,8 @@ import (
 
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
+	"distknn/internal/seqselect"
+	"distknn/internal/wire"
 	"distknn/internal/xrand"
 )
 
@@ -211,16 +213,95 @@ func TestMinKeySentinelRejected(t *testing.T) {
 }
 
 func TestAlg1RoundsLogarithmic(t *testing.T) {
-	// Theorem 2.2: O(log n) rounds w.h.p. Each iteration costs ≤ 4 rounds;
+	// Theorem 2.2: O(log n) rounds w.h.p. Each iteration costs exactly 2
+	// rounds (plus 2 for the opening statistics and the finish broadcast);
 	// expected iterations ≈ 3·log_{3/2} n ≈ 5.1·ln n. We assert a
-	// generous deterministic-per-seed envelope of 40·log2(n)+40 rounds.
+	// generous deterministic-per-seed envelope of 20·log2(n)+22 rounds.
 	for _, n := range []int{100, 1000, 10000} {
 		locals := scatter(uint64(n), n, 8, 0)
 		_, _, met := runSelection(t, uint64(n), 0, locals, n/2, protocols["alg1"])
-		bound := int(40*math.Log2(float64(n))) + 40
+		bound := int(20*math.Log2(float64(n))) + 22
 		if met.Rounds > bound {
 			t.Errorf("n=%d: %d rounds exceeds O(log n) envelope %d", n, met.Rounds, bound)
 		}
+	}
+}
+
+func TestAlg1RoundLaw(t *testing.T) {
+	// With every message inside one round's bandwidth the cost is exact, not
+	// an envelope: one round of opening statistics, two per iteration (split
+	// query out, counts and candidates back), one for the finish broadcast.
+	for _, k := range []int{2, 4, 8} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			for style := 0; style < 4; style++ {
+				locals := scatter(seed, 600, k, style)
+				res, _, met := runSelection(t, seed+50, -1, locals, 200, protocols["alg1"])
+				if want := 2*res.Iterations + 2; met.Rounds != want {
+					t.Errorf("k=%d seed=%d style=%d: %d rounds for %d iterations, want %d",
+						k, seed, style, met.Rounds, res.Iterations, want)
+				}
+				if want := int64(k-1) * int64(2*res.Iterations+2); met.Messages != want {
+					t.Errorf("k=%d seed=%d style=%d: %d messages for %d iterations, want %d",
+						k, seed, style, met.Messages, res.Iterations, want)
+				}
+			}
+		}
+	}
+}
+
+// sizeEnv records the largest payload a machine sends.
+type sizeEnv struct {
+	kmachine.Env
+	max *int
+}
+
+func (e sizeEnv) note(payload []byte) {
+	if len(payload) > *e.max {
+		*e.max = len(payload)
+	}
+}
+
+func (e sizeEnv) Send(to int, payload []byte) {
+	e.note(payload)
+	e.Env.Send(to, payload)
+}
+
+func (e sizeEnv) Broadcast(payload []byte) {
+	e.note(payload)
+	e.Env.Broadcast(payload)
+}
+
+func TestEveryMessageFitsOneDefaultRound(t *testing.T) {
+	// The simulator's default link moves 64 bytes a round. A dsel message
+	// that outgrows it would still arrive — a round late, silently doubling
+	// every round count the experiments report.
+	const budget = kmachine.DefaultBandwidth - kmachine.MessageOverheadBytes
+	for name, proto := range protocols {
+		locals := scatter(5, 3000, 4, 0)
+		sizes := make([]int, len(locals))
+		progs := make([]kmachine.Program, len(locals))
+		for i := range progs {
+			progs[i] = func(m kmachine.Env) error {
+				_, err := proto(sizeEnv{m, &sizes[i]}, 0, locals[i], 1000)
+				return err
+			}
+		}
+		if _, err := kmachine.RunPrograms(kmachine.Config{K: len(locals), Seed: 5}, progs); err != nil {
+			t.Fatal(err)
+		}
+		for i, size := range sizes {
+			if size == 0 || size > budget {
+				t.Errorf("%s: machine %d's largest payload is %d bytes, want 1..%d", name, i, size, budget)
+			}
+		}
+	}
+	// The two variable-length messages at their widest.
+	big := pick{n: math.MaxInt64 / 2, cand: keys.MaxKey}
+	if n := len(encodeSplitReply(big, big)); n > budget {
+		t.Errorf("widest split reply is %d bytes, budget %d", n, budget)
+	}
+	if n := len(encodeStats(xrand.New(1), make([]keys.Key, 1<<20))); n > budget {
+		t.Errorf("stats for 2^20 keys is %d bytes, budget %d", n, budget)
 	}
 }
 
@@ -338,6 +419,246 @@ func TestPivotUniformity(t *testing.T) {
 	}
 	if chi2 > 26.0 {
 		t.Errorf("pivot ranks not uniform: chi2=%.1f buckets=%v", chi2, counts)
+	}
+}
+
+func TestSecondPivotUniformity(t *testing.T) {
+	// The first pivot comes from the opening statistics; every later one is
+	// a candidate piggybacked on a split reply. Lemma 2.1 must hold for
+	// those too: given the surviving range, the second pivot is uniform over
+	// the keys in it. The instance is fixed and lopsided — the machines'
+	// counts differ 10×, and machines 1 and 2 hold only small and only large
+	// keys, so after most first pivots one of them has an empty side — which
+	// is where a draw that weighted machines wrongly would show.
+	const k, buckets, trials = 4, 8, 2400
+	sizes := [k]int{4, 40, 16, 4}
+	locals := make([][]keys.Key, k)
+	id := uint64(1)
+	for i, size := range sizes {
+		for j := 0; j < size; j++ {
+			dist := uint64(j)
+			switch i {
+			case 2:
+				dist += 1000 // all above machine 1's
+			case 0, 3:
+				dist = uint64(j) * 300 // straddling both
+			}
+			locals[i] = append(locals[i], keys.Key{Dist: dist, ID: id})
+			id++
+		}
+	}
+	var all []keys.Key
+	for _, lk := range locals {
+		all = append(all, lk...)
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
+
+	observed := make([]float64, buckets)
+	expected := make([]float64, buckets)
+	for trial := 0; trial < trials; trial++ {
+		seen := 0
+		progs := make([]kmachine.Program, k)
+		for i := range progs {
+			progs[i] = func(m kmachine.Env) error {
+				opts := Options{}
+				if m.ID() == 0 {
+					opts.OnPivot = func(pivot, lo, hi keys.Key, total int64) {
+						if seen++; seen != 2 {
+							return
+						}
+						// Rank of the pivot among the keys in (lo, hi].
+						first := sort.Search(len(all), func(i int) bool { return lo.Less(all[i]) })
+						rank := sort.Search(len(all), func(i int) bool { return !all[i].Less(pivot) }) - first
+						if rank < 0 || int64(rank) >= total || all[first+rank] != pivot {
+							t.Errorf("second pivot %v is not one of the %d keys in (%v, %v]", pivot, total, lo, hi)
+							return
+						}
+						observed[rank*buckets/int(total)]++
+						for r := 0; r < int(total); r++ {
+							expected[r*buckets/int(total)] += 1 / float64(total)
+						}
+					}
+				}
+				_, err := FindLSmallest(m, 0, locals[i], len(all)/2, opts)
+				return err
+			}
+		}
+		if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: uint64(trial), BandwidthBytes: -1}, progs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Chi-square with 7 dof against the per-trial uniform expectation
+	// (ranges shorter than the bucket count leave some buckets unreachable,
+	// hence the accumulated expectation rather than trials/buckets);
+	// 26.0 ≈ p = 0.0005.
+	var chi2, n float64
+	for b := range observed {
+		d := observed[b] - expected[b]
+		chi2 += d * d / expected[b]
+		n += observed[b]
+	}
+	if n < trials*0.9 {
+		t.Fatalf("only %.0f of %d trials reached a second pivot", n, trials)
+	}
+	if chi2 > 26.0 {
+		t.Errorf("second pivots not uniform over the surviving range: chi2=%.1f observed=%v expected=%.0f",
+			chi2, observed, expected)
+	}
+}
+
+func TestSplitPick(t *testing.T) {
+	// Counts are exact, candidates lie on their side, and an empty side has
+	// none — including the sides a sorted layout empties completely.
+	rng := xrand.New(3)
+	local := scatter(3, 500, 1, 0)[0]
+	sorted := append([]keys.Key(nil), local...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Less(sorted[b]) })
+	for _, c := range [][3]int{{-1, 250, 499}, {100, 100, 300}, {100, 300, 300}, {0, 1, 2}, {-1, -1, 499}} {
+		at := func(i int) keys.Key {
+			if i < 0 {
+				return keys.MinKey
+			}
+			return sorted[i]
+		}
+		lo, p, hi := at(c[0]), at(c[1]), at(c[2])
+		low, high := splitPick(rng, local, lo, p, hi)
+		if low.n != int64(c[1]-c[0]) || high.n != int64(c[2]-c[1]) {
+			t.Errorf("%v: counts %d + %d, want %d + %d", c, low.n, high.n, c[1]-c[0], c[2]-c[1])
+		}
+		if low.n > 0 && !(lo.Less(low.cand) && low.cand.LessEq(p)) || low.n == 0 && low.cand != (keys.Key{}) {
+			t.Errorf("%v: low candidate %v for %d keys in (%v, %v]", c, low.cand, low.n, lo, p)
+		}
+		if high.n > 0 && !(p.Less(high.cand) && high.cand.LessEq(hi)) || high.n == 0 && high.cand != (keys.Key{}) {
+			t.Errorf("%v: high candidate %v for %d keys in (%v, %v]", c, high.cand, high.n, p, hi)
+		}
+	}
+}
+
+// pickInstance is the worker's count-and-draw input at the size the
+// un-indexed scan hands Algorithm 1 directly: 2^16 local keys, a pivot near
+// the middle of the active range.
+func pickInstance() (local []keys.Key, lo, p, hi keys.Key) {
+	local = scatter(9, 1<<16, 1, 0)[0]
+	return local, keys.Key{Dist: 1 << 37}, keys.Key{Dist: 1 << 39}, keys.Key{Dist: 1<<40 - 1<<37}
+}
+
+func TestSplitPickDoesNotAllocate(t *testing.T) {
+	local, lo, p, hi := pickInstance()
+	rng := xrand.New(1)
+	if allocs := testing.AllocsPerRun(20, func() { splitPick(rng, local, lo, p, hi) }); allocs != 0 {
+		t.Errorf("splitPick allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+func BenchmarkWorkerCountPick(b *testing.B) {
+	local, lo, p, hi := pickInstance()
+	rng := xrand.New(1)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(local)) * 16)
+	for b.Loop() {
+		low, high := splitPick(rng, local, lo, p, hi)
+		if low.n == 0 || high.n == 0 {
+			b.Fatal("degenerate instance")
+		}
+	}
+}
+
+// rogueWorker plays an honest selection worker except that its answers to
+// queries of kind `target` (its opening message, for msgStats) are whatever
+// corrupt makes of the honest ones.
+func rogueWorker(local []keys.Key, target uint8, corrupt func(honest []byte) []byte) kmachine.Program {
+	return func(m kmachine.Env) error {
+		stats := encodeStats(m.Rand(), local)
+		if target == msgStats {
+			stats = corrupt(stats)
+		}
+		m.Send(0, stats)
+		m.EndRound()
+		for {
+			query := m.Gather(1)[0].Payload
+			var reply []byte
+			switch lo, a, b := readKeys(query); query[0] {
+			case msgSplit:
+				reply = encodeSplitReply(splitPick(m.Rand(), local, lo, a, b))
+			case msgCount:
+				reply = []byte{msgCountReply, byte(seqselect.CountInRange(local, lo, a))}
+			case msgMedianQuery:
+				reply = encodeMedianReply(local, lo, a)
+			default:
+				return nil // finished: the leader accepted the corrupt reply
+			}
+			if query[0] == target {
+				reply = corrupt(reply)
+			}
+			m.Send(0, reply)
+			m.EndRound()
+		}
+	}
+}
+
+// readKeys decodes the up-to-three keys that follow a query's kind byte.
+func readKeys(query []byte) (a, b, c keys.Key) {
+	r := wire.NewReader(query[1:])
+	return r.Key(), r.Key(), r.Key()
+}
+
+func TestMalformedRepliesFailTheRun(t *testing.T) {
+	// The exact-answer contract: a reply the leader cannot trust ends the
+	// run with an error. It must never decode as a count (a truncated varint
+	// reads as 0) and move the boundary.
+	locals := scatter(21, 90, 3, 0) // 30 keys each, fewer than 127: one-byte varints
+	splitReply := func(nLow, nHigh byte, cands ...keys.Key) []byte {
+		reply := []byte{msgSplitReply, nLow, nHigh}
+		for _, c := range cands {
+			reply = append(reply, encodeSplitReply(pick{1, c}, pick{})[3:]...)
+		}
+		return reply
+	}
+	cases := []struct {
+		name    string
+		proto   string
+		target  uint8
+		corrupt func(honest []byte) []byte
+	}{
+		{"stats without the candidate", "alg1", msgStats, func(h []byte) []byte { return h[:len(h)-16] }},
+		{"stats candidate above the maximum", "alg1", msgStats, func(h []byte) []byte {
+			return append(h[:len(h)-16], splitReply(1, 0, keys.MaxKey)[3:]...)
+		}},
+		{"split truncated to its kind", "alg1", msgSplit, func(h []byte) []byte { return h[:1] }},
+		{"split truncated mid-candidate", "alg1", msgSplit, func(h []byte) []byte { return h[:len(h)-1] }},
+		{"split answered with a count reply", "alg1", msgSplit, func(h []byte) []byte { return []byte{msgCountReply, 3} }},
+		{"split without candidates", "alg1", msgSplit, func(h []byte) []byte { return h[:3] }},
+		{"split with one candidate for two sides", "alg1", msgSplit, func(h []byte) []byte { return h[:3+16] }},
+		{"split counts that do not add up", "alg1", msgSplit, func(h []byte) []byte { h[1]++; return h }},
+		{"split candidate outside its side", "alg1", msgSplit, func(h []byte) []byte {
+			return splitReply(h[1], h[2], keys.MaxKey, keys.MaxKey)
+		}},
+		{"count truncated", "binary-search", msgCount, func(h []byte) []byte { return h[:1] }},
+		{"count answered with a split reply", "binary-search", msgCount, func(h []byte) []byte { return splitReply(0, 0) }},
+		{"count above what the worker holds", "binary-search", msgCount, func(h []byte) []byte { return []byte{msgCountReply, 31} }},
+		{"count truncated after an honest median", "saukas-song", msgCount, func(h []byte) []byte { return h[:1] }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			progs := []kmachine.Program{
+				func(m kmachine.Env) error {
+					res, err := protocols[c.proto](m, 0, locals[0], 45)
+					if err == nil {
+						t.Errorf("leader returned boundary %v", res.Boundary)
+					}
+					return err
+				},
+				func(m kmachine.Env) error {
+					_, err := protocols[c.proto](m, 0, locals[1], 45)
+					return err
+				},
+				rogueWorker(locals[2], c.target, c.corrupt),
+			}
+			_, err := kmachine.RunPrograms(kmachine.Config{K: 3, Seed: 21, BandwidthBytes: -1}, progs)
+			if err == nil || !strings.Contains(err.Error(), "dsel:") {
+				t.Errorf("run must fail with a dsel error, got %v", err)
+			}
+		})
 	}
 }
 
