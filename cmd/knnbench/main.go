@@ -1,10 +1,9 @@
-// Command knnbench regenerates the paper's evaluation — every experiment of
-// the per-experiment index (E1–E9), including Figure 2 — plus the serving
-// experiments this repository adds: the persistent-runtime throughput
-// comparison (E10), the resident-TCP-mesh comparisons over real loopback
-// sockets (E11/E11b/E12), and the frontend epoch scheduler under
-// concurrent clients (E13). Results print as aligned tables, CSV, or one
-// JSON document for machine consumption.
+// Command knnbench regenerates the paper's evaluation on the simulator —
+// every experiment of the per-experiment index (E1–E9), including Figure 2
+// — plus the persistent-runtime throughput comparison (E10). Results print
+// as aligned tables, CSV, or one JSON document for machine consumption.
+// Nothing here opens a socket: the TCP serving stack is measured by
+// knnperf (benchmarks/).
 //
 // Examples:
 //
@@ -13,7 +12,7 @@
 //	knnbench -experiment figure2 -ks 2,8,32,128 -ls 8,128,2048 -reps 30
 //	knnbench -experiment all -quick
 //	knnbench -experiment sampling -csv > sampling.csv
-//	knnbench -experiment all -quick -json > BENCH_quick.json
+//	knnbench -experiment all -quick -json > knnbench_quick.json
 package main
 
 import (
@@ -130,8 +129,7 @@ func main() {
 }
 
 // jsonDoc is the machine-readable output of -json: everything the text
-// tables carry, keyed so future PRs can diff perf trajectories
-// (BENCH_*.json).
+// tables carry, keyed by experiment id.
 type jsonDoc struct {
 	Seed        uint64           `json:"seed"`
 	Quick       bool             `json:"quick"`
@@ -139,8 +137,8 @@ type jsonDoc struct {
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
-// jsonMeta records the environment a -json run was measured in, so perf
-// trajectories diffed across BENCH_*.json files compare like with like.
+// jsonMeta records the environment a -json run was measured in, so two
+// documents are only compared like with like.
 type jsonMeta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`

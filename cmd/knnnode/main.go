@@ -10,7 +10,7 @@
 // becomes a long-lived frontend, the nodes mesh up once, elect a leader
 // once, and then answer a stream of query batches — one BSP epoch per
 // batch — dispatched by the frontend to remote clients (knnquery -connect,
-// or the distknn.DialScalarCluster / DialVectorCluster API). With -dim > 0
+// or the distknn.DialTypedCluster API). With -dim > 0
 // the nodes hold d-dimensional vector shards indexed by k-d trees instead
 // of the paper's scalar workload (-vmetric picks the served vector metric:
 // l2, l1, linf or cosine). The frontend's epoch scheduler pipelines up to

@@ -311,7 +311,7 @@ func runServe[P any](c queryCluster[P], gen func(*rand.Rand) P, l, total, worker
 // runBatch issues `total` queries serially in KNNBatch batches of `batch`
 // and reports the amortized per-query throughput and cost. Against a TCP
 // cluster every batch is one dispatched BSP epoch, so this is the client
-// view of the wire-native batching E11b measures.
+// view of the wire-native batching.
 func runBatch[P any](c queryCluster[P], gen func(*rand.Rand) P, l, total, batch int, seed uint64) {
 	if total < 1 {
 		total = 1

@@ -67,7 +67,7 @@ func ExampleRemoteCluster_KNN() {
 	}
 	defer srv.Close()
 
-	rc, err := distknn.DialScalarCluster(srv.Addr())
+	rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 	if err != nil {
 		panic(err)
 	}

@@ -32,14 +32,14 @@ func main() {
 
 	// Each node builds its shard from the shared seed at join time —
 	// exactly like a real deployment, where data lives with the node.
-	srv, err := distknn.ServeVectorLocal(k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving cluster up: %d nodes x %d %d-dim points (k-d-tree-indexed), leader=machine %d\n",
 		k, perNode, dim, srv.Leader())
 
-	rc, err := distknn.DialVectorCluster(srv.Addr())
+	rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
 	if err != nil {
 		srv.Close()
 		log.Fatal(err)

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: it regenerates every figure and
 // quantitative claim of the paper's evaluation as a table of measurements
-// (E1–E9), plus the serving-path experiments this repository adds on top —
-// E10 (persistent simulator runtime vs one-shot) and E11 (resident TCP mesh
-// vs one-shot, over real loopback sockets).
+// (E1–E9), plus E10, the persistent simulator runtime against the one-shot
+// path. Everything runs on the in-process simulator; the TCP serving stack
+// is measured by knnperf (benchmarks/), not here.
 //
 // Each experiment is a pure function from Params to tables; cmd/knnbench
 // renders them as text or CSV, and bench_test.go smoke-tests each one in
@@ -86,8 +86,7 @@ func (p Params) ls(def []int) []int {
 }
 
 // Table is a rendered experiment result. The json tags define the schema
-// cmd/knnbench -json emits, which downstream tooling tracks across PRs
-// (BENCH_*.json); renaming them is a breaking change.
+// cmd/knnbench -json emits; renaming them is a breaking change.
 type Table struct {
 	ID     string     `json:"id"`
 	Title  string     `json:"title"`

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -87,6 +89,34 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Errorf("unknown id must not resolve")
+	}
+}
+
+// TestDocsNameLiveExperiments keeps the prose honest: every id a document
+// passes to knnbench -experiment must resolve through ByID, and -run is a
+// flag knnbench has never had.
+func TestDocsNameLiveExperiments(t *testing.T) {
+	cite := regexp.MustCompile(`(knnbench\s+-run|-experiment)\s+([a-z0-9,]+)`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cites := cite.FindAllStringSubmatch(string(text), -1)
+		if len(cites) == 0 {
+			t.Errorf("%s cites no experiment — has the command form this test scans for changed?", doc)
+		}
+		for _, m := range cites {
+			if m[1] != "-experiment" {
+				t.Errorf("%s: %q — knnbench selects experiments with -experiment", doc, m[0])
+				continue
+			}
+			for _, id := range strings.Split(m[2], ",") {
+				if _, ok := ByID(id); !ok && id != "all" {
+					t.Errorf("%s: %q names unknown experiment %q", doc, m[0], id)
+				}
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"distknn/internal/xrand"
 )
 
-// Experiment couples a stable experiment id (E1–E11, addressable from
+// Experiment couples a stable experiment id (E1–E10, addressable from
 // cmd/knnbench -experiment) with its runner.
 type Experiment struct {
 	ID          string
@@ -37,13 +37,6 @@ var Experiments = []Experiment{
 	{"wallclock", "Section 3: wall-clock speedup as machines are added", WallClock},
 	{"constants", "Ablation: Lemma 2.3 constants (SampleFactor x CutFactor)", Constants},
 	{"throughput", "Serving: QPS of a persistent concurrent cluster vs the one-shot path", Throughput},
-	{"tcpserve", "Serving over loopback TCP: one-shot mesh per query vs resident mesh", TCPServe},
-	{"tcpbatch", "Serving over loopback TCP: batched dispatch vs one query per epoch", TCPBatch},
-	{"tcpvector", "Vector workload over loopback TCP vs in-process, with and without batching", TCPVector},
-	{"tcpsched", "Frontend epoch scheduler: pipelined epochs + server-side batching under concurrent clients", TCPSched},
-	{"tcpmux", "Multiplexed client: outstanding-query sweep on one tagged connection vs serial clients", TCPMux},
-	{"tcpprune", "Metric-index pruned dispatch: anchor-clustered shards, scatter only where the ball can intersect", TCPPrune},
-	{"tcpprunebatch", "Batched pruned dispatch: KNNBatch epochs answered as probe + sub-batch admission waves", TCPPruneBatch},
 }
 
 // ByID finds an experiment by its id.

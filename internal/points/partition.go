@@ -63,8 +63,8 @@ func Partition[P any](s *Set[P], k int, strategy Partitioner, rng *rand.Rand) ([
 		// global minimum (and thus likely answer sets) on one machine.
 		var zero P
 		sort.Slice(idx, func(a, b int) bool {
-			da := s.Metric(s.Pts[idx[a]], zero)
-			db := s.Metric(s.Pts[idx[b]], zero)
+			da := s.metric(s.Pts[idx[a]], zero)
+			db := s.metric(s.Pts[idx[b]], zero)
 			if da != db {
 				return da < db
 			}
@@ -102,7 +102,7 @@ func Partition[P any](s *Set[P], k int, strategy Partitioner, rng *rand.Rand) ([
 			Pts:    make([]P, sz),
 			IDs:    make([]uint64, sz),
 			Labels: make([]float64, sz),
-			Metric: s.Metric,
+			metric: s.metric,
 			batch:  s.batch,
 		}
 		for j := 0; j < sz; j++ {
@@ -122,8 +122,8 @@ func Partition[P any](s *Set[P], k int, strategy Partitioner, rng *rand.Rand) ([
 func Merge[P any](parts []*Set[P]) *Set[P] {
 	out := &Set[P]{}
 	for _, p := range parts {
-		if out.Metric == nil {
-			out.Metric, out.batch = p.Metric, p.batch
+		if out.metric == nil {
+			out.metric, out.batch = p.metric, p.batch
 		}
 		out.Pts = append(out.Pts, p.Pts...)
 		out.IDs = append(out.IDs, p.IDs...)

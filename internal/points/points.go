@@ -37,13 +37,13 @@ type Metric[P any] func(a, b P) uint64
 // Set is one machine's (or the whole instance's) collection of labeled
 // points together with the metric that compares them. Build one with NewSet
 // (or Partition / Merge over sets built that way): the constructors pair
-// Metric with its batch kernel, which TopLItems scans with.
+// the metric with its batch kernel, which TopLItems scans with.
 type Set[P any] struct {
 	Pts    []P
 	IDs    []uint64
 	Labels []float64
-	Metric Metric[P]
-	batch  Batch[P] // BatchOf(Metric)
+	metric Metric[P]
+	batch  Batch[P] // BatchOf(metric)
 }
 
 // NewSet builds a Set with sequential unique IDs starting at firstID.
@@ -62,7 +62,7 @@ func NewSet[P any](pts []P, labels []float64, metric Metric[P], firstID uint64) 
 	if labels == nil {
 		labels = make([]float64, len(pts))
 	}
-	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, Metric: metric, batch: BatchOf(metric)}, nil
+	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, metric: metric, batch: BatchOf(metric)}, nil
 }
 
 // Len returns the number of points in the set.
@@ -71,7 +71,7 @@ func (s *Set[P]) Len() int { return len(s.Pts) }
 // Item lowers point i into its Item for query q.
 func (s *Set[P]) Item(i int, q P) Item {
 	return Item{
-		Key:   keys.Key{Dist: s.Metric(s.Pts[i], q), ID: s.IDs[i]},
+		Key:   keys.Key{Dist: s.metric(s.Pts[i], q), ID: s.IDs[i]},
 		Label: s.Labels[i],
 	}
 }

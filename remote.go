@@ -440,7 +440,7 @@ func AnchorVectorShards(seed uint64, perNode, dim int) ShardProvider[Vector] {
 // partitioned by a seeded k-center clustering with anchors as centroids.
 // This is the favorable regime for pruned dispatch — shards track the blobs,
 // so a query near one blob provably cannot have neighbors in most others —
-// and the clustered half of the knnbench tcpprune experiment.
+// the workload behind the prune gate tests and knnperf's pruned_mixed.
 func AnchorGaussianShards(seed uint64, perNode, dim int, sigma float64) ShardProvider[Vector] {
 	return func(id, k int) (Shard[Vector], error) {
 		set, _ := points.GenGaussianClusters(xrand.NewStream(seed, 0), k*perNode, dim, k, sigma)
@@ -623,12 +623,6 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 	return tcp.ServeNodeObserved(coordAddr, meshAddr, opts.Advertise, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards, opts: opts})
 }
 
-// ServeVectorNode runs one resident vector serving node with a
-// k-d-tree-indexed shard.
-func ServeVectorNode(coordAddr, meshAddr string, shards ShardProvider[Vector], opts NodeOptions) error {
-	return ServeTypedNode(VectorPoints(), coordAddr, meshAddr, shards, opts)
-}
-
 // Frontend is the client-facing endpoint of a TCP serving cluster: it
 // performs rendezvous for the k resident nodes and then serves remote
 // clients through its epoch scheduler — up to FrontendOptions.Window query
@@ -668,7 +662,7 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 }
 
 // Addr returns the dialable address for nodes (ServeTypedNode) and clients
-// (DialScalarCluster / DialVectorCluster).
+// (DialTypedCluster).
 func (f *Frontend) Addr() string { return f.fe.Addr() }
 
 // Serve runs the session until Close: rendezvous, setup epoch, then client
@@ -759,22 +753,6 @@ func DialTypedClusterOptions[P any](pt PointType[P], addr string, opts ClientOpt
 	rc := &RemoteCluster[P]{client: c, codec: pt.codec}
 	rc.leader.Store(-1)
 	return rc, nil
-}
-
-// DialScalarCluster connects to a scalar serving cluster's frontend.
-func DialScalarCluster(addr string) (*RemoteCluster[Scalar], error) {
-	return DialTypedCluster(ScalarPoints(), addr)
-}
-
-// DialVectorCluster connects to a vector serving cluster's frontend.
-func DialVectorCluster(addr string) (*RemoteCluster[Vector], error) {
-	return DialTypedCluster(VectorPoints(), addr)
-}
-
-// DialBitVectorCluster connects to a bit-vector (Hamming) serving
-// cluster's frontend.
-func DialBitVectorCluster(addr string) (*RemoteCluster[BitVector], error) {
-	return DialTypedCluster(BitVectorPoints(), addr)
 }
 
 // do ships one batch and returns the validated reply.
@@ -921,7 +899,7 @@ func (rc *RemoteCluster[P]) Close() error { return rc.client.Close() }
 
 // LocalServer is a whole loopback serving deployment running in one
 // process: a Frontend plus k resident nodes. Dial it with
-// DialScalarCluster / DialVectorCluster on s.Addr().
+// DialTypedCluster on s.Addr().
 type LocalServer struct {
 	lc *tcp.LocalCluster
 }
@@ -946,18 +924,6 @@ func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards S
 		return nil, err
 	}
 	return &LocalServer{lc: lc}, nil
-}
-
-// ServeVectorLocal starts a loopback vector TCP serving cluster with
-// k-d-tree-indexed shards.
-func ServeVectorLocal(k int, seed uint64, shards ShardProvider[Vector], opts NodeOptions) (*LocalServer, error) {
-	return ServeTypedLocal(VectorPoints(), k, seed, shards, opts)
-}
-
-// ServeBitVectorLocal starts a loopback bit-vector (Hamming) TCP serving
-// cluster.
-func ServeBitVectorLocal(k int, seed uint64, shards ShardProvider[BitVector], opts NodeOptions) (*LocalServer, error) {
-	return ServeTypedLocal(BitVectorPoints(), k, seed, shards, opts)
 }
 
 // Addr returns the frontend address clients should dial.

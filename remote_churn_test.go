@@ -137,7 +137,7 @@ func TestRemoteChurnVectorRejoinRebuildsIndex(t *testing.T) {
 		l       = 5
 	)
 	shards := distknn.UniformVectorShards(seed, perNode, dim)
-	srv, err := distknn.ServeVectorLocal(k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, shards, distknn.NodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRemoteChurnVectorRejoinRebuildsIndex(t *testing.T) {
 	}
 	nodeDone := make(chan error, 1)
 	go func() {
-		nodeDone <- distknn.ServeVectorNode(srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
+		nodeDone <- distknn.ServeTypedNode(distknn.VectorPoints(), srv.Addr(), "127.0.0.1:0", shards, distknn.NodeOptions{})
 	}()
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -91,7 +91,7 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 		}
 		defer srv.Close()
 		for c := 0; c < outstanding; c++ {
-			rc, err := distknn.DialScalarCluster(srv.Addr())
+			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialScalarCluster(srv.Addr())
+	rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 
 	want := make([]muxAnswer, queries)
 	func() {
-		srv, err := distknn.ServeVectorLocal(k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		for c := 0; c < outstanding; c++ {
-			rc, err := distknn.DialVectorCluster(srv.Addr())
+			rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialVectorCluster(srv.Addr())
+	rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

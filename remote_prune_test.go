@@ -2,6 +2,7 @@ package distknn_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -33,13 +34,14 @@ func prunedTwins[P any](t *testing.T, pt distknn.PointType[P], k int, seed uint6
 // neighbors and boundaries. Only Items and Boundary are compared: the pruned
 // path reports its own stats convention (Messages = nodes contacted,
 // Rounds = dispatch waves), so protocol-cost fields legitimately differ.
-// Returns how many queries the pruned frontend answered without contacting
-// all k nodes. A frontend whose point type refuses a pruner (cosine) serves
-// full scatter and reports BSP mesh stats instead, so the nodes-contacted
-// bound only applies to replies in the pruned convention (Bytes == 0).
-func comparePruned[P any](t *testing.T, pruned, full *distknn.RemoteCluster[P], k int, queries []P, l int) int {
+// Returns the total number of nodes the pruned frontend contacted across the
+// stream, counting k for a query answered by full scatter. A frontend whose
+// point type refuses a pruner (cosine) serves full scatter and reports BSP
+// mesh stats instead, so the nodes-contacted bound only applies to replies
+// in the pruned convention (Contacts > 0).
+func comparePruned[P any](t *testing.T, pruned, full *distknn.RemoteCluster[P], k int, queries []P, l int) int64 {
 	t.Helper()
-	prunedCount := 0
+	var contacts int64
 	for i, q := range queries {
 		pitems, pstats, err := pruned.KNN(q, l)
 		if err != nil {
@@ -60,16 +62,16 @@ func comparePruned[P any](t *testing.T, pruned, full *distknn.RemoteCluster[P], 
 		if pstats.Boundary != fstats.Boundary {
 			t.Fatalf("query %d: pruned boundary %v != full %v", i, pstats.Boundary, fstats.Boundary)
 		}
-		if pstats.Bytes == 0 {
-			if pstats.Messages < 1 || pstats.Messages > int64(k) {
-				t.Fatalf("query %d: pruned contacted %d of %d nodes", i, pstats.Messages, k)
+		if pstats.Contacts > 0 {
+			if pstats.Contacts > int64(k) {
+				t.Fatalf("query %d: pruned contacted %d of %d nodes", i, pstats.Contacts, k)
 			}
-			if pstats.Messages < int64(k) {
-				prunedCount++
-			}
+			contacts += pstats.Contacts
+		} else {
+			contacts += int64(k)
 		}
 	}
-	return prunedCount
+	return contacts
 }
 
 // compareClassify does the same for the classification path, whose leader
@@ -219,6 +221,18 @@ func gaussianQueries(seed uint64, n, k, perNode, dim int, sigma float64) []distk
 	return qs
 }
 
+// requirePruning is the gate on the favorable regime: on well-separated
+// blobs a stream that contacted k−1 or more nodes per query means the
+// pruning machinery is wired in but doing nothing.
+func requirePruning(t *testing.T, what string, contacts int64, k, queries int) {
+	t.Helper()
+	perQuery := float64(contacts) / float64(queries)
+	if perQuery >= float64(k-1) {
+		t.Fatalf("%s: pruning silently disabled: %.2f nodes contacted per query >= k-1 = %d", what, perQuery, k-1)
+	}
+	t.Logf("%s: %.2f nodes contacted per query", what, perQuery)
+}
+
 // TestPrunedGaussianPrunes is the favorable-regime check: on well-separated
 // Gaussian blobs with anchor-clustered shards, pruned dispatch must both
 // stay bit-identical to full scatter AND actually skip nodes — otherwise
@@ -237,11 +251,7 @@ func TestPrunedGaussianPrunes(t *testing.T) {
 	pruned, full := prunedTwins(t, distknn.VectorPoints(), k, seed, shards)
 
 	qs := gaussianQueries(seed, queries, k, perNode, dim, sigma)
-	prunedCount := comparePruned(t, pruned, full, k, qs, l)
-	if prunedCount == 0 {
-		t.Fatalf("no query of %d skipped a node on %d well-separated blobs — pruning never engaged", queries, k)
-	}
-	t.Logf("pruned dispatch skipped nodes on %d/%d queries", prunedCount, queries)
+	requirePruning(t, "singles", comparePruned(t, pruned, full, k, qs, l), k, queries)
 
 	compareClassify(t, pruned, full, qs[:15], l)
 }
@@ -418,12 +428,7 @@ func TestPrunedBatchVectorPrunes(t *testing.T) {
 	pruned, full := prunedTwins(t, distknn.VectorPoints(), k, seed, shards)
 	qs := gaussianQueries(seed, queries, k, perNode, dim, sigma)
 	for _, batch := range []int{3, 16} {
-		contacts := comparePrunedBatch(t, pruned, full, k, qs, l, batch)
-		if contacts >= int64(k*queries) {
-			t.Fatalf("batch=%d: %d contacts for %d queries on %d well-separated blobs — batch pruning never engaged",
-				batch, contacts, queries, k)
-		}
-		t.Logf("batch=%d: %.2f nodes contacted per query", batch, float64(contacts)/float64(queries))
+		requirePruning(t, fmt.Sprintf("batch=%d", batch), comparePrunedBatch(t, pruned, full, k, qs, l, batch), k, queries)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		rc, err := distknn.DialScalarCluster(srv.Addr())
+		rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rc, err := distknn.DialScalarCluster(srv.Addr())
+			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 			if err != nil {
 				t.Errorf("client %d: %v", c, err)
 				return
@@ -164,12 +164,12 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 
 	want := make([]serialAnswer, queries)
 	func() {
-		srv, err := distknn.ServeVectorLocal(k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		rc, err := distknn.DialVectorCluster(srv.Addr())
+		rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rc, err := distknn.DialVectorCluster(srv.Addr())
+			rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
 			if err != nil {
 				t.Errorf("client %d: %v", c, err)
 				return

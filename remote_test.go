@@ -181,7 +181,7 @@ func TestRemoteClusterConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rc, err := distknn.DialScalarCluster(srv.Addr())
+			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
 			if err != nil {
 				errs <- err
 				return
