@@ -10,7 +10,7 @@
 // syscalls and BSP epochs).
 //
 // With -connect it skips building anything and becomes a remote client of a
-// TCP serving cluster (started with knnnode -serve): one query by default,
+// TCP serving cluster (started with knnnode): one query by default,
 // the -serve throughput driver, or -batch batched dispatch — for scalar
 // clusters and, with -metric vector -dim d, vector clusters (-metric also
 // accepts l1, linf and cosine to match a cluster served with knnnode
@@ -54,44 +54,59 @@ var algoByName = map[string]distknn.Algorithm{
 	"binsearch":   distknn.BinSearch,
 }
 
+// options holds knnquery's command line.
+type options struct {
+	n, k, l, dim, bandwidth, show, workers, queries, batchSize int
+	seed                                                       uint64
+	algoName, metric, connect, admin                           string
+	compare, serve                                             bool
+	timeout                                                    time.Duration
+}
+
+// defineFlags declares every knnquery flag on fs; cmd/knnquery's doc test
+// checks the command lines in the docs against this set.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.n, "n", 1<<16, "total number of points")
+	fs.IntVar(&o.k, "k", 8, "number of machines")
+	fs.IntVar(&o.l, "l", 10, "number of nearest neighbors")
+	fs.Uint64Var(&o.seed, "seed", 1, "dataset and protocol seed")
+	fs.StringVar(&o.algoName, "algo", "alg2", "algorithm: alg2|direct|simple|saukas-song|binsearch")
+	fs.StringVar(&o.metric, "metric", "scalar", "point type: scalar|vector; with -connect also l1|linf|cosine")
+	fs.IntVar(&o.dim, "dim", 4, "vector dimension (for -metric vector)")
+	fs.IntVar(&o.bandwidth, "bandwidth", 0, "link bandwidth in bytes/round (0 = 64)")
+	fs.BoolVar(&o.compare, "compare", false, "run every algorithm and compare costs")
+	fs.IntVar(&o.show, "show", 10, "how many neighbors to print")
+	fs.BoolVar(&o.serve, "serve", false, "throughput mode: stream queries at the resident cluster and report QPS")
+	fs.IntVar(&o.workers, "concurrency", runtime.GOMAXPROCS(0), "client goroutines in -serve mode")
+	fs.IntVar(&o.queries, "queries", 2000, "total queries in -serve and -batch modes")
+	fs.IntVar(&o.batchSize, "batch", 1, "queries per KNNBatch dispatch (>1 switches to serial batched mode)")
+	fs.StringVar(&o.connect, "connect", "", "frontend address of a remote TCP serving cluster (see knnnode); query it instead of building a local one")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-query deadline against a remote cluster (0 = none); churn-degraded queries are retried for up to 500ms either way")
+	fs.StringVar(&o.admin, "admin", "", "with -connect: serve the client's runtime metrics on this HTTP address (/metrics, /debug/pprof)")
+	return o
+}
+
 func main() {
-	var (
-		n         = flag.Int("n", 1<<16, "total number of points")
-		k         = flag.Int("k", 8, "number of machines")
-		l         = flag.Int("l", 10, "number of nearest neighbors")
-		seed      = flag.Uint64("seed", 1, "dataset and protocol seed")
-		algoName  = flag.String("algo", "alg2", "algorithm: alg2|direct|simple|saukas-song|binsearch")
-		metric    = flag.String("metric", "scalar", "point type: scalar|vector; with -connect also l1|linf|cosine")
-		dim       = flag.Int("dim", 4, "vector dimension (for -metric vector)")
-		bandwidth = flag.Int("bandwidth", 0, "link bandwidth in bytes/round (0 = 64)")
-		compare   = flag.Bool("compare", false, "run every algorithm and compare costs")
-		show      = flag.Int("show", 10, "how many neighbors to print")
-		serve     = flag.Bool("serve", false, "throughput mode: stream queries at the resident cluster and report QPS")
-		workers   = flag.Int("concurrency", runtime.GOMAXPROCS(0), "client goroutines in -serve mode")
-		queries   = flag.Int("queries", 2000, "total queries in -serve and -batch modes")
-		batchSize = flag.Int("batch", 1, "queries per KNNBatch dispatch (>1 switches to serial batched mode)")
-		connect   = flag.String("connect", "", "frontend address of a remote TCP serving cluster (see knnnode -serve); query it instead of building a local one")
-		timeout   = flag.Duration("timeout", 0, "per-query deadline against a remote cluster (0 = none); churn-degraded queries are retried for up to 500ms either way")
-		admin     = flag.String("admin", "", "with -connect: serve the client's runtime metrics on this HTTP address (/metrics, /debug/pprof)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *compare && (*serve || *batchSize > 1) {
+	if o.compare && (o.serve || o.batchSize > 1) {
 		fatalf("-compare is mutually exclusive with -serve and -batch")
 	}
-	if *serve && *batchSize > 1 {
+	if o.serve && o.batchSize > 1 {
 		fatalf("-serve streams single queries; use -batch without -serve for batched dispatch")
 	}
-	algo, ok := algoByName[*algoName]
+	algo, ok := algoByName[o.algoName]
 	if !ok {
-		fatalf("unknown algorithm %q", *algoName)
+		fatalf("unknown algorithm %q", o.algoName)
 	}
-	rng := xrand.New(*seed)
+	rng := xrand.New(o.seed)
 
 	genScalar := func(rng *rand.Rand) distknn.Scalar {
 		return distknn.Scalar(rng.Uint64N(points.PaperDomain))
 	}
-	dims := *dim
+	dims := o.dim
 	genVector := func(rng *rand.Rand) distknn.Vector {
 		v := make(distknn.Vector, dims)
 		for j := range v {
@@ -102,33 +117,33 @@ func main() {
 	scalarDist := func(key keys.Key) string { return fmt.Sprintf("%d", key.Dist) }
 	vectorDist := func(key keys.Key) string { return fmt.Sprintf("%.6f", keys.DecodeFloat(key.Dist)) }
 
-	if *connect != "" {
-		if *compare {
+	if o.connect != "" {
+		if o.compare {
 			fatalf("-compare needs a local cluster; it cannot be combined with -connect")
 		}
-		copts := distknn.ClientOptions{QueryTimeout: *timeout}
-		if *admin != "" {
+		copts := distknn.ClientOptions{QueryTimeout: o.timeout}
+		if o.admin != "" {
 			reg := distknn.NewMetrics()
 			copts.Metrics = reg
-			adm, err := distknn.ServeAdmin(*admin, distknn.AdminOptions{Metrics: reg})
+			adm, err := distknn.ServeAdmin(o.admin, distknn.AdminOptions{Metrics: reg})
 			if err != nil {
 				fatalf("admin endpoint: %v", err)
 			}
 			defer adm.Close()
 			fmt.Printf("client admin endpoint on http://%s/metrics\n", adm.Addr())
 		}
-		switch *metric {
+		switch o.metric {
 		case "scalar":
-			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), *connect, copts)
+			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), o.connect, copts)
 			if err != nil {
 				fatalf("%v", err)
 			}
 			defer rc.Close()
-			fmt.Printf("remote scalar cluster at %s; l=%d\n\n", *connect, *l)
-			drive(rc, genScalar, scalarDist, *l, *queries, *workers, *batchSize, *serve, *show, *seed, rng)
+			fmt.Printf("remote scalar cluster at %s; l=%d\n\n", o.connect, o.l)
+			drive(rc, genScalar, scalarDist, o.l, o.queries, o.workers, o.batchSize, o.serve, o.show, o.seed, rng)
 		case "vector", "l1", "linf", "cosine":
 			pt := distknn.VectorPoints()
-			switch *metric {
+			switch o.metric {
 			case "l1":
 				pt = distknn.L1Points()
 			case "linf":
@@ -136,59 +151,59 @@ func main() {
 			case "cosine":
 				pt = distknn.CosinePoints()
 			}
-			rc, err := distknn.DialTypedClusterOptions(pt, *connect, copts)
+			rc, err := distknn.DialTypedClusterOptions(pt, o.connect, copts)
 			if err != nil {
 				fatalf("%v", err)
 			}
 			defer rc.Close()
-			fmt.Printf("remote %s cluster at %s; dim=%d l=%d\n\n", *metric, *connect, dims, *l)
-			drive(rc, genVector, vectorDist, *l, *queries, *workers, *batchSize, *serve, *show, *seed, rng)
+			fmt.Printf("remote %s cluster at %s; dim=%d l=%d\n\n", o.metric, o.connect, dims, o.l)
+			drive(rc, genVector, vectorDist, o.l, o.queries, o.workers, o.batchSize, o.serve, o.show, o.seed, rng)
 		default:
-			fatalf("unknown metric %q", *metric)
+			fatalf("unknown metric %q", o.metric)
 		}
 		return
 	}
 
-	switch *metric {
+	switch o.metric {
 	case "scalar":
-		values := make([]uint64, *n)
-		labels := make([]float64, *n)
+		values := make([]uint64, o.n)
+		labels := make([]float64, o.n)
 		for i := range values {
 			values[i] = rng.Uint64N(points.PaperDomain)
 			labels[i] = float64(i % 4)
 		}
 		q := distknn.Scalar(rng.Uint64N(points.PaperDomain))
-		fmt.Printf("dataset: %d scalar points on %d machines; query=%d l=%d\n\n", *n, *k, uint64(q), *l)
-		if *compare {
-			compareAll(values, labels, q, *k, *l, *seed, *bandwidth)
+		fmt.Printf("dataset: %d scalar points on %d machines; query=%d l=%d\n\n", o.n, o.k, uint64(q), o.l)
+		if o.compare {
+			compareAll(values, labels, q, o.k, o.l, o.seed, o.bandwidth)
 			return
 		}
 		c, err := distknn.NewScalarCluster(values, labels, distknn.Options{
-			Machines: *k, Seed: *seed, Algorithm: algo, BandwidthBytes: *bandwidth,
+			Machines: o.k, Seed: o.seed, Algorithm: algo, BandwidthBytes: o.bandwidth,
 		})
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer c.Close()
-		drive(c, genScalar, scalarDist, *l, *queries, *workers, *batchSize, *serve, *show, *seed, rng)
+		drive(c, genScalar, scalarDist, o.l, o.queries, o.workers, o.batchSize, o.serve, o.show, o.seed, rng)
 	case "vector":
-		vecs := make([]distknn.Vector, *n)
-		labels := make([]float64, *n)
+		vecs := make([]distknn.Vector, o.n)
+		labels := make([]float64, o.n)
 		for i := range vecs {
 			vecs[i] = genVector(rng)
 			labels[i] = float64(i % 4)
 		}
-		fmt.Printf("dataset: %d %d-dim points on %d machines; l=%d\n\n", *n, dims, *k, *l)
+		fmt.Printf("dataset: %d %d-dim points on %d machines; l=%d\n\n", o.n, dims, o.k, o.l)
 		c, err := distknn.NewVectorCluster(vecs, labels, distknn.Options{
-			Machines: *k, Seed: *seed, Algorithm: algo, BandwidthBytes: *bandwidth,
+			Machines: o.k, Seed: o.seed, Algorithm: algo, BandwidthBytes: o.bandwidth,
 		})
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer c.Close()
-		drive(c, genVector, vectorDist, *l, *queries, *workers, *batchSize, *serve, *show, *seed, rng)
+		drive(c, genVector, vectorDist, o.l, o.queries, o.workers, o.batchSize, o.serve, o.show, o.seed, rng)
 	default:
-		fatalf("unknown metric %q", *metric)
+		fatalf("unknown metric %q", o.metric)
 	}
 }
 

@@ -1,13 +1,12 @@
-// TCP serving cluster: the persistent counterpart of examples/tcpcluster,
-// serving a vector workload. A frontend and k resident nodes — each
-// holding a k-d-tree-indexed shard of d-dimensional points — mesh up over
-// loopback sockets, elect a leader once, and then answer a stream of
-// queries through the same RemoteCluster client a remote process would
-// use. The stream is issued twice: one query per BSP epoch, then in
-// KNNBatch batches that run as lockstep sub-programs of one epoch per
-// batch, so the wall-clock delta printed at the end is pure amortized
-// frame/syscall/round overhead. Compare examples/tcpcluster, which pays
-// rendezvous + mesh + election for its single query.
+// TCP serving cluster: the socket example, serving a vector workload. A
+// frontend and k resident nodes — each holding a k-d-tree-indexed shard of
+// d-dimensional points — mesh up over loopback sockets, elect a leader once,
+// and then answer a stream of queries through the same RemoteCluster client
+// a remote process would use. The stream is issued twice: one query per BSP
+// epoch, then in KNNBatch batches that run as lockstep sub-programs of one
+// epoch per batch, so the wall-clock delta printed at the end is pure
+// amortized frame/syscall/round overhead; rendezvous, mesh and election are
+// paid once, before the first query.
 package main
 
 import (

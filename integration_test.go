@@ -16,12 +16,12 @@ import (
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-	"distknn/internal/transport/tcp"
+	"distknn/internal/testutil"
 	"distknn/internal/xrand"
 )
 
 // shardFor regenerates machine id's dataset from the shared seed, the
-// deployment pattern used by the TCP runtime and cmd/knnnode.
+// deployment pattern of distknn.PaperShards and cmd/knnnode.
 func shardFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 	rng := xrand.NewStream(seed, uint64(id))
 	s := points.GenUniformScalars(rng, n, points.PaperDomain)
@@ -101,7 +101,10 @@ func TestFullMatrixSimulator(t *testing.T) {
 	}
 }
 
-// TestFullMatrixTCP runs the same matrix over real loopback sockets.
+// TestFullMatrixTCP runs the socket side of the matrix: each algorithm
+// serves the same instance from a resident loopback cluster (ServeTypedLocal
+// with NodeOptions.Algorithm; PaperShards generates exactly shardFor's data)
+// and must return the oracle's boundary and neighbors.
 func TestFullMatrixTCP(t *testing.T) {
 	const (
 		seed = uint64(2025)
@@ -112,43 +115,24 @@ func TestFullMatrixTCP(t *testing.T) {
 	q := points.Scalar(3 << 29)
 	want := oracleBoundary(seed, k, n, q, l)
 
-	algos := map[string]func(m kmachine.Env, cfg core.Config, local []points.Item) (core.Result, error){
-		"alg2":   core.KNN,
-		"direct": core.DirectKNN,
-		"simple": core.SimpleKNN,
+	algos := map[string]distknn.Algorithm{
+		"alg2":   distknn.Alg2,
+		"direct": distknn.Direct,
+		"simple": distknn.Simple,
 	}
 	for aname, algo := range algos {
 		t.Run(aname, func(t *testing.T) {
-			var mu sync.Mutex
-			bounds := make([]keys.Key, k)
-			prog := func(m kmachine.Env) error {
-				shard := shardFor(seed, m.ID(), n)
-				leader, err := election.MinGUID(m)
-				if err != nil {
-					return err
-				}
-				res, err := algo(m, core.Config{Leader: leader, L: l}, shard.TopLItems(q, l))
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				bounds[m.ID()] = res.Boundary
-				mu.Unlock()
-				return nil
-			}
-			_, errs, err := tcp.RunLocal(k, seed, prog)
+			_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed,
+				distknn.PaperShards(seed, n), distknn.NodeOptions{Algorithm: algo}, distknn.FrontendOptions{})
+			items, stats, err := rc.KNN(q, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("node %d: %v", i, e)
-				}
+			if stats.Boundary != want {
+				t.Fatalf("boundary %v, want %v", stats.Boundary, want)
 			}
-			for i := 0; i < k; i++ {
-				if bounds[i] != want {
-					t.Fatalf("node %d boundary %v, want %v", i, bounds[i], want)
-				}
+			if len(items) != l || items[l-1].Key != want {
+				t.Fatalf("neighbors %v, want %d ending at %v", items, l, want)
 			}
 		})
 	}

@@ -14,11 +14,12 @@ import (
 )
 
 // Frontend is the client-facing side of a serving cluster. It performs
-// rendezvous exactly like a Coordinator, but then stays resident: it keeps
-// the control connection to every node, dispatches client queries as BSP
-// epochs, collates the nodes' winner shares per epoch, and answers the
-// clients. Protocol traffic between nodes still flows over the mesh only;
-// the frontend carries queries in and merged results out.
+// rendezvous (machine indices in registration order, the mesh address book
+// to every node) and then stays resident: it keeps the control connection
+// to every node, dispatches client queries as BSP epochs, collates the
+// nodes' winner shares per epoch, and answers the clients. Protocol traffic
+// between nodes still flows over the mesh only; the frontend carries queries
+// in and merged results out.
 //
 // Query epochs are pipelined by the epoch scheduler (scheduler.go): up to
 // FrontendOptions.Window epochs run on the mesh concurrently, multiplexed
@@ -154,7 +155,7 @@ func (f *Frontend) Addr() string { return f.ln.Addr().String() }
 // Health reports the cluster's serving state for the admin plane's
 // /healthz: OK only when the session finished rendezvous, the frontend
 // is open, and every seat is present. Absent seats carry their last
-// loss cause.
+// loss cause. Wire it into an admin endpoint as obs.AdminOptions.Health.
 func (f *Frontend) Health() obs.Health {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -187,6 +188,7 @@ func (f *Frontend) Health() obs.Health {
 // KindRegister makes it a node control connection, KindQueryTagged a
 // client, and KindRejoin (or a late KindRegister once the session is
 // running) a node re-joining after churn; any other first frame closes it.
+// Serve blocks for the life of the session; run it on its own goroutine.
 func (f *Frontend) Serve() error {
 	type reg struct {
 		conn net.Conn
@@ -269,7 +271,7 @@ func (f *Frontend) Serve() error {
 		}
 	}
 	for id, conn := range conns {
-		if err := writeAssign(conn, wire.ModeServe, id, f.k, f.seed, addrs); err != nil {
+		if err := writeAssign(conn, id, f.k, f.seed, addrs); err != nil {
 			return fail(err)
 		}
 	}
@@ -369,6 +371,25 @@ func (f *Frontend) Serve() error {
 	close(f.ready)
 
 	<-acceptDone
+	return nil
+}
+
+// writeAssign sends one KindAssign frame: the session mode (always
+// wire.ModeServe), machine index, cluster size, session seed and the full
+// mesh address book.
+func writeAssign(conn net.Conn, id, k int, seed uint64, addrs []string) error {
+	var w wire.Writer
+	w.Kind(wire.KindAssign)
+	w.U8(wire.ModeServe)
+	w.Varint(uint64(id))
+	w.Varint(uint64(k))
+	w.U64(seed)
+	for _, a := range addrs {
+		w.String(a)
+	}
+	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
+		return fmt.Errorf("tcp: frontend assign to %d: %w", id, err)
+	}
 	return nil
 }
 

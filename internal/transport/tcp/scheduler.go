@@ -28,7 +28,7 @@ import (
 // seat, the whole batch, mesh on — the nodes run the paper's protocol among
 // themselves and each returns its share of the answer. The pruned plan
 // (FrontendOptions.Pruner) is up to two waves with the mesh off: each point
-// first probes its nearest shards, then reaches only the shards its
+// first probes its nearest shard, then reaches only the shards its
 // admission ball can still intersect — a contacted node returns its local
 // top-ℓ and the frontend folds. Either way the caller holds one window slot
 // for the whole query, dispatchWave is the only code that consumes an
@@ -113,7 +113,7 @@ type FrontendOptions struct {
 	MaxServerBatch int
 	// Pruner enables metric-index pruned dispatch for every query shape —
 	// KNN, Classify and Regress, single points and batches alike. Each
-	// point of a query first probes its nearest shard(s) for an upper bound
+	// point of a query first probes its nearest shard for an upper bound
 	// on its ℓ-th neighbor distance, and a second wave then sends each
 	// remaining shard only the sub-batch of points whose admission ball can
 	// intersect it — no mesh epoch, shards contacted by zero points skipped
@@ -123,12 +123,6 @@ type FrontendOptions struct {
 	// whose geometry rejects a point) run as ordinary scatter epochs. Nil
 	// disables pruning.
 	Pruner Pruner
-	// Probes is the number of nearest shards each point contacts in the
-	// pruned path's first wave (default 1). A wider probe wave tightens the
-	// upper bound on overlapping clusters at the price of more wave-1
-	// contacts; answers are bit-identical for any value. Only meaningful
-	// with Pruner.
-	Probes int
 	// Metrics receives the frontend's runtime counters, gauges and
 	// histograms (see metrics.go for the instrument names). Nil binds the
 	// instrumentation to a private registry: the recording path is
@@ -157,9 +151,6 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 	if o.MaxServerBatch > wire.MaxBatch {
 		o.MaxServerBatch = wire.MaxBatch
 	}
-	if o.Probes < 1 {
-		o.Probes = 1
-	}
 	return o
 }
 
@@ -174,7 +165,6 @@ type scheduler struct {
 	linger   time.Duration
 	maxBatch int
 	batching bool
-	probes   int // pruned path: nearest shards per point in wave 1
 
 	fm *feMetrics  // always non-nil (private registry when unconfigured)
 	tr *obs.Tracer // nil disables spans; all span methods are nil-safe
@@ -195,7 +185,6 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 		linger:   opts.Linger,
 		maxBatch: opts.MaxServerBatch,
 		batching: opts.ServerBatch,
-		probes:   opts.Probes,
 		fm:       newFeMetrics(opts.Metrics),
 		tr:       opts.Trace,
 		inflight: make(map[uint64]*epochJob),
@@ -999,8 +988,8 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 }
 
 // runPruned answers q by the pruned plan: up to two direct waves, mesh off.
-// Wave 1: every point probes its Probes nearest present shards; the probe
-// winners bound each point's global ℓ-th neighbor distance from above. Wave
+// Wave 1: every point probes its nearest present shard; the probe winners
+// bound each point's global ℓ-th neighbor distance from above. Wave
 // 2: each shard receives exactly the sub-batch of points whose admission
 // ball can still intersect its centroid ball (metricindex.AdmitSub) — a
 // shard admitted by zero points is skipped entirely. The fold then selects
@@ -1020,7 +1009,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 	f := sched.f
 	n := len(q.Points)
 
-	// Wave 1: per point, pick the present seats nearest the point (ties
+	// Wave 1: per point, pick the present seat nearest the point (ties
 	// toward the lower id) and group the picks into per-seat sub-batches.
 	f.mu.Lock()
 	var present []int
@@ -1035,34 +1024,23 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		return rep
 	}
 	f.mu.Unlock()
-	probes := sched.probes
-	if probes > len(present) {
-		probes = len(present)
-	}
 	// contacted[id][pi] records that point pi was sent to seat id in wave
 	// 1, so wave 2's admission skips the pair; nil until seat id is probed
 	// by any point.
 	contacted := make([][]bool, f.k)
 	wave1 := make([][]int, f.k)
-	chosen := make([]bool, f.k)
 	for pi := 0; pi < n; pi++ {
-		for t := 0; t < probes; t++ {
-			best := -1
-			for _, id := range present {
-				if !chosen[id] && (best == -1 || dist[id][pi] < dist[best][pi]) {
-					best = id
-				}
+		best := present[0]
+		for _, id := range present[1:] {
+			if dist[id][pi] < dist[best][pi] {
+				best = id
 			}
-			chosen[best] = true
-			if contacted[best] == nil {
-				contacted[best] = make([]bool, n)
-			}
-			contacted[best][pi] = true
-			wave1[best] = append(wave1[best], pi)
 		}
-		for _, id := range present {
-			chosen[id] = false
+		if contacted[best] == nil {
+			contacted[best] = make([]bool, n)
 		}
+		contacted[best][pi] = true
+		wave1[best] = append(wave1[best], pi)
 	}
 	got := newGather(n, f.k)
 	job, rep := sched.runWave(q, false, wave1)
@@ -1080,7 +1058,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 
 	// Wave 2: each shard gets the sub-batch of points whose ℓ-NN ball can
 	// intersect its centroid ball. With no bound for a point (its probe
-	// shards held fewer than ℓ points) every shard admits it and that point
+	// shard held fewer than ℓ points) every shard admits it and that point
 	// degenerates to a no-mesh scatter — still correct, just not cheaper.
 	wave2 := make([][]int, f.k)
 	waves := 1

@@ -177,7 +177,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 	defer coord.Close()
 
-	node := newNode(a.id, a.k, a.seed, nil)
+	node := newNode(a.id, a.k)
 	defer node.closePeers()
 	// The accept loop runs for the whole session: it seats the initial
 	// higher-id dialers and, later, replacement links from re-joining
@@ -499,7 +499,7 @@ func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int
 			return fail(fmt.Errorf("tcp: bad assignment: %w", err))
 		}
 		if mode != wire.ModeServe {
-			return fail(fmt.Errorf("tcp: coordinator runs mode %d, a serving node requires mode serve; use RunNode", mode))
+			return fail(fmt.Errorf("tcp: frontend assigned session mode %d, a node only serves mode %d", mode, wire.ModeServe))
 		}
 		return coord, a, nil
 	case wire.KindRejoinAssign:
@@ -526,9 +526,13 @@ func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int
 // dialer identifies itself with a hello frame and gets an empty ack back
 // once the link is installed — so a re-joining peer knows this node will
 // route the next epoch through the replacement link before it reports
-// ready. A hello for a machine index that already has a link replaces it
-// (the old socket is dead or stale by construction; the frontend never
-// lets two nodes hold the same seat).
+// ready. Installing first publishes the link before the ack is written: an
+// epoch of this node that pins it may put round frames on the socket ahead
+// of the ack (every frame is one Write, so they never interleave), which is
+// why the dialer's link reader — not dialPeer — consumes the ack. A hello
+// for a machine index that already has a link replaces it (the old socket
+// is dead or stale by construction; the frontend never lets two nodes hold
+// the same seat).
 func meshAcceptLoop(n *Node, ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -553,9 +557,7 @@ func meshAcceptLoop(n *Node, ln net.Listener) {
 				return
 			}
 			conn.SetDeadline(time.Time{})
-			n.installPeer(id, conn)
-			// Ack after the install: the only writer on this socket until
-			// the dialer's next epoch is this goroutine.
+			n.installPeer(id, conn, false)
 			if err := wire.WriteFrame(conn, nil); err != nil {
 				conn.Close()
 			}
@@ -563,33 +565,42 @@ func meshAcceptLoop(n *Node, ln net.Listener) {
 	}
 }
 
-// dialPeer dials machine j's mesh address and performs the serving
-// handshake: hello{id}, then wait for the ack confirming the peer has
-// installed (or replaced) the link.
+// dialPeer dials machine j's mesh address and performs the mesh handshake:
+// hello{id}, install the link, then wait for the ack confirming the peer has
+// installed (or replaced) its end. The link's own reader consumes the ack,
+// so round frames the peer's epochs wrote ahead of it reach the
+// demultiplexer instead of being taken for it. A link that is not acked
+// within handshakeTimeout, or fails first, is dropped again.
 func dialPeer(n *Node, j int, addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return fmt.Errorf("tcp: node %d dial peer %d: %w", n.id, j, err)
 	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 	var w wire.Writer
 	w.Varint(uint64(n.id))
 	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
 		conn.Close()
 		return fmt.Errorf("tcp: node %d hello to %d: %w", n.id, j, err)
 	}
-	if _, err := wire.ReadFrame(conn); err != nil {
-		conn.Close()
-		return fmt.Errorf("tcp: node %d ack from %d: %w", n.id, j, err)
+	conn.SetWriteDeadline(time.Time{})
+	p := n.installPeer(j, conn, true)
+	timer := time.NewTimer(handshakeTimeout)
+	defer timer.Stop()
+	select {
+	case <-p.acked:
+		return nil
+	case <-p.down:
+		err = p.cause()
+	case <-timer.C:
+		err = fmt.Errorf("no ack within %v", handshakeTimeout)
 	}
-	conn.SetDeadline(time.Time{})
-	n.installPeer(j, conn)
-	return nil
+	n.dropPeer(j, p)
+	return fmt.Errorf("tcp: node %d ack from %d: %w", n.id, j, err)
 }
 
-// buildServeMesh establishes the initial serving mesh: this node dials
-// every lower machine index and waits until the accept loop has seated
-// every higher one.
+// buildServeMesh establishes the initial mesh: this node dials every lower
+// machine index and waits until the accept loop has seated every higher one.
 func buildServeMesh(n *Node, addrs []string) error {
 	errs := make(chan error, n.id)
 	for j := 0; j < n.id; j++ {

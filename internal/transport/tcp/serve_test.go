@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -265,17 +266,105 @@ func TestFailedSessionReleasesNodes(t *testing.T) {
 	}
 }
 
-func TestRunNodeRejectsServingCoordinator(t *testing.T) {
-	fe, err := NewFrontend("127.0.0.1:0", 1, 1)
+// TestNodeRejectsRetiredSessionMode pins the KindAssign mode byte: only
+// wire.ModeServe is a session; the retired one-shot value 0 (or anything
+// else) is refused at join.
+func TestNodeRejectsRetiredSessionMode(t *testing.T) {
+	addr := stubFrontend(t, func(conn net.Conn) {
+		defer conn.Close()
+		if _, err := wire.ReadFrame(conn); err != nil {
+			return
+		}
+		var w wire.Writer
+		w.Kind(wire.KindAssign)
+		w.U8(0)
+		w.Varint(0)
+		w.Varint(1)
+		w.U64(1)
+		w.String("127.0.0.1:1")
+		_ = wire.WriteFrame(conn, w.Bytes())
+	})
+	err := ServeNodeObserved(addr, "127.0.0.1:0", "", nil, &echoHandler{})
+	if err == nil || !strings.Contains(err.Error(), "session mode 0") {
+		t.Fatalf("join against a mode-0 assignment: got %v, want a mode rejection", err)
+	}
+}
+
+// meshStub is a fake mesh acceptor on a raw listener: it reads the dialer's
+// hello and hands the connection to script.
+func meshStub(t *testing.T, script func(conn net.Conn)) string {
+	t.Helper()
+	return stubFrontend(t, func(conn net.Conn) {
+		defer conn.Close()
+		if _, err := wire.ReadFrame(conn); err != nil {
+			t.Errorf("stub acceptor read hello: %v", err)
+			return
+		}
+		script(conn)
+	})
+}
+
+// TestMeshHandshakeFrameOvertakesAck is the regression test for the setup
+// epoch flake: an acceptor publishes the link before it acks, so a round
+// frame of its own epoch can reach the dialer ahead of the ack. The dialer
+// must deliver that frame to the epoch, not consume it as the ack.
+func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	addr := meshStub(t, func(conn net.Conn) {
+		if err := writeRoundFrame(conn, flagData, 0, 0, [][]byte{[]byte("early")}); err != nil {
+			t.Errorf("stub acceptor round frame: %v", err)
+		}
+		if err := wire.WriteFrame(conn, nil); err != nil {
+			t.Errorf("stub acceptor ack: %v", err)
+		}
+		<-release // keep the link up until the test has read its feed
+	})
+	node := newNode(1, 2)
+	defer node.closePeers()
+	if err := dialPeer(node, 0, addr); err != nil {
+		t.Fatalf("dialPeer with a round frame ahead of the ack: %v", err)
+	}
+	er, err := node.beginEpoch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fe.Close()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- fe.Serve() }()
-	if _, err := RunNode(fe.Addr(), "127.0.0.1:0", func(m kmachine.Env) error { return nil }); err == nil || !strings.Contains(err.Error(), "one-shot") {
-		t.Fatalf("RunNode against a frontend should fail with mode mismatch, got %v", err)
+	defer er.release()
+	select {
+	case f, ok := <-er.feeds[0]:
+		if !ok {
+			t.Fatalf("link died instead of delivering the frame: %v", er.peers[0].cause())
+		}
+		if f.flag != flagData || f.epoch != 0 || f.round != 0 || len(f.msgs) != 1 || string(f.msgs[0]) != "early" {
+			t.Fatalf("epoch 0 feed delivered %+v, want the round-0 frame written ahead of the ack", f)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the round-0 frame written ahead of the ack never reached epoch 0's feed")
 	}
-	fe.Close()
-	<-serveDone
+}
+
+// TestMeshHandshakeUnackedDialIsBounded is the other half: an acceptor that
+// never acks costs the dialer handshakeTimeout, not forever, and the
+// half-open link does not stay installed.
+func TestMeshHandshakeUnackedDialIsBounded(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 100 * time.Millisecond
+	release := make(chan struct{})
+	defer close(release)
+	addr := meshStub(t, func(conn net.Conn) { <-release })
+	node := newNode(1, 2)
+	defer node.closePeers()
+	done := make(chan error, 1)
+	go func() { done <- dialPeer(node, 0, addr) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "ack from 0") {
+			t.Fatalf("dialPeer against a silent acceptor: got %v, want an ack timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("dialPeer against a silent acceptor did not return within the handshake timeout")
+	}
+	if p := node.peerSnapshot()[0]; p != nil {
+		t.Fatal("an unacked link stayed installed")
+	}
 }

@@ -1,6 +1,6 @@
 // Package tcp runs k-machine programs over real TCP sockets: one process (or
 // goroutine) per machine, a full connection mesh between them, and a
-// coordinator that performs rendezvous (ID assignment and address exchange).
+// frontend that performs rendezvous (ID assignment and address exchange).
 //
 // The synchronous-round semantics match the in-process simulator exactly:
 // messages sent in round r are delivered at the start of round r+1. Rounds
@@ -16,25 +16,19 @@
 // expecting frames from it. A node that fails broadcasts an error flag,
 // which aborts every peer's run.
 //
-// Two deployment styles are offered, mirroring internal/kmachine's Run vs
-// Runtime split:
-//
-//   - One-shot (RunNode, RunLocal): the mesh is built, a single program
-//     runs, and everything is torn down — the coordinator carries no
-//     protocol traffic and exits after rendezvous.
-//
-//   - Serving (Frontend, ServeNodeObserved, ServeLocal, Client): the nodes stay
-//     resident after rendezvous, run a setup epoch once (leader election),
-//     and then execute one BSP epoch per query dispatched by the frontend,
-//     which also answers remote clients. Each epoch is an isolated run on
-//     the standing mesh — fresh round numbering, fresh per-epoch randomness
-//     derived from the session seed — so a serving cluster is deterministic
-//     per (seed, query stream) exactly like the simulator. The frontend's
-//     epoch scheduler may keep several epochs in flight at once (see
-//     scheduler.go); every mesh frame is epoch-tagged and each peer link
-//     demultiplexes arriving frames per epoch, so concurrent epochs share
-//     the standing connections without ever observing each other. See
-//     serve.go and docs/PROTOCOL.md.
+// There is one deployment style, the resident session (Frontend,
+// ServeNodeObserved, ServeLocal, Client), the socket counterpart of
+// internal/kmachine's Runtime: the nodes stay resident after rendezvous, run
+// a setup epoch once (leader election), and then execute one BSP epoch per
+// query dispatched by the frontend, which also answers remote clients. Each
+// epoch is an isolated run on the standing mesh — fresh round numbering,
+// fresh per-epoch randomness derived from the session seed — so a serving
+// cluster is deterministic per (seed, query stream) exactly like the
+// simulator. The frontend's epoch scheduler may keep several epochs in
+// flight at once (see scheduler.go); every mesh frame is epoch-tagged and
+// each peer link demultiplexes arriving frames per epoch, so concurrent
+// epochs share the standing connections without ever observing each other.
+// See serve.go and docs/PROTOCOL.md.
 package tcp
 
 import (
@@ -124,8 +118,7 @@ var errPeerAbort = errors.New("aborted by peer")
 // frame is one per-round unit from one peer. epoch identifies which BSP
 // epoch of a resident mesh the frame belongs to; the peer link's
 // demultiplexer routes each frame to the matching epoch's feed, so any
-// number of concurrently pipelined epochs can share the link. One-shot runs
-// are epoch 0.
+// number of concurrently pipelined epochs can share the link.
 type frame struct {
 	flag  byte
 	epoch uint64
@@ -143,6 +136,11 @@ type frame struct {
 // future subscriptions.
 type peer struct {
 	conn net.Conn
+	// acked is closed when the acceptor's handshake ack (a zero-length
+	// frame) arrives. Only the dialing side of a link gets one; it is nil on
+	// an accepted link, where a zero-length frame is a framing error.
+	acked chan struct{}
+	down  chan struct{} // closed when the link fails; cause() says why
 
 	mu      sync.Mutex
 	subs    map[uint64]chan frame
@@ -153,11 +151,17 @@ type peer struct {
 	err     error  // sticky read/routing failure
 }
 
-func newPeer(conn net.Conn) *peer {
+// newPeer wraps one mesh connection and starts its reader. dialed marks the
+// side that sent the hello and is owed the ack.
+func newPeer(conn net.Conn, dialed bool) *peer {
 	p := &peer{
 		conn:  conn,
+		down:  make(chan struct{}),
 		subs:  make(map[uint64]chan frame),
 		stash: make(map[uint64][]frame),
+	}
+	if dialed {
+		p.acked = make(chan struct{})
 	}
 	go p.readLoop()
 	return p
@@ -170,6 +174,7 @@ func (p *peer) readLoop() {
 	// message payload out of the frame, so the frame bytes are dead the
 	// moment it returns and the next read may overwrite them.
 	var buf []byte
+	acked := p.acked == nil
 	for {
 		payload, err := wire.ReadFrameInto(p.conn, buf)
 		buf = payload
@@ -180,6 +185,14 @@ func (p *peer) readLoop() {
 			// else would ever close — the remote must see it drop.
 			p.conn.Close()
 			return
+		}
+		if len(payload) == 0 && !acked {
+			// The handshake ack, exactly once. The acceptor publishes the
+			// link before it acks, so round frames of its own epochs may
+			// arrive first; they are routed below like any others.
+			acked = true
+			close(p.acked)
+			continue
 		}
 		f, err := parseRoundFrame(payload)
 		if err != nil {
@@ -272,6 +285,7 @@ func (p *peer) fail(err error) {
 		return
 	}
 	p.err = err
+	close(p.down)
 	//knnlint:allow detsource -- poison fanout: every live feed closes; order is unobservable
 	for e, ch := range p.subs {
 		close(ch)
@@ -295,13 +309,11 @@ func (p *peer) cause() error {
 // scheduler pipeline query epochs over one mesh.
 type Node struct {
 	id, k int
-	seed  uint64 // session seed (per-epoch seeds are derived from it)
 
-	// peers is indexed by machine id (self entry nil). One-shot meshes fill
-	// it once and never touch it again; serving meshes mutate it — links of
-	// lost peers are dropped, and the mesh accept loop installs replacement
-	// links when a peer re-joins — so every access goes through peersMu.
-	// A nil entry on a serving node means "link down, waiting for re-join".
+	// peers is indexed by machine id (self entry nil). The mesh mutates it —
+	// links of lost peers are dropped, and the mesh accept loop installs
+	// replacement links when a peer re-joins — so every access goes through
+	// peersMu. A nil entry means "link down, waiting for re-join".
 	peersMu    sync.Mutex
 	peersCond  *sync.Cond
 	peers      []*peer
@@ -310,10 +322,10 @@ type Node struct {
 
 // installPeer replaces machine j's mesh link with conn (closing any prior
 // link, whose feeds then close) and starts the new link's demultiplexing
-// reader. Serving nodes call it from the mesh accept loop; one-shot meshes
-// never replace links.
-func (n *Node) installPeer(j int, conn net.Conn) {
-	p := newPeer(conn)
+// reader. The mesh accept loop calls it for accepted links, dialPeer (dialed
+// true) for the links this node opened.
+func (n *Node) installPeer(j int, conn net.Conn, dialed bool) *peer {
+	p := newPeer(conn, dialed)
 	n.peersMu.Lock()
 	old := n.peers[j]
 	n.peers[j] = p
@@ -322,6 +334,7 @@ func (n *Node) installPeer(j int, conn net.Conn) {
 	if old != nil {
 		old.conn.Close()
 	}
+	return p
 }
 
 // dropPeer closes and forgets machine j's link — but only if it is still
@@ -357,22 +370,11 @@ func (n *Node) closePeers() {
 	}
 }
 
-// newNode builds the mesh owner. conns may be nil for a serving node that
-// installs its links through the mesh accept loop and installPeer instead.
-func newNode(id, k int, seed uint64, conns []net.Conn) *Node {
-	n := &Node{
-		id:    id,
-		k:     k,
-		seed:  seed,
-		peers: make([]*peer, k),
-	}
+// newNode builds the mesh owner with every link down; the mesh accept loop
+// and dialPeer install them.
+func newNode(id, k int) *Node {
+	n := &Node{id: id, k: k, peers: make([]*peer, k)}
 	n.peersCond = sync.NewCond(&n.peersMu)
-	for j, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		n.peers[j] = newPeer(conn)
-	}
 	return n
 }
 
@@ -653,20 +655,6 @@ func (n *Node) abortEpoch(epoch uint64) {
 			_ = writeRoundFrame(p.conn, flagErr, epoch, 0, nil)
 		}
 	}
-}
-
-// runProgram executes one one-shot program (epoch 0, seeded directly from
-// the session seed — identical identity derivation to the simulator) and
-// tears the mesh down.
-func (n *Node) runProgram(prog kmachine.Program) (Metrics, error) {
-	er, err := n.beginEpoch(0, n.seed)
-	if err != nil {
-		n.closePeers()
-		return Metrics{}, err
-	}
-	err = er.execute(prog)
-	n.closePeers()
-	return er.metrics, err
 }
 
 // writeRoundFrame serializes one round frame through a pooled writer. The

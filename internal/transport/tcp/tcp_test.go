@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,79 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 	return s
 }
 
+// runSetupEpoch runs prog as the setup epoch (ordinal 0) of a real resident
+// mesh and returns every node's metrics and error, indexed by machine id. It
+// is the production bring-up minus the Handler: Frontend rendezvous,
+// joinServe, meshAcceptLoop + buildServeMesh, then runEpoch(0, …) at the
+// setup epoch's derived seed — so a simulator twin seeds kmachine.Run with
+// xrand.DeriveSeed(seed, SetupSeedStream). The mesh stays up until the test
+// ends, as a resident one outlives its setup epoch.
+func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]Metrics, []error) {
+	t.Helper()
+	fe, err := NewFrontend("127.0.0.1:0", k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	// Registered first, so it runs after the nodes' cleanups below have
+	// closed their control connections — which is what releases Serve from
+	// its wait for ready reports that never come.
+	t.Cleanup(func() {
+		if err := <-serveDone; err != nil {
+			t.Errorf("frontend: %v", err)
+		}
+	})
+
+	metrics := make([]Metrics, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			t.Cleanup(func() { ln.Close() })
+			coord, a, err := joinServe(fe.Addr(), ln, "", -1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			t.Cleanup(func() { coord.Close() })
+			node := newNode(a.id, a.k)
+			t.Cleanup(node.closePeers)
+			go meshAcceptLoop(node, ln)
+			if err := buildServeMesh(node, a.addrs); err != nil {
+				t.Error(err)
+				return
+			}
+			metrics[a.id], errs[a.id] = node.runEpoch(0, xrand.DeriveSeed(a.seed, SetupSeedStream), prog)
+		}()
+	}
+	wg.Wait()
+	fe.Close()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return metrics, errs
+}
+
+// mustRunSetupEpoch is runSetupEpoch for programs every node must finish.
+func mustRunSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) []Metrics {
+	t.Helper()
+	metrics, errs := runSetupEpoch(t, k, seed, prog)
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("node %d: %v", i, e)
+		}
+	}
+	return metrics
+}
+
 func TestPingPongOverTCP(t *testing.T) {
 	prog := func(m kmachine.Env) error {
 		if m.ID() == 0 {
@@ -44,15 +118,7 @@ func TestPingPongOverTCP(t *testing.T) {
 		m.Send(0, []byte("pong"))
 		return nil
 	}
-	metrics, errs, err := RunLocal(2, 1, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
+	metrics := mustRunSetupEpoch(t, 2, 1, prog)
 	if metrics[0].Messages != 1 || metrics[1].Messages != 1 {
 		t.Errorf("metrics: %+v", metrics)
 	}
@@ -76,15 +142,7 @@ func TestBroadcastGatherOverTCP(t *testing.T) {
 		}
 		return nil
 	}
-	_, errs, err := RunLocal(k, 2, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
+	mustRunSetupEpoch(t, k, 2, prog)
 }
 
 func TestStaggeredHalts(t *testing.T) {
@@ -114,15 +172,7 @@ func TestStaggeredHalts(t *testing.T) {
 			return nil
 		}
 	}
-	_, errs, err := RunLocal(k, 3, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
+	mustRunSetupEpoch(t, k, 3, prog)
 }
 
 func TestErrorPropagatesAcrossCluster(t *testing.T) {
@@ -136,10 +186,7 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 			m.EndRound() // spins until aborted by peer 1's error frame
 		}
 	}
-	_, errs, err := RunLocal(3, 4, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, errs := runSetupEpoch(t, 3, 4, prog)
 	if !errors.Is(errs[1], boom) {
 		t.Errorf("node 1 error = %v", errs[1])
 	}
@@ -180,15 +227,7 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	_, errs, err := RunLocal(k, seed, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
+	mustRunSetupEpoch(t, k, seed, prog)
 
 	// Oracle: merge all machines' data and brute-force the query.
 	var parts []*points.Set[points.Scalar]
@@ -210,7 +249,7 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 }
 
 func TestTCPMatchesSimulator(t *testing.T) {
-	// With the same seed, the TCP runtime and the unlimited-bandwidth
+	// With the same epoch seed, the TCP runtime and the unlimited-bandwidth
 	// simulator must make bit-identical protocol decisions.
 	k, n, l := 3, 200, 10
 	seed := uint64(55)
@@ -230,22 +269,14 @@ func TestTCPMatchesSimulator(t *testing.T) {
 
 	var mu sync.Mutex
 	tcpBounds := make([]keys.Key, k)
-	_, errs, err := RunLocal(k, seed, prog(func(id int, b keys.Key) {
+	mustRunSetupEpoch(t, k, seed, prog(func(id int, b keys.Key) {
 		mu.Lock()
 		tcpBounds[id] = b
 		mu.Unlock()
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
 
 	simBounds := make([]keys.Key, k)
-	_, err = kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: -1},
+	_, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: -1},
 		prog(func(id int, b keys.Key) {
 			mu.Lock()
 			simBounds[id] = b
@@ -262,36 +293,21 @@ func TestTCPMatchesSimulator(t *testing.T) {
 }
 
 func TestSingleNodeCluster(t *testing.T) {
-	_, errs, err := RunLocal(1, 7, func(m kmachine.Env) error {
+	mustRunSetupEpoch(t, 1, 7, func(m kmachine.Env) error {
 		if m.K() != 1 || m.ID() != 0 {
 			return fmt.Errorf("bad identity")
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-}
-
-func TestCoordinatorValidation(t *testing.T) {
-	if _, err := NewCoordinator("127.0.0.1:0", 0, 1); err == nil {
-		t.Errorf("k=0 coordinator must fail")
-	}
 }
 
 func TestNodeGUIDMatchesSimulator(t *testing.T) {
 	var tcpGUID, simGUID uint64
-	_, errs, err := RunLocal(1, 42, func(m kmachine.Env) error {
+	mustRunSetupEpoch(t, 1, 42, func(m kmachine.Env) error {
 		tcpGUID = m.GUID()
 		return nil
 	})
-	if err != nil || errs[0] != nil {
-		t.Fatal(err, errs)
-	}
-	if _, err := kmachine.Run(kmachine.Config{K: 1, Seed: 42}, func(m kmachine.Env) error {
+	if _, err := kmachine.Run(kmachine.Config{K: 1, Seed: xrand.DeriveSeed(42, SetupSeedStream)}, func(m kmachine.Env) error {
 		simGUID = m.GUID()
 		return nil
 	}); err != nil {

@@ -86,14 +86,11 @@ const (
 	KindDispatchDirect Kind = 15
 )
 
-// Session modes carried in the KindAssign frame.
-const (
-	// ModeOneShot tears the mesh down after a single program run.
-	ModeOneShot = 0
-	// ModeServe keeps the node resident: after the setup epoch it executes
-	// one BSP epoch per KindDispatch until shutdown.
-	ModeServe = 1
-)
+// ModeServe is the only session mode a KindAssign frame carries: the node
+// stays resident and, after the setup epoch, executes one BSP epoch per
+// KindDispatch until shutdown. Mode 0 (the one-shot run) is retired and never
+// reused; a node rejects any other value.
+const ModeServe = 1
 
 // Query operations.
 const (

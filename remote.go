@@ -315,12 +315,12 @@ func BitVectorPoints() PointType[BitVector] {
 }
 
 // PaperShards is the ShardProvider for the paper's synthetic workload,
-// generated exactly as cmd/knnnode's one-shot program and the bench
-// instances generate it: node id draws perNode scalars uniform in
-// [0, 2³²) from stream id of seed, labels are the values scaled to [0, 1]
-// (so regression has a meaningful target), and the node owns the ID block
-// [id·perNode+1, (id+1)·perNode]. One-shot and serving deployments built
-// from the same seed therefore hold — and answer over — identical data.
+// generated exactly as the bench instances generate it: node id draws
+// perNode scalars uniform in [0, 2³²) from stream id of seed, labels are
+// the values scaled to [0, 1] (so regression has a meaningful target), and
+// the node owns the ID block [id·perNode+1, (id+1)·perNode]. Simulator and
+// serving deployments built from the same seed therefore hold — and answer
+// over — identical data.
 func PaperShards(seed uint64, perNode int) ShardProvider[Scalar] {
 	return func(id, k int) (Shard[Scalar], error) {
 		set := points.GenUniformScalars(xrand.NewStream(seed, uint64(id)), perNode, points.PaperDomain)
@@ -630,16 +630,16 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 // arriving single queries into lockstep batch epochs. Nodes and clients
 // dial the same address; a connection's first frame decides its role. The
 // frontend is point-type agnostic — it learns the cluster's wire tag from
-// the nodes' ready reports and rejects mismatched queries.
-type Frontend struct {
-	fe *tcp.Frontend
-}
+// the nodes' ready reports and rejects mismatched queries. Its methods
+// (Serve, Close, Addr, Leader, EvictNode, Health) are documented on the
+// aliased type.
+type Frontend = tcp.Frontend
 
 // FrontendOptions tunes the frontend's epoch scheduler: the pipelining
 // Window, transparent server-side batching (ServerBatch, Linger,
 // MaxServerBatch), metric-index pruned dispatch (Pruner — pass the served
-// PointType's Pruner() — and Probes), and the optional Metrics registry and
-// per-epoch Trace. The zero value is a pipelined, unbatched, unpruned,
+// PointType's Pruner()), and the optional Metrics registry and per-epoch
+// Trace. The zero value is a pipelined, unbatched, unpruned,
 // unobserved frontend; see the field documentation on the aliased type.
 type FrontendOptions = tcp.FrontendOptions
 
@@ -654,38 +654,8 @@ func NewFrontend(addr string, k int, seed uint64) (*Frontend, error) {
 // NewFrontendOptions starts the serving listener with an explicit epoch
 // scheduler configuration (pipelining window, server-side batching).
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
-	fe, err := tcp.NewFrontendOptions(addr, k, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Frontend{fe: fe}, nil
+	return tcp.NewFrontendOptions(addr, k, seed, opts)
 }
-
-// Addr returns the dialable address for nodes (ServeTypedNode) and clients
-// (DialTypedCluster).
-func (f *Frontend) Addr() string { return f.fe.Addr() }
-
-// Serve runs the session until Close: rendezvous, setup epoch, then client
-// queries. It blocks; run it on its own goroutine.
-func (f *Frontend) Serve() error { return f.fe.Serve() }
-
-// Leader returns the leader elected in the setup epoch (-1 until then).
-func (f *Frontend) Leader() int { return f.fe.Leader() }
-
-// EvictNode forcibly retires node id from the session: its ServeTypedNode
-// returns ErrSessionLost and its seat becomes re-joinable. Queries answer
-// a degraded error until a node (a restarted process, or the evicted one
-// re-registering) takes the seat back. Use it to kick a wedged or
-// partitioned node so it re-joins with fresh mesh links.
-func (f *Frontend) EvictNode(id int) error { return f.fe.EvictNode(id) }
-
-// Health reports the session's seat-level health: whether every node
-// seat is present, and for absent seats the cause of the last loss. Wire
-// it into an admin endpoint as AdminOptions.Health to serve /healthz.
-func (f *Frontend) Health() Health { return f.fe.Health() }
-
-// Close shuts the session down; resident nodes exit cleanly.
-func (f *Frontend) Close() error { return f.fe.Close() }
 
 // RemoteCluster is a client handle on a TCP serving cluster. It satisfies
 // the same query surface as the in-process Cluster — KNN, Classify, Regress
@@ -899,10 +869,9 @@ func (rc *RemoteCluster[P]) Close() error { return rc.client.Close() }
 
 // LocalServer is a whole loopback serving deployment running in one
 // process: a Frontend plus k resident nodes. Dial it with
-// DialTypedCluster on s.Addr().
-type LocalServer struct {
-	lc *tcp.LocalCluster
-}
+// DialTypedCluster on s.Addr(); Leader, EvictNode and Close are documented
+// on the aliased type.
+type LocalServer = tcp.LocalCluster
 
 // ServeTypedLocal starts a loopback TCP serving cluster for any served
 // point type: a frontend and k resident nodes, each holding the shard that
@@ -917,25 +886,7 @@ func ServeTypedLocal[P any](pt PointType[P], k int, seed uint64, shards ShardPro
 // batching). The k in-process nodes share opts, so a NodeOptions.Metrics
 // registry receives their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
-	lc, err := tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
+	return tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
 		return &typedHandler[P]{pt: pt, shards: shards, opts: opts}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &LocalServer{lc: lc}, nil
 }
-
-// Addr returns the frontend address clients should dial.
-func (s *LocalServer) Addr() string { return s.lc.Addr() }
-
-// Leader returns the elected leader machine.
-func (s *LocalServer) Leader() int { return s.lc.Leader() }
-
-// EvictNode forcibly retires node id from the loopback session (see
-// Frontend.EvictNode); re-join it by calling ServeTypedNode against Addr.
-func (s *LocalServer) EvictNode(id int) error { return s.lc.EvictNode(id) }
-
-// Close shuts the cluster down and reports the first failure observed by
-// the frontend or any node (nil on a clean shutdown).
-func (s *LocalServer) Close() error { return s.lc.Close() }

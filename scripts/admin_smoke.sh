@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Admin-plane smoke test: start a serving cluster with `knnnode -serve
-# -admin`, verify /healthz flips from degraded (503) to healthy (200) as
+# Admin-plane smoke test: start a serving cluster with `knnnode -admin`,
+# verify /healthz flips from degraded (503) to healthy (200) as
 # the nodes seat, run a query workload, and assert the /metrics epoch
 # counters advanced consistently with it. The final /metrics snapshot is
 # written to admin_metrics.json for CI to upload as a workflow artifact.
@@ -20,7 +20,7 @@ go build -o "$bin/knnquery" ./cmd/knnquery
 addr=127.0.0.1:7951
 admin=127.0.0.1:7952
 
-"$bin/knnnode" -serve -coordinator -addr "$addr" -k 2 -seed 1 -admin "$admin" &
+"$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 -admin "$admin" &
 for _ in $(seq 1 100); do
   (exec 3<>"/dev/tcp/127.0.0.1/7952") 2>/dev/null && break
   sleep 0.1
@@ -35,8 +35,8 @@ if [ "$code" != "503" ]; then
 fi
 echo "admin-smoke: /healthz degraded (503) before nodes joined"
 
-"$bin/knnnode" -serve -join "$addr" -points 2000 &
-"$bin/knnnode" -serve -join "$addr" -points 2000 &
+"$bin/knnnode" -join "$addr" -points 2000 &
+"$bin/knnnode" -join "$addr" -points 2000 &
 
 query() { "$bin/knnquery" -connect "$addr" -l 5 -timeout 2s; }
 for _ in $(seq 1 50); do query >/dev/null 2>&1 && break; sleep 0.2; done

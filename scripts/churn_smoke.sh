@@ -24,7 +24,7 @@ go build -o "$bin/knnquery" ./cmd/knnquery
 addr=127.0.0.1:7941
 
 start_frontend() {
-  "$bin/knnnode" -serve -coordinator -addr "$addr" -k 2 -seed 1 &
+  "$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 &
   frontend=$!
   # Wait for the frontend to listen before the nodes dial it.
   for _ in $(seq 1 100); do
@@ -34,8 +34,8 @@ start_frontend() {
 }
 
 start_frontend
-"$bin/knnnode" -serve -join "$addr" -points 2000 -rejoin &
-"$bin/knnnode" -serve -join "$addr" -points 2000 &
+"$bin/knnnode" -join "$addr" -points 2000 -rejoin &
+"$bin/knnnode" -join "$addr" -points 2000 &
 victim=$!
 
 query() { "$bin/knnquery" -connect "$addr" -l 5 -timeout 2s; }
@@ -59,7 +59,7 @@ echo "churn-smoke: degraded window answers with an error (not a hang)"
 
 # A freshly started replacement needs no special flags to take the absent
 # seat (-rejoin here only arms it for the frontend restart below).
-"$bin/knnnode" -serve -join "$addr" -points 2000 -rejoin &
+"$bin/knnnode" -join "$addr" -points 2000 -rejoin &
 wait_serving
 query >/dev/null
 echo "churn-smoke: replacement re-joined; cluster recovered"

@@ -20,13 +20,13 @@ go build -o "$bin/knnnode" ./cmd/knnnode
 
 addr=127.0.0.1:7951
 
-"$bin/knnnode" -serve -coordinator -addr "$addr" -k 2 -seed 1 -server-batch &
+"$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 -server-batch &
 for _ in $(seq 1 100); do
   (exec 3<>"/dev/tcp/127.0.0.1/7951") 2>/dev/null && break
   sleep 0.1
 done
-"$bin/knnnode" -serve -join "$addr" -points 2000 &
-"$bin/knnnode" -serve -join "$addr" -points 2000 &
+"$bin/knnnode" -join "$addr" -points 2000 &
+"$bin/knnnode" -join "$addr" -points 2000 &
 
 for i in $(seq 1 50); do
   if python3 scripts/interop_client.py "$addr" 7 2>/dev/null; then
