@@ -10,7 +10,7 @@ import (
 	"distknn/internal/xrand"
 )
 
-// ErrClosed is returned by Runtime and Session methods after Close.
+// ErrClosed is returned by Runtime methods after Close.
 var ErrClosed = errors.New("kmachine: runtime closed")
 
 // DefaultMaxIdleWorlds is the idle-world retention bound used when
@@ -33,9 +33,7 @@ const DefaultMaxIdleWorlds = 16
 // after a burst, at most Config.MaxIdleWorlds worlds are retained for reuse
 // and the rest are torn down.
 //
-// Execute and ExecuteSeeded lease a world for a single run. A Session
-// (from NewSession) pins one world across several runs, which a caller with
-// a run sequence (e.g. a query batch) can use to avoid pool round-trips.
+// ExecuteSeeded and ExecutePrograms lease a world for a single run.
 //
 // Close shuts the resident goroutines down. It is safe to call concurrently
 // with in-flight runs: those runs finish normally and their worlds are torn
@@ -49,8 +47,7 @@ type Runtime struct {
 }
 
 // NewRuntime validates cfg and starts a runtime with one resident world.
-// cfg.Seed is only the default for Execute; per-run seeds come from
-// ExecuteSeeded.
+// cfg.Seed is unused: every run names its own seed (ExecuteSeeded).
 func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmachine: k must be >= 1, got %d", cfg.K)
@@ -68,11 +65,6 @@ func (rt *Runtime) Closed() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.closed
-}
-
-// Execute runs prog on every machine using the runtime's configured seed.
-func (rt *Runtime) Execute(prog Program) (*Metrics, error) {
-	return rt.ExecuteSeeded(rt.cfg.Seed, prog)
 }
 
 // ExecuteSeeded runs prog on every machine with a run-specific seed driving
@@ -94,17 +86,6 @@ func (rt *Runtime) ExecutePrograms(seed uint64, progs []Program) (*Metrics, erro
 	}
 	defer rt.release(w)
 	return w.run(rt.cfg, seed, progs)
-}
-
-// NewSession leases one world for a sequence of runs. The session's runs
-// execute on the same resident goroutines; distinct sessions run concurrently.
-// Close the session to return the world to the pool.
-func (rt *Runtime) NewSession() (*Session, error) {
-	w, err := rt.acquire()
-	if err != nil {
-		return nil, err
-	}
-	return &Session{rt: rt, w: w}, nil
 }
 
 // Close tears down every idle world and marks the runtime closed. Worlds
@@ -155,45 +136,6 @@ func (rt *Runtime) release(w *world) {
 	}
 	rt.idle = append(rt.idle, w)
 	rt.mu.Unlock()
-}
-
-// Session is an exclusive lease on one world of a Runtime: a sequence of runs
-// that reuses the same live machine goroutines with per-run isolated state.
-// A Session serializes its own runs; use one Session per in-flight query.
-// Methods must not be called concurrently on the same Session.
-type Session struct {
-	rt     *Runtime
-	w      *world
-	closed bool
-}
-
-// Execute runs prog on every machine of the session's world.
-func (s *Session) Execute(seed uint64, prog Program) (*Metrics, error) {
-	progs := make([]Program, s.rt.cfg.K)
-	for i := range progs {
-		progs[i] = prog
-	}
-	return s.ExecutePrograms(seed, progs)
-}
-
-// ExecutePrograms runs progs[i] on machine i of the session's world. It
-// honors both the session's own Close and the runtime's: a session leased
-// before Runtime.Close stops accepting runs the moment the runtime closes
-// (its world is torn down when the session releases it).
-func (s *Session) ExecutePrograms(seed uint64, progs []Program) (*Metrics, error) {
-	if s.closed || s.rt.Closed() {
-		return nil, ErrClosed
-	}
-	return s.w.run(s.rt.cfg, seed, progs)
-}
-
-// Close returns the session's world to the runtime's pool.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.rt.release(s.w)
 }
 
 // world is one set of k resident machine goroutines plus the synchronous

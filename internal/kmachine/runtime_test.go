@@ -29,7 +29,7 @@ func TestRuntimeMatchesOneShotRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	got, err := rt.Execute(echoProg)
+	got, err := rt.ExecuteSeeded(cfg.Seed, echoProg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRuntimeRecoversAfterProgramError(t *testing.T) {
 	}
 	defer rt.Close()
 	boom := errors.New("boom")
-	if _, err := rt.Execute(func(m Env) error {
+	if _, err := rt.ExecuteSeeded(1, func(m Env) error {
 		if m.ID() == 1 {
 			return boom
 		}
@@ -151,13 +151,13 @@ func TestRuntimeRecoversAfterProgramError(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The same world must be healthy for the next run.
-	if _, err := rt.Execute(echoProg); err != nil {
+	if _, err := rt.ExecuteSeeded(1, echoProg); err != nil {
 		t.Fatalf("run after error: %v", err)
 	}
-	if _, err := rt.Execute(func(m Env) error { panic("exploded") }); err == nil {
+	if _, err := rt.ExecuteSeeded(1, func(m Env) error { panic("exploded") }); err == nil {
 		t.Fatal("panic not surfaced")
 	}
-	if _, err := rt.Execute(echoProg); err != nil {
+	if _, err := rt.ExecuteSeeded(1, echoProg); err != nil {
 		t.Fatalf("run after panic: %v", err)
 	}
 }
@@ -169,11 +169,8 @@ func TestRuntimeClose(t *testing.T) {
 	}
 	rt.Close()
 	rt.Close() // idempotent
-	if _, err := rt.Execute(echoProg); !errors.Is(err, ErrClosed) {
+	if _, err := rt.ExecuteSeeded(1, echoProg); !errors.Is(err, ErrClosed) {
 		t.Errorf("Execute after Close: %v, want ErrClosed", err)
-	}
-	if _, err := rt.NewSession(); !errors.Is(err, ErrClosed) {
-		t.Errorf("NewSession after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -205,64 +202,38 @@ func TestRuntimeCloseWithRunsInFlight(t *testing.T) {
 	}
 }
 
-func TestSessionReusesOneWorld(t *testing.T) {
-	rt, err := NewRuntime(Config{K: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	s, err := rt.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 5; run++ {
-		met, err := s.Execute(uint64(run), echoProg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if met.Messages != int64(4*3) {
-			t.Errorf("run %d: %d messages", run, met.Messages)
-		}
-	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := s.Execute(1, echoProg); !errors.Is(err, ErrClosed) {
-		t.Errorf("Execute on closed session: %v, want ErrClosed", err)
-	}
-}
-
-func TestSessionObservesRuntimeClose(t *testing.T) {
-	rt, err := NewRuntime(Config{K: 2, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := rt.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Close()
-	if _, err := s.Execute(1, echoProg); !errors.Is(err, ErrClosed) {
-		t.Errorf("session Execute after runtime Close: %v, want ErrClosed", err)
-	}
-	s.Close() // releases the world, which the closed runtime tears down
-}
-
 func TestRuntimeIdlePoolIsBounded(t *testing.T) {
 	rt, err := NewRuntime(Config{K: 2, Seed: 13, MaxIdleWorlds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	// Hold 5 sessions at once (5 live worlds), then release them all; only
-	// MaxIdleWorlds may stay pooled.
-	sessions := make([]*Session, 5)
-	for i := range sessions {
-		if sessions[i], err = rt.NewSession(); err != nil {
+	// Hold 5 runs in flight at once (5 live worlds), then let them all
+	// finish; only MaxIdleWorlds may stay pooled.
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan error)
+	for i := 0; i < 5; i++ {
+		go func() {
+			_, err := rt.ExecutePrograms(13, []Program{
+				func(Env) error {
+					started <- struct{}{}
+					<-release
+					return nil
+				},
+				func(Env) error { return nil },
+			})
+			done <- err
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		<-started
+	}
+	close(release)
+	for i := 0; i < 5; i++ {
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, s := range sessions {
-		s.Close()
 	}
 	rt.mu.Lock()
 	idle := len(rt.idle)
@@ -271,7 +242,7 @@ func TestRuntimeIdlePoolIsBounded(t *testing.T) {
 		t.Errorf("idle pool holds %d worlds, cap is 2", idle)
 	}
 	// The runtime keeps working after the reap.
-	if _, err := rt.Execute(echoProg); err != nil {
+	if _, err := rt.ExecuteSeeded(1, echoProg); err != nil {
 		t.Fatal(err)
 	}
 }

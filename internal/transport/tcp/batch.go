@@ -6,292 +6,232 @@ import (
 	"sync"
 
 	"distknn/internal/kmachine"
-	"distknn/internal/wire"
 	"distknn/internal/xrand"
 )
 
-// This file implements lockstep batch epochs: one BSP epoch that answers a
-// whole dispatched query batch. Every query of the batch runs as its own
-// sub-program against the full kmachine.Env surface, but all sub-programs
-// share the epoch's physical rounds — their per-round messages are
-// multiplexed into the one frame per peer, tagged with the query index, and
-// demultiplexed on arrival. A batch of b queries therefore costs
-// max(rounds over the b queries) physical round exchanges instead of their
-// sum: frames, syscalls and per-round latency are amortized b-fold, which
-// is what makes batched dispatch the wire-native query shape worth having.
+// This file is how a program runs on the mesh: as a lane of an epoch. An
+// epoch runs b programs — one for the setup epoch and for a single query, one
+// per query point for a batch — each against the full kmachine.Env surface,
+// all sharing the epoch's physical rounds: their per-round messages travel in
+// the one frame per peer, each carrying its lane index, and are filed under
+// that lane on arrival. An epoch of b lanes therefore costs max(rounds over
+// the b programs) physical round exchanges instead of their sum: frames,
+// syscalls and per-round latency are amortized b-fold, which is what makes
+// batched dispatch the wire-native query shape worth having.
 //
-// The BSP semantics per query are unchanged. Every sub-program starts at
+// The BSP semantics per lane are the simulator's. Every lane starts at
 // physical round 0 and advances exactly one physical round per EndRound, so
-// a sub-program's logical round always equals the physical round while it
-// runs; a message sent in its round r is delivered to the peer sub-program
-// in round r+1 exactly as in a solo epoch. Sub-program q draws its private
-// randomness from DeriveSeed(epochSeed, q) — deterministic per (session
-// seed, epoch, query index) — and only ever observes its own messages in
-// per-sender order, so its protocol decisions are independent of how the
-// runtime interleaves the batch. Results are exact either way, and
-// bit-identical to the same queries asked one per epoch.
+// a lane's logical round always equals the physical round while it runs; a
+// message sent in its round r is delivered to the peer's same lane in round
+// r+1. Lane 0 draws its private randomness from the epoch's own stream,
+// NewStream(epochSeed, id) — a one-lane epoch is bit-for-bit a kmachine.Run
+// at the epoch seed — and lane q ≥ 1 from NewStream(DeriveSeed(epochSeed, q),
+// id): deterministic per (session seed, epoch, lane), and a lane only ever
+// observes its own messages in per-sender order, so its protocol decisions
+// are independent of how the runtime interleaves the epoch. Results are exact
+// either way, and a batch's are bit-identical to the same queries asked one
+// per epoch.
 
-// batchRun coordinates the sub-programs of one lockstep epoch. The last
-// active sub-program to arrive at the round barrier performs the physical
-// exchange on behalf of everyone.
-type batchRun struct {
-	er   *epochRun
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	active   int // sub-programs still running
-	waiting  int // sub-programs parked at the round barrier
-	gen      uint64
-	err      error // sticky epoch failure; wakes and aborts every sub-program
-	subInbox [][]kmachine.Message
-}
-
-// lockstep runs one sub-program per query of the batch and multiplexes
-// their rounds. It is the body runBatch hands to epochRun.execute, so a
-// returned error travels the usual epoch-failure path (error frames to
-// peers, KindError to the frontend).
-func (er *epochRun) lockstep(epochSeed uint64, progs []kmachine.Program) error {
-	r := &batchRun{er: er, active: len(progs), subInbox: make([][]kmachine.Message, len(progs))}
-	r.cond = sync.NewCond(&r.mu)
-	errs := make([]error, len(progs))
+// run executes progs as the lanes of this epoch, translates the outcome into
+// halt or error frames for the peers and releases the epoch's frame feeds.
+// It leaves the connections open so other (and later) epochs keep running on
+// the standing mesh. The first failure wins: a failed exchange (transport
+// fault, peer abort) or the first lane whose program fails.
+func (er *epochRun) run(progs []kmachine.Program) error {
+	defer er.release()
+	er.active = len(progs)
+	er.inbox = make([][]kmachine.Message, len(progs))
 	var wg sync.WaitGroup
-	for qi := range progs {
+	for qi, prog := range progs {
+		seed := er.seed
+		if qi > 0 {
+			seed = xrand.DeriveSeed(er.seed, uint64(qi))
+		}
+		l := &lane{er: er, qi: qi, rng: xrand.NewStream(seed, uint64(er.n.id))}
 		wg.Add(1)
-		go func(qi int) {
+		go func() {
 			defer wg.Done()
-			s := &subEnv{
-				r:   r,
-				qi:  qi,
-				rng: xrand.NewStream(xrand.DeriveSeed(epochSeed, uint64(qi)), uint64(er.n.id)),
-			}
-			errs[qi] = s.run(progs[qi])
-			r.finish(s, errs[qi])
-		}(qi)
+			er.finish(l, l.run(prog))
+		}()
 	}
 	wg.Wait()
-	// Prefer the run-level error (a transport fault or peer abort observed
-	// at the shared exchange) over per-query program errors; either way
-	// the first failure wins, like a solo epoch.
-	if r.err != nil {
-		return r.err
+	// The final frame is write-only and best effort: a halted node never
+	// reads again (the simulator's semantics), and the peer may have halted
+	// concurrently. A clean halt flushes the pending sends with it; an error
+	// frame tells the peers this epoch is gone here.
+	var flag byte = flagHalt
+	if er.err != nil {
+		flag = flagErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	er.send(flag)()
+	return er.err
 }
 
-// finish retires one sub-program: its unflushed sends still travel (with
-// the next exchange, or the epoch's final halt frame), and if every
-// remaining sub-program is already parked at the barrier, the retiree
-// triggers the exchange they are waiting for.
-func (r *batchRun) finish(s *subEnv, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.flushLocked()
-	r.active--
-	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
-		r.cond.Broadcast()
-		return
+// finish retires one lane: its unflushed sends still travel (with the next
+// exchange, or the epoch's final halt frame), and if every remaining lane is
+// already parked at the barrier, the retiree triggers the exchange they are
+// waiting for.
+func (er *epochRun) finish(l *lane, err error) {
+	er.mu.Lock()
+	defer er.mu.Unlock()
+	l.flushLocked()
+	er.active--
+	if err != nil && er.err == nil {
+		er.err = err
 	}
-	if r.err == nil && r.active > 0 && r.waiting == r.active {
-		r.roundLocked()
+	if er.err != nil {
+		er.cond.Broadcast()
+	} else if er.active > 0 && er.waiting == er.active {
+		er.roundLocked()
 	}
 }
 
-// roundLocked performs one physical round exchange on behalf of every
-// waiting sub-program and distributes the delivered messages by tag. The
-// caller holds r.mu; sub-programs parked in cond.Wait have released it.
-// A transport fault or peer abort panics out of the exchange — it is
-// converted into the sticky run error and every sub-program is woken to
-// abort.
-func (r *batchRun) roundLocked() {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
-				r.err = e
-			} else {
-				r.err = fmt.Errorf("tcp: node %d batch exchange panicked: %v", r.er.n.id, rec)
-			}
-		}
-		r.gen++
-		r.waiting = 0
-		r.cond.Broadcast()
-	}()
-	r.er.EndRound()
-	for _, msg := range r.er.Recv() {
-		rd := wire.NewReader(msg.Payload)
-		qi := int(rd.Varint())
-		payload := rd.Raw(rd.Remaining())
-		if rd.Err() != nil || qi < 0 || qi >= len(r.subInbox) {
-			panic(transportFault(msg.From, fmt.Errorf("tcp: node %d got mis-tagged batch message from %d", r.er.n.id, msg.From)))
-		}
-		r.subInbox[qi] = append(r.subInbox[qi], kmachine.Message{From: msg.From, To: msg.To, Payload: payload})
+// roundLocked performs one physical round exchange on behalf of every parked
+// lane and wakes them. The caller holds er.mu; lanes parked in cond.Wait have
+// released it. A failed exchange becomes the sticky epoch error, which every
+// woken lane re-panics.
+func (er *epochRun) roundLocked() {
+	if err := er.exchange(); err != nil {
+		er.err = err
 	}
+	er.gen++
+	er.waiting = 0
+	er.cond.Broadcast()
 }
 
-// subEnv is the kmachine.Env one sub-program sees: same identity as the
-// node, private randomness, and messaging that is multiplexed onto the
-// shared physical rounds.
-type subEnv struct {
-	r   *batchRun
+// lane is the kmachine.Env a program on the mesh sees — package tcp's only
+// one: the node's identity, private randomness, and messaging multiplexed
+// onto the epoch's shared physical rounds.
+type lane struct {
+	er  *epochRun
 	qi  int
 	rng *rand.Rand
 
 	pending []kmachine.Message
-	out     []taggedSend
-	msgs    int64
+	out     []laneSend
 	bytes   int64
 }
 
-var _ kmachine.Env = (*subEnv)(nil)
+var _ kmachine.Env = (*lane)(nil)
 
-type taggedSend struct {
+type laneSend struct {
 	to      int
 	payload []byte
 }
 
-// run executes the sub-program, converting panics (including the sticky
-// run error re-panicked by a blocked EndRound) into ordinary errors.
-func (s *subEnv) run(prog kmachine.Program) (err error) {
+// run executes the lane's program, converting panics (including the sticky
+// epoch error re-panicked by EndRound) into ordinary errors.
+func (l *lane) run(prog kmachine.Program) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if e, ok := rec.(error); ok {
 				err = e
 			} else {
-				err = fmt.Errorf("tcp: node %d query %d panicked: %v", s.r.er.n.id, s.qi, rec)
+				err = fmt.Errorf("tcp: node %d lane %d panicked: %v", l.er.n.id, l.qi, rec)
 			}
 		}
 	}()
-	return prog(s)
+	return prog(l)
 }
 
 // ID returns the node's machine index.
-func (s *subEnv) ID() int { return s.r.er.n.id }
+func (l *lane) ID() int { return l.er.n.id }
 
 // K returns the cluster size.
-func (s *subEnv) K() int { return s.r.er.n.k }
+func (l *lane) K() int { return l.er.n.k }
 
-// GUID returns the node's epoch GUID (query protocols never use it; the
-// setup election runs as a solo epoch).
-func (s *subEnv) GUID() uint64 { return s.r.er.guid }
+// GUID returns the node's unique identifier for this epoch, derived from
+// the epoch seed exactly as the simulator derives it.
+func (l *lane) GUID() uint64 { return l.er.guid }
 
-// Rand returns the sub-program's private random stream, derived from
-// (epoch seed, query index, machine id).
-func (s *subEnv) Rand() *rand.Rand { return s.rng }
+// Rand returns the lane's private random stream (lane 0's is the
+// simulator's stream for this machine at the epoch seed).
+func (l *lane) Rand() *rand.Rand { return l.rng }
 
 // Round returns the current physical (== logical) round.
-func (s *subEnv) Round() int {
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	return s.r.er.round
+func (l *lane) Round() int {
+	l.er.mu.Lock()
+	defer l.er.mu.Unlock()
+	return l.er.round
 }
 
-// Send queues payload for machine `to` next round, tagged with the query
-// index so the receiving node can route it to the right sub-program.
-func (s *subEnv) Send(to int, payload []byte) {
-	n := s.r.er.n
+// Send queues payload for machine `to` next round.
+func (l *lane) Send(to int, payload []byte) {
+	n := l.er.n
 	if to < 0 || to >= n.k {
 		panic(fmt.Sprintf("tcp: node %d sending to out-of-range %d", n.id, to))
 	}
 	if to == n.id {
 		panic(fmt.Sprintf("tcp: node %d sending to itself", n.id))
 	}
-	// One exact-size allocation for tag + payload: the tagged copy must
-	// outlive this call (it rides a later exchange frame), so it cannot be
-	// pooled, but it need not grow through append doublings either.
-	var w wire.Writer
-	w.Grow(10 + len(payload)) // varint tag ≤ 10 bytes
-	w.Varint(uint64(s.qi))
-	w.Raw(payload)
-	s.out = append(s.out, taggedSend{to: to, payload: w.Bytes()})
-	s.msgs++
-	// Charge the protocol payload only: the tag is transport framing, so
-	// metrics stay comparable with solo epochs.
-	s.bytes += int64(len(payload) + kmachine.MessageOverheadBytes)
+	l.out = append(l.out, laneSend{to: to, payload: payload})
+	// Charge the protocol payload only: the lane index is transport framing.
+	l.bytes += int64(len(payload) + kmachine.MessageOverheadBytes)
 }
 
 // Broadcast sends payload to every other machine.
-func (s *subEnv) Broadcast(payload []byte) {
-	for to := 0; to < s.r.er.n.k; to++ {
-		if to != s.r.er.n.id {
-			s.Send(to, payload)
+func (l *lane) Broadcast(payload []byte) {
+	for to := 0; to < l.er.n.k; to++ {
+		if to != l.er.n.id {
+			l.Send(to, payload)
 		}
 	}
 }
 
-// flushLocked moves the sub-program's queued sends into the epoch outbox the
-// next physical exchange ships, and folds its message counts into the epoch
-// metrics. Caller holds r.mu.
-func (s *subEnv) flushLocked() {
-	for _, t := range s.out {
-		s.r.er.outbox[t.to] = append(s.r.er.outbox[t.to], t.payload)
+// flushLocked moves the lane's queued sends into the epoch outbox the next
+// physical exchange ships, and folds its message counts into the epoch
+// metrics. Caller holds er.mu.
+func (l *lane) flushLocked() {
+	er := l.er
+	for _, s := range l.out {
+		er.outbox[s.to] = append(er.outbox[s.to], laneMsg{lane: l.qi, payload: s.payload})
 	}
-	s.out = s.out[:0]
-	s.r.er.metrics.Messages += s.msgs
-	s.r.er.metrics.Bytes += s.bytes
-	s.msgs, s.bytes = 0, 0
+	er.metrics.Messages += int64(len(l.out))
+	er.metrics.Bytes += l.bytes
+	l.out, l.bytes = l.out[:0], 0
 }
 
-// EndRound commits this sub-program's sends and blocks until the shared
-// physical round completes. The last active sub-program to arrive performs
-// the exchange for everyone.
-func (s *subEnv) EndRound() {
-	r := s.r
-	r.mu.Lock()
-	if r.err != nil {
-		err := r.err
-		r.mu.Unlock()
-		panic(err)
-	}
-	s.flushLocked()
-	gen := r.gen
-	r.waiting++
-	if r.waiting == r.active {
-		r.roundLocked()
-	} else {
-		for r.gen == gen && r.err == nil {
-			r.cond.Wait()
+// EndRound commits this lane's sends and blocks until the shared physical
+// round completes. The last active lane to arrive performs the exchange for
+// everyone.
+func (l *lane) EndRound() {
+	er := l.er
+	er.mu.Lock()
+	defer er.mu.Unlock()
+	if er.err == nil {
+		l.flushLocked()
+		gen := er.gen
+		er.waiting++
+		if er.waiting == er.active {
+			er.roundLocked()
+		}
+		for er.gen == gen && er.err == nil {
+			er.cond.Wait()
 		}
 	}
-	if r.err != nil {
-		err := r.err
-		r.mu.Unlock()
-		panic(err)
+	if er.err != nil {
+		panic(er.err) // recovered by run
 	}
-	s.pending = append(s.pending, r.subInbox[s.qi]...)
-	r.subInbox[s.qi] = nil
-	r.mu.Unlock()
+	l.pending = append(l.pending, er.inbox[l.qi]...)
+	er.inbox[l.qi] = er.inbox[l.qi][:0]
 }
 
-// Recv takes this round's messages for this sub-program.
-func (s *subEnv) Recv() []kmachine.Message {
-	in := s.pending
-	s.pending = nil
+// Recv takes this round's messages for this lane.
+func (l *lane) Recv() []kmachine.Message {
+	in := l.pending
+	l.pending = nil
 	return in
 }
 
 // Gather advances rounds until n messages have been received.
-func (s *subEnv) Gather(want int) []kmachine.Message {
-	got := s.Recv()
+func (l *lane) Gather(want int) []kmachine.Message {
+	got := l.Recv()
 	for len(got) < want {
-		s.EndRound()
-		got = append(got, s.Recv()...)
+		l.EndRound()
+		got = append(got, l.Recv()...)
 	}
 	return got
 }
 
 // WaitAny advances rounds until at least one message arrives.
-func (s *subEnv) WaitAny() []kmachine.Message { return s.Gather(1) }
-
-// runBatch executes the batch's sub-programs as one isolated lockstep epoch
-// — the batched counterpart of epochRun.execute, with the same epoch-failure
-// path.
-func (er *epochRun) runBatch(epochSeed uint64, progs []kmachine.Program) error {
-	return er.execute(func(kmachine.Env) error { return er.lockstep(epochSeed, progs) })
-}
+func (l *lane) WaitAny() []kmachine.Message { return l.Gather(1) }

@@ -293,63 +293,21 @@ func (f *Frontend) Serve() error {
 		}
 	}
 	for id, conn := range conns {
-		payload, err := wire.ReadFrame(conn)
+		rdy, sum, origin, err := readReady(conn, id)
 		if err != nil {
-			record(false, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err))
+			record(origin, err)
 			continue
 		}
-		r := wire.NewReader(payload)
-		switch kind := r.Kind(); kind {
-		case wire.KindError:
-			ne, err := wire.DecodeNodeError(r)
-			if err != nil {
-				record(false, fmt.Errorf("tcp: bad setup error from node %d", id))
-				continue
-			}
-			record(ne.Origin, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg))
-		case wire.KindReady:
-			nid := int(r.Varint())
-			nodeLeader := int(r.Varint())
-			shardLen := int64(r.Varint())
-			nodeTag := r.U8()
-			if err := r.Err(); err != nil {
-				record(false, fmt.Errorf("tcp: bad ready from node %d: %w", id, err))
-				continue
-			}
-			if nid != id {
-				record(false, fmt.Errorf("tcp: node %d reported ready as %d", id, nid))
-				continue
-			}
-			if !haveFirst {
-				leader, tag, haveFirst = nodeLeader, nodeTag, true
-			} else if nodeLeader != leader {
-				record(true, fmt.Errorf("tcp: node %d elected %d, an earlier node elected %d", id, nodeLeader, leader))
-			} else if nodeTag != tag {
-				record(true, fmt.Errorf("tcp: node %d serves point tag %d, an earlier node serves %d", id, nodeTag, tag))
-			}
-			shardLens[id] = shardLen
-			total += shardLen
-			// Every ready frame is immediately followed by the node's
-			// metric-index summary frame.
-			spayload, serr := wire.ReadFrame(conn)
-			if serr != nil {
-				record(false, fmt.Errorf("tcp: frontend read summary from node %d: %w", id, serr))
-				continue
-			}
-			sr := wire.NewReader(spayload)
-			if skind := sr.Kind(); skind != wire.KindSummary {
-				record(false, fmt.Errorf("tcp: expected summary from node %d, got kind %d", id, skind))
-				continue
-			}
-			sum, serr := wire.DecodeShardSummary(sr)
-			if serr != nil || sum.Node != id {
-				record(false, fmt.Errorf("tcp: bad summary from node %d (%v)", id, serr))
-				continue
-			}
-			summaries[id] = sum
-		default:
-			record(false, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind))
+		if !haveFirst {
+			leader, tag, haveFirst = rdy.Leader, rdy.PointTag, true
+		} else if rdy.Leader != leader {
+			record(true, fmt.Errorf("tcp: node %d elected %d, an earlier node elected %d", id, rdy.Leader, leader))
+		} else if rdy.PointTag != tag {
+			record(true, fmt.Errorf("tcp: node %d serves point tag %d, an earlier node serves %d", id, rdy.PointTag, tag))
 		}
+		shardLens[id] = rdy.ShardLen
+		total += rdy.ShardLen
+		summaries[id] = sum
 	}
 	if setupErr != nil {
 		return fail(setupErr)
@@ -372,6 +330,47 @@ func (f *Frontend) Serve() error {
 
 	<-acceptDone
 	return nil
+}
+
+// readReady reads seat id's ready report off its control connection: the
+// KindReady frame and the metric-index summary frame that always follows it,
+// both of which must name the seat. A KindError frame in its place — the
+// node's setup failed — comes back as the error, with origin reporting
+// whether the failure started in that node's own program.
+func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, origin bool, err error) {
+	payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		return rdy, sum, false, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err)
+	}
+	r := wire.NewReader(payload)
+	switch kind := r.Kind(); kind {
+	case wire.KindReady:
+	case wire.KindError:
+		ne, err := wire.DecodeNodeError(r)
+		if err != nil {
+			return rdy, sum, false, fmt.Errorf("tcp: bad setup error from node %d", id)
+		}
+		return rdy, sum, ne.Origin, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg)
+	default:
+		return rdy, sum, false, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
+	}
+	if rdy, err = wire.DecodeReady(r); err != nil {
+		return rdy, sum, false, fmt.Errorf("tcp: bad ready from node %d: %w", id, err)
+	}
+	if rdy.Node != id {
+		return rdy, sum, false, fmt.Errorf("tcp: node %d reported ready as %d", id, rdy.Node)
+	}
+	if payload, err = wire.ReadFrame(conn); err != nil {
+		return rdy, sum, false, fmt.Errorf("tcp: frontend read summary from node %d: %w", id, err)
+	}
+	r = wire.NewReader(payload)
+	if kind := r.Kind(); kind != wire.KindSummary {
+		return rdy, sum, false, fmt.Errorf("tcp: expected summary from node %d, got kind %d", id, kind)
+	}
+	if sum, err = wire.DecodeShardSummary(r); err != nil || sum.Node != id {
+		return rdy, sum, false, fmt.Errorf("tcp: bad summary from node %d (%v)", id, err)
+	}
+	return rdy, sum, false, nil
 }
 
 // writeAssign sends one KindAssign frame: the session mode (always
@@ -587,58 +586,25 @@ func (f *Frontend) handleRejoin(conn net.Conn, wantID int, addr string) {
 		return
 	}
 	// The node now rebuilds its shard and dials the present peers; its
-	// ready report seals the seat.
-	//knnlint:allow lockio -- rejoinMu exists to serialize this handshake I/O; the conn carries a handshake deadline
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	r := wire.NewReader(payload)
-	if kind := r.Kind(); kind != wire.KindReady {
-		deny(fmt.Sprintf("expected ready, got kind %d", kind))
-		return
-	}
-	nid := int(r.Varint())
-	nodeLeader := int(r.Varint())
-	shardLen := int64(r.Varint())
-	nodeTag := r.U8()
+	// ready report seals the seat. rejoinMu stays held across these reads —
+	// serializing the handshake is what it is for — and the conn carries the
+	// handshake deadline.
+	rdy, sum, _, err := readReady(conn, slot.id)
+	// A deterministic shard provider must reproduce the shard length and the
+	// metric summary bit-for-bit — otherwise the frontend's ℓ validation and
+	// pruning geometry would silently diverge from the node's data.
 	switch {
-	case r.Err() != nil:
-		deny("bad ready frame")
+	case err != nil:
+		deny(err.Error())
 		return
-	case nid != slot.id:
-		deny(fmt.Sprintf("ready for seat %d, granted %d", nid, slot.id))
+	case rdy.Leader != f.leader:
+		deny(fmt.Sprintf("ready reports leader %d, session elected %d", rdy.Leader, f.leader))
 		return
-	case nodeLeader != f.leader:
-		deny(fmt.Sprintf("ready reports leader %d, session elected %d", nodeLeader, f.leader))
+	case rdy.ShardLen != f.shardLens[slot.id]:
+		deny(fmt.Sprintf("shard of %d points, seat %d held %d — rebuilt data must match", rdy.ShardLen, slot.id, f.shardLens[slot.id]))
 		return
-	case shardLen != f.shardLens[slot.id]:
-		deny(fmt.Sprintf("shard of %d points, seat %d held %d — rebuilt data must match", shardLen, slot.id, f.shardLens[slot.id]))
-		return
-	case nodeTag != f.tag:
-		deny(fmt.Sprintf("point tag %d, cluster serves %d", nodeTag, f.tag))
-		return
-	}
-	// The ready report is followed by the rebuilt shard's metric summary; a
-	// deterministic shard provider must reproduce the summary bit-for-bit,
-	// exactly like the shard length above — otherwise the frontend's pruning
-	// geometry would silently diverge from the node's data.
-	//knnlint:allow lockio -- rejoinMu exists to serialize this handshake I/O; the conn carries a handshake deadline
-	spayload, err := wire.ReadFrame(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	sr := wire.NewReader(spayload)
-	if skind := sr.Kind(); skind != wire.KindSummary {
-		deny(fmt.Sprintf("expected summary, got kind %d", skind))
-		return
-	}
-	sum, err := wire.DecodeShardSummary(sr)
-	switch {
-	case err != nil || sum.Node != slot.id:
-		deny("bad summary frame")
+	case rdy.PointTag != f.tag:
+		deny(fmt.Sprintf("point tag %d, cluster serves %d", rdy.PointTag, f.tag))
 		return
 	case sum.Has != slot.summary.Has,
 		math.Float64bits(sum.Radius) != math.Float64bits(slot.summary.Radius),

@@ -83,11 +83,11 @@ type QueryResult struct {
 // already elected and handed down by the frontend), so it only rebuilds the
 // node's shard and index.
 //
-// Query calls run concurrently on one receiver, two ways at once: a batch
-// of size > 1 executes its per-point calls as lockstep sub-programs of the
-// shared epoch (each on its own Env; see batch.go), and the frontend's
-// scheduler pipelines whole epochs, so distinct dispatched epochs execute
-// concurrently on the same node too. Implementations must therefore keep
+// Query calls run concurrently on one receiver: every per-point call is a
+// lane of its epoch (each on its own Env; see batch.go), a batch's lanes
+// share that epoch's rounds, and the frontend's scheduler pipelines whole
+// epochs, so lanes of distinct dispatched epochs execute concurrently on the
+// same node too. Implementations must therefore keep
 // per-call state local and treat state written in Setup/Rejoin (the shard,
 // the leader) as read-only during queries. A Handler instance belongs to
 // one node.
@@ -221,11 +221,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 
 	var ready wire.Writer
-	ready.Kind(wire.KindReady)
-	ready.Varint(uint64(a.id))
-	ready.Varint(uint64(info.Leader))
-	ready.Varint(uint64(info.ShardLen))
-	ready.U8(info.PointTag)
+	wire.AppendReady(&ready, wire.Ready{Node: a.id, Leader: info.Leader, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
 	if err := wire.WriteFrame(coord, ready.Bytes()); err != nil {
 		return fmt.Errorf("tcp: node %d ready: %w (%v)", a.id, ErrSessionLost, err)
 	}
@@ -301,14 +297,13 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			if err != nil {
 				return fmt.Errorf("tcp: node %d bad dispatch: %w", a.id, err)
 			}
-			epochSeed := xrand.DeriveSeed(a.seed, epoch)
 			// Subscribing the epoch's frame feeds happens here, on the read
 			// loop, so subscriptions follow dispatch order (the
 			// demultiplexer requires monotonic epochs) and never race a
 			// later dispatch. A mesh with a dead link refuses the epoch
 			// with the fatal bit naming the lost peer — the frontend gates
 			// further dispatches until the implicated node re-joins.
-			er, err := node.beginEpoch(epoch, epochSeed)
+			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.seed, epoch))
 			if err != nil {
 				wire.PutFrameBuf(payload)
 				// Tell the live peers too: one of them may already have
@@ -323,7 +318,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				nr, err := runMeshEpoch(er, epochSeed, q, h, a.id, info.Leader)
+				nr, err := runMeshEpoch(er, q, h, a.id, info.Leader)
 				if err == nil {
 					nm.epochsServed.Inc()
 					nm.meshRounds.Add(int64(nr.Rounds))
@@ -361,33 +356,20 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 }
 
-// runMeshEpoch executes one dispatched BSP query epoch on its own goroutine
-// and returns the node's result for the frontend.
-func runMeshEpoch(er *epochRun, epochSeed uint64, q wire.Query, h Handler, id, leader int) (wire.NodeResult, error) {
+// runMeshEpoch executes one dispatched BSP query epoch — one lane per point
+// of the batch — on its own goroutine and returns the node's result for the
+// frontend.
+func runMeshEpoch(er *epochRun, q wire.Query, h Handler, id, leader int) (wire.NodeResult, error) {
 	res := make([]QueryResult, len(q.Points))
-	var err error
-	if len(q.Points) == 1 {
-		// A batch of one runs as a plain solo epoch, preserving the exact
-		// per-query seed schedule of the in-process Cluster (bit-identical
-		// single-query replays).
-		err = er.execute(func(m kmachine.Env) error {
+	progs := make([]kmachine.Program, len(q.Points))
+	for qi := range progs {
+		progs[qi] = func(m kmachine.Env) error {
 			var qerr error
-			res[0], qerr = h.Query(m, q, 0)
+			res[qi], qerr = h.Query(m, q, qi)
 			return qerr
-		})
-	} else {
-		progs := make([]kmachine.Program, len(q.Points))
-		for qi := range progs {
-			qi := qi
-			progs[qi] = func(m kmachine.Env) error {
-				var qerr error
-				res[qi], qerr = h.Query(m, q, qi)
-				return qerr
-			}
 		}
-		err = er.runBatch(epochSeed, progs)
 	}
-	if err != nil {
+	if err := er.run(progs); err != nil {
 		return wire.NodeResult{}, err
 	}
 	met := er.metrics

@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,10 +17,10 @@ import (
 
 // echoHandler is a minimal serving protocol for transport tests: the setup
 // epoch elects a min-GUID leader; each query runs one broadcast/gather
-// round and returns one synthetic "winner" per node, so the frontend's
-// per-query merge path and the lockstep batch path are both exercised. A
-// query for the magic value 1313 fails on node 1, exercising epoch-failure
-// recovery.
+// round plus v mod 3 idle ones (so the lanes of a batch need different round
+// counts) and returns one synthetic "winner" per node, so the frontend's
+// per-query merge path is exercised. A query for the magic value 1313 fails
+// on node 1, exercising epoch-failure recovery.
 type echoHandler struct {
 	leader int
 }
@@ -51,6 +52,9 @@ func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, 
 	m.EndRound()
 	if got := len(m.Gather(m.K() - 1)); got != m.K()-1 {
 		return QueryResult{}, fmt.Errorf("gathered %d of %d", got, m.K()-1)
+	}
+	for r := uint64(0); r < v%3; r++ {
+		m.EndRound()
 	}
 	out := QueryResult{
 		Winners: []points.Item{{Key: keys.Key{Dist: v*10 + uint64(m.ID()), ID: uint64(m.ID()) + 1}}},
@@ -166,19 +170,32 @@ func TestServeBatchedEpoch(t *testing.T) {
 	if rep.Leader != lc.Leader() {
 		t.Fatalf("leader %d, want %d", rep.Leader, lc.Leader())
 	}
-	// The whole batch runs in lockstep on one epoch: its round count must
-	// match a single query's (every sub-query broadcasts in the same
-	// shared physical round), while messages scale with the batch size.
-	single, err := client.Do(scalarQuery(wire.OpKNN, 1, 5))
-	if err != nil {
-		t.Fatal(err)
+	// The batch is one epoch of len(vs) lanes: every answer equals the same
+	// query asked alone in a one-lane epoch, the lanes share the physical
+	// rounds (the epoch takes as many as its slowest lane, not their sum),
+	// and messages and bytes add up.
+	var rounds int
+	var messages, bytes int64
+	for qi, v := range vs {
+		single, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Results[qi], single.Results[0]) {
+			t.Fatalf("query %d: batched answer %+v, asked alone %+v", qi, rep.Results[qi], single.Results[0])
+		}
+		if want := 1 + int(v%3); single.Rounds != want {
+			t.Fatalf("query %d alone took %d rounds, want %d", qi, single.Rounds, want)
+		}
+		rounds = max(rounds, single.Rounds)
+		messages += single.Messages
+		bytes += single.Bytes
 	}
-	if rep.Rounds != single.Rounds {
-		t.Fatalf("batch rounds=%d, single rounds=%d — lockstep batch should share physical rounds",
-			rep.Rounds, single.Rounds)
+	if rep.Rounds != rounds {
+		t.Fatalf("batch rounds=%d, want the slowest lane's %d", rep.Rounds, rounds)
 	}
-	if rep.Messages != int64(len(vs))*single.Messages {
-		t.Fatalf("batch messages=%d, want %d× single %d", rep.Messages, len(vs), single.Messages)
+	if rep.Messages != messages || rep.Bytes != bytes {
+		t.Fatalf("batch sent %d messages / %d bytes, its queries alone %d / %d", rep.Messages, rep.Bytes, messages, bytes)
 	}
 }
 
@@ -312,7 +329,7 @@ func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	addr := meshStub(t, func(conn net.Conn) {
-		if err := writeRoundFrame(conn, flagData, 0, 0, [][]byte{[]byte("early")}); err != nil {
+		if err := writeRoundFrame(conn, flagData, 0, 0, []laneMsg{{payload: []byte("early")}}); err != nil {
 			t.Errorf("stub acceptor round frame: %v", err)
 		}
 		if err := wire.WriteFrame(conn, nil); err != nil {
@@ -335,7 +352,7 @@ func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
 		if !ok {
 			t.Fatalf("link died instead of delivering the frame: %v", er.peers[0].cause())
 		}
-		if f.flag != flagData || f.epoch != 0 || f.round != 0 || len(f.msgs) != 1 || string(f.msgs[0]) != "early" {
+		if f.flag != flagData || f.epoch != 0 || f.round != 0 || len(f.msgs) != 1 || f.msgs[0].lane != 0 || string(f.msgs[0].payload) != "early" {
 			t.Fatalf("epoch 0 feed delivered %+v, want the round-0 frame written ahead of the ack", f)
 		}
 	case <-time.After(10 * time.Second):

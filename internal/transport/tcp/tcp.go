@@ -34,9 +34,9 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
+	"math"
+	"math/bits"
 	"net"
-	"sort"
 	"sync"
 
 	"distknn/internal/kmachine"
@@ -123,7 +123,7 @@ type frame struct {
 	flag  byte
 	epoch uint64
 	round uint64
-	msgs  [][]byte
+	msgs  []laneMsg
 }
 
 // peer is one mesh connection plus its demultiplexing reader. Frames are
@@ -378,25 +378,44 @@ func newNode(id, k int) *Node {
 	return n
 }
 
-// epochRun is one isolated BSP epoch executing on the standing mesh: it
-// implements kmachine.Env with its own round numbering, inbox/outbox,
-// metrics, and epoch-seeded randomness. Any number of epochRuns may be in
-// flight on one Node concurrently — each subscribed its own per-epoch frame
-// feed on every peer link, so the runs never observe each other's traffic.
+// laneMsg is one protocol message on the wire: the payload and the lane
+// (program index within the epoch) it belongs to. The lane is transport
+// framing — it is not charged to Metrics.
+type laneMsg struct {
+	lane    int
+	payload []byte
+}
+
+// epochRun is the physical round layer of one isolated BSP epoch on the
+// standing mesh: its own round numbering, per-peer outbox, frame feeds,
+// halt/error frames and metrics, plus the barrier its lanes (batch.go) meet
+// at — the last active lane to arrive performs the round exchange for all of
+// them. Any number of epochRuns may be in flight on one Node concurrently —
+// each subscribed its own per-epoch frame feed on every peer link, so the
+// runs never observe each other's traffic.
 type epochRun struct {
 	n     *Node
 	epoch uint64
+	seed  uint64
 	guid  uint64
-	rng   *rand.Rand
-
-	round   int
-	inbox   []kmachine.Message
-	outbox  [][][]byte // per-peer payloads queued this round
-	metrics Metrics
 
 	peers  []*peer        // pinned link snapshot for this epoch
 	feeds  []<-chan frame // per-peer frame feed (nil for self / absent)
 	halted []bool         // peers that sent their final frame this epoch
+
+	// Everything below is guarded by mu once run has started the lanes.
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	round   int
+	outbox  [][]laneMsg // per-peer messages queued this round
+	metrics Metrics
+
+	active  int                  // lanes still running
+	waiting int                  // lanes parked at the round barrier
+	gen     uint64               // completed exchanges; a parked lane waits for it to move
+	err     error                // sticky epoch failure; wakes and aborts every lane
+	inbox   [][]kmachine.Message // per-lane deliveries of the last exchange
 }
 
 // beginEpoch pins the current mesh and subscribes the epoch's frame feeds.
@@ -409,13 +428,14 @@ func (n *Node) beginEpoch(epoch, epochSeed uint64) (*epochRun, error) {
 	er := &epochRun{
 		n:      n,
 		epoch:  epoch,
+		seed:   epochSeed,
 		guid:   xrand.DeriveSeed(epochSeed, uint64(n.id)+(1<<32)),
-		rng:    xrand.NewStream(epochSeed, uint64(n.id)),
-		outbox: make([][][]byte, n.k),
+		outbox: make([][]laneMsg, n.k),
 		peers:  n.peerSnapshot(),
 		feeds:  make([]<-chan frame, n.k),
 		halted: make([]bool, n.k),
 	}
+	er.cond = sync.NewCond(&er.mu)
 	for j, p := range er.peers {
 		if j == n.id {
 			continue
@@ -444,97 +464,49 @@ func (er *epochRun) release() {
 	}
 }
 
-var _ kmachine.Env = (*epochRun)(nil)
-
-// ID returns the node's machine index.
-func (er *epochRun) ID() int { return er.n.id }
-
-// K returns the cluster size.
-func (er *epochRun) K() int { return er.n.k }
-
-// GUID returns the node's unique identifier for this epoch, derived from
-// the epoch seed exactly as the simulator derives it.
-func (er *epochRun) GUID() uint64 { return er.guid }
-
-// Rand returns the epoch's private random stream (simulator-identical).
-func (er *epochRun) Rand() *rand.Rand { return er.rng }
-
-// Round returns the current round.
-func (er *epochRun) Round() int { return er.round }
-
-// Send queues payload for machine `to` next round.
-func (er *epochRun) Send(to int, payload []byte) {
-	if to < 0 || to >= er.n.k {
-		panic(fmt.Sprintf("tcp: node %d sending to out-of-range %d", er.n.id, to))
-	}
-	if to == er.n.id {
-		panic(fmt.Sprintf("tcp: node %d sending to itself", er.n.id))
-	}
-	er.outbox[to] = append(er.outbox[to], payload)
-	er.metrics.Messages++
-	er.metrics.Bytes += int64(len(payload) + kmachine.MessageOverheadBytes)
+// live reports whether peer j still exchanges frames in this epoch.
+func (er *epochRun) live(j int) bool {
+	return j != er.n.id && er.feeds[j] != nil && !er.halted[j]
 }
 
-// Broadcast sends payload to every other machine.
-func (er *epochRun) Broadcast(payload []byte) {
-	for to := 0; to < er.n.k; to++ {
-		if to != er.n.id {
-			er.Send(to, payload)
-		}
-	}
-}
-
-// Recv takes this round's inbox.
-func (er *epochRun) Recv() []kmachine.Message {
-	in := er.inbox
-	er.inbox = nil
-	return in
-}
-
-// Gather advances rounds until n messages have been received.
-func (er *epochRun) Gather(want int) []kmachine.Message {
-	got := er.Recv()
-	for len(got) < want {
-		er.EndRound()
-		got = append(got, er.Recv()...)
-	}
-	return got
-}
-
-// WaitAny advances rounds until at least one message arrives.
-func (er *epochRun) WaitAny() []kmachine.Message { return er.Gather(1) }
-
-// EndRound exchanges one frame with every live peer and advances the round.
-func (er *epochRun) EndRound() {
-	er.exchange(flagData)
-	er.round++
-	er.metrics.Rounds = er.round
-}
-
-// exchange writes this round's frames (with the given flag) to all live
-// peers concurrently, then reads one frame from each live peer, building the
-// next round's inbox.
-func (er *epochRun) exchange(flag byte) {
-	n := er.n
+// send writes this round's frame (with the given flag) to every live peer
+// concurrently, emptying the outbox, and returns a wait function yielding the
+// per-peer write errors.
+func (er *epochRun) send(flag byte) func() []error {
 	var wg sync.WaitGroup
-	writeErrs := make([]error, n.k)
-	for j := 0; j < n.k; j++ {
-		if j == n.id || er.feeds[j] == nil || er.halted[j] {
+	errs := make([]error, er.n.k)
+	round := uint64(er.round)
+	for j := range er.peers {
+		if !er.live(j) {
 			continue
 		}
 		out := er.outbox[j]
 		er.outbox[j] = nil
 		wg.Add(1)
-		go func(j int, out [][]byte) {
+		go func() {
 			defer wg.Done()
-			writeErrs[j] = writeRoundFrame(er.peers[j].conn, flag, er.epoch, uint64(er.round), out)
-		}(j, out)
+			errs[j] = writeRoundFrame(er.peers[j].conn, flag, er.epoch, round, out)
+		}()
 	}
+	return func() []error {
+		wg.Wait()
+		return errs
+	}
+}
+
+// exchange is one physical round: it writes this round's data frame to every
+// live peer, reads one frame from each while the writes drain, files the
+// delivered messages under their lanes (ascending sender within a lane) and
+// advances the round. A lost link, an out-of-step frame or a message for a
+// lane this epoch does not have is a transport fault naming the peer; a
+// peer's error frame ends the epoch with errPeerAbort.
+func (er *epochRun) exchange() error {
+	n := er.n
+	writes := er.send(flagData)
 	// Read while writes drain to avoid mutual kernel-buffer deadlock.
-	var next []kmachine.Message
 	var remoteErr error
-	for j := 0; j < n.k; j++ {
-		if j == n.id || er.feeds[j] == nil || er.halted[j] {
+	for j := range er.peers {
+		if !er.live(j) {
 			continue
 		}
 		f, ok := <-er.feeds[j]
@@ -560,13 +532,19 @@ func (er *epochRun) exchange(flag byte) {
 		if f.flag == flagHalt {
 			er.halted[j] = true
 		}
-		for _, payload := range f.msgs {
-			next = append(next, kmachine.Message{From: j, To: n.id, Payload: payload})
+		for _, m := range f.msgs {
+			if m.lane >= len(er.inbox) {
+				n.dropPeer(j, er.peers[j])
+				remoteErr = transportFault(j, fmt.Errorf("tcp: node %d got a message for lane %d from %d in the %d-lane epoch %d",
+					n.id, m.lane, j, len(er.inbox), er.epoch))
+				break
+			}
+			er.inbox[m.lane] = append(er.inbox[m.lane], kmachine.Message{From: j, To: n.id, Payload: m.payload})
 		}
 	}
-	wg.Wait()
+	writeErrs := writes()
 	if remoteErr != nil {
-		panic(remoteErr) // recovered by execute
+		return remoteErr
 	}
 	for j, err := range writeErrs {
 		// A write race against a peer that halted this very round (it
@@ -574,72 +552,23 @@ func (er *epochRun) exchange(flag byte) {
 		// write failure is a real transport error.
 		if err != nil && !er.halted[j] {
 			n.dropPeer(j, er.peers[j])
-			panic(transportFault(j, fmt.Errorf("tcp: node %d write to %d: %w", n.id, j, err)))
+			return transportFault(j, fmt.Errorf("tcp: node %d write to %d: %w", n.id, j, err))
 		}
 	}
-	sort.SliceStable(next, func(a, b int) bool { return next[a].From < next[b].From })
-	er.inbox = next
-}
-
-// exchangeHalt writes halt frames (write-only: a halted node never reads
-// again, matching the simulator's semantics).
-func (er *epochRun) exchangeHalt() {
-	var wg sync.WaitGroup
-	for j := 0; j < er.n.k; j++ {
-		if j == er.n.id || er.feeds[j] == nil || er.halted[j] {
-			continue
-		}
-		out := er.outbox[j]
-		er.outbox[j] = nil
-		wg.Add(1)
-		go func(j int, out [][]byte) {
-			defer wg.Done()
-			// Ignore errors: the peer may have halted concurrently.
-			_ = writeRoundFrame(er.peers[j].conn, flagHalt, er.epoch, uint64(er.round), out)
-		}(j, out)
-	}
-	wg.Wait()
-}
-
-// execute runs prog as this epoch, translating the final state into
-// halt/error frames for the peers and releasing the epoch's frame feeds. It
-// leaves the connections open so other (and later) epochs keep running on
-// the standing mesh.
-func (er *epochRun) execute(prog kmachine.Program) (err error) {
-	defer er.release()
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("tcp: node %d panicked: %v", er.n.id, rec)
-			}
-			// Best effort: tell the peers this epoch is gone here.
-			for j := range er.peers {
-				if j != er.n.id && er.feeds[j] != nil && !er.halted[j] {
-					_ = writeRoundFrame(er.peers[j].conn, flagErr, er.epoch, uint64(er.round), nil)
-				}
-			}
-		}
-	}()
-	if perr := prog(er); perr != nil {
-		panic(perr)
-	}
-	// Clean halt: flush pending sends with the halt flag.
-	er.exchangeHalt()
+	er.round++
+	er.metrics.Rounds = er.round
 	return nil
 }
 
-// runEpoch executes prog as one isolated BSP epoch on the standing mesh —
-// the serving path uses it for the setup epoch; dispatched query epochs
-// begin on the read loop and run through epochRun.execute / runBatch
-// (serve.go's runDispatchedEpoch) instead.
+// runEpoch executes prog as a one-lane epoch on the standing mesh — the
+// serving path uses it for the setup epoch; dispatched query epochs begin on
+// the read loop (serve.go) and call run themselves.
 func (n *Node) runEpoch(epoch, epochSeed uint64, prog kmachine.Program) (Metrics, error) {
 	er, err := n.beginEpoch(epoch, epochSeed)
 	if err != nil {
 		return Metrics{}, err
 	}
-	err = er.execute(prog)
+	err = er.run([]kmachine.Program{prog})
 	return er.metrics, err
 }
 
@@ -657,10 +586,12 @@ func (n *Node) abortEpoch(epoch uint64) {
 	}
 }
 
-// writeRoundFrame serializes one round frame through a pooled writer. The
+// writeRoundFrame serializes one round frame through a pooled writer. Each
+// message travels as Varint(len(lane)+len(payload)), Varint(lane), payload —
+// the lane index is framing, the payload is never copied to carry it. The
 // frame goes out as a single Write, so concurrent epochs sharing a mesh
 // link never interleave frames.
-func writeRoundFrame(conn net.Conn, flag byte, epoch, round uint64, msgs [][]byte) error {
+func writeRoundFrame(conn net.Conn, flag byte, epoch, round uint64, msgs []laneMsg) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	w.BeginFrame()
@@ -669,23 +600,36 @@ func writeRoundFrame(conn net.Conn, flag byte, epoch, round uint64, msgs [][]byt
 	w.Varint(round)
 	w.Varint(uint64(len(msgs)))
 	for _, m := range msgs {
-		w.Varint(uint64(len(m)))
-		w.Raw(m)
+		w.Varint(uint64(varintLen(uint64(m.lane)) + len(m.payload)))
+		w.Varint(uint64(m.lane))
+		w.Raw(m.payload)
 	}
 	return w.EndFrame(conn)
 }
 
-// parseRoundFrame decodes one round frame payload.
+// varintLen is the encoded size of v as a wire varint.
+func varintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// parseRoundFrame decodes one round frame payload, copying every message out
+// of it. It rejects a lane index that does not fit an int; whether the lane
+// exists is the receiving epoch's call (exchange), since the frame may
+// arrive before that epoch starts.
 func parseRoundFrame(payload []byte) (frame, error) {
 	r := wire.NewReader(payload)
 	f := frame{flag: r.U8(), epoch: r.Varint(), round: r.Varint()}
 	count := r.Varint()
 	for i := uint64(0); i < count; i++ {
 		size := r.Varint()
-		if r.Err() != nil || size > uint64(r.Remaining()) {
+		rest := r.Remaining()
+		if r.Err() != nil || size > uint64(rest) {
 			return frame{}, fmt.Errorf("tcp: corrupt frame")
 		}
-		f.msgs = append(f.msgs, append([]byte(nil), r.Raw(int(size))...))
+		lane := r.Varint()
+		tag := uint64(rest - r.Remaining())
+		if r.Err() != nil || tag > size || lane > math.MaxInt {
+			return frame{}, fmt.Errorf("tcp: corrupt frame: bad lane index")
+		}
+		f.msgs = append(f.msgs, laneMsg{lane: int(lane), payload: append([]byte(nil), r.Raw(int(size-tag))...)})
 	}
 	if r.Err() != nil {
 		return frame{}, r.Err()

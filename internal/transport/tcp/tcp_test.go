@@ -249,46 +249,65 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 }
 
 func TestTCPMatchesSimulator(t *testing.T) {
-	// With the same epoch seed, the TCP runtime and the unlimited-bandwidth
-	// simulator must make bit-identical protocol decisions.
+	// With the same epoch seed, a one-lane TCP epoch and the
+	// unlimited-bandwidth simulator must make bit-identical protocol
+	// decisions — the same answer at the same cost, message for message.
 	k, n, l := 3, 200, 10
 	seed := uint64(55)
 	q := points.Scalar(12345678)
 
-	prog := func(record func(id int, b keys.Key)) kmachine.Program {
+	prog := func(record func(id int, res core.Result)) kmachine.Program {
 		return func(m kmachine.Env) error {
 			set := instanceFor(seed, m.ID(), n)
 			res, err := core.KNN(m, core.Config{Leader: 0, L: l}, set.TopLItems(q, l))
 			if err != nil {
 				return err
 			}
-			record(m.ID(), res.Boundary)
+			record(m.ID(), res)
 			return nil
 		}
 	}
-
-	var mu sync.Mutex
-	tcpBounds := make([]keys.Key, k)
-	mustRunSetupEpoch(t, k, seed, prog(func(id int, b keys.Key) {
-		mu.Lock()
-		tcpBounds[id] = b
-		mu.Unlock()
-	}))
-
-	simBounds := make([]keys.Key, k)
-	_, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: -1},
-		prog(func(id int, b keys.Key) {
+	recordInto := func(out []core.Result) func(int, core.Result) {
+		var mu sync.Mutex
+		return func(id int, res core.Result) {
 			mu.Lock()
-			simBounds[id] = b
+			out[id] = res
 			mu.Unlock()
-		}))
+		}
+	}
+
+	tcpRes := make([]core.Result, k)
+	tcpMet := mustRunSetupEpoch(t, k, seed, prog(recordInto(tcpRes)))
+
+	simRes := make([]core.Result, k)
+	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: -1},
+		prog(recordInto(simRes)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds := 0
 	for i := 0; i < k; i++ {
-		if tcpBounds[i] != simBounds[i] {
-			t.Errorf("node %d: tcp %v != sim %v", i, tcpBounds[i], simBounds[i])
+		if tcpRes[i].Boundary != simRes[i].Boundary {
+			t.Errorf("node %d: tcp %v != sim %v", i, tcpRes[i].Boundary, simRes[i].Boundary)
 		}
+		if tcpRes[i].Iterations != simRes[i].Iterations || tcpRes[i].Survivors != simRes[i].Survivors {
+			t.Errorf("node %d: tcp %d iterations / %d survivors, sim %d / %d", i,
+				tcpRes[i].Iterations, tcpRes[i].Survivors, simRes[i].Iterations, simRes[i].Survivors)
+		}
+		if tcpMet[i].Messages != simMet.SentMessages[i] || tcpMet[i].Bytes != simMet.SentBytes[i] {
+			t.Errorf("node %d: tcp sent %d messages / %d bytes, sim %d / %d", i,
+				tcpMet[i].Messages, tcpMet[i].Bytes, simMet.SentMessages[i], simMet.SentBytes[i])
+		}
+		rounds = max(rounds, tcpMet[i].Rounds)
+	}
+	// The simulator counts rounds until the last machine halts; so does the
+	// slowest node. With sim == tcp, the simulator's exact round law
+	// (core's TestKNNRoundLaw) holds on sockets too.
+	if rounds != simMet.Rounds {
+		t.Errorf("tcp epoch took %d rounds, sim %d", rounds, simMet.Rounds)
+	}
+	if want := 2*simRes[0].Iterations + 6; rounds != want {
+		t.Errorf("%d rounds for %d iterations, want %d", rounds, simRes[0].Iterations, want)
 	}
 }
 

@@ -77,11 +77,7 @@ func (n *stubNode) serve(addr string) error {
 	n.id = id
 	n.mu.Unlock()
 	var ready wire.Writer
-	ready.Kind(wire.KindReady)
-	ready.Varint(uint64(id))
-	ready.Varint(0)
-	ready.Varint(3)
-	ready.U8(wire.PointScalar)
+	wire.AppendReady(&ready, wire.Ready{Node: id, Leader: 0, ShardLen: 3, PointTag: wire.PointScalar})
 	if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
 		return err
 	}

@@ -372,6 +372,36 @@ func DecodeRejoinAssign(r *Reader) (RejoinAssign, error) {
 	return ra, nil
 }
 
+// Ready is the body of a KindReady frame: what a node reports once its setup
+// epoch (or its re-join) has completed — its seat, the leader it elected (or
+// was handed), its shard size and the point encoding it serves.
+type Ready struct {
+	Node     int
+	Leader   int
+	ShardLen int64
+	PointTag uint8
+}
+
+// AppendReady appends a KindReady frame payload to w.
+func AppendReady(w *Writer, rdy Ready) {
+	w.Kind(KindReady)
+	w.Varint(uint64(rdy.Node))
+	w.Varint(uint64(rdy.Leader))
+	w.Varint(uint64(rdy.ShardLen))
+	w.U8(rdy.PointTag)
+}
+
+// DecodeReady reads a Ready body; the kind byte must already be consumed.
+func DecodeReady(r *Reader) (Ready, error) {
+	rdy := Ready{
+		Node:     int(r.Varint()),
+		Leader:   int(r.Varint()),
+		ShardLen: int64(r.Varint()),
+		PointTag: r.U8(),
+	}
+	return rdy, r.Err()
+}
+
 // ShardSummary is one node's metric-index summary of its shard: the
 // centroid (anchor) point in the session's wire encoding and the shard's
 // true-distance radius around it. The frontend keeps one per seat and runs

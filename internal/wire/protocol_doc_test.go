@@ -40,9 +40,11 @@ func docExamples() []struct {
 	mesh.Varint(1)
 	mesh.Varint(2)
 	mesh.Varint(2)
-	mesh.Varint(2)
-	mesh.Raw([]byte("hi"))
+	mesh.Varint(3) // lane index + payload
 	mesh.Varint(0)
+	mesh.Raw([]byte("hi"))
+	mesh.Varint(1)
+	mesh.Varint(1)
 
 	// Single-query (batch of one) scalar KNN, and its epoch-1 dispatch.
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}
@@ -54,11 +56,7 @@ func docExamples() []struct {
 	}}
 
 	var rdy Writer
-	rdy.Kind(KindReady)
-	rdy.Varint(1)
-	rdy.Varint(0)
-	rdy.Varint(5000)
-	rdy.U8(PointScalar)
+	AppendReady(&rdy, Ready{Node: 1, Leader: 0, ShardLen: 5000, PointTag: PointScalar})
 
 	return []struct {
 		Name  string
