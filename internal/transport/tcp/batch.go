@@ -12,12 +12,12 @@ import (
 // This file is how a program runs on the mesh: as a lane of an epoch. An
 // epoch runs b programs — one for the setup epoch and for a single query, one
 // per query point for a batch — each against the full kmachine.Env surface,
-// all sharing the epoch's physical rounds: their per-round messages travel in
-// the one frame per peer, each carrying its lane index, and are filed under
-// that lane on arrival. An epoch of b lanes therefore costs max(rounds over
-// the b programs) physical round exchanges instead of their sum: frames,
-// syscalls and per-round latency are amortized b-fold, which is what makes
-// batched dispatch the wire-native query shape worth having.
+// all sharing the epoch's physical rounds: their per-round messages travel
+// in the one frame per live edge, each carrying its lane index, and are
+// filed under that lane on arrival. An epoch of b lanes therefore costs
+// max(rounds over the b programs) physical round exchanges instead of their
+// sum: frames, syscalls and per-round latency are amortized b-fold, which is
+// what makes batched dispatch the wire-native query shape worth having.
 //
 // The BSP semantics per lane are the simulator's. Every lane starts at
 // physical round 0 and advances exactly one physical round per EndRound, so
@@ -63,7 +63,7 @@ func (er *epochRun) run(progs []kmachine.Program) error {
 	if er.err != nil {
 		flag = flagErr
 	}
-	er.send(flag)()
+	er.send(flag)
 	return er.err
 }
 
@@ -163,6 +163,12 @@ func (l *lane) Send(to int, payload []byte) {
 	}
 	if to == n.id {
 		panic(fmt.Sprintf("tcp: node %d sending to itself", n.id))
+	}
+	if !l.er.edge(to) {
+		// A program error, not a transport fault: the lane fails the epoch
+		// before anything reaches the wire, and every link stays up.
+		panic(fmt.Errorf("tcp: node %d sent to node %d in epoch %d, a star around node %d: a query program talks only to the leader",
+			n.id, to, l.er.epoch, l.er.hub))
 	}
 	l.out = append(l.out, laneSend{to: to, payload: payload})
 	// Charge the protocol payload only: the lane index is transport framing.

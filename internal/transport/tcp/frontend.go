@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -293,9 +294,10 @@ func (f *Frontend) Serve() error {
 		}
 	}
 	for id, conn := range conns {
-		rdy, sum, origin, err := readReady(conn, id)
+		rdy, sum, err := readReady(conn, id)
 		if err != nil {
-			record(origin, err)
+			var se setupError
+			record(errors.As(err, &se) && se.origin, err)
 			continue
 		}
 		if !haveFirst {
@@ -332,15 +334,25 @@ func (f *Frontend) Serve() error {
 	return nil
 }
 
+// setupError is a node's own report that its setup failed; origin marks a
+// failure that started in that node's program rather than a peer's abort
+// echo. Only Serve's setup drain inspects it, to surface the origin.
+type setupError struct {
+	id     int
+	msg    string
+	origin bool
+}
+
+func (e setupError) Error() string { return fmt.Sprintf("tcp: node %d failed setup: %s", e.id, e.msg) }
+
 // readReady reads seat id's ready report off its control connection: the
 // KindReady frame and the metric-index summary frame that always follows it,
 // both of which must name the seat. A KindError frame in its place — the
-// node's setup failed — comes back as the error, with origin reporting
-// whether the failure started in that node's own program.
-func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, origin bool, err error) {
+// node's setup failed — comes back as a setupError.
+func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, err error) {
 	payload, err := wire.ReadFrame(conn)
 	if err != nil {
-		return rdy, sum, false, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err)
+		return rdy, sum, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err)
 	}
 	r := wire.NewReader(payload)
 	switch kind := r.Kind(); kind {
@@ -348,29 +360,29 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, or
 	case wire.KindError:
 		ne, err := wire.DecodeNodeError(r)
 		if err != nil {
-			return rdy, sum, false, fmt.Errorf("tcp: bad setup error from node %d", id)
+			return rdy, sum, fmt.Errorf("tcp: bad setup error from node %d", id)
 		}
-		return rdy, sum, ne.Origin, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg)
+		return rdy, sum, setupError{id: id, msg: ne.Msg, origin: ne.Origin}
 	default:
-		return rdy, sum, false, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
+		return rdy, sum, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
 	}
 	if rdy, err = wire.DecodeReady(r); err != nil {
-		return rdy, sum, false, fmt.Errorf("tcp: bad ready from node %d: %w", id, err)
+		return rdy, sum, fmt.Errorf("tcp: bad ready from node %d: %w", id, err)
 	}
 	if rdy.Node != id {
-		return rdy, sum, false, fmt.Errorf("tcp: node %d reported ready as %d", id, rdy.Node)
+		return rdy, sum, fmt.Errorf("tcp: node %d reported ready as %d", id, rdy.Node)
 	}
 	if payload, err = wire.ReadFrame(conn); err != nil {
-		return rdy, sum, false, fmt.Errorf("tcp: frontend read summary from node %d: %w", id, err)
+		return rdy, sum, fmt.Errorf("tcp: frontend read summary from node %d: %w", id, err)
 	}
 	r = wire.NewReader(payload)
 	if kind := r.Kind(); kind != wire.KindSummary {
-		return rdy, sum, false, fmt.Errorf("tcp: expected summary from node %d, got kind %d", id, kind)
+		return rdy, sum, fmt.Errorf("tcp: expected summary from node %d, got kind %d", id, kind)
 	}
 	if sum, err = wire.DecodeShardSummary(r); err != nil || sum.Node != id {
-		return rdy, sum, false, fmt.Errorf("tcp: bad summary from node %d (%v)", id, err)
+		return rdy, sum, fmt.Errorf("tcp: bad summary from node %d (%v)", id, err)
 	}
-	return rdy, sum, false, nil
+	return rdy, sum, nil
 }
 
 // writeAssign sends one KindAssign frame: the session mode (always
@@ -589,7 +601,7 @@ func (f *Frontend) handleRejoin(conn net.Conn, wantID int, addr string) {
 	// ready report seals the seat. rejoinMu stays held across these reads —
 	// serializing the handshake is what it is for — and the conn carries the
 	// handshake deadline.
-	rdy, sum, _, err := readReady(conn, slot.id)
+	rdy, sum, err := readReady(conn, slot.id)
 	// A deterministic shard provider must reproduce the shard length and the
 	// metric summary bit-for-bit — otherwise the frontend's ℓ validation and
 	// pruning geometry would silently diverge from the node's data.

@@ -69,6 +69,7 @@ type nodeMetrics struct {
 	directServed *obs.Counter // node_direct_epochs_total: direct (no-mesh) epochs completed
 	epochErrors  *obs.Counter // node_epoch_errors_total: epochs answered with an error frame
 	meshRounds   *obs.Counter // node_mesh_rounds_total: Σ rounds of this node's mesh epochs
+	meshFrames   *obs.Counter // node_mesh_frames_total: Σ round frames this node wrote in its mesh epochs
 	meshMessages *obs.Counter // node_mesh_messages_total: Σ messages of this node's mesh epochs
 	meshBytes    *obs.Counter // node_mesh_bytes_total: Σ mesh traffic bytes of this node's epochs
 	ctrlIn       *obs.Counter // node_ctrl_bytes_in_total: control-plane frame bytes read from the frontend
@@ -85,6 +86,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		directServed: reg.Counter("node_direct_epochs_total"),
 		epochErrors:  reg.Counter("node_epoch_errors_total"),
 		meshRounds:   reg.Counter("node_mesh_rounds_total"),
+		meshFrames:   reg.Counter("node_mesh_frames_total"),
 		meshMessages: reg.Counter("node_mesh_messages_total"),
 		meshBytes:    reg.Counter("node_mesh_bytes_total"),
 		ctrlIn:       reg.Counter("node_ctrl_bytes_in_total"),

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func TestEpochRejectsMessageForMissingLane(t *testing.T) {
 	if err := dialPeer(node, 0, addr); err != nil {
 		t.Fatal(err)
 	}
-	er, err := node.beginEpoch(0, 1)
+	er, err := node.beginEpoch(0, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +135,69 @@ func TestEpochRejectsMessageForMissingLane(t *testing.T) {
 	}
 	if p := node.peerSnapshot()[0]; p != nil {
 		t.Error("the link to the offending peer stayed installed")
+	}
+}
+
+// TestStarEpochRejectsWorkerToWorkerMessage plays a query program that
+// breaks the star contract: in a live 3-node star epoch around node 0,
+// worker 1 messages worker 2. That is the program's fault, not the mesh's:
+// the epoch must fail on every node — worker 2 learns of it only through
+// the hub — with a program error naming both nodes, without hanging and
+// without dropping a link, and the next star epoch must succeed.
+func TestStarEpochRejectsWorkerToWorkerMessage(t *testing.T) {
+	const k, hub = 3, 0
+	nodes := startMesh(t, k, 12)
+	star := func(ordinal uint64, prog kmachine.Program) []error {
+		t.Helper()
+		done := make(chan []error, 1)
+		go func() {
+			_, errs := runStarEpoch(nodes, ordinal, hub, prog)
+			done <- errs
+		}()
+		select {
+		case errs := <-done:
+			return errs
+		case <-time.After(10 * time.Second):
+			t.Fatalf("star epoch %d hung", ordinal)
+			return nil
+		}
+	}
+
+	errs := star(1, func(m kmachine.Env) error {
+		if m.ID() == 1 {
+			m.Send(2, []byte("sideways"))
+		}
+		for {
+			m.EndRound() // spins until the epoch is aborted
+		}
+	})
+	for i, err := range errs {
+		if err == nil || IsTransportError(err) {
+			t.Errorf("node %d ended the rogue epoch with %v, want a program error", i, err)
+		}
+	}
+	if msg := fmt.Sprint(errs[1]); !strings.Contains(msg, "node 1") || !strings.Contains(msg, "node 2") {
+		t.Errorf("the violation %q does not name both nodes", msg)
+	}
+	for i, n := range nodes {
+		for j, p := range n.peerSnapshot() {
+			if j != i && p == nil {
+				t.Errorf("node %d dropped its link to %d over a program error", i, j)
+			}
+		}
+	}
+
+	for i, err := range star(2, func(m kmachine.Env) error {
+		if m.ID() == hub {
+			m.Gather(k - 1)
+		} else {
+			m.Send(hub, []byte{byte(m.ID())})
+		}
+		return nil
+	}) {
+		if err != nil {
+			t.Errorf("node %d: the star epoch after the violation failed: %v", i, err)
+		}
 	}
 }
 

@@ -78,8 +78,8 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 // TestSchedulerCoalescesSingleQueries proves transparent server-side
 // batching: with MaxServerBatch=4 and a long linger, four concurrently
 // arriving single queries must share one lockstep epoch — every reply
-// reports the whole epoch's message total (4 sub-programs' broadcasts),
-// and each client still gets exactly its own per-query result.
+// reports the whole epoch's message total (4 sub-programs' star round
+// trips), and each client still gets exactly its own per-query result.
 func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	k := 3
 	lc := startEchoClusterOptions(t, k, 81, FrontendOptions{
@@ -109,9 +109,10 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Each sub-program broadcasts once: k·(k−1) messages per query, and a
-	// coalesced epoch of 4 reports the shared total to every participant.
-	wantMsgs := int64(batch * k * (k - 1))
+	// Each sub-program is one star round trip: 2(k−1) messages per query,
+	// and a coalesced epoch of 4 reports the shared total to every
+	// participant.
+	wantMsgs := int64(batch * 2 * (k - 1))
 	for i := 0; i < batch; i++ {
 		if errs[i] != nil {
 			t.Fatalf("client %d: %v", i, errs[i])

@@ -78,10 +78,16 @@ type QueryResult struct {
 // epoch at session start (leader election, shard discovery) — or one Rejoin
 // call when the node re-joins a running session — then, per dispatched
 // batch, one Query call per point of the batch, all inside a single BSP
-// epoch. Setup and Query run on the standing mesh and may freely use the
-// full kmachine.Env protocol surface; Rejoin is local (the leader is
-// already elected and handed down by the frontend), so it only rebuilds the
-// node's shard and index.
+// epoch. Setup and Query run on the standing mesh; Rejoin is local (the
+// leader is already elected and handed down by the frontend), so it only
+// rebuilds the node's shard and index.
+//
+// Topology is part of the contract. Setup runs on the full mesh and may
+// message any node. Query runs in a star around SessionInfo.Leader: a
+// worker may only Send to the leader, and only the leader may Broadcast —
+// the shape of every core and dsel protocol. A worker that messages another
+// worker fails its epoch with a program error (no link is dropped); the
+// star is what lets a query round cost 2(k−1) frames instead of k(k−1).
 //
 // Query calls run concurrently on one receiver: every per-point call is a
 // lane of its epoch (each on its own Env; see batch.go), a batch's lanes
@@ -205,7 +211,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			return fmt.Errorf("tcp: node %d rejoin: %w", a.id, err)
 		}
 	} else {
-		if err := buildServeMesh(node, a.addrs); err != nil {
+		if err := buildMesh(node, a.addrs); err != nil {
 			return err
 		}
 		// Setup epoch (ordinal 0): elect the leader exactly once per
@@ -303,7 +309,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			// later dispatch. A mesh with a dead link refuses the epoch
 			// with the fatal bit naming the lost peer — the frontend gates
 			// further dispatches until the implicated node re-joins.
-			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.seed, epoch))
+			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.seed, epoch), info.Leader)
 			if err != nil {
 				wire.PutFrameBuf(payload)
 				// Tell the live peers too: one of them may already have
@@ -322,6 +328,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 				if err == nil {
 					nm.epochsServed.Inc()
 					nm.meshRounds.Add(int64(nr.Rounds))
+					nm.meshFrames.Add(er.metrics.Frames)
 					nm.meshMessages.Add(nr.Messages)
 					nm.meshBytes.Add(nr.Bytes)
 				}
@@ -581,9 +588,9 @@ func dialPeer(n *Node, j int, addr string) error {
 	return fmt.Errorf("tcp: node %d ack from %d: %w", n.id, j, err)
 }
 
-// buildServeMesh establishes the initial mesh: this node dials every lower
+// buildMesh establishes the initial mesh: this node dials every lower
 // machine index and waits until the accept loop has seated every higher one.
-func buildServeMesh(n *Node, addrs []string) error {
+func buildMesh(n *Node, addrs []string) error {
 	errs := make(chan error, n.id)
 	for j := 0; j < n.id; j++ {
 		go func(j int) { errs <- dialPeer(n, j, addrs[j]) }(j)

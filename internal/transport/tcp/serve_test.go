@@ -16,11 +16,14 @@ import (
 )
 
 // echoHandler is a minimal serving protocol for transport tests: the setup
-// epoch elects a min-GUID leader; each query runs one broadcast/gather
-// round plus v mod 3 idle ones (so the lanes of a batch need different round
-// counts) and returns one synthetic "winner" per node, so the frontend's
+// epoch elects a min-GUID leader; each query is a leader star — every worker
+// sends the leader one message, the leader answers with one broadcast —
+// plus v mod 3 idle rounds (so the lanes of a batch need different round
+// counts), and returns one synthetic "winner" per node, so the frontend's
 // per-query merge path is exercised. A query for the magic value 1313 fails
-// on node 1, exercising epoch-failure recovery.
+// on the worker after the leader before it sends anything, exercising
+// epoch-failure recovery: the other workers only learn of the failure
+// through the leader's abort.
 type echoHandler struct {
 	leader int
 }
@@ -44,14 +47,21 @@ func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, 
 	if err != nil {
 		return QueryResult{}, err
 	}
-	if v == 1313 && m.ID() == 1 {
+	if v == 1313 && m.ID() == (h.leader+1)%m.K() {
 		return QueryResult{}, fmt.Errorf("unlucky query")
 	}
-	// One real BSP round so every query exercises the mesh.
-	m.Broadcast([]byte{byte(m.ID())})
-	m.EndRound()
-	if got := len(m.Gather(m.K() - 1)); got != m.K()-1 {
-		return QueryResult{}, fmt.Errorf("gathered %d of %d", got, m.K()-1)
+	// One star round trip, so every query exercises the mesh: two rounds.
+	if m.ID() == h.leader {
+		if got := len(m.Gather(m.K() - 1)); got != m.K()-1 {
+			return QueryResult{}, fmt.Errorf("leader gathered %d of %d", got, m.K()-1)
+		}
+		m.Broadcast([]byte{byte(m.ID())})
+	} else {
+		m.Send(h.leader, []byte{byte(m.ID())})
+		m.EndRound()
+		if got := len(m.Gather(1)); got != 1 {
+			return QueryResult{}, fmt.Errorf("worker gathered %d replies", got)
+		}
 	}
 	for r := uint64(0); r < v%3; r++ {
 		m.EndRound()
@@ -133,8 +143,9 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 		if res.Boundary.Dist != v || rep.Leader != lc.Leader() {
 			t.Fatalf("query %d: boundary %v leader %d", v, res.Boundary, rep.Leader)
 		}
-		if rep.Rounds < 1 || rep.Messages < int64(k*(k-1)) {
-			t.Fatalf("query %d: implausible cost rounds=%d msgs=%d", v, rep.Rounds, rep.Messages)
+		// A star round trip: k−1 worker messages, k−1 leader replies.
+		if rep.Rounds != 2+int(v%3) || rep.Messages != int64(2*(k-1)) {
+			t.Fatalf("query %d: cost rounds=%d msgs=%d, want %d and %d", v, rep.Rounds, rep.Messages, 2+v%3, 2*(k-1))
 		}
 	}
 }
@@ -184,7 +195,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 		if !reflect.DeepEqual(rep.Results[qi], single.Results[0]) {
 			t.Fatalf("query %d: batched answer %+v, asked alone %+v", qi, rep.Results[qi], single.Results[0])
 		}
-		if want := 1 + int(v%3); single.Rounds != want {
+		if want := 2 + int(v%3); single.Rounds != want {
 			t.Fatalf("query %d alone took %d rounds, want %d", qi, single.Rounds, want)
 		}
 		rounds = max(rounds, single.Rounds)
@@ -342,7 +353,7 @@ func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
 	if err := dialPeer(node, 0, addr); err != nil {
 		t.Fatalf("dialPeer with a round frame ahead of the ack: %v", err)
 	}
-	er, err := node.beginEpoch(0, 1)
+	er, err := node.beginEpoch(0, 1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

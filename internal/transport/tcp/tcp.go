@@ -4,17 +4,22 @@
 //
 // The synchronous-round semantics match the in-process simulator exactly:
 // messages sent in round r are delivered at the start of round r+1. Rounds
-// are implemented BSP-style — at the end of each round every node sends
-// exactly one frame (possibly empty) to every live peer and waits for one
-// frame from each, so no global barrier service is needed. Bandwidth is that
-// of the real network (the simulator's B-bits-per-round accounting has no
-// TCP analogue), so round counts match a simulator run with unlimited
+// are implemented BSP-style — at the end of each round a node sends exactly
+// one frame (possibly empty) along each of its live edges and waits for one
+// frame back on each, so no global barrier service is needed. An epoch's
+// edges are its topology: the setup epoch (leader election) is a full mesh,
+// k(k−1) frames a round, while a query epoch is a star around the session
+// leader — a worker exchanges frames with the leader only, the leader with
+// every worker — so it costs 2(k−1) frames a round. Bandwidth is that of the
+// real network (the simulator's B-bits-per-round accounting has no TCP
+// analogue), so round counts match a simulator run with unlimited
 // bandwidth, and with the same seed the two runtimes execute bit-identical
 // protocol decisions.
 //
 // A node that finishes marks its final frame with a halt flag; peers stop
-// expecting frames from it. A node that fails broadcasts an error flag,
-// which aborts every peer's run.
+// expecting frames from it. A node that fails sends an error flag along its
+// edges, which aborts the receivers' runs; in a star the leader's own abort
+// carries a worker's failure on to the other workers.
 //
 // There is one deployment style, the resident session (Frontend,
 // ServeNodeObserved, ServeLocal, Client), the socket counterpart of
@@ -70,6 +75,7 @@ type Metrics struct {
 	Rounds   int
 	Messages int64 // protocol messages sent (not frames)
 	Bytes    int64 // payload bytes sent
+	Frames   int64 // round frames written, halt and error frames included; transport-only, no simulator twin
 }
 
 // transportError marks failures of the mesh itself — a lost connection, a
@@ -387,17 +393,18 @@ type laneMsg struct {
 }
 
 // epochRun is the physical round layer of one isolated BSP epoch on the
-// standing mesh: its own round numbering, per-peer outbox, frame feeds,
-// halt/error frames and metrics, plus the barrier its lanes (batch.go) meet
-// at — the last active lane to arrive performs the round exchange for all of
-// them. Any number of epochRuns may be in flight on one Node concurrently —
-// each subscribed its own per-epoch frame feed on every peer link, so the
-// runs never observe each other's traffic.
+// standing mesh: its own round numbering and topology, per-peer outbox,
+// frame feeds, halt/error frames and metrics, plus the barrier its lanes
+// (batch.go) meet at — the last active lane to arrive performs the round
+// exchange for all of them. Any number of epochRuns may be in flight on one
+// Node concurrently — each subscribed its own per-epoch frame feed on every
+// peer link, so the runs never observe each other's traffic.
 type epochRun struct {
 	n     *Node
 	epoch uint64
 	seed  uint64
 	guid  uint64
+	hub   int // star center; -1 runs the full mesh
 
 	peers  []*peer        // pinned link snapshot for this epoch
 	feeds  []<-chan frame // per-peer frame feed (nil for self / absent)
@@ -408,7 +415,8 @@ type epochRun struct {
 	cond *sync.Cond
 
 	round   int
-	outbox  [][]laneMsg // per-peer messages queued this round
+	outbox  [][]laneMsg // per-peer messages queued this round; reused every round
+	errs    []error     // per-peer write errors of the last send
 	metrics Metrics
 
 	active  int                  // lanes still running
@@ -421,16 +429,23 @@ type epochRun struct {
 // beginEpoch pins the current mesh and subscribes the epoch's frame feeds.
 // The epoch ordinal must be strictly greater than any previously begun
 // ordinal on this node (the demultiplexer's stash pruning relies on it);
-// epochSeed is derived by the caller from the session seed. It fails with a
-// transport error naming the lowest absent or broken link, so a serving
-// node never starts an epoch on an incomplete mesh.
-func (n *Node) beginEpoch(epoch, epochSeed uint64) (*epochRun, error) {
+// epochSeed is derived by the caller from the session seed. hub chooses the
+// epoch's topology, and this is the only place one is chosen: -1 runs the
+// full mesh (the setup epoch — election is not a star), a machine index runs
+// a star around it (every query epoch, around the session leader), where
+// frames travel only between the hub and each worker. Every link is
+// subscribed either way, so a star epoch too needs the whole mesh. It fails
+// with a transport error naming the lowest absent or broken link, so a
+// serving node never starts an epoch on an incomplete mesh.
+func (n *Node) beginEpoch(epoch, epochSeed uint64, hub int) (*epochRun, error) {
 	er := &epochRun{
 		n:      n,
 		epoch:  epoch,
 		seed:   epochSeed,
 		guid:   xrand.DeriveSeed(epochSeed, uint64(n.id)+(1<<32)),
+		hub:    hub,
 		outbox: make([][]laneMsg, n.k),
+		errs:   make([]error, n.k),
 		peers:  n.peerSnapshot(),
 		feeds:  make([]<-chan frame, n.k),
 		halted: make([]bool, n.k),
@@ -464,46 +479,51 @@ func (er *epochRun) release() {
 	}
 }
 
-// live reports whether peer j still exchanges frames in this epoch.
-func (er *epochRun) live(j int) bool {
-	return j != er.n.id && er.feeds[j] != nil && !er.halted[j]
+// edge reports whether this epoch's topology links this node to peer j:
+// every peer in the full mesh, only the hub for a star worker, every worker
+// for the hub.
+func (er *epochRun) edge(j int) bool {
+	return er.hub < 0 || er.hub == er.n.id || j == er.hub
 }
 
-// send writes this round's frame (with the given flag) to every live peer
-// concurrently, emptying the outbox, and returns a wait function yielding the
-// per-peer write errors.
-func (er *epochRun) send(flag byte) func() []error {
-	var wg sync.WaitGroup
-	errs := make([]error, er.n.k)
+// live reports whether peer j still exchanges frames in this epoch.
+func (er *epochRun) live(j int) bool {
+	return j != er.n.id && er.feeds[j] != nil && !er.halted[j] && er.edge(j)
+}
+
+// send writes this round's frame (with the given flag) to every live peer,
+// in peer order, on the calling goroutine, recording each write's error in
+// er.errs and emptying the outbox for reuse (writeRoundFrame serializes
+// synchronously, so nothing keeps the slices). Messages queued for a peer
+// that is no longer live are dropped, as the simulator drops messages to a
+// halted machine.
+//
+// Writing inline before reading cannot deadlock against a peer doing the
+// same: every link's readLoop drains its socket without ever blocking —
+// route never waits (a full feed or stash fails the link instead) — so a
+// write only ever waits for the peer's kernel, never for the peer's epoch.
+func (er *epochRun) send(flag byte) {
 	round := uint64(er.round)
 	for j := range er.peers {
-		if !er.live(j) {
-			continue
+		er.errs[j] = nil
+		if er.live(j) {
+			er.errs[j] = writeRoundFrame(er.peers[j].conn, flag, er.epoch, round, er.outbox[j])
+			er.metrics.Frames++
 		}
-		out := er.outbox[j]
-		er.outbox[j] = nil
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[j] = writeRoundFrame(er.peers[j].conn, flag, er.epoch, round, out)
-		}()
-	}
-	return func() []error {
-		wg.Wait()
-		return errs
+		er.outbox[j] = er.outbox[j][:0]
 	}
 }
 
 // exchange is one physical round: it writes this round's data frame to every
-// live peer, reads one frame from each while the writes drain, files the
-// delivered messages under their lanes (ascending sender within a lane) and
-// advances the round. A lost link, an out-of-step frame or a message for a
-// lane this epoch does not have is a transport fault naming the peer; a
-// peer's error frame ends the epoch with errPeerAbort.
+// live peer, then reads one frame from each, files the delivered messages
+// under their lanes (ascending sender within a lane) and advances the round.
+// A star worker's round therefore ends when the hub's frame arrives. A lost
+// link, an out-of-step frame or a message for a lane this epoch does not
+// have is a transport fault naming the peer; a peer's error frame ends the
+// epoch with errPeerAbort.
 func (er *epochRun) exchange() error {
 	n := er.n
-	writes := er.send(flagData)
-	// Read while writes drain to avoid mutual kernel-buffer deadlock.
+	er.send(flagData)
 	var remoteErr error
 	for j := range er.peers {
 		if !er.live(j) {
@@ -542,11 +562,10 @@ func (er *epochRun) exchange() error {
 			er.inbox[m.lane] = append(er.inbox[m.lane], kmachine.Message{From: j, To: n.id, Payload: m.payload})
 		}
 	}
-	writeErrs := writes()
 	if remoteErr != nil {
 		return remoteErr
 	}
-	for j, err := range writeErrs {
+	for j, err := range er.errs {
 		// A write race against a peer that halted this very round (it
 		// closed its sockets after its halt frame) is benign; any other
 		// write failure is a real transport error.
@@ -560,11 +579,11 @@ func (er *epochRun) exchange() error {
 	return nil
 }
 
-// runEpoch executes prog as a one-lane epoch on the standing mesh — the
-// serving path uses it for the setup epoch; dispatched query epochs begin on
-// the read loop (serve.go) and call run themselves.
+// runEpoch executes prog as a one-lane full-mesh epoch on the standing
+// mesh — the serving path uses it for the setup epoch; dispatched query
+// epochs begin as stars on the read loop (serve.go) and call run themselves.
 func (n *Node) runEpoch(epoch, epochSeed uint64, prog kmachine.Program) (Metrics, error) {
-	er, err := n.beginEpoch(epoch, epochSeed)
+	er, err := n.beginEpoch(epoch, epochSeed, -1)
 	if err != nil {
 		return Metrics{}, err
 	}

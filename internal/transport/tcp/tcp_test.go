@@ -27,14 +27,11 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 	return s
 }
 
-// runSetupEpoch runs prog as the setup epoch (ordinal 0) of a real resident
-// mesh and returns every node's metrics and error, indexed by machine id. It
-// is the production bring-up minus the Handler: Frontend rendezvous,
-// joinServe, meshAcceptLoop + buildServeMesh, then runEpoch(0, …) at the
-// setup epoch's derived seed — so a simulator twin seeds kmachine.Run with
-// xrand.DeriveSeed(seed, SetupSeedStream). The mesh stays up until the test
-// ends, as a resident one outlives its setup epoch.
-func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]Metrics, []error) {
+// startMesh brings up a real resident mesh of k nodes and returns them
+// indexed by machine id. It is the production bring-up minus the Handler:
+// Frontend rendezvous, joinServe, meshAcceptLoop + buildMesh. The mesh stays
+// up until the test ends, as a resident one outlives its epochs.
+func startMesh(t *testing.T, k int, seed uint64) []*Node {
 	t.Helper()
 	fe, err := NewFrontend("127.0.0.1:0", k, seed)
 	if err != nil {
@@ -51,8 +48,7 @@ func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]M
 		}
 	})
 
-	metrics := make([]Metrics, k)
-	errs := make([]error, k)
+	nodes := make([]*Node, k)
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		wg.Add(1)
@@ -73,11 +69,11 @@ func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]M
 			node := newNode(a.id, a.k)
 			t.Cleanup(node.closePeers)
 			go meshAcceptLoop(node, ln)
-			if err := buildServeMesh(node, a.addrs); err != nil {
+			if err := buildMesh(node, a.addrs); err != nil {
 				t.Error(err)
 				return
 			}
-			metrics[a.id], errs[a.id] = node.runEpoch(0, xrand.DeriveSeed(a.seed, SetupSeedStream), prog)
+			nodes[a.id] = node
 		}()
 	}
 	wg.Wait()
@@ -85,7 +81,48 @@ func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]M
 	if t.Failed() {
 		t.FailNow()
 	}
+	return nodes
+}
+
+// onEveryNode runs one epoch on every node of a mesh concurrently and
+// returns each node's metrics and error, indexed by machine id.
+func onEveryNode(nodes []*Node, epoch func(n *Node) (Metrics, error)) ([]Metrics, []error) {
+	metrics := make([]Metrics, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	for i, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			metrics[i], errs[i] = epoch(n)
+		}()
+	}
+	wg.Wait()
 	return metrics, errs
+}
+
+// runSetupEpoch runs prog as the setup epoch (ordinal 0, full mesh) of a
+// fresh mesh at the setup epoch's derived seed — so a simulator twin seeds
+// kmachine.Run with xrand.DeriveSeed(seed, SetupSeedStream).
+func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]Metrics, []error) {
+	t.Helper()
+	return onEveryNode(startMesh(t, k, seed), func(n *Node) (Metrics, error) {
+		return n.runEpoch(0, xrand.DeriveSeed(seed, SetupSeedStream), prog)
+	})
+}
+
+// runStarEpoch runs prog as the one-lane star epoch ordinal (ordinals
+// above 0 are query epochs) around hub on every node of a standing mesh,
+// as a dispatched query epoch runs.
+func runStarEpoch(nodes []*Node, ordinal uint64, hub int, prog kmachine.Program) ([]Metrics, []error) {
+	return onEveryNode(nodes, func(n *Node) (Metrics, error) {
+		er, err := n.beginEpoch(ordinal, ordinal, hub)
+		if err != nil {
+			return Metrics{}, err
+		}
+		err = er.run([]kmachine.Program{prog})
+		return er.metrics, err
+	})
 }
 
 // mustRunSetupEpoch is runSetupEpoch for programs every node must finish.
@@ -309,6 +346,54 @@ func TestTCPMatchesSimulator(t *testing.T) {
 	if want := 2*simRes[0].Iterations + 6; rounds != want {
 		t.Errorf("%d rounds for %d iterations, want %d", rounds, simRes[0].Iterations, want)
 	}
+}
+
+// TestEpochFrameBudget pins what an epoch's topology costs on the wire.
+// Every node runs R rounds of a leader-star exchange (the hub broadcasts,
+// each worker sends it one message) and halts. On the full mesh that costs
+// k(k−1) frames a round; in a star around the same hub, 2(k−1): each worker
+// writes only to the hub, the hub to each worker. The final halt frames
+// cost one more round's worth either way — every node halts in round R, so
+// none has seen another's halt before writing its own. The messages are the
+// same in both: Frames is transport, not protocol.
+func TestEpochFrameBudget(t *testing.T) {
+	const k, hub, R = 4, 2, 5
+	prog := func(m kmachine.Env) error {
+		for r := 0; r < R; r++ {
+			if m.ID() == hub {
+				m.Broadcast([]byte{byte(r)})
+			} else {
+				m.Send(hub, []byte{byte(r)})
+			}
+			m.EndRound()
+		}
+		return nil
+	}
+	check := func(name string, metrics []Metrics, errs []error, perRound int64) {
+		t.Helper()
+		var frames, messages int64
+		for i, met := range metrics {
+			if errs[i] != nil {
+				t.Fatalf("%s: node %d: %v", name, i, errs[i])
+			}
+			if met.Rounds != R {
+				t.Errorf("%s: node %d ran %d rounds, want %d", name, i, met.Rounds, R)
+			}
+			frames += met.Frames
+			messages += met.Messages
+		}
+		if want := perRound * (R + 1); frames != want {
+			t.Errorf("%s: %d frames over %d rounds, want %d per round plus the final frames = %d", name, frames, R, perRound, want)
+		}
+		if want := int64(2 * (k - 1) * R); messages != want {
+			t.Errorf("%s: %d messages, want %d", name, messages, want)
+		}
+	}
+	nodes := startMesh(t, k, 5)
+	metrics, errs := onEveryNode(nodes, func(n *Node) (Metrics, error) { return n.runEpoch(0, 1, prog) })
+	check("setup epoch (full mesh)", metrics, errs, k*(k-1))
+	metrics, errs = runStarEpoch(nodes, 1, hub, prog)
+	check("query epoch (star)", metrics, errs, 2*(k-1))
 }
 
 func TestSingleNodeCluster(t *testing.T) {
