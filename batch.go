@@ -16,12 +16,11 @@ type BatchResult struct {
 	Boundary Key
 }
 
-// KNNBatch answers many queries in a single cluster run: every query costs
-// only the O(log ℓ) query protocol back to back on one simulation world,
-// with no per-query setup at all — the paper's concluding suggestion of
-// using the algorithm as a subroutine, applied to the query stream itself.
-// On a persistent Cluster the leader is already cached, so unlike the
-// pre-runtime implementation the batch does not even pay one election.
+// KNNBatch answers many queries in a single simulator run: every query costs
+// only the O(log ℓ) query protocol, back to back on the run's machines, with
+// no per-query setup at all — the paper's concluding suggestion of using the
+// algorithm as a subroutine, applied to the query stream itself. The leader
+// is already cached, so the batch does not pay an election either.
 //
 // The per-query results are exact and identical to individual KNN calls.
 // The returned QueryStats aggregates the whole batch. KNNBatch is safe to
@@ -33,7 +32,10 @@ func (c *Cluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryStats, e
 	if len(queries) == 0 {
 		return nil, &QueryStats{}, nil
 	}
-	seed := c.querySeed()
+	sim, err := c.sim(c.querySeed())
+	if err != nil {
+		return nil, nil, err
+	}
 	leader := c.Leader()
 	algoFn := c.algoFn()
 	cfg := c.baseConfig(l)
@@ -60,9 +62,9 @@ func (c *Cluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryStats, e
 		}
 		return nil
 	}
-	met, err := c.rt.ExecuteSeeded(seed, prog)
+	met, err := kmachine.Run(sim, prog)
 	if err != nil {
-		return nil, nil, c.wrapErr(err)
+		return nil, nil, err
 	}
 
 	out := make([]BatchResult, len(queries))
@@ -87,7 +89,10 @@ func SelectRank(c *Cluster[Scalar], rank int) (uint64, *QueryStats, error) {
 	if rank < 1 || rank > c.n {
 		return 0, nil, fmt.Errorf("distknn: rank %d out of range [1, %d]", rank, c.n)
 	}
-	seed := c.querySeed()
+	sim, err := c.sim(c.querySeed())
+	if err != nil {
+		return 0, nil, err
+	}
 	leader := c.Leader()
 	k := len(c.parts)
 	locals := make([][]keys.Key, k)
@@ -111,9 +116,9 @@ func SelectRank(c *Cluster[Scalar], rank int) (uint64, *QueryStats, error) {
 		}
 		return nil
 	}
-	met, err := c.rt.ExecuteSeeded(seed, prog)
+	met, err := kmachine.Run(sim, prog)
 	if err != nil {
-		return 0, nil, c.wrapErr(err)
+		return 0, nil, err
 	}
 	stats.Rounds = met.Rounds
 	stats.Messages = met.Messages

@@ -1,9 +1,8 @@
 // Command knnbench regenerates the paper's evaluation on the simulator —
-// every experiment of the per-experiment index (E1–E9), including Figure 2
-// — plus the persistent-runtime throughput comparison (E10). Results print
-// as aligned tables, CSV, or one JSON document for machine consumption.
-// Nothing here opens a socket: the TCP serving stack is measured by
-// knnperf (benchmarks/).
+// every experiment of the per-experiment index (E1–E9), including Figure 2.
+// Results print as aligned tables, CSV, or one JSON document for machine
+// consumption. Nothing here measures serving throughput or opens a socket:
+// that is knnperf (benchmarks/).
 //
 // Examples:
 //

@@ -2,8 +2,10 @@ package distknn
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"distknn/internal/core"
 	"distknn/internal/election"
@@ -300,8 +302,45 @@ func TestClusterClose(t *testing.T) {
 	if _, _, err := SelectRank(c, 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("SelectRank after Close: %v, want ErrClosed", err)
 	}
-	if _, _, err := c.KNNOneShot(Scalar(1), 3); !errors.Is(err, ErrClosed) {
-		t.Errorf("KNNOneShot after Close: %v, want ErrClosed", err)
+}
+
+// TestClusterHoldsNoGoroutines checks that a Cluster keeps nothing running
+// between queries: once a burst of concurrent KNN, Classify and KNNBatch
+// calls has returned, the goroutine count is back at its pre-construction
+// baseline before Close is called.
+func TestClusterHoldsNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, _, _ := scalarFixture(t, 400, Options{Machines: 8, Seed: 75})
+	defer c.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 32; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			q := Scalar(w * 1000003)
+			var err error
+			switch w % 3 {
+			case 0:
+				_, _, err = c.KNN(q, 7)
+			case 1:
+				_, _, err = c.Classify(q, 7)
+			default:
+				_, _, err = c.KNNBatch([]Scalar{q, q + 1}, 7)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	// A goroutine still counts for the instant between its last report
+	// (a machine's halt, a worker's Done) and its exit, so poll briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the queries, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,24 +14,22 @@
 //
 // # Serving model
 //
-// A Cluster is a persistent deployment, built to serve a stream of queries
-// rather than a single one. Construction pays all one-time costs exactly
-// once: the dataset is partitioned, the machine goroutines are started (and
-// stay resident between queries), and a leader is elected and cached. Every
-// subsequent query therefore runs zero election rounds, and steady-state
-// serial queries spawn zero goroutines — each costs only the paper's
-// O(log ℓ) query protocol. Concurrent bursts grow a bounded pool of resident
-// simulation worlds (one per in-flight query, reused thereafter). Call
-// Close when done with a cluster to release the resident goroutines.
+// A Cluster is built to serve a stream of queries rather than a single one.
+// Construction pays the one-time costs exactly once: the dataset is
+// partitioned and a leader is elected and cached. Every subsequent query
+// therefore runs zero election rounds and costs only the paper's O(log ℓ)
+// query protocol, executed as one fresh simulator run (kmachine.Run) whose
+// k machine goroutines have halted by the time the query returns. Between
+// queries a Cluster holds no goroutines; Close marks it closed.
 //
 // # Concurrency
 //
 // A Cluster is safe for concurrent use: any number of goroutines may call
 // KNN, Classify, Regress, KNNBatch, SelectRank and Median simultaneously.
-// Each in-flight query executes on its own isolated simulation world (own
-// link timelines, own metrics), so concurrent queries neither contend on the
-// model's bandwidth nor perturb each other's QueryStats, and in the default
-// Las Vegas mode every query's result is exact regardless of interleaving.
+// Each in-flight query is its own simulator run (own link timelines, own
+// metrics), so concurrent queries neither contend on the model's bandwidth
+// nor perturb each other's QueryStats, and in the default Las Vegas mode
+// every query's result is exact regardless of interleaving.
 // The shards are immutable after construction and per-query randomness is
 // derived from an atomic counter, so the old "not safe for concurrent
 // queries" caveat is gone. (Seed assignment follows arrival order, so
@@ -65,9 +63,9 @@
 //	label, _, err := cluster.Classify(query, 10)
 //
 // For the experiment harness reproducing the paper's evaluation, see
-// cmd/knnbench; for a concurrent throughput benchmark, see cmd/knnquery
-// -serve; for running over real TCP sockets, see cmd/knnnode -serve,
-// RemoteCluster, and internal/transport/tcp.
+// cmd/knnbench; for running over real TCP sockets, see cmd/knnnode,
+// RemoteCluster, and internal/transport/tcp; for the serving benchmark,
+// see knnperf (benchmarks/).
 package distknn
 
 import (
@@ -214,14 +212,14 @@ const electionStream = ^uint64(0)
 
 // Cluster is an in-process k-machine deployment of a labeled dataset:
 // create one with NewCluster (or the typed helpers), query it from as many
-// goroutines as you like, and Close it when done. The machine goroutines
-// persist across queries and the leader is elected once at construction, so
-// steady-state queries pay only the O(log ℓ) query protocol.
+// goroutines as you like, and Close it when done. The leader is elected once
+// at construction, so steady-state queries pay only the O(log ℓ) query
+// protocol.
 type Cluster[P any] struct {
 	opts    Options
 	parts   []*points.Set[P] // immutable after construction
 	n       int
-	rt      *kmachine.Runtime
+	closed  atomic.Bool
 	leader  atomic.Int64  // cached election winner; re-derivable via ElectLeader
 	queries atomic.Uint64 // per-query seed-derivation counter
 	// localTopL computes machine i's ℓ nearest local points. The default
@@ -236,8 +234,8 @@ type Cluster[P any] struct {
 
 // NewCluster partitions pts (with optional labels, may be nil) across the
 // configured number of simulated machines using a balanced random partition,
-// the benign case of the model's adversarial placement, then starts the
-// resident machine goroutines and elects the leader.
+// the benign case of the model's adversarial placement, then elects the
+// leader.
 func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options) (*Cluster[P], error) {
 	opts = opts.withDefaults()
 	set, err := points.NewSet(pts, labels, metric, 1)
@@ -261,16 +259,8 @@ func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options
 	}
 	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len()}
 	c.localTopL = func(i int, q P, l int) []Item { return c.parts[i].TopLItems(q, l) }
-	c.rt, err = kmachine.NewRuntime(kmachine.Config{
-		K:              opts.Machines,
-		BandwidthBytes: opts.BandwidthBytes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("distknn: %w", err)
-	}
 	leader, _, err := c.runElection()
 	if err != nil {
-		c.rt.Close()
 		return nil, fmt.Errorf("distknn: electing leader: %w", err)
 	}
 	c.leader.Store(int64(leader))
@@ -316,11 +306,12 @@ func (c *Cluster[P]) Machines() int { return len(c.parts) }
 // Leader returns the cached leader machine index.
 func (c *Cluster[P]) Leader() int { return int(c.leader.Load()) }
 
-// Close releases the cluster's resident machine goroutines. It is
-// idempotent and safe to call concurrently with in-flight queries: those
-// queries complete normally, and later queries fail with ErrClosed.
+// Close marks the cluster closed: later queries fail with ErrClosed. It is
+// idempotent and safe to call concurrently with in-flight queries, which
+// complete normally. A Cluster holds no goroutines between queries, so
+// there is nothing to release.
 func (c *Cluster[P]) Close() {
-	c.rt.Close()
+	c.closed.Store(true)
 }
 
 // ElectLeader re-derives the leader by re-running the configured election
@@ -331,7 +322,7 @@ func (c *Cluster[P]) Close() {
 func (c *Cluster[P]) ElectLeader() (int, *QueryStats, error) {
 	leader, met, err := c.runElection()
 	if err != nil {
-		return 0, nil, c.wrapErr(err)
+		return 0, nil, err
 	}
 	c.leader.Store(int64(leader))
 	return leader, &QueryStats{
@@ -342,20 +333,27 @@ func (c *Cluster[P]) ElectLeader() (int, *QueryStats, error) {
 	}, nil
 }
 
-// runElection executes one election across the runtime.
+// runElection executes one election as a simulator run on the reserved
+// election seed.
 func (c *Cluster[P]) runElection() (int, *kmachine.Metrics, error) {
-	return election.Once(c.rt, xrand.DeriveSeed(c.opts.Seed, electionStream), election.OnceOptions{
+	sim, err := c.sim(xrand.DeriveSeed(c.opts.Seed, electionStream))
+	if err != nil {
+		return 0, nil, err
+	}
+	return election.Once(sim, election.OnceOptions{
 		Sublinear:      c.opts.SublinearElection,
 		BandwidthBytes: c.opts.BandwidthBytes,
 	})
 }
 
-// wrapErr maps runtime-closed errors to ErrClosed.
-func (c *Cluster[P]) wrapErr(err error) error {
-	if errors.Is(err, kmachine.ErrClosed) {
-		return ErrClosed
+// sim is the configuration of one simulator run seeded by seed, or
+// ErrClosed after Close. Every run the cluster makes — queries, batches,
+// selection and the election — is configured here.
+func (c *Cluster[P]) sim(seed uint64) (kmachine.Config, error) {
+	if c.closed.Load() {
+		return kmachine.Config{}, ErrClosed
 	}
-	return err
+	return kmachine.Config{K: len(c.parts), Seed: seed, BandwidthBytes: c.opts.BandwidthBytes}, nil
 }
 
 // KNN returns the exact ℓ nearest neighbors of q in ascending distance
@@ -407,59 +405,6 @@ func (c *Cluster[P]) Regress(q P, l int) (float64, *QueryStats, error) {
 	return mean, stats, nil
 }
 
-// KNNOneShot answers one query the pre-runtime way: a throwaway simulation
-// world is spawned, a leader is elected inside the run, and everything is
-// torn down afterwards. Results are identical to KNN; only the cost
-// differs. It exists so benchmarks and tests can measure exactly what the
-// persistent runtime saves on the steady-state path, against the cluster's
-// own shards.
-func (c *Cluster[P]) KNNOneShot(q P, l int) ([]Item, *QueryStats, error) {
-	if l < 1 || l > c.n {
-		return nil, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
-	}
-	if c.rt.Closed() {
-		return nil, nil, ErrClosed
-	}
-	seed := c.querySeed()
-	algoFn := c.algoFn()
-	cfg := c.baseConfig(l)
-	stats := &QueryStats{}
-	winners := make([][]Item, len(c.parts))
-	prog := func(m kmachine.Env) error {
-		leader, err := election.Elect(m, election.OnceOptions{
-			Sublinear:      c.opts.SublinearElection,
-			BandwidthBytes: c.opts.BandwidthBytes,
-		})
-		if err != nil {
-			return err
-		}
-		local := c.localTopL(m.ID(), q, l)
-		cfg := cfg
-		cfg.Leader = leader
-		res, err := algoFn(m, cfg, local)
-		if err != nil {
-			return err
-		}
-		winners[m.ID()] = res.Winners
-		if m.ID() == leader {
-			fillLeaderStats(stats, leader, res)
-		}
-		return nil
-	}
-	met, err := kmachine.Run(kmachine.Config{
-		K:              len(c.parts),
-		Seed:           seed,
-		BandwidthBytes: c.opts.BandwidthBytes,
-	}, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Rounds = met.Rounds
-	stats.Messages = met.Messages
-	stats.Bytes = met.Bytes
-	return mergeWinners(winners), stats, nil
-}
-
 // run executes a query, optionally following it with a classification.
 func (c *Cluster[P]) run(q P, l int, classify bool) ([]Item, *QueryStats, float64, error) {
 	stats := &QueryStats{}
@@ -495,25 +440,13 @@ func mergeWinners(winners [][]Item) []Item {
 	return merged
 }
 
-// fillLeaderStats copies the leader-observed result fields into stats. Every
-// query path — steady-state and one-shot — goes through it so the two never
-// drift.
-func fillLeaderStats(stats *QueryStats, leader int, res core.Result) {
-	stats.Leader = leader
-	stats.Boundary = res.Boundary
-	stats.Survivors = res.Survivors
-	stats.FellBack = res.FellBack
-	stats.Iterations = res.Iterations
-}
-
 // querySeed derives a fresh, race-free seed for the next query.
 func (c *Cluster[P]) querySeed() uint64 {
 	return xrand.DeriveSeed(c.opts.Seed, c.queries.Add(1))
 }
 
-// baseConfig is the single source of the per-query protocol configuration.
-// Callers on the steady-state path set Leader to the cached winner;
-// KNNOneShot leaves it to the in-run election.
+// baseConfig is the single source of the per-query protocol configuration;
+// callers set Leader to the cached winner.
 func (c *Cluster[P]) baseConfig(l int) core.Config {
 	cfg := core.Config{
 		L:            l,
@@ -526,14 +459,17 @@ func (c *Cluster[P]) baseConfig(l int) core.Config {
 	return cfg
 }
 
-// execute runs the configured algorithm across the resident machines, with
-// the cached leader and no per-query election. post, if non-nil, runs after
+// execute runs the configured algorithm as one simulator run, with the
+// cached leader and no per-query election. post, if non-nil, runs after
 // the query with the winners; collect, if non-nil, receives each machine's
 // local winners. All mutable state (stats, collect, post's captures) is
 // per-call, so any number of executes may be in flight at once.
 func (c *Cluster[P]) execute(q P, l int, stats *QueryStats,
 	post func(m kmachine.Env, leader int, res core.Result) error, collect [][]Item) error {
-	seed := c.querySeed()
+	sim, err := c.sim(c.querySeed())
+	if err != nil {
+		return err
+	}
 	leader := c.Leader()
 	algoFn := c.algoFn()
 	cfg := c.baseConfig(l)
@@ -548,16 +484,20 @@ func (c *Cluster[P]) execute(q P, l int, stats *QueryStats,
 			collect[m.ID()] = res.Winners
 		}
 		if m.ID() == leader {
-			fillLeaderStats(stats, leader, res)
+			stats.Leader = leader
+			stats.Boundary = res.Boundary
+			stats.Survivors = res.Survivors
+			stats.FellBack = res.FellBack
+			stats.Iterations = res.Iterations
 		}
 		if post != nil {
 			return post(m, leader, res)
 		}
 		return nil
 	}
-	met, err := c.rt.ExecuteSeeded(seed, prog)
+	met, err := kmachine.Run(sim, prog)
 	if err != nil {
-		return c.wrapErr(err)
+		return err
 	}
 	stats.Rounds = met.Rounds
 	stats.Messages = met.Messages

@@ -326,29 +326,6 @@ func TestVectorClusterRejectsMixedDims(t *testing.T) {
 	}
 }
 
-func TestKNNOneShotMatchesKNN(t *testing.T) {
-	c, values, labels := scalarFixture(t, 300, Options{Machines: 6, Seed: 73})
-	defer c.Close()
-	q := uint64(123456)
-	const l = 9
-	want := bruteScalar(values, labels, q, l)
-	got, stats, err := c.KNNOneShot(Scalar(q), l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if stats.Rounds == 0 || stats.Messages == 0 {
-		t.Errorf("one-shot stats not populated: %+v", stats)
-	}
-	if _, _, err := c.KNNOneShot(Scalar(q), 0); err == nil {
-		t.Errorf("l=0 must fail")
-	}
-}
-
 func TestRandomIDsOption(t *testing.T) {
 	c, values, labels := scalarFixture(t, 300, Options{Machines: 4, Seed: 71, RandomIDs: true})
 	got, _, err := c.KNN(Scalar(123), 9)

@@ -1,7 +1,6 @@
 // Package bench is the experiment harness: it regenerates every figure and
 // quantitative claim of the paper's evaluation as a table of measurements
-// (E1–E9), plus E10, the persistent simulator runtime against the one-shot
-// path. Everything runs on the in-process simulator; the TCP serving stack
+// (E1–E9). Everything runs on the in-process simulator; serving throughput
 // is measured by knnperf (benchmarks/), not here.
 //
 // Each experiment is a pure function from Params to tables; cmd/knnbench

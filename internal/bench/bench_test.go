@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"distknn"
 	"distknn/internal/core"
 )
 
@@ -38,48 +37,6 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestServeDriver(t *testing.T) {
-	values := make([]uint64, 200)
-	for i := range values {
-		values[i] = uint64(i) * 977
-	}
-	c, err := distknn.NewScalarCluster(values, nil, distknn.Options{Machines: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	query := func(i int) distknn.Scalar { return distknn.Scalar(i * 131) }
-
-	res := Serve(c, query, 5, 20, 4)
-	if res.FirstErr != nil {
-		t.Fatal(res.FirstErr)
-	}
-	if res.OK() != 20 || res.Failed != 0 {
-		t.Errorf("ok=%d failed=%d, want 20/0", res.OK(), res.Failed)
-	}
-	if res.QPS() <= 0 || res.Percentile(0.5) <= 0 || res.Rounds <= 0 {
-		t.Errorf("empty measurements: %+v", res)
-	}
-	for i := 1; i < len(res.Latencies); i++ {
-		if res.Latencies[i] < res.Latencies[i-1] {
-			t.Fatalf("latencies not sorted at %d", i)
-		}
-	}
-
-	// Failure path: l > n fails the un-measured warm-up, so the run aborts
-	// with only FirstErr set — no measured query was attempted.
-	bad := Serve(c, query, len(values)+1, 5, 2)
-	if bad.Failed != 0 || bad.OK() != 0 || bad.FirstErr == nil {
-		t.Errorf("warm-up failure: ok=%d failed=%d err=%v", bad.OK(), bad.Failed, bad.FirstErr)
-	}
-	if bad.Percentile(0.5) != 0 {
-		t.Errorf("percentile of zero successes should be 0")
-	}
-	if bad.QPS() != 0 {
-		t.Errorf("QPS of an aborted run should be 0")
 	}
 }
 

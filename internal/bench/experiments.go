@@ -17,7 +17,7 @@ import (
 	"distknn/internal/xrand"
 )
 
-// Experiment couples a stable experiment id (E1–E10, addressable from
+// Experiment couples a stable experiment id (E1–E9, addressable from
 // cmd/knnbench -experiment) with its runner.
 type Experiment struct {
 	ID          string
@@ -36,7 +36,6 @@ var Experiments = []Experiment{
 	{"baselines", "Section 1.4: comparison against prior-work baselines", Baselines},
 	{"wallclock", "Section 3: wall-clock speedup as machines are added", WallClock},
 	{"constants", "Ablation: Lemma 2.3 constants (SampleFactor x CutFactor)", Constants},
-	{"throughput", "Serving: QPS of a persistent concurrent cluster vs the one-shot path", Throughput},
 }
 
 // ByID finds an experiment by its id.

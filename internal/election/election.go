@@ -20,10 +20,9 @@
 //     to run the selection protocols.
 //
 // Both return the same value on every machine, which is all the callers rely
-// on. Once runs either elector across a persistent kmachine.Runtime so a
-// long-lived cluster elects at construction and caches the winner; the
-// paper's per-query election cost then amortizes to zero over the query
-// stream.
+// on. Once runs either elector as one simulator run so a long-lived cluster
+// elects at construction and caches the winner; the paper's per-query
+// election cost then amortizes to zero over the query stream.
 package election
 
 import (
@@ -45,8 +44,8 @@ type OnceOptions struct {
 }
 
 // Elect runs the configured elector on machine m. It is the single dispatch
-// point between the two protocols; every caller — persistent (Once) or
-// per-run — goes through it.
+// point between the two protocols; every caller — the simulator (Once) or
+// the TCP setup epoch — goes through it.
 func Elect(m kmachine.Env, opts OnceOptions) (int, error) {
 	if opts.Sublinear {
 		return Sublinear(m, SublinearOptions{BandwidthBytes: opts.BandwidthBytes})
@@ -54,14 +53,14 @@ func Elect(m kmachine.Env, opts OnceOptions) (int, error) {
 	return MinGUID(m)
 }
 
-// Once runs a single leader election across a persistent runtime and returns
-// the agreed leader index together with the run's cost. It is the
+// Once runs a single leader election as one simulator run under cfg and
+// returns the agreed leader index together with the run's cost. It is the
 // construction-time path of a long-lived cluster: elect once, cache the
 // winner, and let every steady-state query skip election entirely (any index
 // all machines agree on is a valid leader for the selection protocols, which
 // only require agreement).
-func Once(rt *kmachine.Runtime, seed uint64, opts OnceOptions) (int, *kmachine.Metrics, error) {
-	leaders := make([]int, rt.K())
+func Once(cfg kmachine.Config, opts OnceOptions) (int, *kmachine.Metrics, error) {
+	leaders := make([]int, cfg.K)
 	prog := func(m kmachine.Env) error {
 		leader, err := Elect(m, opts)
 		if err != nil {
@@ -70,7 +69,7 @@ func Once(rt *kmachine.Runtime, seed uint64, opts OnceOptions) (int, *kmachine.M
 		leaders[m.ID()] = leader
 		return nil
 	}
-	met, err := rt.ExecuteSeeded(seed, prog)
+	met, err := kmachine.Run(cfg, prog)
 	if err != nil {
 		return 0, nil, err
 	}

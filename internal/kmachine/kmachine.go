@@ -17,18 +17,20 @@
 // "simple method" baseline comes to cost Θ(ℓ) rounds without any hand-coded
 // penalty.
 //
-// Two execution styles are offered. Run and RunPrograms are one-shot: they
-// spawn the machine goroutines, execute, and tear everything down. A Runtime
-// keeps the goroutines resident between runs and leases isolated worlds to
-// concurrent runs, which is what a long-lived cluster serving a query stream
-// wants; see Runtime, Session.
+// Run and RunPrograms are the only entry points: each call starts its k
+// machine goroutines, executes, and returns once every one has halted. All
+// per-run state is built fresh from the run's seed, so concurrent runs share
+// nothing and a run replays bit-for-bit.
 package kmachine
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"time"
+
+	"distknn/internal/xrand"
 )
 
 // MessageOverheadBytes models per-message framing (sender, recipient, length)
@@ -68,10 +70,6 @@ type Config struct {
 	Seed uint64
 	// MaxRounds overrides DefaultMaxRounds when positive.
 	MaxRounds int
-	// MaxIdleWorlds bounds how many idle worlds a Runtime retains after
-	// concurrent runs complete (each world holds K resident goroutines).
-	// 0 selects DefaultMaxIdleWorlds; negative retains every world.
-	MaxIdleWorlds int
 	// MeasureCompute enables wall-clock measurement of local computation
 	// (adds two time.Now calls per machine per round).
 	MeasureCompute bool
@@ -284,10 +282,7 @@ func (m *Machine) Gather(n int) []Message {
 // WaitAny advances rounds until at least one message arrives.
 func (m *Machine) WaitAny() []Message { return m.Gather(1) }
 
-// Run executes the same program on every machine. It is the one-shot
-// compatibility path: a throwaway world is spawned for the run and torn down
-// afterwards. Long-lived callers should hold a Runtime instead, which keeps
-// the machine goroutines resident between runs.
+// Run executes the same program on every machine.
 func Run(cfg Config, prog Program) (*Metrics, error) {
 	progs := make([]Program, cfg.K)
 	for i := range progs {
@@ -297,17 +292,164 @@ func Run(cfg Config, prog Program) (*Metrics, error) {
 }
 
 // RunPrograms executes progs[i] on machine i and returns the run's metrics.
-// The first program error (or panic) aborts the run and is returned. Like
-// Run, it spins up a throwaway world; a Run and a Runtime execution with the
-// same Config and seed replay identically.
+// The first program error (or panic) aborts the run and is returned. It is
+// safe to call concurrently: machines, GUIDs, random streams, link
+// timelines and metrics are all built fresh from cfg.Seed, so concurrent
+// runs are isolated and a run replays bit-for-bit. Every machine has halted
+// when it returns; its goroutine ends with its halt report.
 func RunPrograms(cfg Config, progs []Program) (*Metrics, error) {
 	k := cfg.K
 	if k < 1 {
 		return nil, fmt.Errorf("kmachine: k must be >= 1, got %d", k)
 	}
-	w := newWorld(k)
-	defer w.shutdown()
-	return w.run(cfg, cfg.Seed, progs)
+	if len(progs) != k {
+		return nil, fmt.Errorf("kmachine: %d programs for %d machines", len(progs), k)
+	}
+	bandwidth := cfg.BandwidthBytes
+	if bandwidth == 0 {
+		bandwidth = DefaultBandwidth
+	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = DefaultMaxRounds
+	}
+
+	reports := make(chan report, k)
+	machines := make([]*Machine, k)
+	for i := 0; i < k; i++ {
+		machines[i] = &Machine{
+			id:      i,
+			k:       k,
+			guid:    xrand.DeriveSeed(cfg.Seed, uint64(i)+(1<<32)),
+			rng:     xrand.NewStream(cfg.Seed, uint64(i)),
+			resume:  make(chan []Message),
+			reports: reports,
+			measure: cfg.MeasureCompute,
+		}
+	}
+	// Each goroutine ends in exactly one halt report (normal return, error,
+	// panic, or engine-initiated cancellation), and the engine below does
+	// not return before it has collected every machine's halt.
+	for i := 0; i < k; i++ {
+		go runProgram(machines[i], progs[i])
+	}
+
+	metrics := &Metrics{
+		SentMessages:     make([]int64, k),
+		SentBytes:        make([]int64, k),
+		ComputeByMachine: make([]time.Duration, k),
+	}
+	alive := make([]bool, k)
+	for i := range alive {
+		alive[i] = true
+	}
+	aliveCount := k
+
+	// linkCursor[from*k+to] is the absolute byte offset on the link's
+	// capacity timeline (round t carries bytes [(t-1)·B, t·B)).
+	linkCursor := make([]int64, k*k)
+	inTransit := make(map[int][]Message) // delivery round -> messages
+	var firstErr error
+
+	cancelAll := func() {
+		for i, a := range alive {
+			if a {
+				close(machines[i].resume)
+			}
+		}
+		// Each cancelled machine emits exactly one final halt report.
+		for i, a := range alive {
+			if a {
+				<-reports
+				alive[i] = false
+			}
+		}
+		aliveCount = 0
+	}
+
+	for r := 0; ; r++ {
+		if r > maxRounds {
+			cancelAll()
+			return metrics, ErrMaxRounds
+		}
+		// Collect one report per alive machine for round r.
+		var roundMaxCompute time.Duration
+		pending := aliveCount
+		collected := make([]report, 0, pending)
+		for pending > 0 {
+			rep := <-reports
+			collected = append(collected, rep)
+			pending--
+		}
+		// Process in machine order for determinism.
+		sort.Slice(collected, func(a, b int) bool { return collected[a].id < collected[b].id })
+		for _, rep := range collected {
+			if rep.compute > roundMaxCompute {
+				roundMaxCompute = rep.compute
+			}
+			metrics.TotalCompute += rep.compute
+			metrics.ComputeByMachine[rep.id] += rep.compute
+			for _, msg := range rep.sends {
+				size := int64(len(msg.Payload) + MessageOverheadBytes)
+				metrics.Messages++
+				metrics.Bytes += size
+				metrics.SentMessages[msg.From]++
+				metrics.SentBytes[msg.From] += size
+				deliverAt := r + 1
+				if bandwidth > 0 {
+					link := msg.From*k + msg.To
+					start := linkCursor[link]
+					if floor := int64(r) * int64(bandwidth); start < floor {
+						start = floor
+					}
+					end := start + size
+					linkCursor[link] = end
+					deliverAt = int((end + int64(bandwidth) - 1) / int64(bandwidth))
+				}
+				inTransit[deliverAt] = append(inTransit[deliverAt], msg)
+			}
+			if rep.halted {
+				alive[rep.id] = false
+				aliveCount--
+				if rep.err != nil && firstErr == nil {
+					firstErr = fmt.Errorf("machine %d: %w", rep.id, rep.err)
+				}
+			}
+		}
+		metrics.CriticalCompute += roundMaxCompute
+		metrics.Rounds = r
+
+		if firstErr != nil {
+			cancelAll()
+			break
+		}
+		if aliveCount == 0 {
+			break
+		}
+
+		// Deliver round r+1's messages and release the machines.
+		delivered := inTransit[r+1]
+		delete(inTransit, r+1)
+		inboxes := make(map[int][]Message)
+		for _, msg := range delivered {
+			if !alive[msg.To] {
+				metrics.Dangling++
+				continue
+			}
+			inboxes[msg.To] = append(inboxes[msg.To], msg)
+		}
+		for i := 0; i < k; i++ {
+			if alive[i] {
+				machines[i].resume <- inboxes[i]
+			}
+		}
+	}
+
+	//knnlint:allow detsource -- commutative integer count over undelivered inboxes; order cannot affect the sum
+	for _, msgs := range inTransit {
+		metrics.Dangling += len(msgs)
+	}
+	return metrics, firstErr
 }
 
 func runProgram(m *Machine, prog Program) {

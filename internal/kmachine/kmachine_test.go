@@ -466,6 +466,44 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestConcurrentRunsAreIsolated(t *testing.T) {
+	// Each worker sends a distinct number of messages; a run's metrics must
+	// see exactly its own traffic even with many runs in flight.
+	const workers = 16
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			n := w + 1
+			progs := []Program{
+				func(m Env) error {
+					for i := 0; i < n; i++ {
+						m.Send(1, []byte{byte(i)})
+					}
+					return nil
+				},
+				func(m Env) error { m.Gather(n); return nil },
+			}
+			met, err := RunPrograms(Config{K: 2, Seed: uint64(w), BandwidthBytes: -1}, progs)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			if met.Messages != int64(n) {
+				errs[w] = fmt.Errorf("worker %d saw %d messages, want %d", w, met.Messages, n)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestManyMachinesParallelStress(t *testing.T) {
 	// 64 machines, everyone talks to everyone once; checks the barrier
 	// under real goroutine parallelism.
