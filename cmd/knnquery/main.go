@@ -97,7 +97,7 @@ func main() {
 		if o.compare {
 			fatalf("-compare needs a local cluster; it cannot be combined with -connect")
 		}
-		copts := distknn.ClientOptions{QueryTimeout: o.timeout}
+		copts := distknn.ClientOptions{Timeout: o.timeout}
 		if o.admin != "" {
 			reg := distknn.NewMetrics()
 			copts.Metrics = reg

@@ -92,9 +92,6 @@ func TestSnapshotJSONStable(t *testing.T) {
 
 func TestTracerSpanLifecycle(t *testing.T) {
 	tr := NewTracer(4)
-	var sink bytes.Buffer
-	tr.SetSink(&sink)
-
 	sp := tr.Begin(7, 1, 3, false)
 	sp.MarkDispatched()
 	sp.MarkSeat(0)
@@ -116,12 +113,14 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	if got.ReplyNS < got.CollateNS || got.CollateNS < got.DispatchNS {
 		t.Fatalf("stage offsets out of order: %+v", got)
 	}
-	var fromSink SpanSnapshot
-	if err := json.Unmarshal(sink.Bytes(), &fromSink); err != nil {
-		t.Fatalf("sink line: %v (%q)", err, sink.String())
+	// The JSON form is what /trace/recent serves.
+	line, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fromSink.Epoch != 7 {
-		t.Fatalf("sink span = %+v", fromSink)
+	var back SpanSnapshot
+	if err := json.Unmarshal(line, &back); err != nil || back.Epoch != 7 || len(back.Seats) != 2 {
+		t.Fatalf("span JSON round trip: %+v %v (%s)", back, err, line)
 	}
 }
 
@@ -224,7 +223,7 @@ func TestHotPathAllocations(t *testing.T) {
 		sp.MarkSeat(0)
 		sp.MarkSeat(1)
 		sp.MarkCollated("", false)
-		sp.Finish() // no sink configured: no snapshot, no allocation
+		sp.Finish()
 	}); n != 0 {
 		t.Fatalf("span recording allocates %.1f/op, want 0", n)
 	}

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -24,15 +22,14 @@ type SeatMark struct {
 // to every seat), per-seat result arrival, collation (all expected
 // frames accounted for, outcome known), and reply (the caller observed
 // the result). All wall-clock reads happen inside the span's methods;
-// the recorded offsets flow only into snapshots and the JSONL sink,
-// never back into epoch computation.
+// the recorded offsets flow only into snapshots, never back into epoch
+// computation.
 //
 // Spans live in a Tracer's preallocated ring and are handed out by
 // Begin. Every method is safe on a nil receiver (a disabled tracer
 // returns nil spans), so call sites need no conditionals.
 type Span struct {
 	mu sync.Mutex
-	tr *Tracer
 
 	epoch   uint64
 	op      uint8
@@ -52,16 +49,11 @@ type Span struct {
 
 // Tracer hands out spans from a fixed ring; the last depth spans are
 // retained for /trace/recent. Recording mutates preallocated slots
-// under short mutexes — the steady state allocates nothing. An
-// optional sink receives one JSON line per finished span (the sink
-// path does allocate; it is off unless SetSink is called).
+// under short mutexes — the steady state allocates nothing.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []*Span
 	next int
-
-	sinkMu sync.Mutex
-	sink   io.Writer
 }
 
 // NewTracer returns a tracer retaining the last depth spans
@@ -74,20 +66,9 @@ func NewTracer(depth int) *Tracer {
 	}
 	t := &Tracer{ring: make([]*Span, depth)}
 	for i := range t.ring {
-		t.ring[i] = &Span{tr: t}
+		t.ring[i] = &Span{}
 	}
 	return t
-}
-
-// SetSink directs one JSON line per finished span to w. Writes are
-// serialized; pass nil to disable.
-func (t *Tracer) SetSink(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.sinkMu.Lock()
-	t.sink = w
-	t.sinkMu.Unlock()
 }
 
 // Begin claims the next ring slot for a new epoch span. Returns nil on
@@ -152,10 +133,8 @@ func (sp *Span) MarkCollated(errMsg string, degraded bool) {
 	sp.mu.Unlock()
 }
 
-// Finish records the reply instant, completes the span, and emits it
-// to the sink when one is configured. With no sink the span is only
-// mutated in place — no snapshot is built, so finishing allocates
-// nothing.
+// Finish records the reply instant and completes the span. The span is
+// only mutated in place, so finishing allocates nothing.
 func (sp *Span) Finish() {
 	if sp == nil {
 		return
@@ -163,29 +142,11 @@ func (sp *Span) Finish() {
 	sp.mu.Lock()
 	sp.replyNS = int64(time.Since(sp.start))
 	sp.done = true
-	tr := sp.tr
 	sp.mu.Unlock()
-	tr.emitSpan(sp)
 }
 
-// emitSpan snapshots and sinks a finished span, but only when a sink is
-// configured — the sink check must come first so the sinkless steady
-// state stays allocation-free.
-func (t *Tracer) emitSpan(sp *Span) {
-	t.sinkMu.Lock()
-	sink := t.sink
-	t.sinkMu.Unlock()
-	if sink == nil {
-		return
-	}
-	sp.mu.Lock()
-	snap := sp.snapshotLocked()
-	sp.mu.Unlock()
-	t.emit(snap)
-}
-
-// SpanSnapshot is the JSON form of a span, used by /trace/recent and
-// the JSONL sink. Offsets are nanoseconds from Start; zero means the
+// SpanSnapshot is the JSON form of a span, used by /trace/recent.
+// Offsets are nanoseconds from Start; zero means the
 // stage was not reached.
 type SpanSnapshot struct {
 	Epoch      uint64     `json:"epoch"`
@@ -219,23 +180,6 @@ func (sp *Span) snapshotLocked() SpanSnapshot {
 		Degraded:   sp.degrade,
 		Done:       sp.done,
 	}
-}
-
-func (t *Tracer) emit(snap SpanSnapshot) {
-	if t == nil {
-		return
-	}
-	t.sinkMu.Lock()
-	defer t.sinkMu.Unlock()
-	if t.sink == nil {
-		return
-	}
-	line, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	_, _ = t.sink.Write(line) // telemetry sink: a failed write must not fail the epoch
 }
 
 // Recent copies the retained spans, oldest first. Unused slots are

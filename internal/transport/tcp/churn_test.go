@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -44,7 +45,7 @@ type churnCluster struct {
 
 func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handler) *churnCluster {
 	t.Helper()
-	fe, err := NewFrontend("127.0.0.1:0", k, seed)
+	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handl
 		c.wg.Wait()
 	})
 	for i := 0; i < k; i++ {
-		c.startNode(newHandler(), -1)
+		c.startNode(newHandler())
 	}
 	<-fe.ready
 	if fe.readyErr != nil {
@@ -68,13 +69,14 @@ func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handl
 	return c
 }
 
-// startNode launches one node session (a fresh registration, or an explicit
-// re-join when rejoinID >= 0) and records its session handle by machine id.
-func (c *churnCluster) startNode(h Handler, rejoinID int) {
+// startNode launches one node session (a registration: at rendezvous a
+// fresh seat, later the lowest absent one) and records its session handle
+// by machine id.
+func (c *churnCluster) startNode(h Handler) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		err := serveNode(c.fe.Addr(), "127.0.0.1:0", "", rejoinID, h, func(s *nodeSession) {
+		err := serveNode(c.fe.Addr(), "127.0.0.1:0", "", h, func(s *nodeSession) {
 			c.mu.Lock()
 			c.sessions[s.node.id] = s
 			c.mu.Unlock()
@@ -189,7 +191,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	}
 
 	// Heal: a plain late registration lands in the absent seat.
-	c.startNode(&blockingHandler{entered: entered, release: release}, -1)
+	c.startNode(&blockingHandler{entered: entered, release: release})
 	waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 60))
 	for v := uint64(61); v <= 70; v++ {
 		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
@@ -209,10 +211,10 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	}
 }
 
-// TestChurnEvictAndExplicitRejoin covers the operator path: EvictNode
-// retires a healthy idle node (which observes ErrSessionLost), and
-// RejoinNode claims the seat back by machine index.
-func TestChurnEvictAndExplicitRejoin(t *testing.T) {
+// TestChurnEvictAndRejoin covers the operator path: a late registration to
+// a full cluster is denied, EvictNode retires a healthy idle node (which
+// observes ErrSessionLost), and a plain registration takes the seat back.
+func TestChurnEvictAndRejoin(t *testing.T) {
 	k := 2
 	c := startChurnCluster(t, k, 31, func() Handler { return &echoHandler{} })
 	leader := c.fe.Leader()
@@ -223,19 +225,54 @@ func TestChurnEvictAndExplicitRejoin(t *testing.T) {
 	defer client.Close()
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 3)), k, 3, leader)
 
+	// Every seat is held: a late registration has nothing to take.
+	if err := ServeNodeObserved(c.fe.Addr(), "127.0.0.1:0", "", nil, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "cluster is full") {
+		t.Fatalf("registration to a full cluster: got %v, want a \"cluster is full\" rejection", err)
+	}
+	evicted := c.session(1)
 	if err := c.fe.EvictNode(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 4)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query after evict: got %v, want a degraded error", err)
 	}
-	// A seat that is held cannot be re-joined; the absent one can.
-	if err := RejoinNode(c.fe.Addr(), "127.0.0.1:0", "", 0, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "join rejected") {
-		t.Fatalf("rejoin of a held seat: got %v, want a rejection", err)
+	c.startNode(&echoHandler{})
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
+	if s := c.session(1); s == nil || s == evicted {
+		t.Fatal("the registration did not take back seat 1")
 	}
-	c.startNode(&echoHandler{}, 1)
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 6)), k, 6, leader)
+}
+
+// TestFrontendClosesRetiredRejoinKind pins what became of the seat-claiming
+// Rejoin request (kind 0a): like any first frame without a role it closes
+// the connection without a reply, and the absent seat it names stays absent.
+func TestFrontendClosesRetiredRejoinKind(t *testing.T) {
+	c := startChurnCluster(t, 2, 33, func() Handler { return &echoHandler{} })
+	if err := c.fe.EvictNode(1); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The retired frame: kind 0a, seat 1 (sent as id+1), a mesh address.
+	var w wire.Writer
+	w.U8(0x0a)
+	w.Varint(2)
+	w.String("127.0.0.1:1")
+	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if payload, err := wire.ReadFrame(conn); err != io.EOF {
+		t.Fatalf("retired kind 0a got payload % x, err %v; want the connection closed without a reply", payload, err)
+	}
+	if h := c.fe.Health(); h.OK || h.Seats[1].Present {
+		t.Fatalf("retired kind 0a took the absent seat: %+v", h)
+	}
 }
 
 // TestChurnIdleKillIsNoticedWithoutAQuery pins the control-pump behavior:
@@ -312,7 +349,7 @@ func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
 	}
 
 	// One replacement registration heals the cluster.
-	c.startNode(&echoHandler{}, -1)
+	c.startNode(&echoHandler{})
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
 }
 
@@ -346,8 +383,8 @@ func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	c.startNode(&echoHandler{}, -1)
-	c.startNode(&echoHandler{}, -1)
+	c.startNode(&echoHandler{})
+	c.startNode(&echoHandler{})
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 7)), k, 7, leader)
 	for v := uint64(8); v <= 12; v++ {
 		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
@@ -361,7 +398,7 @@ func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
 // TestLocalClusterCloseIdempotent is the regression test for the seed bug
 // where a second Close blocked forever on the drained serveErr channel.
 func TestLocalClusterCloseIdempotent(t *testing.T) {
-	lc, err := ServeLocal(2, 5, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(2, 5, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +461,15 @@ func readTaggedQuery(t *testing.T, conn net.Conn) (uint64, bool) {
 	return r.Varint(), true
 }
 
+// replyFrame is the tagged reply frame a stub frontend writes.
+func replyFrame(tag uint64, rep wire.Reply) []byte {
+	var w wire.Writer
+	wire.AppendReplyTagged(&w, tag, rep)
+	return w.Bytes()
+}
+
 func taggedOkReply(tag uint64) []byte {
-	return wire.EncodeReplyTagged(tag, wire.Reply{Rounds: 1, Results: []wire.QueryReply{{}}})
+	return replyFrame(tag, wire.Reply{Rounds: 1, Results: []wire.QueryReply{{}}})
 }
 
 // TestClientPoisonsDesyncedConnection is the regression test for the seed
@@ -495,7 +539,7 @@ func TestClientRetriesTransportFailureTransparently(t *testing.T) {
 			_ = wire.WriteFrame(conn, taggedOkReply(tag))
 		},
 	)
-	client, err := DialFrontend(addr)
+	client, err := DialFrontendOptions(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +565,7 @@ func TestClientRetriesDegradedReply(t *testing.T) {
 			return
 		}
 		queries <- struct{}{}
-		_ = wire.WriteFrame(conn, wire.EncodeReplyTagged(tag, wire.Reply{
+		_ = wire.WriteFrame(conn, replyFrame(tag, wire.Reply{
 			Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true,
 		}))
 		tag, ok = readTaggedQuery(t, conn)

@@ -113,11 +113,6 @@ type muxConn struct {
 	broken  error // first poison cause; non-nil refuses new calls
 }
 
-// DialFrontend connects to a serving frontend with default options.
-func DialFrontend(addr string) (*Client, error) {
-	return DialFrontendOptions(addr, ClientOptions{})
-}
-
 // DialFrontendOptions connects to a serving frontend.
 func DialFrontendOptions(addr string, opts ClientOptions) (*Client, error) {
 	c := &Client{addr: addr, opts: opts, cm: newClientMetrics(opts.Metrics), closedCh: make(chan struct{})}
@@ -487,20 +482,15 @@ type LocalCluster struct {
 	closeErr  error
 }
 
-// ServeLocal starts a loopback serving cluster with default
-// FrontendOptions. newHandler builds one Handler per node (each node needs
-// its own instance, since a Handler keeps per-node state); node identities
-// are assigned at join time, so handlers must discover their shard through
-// the Env they are given. The cluster is ready to serve (and Addr dialable
-// by clients) when ServeLocal returns.
-func ServeLocal(k int, seed uint64, newHandler func() Handler) (*LocalCluster, error) {
-	return ServeLocalOptions(k, seed, FrontendOptions{}, nil, newHandler)
-}
-
 // ServeLocalOptions starts a loopback serving cluster with an explicit
 // epoch scheduler configuration (pipelining window, server-side batching).
-// nodeReg receives every node's serve-loop telemetry (the k nodes share it,
-// so its node_* counters are cluster-wide totals); nil records nothing.
+// newHandler builds one Handler per node (each node needs its own instance,
+// since a Handler keeps per-node state); node identities are assigned at
+// join time, so handlers must discover their shard through the Env they are
+// given. nodeReg receives every node's serve-loop telemetry (the k nodes
+// share it, so its node_* counters are cluster-wide totals); nil records
+// nothing. The cluster is ready to serve (and Addr dialable by clients)
+// when ServeLocalOptions returns.
 func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Registry, newHandler func() Handler) (*LocalCluster, error) {
 	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, opts)
 	if err != nil {

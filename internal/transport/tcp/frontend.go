@@ -104,15 +104,9 @@ type feSlot struct {
 	summary wire.ShardSummary
 }
 
-// NewFrontend starts the serving listener on addr for a k-node cluster with
-// the given session seed and default FrontendOptions. Call Serve to run the
-// session.
-func NewFrontend(addr string, k int, seed uint64) (*Frontend, error) {
-	return NewFrontendOptions(addr, k, seed, FrontendOptions{})
-}
-
-// NewFrontendOptions starts the serving listener with an explicit epoch
-// scheduler configuration (pipelining window, server-side batching).
+// NewFrontendOptions starts the serving listener on addr for a k-node
+// cluster with the given session seed and epoch scheduler configuration
+// (pipelining window, server-side batching). Call Serve to run the session.
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("tcp: frontend needs k >= 1, got %d", k)
@@ -186,10 +180,10 @@ func (f *Frontend) Health() obs.Health {
 // Serve runs the session: it accepts the k node registrations, configures
 // the mesh, waits for every node's ready report, and then answers client
 // queries until Close. A connection's first frame decides its role —
-// KindRegister makes it a node control connection, KindQueryTagged a
-// client, and KindRejoin (or a late KindRegister once the session is
-// running) a node re-joining after churn; any other first frame closes it.
-// Serve blocks for the life of the session; run it on its own goroutine.
+// KindRegister makes it a node control connection (a late one, once the
+// session is running, a node re-joining after churn), KindQueryTagged a
+// client; any other first frame closes it. Serve blocks for the life of
+// the session; run it on its own goroutine.
 func (f *Frontend) Serve() error {
 	type reg struct {
 		conn net.Conn
@@ -223,16 +217,8 @@ func (f *Frontend) Serve() error {
 					case <-f.ready:
 						// Late registration: the cluster is already
 						// running, so offer the newcomer an absent seat.
-						f.handleRejoin(conn, -1, addr)
+						f.handleRejoin(conn, addr)
 					}
-				case wire.KindRejoin:
-					id, addr, err := wire.DecodeRejoin(r)
-					if err != nil {
-						conn.Close()
-						return
-					}
-					<-f.ready
-					f.handleRejoin(conn, id, addr)
 				case wire.KindQueryTagged:
 					f.serveClient(conn, payload)
 				default:
@@ -272,10 +258,24 @@ func (f *Frontend) Serve() error {
 		}
 	}
 	for id, conn := range conns {
-		if err := writeAssign(conn, id, f.k, f.seed, addrs); err != nil {
-			return fail(err)
+		a := wire.Assign{ID: id, K: f.k, Seed: f.seed, Leader: -1, Addrs: addrs}
+		if err := wire.WriteFrame(conn, wire.EncodeAssign(a)); err != nil {
+			return fail(fmt.Errorf("tcp: frontend assign to %d: %w", id, err))
 		}
 	}
+	// The ready reports may never come, so Close must still release Serve:
+	// a closed listener (Close, or a dead accept loop) closes the
+	// registered connections, failing the reads below.
+	setupDone := make(chan struct{})
+	go func() {
+		select {
+		case <-acceptDone:
+			for _, conn := range conns {
+				conn.Close()
+			}
+		case <-setupDone:
+		}
+	}()
 
 	// Wait for every node's post-setup report and verify agreement. All k
 	// frames are drained before failing so that a setup error surfaces
@@ -300,22 +300,33 @@ func (f *Frontend) Serve() error {
 			record(errors.As(err, &se) && se.origin, err)
 			continue
 		}
-		if !haveFirst {
+		switch {
+		case rdy.Leader < 0 || rdy.Leader >= f.k:
+			// A re-join grant names the leader; it must be a seat.
+			record(true, fmt.Errorf("tcp: node %d elected %d, outside the %d-node cluster", id, rdy.Leader, f.k))
+		case !haveFirst:
 			leader, tag, haveFirst = rdy.Leader, rdy.PointTag, true
-		} else if rdy.Leader != leader {
+		case rdy.Leader != leader:
 			record(true, fmt.Errorf("tcp: node %d elected %d, an earlier node elected %d", id, rdy.Leader, leader))
-		} else if rdy.PointTag != tag {
+		case rdy.PointTag != tag:
 			record(true, fmt.Errorf("tcp: node %d serves point tag %d, an earlier node serves %d", id, rdy.PointTag, tag))
 		}
 		shardLens[id] = rdy.ShardLen
 		total += rdy.ShardLen
 		summaries[id] = sum
 	}
+	close(setupDone)
 	if setupErr != nil {
 		return fail(setupErr)
 	}
 
 	f.mu.Lock()
+	if f.closed.Load() {
+		// Close ran during setup and found no seat to shut down; seating
+		// now would start control pumps on a closed frontend.
+		f.mu.Unlock()
+		return fail(errors.New("tcp: frontend closed during setup"))
+	}
 	f.slots = make([]*feSlot, f.k)
 	for id, conn := range conns {
 		s := &feSlot{id: id, conn: conn, present: true, summary: summaries[id]}
@@ -383,25 +394,6 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, er
 		return rdy, sum, fmt.Errorf("tcp: bad summary from node %d (%v)", id, err)
 	}
 	return rdy, sum, nil
-}
-
-// writeAssign sends one KindAssign frame: the session mode (always
-// wire.ModeServe), machine index, cluster size, session seed and the full
-// mesh address book.
-func writeAssign(conn net.Conn, id, k int, seed uint64, addrs []string) error {
-	var w wire.Writer
-	w.Kind(wire.KindAssign)
-	w.U8(wire.ModeServe)
-	w.Varint(uint64(id))
-	w.Varint(uint64(k))
-	w.U64(seed)
-	for _, a := range addrs {
-		w.String(a)
-	}
-	if err := wire.WriteFrame(conn, w.Bytes()); err != nil {
-		return fmt.Errorf("tcp: frontend assign to %d: %w", id, err)
-	}
-	return nil
 }
 
 // pump reads one node's control frames for one connection incarnation and
@@ -525,16 +517,17 @@ func (f *Frontend) EvictNode(id int) error {
 	return nil
 }
 
-// handleRejoin runs the re-join handshake for one connection: grant an
-// absent seat (the requested one, or the lowest), send the assignment, and
-// wait for the node's ready report. Handshakes are serialized with each
+// handleRejoin runs the re-join handshake for one connection: grant the
+// lowest absent seat, send the assignment, and wait for the node's ready
+// report. Which absent seat a node takes never changes an answer: every
+// shard is a pure function of (id, k), and the ready check below vets the
+// rebuilt shard against the seat. Handshakes are serialized with each
 // other (rejoinMu), but the epoch lock is held only to grant and later to
 // seal the seat — never across the handshake's network I/O, so a slow (or
 // hostile) re-joiner cannot stall degraded replies, Close, or evictions.
 // No query epoch can race the mesh-link splicing: the granted seat stays
 // absent until the seal, and an absent seat gates all dispatches.
-// wantID < 0 lets the frontend pick.
-func (f *Frontend) handleRejoin(conn net.Conn, wantID int, addr string) {
+func (f *Frontend) handleRejoin(conn net.Conn, addr string) {
 	deny := func(msg string) {
 		_ = wire.WriteFrame(conn, wire.EncodeNodeError(wire.NodeError{LostPeer: -1, Msg: msg}))
 		conn.Close()
@@ -552,21 +545,10 @@ func (f *Frontend) handleRejoin(conn net.Conn, wantID int, addr string) {
 		return
 	}
 	var slot *feSlot
-	if wantID >= 0 {
-		if wantID >= f.k {
-			f.mu.Unlock()
-			deny(fmt.Sprintf("no machine %d in a %d-node cluster", wantID, f.k))
-			return
-		}
-		if s := f.slots[wantID]; !s.present {
+	for _, s := range f.slots {
+		if !s.present {
 			slot = s
-		}
-	} else {
-		for _, s := range f.slots {
-			if !s.present {
-				slot = s
-				break
-			}
+			break
 		}
 	}
 	if slot == nil {
@@ -579,21 +561,21 @@ func (f *Frontend) handleRejoin(conn net.Conn, wantID int, addr string) {
 	// seat is absent until the seal, and queries cannot consume epochs
 	// while any seat is absent. Leader, shard sizes and the point tag are
 	// immutable after setup.
-	ra := wire.RejoinAssign{
+	a := wire.Assign{
 		ID: slot.id, K: f.k, Seed: f.seed,
 		Leader: f.leader, Epoch: f.epoch,
 		Addrs: append([]string(nil), f.addrs...),
 	}
 	for _, s := range f.slots {
 		if s.present {
-			ra.Present = append(ra.Present, s.id)
+			a.Present = append(a.Present, s.id)
 		}
 	}
 	f.mu.Unlock()
 
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	//knnlint:allow lockio -- rejoinMu exists to serialize this handshake I/O; the conn carries a handshake deadline
-	if err := wire.WriteFrame(conn, wire.EncodeRejoinAssign(ra)); err != nil {
+	if err := wire.WriteFrame(conn, wire.EncodeAssign(a)); err != nil {
 		conn.Close()
 		return
 	}
@@ -668,7 +650,9 @@ func (f *Frontend) Leader() int {
 // queued and in-flight query epoch with a retryable error, asks every node
 // to shut down, and releases the control and client connections. The nodes
 // drain their in-flight epochs before tearing their meshes down, so a close
-// mid-query never strands a peer. Safe to call more than once.
+// mid-query never strands a peer. A Close during setup, before the nodes
+// report ready, closes their connections too, and Serve returns without
+// seating them. Safe to call more than once.
 func (f *Frontend) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil

@@ -49,7 +49,7 @@ func TestMuxOutOfOrderReplies(t *testing.T) {
 		// Answer newest-first; the query value rides back in Rounds so the
 		// caller can verify it got its own result.
 		for i := len(pends) - 1; i >= 0; i-- {
-			_ = wire.WriteFrame(conn, wire.EncodeReplyTagged(pends[i].tag, wire.Reply{
+			_ = wire.WriteFrame(conn, replyFrame(pends[i].tag, wire.Reply{
 				Rounds:  int(pends[i].v),
 				Results: []wire.QueryReply{{}},
 			}))
@@ -130,7 +130,7 @@ func TestMuxChurnFailsOnlyInFlightTags(t *testing.T) {
 	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 6)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query in the degraded window: got %v, want a degraded error", err)
 	}
-	c.startNode(&blockingHandler{entered: entered, release: release}, -1)
+	c.startNode(&blockingHandler{entered: entered, release: release})
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 7)), k, 7, leader)
 	for v := uint64(8); v <= 12; v++ {
 		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
@@ -153,7 +153,7 @@ func TestClientCloseWakesDegradedRetry(t *testing.T) {
 			if !ok {
 				return
 			}
-			_ = wire.WriteFrame(conn, wire.EncodeReplyTagged(tag, wire.Reply{
+			_ = wire.WriteFrame(conn, replyFrame(tag, wire.Reply{
 				Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true,
 			}))
 		}

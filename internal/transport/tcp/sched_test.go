@@ -76,21 +76,25 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 }
 
 // TestSchedulerCoalescesSingleQueries proves transparent server-side
-// batching: with MaxServerBatch=4 and a long linger, four concurrently
-// arriving single queries must share one lockstep epoch — every reply
-// reports the whole epoch's message total (4 sub-programs' star round
-// trips), and each client still gets exactly its own per-query result.
+// batching: with a long linger, maxServerBatch concurrently arriving single
+// queries must share one lockstep epoch — every reply reports the whole
+// epoch's message total (every sub-program's star round trip), and each
+// caller still gets exactly its own per-query result.
 func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	k := 3
 	lc := startEchoClusterOptions(t, k, 81, FrontendOptions{
-		Window:         2,
-		ServerBatch:    true,
-		Linger:         10 * time.Second, // only the full bucket may flush
-		MaxServerBatch: 4,
+		Window:      2,
+		ServerBatch: true,
+		Linger:      10 * time.Second, // only the full bucket may flush
 	}, func() Handler { return &echoHandler{} })
 	leader := lc.Leader()
+	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
 
-	const batch = 4
+	const batch = maxServerBatch
 	var wg sync.WaitGroup
 	reps := make([]wire.Reply, batch)
 	errs := make([]error, batch)
@@ -98,20 +102,13 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			client, err := DialFrontend(lc.Addr())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer client.Close()
 			reps[i], errs[i] = client.Do(scalarQuery(wire.OpKNN, 1, uint64(i)+10))
 		}(i)
 	}
 	wg.Wait()
 
 	// Each sub-program is one star round trip: 2(k−1) messages per query,
-	// and a coalesced epoch of 4 reports the shared total to every
-	// participant.
+	// and a coalesced epoch reports the shared total to every participant.
 	wantMsgs := int64(batch * 2 * (k - 1))
 	for i := 0; i < batch; i++ {
 		if errs[i] != nil {
@@ -128,45 +125,50 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 // TestSchedulerIsolatesCoalescedFailure pins server-side batching's fate
 // isolation: a coalesced batch's participants are strangers, so when one
 // client's query fails the shared epoch (the magic 1313 program error),
-// the innocent co-batched query must still succeed — the scheduler falls
+// the innocent co-batched queries must still succeed — the scheduler falls
 // back to solo epochs — while the offender gets its own error.
 func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 	k := 3
 	lc := startEchoClusterOptions(t, k, 111, FrontendOptions{
-		Window:         2,
-		ServerBatch:    true,
-		Linger:         10 * time.Second, // only the full bucket may flush
-		MaxServerBatch: 2,
+		Window:      2,
+		ServerBatch: true,
+		Linger:      10 * time.Second, // only the full bucket may flush
 	}, func() Handler { return &echoHandler{} })
 	leader := lc.Leader()
+	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{NoRetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
 
+	// One offender and enough innocents to fill the bucket.
+	vs := []uint64{1313}
+	for v := uint64(10); len(vs) < maxServerBatch; v++ {
+		vs = append(vs, v)
+	}
 	type outcome struct {
 		rep wire.Reply
 		err error
 	}
-	outs := make([]outcome, 2)
+	outs := make([]outcome, len(vs))
 	var wg sync.WaitGroup
-	for i, v := range []uint64{7, 1313} {
+	for i, v := range vs {
 		wg.Add(1)
 		go func(i int, v uint64) {
 			defer wg.Done()
-			client, err := DialFrontendOptions(lc.Addr(), ClientOptions{NoRetry: true})
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			defer client.Close()
 			outs[i].rep, outs[i].err = client.Do(scalarQuery(wire.OpKNN, 1, v))
 		}(i, v)
 	}
 	wg.Wait()
 
-	if outs[0].err != nil {
-		t.Fatalf("innocent coalesced query failed with its neighbor: %v", outs[0].err)
+	if outs[0].err == nil || !strings.Contains(outs[0].err.Error(), "unlucky") {
+		t.Fatalf("offending query: got %v, want its own program error", outs[0].err)
 	}
-	checkEcho(t, outs[0].rep, k, 7, leader)
-	if outs[1].err == nil || !strings.Contains(outs[1].err.Error(), "unlucky") {
-		t.Fatalf("offending query: got %v, want its own program error", outs[1].err)
+	for i, v := range vs[1:] {
+		if err := outs[i+1].err; err != nil {
+			t.Fatalf("innocent coalesced query %d failed with its neighbor: %v", v, err)
+		}
+		checkEcho(t, outs[i+1].rep, k, v, leader)
 	}
 }
 
@@ -269,6 +271,6 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	close(release)
 
 	// Heal and verify the cluster answers bit-identically again.
-	c.startNode(&blockingHandler{entered: entered, release: release}, -1)
+	c.startNode(&blockingHandler{entered: entered, release: release})
 	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, 1, 8)), k, 8, leader)
 }

@@ -49,7 +49,7 @@ import (
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ, point tag) coalesce into one
 // batch query: a query joins the open bucket for its key, and the bucket
-// flushes when it reaches MaxServerBatch points or after Linger —
+// flushes when it reaches maxServerBatch points or after Linger —
 // whichever comes first — turning the client-side KNNBatch amortization
 // (shared physical rounds, one dispatch) into a free win for many small
 // clients. The flushed bucket runs through the same pipeline as any client
@@ -81,6 +81,10 @@ var dispatchTimeout = 5 * time.Second
 // flood-protection link kill on a healthy but lagging node.
 const maxWindow = 64
 
+// maxServerBatch caps a coalesced batch: a bucket that reaches it flushes
+// immediately instead of lingering.
+const maxServerBatch = 64
+
 // Pruner gives the frontend the metric-space geometry of the served point
 // type, over wire encodings: the true distance between an encoded query
 // point and an encoded shard centroid, and the true distance an encoded
@@ -108,9 +112,6 @@ type FrontendOptions struct {
 	// queries before it flushes (default 500µs). Only meaningful with
 	// ServerBatch.
 	Linger time.Duration
-	// MaxServerBatch caps a coalesced batch (default 64, at most
-	// wire.MaxBatch). A full bucket flushes immediately.
-	MaxServerBatch int
 	// Pruner enables metric-index pruned dispatch for every query shape —
 	// KNN, Classify and Regress, single points and batches alike. Each
 	// point of a query first probes its nearest shard for an upper bound
@@ -130,8 +131,7 @@ type FrontendOptions struct {
 	Metrics *obs.Registry
 	// Trace collects per-epoch spans (admission → dispatch → collation →
 	// reply, with seat-level arrival offsets) into the tracer's ring for
-	// /trace/recent and its optional JSONL sink. Nil disables span
-	// collection entirely.
+	// /trace/recent. Nil disables span collection entirely.
 	Trace *obs.Tracer
 }
 
@@ -145,12 +145,6 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 	if o.Linger <= 0 {
 		o.Linger = 500 * time.Microsecond
 	}
-	if o.MaxServerBatch < 1 {
-		o.MaxServerBatch = 64
-	}
-	if o.MaxServerBatch > wire.MaxBatch {
-		o.MaxServerBatch = wire.MaxBatch
-	}
 	return o
 }
 
@@ -163,7 +157,6 @@ type scheduler struct {
 	f        *Frontend
 	window   int
 	linger   time.Duration
-	maxBatch int
 	batching bool
 
 	fm *feMetrics  // always non-nil (private registry when unconfigured)
@@ -183,7 +176,6 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 		f:        f,
 		window:   opts.Window,
 		linger:   opts.Linger,
-		maxBatch: opts.MaxServerBatch,
 		batching: opts.ServerBatch,
 		fm:       newFeMetrics(opts.Metrics),
 		tr:       opts.Trace,
@@ -871,7 +863,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	sched.fm.coalesced.Inc()
 	idx := len(b.q.Points)
 	b.q.Points = append(b.q.Points, q.Points[0])
-	full := len(b.q.Points) >= sched.maxBatch
+	full := len(b.q.Points) >= maxServerBatch
 	if full {
 		delete(sched.buckets, key)
 		b.timer.Stop()

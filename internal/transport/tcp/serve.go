@@ -32,9 +32,9 @@ var handshakeTimeout = 30 * time.Second
 // ErrSessionLost marks a resident node's exit because its serving session
 // died under it — the frontend closed (or evicted) its control connection
 // without a clean shutdown frame. The node's seat is recoverable: re-join
-// by calling ServeNodeObserved (the frontend hands a late registration an
-// absent slot) or RejoinNode, as cmd/knnnode's -rejoin loop does. Matched
-// with errors.Is.
+// by calling ServeNodeObserved again (the frontend grants a late
+// registration an absent seat), as cmd/knnnode's -rejoin loop does.
+// Matched with errors.Is.
 var ErrSessionLost = errors.New("tcp: serving session lost")
 
 // ErrDegraded marks a query refused (or failed in flight) because the
@@ -120,11 +120,11 @@ type Handler interface {
 // records into a private registry.
 //
 // If the frontend is already past rendezvous and a cluster seat is absent
-// (its node died or was evicted), the registration is answered with a
-// re-join grant instead: the node takes over the absent seat, rebuilds its
-// shard via h.Rejoin, splices replacement mesh links into the resident
-// peers, and resumes serving at the session's current epoch ordinal — so a
-// freshly started process heals a degraded cluster with no extra flags.
+// (its node died or was evicted), the Assign grant names the session's
+// leader: the node takes over the lowest absent seat, rebuilds its shard
+// via h.Rejoin, splices replacement mesh links into the resident peers, and
+// resumes serving at the session's current epoch ordinal — so a freshly
+// started process heals a degraded cluster with no extra flags.
 //
 // meshAddr is the address the node's mesh listener binds; advertise is the
 // address peers are told to dial, for deployments where the bind address is
@@ -139,19 +139,7 @@ type Handler interface {
 // connection itself ends the session, with an error matching ErrSessionLost
 // so callers can re-join (see cmd/knnnode -rejoin).
 func ServeNodeObserved(coordAddr, meshAddr, advertise string, reg *obs.Registry, h Handler) error {
-	return serveNode(coordAddr, meshAddr, advertise, -1, h, nil, reg)
-}
-
-// RejoinNode re-joins a running serving session claiming a specific machine
-// index, which must be absent (its previous node dead or evicted). Use it
-// when the caller knows which seat it held — e.g. a supervisor restarting a
-// known shard; a plain ServeNodeObserved registration lets the frontend pick
-// any absent seat instead.
-func RejoinNode(coordAddr, meshAddr, advertise string, id int, h Handler) error {
-	if id < 0 {
-		return fmt.Errorf("tcp: rejoin needs a machine index, got %d", id)
-	}
-	return serveNode(coordAddr, meshAddr, advertise, id, h, nil, nil)
+	return serveNode(coordAddr, meshAddr, advertise, h, nil, reg)
 }
 
 // nodeSession aggregates one resident node's sockets so in-package tests
@@ -169,7 +157,7 @@ func (s *nodeSession) kill() {
 	s.node.closePeers()
 }
 
-func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, hook func(*nodeSession), reg *obs.Registry) error {
+func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*nodeSession), reg *obs.Registry) error {
 	nm := newNodeMetrics(reg)
 	ln, err := net.Listen("tcp", meshAddr)
 	if err != nil {
@@ -177,13 +165,13 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 	defer ln.Close()
 
-	coord, a, err := joinServe(coordAddr, ln, advertise, rejoinID)
+	coord, a, err := joinServe(coordAddr, ln, advertise)
 	if err != nil {
 		return err
 	}
 	defer coord.Close()
 
-	node := newNode(a.id, a.k)
+	node := newNode(a.ID, a.K)
 	defer node.closePeers()
 	// The accept loop runs for the whole session: it seats the initial
 	// higher-id dialers and, later, replacement links from re-joining
@@ -194,49 +182,46 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 	}
 
 	var info SessionInfo
-	if a.rejoin {
-		// Resume mid-session: no setup epoch — the leader is handed down —
-		// and dispatched epochs continue at the session's current ordinal
-		// (the fresh mesh links carry no stale-epoch leftovers).
-		for _, j := range a.present {
-			if j == a.id || j < 0 || j >= a.k {
-				continue
-			}
-			if err := dialPeer(node, j, a.addrs[j]); err != nil {
+	if a.Leader >= 0 {
+		// The grant names a leader, so the session is running: no setup
+		// epoch, and dispatched epochs continue at the session's current
+		// ordinal (the fresh mesh links carry no stale-epoch leftovers).
+		for _, j := range a.Present {
+			if err := dialPeer(node, j, a.Addrs[j]); err != nil {
 				return err
 			}
 		}
-		if info, err = h.Rejoin(a.id, a.k, a.leader); err != nil {
-			_ = writeNodeError(coord, a.epoch, err)
-			return fmt.Errorf("tcp: node %d rejoin: %w", a.id, err)
+		if info, err = h.Rejoin(a.ID, a.K, a.Leader); err != nil {
+			_ = writeNodeError(coord, a.Epoch, err)
+			return fmt.Errorf("tcp: node %d rejoin: %w", a.ID, err)
 		}
 	} else {
-		if err := buildMesh(node, a.addrs); err != nil {
+		if err := buildMesh(node, a.Addrs); err != nil {
 			return err
 		}
 		// Setup epoch (ordinal 0): elect the leader exactly once per
 		// session.
-		if _, err := node.runEpoch(0, xrand.DeriveSeed(a.seed, SetupSeedStream), func(m kmachine.Env) error {
+		if _, err := node.runEpoch(0, xrand.DeriveSeed(a.Seed, SetupSeedStream), func(m kmachine.Env) error {
 			var err error
 			info, err = h.Setup(m)
 			return err
 		}); err != nil {
 			_ = writeNodeError(coord, 0, err)
-			return fmt.Errorf("tcp: node %d setup: %w", a.id, err)
+			return fmt.Errorf("tcp: node %d setup: %w", a.ID, err)
 		}
 	}
 
 	var ready wire.Writer
-	wire.AppendReady(&ready, wire.Ready{Node: a.id, Leader: info.Leader, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
+	wire.AppendReady(&ready, wire.Ready{Node: a.ID, Leader: info.Leader, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
 	if err := wire.WriteFrame(coord, ready.Bytes()); err != nil {
-		return fmt.Errorf("tcp: node %d ready: %w (%v)", a.id, ErrSessionLost, err)
+		return fmt.Errorf("tcp: node %d ready: %w (%v)", a.ID, ErrSessionLost, err)
 	}
 	// The metric-index summary follows every ready frame — setup and
 	// re-join alike — so the frontend always has current centroid/radius
 	// geometry for each seated incarnation before it serves queries on it.
-	info.Summary.Node = a.id
+	info.Summary.Node = a.ID
 	if err := wire.WriteFrame(coord, wire.EncodeShardSummary(info.Summary)); err != nil {
-		return fmt.Errorf("tcp: node %d summary: %w (%v)", a.id, ErrSessionLost, err)
+		return fmt.Errorf("tcp: node %d summary: %w (%v)", a.ID, ErrSessionLost, err)
 	}
 
 	// Dispatched epochs execute concurrently — the frontend's scheduler
@@ -288,9 +273,9 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				// No shutdown frame came first: the frontend died, or this
 				// node was evicted. Either way the seat is re-joinable.
-				return fmt.Errorf("tcp: node %d control connection closed: %w", a.id, ErrSessionLost)
+				return fmt.Errorf("tcp: node %d control connection closed: %w", a.ID, ErrSessionLost)
 			}
-			return fmt.Errorf("tcp: node %d read dispatch: %v: %w", a.id, err, ErrSessionLost)
+			return fmt.Errorf("tcp: node %d read dispatch: %v: %w", a.ID, err, ErrSessionLost)
 		}
 		nm.ctrlIn.Add(int64(len(payload)) + 4) // payload + length header
 		r := wire.NewReader(payload)
@@ -301,7 +286,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
-				return fmt.Errorf("tcp: node %d bad dispatch: %w", a.id, err)
+				return fmt.Errorf("tcp: node %d bad dispatch: %w", a.ID, err)
 			}
 			// Subscribing the epoch's frame feeds happens here, on the read
 			// loop, so subscriptions follow dispatch order (the
@@ -309,7 +294,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			// later dispatch. A mesh with a dead link refuses the epoch
 			// with the fatal bit naming the lost peer — the frontend gates
 			// further dispatches until the implicated node re-joins.
-			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.seed, epoch), info.Leader)
+			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.Seed, epoch), info.Leader)
 			if err != nil {
 				wire.PutFrameBuf(payload)
 				// Tell the live peers too: one of them may already have
@@ -324,7 +309,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				nr, err := runMeshEpoch(er, q, h, a.id, info.Leader)
+				nr, err := runMeshEpoch(er, q, h, a.ID, info.Leader)
 				if err == nil {
 					nm.epochsServed.Inc()
 					nm.meshRounds.Add(int64(nr.Rounds))
@@ -345,12 +330,12 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
-				return fmt.Errorf("tcp: node %d bad direct dispatch: %w", a.id, err)
+				return fmt.Errorf("tcp: node %d bad direct dispatch: %w", a.ID, err)
 			}
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				nr, err := runDirectEpoch(epoch, q, h, a.id)
+				nr, err := runDirectEpoch(epoch, q, h, a.ID)
 				if err == nil {
 					nm.directServed.Inc()
 				}
@@ -358,7 +343,7 @@ func serveNode(coordAddr, meshAddr, advertise string, rejoinID int, h Handler, h
 				wire.PutFrameBuf(payload)
 			}()
 		default:
-			return fmt.Errorf("tcp: node %d got unexpected control kind %d", a.id, kind)
+			return fmt.Errorf("tcp: node %d got unexpected control kind %d", a.ID, kind)
 		}
 	}
 }
@@ -427,43 +412,25 @@ func runDirectEpoch(epoch uint64, q wire.Query, h Handler, id int) (wire.NodeRes
 	return nr, nil
 }
 
-// serveAssignment is what a serving node learns at join time: a fresh
-// rendezvous assignment, or a re-join grant into a running session.
-type serveAssignment struct {
-	rejoin  bool
-	id, k   int
-	seed    uint64
-	leader  int    // rejoin only: the already-elected leader
-	epoch   uint64 // rejoin only: the session's current epoch ordinal
-	present []int  // rejoin only: the peers currently serving
-	addrs   []string
-}
-
-// joinServe registers with the frontend (KindRejoin when the caller claims
-// a specific seat, KindRegister otherwise) and decodes whichever grant
-// comes back.
-func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int) (net.Conn, serveAssignment, error) {
+// joinServe registers with the frontend and decodes its Assign grant: a
+// fresh rendezvous seat (no leader yet) or an absent seat of a running
+// session.
+func joinServe(coordAddr string, ln net.Listener, advertise string) (net.Conn, wire.Assign, error) {
 	if advertise == "" {
 		advertise = ln.Addr().String()
 	}
 	coord, err := net.Dial("tcp", coordAddr)
 	if err != nil {
-		return nil, serveAssignment{}, fmt.Errorf("tcp: dial coordinator: %w", err)
+		return nil, wire.Assign{}, fmt.Errorf("tcp: dial coordinator: %w", err)
 	}
-	fail := func(err error) (net.Conn, serveAssignment, error) {
+	fail := func(err error) (net.Conn, wire.Assign, error) {
 		coord.Close()
-		return nil, serveAssignment{}, err
+		return nil, wire.Assign{}, err
 	}
-	var first []byte
-	if rejoinID >= 0 {
-		first = wire.EncodeRejoin(rejoinID, advertise)
-	} else {
-		var reg wire.Writer
-		reg.Kind(wire.KindRegister)
-		reg.String(advertise)
-		first = reg.Bytes()
-	}
-	if err := wire.WriteFrame(coord, first); err != nil {
+	var reg wire.Writer
+	reg.Kind(wire.KindRegister)
+	reg.String(advertise)
+	if err := wire.WriteFrame(coord, reg.Bytes()); err != nil {
 		return fail(fmt.Errorf("tcp: register: %w", err))
 	}
 	payload, err := wire.ReadFrame(coord)
@@ -473,33 +440,11 @@ func joinServe(coordAddr string, ln net.Listener, advertise string, rejoinID int
 	r := wire.NewReader(payload)
 	switch kind := r.Kind(); kind {
 	case wire.KindAssign:
-		a := serveAssignment{
-			id: -1,
-		}
-		mode := r.U8()
-		a.id = int(r.Varint())
-		a.k = int(r.Varint())
-		a.seed = r.U64()
-		a.addrs = make([]string, a.k)
-		for i := range a.addrs {
-			a.addrs[i] = r.String()
-		}
-		if err := r.Err(); err != nil {
+		a, err := wire.DecodeAssign(r)
+		if err != nil {
 			return fail(fmt.Errorf("tcp: bad assignment: %w", err))
 		}
-		if mode != wire.ModeServe {
-			return fail(fmt.Errorf("tcp: frontend assigned session mode %d, a node only serves mode %d", mode, wire.ModeServe))
-		}
 		return coord, a, nil
-	case wire.KindRejoinAssign:
-		ra, err := wire.DecodeRejoinAssign(r)
-		if err != nil {
-			return fail(fmt.Errorf("tcp: bad rejoin assignment: %w", err))
-		}
-		return coord, serveAssignment{
-			rejoin: true, id: ra.ID, k: ra.K, seed: ra.Seed,
-			leader: ra.Leader, epoch: ra.Epoch, present: ra.Present, addrs: ra.Addrs,
-		}, nil
 	case wire.KindError:
 		ne, err := wire.DecodeNodeError(r)
 		if err != nil {

@@ -98,11 +98,11 @@ func scalarQuery(op uint8, l int, vs ...uint64) wire.Query {
 
 func startEchoCluster(t *testing.T, k int, seed uint64) (*LocalCluster, *Client) {
 	t.Helper()
-	lc, err := ServeLocal(k, seed, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(k, seed, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := DialFrontend(lc.Addr())
+	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{})
 	if err != nil {
 		lc.Close()
 		t.Fatal(err)
@@ -274,12 +274,12 @@ func (h *mismatchedTagHandler) Setup(m kmachine.Env) (SessionInfo, error) {
 
 func TestFailedSessionReleasesNodes(t *testing.T) {
 	// A session that fails validation must close the node control
-	// connections so every resident node exits — ServeLocal's error-path
+	// connections so every resident node exits — ServeLocalOptions' error-path
 	// Close would otherwise deadlock waiting for them.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		lc, err := ServeLocal(3, 4, func() Handler { return &mismatchedTagHandler{} })
+		lc, err := ServeLocalOptions(3, 4, FrontendOptions{}, nil, func() Handler { return &mismatchedTagHandler{} })
 		if err == nil {
 			lc.Close()
 			t.Error("mismatched point tags must fail the session")
@@ -290,14 +290,70 @@ func TestFailedSessionReleasesNodes(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("failed session left nodes (or ServeLocal) hanging")
+		t.Fatal("failed session left nodes (or ServeLocalOptions) hanging")
 	}
 }
 
-// TestNodeRejectsRetiredSessionMode pins the KindAssign mode byte: only
-// wire.ModeServe is a session; the retired one-shot value 0 (or anything
-// else) is refused at join.
-func TestNodeRejectsRetiredSessionMode(t *testing.T) {
+// TestFrontendCloseDuringSetupReleasesServe is the regression test for a
+// Close that lands after rendezvous but before the nodes report ready:
+// Close must close the registered connections, and Serve must return
+// instead of waiting forever for ready reports (and must not seat anyone).
+func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	var conns []net.Conn
+	for i := 0; i < 2; i++ {
+		conn, err := net.Dial("tcp", fe.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var reg wire.Writer
+		reg.Kind(wire.KindRegister)
+		reg.String("127.0.0.1:1")
+		if err := wire.WriteFrame(conn, reg.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+	}
+	// Both grants out: Serve now waits for ready reports that never come.
+	for i, conn := range conns {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		payload, err := wire.ReadFrame(conn)
+		if err != nil || wire.Kind(payload[0]) != wire.KindAssign {
+			t.Fatalf("registration %d: got % x, %v; want an assign", i, payload, err)
+		}
+	}
+	fe.Close()
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("Serve after Close during setup: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close during setup did not release Serve")
+	}
+	for i, conn := range conns {
+		if _, err := wire.ReadFrame(conn); err == nil {
+			t.Fatalf("registration %d: connection still open after Close", i)
+		}
+	}
+	fe.mu.Lock()
+	seated := fe.slots != nil
+	fe.mu.Unlock()
+	if seated {
+		t.Fatal("a closed frontend seated its nodes")
+	}
+}
+
+// TestJoinRejectsAssignBeyondPayload pins the join's bounds check: an
+// Assign whose cluster size k promises more addresses than the frame holds
+// fails the join with an error instead of allocating from that varint.
+func TestJoinRejectsAssignBeyondPayload(t *testing.T) {
 	addr := stubFrontend(t, func(conn net.Conn) {
 		defer conn.Close()
 		if _, err := wire.ReadFrame(conn); err != nil {
@@ -305,16 +361,18 @@ func TestNodeRejectsRetiredSessionMode(t *testing.T) {
 		}
 		var w wire.Writer
 		w.Kind(wire.KindAssign)
-		w.U8(0)
-		w.Varint(0)
-		w.Varint(1)
-		w.U64(1)
+		w.Varint(0)       // seat
+		w.Varint(1 << 40) // k
+		w.U64(1)          // seed
+		w.Varint(0)       // no leader
+		w.Varint(0)       // epoch
+		w.Varint(0)       // no present peers
 		w.String("127.0.0.1:1")
 		_ = wire.WriteFrame(conn, w.Bytes())
 	})
 	err := ServeNodeObserved(addr, "127.0.0.1:0", "", nil, &echoHandler{})
-	if err == nil || !strings.Contains(err.Error(), "session mode 0") {
-		t.Fatalf("join against a mode-0 assignment: got %v, want a mode rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "exceeds payload") {
+		t.Fatalf("join against an assign with k beyond its payload: got %v, want a bounds error", err)
 	}
 }
 

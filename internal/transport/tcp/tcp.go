@@ -22,8 +22,8 @@
 // carries a worker's failure on to the other workers.
 //
 // There is one deployment style, the resident session (Frontend,
-// ServeNodeObserved, ServeLocal, Client), the socket counterpart of
-// internal/kmachine's Runtime: the nodes stay resident after rendezvous, run
+// ServeNodeObserved, ServeLocalOptions, Client), the socket counterpart of
+// the in-process simulator: the nodes stay resident after rendezvous, run
 // a setup epoch once (leader election), and then execute one BSP epoch per
 // query dispatched by the frontend, which also answers remote clients. Each
 // epoch is an isolated run on the standing mesh — fresh round numbering,

@@ -33,15 +33,14 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 // up until the test ends, as a resident one outlives its epochs.
 func startMesh(t *testing.T, k int, seed uint64) []*Node {
 	t.Helper()
-	fe, err := NewFrontend("127.0.0.1:0", k, seed)
+	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- fe.Serve() }()
-	// Registered first, so it runs after the nodes' cleanups below have
-	// closed their control connections — which is what releases Serve from
-	// its wait for ready reports that never come.
+	// The fe.Close below releases Serve from its wait for ready reports
+	// that never come.
 	t.Cleanup(func() {
 		if err := <-serveDone; err != nil {
 			t.Errorf("frontend: %v", err)
@@ -60,20 +59,20 @@ func startMesh(t *testing.T, k int, seed uint64) []*Node {
 				return
 			}
 			t.Cleanup(func() { ln.Close() })
-			coord, a, err := joinServe(fe.Addr(), ln, "", -1)
+			coord, a, err := joinServe(fe.Addr(), ln, "")
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			t.Cleanup(func() { coord.Close() })
-			node := newNode(a.id, a.k)
+			node := newNode(a.ID, a.K)
 			t.Cleanup(node.closePeers)
 			go meshAcceptLoop(node, ln)
-			if err := buildMesh(node, a.addrs); err != nil {
+			if err := buildMesh(node, a.Addrs); err != nil {
 				t.Error(err)
 				return
 			}
-			nodes[a.id] = node
+			nodes[a.ID] = node
 		}()
 	}
 	wg.Wait()

@@ -71,8 +71,11 @@ func (n *stubNode) serve(addr string) error {
 	if kind := r.Kind(); kind != wire.KindAssign {
 		return fmt.Errorf("stub: expected assign, got kind %d", kind)
 	}
-	r.U8()
-	id := int(r.Varint())
+	a, err := wire.DecodeAssign(r)
+	if err != nil {
+		return err
+	}
+	id := a.ID
 	n.mu.Lock()
 	n.id = id
 	n.mu.Unlock()
@@ -111,7 +114,9 @@ func (n *stubNode) serve(addr string) error {
 				}
 				nr.Queries[qi].Winners = stubTopL(id, v, q.L)
 			}
-			if err := wire.WriteFrame(conn, wire.EncodeNodeResult(nr)); err != nil {
+			var res wire.Writer
+			wire.AppendNodeResult(&res, nr)
+			if err := wire.WriteFrame(conn, res.Bytes()); err != nil {
 				return err
 			}
 		default:
@@ -139,7 +144,7 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	for _, n := range stubs {
 		go func(n *stubNode) { exits <- n.serve(fe.Addr()) }(n)
 	}
-	client, err := DialFrontend(fe.Addr())
+	client, err := DialFrontendOptions(fe.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +184,14 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 			t.Fatalf("stub node: %v", err)
 		}
 	}
-	sub := func(vs ...uint64) wire.Query { return scalarQuery(wire.OpKNN, l, vs...) }
+	direct := func(epoch uint64, vs ...uint64) []byte {
+		var w wire.Writer
+		wire.AppendDispatchDirect(&w, epoch, scalarQuery(wire.OpKNN, l, vs...))
+		return w.Bytes()
+	}
 	want := [][][]byte{
-		{wire.EncodeDispatchDirect(1, sub(100)), wire.EncodeDispatchDirect(2, sub(552, 553))},
-		{wire.EncodeDispatchDirect(1, sub(552, 1000, 553))},
+		{direct(1, 100), direct(2, 552, 553)},
+		{direct(1, 552, 1000, 553)},
 	}
 	for _, n := range stubs {
 		var dispatches [][]byte
@@ -214,7 +223,9 @@ func TestRetiredClientKindIsRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	// The retired frame: kind 08, then a well-formed query body.
-	frame := append([]byte{8}, wire.EncodeQueryTagged(0, scalarQuery(wire.OpKNN, 1, 7))[2:]...)
+	var q wire.Writer
+	wire.AppendQueryTagged(&q, 0, scalarQuery(wire.OpKNN, 1, 7))
+	frame := append([]byte{8}, q.Bytes()[2:]...)
 	if err := wire.WriteFrame(conn, frame); err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func BenchmarkEncodeReplyLegacy(b *testing.B) {
 	rep := benchReply()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		payload := EncodeReplyTagged(uint64(i), rep)
+		payload := encReplyTagged(uint64(i), rep)
 		buf := make([]byte, 4+len(payload))
 		copy(buf[4:], payload)
 		if _, err := io.Discard.Write(buf); err != nil {

@@ -22,8 +22,8 @@ type Kind uint8
 const (
 	// KindRegister: node → coordinator. Body: String mesh-listen address.
 	KindRegister Kind = 1
-	// KindAssign: coordinator → node. Body: U8 mode, Varint id, Varint k,
-	// U64 seed, then k × String mesh addresses (the address book).
+	// KindAssign: frontend → node, the grant of a seat, for a fresh
+	// rendezvous and a re-join alike. Body: Assign.
 	KindAssign Kind = 2
 	// KindReady: node → frontend, once the setup epoch (leader election)
 	// has completed. Body: Varint id, Varint leader, Varint shard size,
@@ -43,21 +43,11 @@ const (
 	// KindShutdown: frontend → node, clean stop. Empty body.
 	KindShutdown Kind = 7
 
-	// Kinds 8 and 9 (the untagged client query/reply pair) and 16 (the
+	// Kinds 8 and 9 (the untagged client query/reply pair), 10 and 11 (the
+	// seat-claiming Rejoin request and its separate grant) and 16 (the
 	// pruned sub-batch dispatch with an index list) are retired and never
 	// reused.
 
-	// KindRejoin: node → frontend, re-register into a running serving
-	// session. Body: Varint id+1 (0 asks the frontend to pick any absent
-	// slot), String mesh address. The frontend answers with KindRejoinAssign
-	// on success or KindError (epoch 0) on rejection.
-	KindRejoin Kind = 10
-	// KindRejoinAssign: frontend → node, the rejoin grant. Body:
-	// RejoinAssign — Varint id, Varint k, U64 seed, Varint leader,
-	// Varint epoch (the session's current epoch ordinal), Varint
-	// presentCount, presentCount × Varint id (the peers currently serving,
-	// which the rejoining node must dial), then k × String mesh addresses.
-	KindRejoinAssign Kind = 11
 	// KindQueryTagged: client → frontend, one query. Body: Varint tag
 	// (client-chosen request id, echoed verbatim in the reply), then a Query
 	// body. Queries on one connection may be answered out of order; the tag
@@ -85,12 +75,6 @@ const (
 	// bookkeeping.
 	KindDispatchDirect Kind = 15
 )
-
-// ModeServe is the only session mode a KindAssign frame carries: the node
-// stays resident and, after the setup epoch, executes one BSP epoch per
-// KindDispatch until shutdown. Mode 0 (the one-shot run) is retired and never
-// reused; a node rejects any other value.
-const ModeServe = 1
 
 // Query operations.
 const (
@@ -143,13 +127,6 @@ func (q Query) append(w *Writer) {
 	}
 }
 
-// EncodeQueryTagged builds a KindQueryTagged frame payload.
-func EncodeQueryTagged(tag uint64, q Query) []byte {
-	var w Writer
-	AppendQueryTagged(&w, tag, q)
-	return w.Bytes()
-}
-
 // AppendQueryTagged appends a KindQueryTagged frame payload to w.
 func AppendQueryTagged(w *Writer, tag uint64, q Query) {
 	w.Kind(KindQueryTagged)
@@ -157,26 +134,11 @@ func AppendQueryTagged(w *Writer, tag uint64, q Query) {
 	q.append(w)
 }
 
-// EncodeDispatch builds a KindDispatch frame payload for one epoch.
-func EncodeDispatch(epoch uint64, q Query) []byte {
-	var w Writer
-	AppendDispatch(&w, epoch, q)
-	return w.Bytes()
-}
-
 // AppendDispatch appends a KindDispatch frame payload to w.
 func AppendDispatch(w *Writer, epoch uint64, q Query) {
 	w.Kind(KindDispatch)
 	w.Varint(epoch)
 	q.append(w)
-}
-
-// EncodeDispatchDirect builds a KindDispatchDirect frame payload for one
-// pruned (no-mesh) epoch.
-func EncodeDispatchDirect(epoch uint64, q Query) []byte {
-	var w Writer
-	AppendDispatchDirect(&w, epoch, q)
-	return w.Bytes()
 }
 
 // AppendDispatchDirect appends a KindDispatchDirect frame payload to w.
@@ -280,39 +242,17 @@ func DecodeNodeError(r *Reader) (NodeError, error) {
 	return ne, nil
 }
 
-// EncodeRejoin builds a KindRejoin frame payload. id < 0 asks the frontend
-// to pick any absent slot (a restarted process that no longer knows its
-// machine index).
-func EncodeRejoin(id int, meshAddr string) []byte {
-	var w Writer
-	w.Kind(KindRejoin)
-	if id < 0 {
-		w.Varint(0)
-	} else {
-		w.Varint(uint64(id) + 1)
-	}
-	w.String(meshAddr)
-	return w.Bytes()
-}
-
-// DecodeRejoin reads a KindRejoin body; the kind byte must already be
-// consumed. The returned id is -1 when the node asked for any absent slot.
-func DecodeRejoin(r *Reader) (id int, meshAddr string, err error) {
-	id = int(r.Varint()) - 1
-	meshAddr = r.String()
-	if err := r.Err(); err != nil {
-		return 0, "", err
-	}
-	return id, meshAddr, nil
-}
-
-// RejoinAssign is the frontend's grant for a node re-joining a running
-// serving session: the slot it takes over, the session parameters, the
-// already-elected leader (the rejoining node runs no setup epoch), the
-// session's current epoch ordinal, the peers currently serving (which the
-// rejoining node must dial to rebuild its mesh links) and the full address
-// book. It is the body of a KindRejoinAssign frame.
-type RejoinAssign struct {
+// Assign is the frontend's grant of a seat: the machine index the node
+// takes, the session parameters, and the mesh address book. A fresh
+// rendezvous grant names no leader (Leader -1: run the setup epoch), epoch 0
+// and no present peers. A re-join grant into a running session names the
+// already-elected leader (the node runs no setup epoch), the session's
+// current epoch ordinal, and the peers currently serving, which the node
+// must dial to rebuild its mesh links. It is the body of a KindAssign frame:
+// Varint id, Varint k, U64 seed, Varint leader+1 (0: no leader yet),
+// Varint epoch, Varint presentCount, presentCount × Varint id, then
+// k × String mesh addresses.
+type Assign struct {
 	ID      int
 	K       int
 	Seed    uint64
@@ -322,54 +262,56 @@ type RejoinAssign struct {
 	Addrs   []string
 }
 
-// EncodeRejoinAssign builds a KindRejoinAssign frame payload.
-func EncodeRejoinAssign(ra RejoinAssign) []byte {
+// EncodeAssign builds a KindAssign frame payload.
+func EncodeAssign(a Assign) []byte {
 	var w Writer
-	w.Kind(KindRejoinAssign)
-	w.Varint(uint64(ra.ID))
-	w.Varint(uint64(ra.K))
-	w.U64(ra.Seed)
-	w.Varint(uint64(ra.Leader))
-	w.Varint(ra.Epoch)
-	w.Varint(uint64(len(ra.Present)))
-	for _, id := range ra.Present {
+	w.Kind(KindAssign)
+	w.Varint(uint64(a.ID))
+	w.Varint(uint64(a.K))
+	w.U64(a.Seed)
+	w.Varint(uint64(a.Leader + 1))
+	w.Varint(a.Epoch)
+	w.Varint(uint64(len(a.Present)))
+	for _, id := range a.Present {
 		w.Varint(uint64(id))
 	}
-	for _, a := range ra.Addrs {
-		w.String(a)
+	for _, addr := range a.Addrs {
+		w.String(addr)
 	}
 	return w.Bytes()
 }
 
-// DecodeRejoinAssign reads a RejoinAssign body; the kind byte must already
-// be consumed.
-func DecodeRejoinAssign(r *Reader) (RejoinAssign, error) {
-	ra := RejoinAssign{
-		ID:     int(r.Varint()),
-		K:      int(r.Varint()),
-		Seed:   r.U64(),
-		Leader: int(r.Varint()),
-		Epoch:  r.Varint(),
+// DecodeAssign reads an Assign body; the kind byte must already be consumed.
+// Every machine index it returns — the seat, the leader, each present peer —
+// lies inside the k-node cluster, and the present peers exclude the seat.
+func DecodeAssign(r *Reader) (Assign, error) {
+	id, k, seed, leader, epoch, count := r.Varint(), r.Varint(), r.U64(), r.Varint(), r.Varint(), r.Varint()
+	if err := r.Err(); err != nil {
+		return Assign{}, err
 	}
-	if r.Err() == nil && (ra.K < 0 || uint64(ra.K) > uint64(r.Remaining())) {
-		return RejoinAssign{}, fmt.Errorf("wire: rejoin cluster size %d exceeds payload", ra.K)
+	if k > uint64(r.Remaining()) {
+		return Assign{}, fmt.Errorf("wire: assign cluster size %d exceeds payload", k)
 	}
-	count := r.Varint()
-	if r.Err() == nil && count > uint64(ra.K) {
-		return RejoinAssign{}, fmt.Errorf("wire: rejoin present count %d exceeds cluster size %d", count, ra.K)
+	if id >= k || leader > k || count > k {
+		return Assign{}, fmt.Errorf("wire: assign (seat %d, leader+1 %d, %d present peers) does not fit a %d-node cluster", id, leader, count, k)
 	}
-	ra.Present = make([]int, 0, count)
+	a := Assign{ID: int(id), K: int(k), Seed: seed, Leader: int(leader) - 1, Epoch: epoch}
+	a.Present = make([]int, 0, count)
 	for i := uint64(0); i < count; i++ {
-		ra.Present = append(ra.Present, int(r.Varint()))
+		p := r.Varint()
+		if r.Err() == nil && (p >= k || p == id) {
+			return Assign{}, fmt.Errorf("wire: assign present peer %d is the seat or outside the cluster", p)
+		}
+		a.Present = append(a.Present, int(p))
 	}
-	ra.Addrs = make([]string, ra.K)
-	for i := range ra.Addrs {
-		ra.Addrs[i] = r.String()
+	a.Addrs = make([]string, a.K)
+	for i := range a.Addrs {
+		a.Addrs[i] = r.String()
 	}
 	if err := r.Err(); err != nil {
-		return RejoinAssign{}, err
+		return Assign{}, err
 	}
-	return ra, nil
+	return a, nil
 }
 
 // Ready is the body of a KindReady frame: what a node reports once its setup
@@ -499,13 +441,6 @@ type NodeResult struct {
 	Queries  []NodeQueryResult
 }
 
-// EncodeNodeResult builds a KindResult frame payload.
-func EncodeNodeResult(nr NodeResult) []byte {
-	var w Writer
-	AppendNodeResult(&w, nr)
-	return w.Bytes()
-}
-
 // AppendNodeResult appends a KindResult frame payload to w (for pooled
 // writers on the node's per-epoch result path).
 func AppendNodeResult(w *Writer, nr NodeResult) {
@@ -618,13 +553,6 @@ func (rep Reply) append(w *Writer) {
 		w.F64(qr.Value)
 		w.Items(qr.Items)
 	}
-}
-
-// EncodeReplyTagged builds a KindReplyTagged frame payload.
-func EncodeReplyTagged(tag uint64, rep Reply) []byte {
-	var w Writer
-	AppendReplyTagged(&w, tag, rep)
-	return w.Bytes()
 }
 
 // AppendReplyTagged appends a KindReplyTagged frame payload to w.

@@ -42,7 +42,7 @@ func FuzzDecodeQuery(f *testing.F) {
 }
 
 func FuzzDecodeNodeResult(f *testing.F) {
-	f.Add(EncodeNodeResult(NodeResult{
+	f.Add(encNodeResult(NodeResult{
 		Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745, IsLeader: true,
 		Queries: []NodeQueryResult{{
 			Winners:      []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
@@ -55,12 +55,12 @@ func FuzzDecodeNodeResult(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := EncodeNodeResult(nr)
+		enc := encNodeResult(nr)
 		nr2, err := DecodeNodeResult(skipKind(t, enc, KindResult))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(EncodeNodeResult(nr2), enc) {
+		if !bytes.Equal(encNodeResult(nr2), enc) {
 			t.Fatalf("node result is not a re-encoding fixed point")
 		}
 	})
@@ -97,14 +97,14 @@ func FuzzDecodeReply(f *testing.F) {
 // varint plus the shared body decoders, whole frames at a time.
 func FuzzDecodeTaggedFrame(f *testing.F) {
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}
-	f.Add(EncodeQueryTagged(0, q))
-	f.Add(EncodeQueryTagged(math.MaxUint64, q))
-	f.Add(EncodeReplyTagged(7, Reply{Err: "nope"}))
-	f.Add(EncodeReplyTagged(300, Reply{
+	f.Add(encQueryTagged(0, q))
+	f.Add(encQueryTagged(math.MaxUint64, q))
+	f.Add(encReplyTagged(7, Reply{Err: "nope"}))
+	f.Add(encReplyTagged(300, Reply{
 		Rounds: 1, Leader: 0,
 		Results: []QueryReply{{Items: []points.Item{{Key: keys.Key{Dist: 1, ID: 2}}}}},
 	}))
-	f.Add(EncodeReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
+	f.Add(encReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
 	f.Add([]byte{byte(KindQueryTagged), 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
@@ -115,7 +115,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 			if err != nil || r.Err() != nil {
 				return
 			}
-			enc := EncodeQueryTagged(tag, q)
+			enc := encQueryTagged(tag, q)
 			r2 := skipKind(t, enc, KindQueryTagged)
 			if got := r2.Varint(); got != tag {
 				t.Fatalf("tag %d re-decoded as %d", tag, got)
@@ -124,7 +124,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if !bytes.Equal(EncodeQueryTagged(tag, q2), enc) {
+			if !bytes.Equal(encQueryTagged(tag, q2), enc) {
 				t.Fatalf("tagged query is not a re-encoding fixed point")
 			}
 		case KindReplyTagged:
@@ -133,7 +133,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 			if err != nil || r.Err() != nil {
 				return
 			}
-			enc := EncodeReplyTagged(tag, rep)
+			enc := encReplyTagged(tag, rep)
 			r2 := skipKind(t, enc, KindReplyTagged)
 			if got := r2.Varint(); got != tag {
 				t.Fatalf("tag %d re-decoded as %d", tag, got)
@@ -142,7 +142,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if !bytes.Equal(EncodeReplyTagged(tag, rep2), enc) {
+			if !bytes.Equal(encReplyTagged(tag, rep2), enc) {
 				t.Fatalf("tagged reply is not a re-encoding fixed point")
 			}
 		default:
@@ -171,24 +171,31 @@ func FuzzDecodeNodeError(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRejoinAssign(f *testing.F) {
-	f.Add(EncodeRejoinAssign(RejoinAssign{
+func FuzzDecodeAssign(f *testing.F) {
+	f.Add(EncodeAssign(Assign{
 		ID: 1, K: 3, Seed: 7, Leader: 0, Epoch: 42, Present: []int{0, 2},
 		Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"},
 	})[1:])
 	f.Add([]byte{})
+	f.Add(EncodeAssign(Assign{
+		ID: 0, K: 2, Seed: 7, Leader: -1,
+		Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001"},
+	})[1:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ra, err := DecodeRejoinAssign(NewReader(data))
+		a, err := DecodeAssign(NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := EncodeRejoinAssign(ra)
-		ra2, err := DecodeRejoinAssign(skipKind(t, enc, KindRejoinAssign))
+		if a.ID >= a.K || a.Leader < -1 || a.Leader >= a.K || len(a.Addrs) != a.K {
+			t.Fatalf("decoder admitted an assign outside its cluster: %+v", a)
+		}
+		enc := EncodeAssign(a)
+		a2, err := DecodeAssign(skipKind(t, enc, KindAssign))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !bytes.Equal(EncodeRejoinAssign(ra2), enc) {
-			t.Fatalf("rejoin assign is not a re-encoding fixed point")
+		if !bytes.Equal(EncodeAssign(a2), enc) {
+			t.Fatalf("assign is not a re-encoding fixed point")
 		}
 	})
 }
@@ -273,11 +280,43 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// The enc* helpers build one frame payload with the Append* codec the
+// serving stack writes it through.
+func encQueryTagged(tag uint64, q Query) []byte {
+	var w Writer
+	AppendQueryTagged(&w, tag, q)
+	return w.Bytes()
+}
+
+func encDispatch(epoch uint64, q Query) []byte {
+	var w Writer
+	AppendDispatch(&w, epoch, q)
+	return w.Bytes()
+}
+
+func encDispatchDirect(epoch uint64, q Query) []byte {
+	var w Writer
+	AppendDispatchDirect(&w, epoch, q)
+	return w.Bytes()
+}
+
+func encNodeResult(nr NodeResult) []byte {
+	var w Writer
+	AppendNodeResult(&w, nr)
+	return w.Bytes()
+}
+
+func encReplyTagged(tag uint64, rep Reply) []byte {
+	var w Writer
+	AppendReplyTagged(&w, tag, rep)
+	return w.Bytes()
+}
+
 // queryBody and replyBody are the bare Query and Reply body encodings: the
 // tagged client frames with their kind byte and (one-byte) zero tag
 // stripped.
-func queryBody(q Query) []byte   { return EncodeQueryTagged(0, q)[2:] }
-func replyBody(rep Reply) []byte { return EncodeReplyTagged(0, rep)[2:] }
+func queryBody(q Query) []byte   { return encQueryTagged(0, q)[2:] }
+func replyBody(rep Reply) []byte { return encReplyTagged(0, rep)[2:] }
 
 // skipKind wraps an encoded frame in a Reader positioned after its kind
 // byte, asserting the kind on the way.

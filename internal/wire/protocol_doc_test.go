@@ -23,15 +23,6 @@ func docExamples() []struct {
 	reg.Kind(KindRegister)
 	reg.String("127.0.0.1:9000")
 
-	var asg Writer
-	asg.Kind(KindAssign)
-	asg.U8(ModeServe)
-	asg.Varint(1)
-	asg.Varint(2)
-	asg.U64(7)
-	asg.String("127.0.0.1:9000")
-	asg.String("127.0.0.1:9001")
-
 	var hello Writer
 	hello.Varint(1)
 
@@ -64,23 +55,26 @@ func docExamples() []struct {
 	}{
 		{"stream framing", []byte{3, 0, 0, 0, 'a', 'b', 'c'}},
 		{"register", reg.Bytes()},
-		{"assign", asg.Bytes()},
+		{"assign", EncodeAssign(Assign{
+			ID: 1, K: 2, Seed: 7, Leader: -1,
+			Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001"},
+		})},
 		{"mesh hello", hello.Bytes()},
 		{"mesh round frame", mesh.Bytes()},
 		{"vector point", EncodeVectorPoint(points.Vector{0.5, 1.5})},
 		{"bit vector point", EncodeBitVectorPoint(points.BitVector{5, 1})},
-		{"query", EncodeQueryTagged(300, q)},
-		{"vector batch query", EncodeQueryTagged(301, vq)},
-		{"dispatch", EncodeDispatch(1, q)},
+		{"query", encQueryTagged(300, q)},
+		{"vector batch query", encQueryTagged(301, vq)},
+		{"dispatch", encDispatch(1, q)},
 		{"ready", rdy.Bytes()},
 		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
 		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
-		{"dispatch direct", EncodeDispatchDirect(1, q)},
-		{"dispatch direct sub-batch", EncodeDispatchDirect(2, Query{
+		{"dispatch direct", encDispatchDirect(1, q)},
+		{"dispatch direct sub-batch", encDispatchDirect(2, Query{
 			Op: OpKNN, L: 10, Tag: PointScalar,
 			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
 		})},
-		{"result", EncodeNodeResult(NodeResult{
+		{"result", encNodeResult(NodeResult{
 			Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745,
 			IsLeader: true,
 			Queries: []NodeQueryResult{{
@@ -94,13 +88,12 @@ func docExamples() []struct {
 		{"node error", EncodeNodeError(NodeError{Epoch: 1, Origin: true, LostPeer: -1, Msg: "boom"})},
 		{"fatal node error", EncodeNodeError(NodeError{Epoch: 7, Fatal: true, LostPeer: 2, Msg: "lost peer 2"})},
 		{"shutdown", []byte{byte(KindShutdown)}},
-		{"rejoin", EncodeRejoin(1, "127.0.0.1:9002")},
-		{"rejoin assign", EncodeRejoinAssign(RejoinAssign{
+		{"rejoin assign", EncodeAssign(Assign{
 			ID: 1, K: 2, Seed: 7, Leader: 0, Epoch: 42,
 			Present: []int{0},
 			Addrs:   []string{"127.0.0.1:9000", "127.0.0.1:9002"},
 		})},
-		{"reply", EncodeReplyTagged(300, Reply{
+		{"reply", encReplyTagged(300, Reply{
 			Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
 			Results: []QueryReply{{
 				QueryOutcome: QueryOutcome{
@@ -109,8 +102,8 @@ func docExamples() []struct {
 				Items: []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 			}},
 		})},
-		{"error reply", EncodeReplyTagged(302, Reply{Err: "l=0 out of range [1, 10000]"})},
-		{"degraded reply", EncodeReplyTagged(301, Reply{Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true})},
+		{"error reply", encReplyTagged(302, Reply{Err: "l=0 out of range [1, 10000]"})},
+		{"degraded reply", encReplyTagged(301, Reply{Err: "cluster degraded (1 of 2 nodes): waiting for node(s) [1]", Degraded: true})},
 	}
 }
 
@@ -150,7 +143,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		EncodeScalarPoint(5),
 	}}
 	{
-		r := NewReader(EncodeQueryTagged(9, q))
+		r := NewReader(encQueryTagged(9, q))
 		if kind := r.Kind(); kind != KindQueryTagged || r.Varint() != 9 {
 			t.Fatalf("kind %d", kind)
 		}
@@ -173,7 +166,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		vq := Query{Op: OpKNN, L: 3, Tag: PointVector, Points: [][]byte{
 			EncodeVectorPoint(points.Vector{1.5, -2.25, 0}),
 		}}
-		r := NewReader(EncodeQueryTagged(9, vq))
+		r := NewReader(encQueryTagged(9, vq))
 		r.U8()
 		r.Varint()
 		got, err := DecodeQuery(r)
@@ -186,7 +179,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		r := NewReader(EncodeDispatch(9, q))
+		r := NewReader(encDispatch(9, q))
 		if kind := r.Kind(); kind != KindDispatch {
 			t.Fatalf("kind %d", kind)
 		}
@@ -218,7 +211,7 @@ func TestFrameRoundTrips(t *testing.T) {
 				},
 			},
 		}
-		r := NewReader(EncodeNodeResult(nr))
+		r := NewReader(encNodeResult(nr))
 		if kind := r.Kind(); kind != KindResult {
 			t.Fatalf("kind %d", kind)
 		}
@@ -248,7 +241,7 @@ func TestFrameRoundTrips(t *testing.T) {
 				{},
 			},
 		}
-		r := NewReader(EncodeNodeResult(nr))
+		r := NewReader(encNodeResult(nr))
 		r.U8()
 		got, err := DecodeNodeResult(r)
 		if err != nil {
@@ -275,7 +268,7 @@ func TestFrameRoundTrips(t *testing.T) {
 				},
 			},
 		}
-		r := NewReader(EncodeReplyTagged(9, rep))
+		r := NewReader(encReplyTagged(9, rep))
 		if kind := r.Kind(); kind != KindReplyTagged || r.Varint() != 9 {
 			t.Fatalf("kind %d", kind)
 		}
@@ -295,7 +288,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		r := NewReader(EncodeReplyTagged(9, Reply{Err: "nope"}))
+		r := NewReader(encReplyTagged(9, Reply{Err: "nope"}))
 		r.U8()
 		r.Varint()
 		got, err := DecodeReply(r)
@@ -310,7 +303,7 @@ func TestFrameRoundTrips(t *testing.T) {
 func TestTaggedFrameRoundTrips(t *testing.T) {
 	q := Query{Op: OpKNN, L: 7, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(42)}}
 	for _, tag := range []uint64{0, 1, 300, math.MaxUint64} {
-		r := NewReader(EncodeQueryTagged(tag, q))
+		r := NewReader(encQueryTagged(tag, q))
 		if kind := r.Kind(); kind != KindQueryTagged {
 			t.Fatalf("kind %d", kind)
 		}
@@ -329,7 +322,7 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 			Items:        []points.Item{{Key: keys.Key{Dist: 4, ID: 9}, Label: 1}},
 		}},
 	}
-	r := NewReader(EncodeReplyTagged(77, rep))
+	r := NewReader(encReplyTagged(77, rep))
 	if kind := r.Kind(); kind != KindReplyTagged {
 		t.Fatalf("kind %d", kind)
 	}
@@ -343,7 +336,7 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 		t.Fatalf("tagged reply round trip: %+v %v", got, err)
 	}
 	// Degraded errors survive tagging too.
-	r = NewReader(EncodeReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
+	r = NewReader(encReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
 	r.U8()
 	r.Varint()
 	if got, err := DecodeReply(r); err != nil || !got.Degraded || got.Err != "degraded" {
@@ -351,8 +344,8 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 	}
 	// The client query and both dispatch kinds share one query body
 	// encoding: behind kind+tag and kind+epoch the bytes are identical.
-	body := hexBytes(EncodeQueryTagged(1, q)[2:])
-	if hexBytes(EncodeDispatch(1, q)[2:]) != body || hexBytes(EncodeDispatchDirect(1, q)[2:]) != body {
+	body := hexBytes(encQueryTagged(1, q)[2:])
+	if hexBytes(encDispatch(1, q)[2:]) != body || hexBytes(encDispatchDirect(1, q)[2:]) != body {
 		t.Fatalf("dispatch body drifted from the client query body")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"distknn/internal/core"
 	"distknn/internal/election"
@@ -66,9 +65,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // Tracer records per-epoch trace spans — admission → dispatch →
 // per-seat arrival → collation → reply, with nanosecond stage offsets —
 // into a fixed ring of the given depth. Pass one in
-// FrontendOptions.Trace; read recent spans with Recent, stream finished
-// spans as JSONL with SetSink, or expose the ring over HTTP with
-// ServeAdmin. A nil Tracer (the default) records nothing.
+// FrontendOptions.Trace; read recent spans with Recent, or expose the ring
+// over HTTP with ServeAdmin. A nil Tracer (the default) records nothing.
 type Tracer = obs.Tracer
 
 // NewTracer returns a tracer holding the last depth spans (depth <= 0
@@ -636,23 +634,18 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 type Frontend = tcp.Frontend
 
 // FrontendOptions tunes the frontend's epoch scheduler: the pipelining
-// Window, transparent server-side batching (ServerBatch, Linger,
-// MaxServerBatch), metric-index pruned dispatch (Pruner — pass the served
-// PointType's Pruner()), and the optional Metrics registry and per-epoch
-// Trace. The zero value is a pipelined, unbatched, unpruned,
+// Window, transparent server-side batching (ServerBatch, Linger; a
+// coalesced batch holds at most 64 points), metric-index pruned dispatch
+// (Pruner — pass the served PointType's Pruner()), and the optional Metrics
+// registry and per-epoch Trace. The zero value is a pipelined, unbatched, unpruned,
 // unobserved frontend; see the field documentation on the aliased type.
 type FrontendOptions = tcp.FrontendOptions
 
-// NewFrontend starts the serving listener for a k-node cluster with
-// default FrontendOptions. seed is the session seed every node receives:
-// it drives the setup election and the per-query epoch seeds, so a serving
-// cluster replays deterministically for the same (seed, query stream).
-func NewFrontend(addr string, k int, seed uint64) (*Frontend, error) {
-	return NewFrontendOptions(addr, k, seed, FrontendOptions{})
-}
-
-// NewFrontendOptions starts the serving listener with an explicit epoch
-// scheduler configuration (pipelining window, server-side batching).
+// NewFrontendOptions starts the serving listener for a k-node cluster with
+// an explicit epoch scheduler configuration (pipelining window, server-side
+// batching). seed is the session seed every node receives: it drives the
+// setup election and the per-query epoch seeds, so a serving cluster
+// replays deterministically for the same (seed, query stream).
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
 	return tcp.NewFrontendOptions(addr, k, seed, opts)
 }
@@ -681,26 +674,12 @@ type RemoteCluster[P any] struct {
 	leader atomic.Int64
 }
 
-// ClientOptions tunes a RemoteCluster's deadlines and churn handling.
-type ClientOptions struct {
-	// QueryTimeout bounds each query attempt's network activity (dial,
-	// send, reply read), so a hung frontend fails the call instead of
-	// blocking it forever. Zero means no deadline.
-	QueryTimeout time.Duration
-	// RetryWait is the budget for riding out a degraded cluster: a query
-	// that hit churn keeps retrying at short intervals until it succeeds
-	// or RetryWait has elapsed, returning as soon as the lost node
-	// re-joins. Zero means the default (500ms); negative means a single
-	// immediate retry.
-	RetryWait time.Duration
-	// NoRetry disables the transparent retry: the first failure of any
-	// kind is returned to the caller.
-	NoRetry bool
-	// Metrics optionally receives the client's runtime metrics (queries,
-	// retries, degraded replies, reconnects, outstanding tags). Nil
-	// records nothing.
-	Metrics *Metrics
-}
+// ClientOptions tunes a RemoteCluster's deadlines and churn handling: a
+// per-query Timeout, the degraded-cluster RetryWait budget, NoRetry, and
+// the optional Metrics registry. The zero value is no deadline, the default
+// 500ms ride-out, and a private registry; see the field documentation on the
+// aliased type.
+type ClientOptions = tcp.ClientOptions
 
 // DialTypedCluster connects to a serving cluster's frontend that serves
 // pt's point type, with default ClientOptions.
@@ -711,12 +690,7 @@ func DialTypedCluster[P any](pt PointType[P], addr string) (*RemoteCluster[P], e
 // DialTypedClusterOptions connects to a serving cluster's frontend that
 // serves pt's point type.
 func DialTypedClusterOptions[P any](pt PointType[P], addr string, opts ClientOptions) (*RemoteCluster[P], error) {
-	c, err := tcp.DialFrontendOptions(addr, tcp.ClientOptions{
-		Timeout:   opts.QueryTimeout,
-		RetryWait: opts.RetryWait,
-		NoRetry:   opts.NoRetry,
-		Metrics:   opts.Metrics,
-	})
+	c, err := tcp.DialFrontendOptions(addr, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -210,8 +210,8 @@ func TestRemoteClientRidesOutChurnTransparently(t *testing.T) {
 	}
 	defer srv.Close()
 	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{
-		QueryTimeout: 30 * time.Second,
-		RetryWait:    10 * time.Second, // ample for a 200-point re-join
+		Timeout:   30 * time.Second,
+		RetryWait: 10 * time.Second, // ample for a 200-point re-join
 	})
 	if err != nil {
 		t.Fatal(err)
