@@ -359,74 +359,43 @@ func (c *Cluster[P]) sim(seed uint64) (kmachine.Config, error) {
 // KNN returns the exact ℓ nearest neighbors of q in ascending distance
 // order, together with the query's distributed cost.
 func (c *Cluster[P]) KNN(q P, l int) ([]Item, *QueryStats, error) {
-	if l < 1 || l > c.n {
-		return nil, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
-	}
-	winners, stats, _, err := c.run(q, l, false)
+	shares, stats, err := c.query(q, l)
 	if err != nil {
 		return nil, nil, err
 	}
-	return winners, stats, nil
+	return mergeWinners(shares), stats, nil
 }
 
 // Classify returns the majority label among the ℓ nearest neighbors of q
-// (ties broken toward the smallest label).
+// (ties broken toward the smallest label). It runs the same query as KNN
+// and folds the machines' winner shares in place, so its QueryStats equal
+// KNN's: label aggregation is charged no rounds, the same convention as
+// KNN's collection of the winners.
 func (c *Cluster[P]) Classify(q P, l int) (float64, *QueryStats, error) {
-	if l < 1 || l > c.n {
-		return 0, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
+	shares, stats, err := c.query(q, l)
+	if err != nil {
+		return 0, nil, err
 	}
-	_, stats, label, err := c.run(q, l, true)
+	label, err := core.ClassifyShares(shares)
 	if err != nil {
 		return 0, nil, err
 	}
 	return label, stats, nil
 }
 
-// Regress returns the mean label of the ℓ nearest neighbors of q.
+// Regress returns the mean label of the ℓ nearest neighbors of q: the
+// leader's share summed first, then every other machine's in ascending
+// order. Like Classify, it costs exactly what KNN costs.
 func (c *Cluster[P]) Regress(q P, l int) (float64, *QueryStats, error) {
-	if l < 1 || l > c.n {
-		return 0, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
+	shares, stats, err := c.query(q, l)
+	if err != nil {
+		return 0, nil, err
 	}
-	stats := &QueryStats{}
-	var mean float64
-	err := c.execute(q, l, stats, func(m kmachine.Env, leader int, res core.Result) error {
-		v, err := core.Regress(m, leader, res.Winners)
-		if err != nil {
-			return err
-		}
-		if m.ID() == leader {
-			mean = v
-		}
-		return nil
-	}, nil)
+	mean, err := core.RegressShares(shares, stats.Leader)
 	if err != nil {
 		return 0, nil, err
 	}
 	return mean, stats, nil
-}
-
-// run executes a query, optionally following it with a classification.
-func (c *Cluster[P]) run(q P, l int, classify bool) ([]Item, *QueryStats, float64, error) {
-	stats := &QueryStats{}
-	var label float64
-	winners := make([][]Item, len(c.parts))
-	post := func(m kmachine.Env, leader int, res core.Result) error {
-		if classify {
-			v, err := core.Classify(m, leader, res.Winners)
-			if err != nil {
-				return err
-			}
-			if m.ID() == leader {
-				label = v
-			}
-		}
-		return nil
-	}
-	err := c.execute(q, l, stats, post, winners)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return mergeWinners(winners), stats, label, nil
 }
 
 // mergeWinners flattens each machine's share of the winning points into one
@@ -459,50 +428,46 @@ func (c *Cluster[P]) baseConfig(l int) core.Config {
 	return cfg
 }
 
-// execute runs the configured algorithm as one simulator run, with the
-// cached leader and no per-query election. post, if non-nil, runs after
-// the query with the winners; collect, if non-nil, receives each machine's
-// local winners. All mutable state (stats, collect, post's captures) is
-// per-call, so any number of executes may be in flight at once.
-func (c *Cluster[P]) execute(q P, l int, stats *QueryStats,
-	post func(m kmachine.Env, leader int, res core.Result) error, collect [][]Item) error {
+// query runs the configured algorithm for q as one simulator run, with the
+// cached leader and no per-query election, and returns each machine's share
+// of the winners (ascending key order) and the query's cost.
+// All mutable state is per-call, so any number of queries may be in flight
+// at once.
+func (c *Cluster[P]) query(q P, l int) ([][]Item, *QueryStats, error) {
+	if l < 1 || l > c.n {
+		return nil, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
+	}
 	sim, err := c.sim(c.querySeed())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	leader := c.Leader()
 	algoFn := c.algoFn()
 	cfg := c.baseConfig(l)
 	cfg.Leader = leader
-	prog := func(m kmachine.Env) error {
-		local := c.localTopL(m.ID(), q, l)
-		res, err := algoFn(m, cfg, local)
+	stats := &QueryStats{Leader: leader}
+	shares := make([][]Item, len(c.parts))
+	met, err := kmachine.Run(sim, func(m kmachine.Env) error {
+		res, err := algoFn(m, cfg, c.localTopL(m.ID(), q, l))
 		if err != nil {
 			return err
 		}
-		if collect != nil {
-			collect[m.ID()] = res.Winners
-		}
+		shares[m.ID()] = res.Winners
 		if m.ID() == leader {
-			stats.Leader = leader
 			stats.Boundary = res.Boundary
 			stats.Survivors = res.Survivors
 			stats.FellBack = res.FellBack
 			stats.Iterations = res.Iterations
 		}
-		if post != nil {
-			return post(m, leader, res)
-		}
 		return nil
-	}
-	met, err := kmachine.Run(sim, prog)
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	stats.Rounds = met.Rounds
 	stats.Messages = met.Messages
 	stats.Bytes = met.Bytes
-	return nil
+	return shares, stats, nil
 }
 
 func (c *Cluster[P]) algoFn() func(kmachine.Env, core.Config, []Item) (core.Result, error) {

@@ -160,6 +160,40 @@ func TestClassifyAndRegress(t *testing.T) {
 	}
 }
 
+// TestLabelFoldsCostWhatKNNCosts pins the cost convention of the label
+// folds: Classify and Regress run KNN's query and fold the machines' winner
+// shares in place, charging no rounds for the labels, just as KNN charges
+// none for collecting the winners. So on twin clusters (same data, same
+// seed, hence the same first query seed) their QueryStats equal KNN's.
+func TestLabelFoldsCostWhatKNNCosts(t *testing.T) {
+	const l = 12
+	q := Scalar(123456789)
+	twin := func() *Cluster[Scalar] {
+		c, _, _ := scalarFixture(t, 300, Options{Machines: 5, Seed: 31})
+		return c
+	}
+	_, want, err := twin().KNN(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, classify, err := twin().Classify(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regress, err := twin().Regress(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		op    string
+		stats *QueryStats
+	}{{"Classify", classify}, {"Regress", regress}} {
+		if *got.stats != *want {
+			t.Errorf("%s cost %+v, KNN cost %+v", got.op, *got.stats, *want)
+		}
+	}
+}
+
 func TestVectorCluster(t *testing.T) {
 	rng := xrand.New(11)
 	vecs := make([]Vector, 150)

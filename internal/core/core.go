@@ -125,9 +125,6 @@ const (
 	kindAbort                // leader → all: Monte Carlo failure
 	kindAllItems             // worker → leader: the entire local top-ℓ
 	kindBoundary             // leader → all: final boundary (SimpleKNN)
-	kindVotes                // worker → leader: label histogram
-	kindVerdict              // leader → all: aggregated label
-	kindSums                 // worker → leader: label sum + count
 )
 
 // topL returns the ≤ l smallest items — the paper's step 2: a machine with

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -321,95 +320,65 @@ func TestConfigValidation(t *testing.T) {
 
 func TestClassifyMajority(t *testing.T) {
 	// Winners with labels 1,1,2 → majority 1; distributed across machines.
-	k := 3
-	winners := [][]points.Item{
+	shares := [][]points.Item{
 		{{Key: keys.Key{Dist: 1, ID: 1}, Label: 1}},
 		{{Key: keys.Key{Dist: 2, ID: 2}, Label: 1}},
 		{{Key: keys.Key{Dist: 3, ID: 3}, Label: 2}},
 	}
-	var mu sync.Mutex
-	got := make([]float64, k)
-	progs := make([]kmachine.Program, k)
-	for i := 0; i < k; i++ {
-		i := i
-		progs[i] = func(m kmachine.Env) error {
-			label, err := Classify(m, 0, winners[i])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			got[i] = label
-			mu.Unlock()
-			return nil
-		}
-	}
-	if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: 1}, progs); err != nil {
+	label, err := ClassifyShares(shares)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, label := range got {
-		if label != 1 {
-			t.Errorf("machine %d classified %g, want 1", i, label)
-		}
+	if label != 1 {
+		t.Errorf("classified %g, want 1", label)
 	}
 }
 
 func TestClassifyTieBreaksLow(t *testing.T) {
-	winners := [][]points.Item{
+	shares := [][]points.Item{
 		{{Key: keys.Key{Dist: 1, ID: 1}, Label: 5}},
 		{{Key: keys.Key{Dist: 2, ID: 2}, Label: 3}},
 	}
-	var label0 float64
-	progs := []kmachine.Program{
-		func(m kmachine.Env) error {
-			l, err := Classify(m, 0, winners[0])
-			label0 = l
-			return err
-		},
-		func(m kmachine.Env) error {
-			_, err := Classify(m, 0, winners[1])
-			return err
-		},
-	}
-	if _, err := kmachine.RunPrograms(kmachine.Config{K: 2, Seed: 1}, progs); err != nil {
+	label, err := ClassifyShares(shares)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if label0 != 3 {
-		t.Errorf("tie broke to %g, want 3 (smallest label)", label0)
+	if label != 3 {
+		t.Errorf("tie broke to %g, want 3 (smallest label)", label)
 	}
 }
 
 func TestRegressMean(t *testing.T) {
-	winners := [][]points.Item{
+	shares := [][]points.Item{
 		{{Key: keys.Key{Dist: 1, ID: 1}, Label: 1}, {Key: keys.Key{Dist: 2, ID: 2}, Label: 2}},
 		{{Key: keys.Key{Dist: 3, ID: 3}, Label: 6}},
 		nil, // machine with no winners
 	}
-	k := 3
-	var mu sync.Mutex
-	got := make([]float64, k)
-	progs := make([]kmachine.Program, k)
-	for i := 0; i < k; i++ {
-		i := i
-		progs[i] = func(m kmachine.Env) error {
-			v, err := Regress(m, 0, winners[i])
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			got[i] = v
-			mu.Unlock()
-			return nil
+	for leader := range shares {
+		v, err := RegressShares(shares, leader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != 3 {
+			t.Errorf("leader %d: regressed %g, want 3", leader, v)
 		}
 	}
-	if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: 1}, progs); err != nil {
+}
+
+// knnShares runs Algorithm 2 over the instance on the simulator and returns
+// every machine's winner share, the input the label folds take.
+func knnShares(t *testing.T, seed uint64, locals [][]points.Item, cfg Config) [][]points.Item {
+	t.Helper()
+	shares := make([][]points.Item, len(locals))
+	_, err := kmachine.Run(kmachine.Config{K: len(locals), Seed: seed}, func(m kmachine.Env) error {
+		res, err := KNN(m, cfg, locals[m.ID()])
+		shares[m.ID()] = res.Winners
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := 3.0
-	for i, v := range got {
-		if math.Abs(v-want) > 1e-12 {
-			t.Errorf("machine %d regressed %g, want %g", i, v, want)
-		}
-	}
+	return shares
 }
 
 func TestEndToEndKNNThenClassify(t *testing.T) {
@@ -426,33 +395,12 @@ func TestEndToEndKNNThenClassify(t *testing.T) {
 	for i, p := range parts {
 		locals[i] = p.Items(q)
 	}
-	var mu sync.Mutex
-	labels := make([]float64, 6)
-	progs := make([]kmachine.Program, 6)
-	for i := 0; i < 6; i++ {
-		i := i
-		progs[i] = func(m kmachine.Env) error {
-			res, err := KNN(m, Config{Leader: 0, L: 15}, locals[i])
-			if err != nil {
-				return err
-			}
-			label, err := Classify(m, 0, res.Winners)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			labels[i] = label
-			mu.Unlock()
-			return nil
-		}
-	}
-	if _, err := kmachine.RunPrograms(kmachine.Config{K: 6, Seed: 2}, progs); err != nil {
+	label, err := ClassifyShares(knnShares(t, 2, locals, Config{Leader: 0, L: 15}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, label := range labels {
-		if label != 1 {
-			t.Errorf("machine %d classified query at center 1 as %g", i, label)
-		}
+	if label != 1 {
+		t.Errorf("query at center 1 classified as %g", label)
 	}
 }
 
@@ -527,34 +475,11 @@ func TestKNNExactProperty(t *testing.T) {
 func TestClassifyMatchesBruteForceVote(t *testing.T) {
 	locals, q, global := makeInstance(44, 400, 5, points.PartitionRandom)
 	l := 25
-	var mu sync.Mutex
-	var got float64
-	progs := make([]kmachine.Program, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		progs[i] = func(m kmachine.Env) error {
-			res, err := KNN(m, Config{Leader: 0, L: l}, locals[i])
-			if err != nil {
-				return err
-			}
-			label, err := Classify(m, 0, res.Winners)
-			if err != nil {
-				return err
-			}
-			if m.ID() == 0 {
-				mu.Lock()
-				got = label
-				mu.Unlock()
-			}
-			return nil
-		}
-	}
-	if _, err := kmachine.RunPrograms(kmachine.Config{K: 5, Seed: 3}, progs); err != nil {
+	got, err := ClassifyShares(knnShares(t, 3, locals, Config{Leader: 0, L: l}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute-force majority vote.
-	want := bruteMajority(global.BruteKNN(q, l))
-	if got != want {
+	if want := bruteMajority(global.BruteKNN(q, l)); got != want {
 		t.Errorf("distributed classify %g, brute force %g", got, want)
 	}
 }

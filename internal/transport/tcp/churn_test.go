@@ -113,8 +113,9 @@ func waitHealthy(t *testing.T, client *Client, q wire.Query) wire.Reply {
 	}
 }
 
-// checkEcho asserts the deterministic echoHandler answer for value v on a
-// k-node cluster — the per-node shares and leader metadata a correctly
+// checkEcho asserts the deterministic echoHandler answer for value v at
+// ℓ = k on a k-node cluster — every seat's echo winner, the last one's key
+// as the boundary, and the leader's survivor count — which a correctly
 // re-meshed, re-seated cluster must keep producing bit-identically.
 func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
 	t.Helper()
@@ -131,8 +132,11 @@ func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
 			t.Fatalf("value %d item %d = %v, want %v", v, id, it.Key, want)
 		}
 	}
-	if res.Boundary.Dist != v || rep.Leader != leader {
-		t.Fatalf("value %d: boundary %v leader %d, want leader %d", v, res.Boundary, rep.Leader, leader)
+	if res.Boundary != res.Items[k-1].Key {
+		t.Fatalf("value %d: boundary %v, want the last item's key", v, res.Boundary)
+	}
+	if res.Survivors != int64(v) || rep.Leader != leader {
+		t.Fatalf("value %d: survivors %d leader %d, want %d and leader %d", v, res.Survivors, rep.Leader, v, leader)
 	}
 }
 
@@ -156,7 +160,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	}
 	defer client.Close()
 	for v := uint64(1); v <= 5; v++ {
-		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("pre-churn query %d: %v", v, err)
 		}
@@ -168,7 +172,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	// process.
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := client.Do(scalarQuery(wire.OpKNN, 1, 4242))
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 4242))
 		errCh <- err
 	}()
 	<-entered
@@ -181,7 +185,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	// Degraded window: queries fail fast with the retryable error, naming
 	// the absent seat, and never with a permanent "cluster broken".
 	for v := uint64(50); v < 53; v++ {
-		_, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err == nil || !errors.Is(err, ErrDegraded) {
 			t.Fatalf("degraded window query %d: got %v, want a degraded error", v, err)
 		}
@@ -192,9 +196,9 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 
 	// Heal: a plain late registration lands in the absent seat.
 	c.startNode(&blockingHandler{entered: entered, release: release})
-	waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 60))
+	waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 60))
 	for v := uint64(61); v <= 70; v++ {
-		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("post-rejoin query %d: %v", v, err)
 		}
@@ -223,7 +227,7 @@ func TestChurnEvictAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 3)), k, 3, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 3)), k, 3, leader)
 
 	// Every seat is held: a late registration has nothing to take.
 	if err := ServeNodeObserved(c.fe.Addr(), "127.0.0.1:0", "", nil, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "cluster is full") {
@@ -233,16 +237,16 @@ func TestChurnEvictAndRejoin(t *testing.T) {
 	if err := c.fe.EvictNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 4)); err == nil || !errors.Is(err, ErrDegraded) {
+	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 4)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query after evict: got %v, want a degraded error", err)
 	}
 	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
 	if s := c.session(1); s == nil || s == evicted {
 		t.Fatal("the registration did not take back seat 1")
 	}
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 6)), k, 6, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 6)), k, 6, leader)
 }
 
 // TestFrontendClosesRetiredRejoinKind pins what became of the seat-claiming
@@ -287,13 +291,13 @@ func TestChurnIdleKillIsNoticedWithoutAQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 2)); err != nil {
+	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 2)); err != nil {
 		t.Fatal(err)
 	}
 	c.session(1).kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, err := client.Do(scalarQuery(wire.OpKNN, 1, 9))
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 9))
 		if err != nil {
 			if !errors.Is(err, ErrDegraded) {
 				t.Fatalf("query after idle kill: got %v, want a degraded error", err)
@@ -307,7 +311,7 @@ func TestChurnIdleKillIsNoticedWithoutAQuery(t *testing.T) {
 		}
 	}
 	// And it stays degraded, not broken.
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 10)); err == nil || !errors.Is(err, ErrDegraded) {
+	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 10)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("second query after idle kill: got %v, want a degraded error", err)
 	}
 }
@@ -326,7 +330,7 @@ func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 2)), k, 2, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
 
 	// Sever the 0–1 mesh link only; both node sessions keep running.
 	s := c.session(0)
@@ -337,10 +341,10 @@ func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
 
 	// The next epoch hits the dead link on both endpoints and fails the
 	// in-flight query; exactly one seat must fall.
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 3)); err == nil || !errors.Is(err, ErrDegraded) {
+	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 3)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query across the severed link: got %v, want a degraded error", err)
 	}
-	_, err = client.Do(scalarQuery(wire.OpKNN, 1, 4))
+	_, err = client.Do(scalarQuery(wire.OpKNN, k, 4))
 	if err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query after the severed link: got %v, want a degraded error", err)
 	}
@@ -350,7 +354,7 @@ func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
 
 	// One replacement registration heals the cluster.
 	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 5)), k, 5, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
 }
 
 // TestChurnDoubleRejoinRestoresFullMesh loses two of three seats and
@@ -367,13 +371,13 @@ func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 2)), k, 2, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
 
 	c.session(1).kill()
 	c.session(2).kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, err := client.Do(scalarQuery(wire.OpKNN, 1, 3))
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 3))
 		if err != nil && strings.Contains(err.Error(), "(1 of 3 nodes)") {
 			break
 		}
@@ -385,9 +389,9 @@ func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
 
 	c.startNode(&echoHandler{})
 	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 7)), k, 7, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 7)), k, 7, leader)
 	for v := uint64(8); v <= 12; v++ {
-		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("query %d after double re-join: %v", v, err)
 		}

@@ -96,12 +96,12 @@ func TestMuxChurnFailsOnlyInFlightTags(t *testing.T) {
 	leader := c.fe.Leader()
 	client := dialNoRetry(t, c.fe.Addr())
 
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 2)), k, 2, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
 
 	errCh := make(chan error, parked)
 	for i := 0; i < parked; i++ {
 		go func() {
-			_, err := client.Do(scalarQuery(wire.OpKNN, 1, 4242))
+			_, err := client.Do(scalarQuery(wire.OpKNN, k, 4242))
 			errCh <- err
 		}()
 	}
@@ -111,7 +111,7 @@ func TestMuxChurnFailsOnlyInFlightTags(t *testing.T) {
 
 	// A fourth tag on the same multiplexed connection completes while the
 	// three parked epochs hold their window slots.
-	rep, err := client.Do(scalarQuery(wire.OpKNN, 1, 5))
+	rep, err := client.Do(scalarQuery(wire.OpKNN, k, 5))
 	if err != nil {
 		t.Fatalf("query alongside parked tags: %v", err)
 	}
@@ -127,13 +127,13 @@ func TestMuxChurnFailsOnlyInFlightTags(t *testing.T) {
 
 	// The connection was not poisoned: the next query fails fast with the
 	// degraded error on the same stream, and heals without a reconnect.
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 6)); err == nil || !errors.Is(err, ErrDegraded) {
+	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 6)); err == nil || !errors.Is(err, ErrDegraded) {
 		t.Fatalf("query in the degraded window: got %v, want a degraded error", err)
 	}
 	c.startNode(&blockingHandler{entered: entered, release: release})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, 1, 7)), k, 7, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 7)), k, 7, leader)
 	for v := uint64(8); v <= 12; v++ {
-		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("post-rejoin query %d: %v", v, err)
 		}

@@ -55,14 +55,14 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := blocked.Do(scalarQuery(wire.OpKNN, 1, 4242))
+		_, err := blocked.Do(scalarQuery(wire.OpKNN, k, 4242))
 		errCh <- err
 	}()
 	<-entered
 
 	// The parked epoch holds a window slot; these queries must still run.
 	for v := uint64(2); v <= 6; v++ {
-		rep, err := free.Do(scalarQuery(wire.OpKNN, 1, v))
+		rep, err := free.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("query %d while an epoch is parked: %v", v, err)
 		}
@@ -102,7 +102,7 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i], errs[i] = client.Do(scalarQuery(wire.OpKNN, 1, uint64(i)+10))
+			reps[i], errs[i] = client.Do(scalarQuery(wire.OpKNN, k, uint64(i)+10))
 		}(i)
 	}
 	wg.Wait()
@@ -156,7 +156,7 @@ func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 		wg.Add(1)
 		go func(i int, v uint64) {
 			defer wg.Done()
-			outs[i].rep, outs[i].err = client.Do(scalarQuery(wire.OpKNN, 1, v))
+			outs[i].rep, outs[i].err = client.Do(scalarQuery(wire.OpKNN, k, v))
 		}(i, v)
 	}
 	wg.Wait()
@@ -190,7 +190,7 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := client.Do(scalarQuery(wire.OpKNN, 1, 4242))
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 4242))
 		errCh <- err
 	}()
 	<-entered
@@ -249,14 +249,14 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := blocked.Do(scalarQuery(wire.OpKNN, 1, 4242))
+		_, err := blocked.Do(scalarQuery(wire.OpKNN, k, 4242))
 		errCh <- err
 	}()
 	<-entered
 
 	// A query sharing the window with the parked epoch completes first —
 	// proof the eviction below dooms only what was in flight on the seat.
-	rep, err := free.Do(scalarQuery(wire.OpKNN, 1, 3))
+	rep, err := free.Do(scalarQuery(wire.OpKNN, k, 3))
 	if err != nil {
 		t.Fatalf("pipelined query before evict: %v", err)
 	}
@@ -272,5 +272,16 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 
 	// Heal and verify the cluster answers bit-identically again.
 	c.startNode(&blockingHandler{entered: entered, release: release})
-	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, 1, 8)), k, 8, leader)
+	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, k, 8)), k, 8, leader)
+}
+
+// TestFoldRejectsEmptyAnswer pins the fold's guard on node input: a point
+// for which no seat reported a winner fails the query instead of indexing
+// an empty answer.
+func TestFoldRejectsEmptyAnswer(t *testing.T) {
+	for _, op := range []uint8{wire.OpKNN, wire.OpClassify, wire.OpRegress} {
+		if _, err := fold(scalarQuery(op, 3, 7), newGather(1, 2), 0); err == nil {
+			t.Errorf("op %d: fold over no winners succeeded", op)
+		}
+	}
 }

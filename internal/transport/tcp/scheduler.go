@@ -30,10 +30,11 @@ import (
 // (FrontendOptions.Pruner) is up to two waves with the mesh off: each point
 // first probes its nearest shard, then reaches only the shards its
 // admission ball can still intersect — a contacted node returns its local
-// top-ℓ and the frontend folds. Either way the caller holds one window slot
-// for the whole query, dispatchWave is the only code that consumes an
-// ordinal and writes dispatch frames, and the per-seat results are filed
-// under the batch positions they answer before any plan-specific fold.
+// top-ℓ. Either way the caller holds one window slot for the whole query,
+// dispatchWave is the only code that consumes an ordinal and writes
+// dispatch frames, the per-seat results are filed under the batch positions
+// they answer, and one fold turns them into the answer — neighbors, boundary
+// and the Classify/Regress label alike.
 //
 // Pipelining. Up to Window queries are in flight at once. A wave takes its
 // ordinal — and with it the deterministic per-epoch seed
@@ -118,8 +119,8 @@ type FrontendOptions struct {
 	// on its ℓ-th neighbor distance, and a second wave then sends each
 	// remaining shard only the sub-batch of points whose admission ball can
 	// intersect it — no mesh epoch, shards contacted by zero points skipped
-	// entirely, answers bit-identical to full scatter (Regress replays the
-	// mesh's deterministic ascending-seat fold at the frontend). Queries the
+	// entirely, answers bit-identical to full scatter (both plans end in the
+	// same frontend fold over the winner shares). Queries the
 	// path cannot bound (any query while a seat lacks a metric summary, or
 	// whose geometry rejects a point) run as ordinary scatter epochs. Nil
 	// disables pruning.
@@ -381,10 +382,10 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 }
 
 // run answers q by the mesh plan: one wave to every seat, the whole batch,
-// mesh on. The nodes select the global top-ℓ among themselves, so the fold
-// is a plain merge: per point, the union of the seats' winner shares in key
-// order plus the leader's outcome (boundary, selection stats and, for
-// Classify/Regress, the value the mesh aggregated).
+// mesh on. The nodes select the global top-ℓ among themselves, so the
+// shares fold (see fold) cuts nothing; the leader's result then adds the
+// selection stats only it knows — survivors, the fallback flag and the
+// iteration count.
 func (sched *scheduler) run(q wire.Query) wire.Reply {
 	job, rep := sched.runWave(q, true, nil)
 	if job == nil {
@@ -392,20 +393,53 @@ func (sched *scheduler) run(q wire.Query) wire.Reply {
 	}
 	got := newGather(len(q.Points), sched.f.k)
 	job.collect(got)
+	results, err := fold(q, got, sched.f.leader)
+	if err != nil {
+		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
+	}
 	rep = job.rep
-	rep.Results = make([]wire.QueryReply, len(q.Points))
-	for pi := range rep.Results {
+	rep.Results = results
+	// deliver admitted a leader claim from the session leader only, so its
+	// result is the one that carries the outcomes.
+	for pi, lq := range job.shares[sched.f.leader].Queries {
 		qr := &rep.Results[pi]
-		for _, nr := range job.shares {
-			if nr.IsLeader {
-				qr.QueryOutcome = nr.Queries[pi].QueryOutcome
-			}
-		}
-		if q.Op == wire.OpKNN {
-			qr.Items = mergeItems(got[pi])
-		}
+		qr.Survivors, qr.FellBack, qr.Iterations = lq.Survivors, lq.FellBack, lq.Iterations
 	}
 	return rep
+}
+
+// fold answers every point of q from its per-seat winner lists — the one
+// fold both plans end in. Per point it merges the seats' lists in key order
+// and cuts them to ℓ; the ℓ-th key is the boundary, and a Classify or
+// Regress answer is core's fold over each seat's items at or below it. On
+// the mesh plan each list is already the seat's share of the global top-ℓ;
+// on the pruned plan it is the seat's local top-ℓ, and the cut selects.
+func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, error) {
+	results := make([]wire.QueryReply, len(got))
+	for pi, lists := range got {
+		items := mergeItems(lists)
+		if len(items) == 0 {
+			return nil, fmt.Errorf("no winners for point %d", pi)
+		}
+		if len(items) > q.L {
+			items = items[:q.L]
+		}
+		qr := &results[pi]
+		qr.Boundary = items[len(items)-1].Key
+		var err error
+		switch q.Op {
+		case wire.OpKNN:
+			qr.Items = items
+		case wire.OpClassify:
+			qr.Value, err = core.ClassifyShares(sharesWithin(lists, qr.Boundary))
+		case wire.OpRegress:
+			qr.Value, err = core.RegressShares(sharesWithin(lists, qr.Boundary), leader)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }
 
 // runWave dispatches one wave and waits for its collation. It returns a nil
@@ -611,13 +645,15 @@ func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
 		}
 		nr, derr := wire.DecodeNodeResult(r)
 		// A direct wave may have sent this node only a sub-batch; its
-		// result must cover exactly the points it was sent.
-		want := job.n
+		// result must cover exactly the points it was sent. The leader flag
+		// must be set exactly on the session leader's result of a mesh wave,
+		// the one result the mesh plan reads the selection outcomes from.
+		want, leads := job.n, job.subs == nil && id == sched.f.leader
 		if job.subs != nil {
 			want = len(job.subs[id])
 		}
 		job.expectClear(id)
-		if derr != nil || nr.Node != id || len(nr.Queries) != want {
+		if derr != nil || nr.Node != id || len(nr.Queries) != want || nr.IsLeader != leads {
 			cause := fmt.Errorf("node %d sent a malformed result (%v)", id, derr)
 			job.fail(id, cause)
 			evict = &evictReq{cause: cause}
@@ -984,14 +1020,14 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 // bound each point's global ℓ-th neighbor distance from above. Wave
 // 2: each shard receives exactly the sub-batch of points whose admission
 // ball can still intersect its centroid ball (metricindex.AdmitSub) — a
-// shard admitted by zero points is skipped entirely. The fold then selects
-// at the frontend what the mesh plan selects among the nodes: the merged
-// local top-ℓ of the contacted shards provably contains each point's global
-// top-ℓ (metricindex.Admit), so its first ℓ keys are the answer, each seat's
-// items at or below the ℓ-th key are the winner share the mesh would have
-// left on that seat, and Classify/Regress are core's own folds over those
-// shares (a pruned seat holds no global winner, so its empty share matches
-// the mesh too) — bit-identical to the mesh plan by construction. Cost
+// shard admitted by zero points is skipped entirely. The shared fold then
+// selects at the frontend what the mesh plan selects among the nodes: the
+// merged local top-ℓ of the contacted shards provably contains each point's
+// global top-ℓ (metricindex.Admit), so its first ℓ keys are the answer and
+// each seat's items at or below the ℓ-th key are the winner share the mesh
+// would have left on that seat (a pruned seat holds no global winner, so
+// its empty share matches the mesh too) — the same shares, hence the same
+// Classify/Regress fold, as the mesh plan, bit-identical by construction. Cost
 // reporting follows the plan's own shape: Rounds counts dispatch waves (1 or
 // 2), Messages the total per-point shard contacts — Σ over the batch of the
 // number of shards each point was sent to, so Messages/len(Points) is the
@@ -1067,26 +1103,9 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		job.collect(got)
 	}
 
-	results := make([]wire.QueryReply, n)
-	for pi := range results {
-		items := mergeItems(got[pi])
-		if len(items) > q.L {
-			items = items[:q.L]
-		}
-		qr := &results[pi]
-		qr.Boundary = items[len(items)-1].Key
-		var err error
-		switch q.Op {
-		case wire.OpKNN:
-			qr.Items = items
-		case wire.OpClassify:
-			qr.Value, err = core.ClassifyShares(sharesWithin(got[pi], qr.Boundary))
-		case wire.OpRegress:
-			qr.Value, err = core.RegressShares(sharesWithin(got[pi], qr.Boundary), f.leader)
-		}
-		if err != nil {
-			return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
-		}
+	results, err := fold(q, got, f.leader)
+	if err != nil {
+		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
 	}
 	// Contacts and skips are recorded only for a query that answers: the
 	// counter then matches the Σ of client-observed QueryStats.Contacts.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/obs"
 	"distknn/internal/points"
@@ -63,15 +62,15 @@ type SessionInfo struct {
 }
 
 // QueryResult is one node's local outcome for one query of a batched
-// epoch. Winners is this node's share of that query's global answer; the
-// remaining fields are only read from the leader node's result.
+// epoch. Winners is this node's share of that query's global answer, in
+// ascending key order; the remaining fields are only read from the leader
+// node's result. A node reports neither the boundary nor a Classify or
+// Regress label: the frontend derives both from the winner shares.
 type QueryResult struct {
 	Winners    []points.Item
-	Boundary   keys.Key
 	Survivors  int64
 	FellBack   bool
 	Iterations int
-	Value      float64 // OpClassify / OpRegress aggregate
 }
 
 // Handler is the per-node protocol logic a resident node runs: one Setup
@@ -375,18 +374,12 @@ func runMeshEpoch(er *epochRun, q wire.Query, h Handler, id, leader int) (wire.N
 		Queries:  make([]wire.NodeQueryResult, len(res)),
 	}
 	for qi, qr := range res {
-		// The winner share only travels for KNN queries; Classify and
-		// Regress replies carry the aggregate value, so shipping (and the
-		// frontend merging) up to ℓ items per query would be wasted work.
-		if q.Op == wire.OpKNN {
-			nr.Queries[qi].Winners = qr.Winners
-		}
+		// The winner share travels for every op: the frontend folds a
+		// Classify or Regress answer from the shares itself.
+		nr.Queries[qi].Winners = qr.Winners
 		if nr.IsLeader {
-			nr.Queries[qi].Boundary = qr.Boundary
-			nr.Queries[qi].Survivors = qr.Survivors
-			nr.Queries[qi].FellBack = qr.FellBack
-			nr.Queries[qi].Iterations = qr.Iterations
-			nr.Queries[qi].Value = qr.Value
+			nq := &nr.Queries[qi]
+			nq.Survivors, nq.FellBack, nq.Iterations = qr.Survivors, qr.FellBack, qr.Iterations
 		}
 	}
 	return nr, nil

@@ -20,10 +20,11 @@ import (
 // sends the leader one message, the leader answers with one broadcast —
 // plus v mod 3 idle rounds (so the lanes of a batch need different round
 // counts), and returns one synthetic "winner" per node, so the frontend's
-// per-query merge path is exercised. A query for the magic value 1313 fails
-// on the worker after the leader before it sends anything, exercising
-// epoch-failure recovery: the other workers only learn of the failure
-// through the leader's abort.
+// per-query merge path is exercised; the leader reports v as its survivor
+// count, an outcome the frontend takes from the leader alone. A query for
+// the magic value 1313 fails on the worker after the leader before it sends
+// anything, exercising epoch-failure recovery: the other workers only learn
+// of the failure through the leader's abort.
 type echoHandler struct {
 	leader int
 }
@@ -70,8 +71,7 @@ func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, 
 		Winners: []points.Item{{Key: keys.Key{Dist: v*10 + uint64(m.ID()), ID: uint64(m.ID()) + 1}}},
 	}
 	if m.ID() == h.leader {
-		out.Boundary = keys.Key{Dist: v}
-		out.Value = float64(v)
+		out.Survivors = int64(v)
 	}
 	return out, nil
 }
@@ -123,7 +123,8 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 		t.Fatalf("leader = %d", l)
 	}
 	for v := uint64(1); v <= 50; v++ {
-		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		// ℓ = k keeps every node's echo winner in the merged answer.
+		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("query %d: %v", v, err)
 		}
@@ -140,8 +141,8 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 				t.Fatalf("query %d item %d = %v, want %v", v, id, it.Key, want)
 			}
 		}
-		if res.Boundary.Dist != v || rep.Leader != lc.Leader() {
-			t.Fatalf("query %d: boundary %v leader %d", v, res.Boundary, rep.Leader)
+		if res.Boundary != res.Items[k-1].Key || res.Survivors != int64(v) || rep.Leader != lc.Leader() {
+			t.Fatalf("query %d: outcome %+v leader %d", v, res.QueryOutcome, rep.Leader)
 		}
 		// A star round trip: k−1 worker messages, k−1 leader replies.
 		if rep.Rounds != 2+int(v%3) || rep.Messages != int64(2*(k-1)) {
@@ -156,7 +157,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 	k := 3
 	lc, client := startEchoCluster(t, k, 11)
 	vs := []uint64{4, 9, 2, 7}
-	rep, err := client.Do(scalarQuery(wire.OpKNN, 1, vs...))
+	rep, err := client.Do(scalarQuery(wire.OpKNN, k, vs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 				t.Fatalf("query %d item %d = %v, want %v", qi, id, it.Key, want)
 			}
 		}
-		if res.Boundary.Dist != v || res.Value != float64(v) {
+		if res.Boundary != res.Items[k-1].Key || res.Survivors != int64(v) {
 			t.Fatalf("query %d: outcome %+v", qi, res.QueryOutcome)
 		}
 	}
@@ -188,7 +189,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 	var rounds int
 	var messages, bytes int64
 	for qi, v := range vs {
-		single, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
+		single, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatal(err)
 		}

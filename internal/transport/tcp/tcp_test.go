@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -234,17 +235,26 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 }
 
 func TestFullKNNPipelineOverTCP(t *testing.T) {
-	// The headline integration: election + Algorithm 2 + classification
-	// over real sockets, validated against a brute-force oracle.
+	// The headline integration: election + Algorithm 2 over real sockets,
+	// then the Classify fold over the winner shares the nodes collected,
+	// validated against a brute-force oracle.
 	k, n, l := 4, 400, 25
 	seed := uint64(99)
+	// Four classes, so the vote has real contenders.
+	instance := func(id int) *points.Set[points.Scalar] {
+		set := instanceFor(seed, id, n)
+		for j, label := range set.Labels {
+			set.Labels[j] = math.Floor(4 * label)
+		}
+		return set
+	}
+	q := points.Scalar(xrand.NewStream(seed, 1<<40).Uint64N(points.PaperDomain))
 	var mu sync.Mutex
 	boundaries := make([]keys.Key, k)
-	labels := make([]float64, k)
+	shares := make([][]points.Item, k)
 
 	prog := func(m kmachine.Env) error {
-		set := instanceFor(seed, m.ID(), n)
-		q := points.Scalar(xrand.NewStream(seed, 1<<40).Uint64N(points.PaperDomain))
+		set := instance(m.ID())
 		leader, err := election.MinGUID(m)
 		if err != nil {
 			return err
@@ -253,13 +263,9 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		label, err := core.Classify(m, leader, res.Winners)
-		if err != nil {
-			return err
-		}
 		mu.Lock()
 		boundaries[m.ID()] = res.Boundary
-		labels[m.ID()] = label
+		shares[m.ID()] = res.Winners
 		mu.Unlock()
 		return nil
 	}
@@ -268,20 +274,37 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 	// Oracle: merge all machines' data and brute-force the query.
 	var parts []*points.Set[points.Scalar]
 	for i := 0; i < k; i++ {
-		parts = append(parts, instanceFor(seed, i, n))
+		parts = append(parts, instance(i))
 	}
-	global := points.Merge(parts)
-	q := points.Scalar(xrand.NewStream(seed, 1<<40).Uint64N(points.PaperDomain))
-	want := global.BruteKNN(q, l)
+	want := points.Merge(parts).BruteKNN(q, l)
 	wantBoundary := want[l-1].Key
 	for i := 0; i < k; i++ {
 		if boundaries[i] != wantBoundary {
 			t.Errorf("node %d boundary %v, want %v", i, boundaries[i], wantBoundary)
 		}
-		if labels[i] != labels[0] {
-			t.Errorf("nodes disagree on label")
+	}
+	label, err := core.ClassifyShares(shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := bruteVote(want); label != v {
+		t.Errorf("classified %g from the collected shares, brute-force vote %g", label, v)
+	}
+}
+
+// bruteVote is the majority label of items, ties toward the smallest.
+func bruteVote(items []points.Item) float64 {
+	count := make(map[float64]int)
+	for _, it := range items {
+		count[it.Label]++
+	}
+	best, bestCount := math.Inf(1), 0
+	for label, c := range count {
+		if c > bestCount || (c == bestCount && label < best) {
+			best, bestCount = label, c
 		}
 	}
+	return best
 }
 
 func TestTCPMatchesSimulator(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,14 +24,20 @@ var scalarGeometry = &metricindex.WirePruner[points.Scalar]{
 }
 
 // stubNode is a serving node reduced to its control connection: it registers,
-// reports ready with a metric summary, records every control frame it is
-// sent, and answers direct dispatches by brute force over three points
-// around its center. It builds no mesh — a pruned frontend never needs one.
+// reports ready (leader 0) with a metric summary, records every control
+// frame it is sent, and answers dispatches by brute force over three points
+// around its center. It builds no mesh — a pruned frontend never needs one —
+// so a mesh dispatch is answered only when claim is set: the stub then
+// reports its local top-ℓ as its share, with the leader flag claim(id) and,
+// when it claims, stubSurvivors as every point's survivor count.
 type stubNode struct {
 	mu     sync.Mutex
 	id     int
 	frames [][]byte
+	claim  func(id int) bool
 }
+
+const stubSurvivors = 7
 
 var stubCenters = []uint64{100, 1000}
 
@@ -100,19 +107,26 @@ func (n *stubNode) serve(addr string) error {
 		switch kind := r.Kind(); kind {
 		case wire.KindShutdown:
 			return nil
-		case wire.KindDispatchDirect:
+		case wire.KindDispatch, wire.KindDispatchDirect:
+			mesh := kind == wire.KindDispatch
+			if mesh && n.claim == nil {
+				return fmt.Errorf("stub: unexpected mesh dispatch")
+			}
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
 				return err
 			}
-			nr := wire.NodeResult{Epoch: epoch, Node: id, Queries: make([]wire.NodeQueryResult, len(q.Points))}
+			nr := wire.NodeResult{Epoch: epoch, Node: id, IsLeader: mesh && n.claim(id), Queries: make([]wire.NodeQueryResult, len(q.Points))}
 			for qi, p := range q.Points {
 				v, err := wire.DecodeScalarPoint(p)
 				if err != nil {
 					return err
 				}
 				nr.Queries[qi].Winners = stubTopL(id, v, q.L)
+				if nr.IsLeader {
+					nr.Queries[qi].Survivors = stubSurvivors
+				}
 			}
 			var res wire.Writer
 			wire.AppendNodeResult(&res, nr)
@@ -133,17 +147,7 @@ func (n *stubNode) serve(addr string) error {
 // batch positions.
 func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	const l = 2
-	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{Pruner: scalarGeometry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- fe.Serve() }()
-	stubs := []*stubNode{{}, {}}
-	exits := make(chan error, len(stubs))
-	for _, n := range stubs {
-		go func(n *stubNode) { exits <- n.serve(fe.Addr()) }(n)
-	}
+	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil)
 	client, err := DialFrontendOptions(fe.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +212,81 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 				t.Fatalf("seat %d dispatch %d = % x, want % x", n.id, i, frame, want[n.id][i])
 			}
 		}
+	}
+}
+
+// startStubs serves a two-seat frontend with opts on two stub nodes whose
+// mesh-dispatch leader flags claim decides, and returns the frontend, the
+// stubs (in start order) and the channels its Serve and the stubs' serve
+// loops report their exits on.
+func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool) (*Frontend, []*stubNode, chan error, chan error) {
+	t.Helper()
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	stubs := []*stubNode{{claim: claim}, {claim: claim}}
+	exits := make(chan error, len(stubs))
+	for _, n := range stubs {
+		go func(n *stubNode) { exits <- n.serve(fe.Addr()) }(n)
+	}
+	return fe, stubs, serveDone, exits
+}
+
+// TestMeshResultLeaderFlagIsValidated pins where a mesh wave's selection
+// outcome comes from: exactly the session leader's result claims
+// leadership. A result whose leader flag disagrees with its seat — both
+// seats claiming, neither, or the wrong one — is malformed: its seat is
+// evicted and the query fails, instead of answering with whichever claim
+// arrived last or with a zero outcome.
+func TestMeshResultLeaderFlagIsValidated(t *testing.T) {
+	cases := []struct {
+		name  string
+		claim func(id int) bool
+		ok    bool
+	}{
+		{"session leader", func(id int) bool { return id == 0 }, true},
+		{"both seats", func(int) bool { return true }, false},
+		{"no seat", func(int) bool { return false }, false},
+		{"wrong seat", func(id int) bool { return id == 1 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const l, v = 2, 552
+			// No Pruner: every query runs by the mesh plan.
+			fe, _, serveDone, exits := startStubs(t, FrontendOptions{}, tc.claim)
+			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := client.Do(scalarQuery(wire.OpKNN, l, v))
+			client.Close()
+			fe.Close()
+			if err := <-serveDone; err != nil {
+				t.Fatalf("frontend: %v", err)
+			}
+			for range 2 {
+				<-exits
+			}
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "malformed result") {
+					t.Fatalf("query with a bad leader claim: reply %+v, error %v; want a malformed-result failure", rep.Results, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(stubTopL(0, v, l), stubTopL(1, v, l)...)
+			points.SortItems(want)
+			got := rep.Results[0]
+			if len(got.Items) != l || got.Items[0] != want[0] || got.Items[1] != want[1] ||
+				got.Boundary != want[l-1].Key || got.Survivors != stubSurvivors {
+				t.Fatalf("got %v, outcome %+v; want %v, boundary %v, %d survivors", got.Items, got.QueryOutcome, want[:l], want[l-1].Key, stubSurvivors)
+			}
+		})
 	}
 }
 

@@ -408,29 +408,29 @@ func DecodeShardSummary(r *Reader) (ShardSummary, error) {
 	return s, nil
 }
 
-// QueryOutcome is one query's slice of an epoch outcome. Inside a
-// NodeResult, Winners is the reporting node's local share of that query's
-// answer and the remaining fields are meaningful on the leader only; inside
-// a Reply, Items is the full merged answer and the leader fields are
-// authoritative.
+// QueryOutcome is one query's selection outcome in a Reply: the boundary of
+// the answer the frontend folded and the leader's selection statistics.
 type QueryOutcome struct {
 	Boundary   keys.Key
 	Survivors  int64
 	FellBack   bool
 	Iterations int
-	Value      float64 // classification label or regression mean
 }
 
-// NodeQueryResult is one node's per-query share of an epoch result.
+// NodeQueryResult is one node's per-query share of an epoch result. The
+// selection statistics are meaningful on the leader only; the boundary is
+// not reported, since the frontend derives it from the merged shares.
 type NodeQueryResult struct {
-	Winners []points.Item
-	QueryOutcome
+	Winners    []points.Item
+	Survivors  int64
+	FellBack   bool
+	Iterations int
 }
 
 // NodeResult is one resident node's report for one query epoch: per batched
 // query its local share of the winning points, plus its local view of the
-// whole epoch's cost, and — on the leader only — each query's result
-// metadata and aggregate value.
+// whole epoch's cost, and — on the leader only — each query's selection
+// statistics.
 type NodeResult struct {
 	Epoch    uint64
 	Node     int
@@ -455,11 +455,9 @@ func AppendNodeResult(w *Writer, nr NodeResult) {
 	for _, qr := range nr.Queries {
 		w.Items(qr.Winners)
 		if nr.IsLeader {
-			w.Key(qr.Boundary)
 			w.Varint(uint64(qr.Survivors))
 			w.U8(b2u(qr.FellBack))
 			w.Varint(uint64(qr.Iterations))
-			w.F64(qr.Value)
 		}
 	}
 }
@@ -487,11 +485,9 @@ func DecodeNodeResult(r *Reader) (NodeResult, error) {
 		var qr NodeQueryResult
 		qr.Winners = r.Items()
 		if nr.IsLeader {
-			qr.Boundary = r.Key()
 			qr.Survivors = int64(r.Varint())
 			qr.FellBack = r.U8() == 1
 			qr.Iterations = int(r.Varint())
-			qr.Value = r.F64()
 		}
 		nr.Queries = append(nr.Queries, qr)
 	}
@@ -501,11 +497,13 @@ func DecodeNodeResult(r *Reader) (NodeResult, error) {
 	return nr, nil
 }
 
-// QueryReply is the merged answer to one query of a batch: the result
-// metadata observed by the leader and — for OpKNN — the full merged
-// neighbor list in ascending key order.
+// QueryReply is the answer to one query of a batch: its selection outcome
+// and — for OpKNN — the full merged neighbor list in ascending key order,
+// or — for OpClassify and OpRegress — the label the frontend folded from
+// the winner shares.
 type QueryReply struct {
 	QueryOutcome
+	Value float64 // classification label or regression mean
 	Items []points.Item
 }
 

@@ -45,9 +45,14 @@ func FuzzDecodeNodeResult(f *testing.F) {
 	f.Add(encNodeResult(NodeResult{
 		Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745, IsLeader: true,
 		Queries: []NodeQueryResult{{
-			Winners:      []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
-			QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4, Value: 2},
+			Winners:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
+			Survivors:  20,
+			Iterations: 4,
 		}},
+	})[1:])
+	f.Add(encNodeResult(NodeResult{
+		Epoch: 2, Node: 1, Rounds: 26, Messages: 44, Bytes: 745,
+		Queries: []NodeQueryResult{{Winners: []points.Item{{Key: keys.Key{Dist: 4, ID: 7}, Label: 1}}}, {}},
 	})[1:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -73,6 +78,10 @@ func FuzzDecodeReply(f *testing.F) {
 			QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4},
 			Items:        []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 		}},
+	}))
+	f.Add(replyBody(Reply{
+		Rounds: 26, Messages: 44, Bytes: 745, Leader: 1,
+		Results: []QueryReply{{QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}}, Value: 2}},
 	}))
 	f.Add(replyBody(Reply{Err: "nope"}))
 	f.Add(replyBody(Reply{Err: "cluster degraded (1 of 2 nodes)", Degraded: true}))

@@ -558,10 +558,12 @@ func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
 	return qp, nil
 }
 
-// Query answers one point of the dispatched batch. Calls for different
-// points of the same batch run concurrently (lockstep sub-programs of one
-// epoch); everything mutable here is call-local, and the Setup-written
-// shard, index and leader are only read.
+// Query answers one point of the dispatched batch with the node's winner
+// share, whatever the op: the frontend folds Classify and Regress answers
+// from the shares. Calls for different points of the same batch run
+// concurrently (lockstep sub-programs of one epoch); everything mutable here
+// is call-local, and the Setup-written shard, index and leader are only
+// read.
 func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.QueryResult, error) {
 	qp, err := h.point(q, qi)
 	if err != nil {
@@ -577,23 +579,12 @@ func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.Query
 	if err != nil {
 		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
 	}
-	out := tcp.QueryResult{
+	return tcp.QueryResult{
 		Winners:    res.Winners,
-		Boundary:   res.Boundary,
 		Survivors:  res.Survivors,
 		FellBack:   res.FellBack,
 		Iterations: res.Iterations,
-	}
-	switch q.Op {
-	case wire.OpClassify:
-		out.Value, err = core.Classify(m, h.leader, res.Winners)
-	case wire.OpRegress:
-		out.Value, err = core.Regress(m, h.leader, res.Winners)
-	}
-	if err != nil {
-		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-	}
-	return out, nil
+	}, nil
 }
 
 // Direct answers one query point of a pruned (no-mesh) dispatch: the

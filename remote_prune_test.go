@@ -74,8 +74,8 @@ func comparePruned[P any](t *testing.T, pruned, full *distknn.RemoteCluster[P], 
 	return contacts
 }
 
-// compareClassify does the same for the classification path, whose leader
-// vote the pruned frontend replicates from the merged neighbor set.
+// compareClassify does the same for the classification path, whose vote
+// both plans fold at the frontend from the seats' winner shares.
 func compareClassify[P any](t *testing.T, pruned, full *distknn.RemoteCluster[P], queries []P, l int) {
 	t.Helper()
 	for i, q := range queries {
@@ -185,8 +185,8 @@ func TestPrunedVectorBitIdentical(t *testing.T) {
 	}
 	compareClassify(t, pruned, full, cqs, l)
 
-	// Regression rides the pruned path too, replaying the mesh's per-seat
-	// summation fold — TestPrunedRegressBitIdentical pins the bits; this is
+	// Regression rides the pruned path too, folding the same per-seat
+	// shares as full scatter — TestPrunedRegressBitIdentical pins the bits; this is
 	// the smoke check that the values agree at all.
 	for i := 0; i < 5; i++ {
 		q := vectorQueryAt(seed, dim, 7000+i)
@@ -476,9 +476,9 @@ func TestPrunedBatchMaxBatchBoundary(t *testing.T) {
 // TestPrunedRegressBitIdentical pins the pruned Regress fold: the mean is a
 // float64 summation whose rounding depends on evaluation order, so
 // bit-equality (math.Float64bits, not ==) across pruned and full scatter
-// proves the frontend replays the mesh's leader fold exactly — per-seat
-// partials in ascending key order, folded in ascending seat order with 0.0
-// for seats holding no winners. The Gaussian workload also checks that some
+// proves both plans fold the same per-seat shares — partials in ascending
+// key order, the leader's first, then the others in ascending seat order
+// with 0.0 for seats holding no winners. The Gaussian workload also checks that some
 // of those pruned Regress queries really skipped nodes.
 func TestPrunedRegressBitIdentical(t *testing.T) {
 	const (

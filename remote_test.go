@@ -1,6 +1,8 @@
 package distknn_test
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -253,6 +255,143 @@ func TestTCPServeSmoke(t *testing.T) {
 			if got[j].Key != want[j].Key {
 				t.Fatalf("query %d neighbor %d: %v != %v", i, j, got[j].Key, want[j].Key)
 			}
+		}
+	}
+}
+
+// TestRemoteLabelFoldsCostWhatKNNCosts is the socket twin of the in-process
+// cost convention: on twin mesh-plan servers (same shards and session seed,
+// so each server's first query runs as epoch 1 on the same seed), Classify
+// and Regress report KNN's rounds, messages, bytes and boundary — the label
+// is folded at the frontend from the winner shares, not on the mesh.
+func TestRemoteLabelFoldsCostWhatKNNCosts(t *testing.T) {
+	const (
+		k       = 3
+		perNode = 150
+		seed    = 13
+		l       = 10
+	)
+	q := distknn.Scalar(xrand.NewStream(seed, 1<<40).Uint64N(points.PaperDomain))
+	_, knn := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
+	_, want, err := knn.KNN(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, classify := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
+	_, cs, err := classify.Classify(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, regress := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
+	_, rs, err := regress.Regress(q, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		op    string
+		stats *distknn.QueryStats
+	}{{"Classify", cs}, {"Regress", rs}} {
+		if *got.stats != *want {
+			t.Errorf("%s cost %+v, KNN cost %+v", got.op, *got.stats, *want)
+		}
+	}
+}
+
+// TestRemoteLabelFoldsMatchBruteForce checks mesh-plan Classify and Regress
+// over sockets against a brute-force oracle that shares nothing with the
+// serving stack, by Float64bits: the majority label with ties toward the
+// lowest, and the mean summed the way the cluster defines it — each seat
+// adds its own winners in ascending key order, then the leader's sum comes
+// first and the other seats' follow in ascending seat order. The four
+// class labels mix magnitudes, so the float64 sum depends on that order,
+// and the seed elects a leader other than seat 0, where leader-first and
+// ascending seat order would coincide.
+func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
+	const (
+		k       = 4
+		perNode = 200
+		seed    = 13
+		l       = 25
+	)
+	classes := []float64{0.1, 1e15 + 0.3, -1e15, 0.7}
+	shards := func(id, k int) (distknn.Shard[distknn.Scalar], error) {
+		sh, err := remoteShards(seed, perNode)(id, k)
+		for j, c := range sh.Labels {
+			sh.Labels[j] = classes[int(c)]
+		}
+		return sh, err
+	}
+	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+	// The union of the shards as the oracle sees it: each point's value,
+	// global ID, label and seat.
+	type seatPoint struct {
+		value uint64
+		id    uint64
+		label float64
+		seat  int
+	}
+	var all []seatPoint
+	for seat := 0; seat < k; seat++ {
+		sh, err := shards(seat, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range sh.Points {
+			all = append(all, seatPoint{value: uint64(p), id: sh.FirstID + uint64(j), label: sh.Labels[j], seat: seat})
+		}
+	}
+	key := func(p seatPoint, q uint64) distknn.Key {
+		d := p.value - q
+		if q > p.value {
+			d = q - p.value
+		}
+		return distknn.Key{Dist: d, ID: p.id}
+	}
+	for i := 0; i < 20; i++ {
+		q := xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain)
+		sort.Slice(all, func(a, b int) bool { return key(all[a], q).Less(key(all[b], q)) })
+		top := all[:l]
+
+		count := make(map[float64]int)
+		for _, p := range top {
+			count[p.label]++
+		}
+		wantLabel, best := math.Inf(1), 0
+		for label, c := range count {
+			if c > best || (c == best && label < wantLabel) {
+				wantLabel, best = label, c
+			}
+		}
+		label, stats, err := rc.Classify(distknn.Scalar(q), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(label) != math.Float64bits(wantLabel) {
+			t.Fatalf("query %d: classified %v, brute-force vote %v", i, label, wantLabel)
+		}
+		if stats.Leader == 0 {
+			t.Fatal("the seed elected seat 0, where the summation orders coincide; pick another seed")
+		}
+
+		// top is in ascending key order, so each seat's sum runs in its own
+		// share order.
+		sums := make([]float64, k)
+		for _, p := range top {
+			sums[p.seat] += p.label
+		}
+		wantMean := sums[stats.Leader]
+		for seat, sum := range sums {
+			if seat != stats.Leader {
+				wantMean += sum
+			}
+		}
+		wantMean /= l
+		mean, _, err := rc.Regress(distknn.Scalar(q), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(mean) != math.Float64bits(wantMean) {
+			t.Fatalf("query %d: regressed %v (%x), leader-first brute-force mean %v (%x)", i, mean, math.Float64bits(mean), wantMean, math.Float64bits(wantMean))
 		}
 	}
 }
