@@ -340,10 +340,7 @@ func (c *Cluster[P]) runElection() (int, *kmachine.Metrics, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return election.Once(sim, election.OnceOptions{
-		Sublinear:      c.opts.SublinearElection,
-		BandwidthBytes: c.opts.BandwidthBytes,
-	})
+	return election.Once(sim, election.OnceOptions{Sublinear: c.opts.SublinearElection})
 }
 
 // sim is the configuration of one simulator run seeded by seed, or

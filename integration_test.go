@@ -61,7 +61,7 @@ func TestFullMatrixSimulator(t *testing.T) {
 	electors := map[string]func(m kmachine.Env) (int, error){
 		"minguid": election.MinGUID,
 		"sublinear": func(m kmachine.Env) (int, error) {
-			return election.Sublinear(m, election.SublinearOptions{})
+			return election.Sublinear(m)
 		},
 	}
 	for aname, algo := range algos {

@@ -238,7 +238,9 @@ func TestKNNRoundLaw(t *testing.T) {
 	// is exact: four prelude rounds (samples, prune, counts, proceed), then
 	// Algorithm 1 at two rounds an iteration plus its statistics and finish
 	// rounds — on the pruned candidates or, after a fallback, on the whole
-	// local top-ℓ alike. A single machine never communicates.
+	// local top-ℓ alike. A single machine never communicates. With no
+	// bandwidth cap the survivors fit one gather reply each, so Algorithm 1
+	// takes a single iteration and a query exactly 8 rounds.
 	for _, k := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			locals, _, _ := makeInstance(seed, 4096, k, points.PartitionRandom)
@@ -251,6 +253,9 @@ func TestKNNRoundLaw(t *testing.T) {
 			}
 			if want := 2*res.Iterations + 6; met.Rounds != want {
 				t.Errorf("k=%d seed=%d: %d rounds for %d iterations, want %d", k, seed, met.Rounds, res.Iterations, want)
+			}
+			if res.Iterations != 1 {
+				t.Errorf("k=%d seed=%d: %d iterations at unlimited bandwidth, want 1 (the gather)", k, seed, res.Iterations)
 			}
 		}
 	}

@@ -20,7 +20,12 @@
 //     weighted machine choice then selects among candidates it holds —
 //     machine i with probability n_i/total, its candidate uniform among its
 //     n_i surviving keys and drawn independently of the choice, which is
-//     Lemma 2.1's distribution exactly. Rounds = 2·iterations + 2.
+//     Lemma 2.1's distribution exactly. The search ends by gathering: once
+//     every worker's in-range keys fit one message under the link budget
+//     (Env.Bandwidth), the next iteration asks for those keys instead of
+//     splitting, and the leader selects the rank among them locally. That
+//     iteration costs the same two rounds a split would and draws no pivot.
+//     Rounds = 2·iterations + 2.
 //
 //   - SaukasSong — the deterministic baseline from Saukas & Song (SC '98),
 //     the closest prior work cited by the paper: each round the leader takes
@@ -37,9 +42,11 @@
 // avoids the double-count that a closed-interval reading of the paper's
 // pseudocode would allow.
 //
-// Every message is O(1) keys: the largest, the split query, is 49 bytes, and
-// none exceeds 56, so with kmachine.MessageOverheadBytes each crosses the
-// simulator's default 64-byte link in one round.
+// Every message but one is O(1) keys: the largest, the split query, is 49
+// bytes, and none exceeds 56, so with kmachine.MessageOverheadBytes each
+// crosses the simulator's default 64-byte link in one round. The exception,
+// a gather reply, is at most B by construction: the leader asks for one only
+// when every worker's reply fits a round (three keys at B = 64).
 package dsel
 
 import (
@@ -66,6 +73,8 @@ const (
 	msgMedianQuery            // leader → all: lo, hi — median of keys in (lo, hi]
 	msgMedianReply            // worker → leader: count [+ median]
 	msgFinished               // leader → all: boundary, iterations
+	msgGather                 // leader → all: lo, hi — send every key in (lo, hi]
+	msgGatherReply            // worker → leader: count, then that many keys
 )
 
 // Result is what every machine learns when a selection protocol finishes.
@@ -172,6 +181,12 @@ func runWorker(m kmachine.Env, leader int, local []keys.Key) (Result, error) {
 					return Result{}, fmt.Errorf("dsel: bad median query: %w", err)
 				}
 				m.Send(leader, encodeMedianReply(local, lo, hi))
+			case msgGather:
+				lo, hi := r.Key(), r.Key()
+				if err := r.Err(); err != nil {
+					return Result{}, fmt.Errorf("dsel: bad gather query: %w", err)
+				}
+				m.Send(leader, encodeGatherReply(local, lo, hi))
 			case msgFinished:
 				boundary := r.Key()
 				iters := int(r.Varint())
@@ -436,6 +451,72 @@ func (st *leaderState) split(p keys.Key) (low, high half, err error) {
 	return low, high, nil
 }
 
+// gatherFits reports whether every worker's in-range keys fit one gather
+// reply under the link budget, so that a gather costs exactly the two rounds
+// of the split it replaces.
+func (st *leaderState) gatherFits() bool {
+	b := st.m.Bandwidth()
+	if b < 0 {
+		return true
+	}
+	for i, n := range st.counts {
+		if i != st.m.ID() && gatherReplySize(n) > int64(b-kmachine.MessageOverheadBytes) {
+			return false
+		}
+	}
+	return true
+}
+
+// gather finishes Algorithm 1 where the search would split again: it
+// broadcasts (st.lo, st.hi], collects every key in range, and returns the
+// one of rank st.l among them. Two rounds, 2(k−1) messages, one iteration.
+// A reply is checked against what the leader already knows — its count must
+// be the sender's in-range count and each key must lie in range — so the
+// local selection runs over the st.total keys of the range and a malformed
+// reply fails the run instead of moving the boundary.
+func (st *leaderState) gather() (keys.Key, error) {
+	all := make([]keys.Key, 0, st.total)
+	for _, key := range st.local {
+		if st.lo.Less(key) && key.LessEq(st.hi) {
+			all = append(all, key)
+		}
+	}
+	if k := st.m.K(); k > 1 {
+		var w wire.Writer
+		w.U8(msgGather)
+		w.Key(st.lo)
+		w.Key(st.hi)
+		st.m.Broadcast(w.Bytes())
+		st.m.EndRound()
+		for _, msg := range st.m.Gather(k - 1) {
+			r := wire.NewReader(msg.Payload)
+			if kind := r.U8(); kind != msgGatherReply {
+				return keys.Key{}, fmt.Errorf("dsel: expected gather reply from %d, got kind %d", msg.From, kind)
+			}
+			n := r.Varint()
+			if err := r.Err(); err != nil {
+				return keys.Key{}, fmt.Errorf("dsel: bad gather reply from %d: %w", msg.From, err)
+			}
+			if n != uint64(st.counts[msg.From]) {
+				return keys.Key{}, fmt.Errorf("dsel: machine %d gathered %d keys but holds %d in range",
+					msg.From, n, st.counts[msg.From])
+			}
+			for ; n > 0; n-- {
+				key := r.Key()
+				if err := r.Err(); err != nil {
+					return keys.Key{}, fmt.Errorf("dsel: bad gather reply from %d: %w", msg.From, err)
+				}
+				if !(st.lo.Less(key) && key.LessEq(st.hi)) {
+					return keys.Key{}, fmt.Errorf("dsel: machine %d gathered key %v outside (%v, %v]", msg.From, key, st.lo, st.hi)
+				}
+				all = append(all, key)
+			}
+		}
+	}
+	st.iters++
+	return seqselect.MedianOfMedians(all, int(st.l)), nil
+}
+
 // apply folds a pivot's count outcome into the state following the
 // randomized-selection recurrence: low and high describe (lo, pivot] and
 // (pivot, hi], and the side holding the sought rank becomes the active
@@ -487,6 +568,13 @@ func leadAlg1(m kmachine.Env, local []keys.Key, l int, opts Options) (Result, er
 		return st.finish(st.hi), nil
 	}
 	for {
+		if st.gatherFits() {
+			boundary, err := st.gather()
+			if err != nil {
+				return Result{}, err
+			}
+			return st.finish(boundary), nil
+		}
 		// Pick the pivot machine with probability n_i / total and take the
 		// key it already drew uniformly from its in-range keys — uniform
 		// overall by Lemma 2.1, with no message exchanged.

@@ -231,11 +231,17 @@ func TestAlg1RoundLaw(t *testing.T) {
 	// With every message inside one round's bandwidth the cost is exact, not
 	// an envelope: one round of opening statistics, two per iteration (split
 	// query out, counts and candidates back), one for the finish broadcast.
+	// With no bandwidth cap every machine's keys fit one message from the
+	// start, so the only iteration is the gather.
 	for _, k := range []int{2, 4, 8} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			for style := 0; style < 4; style++ {
 				locals := scatter(seed, 600, k, style)
 				res, _, met := runSelection(t, seed+50, -1, locals, 200, protocols["alg1"])
+				if res.Iterations != 1 {
+					t.Errorf("k=%d seed=%d style=%d: %d iterations at unlimited bandwidth, want 1 (the gather)",
+						k, seed, style, res.Iterations)
+				}
 				if want := 2*res.Iterations + 2; met.Rounds != want {
 					t.Errorf("k=%d seed=%d style=%d: %d rounds for %d iterations, want %d",
 						k, seed, style, met.Rounds, res.Iterations, want)
@@ -249,16 +255,80 @@ func TestAlg1RoundLaw(t *testing.T) {
 	}
 }
 
+func TestGatherFinishRoundLaw(t *testing.T) {
+	// The leader gathers at the first iteration where every worker's
+	// in-range keys fit one reply under B, and splits before that: no pivot
+	// is drawn once every count fits, and the gather ends the run. Either way
+	// an iteration is two rounds, so the round law is the split-only one.
+	const k, n, l = 4, 600, 200
+	for _, bandwidth := range []int{64, 256, 1024, -1} {
+		budget := int64(bandwidth - kmachine.MessageOverheadBytes)
+		for seed := uint64(1); seed <= 8; seed++ {
+			locals := scatter(seed, n, k, int(seed%4))
+			fits := func(lo, hi keys.Key) bool {
+				for _, local := range locals[1:] {
+					if bandwidth >= 0 && gatherReplySize(int64(seqselect.CountInRange(local, lo, hi))) > budget {
+						return false
+					}
+				}
+				return true
+			}
+			pivots := 0
+			progs := make([]kmachine.Program, k)
+			results := make([]Result, k)
+			for i := range progs {
+				progs[i] = func(m kmachine.Env) error {
+					var opts Options
+					if i == 0 {
+						opts.OnPivot = func(pivot, lo, hi keys.Key, total int64) {
+							pivots++
+							if fits(lo, hi) {
+								t.Errorf("B=%d seed=%d: pivot drawn in (%v, %v] although every worker's keys fit one reply",
+									bandwidth, seed, lo, hi)
+							}
+						}
+					}
+					var err error
+					results[i], err = FindLSmallest(m, 0, locals[i], l, opts)
+					return err
+				}
+			}
+			met, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: seed, BandwidthBytes: bandwidth}, progs)
+			if err != nil {
+				t.Fatalf("B=%d seed=%d: %v", bandwidth, seed, err)
+			}
+			var union []keys.Key
+			for _, res := range results {
+				union = append(union, res.Winners...)
+			}
+			checkExact(t, fmt.Sprintf("B=%d seed=%d", bandwidth, seed), results[0], union, locals, l)
+			iters := results[0].Iterations
+			if want := 2*iters + 2; met.Rounds != want {
+				t.Errorf("B=%d seed=%d: %d rounds for %d iterations, want %d", bandwidth, seed, met.Rounds, iters, want)
+			}
+			// Every iteration but a final gather draws a pivot.
+			if pivots != iters && pivots != iters-1 {
+				t.Errorf("B=%d seed=%d: %d pivots in %d iterations", bandwidth, seed, pivots, iters)
+			}
+			if bandwidth < 0 && pivots != 0 {
+				t.Errorf("B=-1 seed=%d: %d pivots drawn, want 0", seed, pivots)
+			}
+		}
+	}
+}
+
 // sizeEnv records the largest payload a machine sends.
 type sizeEnv struct {
 	kmachine.Env
-	max *int
+	max   *int
+	kinds map[byte]bool // every message kind sent
 }
 
 func (e sizeEnv) note(payload []byte) {
 	if len(payload) > *e.max {
 		*e.max = len(payload)
 	}
+	e.kinds[payload[0]] = true
 }
 
 func (e sizeEnv) Send(to int, payload []byte) {
@@ -279,10 +349,12 @@ func TestEveryMessageFitsOneDefaultRound(t *testing.T) {
 	for name, proto := range protocols {
 		locals := scatter(5, 3000, 4, 0)
 		sizes := make([]int, len(locals))
+		kinds := make([]map[byte]bool, len(locals))
 		progs := make([]kmachine.Program, len(locals))
 		for i := range progs {
+			kinds[i] = make(map[byte]bool)
 			progs[i] = func(m kmachine.Env) error {
-				_, err := proto(sizeEnv{m, &sizes[i]}, 0, locals[i], 1000)
+				_, err := proto(sizeEnv{m, &sizes[i], kinds[i]}, 0, locals[i], 1000)
 				return err
 			}
 		}
@@ -294,6 +366,11 @@ func TestEveryMessageFitsOneDefaultRound(t *testing.T) {
 				t.Errorf("%s: machine %d's largest payload is %d bytes, want 1..%d", name, i, size, budget)
 			}
 		}
+		// Algorithm 1 ends in a gather, so both gather messages were among
+		// the payloads measured.
+		if name == "alg1" && (!kinds[0][msgGather] || !kinds[1][msgGatherReply]) {
+			t.Errorf("alg1 finished without a gather: leader sent kinds %v, a worker %v", kinds[0], kinds[1])
+		}
 	}
 	// The two variable-length messages at their widest.
 	big := pick{n: math.MaxInt64 / 2, cand: keys.MaxKey}
@@ -302,6 +379,24 @@ func TestEveryMessageFitsOneDefaultRound(t *testing.T) {
 	}
 	if n := len(encodeStats(xrand.New(1), make([]keys.Key, 1<<20))); n > budget {
 		t.Errorf("stats for 2^20 keys is %d bytes, budget %d", n, budget)
+	}
+	// The widest gather reply the leader's rule admits: its size formula is
+	// the encoder's, so the reply it allows fits and one more key does not.
+	widest := int64(0)
+	for gatherReplySize(widest+1) <= budget {
+		widest++
+	}
+	if widest != 3 {
+		t.Errorf("the rule admits gather replies of %d keys at B = %d, want 3", widest, kmachine.DefaultBandwidth)
+	}
+	for _, n := range []int64{0, widest, widest + 1, 200} {
+		local := make([]keys.Key, n)
+		for i := range local {
+			local[i] = keys.MaxKey
+		}
+		if got := int64(len(encodeGatherReply(local, keys.MinKey, keys.MaxKey))); got != gatherReplySize(n) {
+			t.Errorf("gather reply of %d keys is %d bytes, the rule computes %d", n, got, gatherReplySize(n))
+		}
 	}
 }
 
@@ -429,7 +524,8 @@ func TestSecondPivotUniformity(t *testing.T) {
 	// the keys in it. The instance is fixed and lopsided — the machines'
 	// counts differ 10×, and machines 1 and 2 hold only small and only large
 	// keys, so after most first pivots one of them has an empty side — which
-	// is where a draw that weighted machines wrongly would show.
+	// is where a draw that weighted machines wrongly would show. It runs at
+	// the default 64-byte link: with no cap the leader would gather at once.
 	const k, buckets, trials = 4, 8, 2400
 	sizes := [k]int{4, 40, 16, 4}
 	locals := make([][]keys.Key, k)
@@ -483,7 +579,7 @@ func TestSecondPivotUniformity(t *testing.T) {
 				return err
 			}
 		}
-		if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: uint64(trial), BandwidthBytes: -1}, progs); err != nil {
+		if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: uint64(trial)}, progs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -584,6 +680,8 @@ func rogueWorker(local []keys.Key, target uint8, corrupt func(honest []byte) []b
 				reply = []byte{msgCountReply, byte(seqselect.CountInRange(local, lo, a))}
 			case msgMedianQuery:
 				reply = encodeMedianReply(local, lo, a)
+			case msgGather:
+				reply = encodeGatherReply(local, lo, a)
 			default:
 				return nil // finished: the leader accepted the corrupt reply
 			}
@@ -605,7 +703,8 @@ func readKeys(query []byte) (a, b, c keys.Key) {
 func TestMalformedRepliesFailTheRun(t *testing.T) {
 	// The exact-answer contract: a reply the leader cannot trust ends the
 	// run with an error. It must never decode as a count (a truncated varint
-	// reads as 0) and move the boundary.
+	// reads as 0) and move the boundary. At the default 64-byte link the
+	// search splits before it gathers, so both kinds of reply are reached.
 	locals := scatter(21, 90, 3, 0) // 30 keys each, fewer than 127: one-byte varints
 	splitReply := func(nLow, nHigh byte, cands ...keys.Key) []byte {
 		reply := []byte{msgSplitReply, nLow, nHigh}
@@ -637,6 +736,16 @@ func TestMalformedRepliesFailTheRun(t *testing.T) {
 		{"count answered with a split reply", "binary-search", msgCount, func(h []byte) []byte { return splitReply(0, 0) }},
 		{"count above what the worker holds", "binary-search", msgCount, func(h []byte) []byte { return []byte{msgCountReply, 31} }},
 		{"count truncated after an honest median", "saukas-song", msgCount, func(h []byte) []byte { return h[:1] }},
+		{"gather truncated to its kind", "alg1", msgGather, func(h []byte) []byte { return h[:1] }},
+		{"gather answered with a split reply", "alg1", msgGather, func(h []byte) []byte { return splitReply(0, 0) }},
+		{"gather count that differs from the known count", "alg1", msgGather, func(h []byte) []byte {
+			// A well-formed reply one key longer: the last key twice.
+			return append(append([]byte{msgGatherReply, h[1] + 1}, h[2:]...), h[len(h)-16:]...)
+		}},
+		{"gather key outside the range", "alg1", msgGather, func(h []byte) []byte {
+			return append(h[:len(h)-16], splitReply(1, 0, keys.MaxKey)[3:]...)
+		}},
+		{"gather with a short key list", "alg1", msgGather, func(h []byte) []byte { return h[:len(h)-16] }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -654,7 +763,7 @@ func TestMalformedRepliesFailTheRun(t *testing.T) {
 				},
 				rogueWorker(locals[2], c.target, c.corrupt),
 			}
-			_, err := kmachine.RunPrograms(kmachine.Config{K: 3, Seed: 21, BandwidthBytes: -1}, progs)
+			_, err := kmachine.RunPrograms(kmachine.Config{K: 3, Seed: 21}, progs)
 			if err == nil || !strings.Contains(err.Error(), "dsel:") {
 				t.Errorf("run must fail with a dsel error, got %v", err)
 			}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 
 	"distknn/internal/keys"
+	"distknn/internal/seqselect"
 	"distknn/internal/wire"
 )
 
@@ -59,4 +60,24 @@ func encodeMedianReply(local []keys.Key, lo, hi keys.Key) []byte {
 		w.Key(med)
 	}
 	return w.Bytes()
+}
+
+// encodeGatherReply builds the worker's answer to a gather query: the number
+// of local keys in (lo, hi] and then every one of them, in input order.
+func encodeGatherReply(local []keys.Key, lo, hi keys.Key) []byte {
+	var w wire.Writer
+	w.U8(msgGatherReply)
+	w.Varint(uint64(seqselect.CountInRange(local, lo, hi)))
+	for _, k := range local {
+		if lo.Less(k) && k.LessEq(hi) {
+			w.Key(k)
+		}
+	}
+	return w.Bytes()
+}
+
+// gatherReplySize is len(encodeGatherReply) for n keys in range: the kind
+// byte, the count's varint and 16 bytes a key.
+func gatherReplySize(n int64) int64 {
+	return 1 + int64(wire.VarintLen(uint64(n))) + 16*n
 }

@@ -39,8 +39,6 @@ type OnceOptions struct {
 	// Sublinear selects the randomized referee election instead of the
 	// min-GUID broadcast.
 	Sublinear bool
-	// BandwidthBytes is forwarded to SublinearOptions.
-	BandwidthBytes int
 }
 
 // Elect runs the configured elector on machine m. It is the single dispatch
@@ -48,7 +46,7 @@ type OnceOptions struct {
 // the TCP setup epoch — goes through it.
 func Elect(m kmachine.Env, opts OnceOptions) (int, error) {
 	if opts.Sublinear {
-		return Sublinear(m, SublinearOptions{BandwidthBytes: opts.BandwidthBytes})
+		return Sublinear(m)
 	}
 	return MinGUID(m)
 }
@@ -107,16 +105,6 @@ func MinGUID(m kmachine.Env) (int, error) {
 	return bestID, nil
 }
 
-// SublinearOptions tunes the randomized election.
-type SublinearOptions struct {
-	// BandwidthBytes must match the simulation's per-link bandwidth; the
-	// protocol's fixed four-round schedule requires each of its ≤24-byte
-	// payloads to cross a link in one round (i.e. B ≥ 32 including
-	// overhead). 0 selects kmachine.DefaultBandwidth; negative means
-	// unlimited.
-	BandwidthBytes int
-}
-
 const (
 	msgNominate = iota + 1 // candidate → referee: priority
 	msgVerdict             // referee → candidate: 1 = endorsed
@@ -127,22 +115,20 @@ const (
 const maxPayload = 9
 
 // Sublinear runs the randomized referee election. All machines return the
-// same leader index. It uses exactly 3 communication rounds.
+// same leader index. It uses exactly 3 communication rounds, which needs
+// every payload to cross its link in one round: it fails on an Env whose
+// Bandwidth is below one election message.
 //
 // Machine 0 always nominates itself (in addition to the random nominees), so
 // at least one candidate exists and no retry phase is needed; the
 // highest-priority candidate is endorsed by every referee it contacts, so at
 // least one announcement is always made.
-func Sublinear(m kmachine.Env, opts SublinearOptions) (int, error) {
+func Sublinear(m kmachine.Env) (int, error) {
 	k := m.K()
 	if k == 1 {
 		return 0, nil
 	}
-	b := opts.BandwidthBytes
-	if b == 0 {
-		b = kmachine.DefaultBandwidth
-	}
-	if b > 0 && b < maxPayload+kmachine.MessageOverheadBytes {
+	if b := m.Bandwidth(); b >= 0 && b < maxPayload+kmachine.MessageOverheadBytes {
 		return 0, fmt.Errorf("election: bandwidth %dB cannot carry a %dB election message in one round",
 			b, maxPayload+kmachine.MessageOverheadBytes)
 	}

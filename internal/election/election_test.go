@@ -83,7 +83,7 @@ func TestSublinearAgreement(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 16, 64, 128} {
 		for seed := uint64(0); seed < 5; seed++ {
 			runElection(t, k, seed, 0, func(m kmachine.Env) (int, error) {
-				return Sublinear(m, SublinearOptions{})
+				return Sublinear(m)
 			})
 		}
 	}
@@ -92,7 +92,7 @@ func TestSublinearAgreement(t *testing.T) {
 func TestSublinearConstantRounds(t *testing.T) {
 	for _, k := range []int{2, 16, 128} {
 		_, met := runElection(t, k, 11, 0, func(m kmachine.Env) (int, error) {
-			return Sublinear(m, SublinearOptions{})
+			return Sublinear(m)
 		})
 		if met.Rounds != 3 {
 			t.Errorf("k=%d: Sublinear took %d rounds, want 3", k, met.Rounds)
@@ -110,7 +110,7 @@ func TestSublinearMessageComplexitySublinearPhases(t *testing.T) {
 	// remainder to be o(k²).
 	k := 256
 	_, met := runElection(t, k, 13, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m, SublinearOptions{})
+		return Sublinear(m)
 	})
 	if met.Messages >= int64(k*k)/2 {
 		t.Errorf("sublinear election sent %d messages, not sublinear vs k²=%d", met.Messages, k*k)
@@ -120,7 +120,7 @@ func TestSublinearMessageComplexitySublinearPhases(t *testing.T) {
 func TestSublinearRejectsTinyBandwidth(t *testing.T) {
 	_, err := kmachine.Run(kmachine.Config{K: 4, Seed: 1, BandwidthBytes: 8},
 		func(m kmachine.Env) error {
-			_, err := Sublinear(m, SublinearOptions{BandwidthBytes: 8})
+			_, err := Sublinear(m)
 			return err
 		})
 	if err == nil {
@@ -130,16 +130,16 @@ func TestSublinearRejectsTinyBandwidth(t *testing.T) {
 
 func TestSublinearUnlimitedBandwidth(t *testing.T) {
 	runElection(t, 32, 17, -1, func(m kmachine.Env) (int, error) {
-		return Sublinear(m, SublinearOptions{BandwidthBytes: -1})
+		return Sublinear(m)
 	})
 }
 
 func TestElectorsDeterministicPerSeed(t *testing.T) {
 	w1, _ := runElection(t, 32, 99, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m, SublinearOptions{})
+		return Sublinear(m)
 	})
 	w2, _ := runElection(t, 32, 99, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m, SublinearOptions{})
+		return Sublinear(m)
 	})
 	if w1 != w2 {
 		t.Errorf("same seed elected %d then %d", w1, w2)

@@ -145,6 +145,10 @@ type Env interface {
 	K() int
 	// GUID returns this machine's globally unique random identifier.
 	GUID() uint64
+	// Bandwidth returns B, the bytes a link carries per round including
+	// MessageOverheadBytes per message; negative means unlimited. A message
+	// of at most B bytes crosses its link in one round.
+	Bandwidth() int
 	// Rand returns this machine's private random stream.
 	Rand() *rand.Rand
 	// Round returns the current round number (starting at 0).
@@ -171,10 +175,11 @@ type Program func(m Env) error
 // Machine is the per-machine execution environment handed to a Program.
 // Methods must only be called from the program's own goroutine.
 type Machine struct {
-	id   int
-	k    int
-	guid uint64
-	rng  *rand.Rand
+	id        int
+	k         int
+	guid      uint64
+	rng       *rand.Rand
+	bandwidth int
 
 	round   int
 	inbox   []Message
@@ -208,6 +213,10 @@ func (m *Machine) GUID() uint64 { return m.guid }
 
 // Rand returns this machine's private random stream.
 func (m *Machine) Rand() *rand.Rand { return m.rng }
+
+// Bandwidth returns the run's per-link capacity: Config.BandwidthBytes with
+// 0 resolved to DefaultBandwidth, negative for unlimited.
+func (m *Machine) Bandwidth() int { return m.bandwidth }
 
 // Round returns the current round number (starting at 0).
 func (m *Machine) Round() int { return m.round }
@@ -318,13 +327,14 @@ func RunPrograms(cfg Config, progs []Program) (*Metrics, error) {
 	machines := make([]*Machine, k)
 	for i := 0; i < k; i++ {
 		machines[i] = &Machine{
-			id:      i,
-			k:       k,
-			guid:    xrand.DeriveSeed(cfg.Seed, uint64(i)+(1<<32)),
-			rng:     xrand.NewStream(cfg.Seed, uint64(i)),
-			resume:  make(chan []Message),
-			reports: reports,
-			measure: cfg.MeasureCompute,
+			id:        i,
+			k:         k,
+			guid:      xrand.DeriveSeed(cfg.Seed, uint64(i)+(1<<32)),
+			rng:       xrand.NewStream(cfg.Seed, uint64(i)),
+			bandwidth: bandwidth,
+			resume:    make(chan []Message),
+			reports:   reports,
+			measure:   cfg.MeasureCompute,
 		}
 	}
 	// Each goroutine ends in exactly one halt report (normal return, error,

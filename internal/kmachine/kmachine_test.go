@@ -241,6 +241,23 @@ func TestUnlimitedBandwidth(t *testing.T) {
 	}
 }
 
+func TestEnvReportsResolvedBandwidth(t *testing.T) {
+	// A program plans its messages against the B its run enforces: 0 in
+	// the config is the default link, negative is unlimited.
+	for cfg, want := range map[int]int{0: DefaultBandwidth, 16: 16, -1: -1} {
+		got := make([]int, 2)
+		if _, err := Run(Config{K: 2, Seed: 9, BandwidthBytes: cfg}, func(m Env) error {
+			got[m.ID()] = m.Bandwidth()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want || got[1] != want {
+			t.Errorf("BandwidthBytes %d: machines report %v, want %d", cfg, got, want)
+		}
+	}
+}
+
 func TestProgramErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	progs := []Program{

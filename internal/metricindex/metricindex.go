@@ -88,51 +88,59 @@ func KCenter[P any](pts []P, metric points.Metric[P], k int, seed uint64) Cluste
 	return cl
 }
 
-// maxDist returns the largest encoded distance from center to any of pts
-// (0 for none): a max-reduction over blocks of the batch kernel. The kernel
-// measures metric(point, center); metrics are symmetric, so that is the
-// distance from the center.
-func maxDist[P any](pts []P, center P, batch points.Batch[P]) uint64 {
-	var far uint64
-	batch.ForBlocks(pts, center, func(_ int, dist []uint64) {
-		far = max(far, slices.Max(dist))
-	})
-	return far
-}
-
 // ApproxMedoid returns the index of an approximate medoid of pts: among a
-// deterministic strided sample of up to 16 candidates, the one whose
+// deterministic strided sample of about 16 candidates, the one whose
 // farthest point is nearest (ties toward the earlier candidate). It is the
-// center a node falls back to when its shard carries no explicit anchor —
-// 16 passes of the metric's batch kernel, paid once at shard load.
+// center a node falls back to when its shard carries no explicit anchor,
+// paid once at shard load. It reads the shard once: each block of points is
+// measured against every candidate before the next block is loaded.
 func ApproxMedoid[P any](pts []P, metric points.Metric[P]) int {
 	n := len(pts)
 	if n == 0 {
 		return -1
 	}
-	stride := n / 16
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(n/16, 1)
 	batch := points.BatchOf(metric)
-	best, bestRadius := -1, uint64(0)
-	for c := 0; c < n; c += stride {
-		if radius := maxDist(pts, pts[c], batch); best == -1 || radius < bestRadius {
-			best, bestRadius = c, radius
+	// far[i] is the largest distance seen so far from candidate i·stride.
+	far := make([]uint64, (n+stride-1)/stride)
+	dist := make([]uint64, min(n, medoidBlock))
+	for lo := 0; lo < n; lo += medoidBlock {
+		block := pts[lo:min(lo+medoidBlock, n)]
+		out := dist[:len(block)]
+		for i := range far {
+			batch(block, pts[i*stride], out)
+			far[i] = max(far[i], slices.Max(out))
 		}
 	}
-	return best
+	best := 0
+	for i := range far {
+		if far[i] < far[best] {
+			best = i
+		}
+	}
+	return best * stride
 }
+
+// medoidBlock is how many points ApproxMedoid measures per kernel call, the
+// block size of points.Batch.ForBlocks: small enough that a block stays in
+// cache across every candidate.
+const medoidBlock = 512
 
 // Radius returns the true-distance radius of pts around center: the
 // keyDist-decoded distance from the center to its farthest point (0 for an
 // empty shard). keyDist decodes an order-preserving encoding, so the
-// farthest point in encoded distance is the farthest in true distance.
+// farthest point in encoded distance is the farthest in true distance. The
+// kernel measures metric(point, center); metrics are symmetric, so that is
+// the distance from the center.
 func Radius[P any](pts []P, center P, metric points.Metric[P], keyDist func(uint64) float64) float64 {
 	if len(pts) == 0 {
 		return 0
 	}
-	return keyDist(maxDist(pts, center, points.BatchOf(metric)))
+	var far uint64
+	points.BatchOf(metric).ForBlocks(pts, center, func(_ int, dist []uint64) {
+		far = max(far, slices.Max(dist))
+	})
+	return keyDist(far)
 }
 
 // admitSlack is the relative safety margin of the admission test. The exact

@@ -168,6 +168,39 @@ func TestPruningPreservesTopL(t *testing.T) {
 	}
 }
 
+// TestApproxMedoidMatchesPerCandidatePasses checks the one-read medoid
+// against the form that measures the whole shard once per candidate, on
+// shards of every size class around the stride and block boundaries with
+// few distinct values, so that farthest distances tie across candidates.
+func TestApproxMedoidMatchesPerCandidatePasses(t *testing.T) {
+	reference := func(pts []points.Scalar) int {
+		best, bestRadius := -1, uint64(0)
+		stride := max(len(pts)/16, 1)
+		for c := 0; c < len(pts); c += stride {
+			var radius uint64
+			for _, p := range pts {
+				radius = max(radius, points.ScalarMetric(p, pts[c]))
+			}
+			if best == -1 || radius < bestRadius {
+				best, bestRadius = c, radius
+			}
+		}
+		return best
+	}
+	rng := xrand.New(17)
+	for _, n := range []int{1, 2, 15, 16, 17, 31, 33, 511, 512, 513, 1500, 5000} {
+		for _, distinct := range []uint64{1, 3, 50, 1 << 40} {
+			pts := make([]points.Scalar, n)
+			for i := range pts {
+				pts[i] = points.Scalar(rng.Uint64N(distinct))
+			}
+			if got, want := ApproxMedoid(pts, points.ScalarMetric), reference(pts); got != want {
+				t.Errorf("n=%d distinct=%d: medoid %d, per-candidate passes choose %d", n, distinct, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkApproxMedoid is the summary pass a node pays at bring-up for an
 // anchorless shard, at the size of the paper's scalar shard.
 func BenchmarkApproxMedoid(b *testing.B) {

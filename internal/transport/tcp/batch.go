@@ -148,6 +148,10 @@ func (l *lane) GUID() uint64 { return l.er.guid }
 // simulator's stream for this machine at the epoch seed).
 func (l *lane) Rand() *rand.Rand { return l.rng }
 
+// Bandwidth returns the socket link budget, the B a protocol plans its
+// messages against on the mesh.
+func (l *lane) Bandwidth() int { return linkBudget }
+
 // Round returns the current physical (== logical) round.
 func (l *lane) Round() int {
 	l.er.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -198,6 +199,73 @@ func TestStarEpochRejectsWorkerToWorkerMessage(t *testing.T) {
 		if err != nil {
 			t.Errorf("node %d: the star epoch after the violation failed: %v", i, err)
 		}
+	}
+}
+
+// TestLinkBudgetFitsABatchFrame pins linkBudget under the frame cap. In a
+// batch epoch each of up to wire.MaxBatch lanes may send a peer one
+// budget-sized message in the same round — a gather reply at its widest —
+// and all of them travel in one round frame, which the peer must accept.
+func TestLinkBudgetFitsABatchFrame(t *testing.T) {
+	// frameLen is the payload length writeRoundFrame produces for b lanes
+	// that each send one size-byte message, at the widest epoch and round.
+	frameLen := func(b, size int) int {
+		n := 1 + 2*wire.VarintLen(math.MaxUint64) + wire.VarintLen(uint64(b))
+		for lane := 0; lane < b; lane++ {
+			n += wire.VarintLen(uint64(wire.VarintLen(uint64(lane))+size)) + wire.VarintLen(uint64(lane)) + size
+		}
+		return n
+	}
+	msgs := make([]laneMsg, 200)
+	for i := range msgs {
+		msgs[i] = laneMsg{lane: i, payload: make([]byte, 300)}
+	}
+	var c captureConn
+	if err := writeRoundFrame(&c, flagData, math.MaxUint64, math.MaxUint64, msgs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.buf.Len()-4, frameLen(len(msgs), 300); got != want {
+		t.Fatalf("writeRoundFrame wrote a %d-byte payload, frameLen says %d", got, want)
+	}
+	if n := frameLen(wire.MaxBatch, linkBudget); n > wire.MaxFrame {
+		t.Errorf("%d lanes of %d-byte messages make a %d-byte round frame, over the %d-byte cap",
+			wire.MaxBatch, linkBudget, n, wire.MaxFrame)
+	}
+}
+
+// BenchmarkStarRoundBytes times one round of a k = 4 star epoch on a real
+// loopback mesh — the hub broadcasts a gather-query-sized message, each
+// worker answers with a message of the swept size, overhead included —
+// so ns/op is the cost of a round against the bytes it carries. linkBudget
+// is read off this curve.
+func BenchmarkStarRoundBytes(b *testing.B) {
+	const k, hub = 4, 0
+	nodes := startMesh(b, k, 31)
+	epoch := uint64(0)
+	for _, size := range []int{64, 4 << 10, 8 << 10, 16 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
+			query, reply := make([]byte, 33), make([]byte, size-kmachine.MessageOverheadBytes)
+			rounds := b.N
+			epoch++
+			b.ResetTimer()
+			_, errs := runStarEpoch(nodes, epoch, hub, func(m kmachine.Env) error {
+				for range rounds {
+					if m.ID() == hub {
+						m.Broadcast(query)
+					} else {
+						m.Send(hub, reply)
+					}
+					m.EndRound()
+					m.Recv()
+				}
+				return nil
+			})
+			for i, err := range errs {
+				if err != nil {
+					b.Fatalf("node %d: %v", i, err)
+				}
+			}
+		})
 	}
 }
 

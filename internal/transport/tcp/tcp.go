@@ -10,11 +10,14 @@
 // edges are its topology: the setup epoch (leader election) is a full mesh,
 // k(k−1) frames a round, while a query epoch is a star around the session
 // leader — a worker exchanges frames with the leader only, the leader with
-// every worker — so it costs 2(k−1) frames a round. Bandwidth is that of the
-// real network (the simulator's B-bits-per-round accounting has no TCP
-// analogue), so round counts match a simulator run with unlimited
-// bandwidth, and with the same seed the two runtimes execute bit-identical
-// protocol decisions.
+// every worker — so it costs 2(k−1) frames a round. A socket has no
+// per-round byte cap, so the mesh does not stagger messages the way the
+// simulator's links do; instead every program sees one link budget,
+// linkBudget, as its Env's Bandwidth, and the protocols keep what they send
+// within it wherever their round count depends on it. A simulator run at
+// BandwidthBytes = linkBudget, where every message fits it, therefore
+// matches a socket epoch round for round, and with the same seed the two
+// runtimes execute bit-identical protocol decisions.
 //
 // A node that finishes marks its final frame with a halt flag; peers stop
 // expecting frames from it. A node that fails sends an error flag along its
@@ -40,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 
@@ -55,6 +57,19 @@ const (
 	flagHalt
 	flagErr
 )
+
+// linkBudget is B on the mesh: the bytes a protocol may put in one message
+// (MessageOverheadBytes included) and still count it as one round, which is
+// what kmachine.Env.Bandwidth reports to every program on a socket. A socket
+// carries any size in one frame; the budget is where a round stops being
+// cheap. BenchmarkStarRoundBytes times a k = 4 star round against the
+// workers' message size; on a shared 2-core box, medians of eight runs:
+// 77 µs at 64 B, 66 µs at 4 KiB, 76 µs at 8 KiB, 87 µs at 16 KiB and 181 µs
+// at 64 KiB (fastest runs 56, 60, 61, 80 and 168 µs). Up to 8 KiB a round
+// costs what an empty one does, and 8 KiB keeps a full batch frame —
+// wire.MaxBatch lanes each sending one budget-sized message — under
+// wire.MaxFrame, which 16 KiB would not (TestLinkBudgetFitsABatchFrame).
+const linkBudget = 8 << 10
 
 // Per-link budgets for the epoch demultiplexer. A well-behaved peer can have
 // at most a couple of frames outstanding per epoch (BSP lockstep allows one
@@ -619,15 +634,12 @@ func writeRoundFrame(conn net.Conn, flag byte, epoch, round uint64, msgs []laneM
 	w.Varint(round)
 	w.Varint(uint64(len(msgs)))
 	for _, m := range msgs {
-		w.Varint(uint64(varintLen(uint64(m.lane)) + len(m.payload)))
+		w.Varint(uint64(wire.VarintLen(uint64(m.lane)) + len(m.payload)))
 		w.Varint(uint64(m.lane))
 		w.Raw(m.payload)
 	}
 	return w.EndFrame(conn)
 }
-
-// varintLen is the encoded size of v as a wire varint.
-func varintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // parseRoundFrame decodes one round frame payload, copying every message out
 // of it. It rejects a lane index that does not fit an int; whether the lane

@@ -32,7 +32,7 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 // indexed by machine id. It is the production bring-up minus the Handler:
 // Frontend rendezvous, joinServe, meshAcceptLoop + buildMesh. The mesh stays
 // up until the test ends, as a resident one outlives its epochs.
-func startMesh(t *testing.T, k int, seed uint64) []*Node {
+func startMesh(t testing.TB, k int, seed uint64) []*Node {
 	t.Helper()
 	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
 	if err != nil {
@@ -308,9 +308,9 @@ func bruteVote(items []points.Item) float64 {
 }
 
 func TestTCPMatchesSimulator(t *testing.T) {
-	// With the same epoch seed, a one-lane TCP epoch and the
-	// unlimited-bandwidth simulator must make bit-identical protocol
-	// decisions — the same answer at the same cost, message for message.
+	// With the same epoch seed, a one-lane TCP epoch and the simulator at the
+	// socket link budget must make bit-identical protocol decisions — the
+	// same answer at the same cost, message for message.
 	k, n, l := 3, 200, 10
 	seed := uint64(55)
 	q := points.Scalar(12345678)
@@ -339,7 +339,7 @@ func TestTCPMatchesSimulator(t *testing.T) {
 	tcpMet := mustRunSetupEpoch(t, k, seed, prog(recordInto(tcpRes)))
 
 	simRes := make([]core.Result, k)
-	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: -1},
+	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: linkBudget},
 		prog(recordInto(simRes)))
 	if err != nil {
 		t.Fatal(err)

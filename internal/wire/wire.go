@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -70,6 +71,9 @@ func (w *Writer) U64(v uint64) {
 func (w *Writer) Varint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
+
+// VarintLen is the number of bytes Varint appends for v.
+func VarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // F64 appends a float64 by bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }

@@ -520,10 +520,7 @@ func (h *typedHandler[P]) Setup(m kmachine.Env) (tcp.SessionInfo, error) {
 		return tcp.SessionInfo{}, err
 	}
 	var err error
-	h.leader, err = election.Elect(m, election.OnceOptions{
-		Sublinear:      h.opts.SublinearElection,
-		BandwidthBytes: -1, // real sockets have no per-round budget
-	})
+	h.leader, err = election.Elect(m, election.OnceOptions{Sublinear: h.opts.SublinearElection})
 	if err != nil {
 		return tcp.SessionInfo{}, err
 	}
