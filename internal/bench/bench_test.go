@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
 	"os"
 	"regexp"
 	"strconv"
@@ -15,11 +17,53 @@ func quickParams() Params {
 	return Params{Seed: 42, Quick: true}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden.json from this tree")
+
+const goldenPath = "testdata/quick.golden.json"
+
+// wallClockColumns are the cells of the seed-1 quick tables that measure
+// this host rather than the protocol; the golden blanks them.
+var wallClockColumns = map[string][]string{
+	"E1": {"time_ratio", "alg2_ms", "simple_ms"},
+	"E7": {"modeled_ms"},
+	"E8": {"critical_ms", "modeled_ms", "compute_speedup", "modeled_speedup"},
+}
+
+// blankWallClock empties every wall-clock cell of tb in place.
+func blankWallClock(tb *Table) {
+	for _, name := range wallClockColumns[tb.ID] {
+		for c, h := range tb.Header {
+			if h != name {
+				continue
+			}
+			for _, row := range tb.Rows {
+				row[c] = ""
+			}
+		}
+	}
+}
+
+// TestEveryExperimentRunsQuick runs E1–E9 at knnbench's -seed 1 -quick and
+// compares every table, wall-clock columns blanked, against the committed
+// golden: a change that moves a round, message, byte, iteration, survivor
+// or fallback count fails here until the golden is regenerated with
+// go test ./internal/bench -run TestEveryExperimentRunsQuick -update.
 func TestEveryExperimentRunsQuick(t *testing.T) {
+	var golden map[string][]*Table
+	if !*update {
+		raw, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[string][]*Table)
 	for _, e := range Experiments {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tables, err := e.Run(quickParams())
+			tables, err := e.Run(Params{Seed: 1, Quick: true})
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -35,8 +79,28 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 						t.Errorf("%s: row width %d != header width %d", e.ID, len(row), len(tb.Header))
 					}
 				}
+				blankWallClock(tb)
+			}
+			got[e.ID] = tables
+			if *update {
+				return
+			}
+			want, _ := json.MarshalIndent(golden[e.ID], "", "  ")
+			have, _ := json.MarshalIndent(tables, "", "  ")
+			if !bytes.Equal(want, have) {
+				t.Errorf("%s differs from %s (regenerate with -update and explain the diff):\ngot  %s\nwant %s",
+					e.ID, goldenPath, have, want)
 			}
 		})
+	}
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
