@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"distknn/internal/dsel"
-	"distknn/internal/keys"
-	"distknn/internal/kmachine"
+	"distknn/internal/points"
 )
 
 // BatchResult is the outcome of one query inside a KNNBatch call.
@@ -26,56 +25,16 @@ type BatchResult struct {
 // The returned QueryStats aggregates the whole batch. KNNBatch is safe to
 // call concurrently with itself and with single queries.
 func (c *Cluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryStats, error) {
-	if l < 1 || l > c.n {
-		return nil, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
+	if len(queries) == 0 && l >= 1 && l <= c.n {
+		return nil, &QueryStats{}, nil // nothing to run, no query seed drawn
 	}
-	if len(queries) == 0 {
-		return nil, &QueryStats{}, nil
-	}
-	sim, err := c.sim(c.querySeed())
+	res, stats, err := c.run(queries, l)
 	if err != nil {
 		return nil, nil, err
 	}
-	leader := c.Leader()
-	algoFn := c.algoFn()
-	cfg := c.baseConfig(l)
-	cfg.Leader = leader
-
-	k := len(c.parts)
-	winnersPerQuery := make([][][]Item, len(queries)) // [query][machine][]Item
-	for qi := range winnersPerQuery {
-		winnersPerQuery[qi] = make([][]Item, k)
-	}
-	boundaries := make([]Key, len(queries))
-
-	prog := func(m kmachine.Env) error {
-		for qi, q := range queries {
-			local := c.localTopL(m.ID(), q, l)
-			res, err := algoFn(m, cfg, local)
-			if err != nil {
-				return fmt.Errorf("query %d: %w", qi, err)
-			}
-			winnersPerQuery[qi][m.ID()] = res.Winners
-			if m.ID() == leader {
-				boundaries[qi] = res.Boundary
-			}
-		}
-		return nil
-	}
-	met, err := kmachine.Run(sim, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	out := make([]BatchResult, len(queries))
 	for qi := range queries {
-		out[qi] = BatchResult{Neighbors: mergeWinners(winnersPerQuery[qi]), Boundary: boundaries[qi]}
-	}
-	stats := &QueryStats{
-		Rounds:   met.Rounds,
-		Messages: met.Messages,
-		Bytes:    met.Bytes,
-		Leader:   leader,
+		out[qi] = BatchResult{Neighbors: mergeWinners(shares(res[qi])), Boundary: res[qi][stats.Leader].Boundary}
 	}
 	return out, stats, nil
 }
@@ -94,35 +53,13 @@ func SelectRank(c *Cluster[Scalar], rank int) (uint64, *QueryStats, error) {
 		return 0, nil, err
 	}
 	leader := c.Leader()
-	k := len(c.parts)
-	locals := make([][]keys.Key, k)
-	for i, part := range c.parts {
-		ks := make([]keys.Key, part.Len())
-		for j := range ks {
-			ks[j] = keys.Key{Dist: uint64(part.Pts[j]), ID: part.IDs[j]}
-		}
-		locals[i] = ks
-	}
-	stats := &QueryStats{}
-	prog := func(m kmachine.Env) error {
-		res, err := dsel.FindLSmallest(m, leader, locals[m.ID()], rank, dsel.Options{})
-		if err != nil {
-			return err
-		}
-		if m.ID() == leader {
-			stats.Leader = leader
-			stats.Boundary = res.Boundary
-			stats.Iterations = res.Iterations
-		}
-		return nil
-	}
-	met, err := kmachine.Run(sim, prog)
+	res, met, err := dsel.Run(sim, dsel.FindLSmallest, leader, points.ScalarKeys(c.parts), rank, dsel.Options{})
 	if err != nil {
 		return 0, nil, err
 	}
-	stats.Rounds = met.Rounds
-	stats.Messages = met.Messages
-	stats.Bytes = met.Bytes
+	stats := runStats(met, leader)
+	stats.Boundary = res[leader].Boundary
+	stats.Iterations = res[leader].Iterations
 	return stats.Boundary.Dist, stats, nil
 }
 

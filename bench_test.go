@@ -107,22 +107,22 @@ func BenchmarkConstants(b *testing.B) {
 // BenchmarkQueryAlg2 measures one end-to-end Algorithm 2 query (k=16,
 // l=256) and reports rounds/messages as custom metrics.
 func BenchmarkQueryAlg2(b *testing.B) {
-	benchmarkQuery(b, bench.Algo{Name: "alg2", Fn: core.KNN})
+	benchmarkQuery(b, core.Alg2)
 }
 
 // BenchmarkQuerySimple measures the same query under the simple method —
 // the head-to-head pair behind Figure 2.
 func BenchmarkQuerySimple(b *testing.B) {
-	benchmarkQuery(b, bench.Algo{Name: "simple", Fn: core.SimpleKNN})
+	benchmarkQuery(b, core.Simple)
 }
 
-func benchmarkQuery(b *testing.B, algo bench.Algo) {
+func benchmarkQuery(b *testing.B, alg core.Algorithm) {
 	in := bench.NewInstance(1, 16, 1<<14)
 	var rounds, msgs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := in.Query(1, i)
-		_, met, _, err := in.Run(q, 256, 0, uint64(i), algo, core.Config{})
+		_, met, err := in.Run(q, 256, 0, uint64(i), alg, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,18 +29,11 @@ import (
 	"time"
 
 	"distknn"
+	"distknn/internal/core"
 	"distknn/internal/keys"
 	"distknn/internal/points"
 	"distknn/internal/xrand"
 )
-
-var algoByName = map[string]distknn.Algorithm{
-	"alg2":        distknn.Alg2,
-	"direct":      distknn.Direct,
-	"simple":      distknn.Simple,
-	"saukas-song": distknn.SaukasSong,
-	"binsearch":   distknn.BinSearch,
-}
 
 // options holds knnquery's command line.
 type options struct {
@@ -59,7 +52,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.k, "k", 8, "number of machines")
 	fs.IntVar(&o.l, "l", 10, "number of nearest neighbors")
 	fs.Uint64Var(&o.seed, "seed", 1, "dataset and protocol seed")
-	fs.StringVar(&o.algoName, "algo", "alg2", "algorithm: alg2|direct|simple|saukas-song|binsearch")
+	var names []string
+	for _, a := range core.Algorithms() {
+		names = append(names, a.String())
+	}
+	fs.StringVar(&o.algoName, "algo", distknn.Alg2.String(), "algorithm: "+strings.Join(names, "|"))
 	fs.StringVar(&o.metric, "metric", "scalar", "point type: scalar|vector; with -connect also l1|linf|cosine")
 	fs.IntVar(&o.dim, "dim", 4, "vector dimension (for -metric vector)")
 	fs.IntVar(&o.bandwidth, "bandwidth", 0, "link bandwidth in bytes/round (0 = 64)")
@@ -75,7 +72,7 @@ func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	algo, ok := algoByName[o.algoName]
+	algo, ok := core.ParseAlgorithm(o.algoName)
 	if !ok {
 		fatalf("unknown algorithm %q", o.algoName)
 	}
@@ -226,9 +223,9 @@ func compareAll(values []uint64, labels []float64, q distknn.Scalar, k, l int, s
 	fmt.Fprintln(w, "algorithm\trounds\tmessages\ttraffic(B)\titerations\tboundary-dist")
 	var want distknn.Key
 	var wrong []string
-	for i, name := range []string{"alg2", "direct", "simple", "saukas-song", "binsearch"} {
+	for i, algo := range core.Algorithms() {
 		c, err := distknn.NewScalarCluster(values, labels, distknn.Options{
-			Machines: k, Seed: seed, Algorithm: algoByName[name], BandwidthBytes: bandwidth,
+			Machines: k, Seed: seed, Algorithm: algo, BandwidthBytes: bandwidth,
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -236,14 +233,14 @@ func compareAll(values []uint64, labels []float64, q distknn.Scalar, k, l int, s
 		_, stats, err := c.KNN(q, l)
 		c.Close()
 		if err != nil {
-			fatalf("%s: %v", name, err)
+			fatalf("%v: %v", algo, err)
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\n",
-			name, stats.Rounds, stats.Messages, stats.Bytes, stats.Iterations, stats.Boundary.Dist)
+		fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%d\t%d\n",
+			algo, stats.Rounds, stats.Messages, stats.Bytes, stats.Iterations, stats.Boundary.Dist)
 		if i == 0 {
 			want = stats.Boundary
 		} else if stats.Boundary != want {
-			wrong = append(wrong, fmt.Sprintf("%s %+v", name, stats.Boundary))
+			wrong = append(wrong, fmt.Sprintf("%v %+v", algo, stats.Boundary))
 		}
 	}
 	w.Flush()

@@ -31,10 +31,9 @@
 // nor perturb each other's QueryStats, and in the default Las Vegas mode
 // every query's result is exact regardless of interleaving.
 // The shards are immutable after construction and per-query randomness is
-// derived from an atomic counter, so the old "not safe for concurrent
-// queries" caveat is gone. (Seed assignment follows arrival order, so
-// per-query cost metrics — and MonteCarlo-mode failures — are deterministic
-// only under serial issue; see Options.Seed.)
+// derived from an atomic counter. Seed assignment follows arrival order, so
+// per-query cost metrics (and MonteCarlo-mode failures) are deterministic
+// only under serial issue; see Options.Seed.
 //
 // # Serving over TCP
 //
@@ -103,40 +102,24 @@ type (
 	Metric[P any] = points.Metric[P]
 )
 
-// Algorithm selects the distributed query strategy.
-type Algorithm int
+// Algorithm selects the distributed query strategy; its String names it.
+type Algorithm = core.Algorithm
 
+// The algorithm roster, Alg2 the default. The baselines are the ones the
+// paper's evaluation and related work compare against.
 const (
-	// Alg2 is the paper's Algorithm 2: O(log ℓ) rounds w.h.p. Default.
-	Alg2 Algorithm = iota
+	// Alg2 is the paper's Algorithm 2: O(log ℓ) rounds w.h.p.
+	Alg2 = core.Alg2
 	// Direct runs Algorithm 1 on all ≤ kℓ candidates: O(log ℓ + log k)
 	// rounds.
-	Direct
+	Direct = core.Direct
 	// Simple is the gather-everything baseline: Θ(ℓ) rounds.
-	Simple
+	Simple = core.Simple
 	// SaukasSong is the deterministic weighted-median baseline.
-	SaukasSong
+	SaukasSong = core.SaukasSong
 	// BinSearch bisects the key domain: Θ(domain bits) rounds.
-	BinSearch
+	BinSearch = core.BinSearch
 )
-
-// String names the algorithm for logs and tables.
-func (a Algorithm) String() string {
-	switch a {
-	case Alg2:
-		return "alg2"
-	case Direct:
-		return "direct"
-	case Simple:
-		return "simple"
-	case SaukasSong:
-		return "saukas-song"
-	case BinSearch:
-		return "binsearch"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
 
 // Options configures a Cluster.
 type Options struct {
@@ -325,12 +308,7 @@ func (c *Cluster[P]) ElectLeader() (int, *QueryStats, error) {
 		return 0, nil, err
 	}
 	c.leader.Store(int64(leader))
-	return leader, &QueryStats{
-		Rounds:   met.Rounds,
-		Messages: met.Messages,
-		Bytes:    met.Bytes,
-		Leader:   leader,
-	}, nil
+	return leader, runStats(met, leader), nil
 }
 
 // runElection executes one election as a simulator run on the reserved
@@ -406,6 +384,12 @@ func mergeWinners(winners [][]Item) []Item {
 	return merged
 }
 
+// runStats is the QueryStats of a run led by leader: the model costs, to
+// which callers add their per-query fields.
+func runStats(met *kmachine.Metrics, leader int) *QueryStats {
+	return &QueryStats{Rounds: met.Rounds, Messages: met.Messages, Bytes: met.Bytes, Leader: leader}
+}
+
 // querySeed derives a fresh, race-free seed for the next query.
 func (c *Cluster[P]) querySeed() uint64 {
 	return xrand.DeriveSeed(c.opts.Seed, c.queries.Add(1))
@@ -431,6 +415,22 @@ func (c *Cluster[P]) baseConfig(l int) core.Config {
 // All mutable state is per-call, so any number of queries may be in flight
 // at once.
 func (c *Cluster[P]) query(q P, l int) ([][]Item, *QueryStats, error) {
+	res, stats, err := c.run([]P{q}, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	lead := res[0][stats.Leader]
+	stats.Boundary = lead.Boundary
+	stats.Survivors = lead.Survivors
+	stats.FellBack = lead.FellBack
+	stats.Iterations = lead.Iterations
+	return shares(res[0]), stats, nil
+}
+
+// run answers queries back to back at rank l with the configured algorithm
+// as one simulator run on the next query seed, and returns every machine's
+// result for every query and the run's cost.
+func (c *Cluster[P]) run(queries []P, l int) ([][]core.Result, *QueryStats, error) {
 	if l < 1 || l > c.n {
 		return nil, nil, fmt.Errorf("distknn: l=%d out of range [1, %d]", l, c.n)
 	}
@@ -438,53 +438,22 @@ func (c *Cluster[P]) query(q P, l int) ([][]Item, *QueryStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	leader := c.Leader()
-	algoFn := c.algoFn()
 	cfg := c.baseConfig(l)
-	cfg.Leader = leader
-	stats := &QueryStats{Leader: leader}
-	shares := make([][]Item, len(c.parts))
-	met, err := kmachine.Run(sim, func(m kmachine.Env) error {
-		res, err := algoFn(m, cfg, c.localTopL(m.ID(), q, l))
-		if err != nil {
-			return err
-		}
-		shares[m.ID()] = res.Winners
-		if m.ID() == leader {
-			stats.Boundary = res.Boundary
-			stats.Survivors = res.Survivors
-			stats.FellBack = res.FellBack
-			stats.Iterations = res.Iterations
-		}
-		return nil
+	cfg.Leader = c.Leader()
+	res, met, err := core.Run(sim, c.opts.Algorithm, cfg, len(queries), func(id, qi int) []Item {
+		return c.localTopL(id, queries[qi], l)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Rounds = met.Rounds
-	stats.Messages = met.Messages
-	stats.Bytes = met.Bytes
-	return shares, stats, nil
+	return res, runStats(met, cfg.Leader), nil
 }
 
-func (c *Cluster[P]) algoFn() func(kmachine.Env, core.Config, []Item) (core.Result, error) {
-	return algorithmFn(c.opts.Algorithm)
-}
-
-// algorithmFn maps an Algorithm to its protocol implementation. Both the
-// in-process Cluster and the TCP serving node dispatch through it, so the
-// two runtimes can never disagree on what an Algorithm value means.
-func algorithmFn(a Algorithm) func(kmachine.Env, core.Config, []Item) (core.Result, error) {
-	switch a {
-	case Direct:
-		return core.DirectKNN
-	case Simple:
-		return core.SimpleKNN
-	case SaukasSong:
-		return core.SaukasSongKNN
-	case BinSearch:
-		return core.BinarySearchKNN
-	default:
-		return core.KNN
+// shares collects each machine's share of one query's winners.
+func shares(res []core.Result) [][]Item {
+	out := make([][]Item, len(res))
+	for id, r := range res {
+		out[id] = r.Winners
 	}
+	return out
 }

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"distknn/internal/dsel"
 	"distknn/internal/keys"
@@ -37,46 +36,23 @@ func main() {
 	}
 	rank := k * perMachine / 2
 
-	type proto struct {
+	protos := []struct {
 		name string
-		run  func(m kmachine.Env, local []keys.Key) (dsel.Result, error)
-	}
-	protos := []proto{
-		{"algorithm-1 (randomized)", func(m kmachine.Env, local []keys.Key) (dsel.Result, error) {
-			return dsel.FindLSmallest(m, 0, local, rank, dsel.Options{})
-		}},
-		{"saukas-song (deterministic)", func(m kmachine.Env, local []keys.Key) (dsel.Result, error) {
-			return dsel.SaukasSong(m, 0, local, rank)
-		}},
-		{"binary-search (domain)", func(m kmachine.Env, local []keys.Key) (dsel.Result, error) {
-			return dsel.BinarySearch(m, 0, local, rank)
-		}},
+		run  dsel.Protocol
+	}{
+		{"algorithm-1 (randomized)", dsel.FindLSmallest},
+		{"saukas-song (deterministic)", dsel.SaukasSong},
+		{"binary-search (domain)", dsel.BinarySearch},
 	}
 
 	fmt.Printf("distributed median of %d values over %d machines (rank %d)\n\n",
 		k*perMachine, k, rank)
 	for _, p := range protos {
-		var mu sync.Mutex
-		var median keys.Key
-		var iters int
-		prog := func(m kmachine.Env) error {
-			res, err := p.run(m, locals[m.ID()])
-			if err != nil {
-				return err
-			}
-			if m.ID() == 0 {
-				mu.Lock()
-				median = res.Boundary
-				iters = res.Iterations
-				mu.Unlock()
-			}
-			return nil
-		}
-		met, err := kmachine.Run(kmachine.Config{K: k, Seed: 5}, prog)
+		res, met, err := dsel.Run(kmachine.Config{K: k, Seed: 5}, p.run, 0, locals, rank, dsel.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-28s median=%-14d rounds=%-5d messages=%-6d iterations=%d\n",
-			p.name, median.Dist, met.Rounds, met.Messages, iters)
+			p.name, res[0].Boundary.Dist, met.Rounds, met.Messages, res[0].Iterations)
 	}
 }

@@ -1,9 +1,8 @@
 package distknn_test
 
 // Integration tests across the whole stack: every algorithm × every elector
-// × both runtimes (simulator and TCP) on the same instance must produce the
-// same exact answer, and the algorithms' cost profiles must respect the
-// paper's ordering at scale. These tests exercise the composition paths the
+// on the same instance must produce the same exact answer, and the
+// algorithms' cost profiles must respect the paper's ordering at scale. These tests exercise the composition paths the
 // per-package suites cannot.
 
 import (
@@ -16,7 +15,6 @@ import (
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-	"distknn/internal/testutil"
 	"distknn/internal/xrand"
 )
 
@@ -98,43 +96,6 @@ func TestFullMatrixSimulator(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFullMatrixTCP runs the socket side of the matrix: each algorithm
-// serves the same instance from a resident loopback cluster (ServeTypedLocal
-// with NodeOptions.Algorithm; PaperShards generates exactly shardFor's data)
-// and must return the oracle's boundary and neighbors.
-func TestFullMatrixTCP(t *testing.T) {
-	const (
-		seed = uint64(2025)
-		k    = 4
-		n    = 200
-		l    = 9
-	)
-	q := points.Scalar(3 << 29)
-	want := oracleBoundary(seed, k, n, q, l)
-
-	algos := map[string]distknn.Algorithm{
-		"alg2":   distknn.Alg2,
-		"direct": distknn.Direct,
-		"simple": distknn.Simple,
-	}
-	for aname, algo := range algos {
-		t.Run(aname, func(t *testing.T) {
-			_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed,
-				distknn.PaperShards(seed, n), distknn.NodeOptions{Algorithm: algo}, distknn.FrontendOptions{})
-			items, stats, err := rc.KNN(q, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Boundary != want {
-				t.Fatalf("boundary %v, want %v", stats.Boundary, want)
-			}
-			if len(items) != l || items[l-1].Key != want {
-				t.Fatalf("neighbors %v, want %d ending at %v", items, l, want)
-			}
-		})
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"distknn/internal/core"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
+	"distknn/internal/stats"
 	"distknn/internal/xrand"
 )
 
@@ -153,22 +153,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// Algo names a distributed ℓ-NN algorithm under test.
-type Algo struct {
-	Name string
-	Fn   func(m kmachine.Env, cfg core.Config, local []points.Item) (core.Result, error)
-}
-
-// Algos is the comparison roster: the paper's algorithm, its un-sampled
-// variant, the evaluation baseline, and the two related-work baselines.
-var Algos = []Algo{
-	{"alg2", core.KNN},
-	{"direct", core.DirectKNN},
-	{"simple", core.SimpleKNN},
-	{"saukas-song", core.SaukasSongKNN},
-	{"binsearch", core.BinarySearchKNN},
-}
-
 // Instance is a generated workload: k machines, each holding PerMachine
 // uniform scalar points, exactly as in the paper's experiment.
 type Instance struct {
@@ -206,42 +190,67 @@ func (in *Instance) Query(seed uint64, rep int) points.Scalar {
 // Run executes one algorithm for one query across the instance's machines.
 // The local top-ℓ scan happens inside each machine's program, so
 // CriticalCompute reflects the real parallel preprocessing cost. It returns
-// the leader-agreed result, the run metrics and the harness wall time.
+// the leader's result and the run metrics.
 func (in *Instance) Run(q points.Scalar, l, bandwidth int, seed uint64,
-	algo Algo, cfg core.Config) (core.Result, *kmachine.Metrics, time.Duration, error) {
+	alg core.Algorithm, cfg core.Config) (core.Result, *kmachine.Metrics, error) {
 	cfg.L = l
-	var mu sync.Mutex
-	var res core.Result
-	progs := make([]kmachine.Program, in.K)
-	for i := 0; i < in.K; i++ {
-		i := i
-		progs[i] = func(m kmachine.Env) error {
-			local := in.Parts[i].TopLItems(q, l)
-			r, err := algo.Fn(m, cfg, local)
-			if err != nil {
-				return err
-			}
-			if m.ID() == cfg.Leader {
-				mu.Lock()
-				res = r
-				mu.Unlock()
-			}
-			return nil
-		}
-	}
-	start := time.Now()
-	met, err := kmachine.RunPrograms(kmachine.Config{
+	res, met, err := core.Run(kmachine.Config{
 		K:              in.K,
 		Seed:           seed,
 		BandwidthBytes: bandwidth,
 		MeasureCompute: true,
-	}, progs)
-	wall := time.Since(start)
+	}, alg, cfg, 1, func(id, _ int) []points.Item { return in.Parts[id].TopLItems(q, l) })
 	if err != nil {
-		return core.Result{}, nil, wall, err
+		return core.Result{}, nil, err
 	}
-	return res, met, wall, nil
+	return res[0][cfg.Leader], met, nil
 }
+
+// rep is one repetition's outcome: the leader's result and the run metrics.
+type rep struct {
+	res core.Result
+	met *kmachine.Metrics
+}
+
+// reps runs alg at rank l on the instance's first n queries: repetition r
+// asks Query(p.Seed, r) on simulator seed DeriveSeed(p.Seed, r) XOR salt,
+// so two algorithms compared on the same queries draw distinct randomness.
+func (in *Instance) reps(p Params, n, l int, alg core.Algorithm, salt uint64, cfg core.Config) ([]rep, error) {
+	out := make([]rep, n)
+	for r := range out {
+		seed := xrand.DeriveSeed(p.Seed, uint64(r)) ^ salt
+		res, met, err := in.Run(in.Query(p.Seed, r), l, p.Bandwidth, seed, alg, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%v k=%d l=%d: %w", alg, in.K, l, err)
+		}
+		out[r] = rep{res, met}
+	}
+	return out, nil
+}
+
+// mean averages x over the repetitions.
+func mean(reps []rep, x func(rep) float64) float64 {
+	return stats.Summarize(each(reps, x)).Mean
+}
+
+// each evaluates x on every repetition, in order.
+func each(reps []rep, x func(rep) float64) []float64 {
+	out := make([]float64, len(reps))
+	for i, r := range reps {
+		out[i] = x(r)
+	}
+	return out
+}
+
+// Per-repetition quantities the tables average.
+func rounds(r rep) float64     { return float64(r.met.Rounds) }
+func messages(r rep) float64   { return float64(r.met.Messages) }
+func kilobytes(r rep) float64  { return float64(r.met.Bytes) / 1024 }
+func iterations(r rep) float64 { return float64(r.res.Iterations) }
+func survivors(r rep) float64  { return float64(r.res.Survivors) }
+
+// modeledMs is a repetition's modeled wall time under p.Model, in ms.
+func (p Params) modeledMs(r rep) float64 { return r.met.ModeledTime(p.Model).Seconds() * 1e3 }
 
 // f formats a float compactly for table cells.
 func f(x float64) string {

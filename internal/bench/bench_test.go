@@ -215,7 +215,7 @@ func TestInstanceDeterministicAndDisjointIDs(t *testing.T) {
 func TestInstanceRunExactness(t *testing.T) {
 	in := NewInstance(9, 4, 500)
 	q := in.Query(9, 0)
-	res, met, _, err := in.Run(q, 50, 0, 1, Algos[0], core.Config{})
+	res, met, err := in.Run(q, 50, 0, 1, core.Alg2, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"distknn/internal/core"
@@ -73,32 +72,28 @@ func Figure2(p Params) ([]*Table, error) {
 			if l > k*p.PerMachine {
 				continue
 			}
-			var timeR, roundsR, bytesR, a2Rounds, smRounds, a2Ms, smMs []float64
-			for rep := 0; rep < p.Reps; rep++ {
-				q := in.Query(p.Seed, rep)
-				seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-				_, m2, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], core.Config{})
-				if err != nil {
-					return nil, fmt.Errorf("figure2 alg2 k=%d l=%d: %w", k, l, err)
-				}
-				_, ms, _, err := in.Run(q, l, p.Bandwidth, seed^1, Algo{"simple", core.SimpleKNN}, core.Config{})
-				if err != nil {
-					return nil, fmt.Errorf("figure2 simple k=%d l=%d: %w", k, l, err)
-				}
-				t2 := m2.ModeledTime(p.Model)
-				ts := ms.ModeledTime(p.Model)
-				timeR = append(timeR, stats.Ratio(float64(ts), float64(t2)))
-				roundsR = append(roundsR, stats.Ratio(float64(ms.Rounds), float64(m2.Rounds)))
-				bytesR = append(bytesR, stats.Ratio(float64(ms.Bytes), float64(m2.Bytes)))
-				a2Rounds = append(a2Rounds, float64(m2.Rounds))
-				smRounds = append(smRounds, float64(ms.Rounds))
-				a2Ms = append(a2Ms, t2.Seconds()*1e3)
-				smMs = append(smMs, ts.Seconds()*1e3)
+			a2, err := in.reps(p, p.Reps, l, core.Alg2, 0, core.Config{})
+			if err != nil {
+				return nil, err
 			}
+			sm, err := in.reps(p, p.Reps, l, core.Simple, 1, core.Config{})
+			if err != nil {
+				return nil, err
+			}
+			// ratio is the geometric mean over reps of simple's x over alg2's.
+			ratio := func(x func(rep) float64) float64 {
+				rs := make([]float64, len(a2))
+				for i := range rs {
+					rs[i] = stats.Ratio(x(sm[i]), x(a2[i]))
+				}
+				return stats.GeoMean(rs)
+			}
+			modeled := func(r rep) float64 { return float64(r.met.ModeledTime(p.Model)) }
+			bytes := func(r rep) float64 { return float64(r.met.Bytes) }
 			t.AddRow(d(k), d(l),
-				f(stats.GeoMean(timeR)), f(stats.GeoMean(roundsR)), f(stats.GeoMean(bytesR)),
-				f(stats.Summarize(a2Rounds).Mean), f(stats.Summarize(smRounds).Mean),
-				f(stats.Summarize(a2Ms).Mean), f(stats.Summarize(smMs).Mean))
+				f(ratio(modeled)), f(ratio(rounds)), f(ratio(bytes)),
+				f(mean(a2, rounds)), f(mean(sm, rounds)),
+				f(mean(a2, p.modeledMs)), f(mean(sm, p.modeledMs)))
 		}
 	}
 	return []*Table{t}, nil
@@ -125,25 +120,13 @@ func RoundsScaling(p Params) ([]*Table, error) {
 	}
 	in := NewInstance(p.Seed, kFixed, p.PerMachine)
 	for _, l := range p.ls([]int{4, 16, 64, 256, 1024, 4096}) {
-		var r2, rd, it []float64
-		for rep := 0; rep < p.Reps; rep++ {
-			q := in.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			res, m2, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			_, md, _, err := in.Run(q, l, p.Bandwidth, seed^1, Algo{"direct", core.DirectKNN}, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			r2 = append(r2, float64(m2.Rounds))
-			rd = append(rd, float64(md.Rounds))
-			it = append(it, float64(res.Iterations))
+		a2, dr, err := in.alg2VsDirect(p, l)
+		if err != nil {
+			return nil, err
 		}
-		mean2 := stats.Summarize(r2).Mean
+		mean2 := mean(a2, rounds)
 		tL.AddRow(d(l), f(mean2), f(mean2/math.Log2(float64(l)+1)),
-			f(stats.Summarize(rd).Mean), f(stats.Summarize(it).Mean))
+			f(mean(dr, rounds)), f(mean(a2, iterations)))
 	}
 	tK := &Table{
 		ID:     "E2b",
@@ -152,25 +135,22 @@ func RoundsScaling(p Params) ([]*Table, error) {
 		Header: []string{"k", "alg2_rounds", "direct_rounds"},
 	}
 	for _, k := range p.ks([]int{2, 4, 8, 16, 32, 64, 128}) {
-		ink := NewInstance(p.Seed, k, p.PerMachine)
-		var r2, rd []float64
-		for rep := 0; rep < p.Reps; rep++ {
-			q := ink.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			_, m2, _, err := ink.Run(q, lFixed, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			_, md, _, err := ink.Run(q, lFixed, p.Bandwidth, seed^1, Algo{"direct", core.DirectKNN}, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			r2 = append(r2, float64(m2.Rounds))
-			rd = append(rd, float64(md.Rounds))
+		a2, dr, err := NewInstance(p.Seed, k, p.PerMachine).alg2VsDirect(p, lFixed)
+		if err != nil {
+			return nil, err
 		}
-		tK.AddRow(d(k), f(stats.Summarize(r2).Mean), f(stats.Summarize(rd).Mean))
+		tK.AddRow(d(k), f(mean(a2, rounds)), f(mean(dr, rounds)))
 	}
 	return []*Table{tL, tK}, nil
+}
+
+// alg2VsDirect runs Algorithm 2 and DirectKNN on the same p.Reps queries.
+func (in *Instance) alg2VsDirect(p Params, l int) (a2, dr []rep, err error) {
+	if a2, err = in.reps(p, p.Reps, l, core.Alg2, 0, core.Config{}); err != nil {
+		return nil, nil, err
+	}
+	dr, err = in.reps(p, p.Reps, l, core.Direct, 1, core.Config{})
+	return a2, dr, err
 }
 
 // MessageScaling mirrors RoundsScaling for message and byte counts;
@@ -189,20 +169,12 @@ func MessageScaling(p Params) ([]*Table, error) {
 	}
 	in := NewInstance(p.Seed, kFixed, p.PerMachine)
 	for _, l := range p.ls([]int{4, 16, 64, 256, 1024, 4096}) {
-		var msgs, kb []float64
-		for rep := 0; rep < p.Reps; rep++ {
-			q := in.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			_, m2, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			msgs = append(msgs, float64(m2.Messages))
-			kb = append(kb, float64(m2.Bytes)/1024)
+		a2, err := in.reps(p, p.Reps, l, core.Alg2, 0, core.Config{})
+		if err != nil {
+			return nil, err
 		}
-		mean := stats.Summarize(msgs).Mean
 		norm := float64(kFixed) * math.Log2(float64(l)+1)
-		tL.AddRow(d(l), f(mean), f(mean/norm), f(stats.Summarize(kb).Mean))
+		tL.AddRow(d(l), f(mean(a2, messages)), f(mean(a2, messages)/norm), f(mean(a2, kilobytes)))
 	}
 	tK := &Table{
 		ID:     "E3b",
@@ -211,21 +183,12 @@ func MessageScaling(p Params) ([]*Table, error) {
 		Header: []string{"k", "messages", "msgs_per_klog2l", "kilobytes"},
 	}
 	for _, k := range p.ks([]int{2, 4, 8, 16, 32, 64, 128}) {
-		ink := NewInstance(p.Seed, k, p.PerMachine)
-		var msgs, kb []float64
-		for rep := 0; rep < p.Reps; rep++ {
-			q := ink.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			_, m2, _, err := ink.Run(q, lFixed, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			msgs = append(msgs, float64(m2.Messages))
-			kb = append(kb, float64(m2.Bytes)/1024)
+		a2, err := NewInstance(p.Seed, k, p.PerMachine).reps(p, p.Reps, lFixed, core.Alg2, 0, core.Config{})
+		if err != nil {
+			return nil, err
 		}
-		mean := stats.Summarize(msgs).Mean
 		norm := float64(k) * math.Log2(float64(lFixed)+1)
-		tK.AddRow(d(k), f(mean), f(mean/norm), f(stats.Summarize(kb).Mean))
+		tK.AddRow(d(k), f(mean(a2, messages)), f(mean(a2, messages)/norm), f(mean(a2, kilobytes)))
 	}
 	return []*Table{tL, tK}, nil
 }
@@ -252,7 +215,7 @@ func Alg1Rounds(p Params) ([]*Table, error) {
 	}
 	for _, n := range ns {
 		for _, strat := range []points.Partitioner{points.PartitionRandom, points.PartitionSorted} {
-			var rounds, iters, msgs []float64
+			var rs, iters, msgs []float64
 			for rep := 0; rep < p.Reps; rep++ {
 				seed := xrand.DeriveSeed(p.Seed, uint64(n*7+rep))
 				rng := xrand.New(seed)
@@ -261,42 +224,17 @@ func Alg1Rounds(p Params) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				locals := make([][]keys.Key, k)
-				for i, part := range parts {
-					ks := make([]keys.Key, part.Len())
-					for j := range ks {
-						ks[j] = keys.Key{Dist: uint64(part.Pts[j]), ID: part.IDs[j]}
-					}
-					locals[i] = ks
-				}
-				var res dsel.Result
-				var mu sync.Mutex
-				progs := make([]kmachine.Program, k)
-				for i := 0; i < k; i++ {
-					i := i
-					progs[i] = func(m kmachine.Env) error {
-						r, err := dsel.FindLSmallest(m, 0, locals[i], n/2, dsel.Options{})
-						if err != nil {
-							return err
-						}
-						if m.ID() == 0 {
-							mu.Lock()
-							res = r
-							mu.Unlock()
-						}
-						return nil
-					}
-				}
-				met, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: seed, BandwidthBytes: p.Bandwidth}, progs)
+				sim := kmachine.Config{K: k, Seed: seed, BandwidthBytes: p.Bandwidth}
+				res, met, err := dsel.Run(sim, dsel.FindLSmallest, 0, points.ScalarKeys(parts), n/2, dsel.Options{})
 				if err != nil {
 					return nil, err
 				}
-				rounds = append(rounds, float64(met.Rounds))
-				iters = append(iters, float64(res.Iterations))
+				rs = append(rs, float64(met.Rounds))
+				iters = append(iters, float64(res[0].Iterations))
 				msgs = append(msgs, float64(met.Messages))
 			}
-			mean := stats.Summarize(rounds).Mean
-			t.AddRow(d(n), strat.String(), f(mean), f(mean/math.Log2(float64(n))),
+			avg := stats.Summarize(rs).Mean
+			t.AddRow(d(n), strat.String(), f(avg), f(avg/math.Log2(float64(n))),
 				f(stats.Summarize(iters).Mean), f(stats.Summarize(msgs).Mean))
 		}
 	}
@@ -328,20 +266,17 @@ func SamplingValidation(p Params) ([]*Table, error) {
 		if l > k*p.PerMachine {
 			continue
 		}
-		var surv []float64
+		a2, err := in.reps(p, p.Reps*4, l, core.Alg2, 0, core.Config{})
+		if err != nil {
+			return nil, err
+		}
+		surv := each(a2, survivors)
 		over, fallbacks := 0, 0
-		for rep := 0; rep < p.Reps*4; rep++ {
-			q := in.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			res, _, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			surv = append(surv, float64(res.Survivors))
-			if res.Survivors > int64(11*l) {
+		for _, r := range a2 {
+			if r.res.Survivors > int64(11*l) {
 				over++
 			}
-			if res.FellBack {
+			if r.res.FellBack {
 				fallbacks++
 			}
 		}
@@ -373,40 +308,22 @@ func PivotUniformity(p Params) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	locals := make([][]keys.Key, k)
+	locals := points.ScalarKeys(parts)
 	var all []keys.Key
-	for i, part := range parts {
-		ks := make([]keys.Key, part.Len())
-		for j := range ks {
-			ks[j] = keys.Key{Dist: uint64(part.Pts[j]), ID: part.IDs[j]}
-		}
-		locals[i] = ks
+	for _, ks := range locals {
 		all = append(all, ks...)
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
 
+	// OnPivot runs on the leader only, one run at a time.
 	type pivotEvent struct{ pivot, lo, hi keys.Key }
-	var mu sync.Mutex
 	var events []pivotEvent
+	opts := dsel.Options{OnPivot: func(pivot, lo, hi keys.Key, total int64) {
+		events = append(events, pivotEvent{pivot, lo, hi})
+	}}
 	for rep := 0; rep < reps; rep++ {
-		progs := make([]kmachine.Program, k)
-		for i := 0; i < k; i++ {
-			i := i
-			opts := dsel.Options{}
-			if i == 0 {
-				opts.OnPivot = func(pivot, lo, hi keys.Key, total int64) {
-					mu.Lock()
-					events = append(events, pivotEvent{pivot, lo, hi})
-					mu.Unlock()
-				}
-			}
-			progs[i] = func(m kmachine.Env) error {
-				_, err := dsel.FindLSmallest(m, 0, locals[i], n/2, opts)
-				return err
-			}
-		}
-		seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-		if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: seed, BandwidthBytes: p.Bandwidth}, progs); err != nil {
+		sim := kmachine.Config{K: k, Seed: xrand.DeriveSeed(p.Seed, uint64(rep)), BandwidthBytes: p.Bandwidth}
+		if _, _, err := dsel.Run(sim, dsel.FindLSmallest, 0, locals, n/2, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -474,25 +391,15 @@ func Baselines(p Params) ([]*Table, error) {
 			if l > k*p.PerMachine {
 				continue
 			}
-			for _, algo := range Algos {
-				var rounds, msgs, kb, iters, ms []float64
-				for rep := 0; rep < p.Reps; rep++ {
-					q := in.Query(p.Seed, rep)
-					seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-					res, met, _, err := in.Run(q, l, p.Bandwidth, seed, algo, core.Config{})
-					if err != nil {
-						return nil, fmt.Errorf("%s k=%d l=%d: %w", algo.Name, k, l, err)
-					}
-					rounds = append(rounds, float64(met.Rounds))
-					msgs = append(msgs, float64(met.Messages))
-					kb = append(kb, float64(met.Bytes)/1024)
-					iters = append(iters, float64(res.Iterations))
-					ms = append(ms, met.ModeledTime(p.Model).Seconds()*1e3)
+			for _, alg := range core.Algorithms() {
+				runs, err := in.reps(p, p.Reps, l, alg, 0, core.Config{})
+				if err != nil {
+					return nil, err
 				}
-				t.AddRow(d(k), d(l), algo.Name,
-					f(stats.Summarize(rounds).Mean), f(stats.Summarize(msgs).Mean),
-					f(stats.Summarize(kb).Mean), f(stats.Summarize(iters).Mean),
-					f(stats.Summarize(ms).Mean))
+				t.AddRow(d(k), d(l), alg.String(),
+					f(mean(runs, rounds)), f(mean(runs, messages)),
+					f(mean(runs, kilobytes)), f(mean(runs, iterations)),
+					f(mean(runs, p.modeledMs)))
 			}
 		}
 	}
@@ -530,24 +437,18 @@ func WallClock(p Params) ([]*Table, error) {
 	var baseCritical, baseModeled float64
 	for idx, k := range ks {
 		in := NewInstance(p.Seed, k, totalN/k)
-		var crit, modeled []float64
-		for rep := 0; rep < p.Reps; rep++ {
-			q := in.Query(p.Seed, rep)
-			seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-			_, met, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			// Use the slowest machine's total compute, not the
-			// per-round critical path: the workload is dominated by
-			// the single top-ℓ scan, and summing per-round maxima
-			// would accumulate clock jitter across ~100 rounds.
-			compute := met.MaxMachineCompute()
-			crit = append(crit, compute.Seconds()*1e3)
-			modeled = append(modeled, (time.Duration(met.Rounds)*p.Model.RoundLatency+compute).Seconds()*1e3)
+		a2, err := in.reps(p, p.Reps, l, core.Alg2, 0, core.Config{})
+		if err != nil {
+			return nil, err
 		}
-		c := stats.Summarize(crit).Mean
-		m := stats.Summarize(modeled).Mean
+		// Use the slowest machine's total compute, not the per-round
+		// critical path: the workload is dominated by the single top-ℓ
+		// scan, and summing per-round maxima would accumulate clock
+		// jitter across ~100 rounds.
+		c := mean(a2, func(r rep) float64 { return r.met.MaxMachineCompute().Seconds() * 1e3 })
+		m := mean(a2, func(r rep) float64 {
+			return (time.Duration(r.met.Rounds)*p.Model.RoundLatency + r.met.MaxMachineCompute()).Seconds() * 1e3
+		})
 		if idx == 0 {
 			baseCritical, baseModeled = c, m
 		}
@@ -583,25 +484,20 @@ func Constants(p Params) ([]*Table, error) {
 	in := NewInstance(p.Seed, k, p.PerMachine)
 	for _, sf := range samples {
 		for _, cf := range cuts {
-			var surv, rounds []float64
+			cfg := core.Config{SampleFactor: sf, CutFactor: cf}
+			a2, err := in.reps(p, p.Reps*2, l, core.Alg2, 0, cfg)
+			if err != nil {
+				return nil, err
+			}
 			fallbacks := 0
-			for rep := 0; rep < p.Reps*2; rep++ {
-				q := in.Query(p.Seed, rep)
-				seed := xrand.DeriveSeed(p.Seed, uint64(rep))
-				cfg := core.Config{SampleFactor: sf, CutFactor: cf}
-				res, met, _, err := in.Run(q, l, p.Bandwidth, seed, Algos[0], cfg)
-				if err != nil {
-					return nil, err
-				}
-				surv = append(surv, float64(res.Survivors))
-				rounds = append(rounds, float64(met.Rounds))
-				if res.FellBack {
+			for _, r := range a2 {
+				if r.res.FellBack {
 					fallbacks++
 				}
 			}
-			s := stats.Summarize(surv)
+			s := mean(a2, survivors)
 			t.AddRow(d(sf), d(cf), f(float64(fallbacks)/float64(p.Reps*2)),
-				f(s.Mean), f(s.Mean/float64(l)), f(stats.Summarize(rounds).Mean))
+				f(s), f(s/float64(l)), f(mean(a2, rounds)))
 		}
 	}
 	return []*Table{t}, nil

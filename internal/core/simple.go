@@ -74,54 +74,36 @@ func SimpleKNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) 
 // log k) rounds (Section 2.2) — the k-dependence is what the sampling
 // removes. It is also the fallback selection of a Las Vegas KNN run.
 func DirectKNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) {
-	if err := validateConfig(m, cfg); err != nil {
-		return Result{}, err
-	}
-	s := topL(local, cfg.L)
-	sel, err := dsel.FindLSmallest(m, cfg.Leader, itemKeys(s), cfg.L, dsel.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Winners:    sortedWinners(s, sel.Boundary),
-		Boundary:   sel.Boundary,
-		Iterations: sel.Iterations,
-	}, nil
+	return selectKNN(m, cfg, local, dsel.FindLSmallest)
 }
 
 // SaukasSongKNN computes ℓ-NN with the deterministic Saukas–Song
 // weighted-median selection over the local-top-ℓ candidates — the strongest
 // prior-work baseline (Section 1.4: O(log(kℓ)) rounds, deterministic).
 func SaukasSongKNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) {
-	if err := validateConfig(m, cfg); err != nil {
-		return Result{}, err
-	}
-	s := topL(local, cfg.L)
-	sel, err := dsel.SaukasSong(m, cfg.Leader, itemKeys(s), cfg.L)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Winners:    sortedWinners(s, sel.Boundary),
-		Boundary:   sel.Boundary,
-		Iterations: sel.Iterations,
-	}, nil
+	return selectKNN(m, cfg, local, dsel.SaukasSong)
 }
 
 // BinarySearchKNN computes ℓ-NN by bisecting the key domain ([3, 18] in the
 // paper): Θ(domain bits) rounds regardless of n, k or ℓ.
 func BinarySearchKNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) {
+	return selectKNN(m, cfg, local, dsel.BinarySearch)
+}
+
+// selectKNN runs the selection protocol sel over the machine's local top-ℓ
+// candidates and keeps the winners at or below the boundary.
+func selectKNN(m kmachine.Env, cfg Config, local []points.Item, sel dsel.Protocol) (Result, error) {
 	if err := validateConfig(m, cfg); err != nil {
 		return Result{}, err
 	}
 	s := topL(local, cfg.L)
-	sel, err := dsel.BinarySearch(m, cfg.Leader, itemKeys(s), cfg.L)
+	res, err := sel(m, cfg.Leader, itemKeys(s), cfg.L, dsel.Options{})
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Winners:    sortedWinners(s, sel.Boundary),
-		Boundary:   sel.Boundary,
-		Iterations: sel.Iterations,
+		Winners:    sortedWinners(s, res.Boundary),
+		Boundary:   res.Boundary,
+		Iterations: res.Iterations,
 	}, nil
 }

@@ -97,6 +97,27 @@ type Options struct {
 	OnPivot func(pivot, lo, hi keys.Key, total int64)
 }
 
+// Protocol is one machine's side of a selection protocol: FindLSmallest,
+// SaukasSong or BinarySearch.
+type Protocol func(m kmachine.Env, leader int, local []keys.Key, l int, opts Options) (Result, error)
+
+// Run selects the l-th smallest of the keys in locals with proto as one
+// simulator run under sim: machine i holds locals[i], and leader is the
+// agreed leader. It returns every machine's Result, indexed by machine, and
+// the run's metrics.
+func Run(sim kmachine.Config, proto Protocol, leader int, locals [][]keys.Key, l int, opts Options) ([]Result, *kmachine.Metrics, error) {
+	res := make([]Result, sim.K)
+	met, err := kmachine.Run(sim, func(m kmachine.Env) error {
+		r, err := proto(m, leader, locals[m.ID()], l, opts)
+		res[m.ID()] = r
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, met, nil
+}
+
 // FindLSmallest runs the paper's Algorithm 1. Every machine calls it with
 // its local keys; the elected leader index must be agreed beforehand. The
 // rank l is global (1 ≤ l ≤ total number of keys).
@@ -111,7 +132,9 @@ func FindLSmallest(m kmachine.Env, leader int, local []keys.Key, l int, opts Opt
 }
 
 // SaukasSong runs the deterministic weighted-median selection baseline.
-func SaukasSong(m kmachine.Env, leader int, local []keys.Key, l int) (Result, error) {
+// It draws no pivots, so opts is unused: it takes one so that the three
+// protocols share the Protocol signature.
+func SaukasSong(m kmachine.Env, leader int, local []keys.Key, l int, _ Options) (Result, error) {
 	if err := validateLocal(local); err != nil {
 		return Result{}, err
 	}
@@ -121,8 +144,9 @@ func SaukasSong(m kmachine.Env, leader int, local []keys.Key, l int) (Result, er
 	return leadSaukasSong(m, local, l)
 }
 
-// BinarySearch runs the domain-bisection selection baseline.
-func BinarySearch(m kmachine.Env, leader int, local []keys.Key, l int) (Result, error) {
+// BinarySearch runs the domain-bisection selection baseline. Like
+// SaukasSong, it takes opts only for the Protocol signature.
+func BinarySearch(m kmachine.Env, leader int, local []keys.Key, l int, _ Options) (Result, error) {
 	if err := validateLocal(local); err != nil {
 		return Result{}, err
 	}

@@ -16,13 +16,8 @@ import (
 	"distknn/internal/xrand"
 )
 
-// protoFunc is the common shape of the three selection protocols.
-type protoFunc func(m kmachine.Env, leader int, local []keys.Key, l int) (Result, error)
-
-var protocols = map[string]protoFunc{
-	"alg1": func(m kmachine.Env, leader int, local []keys.Key, l int) (Result, error) {
-		return FindLSmallest(m, leader, local, l, Options{})
-	},
+var protocols = map[string]Protocol{
+	"alg1":          FindLSmallest,
 	"saukas-song":   SaukasSong,
 	"binary-search": BinarySearch,
 }
@@ -63,7 +58,7 @@ func scatter(seed uint64, n, k, style int) [][]keys.Key {
 // runSelection executes proto on k machines and returns the agreed result,
 // the union of winners, and the metrics.
 func runSelection(t *testing.T, seed uint64, bandwidth int, locals [][]keys.Key, l int,
-	proto protoFunc) (Result, []keys.Key, *kmachine.Metrics) {
+	proto Protocol) (Result, []keys.Key, *kmachine.Metrics) {
 	t.Helper()
 	k := len(locals)
 	var mu sync.Mutex
@@ -72,7 +67,7 @@ func runSelection(t *testing.T, seed uint64, bandwidth int, locals [][]keys.Key,
 	for i := 0; i < k; i++ {
 		i := i
 		progs[i] = func(m kmachine.Env) error {
-			res, err := proto(m, 0, locals[i], l)
+			res, err := proto(m, 0, locals[i], l, Options{})
 			if err != nil {
 				return err
 			}
@@ -354,7 +349,7 @@ func TestEveryMessageFitsOneDefaultRound(t *testing.T) {
 		for i := range progs {
 			kinds[i] = make(map[byte]bool)
 			progs[i] = func(m kmachine.Env) error {
-				_, err := proto(sizeEnv{m, &sizes[i], kinds[i]}, 0, locals[i], 1000)
+				_, err := proto(sizeEnv{m, &sizes[i], kinds[i]}, 0, locals[i], 1000, Options{})
 				return err
 			}
 		}
@@ -751,14 +746,14 @@ func TestMalformedRepliesFailTheRun(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			progs := []kmachine.Program{
 				func(m kmachine.Env) error {
-					res, err := protocols[c.proto](m, 0, locals[0], 45)
+					res, err := protocols[c.proto](m, 0, locals[0], 45, Options{})
 					if err == nil {
 						t.Errorf("leader returned boundary %v", res.Boundary)
 					}
 					return err
 				},
 				func(m kmachine.Env) error {
-					_, err := protocols[c.proto](m, 0, locals[1], 45)
+					_, err := protocols[c.proto](m, 0, locals[1], 45, Options{})
 					return err
 				},
 				rogueWorker(locals[2], c.target, c.corrupt),

@@ -34,21 +34,11 @@ import (
 	"distknn/internal/xrand"
 )
 
-// OnceOptions selects the elector for Elect and Once.
+// OnceOptions selects the elector for Once.
 type OnceOptions struct {
 	// Sublinear selects the randomized referee election instead of the
 	// min-GUID broadcast.
 	Sublinear bool
-}
-
-// Elect runs the configured elector on machine m. It is the single dispatch
-// point between the two protocols; every caller — the simulator (Once) or
-// the TCP setup epoch — goes through it.
-func Elect(m kmachine.Env, opts OnceOptions) (int, error) {
-	if opts.Sublinear {
-		return Sublinear(m)
-	}
-	return MinGUID(m)
 }
 
 // Once runs a single leader election as one simulator run under cfg and
@@ -58,9 +48,13 @@ func Elect(m kmachine.Env, opts OnceOptions) (int, error) {
 // all machines agree on is a valid leader for the selection protocols, which
 // only require agreement).
 func Once(cfg kmachine.Config, opts OnceOptions) (int, *kmachine.Metrics, error) {
+	elect := MinGUID
+	if opts.Sublinear {
+		elect = Sublinear
+	}
 	leaders := make([]int, cfg.K)
 	prog := func(m kmachine.Env) error {
-		leader, err := Elect(m, opts)
+		leader, err := elect(m)
 		if err != nil {
 			return err
 		}

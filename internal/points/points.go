@@ -148,6 +148,20 @@ func ScalarMetric(a, b Scalar) uint64 {
 	return uint64(b - a)
 }
 
+// ScalarKeys lowers scalar shards to the selection protocols' input, with
+// no query point: shard i becomes keys[i], one (value, ID) key per point in
+// shard order.
+func ScalarKeys(shards []*Set[Scalar]) [][]keys.Key {
+	out := make([][]keys.Key, len(shards))
+	for i, s := range shards {
+		out[i] = make([]keys.Key, s.Len())
+		for j := range out[i] {
+			out[i][j] = keys.Key{Dist: uint64(s.Pts[j]), ID: s.IDs[j]}
+		}
+	}
+	return out
+}
+
 // Vector is a d-dimensional point.
 type Vector []float64
 

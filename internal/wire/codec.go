@@ -11,9 +11,9 @@ import (
 // (RemoteCluster) uses Tag and Encode to build queries, the node side uses
 // Decode to recover the typed point before running an epoch, and the
 // frontend matches Tag without ever understanding the bytes. Codecs for the
-// two served encodings are ScalarCodec and VectorCodec; adding a point type
-// to the wire means adding a tag constant and a codec, nothing else in the
-// transport changes.
+// three served encodings are ScalarCodec, VectorCodec and BitVectorCodec;
+// adding a point type to the wire means adding a tag constant and a codec,
+// nothing else in the transport changes.
 type PointCodec[P any] struct {
 	// Tag is the wire tag (PointScalar, PointVector, …) this codec speaks.
 	Tag uint8

@@ -21,25 +21,24 @@ import (
 // This file is the real-socket counterpart of the in-process Cluster: a
 // serving deployment over TCP, generic over the point type. The cluster
 // side is a Frontend (rendezvous + client-facing query endpoint) plus k
-// resident nodes (ServeTypedNode and its scalar/vector conveniences), each
-// holding one shard; the client side is a RemoteCluster, which offers the
-// same KNN/Classify/Regress/KNNBatch surface as Cluster but executes every
-// call as one BSP epoch on the remote mesh — a whole KNNBatch travels as a
-// single batched dispatch. ServeTypedLocal wires a whole loopback
-// deployment together in one process for tests, benchmarks and demos.
+// resident nodes (ServeTypedNode), each holding one shard; the client side
+// is a RemoteCluster, which offers the same KNN/Classify/Regress/KNNBatch
+// surface as Cluster but executes every call as one BSP epoch on the remote
+// mesh — a whole KNNBatch travels as a single batched dispatch.
+// ServeTypedLocal wires a whole loopback deployment together in one process
+// for tests, benchmarks and demos.
 //
 // What a point type needs to cross this stack is bundled in a PointType:
 // the wire codec (tag + encode/decode), the distance metric, and the local
-// index the nodes answer their top-ℓ step from. ScalarPoints and
-// VectorPoints are the two shipped instances; the transport below never
-// learns what a point is.
+// index the nodes answer their top-ℓ step from. Six instances ship
+// (ScalarPoints, VectorPoints, L1Points, LInfPoints, CosinePoints and
+// BitVectorPoints); the transport below never learns what a point is.
 
 // ErrSessionLost marks a serving node's exit because its session died
 // under it — the frontend vanished, or the node was evicted after a mesh
-// fault. The node's seat is recoverable: call ServeTypedNode (or its
-// scalar/vector conveniences) again and the frontend re-seats the node in
-// the running session, as cmd/knnnode's -rejoin loop does. Matched with
-// errors.Is.
+// fault. The node's seat is recoverable: call ServeTypedNode again and the
+// frontend re-seats the node in the running session, as cmd/knnnode's
+// -rejoin loop does. Matched with errors.Is.
 var ErrSessionLost = tcp.ErrSessionLost
 
 // ErrClusterDegraded marks a remote query refused (or failed in flight)
@@ -93,27 +92,19 @@ type AdminServer = obs.Admin
 // slow scrape cannot stall serving.
 func ServeAdmin(addr string, o AdminOptions) (*AdminServer, error) { return obs.ServeAdmin(addr, o) }
 
-// NodeOptions configures a resident serving node. Except for Advertise,
-// all nodes of a cluster must be configured identically (the protocols
-// assume symmetric machines).
+// NodeOptions configures a resident serving node. Both fields are
+// per-node. Every node runs the same protocol: the min-GUID election in the
+// setup epoch and the paper's Algorithm 2, with Lemma 2.3's constants, for
+// every query.
 type NodeOptions struct {
-	// Algorithm selects the query strategy (default Alg2).
-	Algorithm Algorithm
-	// SublinearElection selects the randomized O(√k·log^{3/2} k)-message
-	// election for the setup epoch instead of the min-GUID broadcast.
-	SublinearElection bool
-	// SampleFactor and CutFactor override Algorithm 2's Lemma 2.3
-	// constants (defaults 12 and 21).
-	SampleFactor, CutFactor int
 	// Advertise is the mesh address peers are told to dial, for multi-host
 	// deployments where the mesh bind address is not reachable as-is
 	// (e.g. bind "0.0.0.0:7101", advertise "10.0.0.5:7101"). Empty means
-	// the bind address itself. This field is per-node; every other option
-	// must match across the cluster.
+	// the bind address itself.
 	Advertise string
 	// Metrics optionally receives the node's runtime metrics (epochs
 	// served, mesh traffic, control-plane bytes). Nil records nothing.
-	// Per-node, like Advertise: each node process passes its own registry.
+	// Each node process passes its own registry.
 	Metrics *Metrics
 }
 
@@ -147,8 +138,9 @@ type ShardProvider[P any] func(id, k int) (Shard[P], error)
 
 // PointType bundles everything the serving stack needs to handle one point
 // type: the wire codec, the distance metric, and the local top-ℓ index the
-// nodes answer from. The two shipped instances are ScalarPoints and
-// VectorPoints; the TCP transport itself never learns what a point is, so
+// nodes answer from. Six instances ship: ScalarPoints, VectorPoints,
+// L1Points, LInfPoints, CosinePoints and BitVectorPoints. The TCP transport
+// itself never learns what a point is, so
 // supporting a new point type means writing a wire.PointCodec and a
 // PointType — no transport changes.
 type PointType[P any] struct {
@@ -446,12 +438,11 @@ func AnchorGaussianShards(seed uint64, perNode, dim int, sigma float64) ShardPro
 	}
 }
 
-// typedHandler adapts a PointType + ShardProvider + options to the
-// transport's per-epoch Handler interface.
+// typedHandler adapts a PointType + ShardProvider to the transport's
+// per-epoch Handler interface.
 type typedHandler[P any] struct {
 	pt     PointType[P]
 	shards ShardProvider[P]
-	opts   NodeOptions
 
 	set     *points.Set[P]
 	topL    func(q P, l int) []Item
@@ -520,7 +511,7 @@ func (h *typedHandler[P]) Setup(m kmachine.Env) (tcp.SessionInfo, error) {
 		return tcp.SessionInfo{}, err
 	}
 	var err error
-	h.leader, err = election.Elect(m, election.OnceOptions{Sublinear: h.opts.SublinearElection})
+	h.leader, err = election.MinGUID(m)
 	if err != nil {
 		return tcp.SessionInfo{}, err
 	}
@@ -566,13 +557,7 @@ func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.Query
 	if err != nil {
 		return tcp.QueryResult{}, err
 	}
-	cfg := core.Config{
-		Leader:       h.leader,
-		L:            q.L,
-		SampleFactor: h.opts.SampleFactor,
-		CutFactor:    h.opts.CutFactor,
-	}
-	res, err := algorithmFn(h.opts.Algorithm)(m, cfg, h.topL(qp, q.L))
+	res, err := core.KNN(m, core.Config{Leader: h.leader, L: q.L}, h.topL(qp, q.L))
 	if err != nil {
 		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
 	}
@@ -606,7 +591,7 @@ func (h *typedHandler[P]) Direct(q wire.Query, qi int) (tcp.QueryResult, error) 
 // ("127.0.0.1:0" picks a free loopback port); opts.Advertise overrides the
 // address peers dial when the bind address is not reachable across hosts.
 func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards ShardProvider[P], opts NodeOptions) error {
-	return tcp.ServeNodeObserved(coordAddr, meshAddr, opts.Advertise, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards, opts: opts})
+	return tcp.ServeNodeObserved(coordAddr, meshAddr, opts.Advertise, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards})
 }
 
 // Frontend is the client-facing endpoint of a TCP serving cluster: it
@@ -849,6 +834,6 @@ func ServeTypedLocal[P any](pt PointType[P], k int, seed uint64, shards ShardPro
 // registry receives their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
 	return tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
-		return &typedHandler[P]{pt: pt, shards: shards, opts: opts}
+		return &typedHandler[P]{pt: pt, shards: shards}
 	})
 }
