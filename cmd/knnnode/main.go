@@ -6,8 +6,8 @@
 // The coordinator (-coordinator) is a long-lived frontend; the nodes (-join)
 // mesh up once, elect a leader once, and then answer a stream of query
 // batches — one BSP epoch per batch — dispatched by the frontend to remote
-// clients (knnquery -connect, or the distknn.DialTypedCluster API). With
-// -dim > 0 the nodes hold d-dimensional vector shards indexed by k-d trees
+// clients (knnquery -connect, or the distknn.DialTypedClusterOptions API).
+// With -dim > 0 the nodes hold d-dimensional vector shards indexed by k-d trees
 // instead of the paper's scalar workload (-vmetric picks the served vector
 // metric: l2, l1, linf or cosine). The frontend's epoch scheduler pipelines
 // up to -window query epochs on the mesh concurrently, and with
@@ -263,7 +263,7 @@ func serveLocalDemo(o *options) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rc, err := distknn.DialTypedCluster(pt, srv.Addr())
+		rc, err := distknn.DialTypedClusterOptions(pt, srv.Addr(), distknn.ClientOptions{})
 		if err != nil {
 			srv.Close()
 			fatalf("%v", err)
@@ -292,7 +292,7 @@ func serveLocalDemo(o *options) {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+		rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 		if err != nil {
 			srv.Close()
 			fatalf("%v", err)

@@ -11,6 +11,7 @@ import (
 	"distknn/internal/election"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
+	"distknn/internal/transport/tcp"
 	"distknn/internal/xrand"
 )
 
@@ -345,10 +346,12 @@ func TestClusterHoldsNoGoroutines(t *testing.T) {
 }
 
 // TestLeaderCachedAndRederivable checks the construction-time election is
-// cached and that ElectLeader re-derives the same winner on demand.
+// cached and used by every query, and that it is re-derivable from the seed
+// alone: it is the min-GUID winner on the setup stream a served cluster's
+// setup epoch elects on, so a rebuild elects it again.
 func TestLeaderCachedAndRederivable(t *testing.T) {
-	c, _, _ := scalarFixture(t, 200, Options{Machines: 8, Seed: 67})
-	defer c.Close()
+	opts := Options{Machines: 8, Seed: 67}
+	c, _, _ := scalarFixture(t, 200, opts)
 	cached := c.Leader()
 	if cached < 0 || cached >= 8 {
 		t.Fatalf("cached leader %d out of range", cached)
@@ -360,15 +363,15 @@ func TestLeaderCachedAndRederivable(t *testing.T) {
 	if stats.Leader != cached {
 		t.Errorf("query used leader %d, cached %d", stats.Leader, cached)
 	}
-	leader, estats, err := c.ElectLeader()
+	leader, _, err := election.Once(kmachine.Config{K: 8, Seed: xrand.DeriveSeed(opts.Seed, tcp.SetupSeedStream)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if leader != cached {
 		t.Errorf("re-derived leader %d != cached %d (same seed must replay)", leader, cached)
 	}
-	if estats.Rounds == 0 {
-		t.Errorf("election reported no communication")
+	if again, _, _ := scalarFixture(t, 200, opts); again.Leader() != cached {
+		t.Errorf("rebuilt cluster elected %d, first build %d", again.Leader(), cached)
 	}
 }
 

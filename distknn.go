@@ -8,8 +8,8 @@
 // simulated k-machine cluster (goroutine-per-machine, synchronous rounds,
 // bandwidth-limited links — see internal/kmachine) and answers queries with
 // the paper's Algorithm 2 or any of the baseline algorithms. Results are
-// exact: the default Las Vegas mode verifies the algorithm's random pruning
-// step and falls back to un-pruned selection in the ≤ 2/ℓ² of runs where it
+// exact: Algorithm 2 runs Las Vegas, verifying its random pruning step and
+// falling back to un-pruned selection in the ≤ 2/ℓ² of runs where it
 // over-prunes.
 //
 // # Serving model
@@ -28,19 +28,19 @@
 // KNN, Classify, Regress, KNNBatch, SelectRank and Median simultaneously.
 // Each in-flight query is its own simulator run (own link timelines, own
 // metrics), so concurrent queries neither contend on the model's bandwidth
-// nor perturb each other's QueryStats, and in the default Las Vegas mode
-// every query's result is exact regardless of interleaving.
+// nor perturb each other's QueryStats, and every query's result is exact
+// regardless of interleaving.
 // The shards are immutable after construction and per-query randomness is
 // derived from an atomic counter. Seed assignment follows arrival order, so
-// per-query cost metrics (and MonteCarlo-mode failures) are deterministic
-// only under serial issue; see Options.Seed.
+// per-query cost metrics are deterministic only under serial issue; see
+// Options.Seed.
 //
 // # Serving over TCP
 //
 // The same serving model runs over real sockets, generic over the point
 // type: a Frontend plus k resident nodes (ServeTypedNode with a PointType
 // — scalar, k-d-tree-indexed vector and bit-packed Hamming shards ship —
-// or ServeTypedLocal for a single-process loopback deployment) mesh up
+// or ServeTypedLocalOptions for a single-process loopback deployment) mesh up
 // once, elect a leader once, and answer each dispatched query batch as
 // one BSP epoch on the standing mesh; a batch's queries run as lockstep
 // sub-programs sharing the epoch's physical rounds, so KNNBatch over TCP
@@ -78,6 +78,7 @@ import (
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
+	"distknn/internal/transport/tcp"
 	"distknn/internal/xrand"
 )
 
@@ -121,7 +122,10 @@ const (
 	BinSearch = core.BinSearch
 )
 
-// Options configures a Cluster.
+// Options configures a Cluster. At the default Alg2 a Cluster runs what a
+// served cluster runs — the min-GUID election once, then Las Vegas
+// Algorithm 2 with Lemma 2.3's constants — so it is the serving stack's cost
+// model and oracle.
 type Options struct {
 	// Machines is k, the number of simulated machines (default 4).
 	Machines int
@@ -131,26 +135,11 @@ type Options struct {
 	// Seed makes the cluster (partitioning, election, algorithm
 	// randomness) deterministic: two clusters built with equal inputs and
 	// queried serially replay identically. Under concurrent issue the
-	// per-query seeds follow arrival order, so cost metrics (and, in
-	// MonteCarlo mode, which query trips a failure) can vary run to run;
-	// results stay exact either way in the default Las Vegas mode.
+	// per-query seeds follow arrival order, so cost metrics can vary run
+	// to run; results stay exact either way.
 	Seed uint64
 	// Algorithm selects the query strategy (default Alg2).
 	Algorithm Algorithm
-	// SublinearElection uses the randomized O(√k·log^{3/2} k)-message
-	// leader election instead of the min-GUID broadcast. Either way the
-	// election runs once, at construction.
-	SublinearElection bool
-	// SampleFactor and CutFactor override Algorithm 2's Lemma 2.3
-	// constants (defaults 12 and 21).
-	SampleFactor, CutFactor int
-	// MonteCarlo disables the Las Vegas verification; queries then fail
-	// with core.ErrMonteCarloFailure with probability ≤ 2/ℓ².
-	MonteCarlo bool
-	// RandomIDs assigns points random IDs in [1, n³] (the paper's scheme,
-	// unique w.h.p. and verified at construction) instead of sequential
-	// unique IDs.
-	RandomIDs bool
 }
 
 func (o Options) withDefaults() Options {
@@ -188,11 +177,6 @@ type QueryStats struct {
 	Contacts int64
 }
 
-// electionStream is the seed-derivation stream reserved for the
-// construction-time election; query streams are the small positive integers
-// from the query counter, so they never collide with it.
-const electionStream = ^uint64(0)
-
 // Cluster is an in-process k-machine deployment of a labeled dataset:
 // create one with NewCluster (or the typed helpers), query it from as many
 // goroutines as you like, and Close it when done. The leader is elected once
@@ -203,7 +187,7 @@ type Cluster[P any] struct {
 	parts   []*points.Set[P] // immutable after construction
 	n       int
 	closed  atomic.Bool
-	leader  atomic.Int64  // cached election winner; re-derivable via ElectLeader
+	leader  int           // election winner, cached at construction
 	queries atomic.Uint64 // per-query seed-derivation counter
 	// localTopL computes machine i's ℓ nearest local points. The default
 	// is the shard's block scan; NewVectorCluster installs a k-d-tree-backed
@@ -226,27 +210,18 @@ func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options
 		return nil, fmt.Errorf("distknn: %w", err)
 	}
 	rng := xrand.NewStream(opts.Seed, 0xC1)
-	if opts.RandomIDs {
-		set.AssignRandomIDs(rng, uint64(set.Len()))
-		if points.CollidingIDs(set) {
-			// Astronomically unlikely (probability ~1/n); redraw once.
-			set.AssignRandomIDs(rng, uint64(set.Len()))
-			if points.CollidingIDs(set) {
-				return nil, fmt.Errorf("distknn: random point IDs collided twice")
-			}
-		}
-	}
 	parts, err := points.Partition(set, opts.Machines, points.PartitionRandom, rng)
 	if err != nil {
 		return nil, fmt.Errorf("distknn: %w", err)
 	}
 	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len()}
 	c.localTopL = func(i int, q P, l int) []Item { return c.parts[i].TopLItems(q, l) }
-	leader, _, err := c.runElection()
-	if err != nil {
+	// The election runs on the stream a served cluster's setup epoch uses,
+	// so both elect the same leader from the same seed.
+	sim, _ := c.sim(xrand.DeriveSeed(opts.Seed, tcp.SetupSeedStream)) // not closed yet
+	if c.leader, _, err = election.Once(sim); err != nil {
 		return nil, fmt.Errorf("distknn: electing leader: %w", err)
 	}
-	c.leader.Store(int64(leader))
 	return c, nil
 }
 
@@ -287,7 +262,7 @@ func (c *Cluster[P]) Len() int { return c.n }
 func (c *Cluster[P]) Machines() int { return len(c.parts) }
 
 // Leader returns the cached leader machine index.
-func (c *Cluster[P]) Leader() int { return int(c.leader.Load()) }
+func (c *Cluster[P]) Leader() int { return c.leader }
 
 // Close marks the cluster closed: later queries fail with ErrClosed. It is
 // idempotent and safe to call concurrently with in-flight queries, which
@@ -295,30 +270,6 @@ func (c *Cluster[P]) Leader() int { return int(c.leader.Load()) }
 // there is nothing to release.
 func (c *Cluster[P]) Close() {
 	c.closed.Store(true)
-}
-
-// ElectLeader re-derives the leader by re-running the configured election
-// protocol on the live cluster and refreshes the cached value. Steady-state
-// queries never need this — the construction-time winner stays valid for the
-// lifetime of the cluster — but it demonstrates the cached leader is
-// re-derivable on demand and reports the election's distributed cost.
-func (c *Cluster[P]) ElectLeader() (int, *QueryStats, error) {
-	leader, met, err := c.runElection()
-	if err != nil {
-		return 0, nil, err
-	}
-	c.leader.Store(int64(leader))
-	return leader, runStats(met, leader), nil
-}
-
-// runElection executes one election as a simulator run on the reserved
-// election seed.
-func (c *Cluster[P]) runElection() (int, *kmachine.Metrics, error) {
-	sim, err := c.sim(xrand.DeriveSeed(c.opts.Seed, electionStream))
-	if err != nil {
-		return 0, nil, err
-	}
-	return election.Once(sim, election.OnceOptions{Sublinear: c.opts.SublinearElection})
 }
 
 // sim is the configuration of one simulator run seeded by seed, or
@@ -395,20 +346,6 @@ func (c *Cluster[P]) querySeed() uint64 {
 	return xrand.DeriveSeed(c.opts.Seed, c.queries.Add(1))
 }
 
-// baseConfig is the single source of the per-query protocol configuration;
-// callers set Leader to the cached winner.
-func (c *Cluster[P]) baseConfig(l int) core.Config {
-	cfg := core.Config{
-		L:            l,
-		SampleFactor: c.opts.SampleFactor,
-		CutFactor:    c.opts.CutFactor,
-	}
-	if c.opts.MonteCarlo {
-		cfg.Mode = core.ModeMonteCarlo
-	}
-	return cfg
-}
-
 // query runs the configured algorithm for q as one simulator run, with the
 // cached leader and no per-query election, and returns each machine's share
 // of the winners (ascending key order) and the query's cost.
@@ -438,8 +375,8 @@ func (c *Cluster[P]) run(queries []P, l int) ([][]core.Result, *QueryStats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := c.baseConfig(l)
-	cfg.Leader = c.Leader()
+	// Lemma 2.3's constants and the cached leader, as on a served cluster.
+	cfg := core.Config{Leader: c.leader, L: l}
 	res, met, err := core.Run(sim, c.opts.Algorithm, cfg, len(queries), func(id, qi int) []Item {
 		return c.localTopL(id, queries[qi], l)
 	})

@@ -1,12 +1,10 @@
 package distknn
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"testing"
 
-	"distknn/internal/core"
 	"distknn/internal/points"
 	"distknn/internal/xrand"
 )
@@ -221,44 +219,6 @@ func TestVectorCluster(t *testing.T) {
 	}
 }
 
-func TestSublinearElectionOption(t *testing.T) {
-	c, values, labels := scalarFixture(t, 200, Options{Machines: 8, Seed: 17, SublinearElection: true})
-	got, stats, err := c.KNN(Scalar(77), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteScalar(values, labels, 77, 9)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d mismatch", i)
-		}
-	}
-	if stats.Leader < 0 || stats.Leader >= 8 {
-		t.Errorf("leader %d out of range", stats.Leader)
-	}
-}
-
-func TestMonteCarloOptionSurfacesFailure(t *testing.T) {
-	// Hopeless constants force the prune to fail; Monte Carlo mode must
-	// surface ErrMonteCarloFailure to the caller.
-	c, _, _ := scalarFixture(t, 2000, Options{
-		Machines: 8, Seed: 19, MonteCarlo: true, SampleFactor: 1, CutFactor: 1,
-	})
-	sawFailure := false
-	for rep := 0; rep < 6; rep++ {
-		_, _, err := c.KNN(Scalar(uint64(rep)), 200)
-		if err != nil {
-			if !errors.Is(err, core.ErrMonteCarloFailure) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			sawFailure = true
-		}
-	}
-	if !sawFailure {
-		t.Errorf("rank-1 prune never failed across 6 Monte Carlo queries")
-	}
-}
-
 func TestInvalidArguments(t *testing.T) {
 	c, _, _ := scalarFixture(t, 50, Options{Machines: 4, Seed: 21})
 	if _, _, err := c.KNN(Scalar(1), 0); err == nil {
@@ -357,24 +317,5 @@ func TestVectorClusterTreeMatchesScan(t *testing.T) {
 func TestVectorClusterRejectsMixedDims(t *testing.T) {
 	if _, err := NewVectorCluster([]Vector{{1, 2}, {1}}, nil, Options{Machines: 1}); err == nil {
 		t.Errorf("mixed-dimension vectors must be rejected at construction")
-	}
-}
-
-func TestRandomIDsOption(t *testing.T) {
-	c, values, labels := scalarFixture(t, 300, Options{Machines: 4, Seed: 71, RandomIDs: true})
-	got, _, err := c.KNN(Scalar(123), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// IDs differ from the sequential oracle, but the distances (and hence
-	// the neighbor multiset) must match exactly.
-	want := bruteScalar(values, labels, 123, 9)
-	for i := range got {
-		if got[i].Key.Dist != want[i].Key.Dist {
-			t.Fatalf("rank %d: dist %d, want %d", i, got[i].Key.Dist, want[i].Key.Dist)
-		}
-		if got[i].Key.ID == 0 {
-			t.Fatalf("random ID must be >= 1")
-		}
 	}
 }

@@ -61,13 +61,13 @@ func ExampleRemoteCluster_KNN() {
 			FirstID: uint64(id*per) + 1,
 		}, nil
 	}
-	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), 2, 1, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), 2, 1, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	if err != nil {
 		panic(err)
 	}
 	defer srv.Close()
 
-	rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
 		panic(err)
 	}

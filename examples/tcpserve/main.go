@@ -31,14 +31,15 @@ func main() {
 
 	// Each node builds its shard from the shared seed at join time —
 	// exactly like a real deployment, where data lives with the node.
-	srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+	shards := distknn.UniformVectorShards(seed, perNode, dim)
+	srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving cluster up: %d nodes x %d %d-dim points (k-d-tree-indexed), leader=machine %d\n",
 		k, perNode, dim, srv.Leader())
 
-	rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
+	rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
 		srv.Close()
 		log.Fatal(err)

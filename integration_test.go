@@ -1,7 +1,7 @@
 package distknn_test
 
-// Integration tests across the whole stack: every algorithm × every elector
-// on the same instance must produce the same exact answer, and the
+// Integration tests across the whole stack: every algorithm, after an
+// in-program election, must produce the same exact answer on one instance, and the
 // algorithms' cost profiles must respect the paper's ordering at scale. These tests exercise the composition paths the
 // per-package suites cannot.
 
@@ -37,8 +37,9 @@ func oracleBoundary(seed uint64, k, n int, q points.Scalar, l int) keys.Key {
 	return points.Merge(parts).BruteKNN(q, l)[l-1].Key
 }
 
-// TestFullMatrixSimulator runs every algorithm × elector combination inside
-// the simulator and checks exactness and machine agreement.
+// TestFullMatrixSimulator runs every algorithm inside the simulator behind a
+// MinGUID election in the same run, and checks exactness and machine
+// agreement.
 func TestFullMatrixSimulator(t *testing.T) {
 	const (
 		seed = uint64(2024)
@@ -56,46 +57,38 @@ func TestFullMatrixSimulator(t *testing.T) {
 		"saukas-song": core.SaukasSongKNN,
 		"binsearch":   core.BinarySearchKNN,
 	}
-	electors := map[string]func(m kmachine.Env) (int, error){
-		"minguid": election.MinGUID,
-		"sublinear": func(m kmachine.Env) (int, error) {
-			return election.Sublinear(m)
-		},
-	}
 	for aname, algo := range algos {
-		for ename, elect := range electors {
-			t.Run(aname+"/"+ename, func(t *testing.T) {
-				var mu sync.Mutex
-				bounds := make([]keys.Key, k)
-				prog := func(m kmachine.Env) error {
-					shard := shardFor(seed, m.ID(), n)
-					leader, err := elect(m)
-					if err != nil {
-						return err
-					}
-					res, err := algo(m, core.Config{Leader: leader, L: l}, shard.TopLItems(q, l))
-					if err != nil {
-						return err
-					}
-					mu.Lock()
-					bounds[m.ID()] = res.Boundary
-					mu.Unlock()
-					return nil
-				}
-				met, err := kmachine.Run(kmachine.Config{K: k, Seed: seed}, prog)
+		t.Run(aname+"/minguid", func(t *testing.T) {
+			var mu sync.Mutex
+			bounds := make([]keys.Key, k)
+			prog := func(m kmachine.Env) error {
+				shard := shardFor(seed, m.ID(), n)
+				leader, err := election.MinGUID(m)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				for i := 0; i < k; i++ {
-					if bounds[i] != want {
-						t.Fatalf("machine %d boundary %v, want %v", i, bounds[i], want)
-					}
+				res, err := algo(m, core.Config{Leader: leader, L: l}, shard.TopLItems(q, l))
+				if err != nil {
+					return err
 				}
-				if met.Dangling != 0 {
-					t.Errorf("%d dangling messages", met.Dangling)
+				mu.Lock()
+				bounds[m.ID()] = res.Boundary
+				mu.Unlock()
+				return nil
+			}
+			met, err := kmachine.Run(kmachine.Config{K: k, Seed: seed}, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if bounds[i] != want {
+					t.Fatalf("machine %d boundary %v, want %v", i, bounds[i], want)
 				}
-			})
-		}
+			}
+			if met.Dangling != 0 {
+				t.Errorf("%d dangling messages", met.Dangling)
+			}
+		})
 	}
 }
 

@@ -24,37 +24,19 @@
 // the prune threshold lands below the true ℓ-th neighbor and fewer than ℓ
 // candidates survive. Because survivors ≥ ℓ implies the answer is intact
 // (the ℓ-th smallest key is then ≤ the threshold), a single count suffices to
-// verify a run. ModeLasVegas (default) performs that check and falls back to
-// DirectKNN's un-pruned selection when it fails, making the result exact
-// always; ModeMonteCarlo reports ErrMonteCarloFailure instead, reproducing
-// the paper's raw algorithm so the failure probability itself can be
-// measured.
+// verify a run. KNN always performs that check and falls back to DirectKNN's
+// un-pruned selection when it fails (Las Vegas), so the result is exact
+// always; Result.FellBack reports the fallback, which is how the failure
+// probability itself is measured.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-)
-
-// ErrMonteCarloFailure is returned by every machine when a ModeMonteCarlo
-// run prunes away part of the true answer (probability ≤ 2/ℓ²).
-var ErrMonteCarloFailure = errors.New("core: sampling prune discarded part of the answer")
-
-// Mode selects how Algorithm 2 treats a failed prune.
-type Mode int
-
-const (
-	// ModeLasVegas verifies the prune and falls back to un-pruned
-	// selection on failure: results are always exact.
-	ModeLasVegas Mode = iota
-	// ModeMonteCarlo runs the paper's algorithm as stated: a failed prune
-	// aborts with ErrMonteCarloFailure.
-	ModeMonteCarlo
 )
 
 // Default sampling constants from Lemma 2.3.
@@ -75,8 +57,6 @@ type Config struct {
 	// 21·log ℓ). Zero selects the defaults.
 	SampleFactor int
 	CutFactor    int
-	// Mode selects Las Vegas (default) or Monte Carlo behaviour.
-	Mode Mode
 	// OnPrune, if non-nil, is invoked on the leader after the prune count
 	// with the chosen threshold and the number of surviving candidates.
 	OnPrune func(threshold keys.Key, survivors int64)
@@ -109,8 +89,8 @@ type Result struct {
 	// Survivors is the number of candidates that survived Algorithm 2's
 	// prune (0 for the other algorithms); identical on all machines.
 	Survivors int64
-	// FellBack reports that a Las Vegas run had to redo the selection
-	// without pruning.
+	// FellBack reports that the prune failed and the selection ran
+	// without it.
 	FellBack bool
 }
 
@@ -122,7 +102,6 @@ const (
 	kindPrune                // leader → all: prune threshold r
 	kindCount                // worker → leader: |{x ∈ S_i : x ≤ r}|
 	kindProceed              // leader → all: usePruned flag + survivors
-	kindAbort                // leader → all: Monte Carlo failure
 	kindAllItems             // worker → leader: the entire local top-ℓ
 	kindBoundary             // leader → all: final boundary (SimpleKNN)
 )

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -181,42 +180,6 @@ func TestKNNLasVegasFallbackStillExact(t *testing.T) {
 	}
 	if !fellBack {
 		t.Errorf("expected at least one Las Vegas fallback with a rank-1 prune")
-	}
-}
-
-func TestKNNMonteCarloFailureReported(t *testing.T) {
-	locals, _, _ := makeInstance(78, 1000, 8, points.PartitionRandom)
-	cfg := Config{Leader: 0, L: 100, SampleFactor: 1, CutFactor: 1, Mode: ModeMonteCarlo}
-	k := len(locals)
-	var mu sync.Mutex
-	errs := make([]error, k)
-	progs := make([]kmachine.Program, k)
-	failures := 0
-	for seed := uint64(0); seed < 5; seed++ {
-		for i := 0; i < k; i++ {
-			i := i
-			progs[i] = func(m kmachine.Env) error {
-				_, err := KNN(m, cfg, locals[i])
-				mu.Lock()
-				errs[i] = err
-				mu.Unlock()
-				return nil // swallow so every machine records its error
-			}
-		}
-		if _, err := kmachine.RunPrograms(kmachine.Config{K: k, Seed: seed}, progs); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		if errors.Is(errs[0], ErrMonteCarloFailure) {
-			failures++
-			for i := 1; i < k; i++ {
-				if !errors.Is(errs[i], ErrMonteCarloFailure) {
-					t.Fatalf("machine %d did not observe the MC failure: %v", i, errs[i])
-				}
-			}
-		}
-	}
-	if failures == 0 {
-		t.Errorf("rank-1 prune never failed in Monte Carlo mode — suspicious")
 	}
 }
 

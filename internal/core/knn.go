@@ -98,14 +98,8 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 	}
 
 	// Verification: survivors ≥ ℓ guarantees the true answer survived the
-	// prune. Otherwise fall back (Las Vegas) or abort (Monte Carlo).
+	// prune; otherwise the selection runs without it.
 	usePruned := survivors >= int64(cfg.L)
-	if !usePruned && cfg.Mode == ModeMonteCarlo {
-		var w wire.Writer
-		w.U8(kindAbort)
-		m.Broadcast(w.Bytes())
-		return Result{}, fmt.Errorf("%w (survivors %d < l %d)", ErrMonteCarloFailure, survivors, cfg.L)
-	}
 	var pw wire.Writer
 	pw.U8(kindProceed)
 	if usePruned {
@@ -115,23 +109,7 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 	}
 	pw.Varint(uint64(survivors))
 	m.Broadcast(pw.Bytes())
-
-	// Step 9: Algorithm 1 over the surviving candidates.
-	cand := pruned
-	if !usePruned {
-		cand = s
-	}
-	sel, err := dsel.FindLSmallest(m, cfg.Leader, itemKeys(cand), cfg.L, dsel.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Winners:    sortedWinners(s, sel.Boundary),
-		Boundary:   sel.Boundary,
-		Iterations: sel.Iterations,
-		Survivors:  survivors,
-		FellBack:   !usePruned,
-	}, nil
+	return selectSurvivors(m, cfg, s, pruned, survivors, usePruned)
 }
 
 // knnWorker answers the leader's prune phase, then hands over to the
@@ -154,14 +132,10 @@ func knnWorker(m kmachine.Env, cfg Config, s []points.Item) (Result, error) {
 	m.Send(cfg.Leader, w.Bytes())
 	m.EndRound()
 
-	// Await the proceed/abort decision.
+	// Await the proceed decision.
 	msg = m.Gather(1)[0]
 	r = wire.NewReader(msg.Payload)
-	switch kind := r.U8(); kind {
-	case kindAbort:
-		return Result{}, ErrMonteCarloFailure
-	case kindProceed:
-	default:
+	if kind := r.U8(); kind != kindProceed {
 		return Result{}, fmt.Errorf("core: worker %d expected proceed, got kind %d", m.ID(), kind)
 	}
 	usePruned := r.U8() == 1
@@ -169,7 +143,13 @@ func knnWorker(m kmachine.Env, cfg Config, s []points.Item) (Result, error) {
 	if err := r.Err(); err != nil {
 		return Result{}, fmt.Errorf("core: bad proceed message: %w", err)
 	}
+	return selectSurvivors(m, cfg, s, pruned, survivors, usePruned)
+}
 
+// selectSurvivors is step 9 on every machine: Algorithm 1 over the pruned
+// candidates, or over the whole local top-ℓ s when the prune failed, and the
+// machine's share of the winners.
+func selectSurvivors(m kmachine.Env, cfg Config, s, pruned []points.Item, survivors int64, usePruned bool) (Result, error) {
 	cand := pruned
 	if !usePruned {
 		cand = s

@@ -79,69 +79,22 @@ func TestMinGUIDOneRound(t *testing.T) {
 	}
 }
 
-func TestSublinearAgreement(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 4, 16, 64, 128} {
-		for seed := uint64(0); seed < 5; seed++ {
-			runElection(t, k, seed, 0, func(m kmachine.Env) (int, error) {
-				return Sublinear(m)
-			})
-		}
-	}
-}
-
-func TestSublinearConstantRounds(t *testing.T) {
-	for _, k := range []int{2, 16, 128} {
-		_, met := runElection(t, k, 11, 0, func(m kmachine.Env) (int, error) {
-			return Sublinear(m)
-		})
-		if met.Rounds != 3 {
-			t.Errorf("k=%d: Sublinear took %d rounds, want 3", k, met.Rounds)
-		}
-		if met.Dangling != 0 {
-			t.Errorf("k=%d: %d dangling messages", k, met.Dangling)
-		}
-	}
-}
-
-func TestSublinearMessageComplexitySublinearPhases(t *testing.T) {
-	// Candidate/referee traffic must be far below the Θ(k²) of MinGUID;
-	// total includes the Θ(k) announcement. Compare against k²/2 as the
-	// "clearly not all-to-all" bar, and require the announce-adjusted
-	// remainder to be o(k²).
-	k := 256
-	_, met := runElection(t, k, 13, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m)
-	})
-	if met.Messages >= int64(k*k)/2 {
-		t.Errorf("sublinear election sent %d messages, not sublinear vs k²=%d", met.Messages, k*k)
-	}
-}
-
-func TestSublinearRejectsTinyBandwidth(t *testing.T) {
-	_, err := kmachine.Run(kmachine.Config{K: 4, Seed: 1, BandwidthBytes: 8},
-		func(m kmachine.Env) error {
-			_, err := Sublinear(m)
-			return err
-		})
-	if err == nil {
-		t.Errorf("bandwidth below one election message per round must be rejected")
-	}
-}
-
-func TestSublinearUnlimitedBandwidth(t *testing.T) {
-	runElection(t, 32, 17, -1, func(m kmachine.Env) (int, error) {
-		return Sublinear(m)
-	})
-}
-
+// TestElectorsDeterministicPerSeed pins that Once replays: the same seed
+// elects the same leader, which agrees with MinGUID run in-program.
 func TestElectorsDeterministicPerSeed(t *testing.T) {
-	w1, _ := runElection(t, 32, 99, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m)
-	})
-	w2, _ := runElection(t, 32, 99, 0, func(m kmachine.Env) (int, error) {
-		return Sublinear(m)
-	})
+	cfg := kmachine.Config{K: 32, Seed: 99}
+	w1, _, err := Once(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, _, err := Once(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if w1 != w2 {
 		t.Errorf("same seed elected %d then %d", w1, w2)
+	}
+	if w, _ := runElection(t, 32, 99, 0, MinGUID); w != w1 {
+		t.Errorf("Once elected %d, MinGUID %d", w1, w)
 	}
 }

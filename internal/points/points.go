@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"sort"
 
 	"distknn/internal/keys"
@@ -83,35 +82,6 @@ func (s *Set[P]) Items(q P) []Item {
 		out[i] = s.Item(i, q)
 	}
 	return out
-}
-
-// AssignRandomIDs replaces the set's IDs with random values in [1, n³] where
-// n is the given global point count, reproducing the paper's ID scheme. IDs
-// are unique with high probability; the caller may check CollidingIDs if it
-// needs certainty. Deterministic given rng.
-func (s *Set[P]) AssignRandomIDs(rng *rand.Rand, globalN uint64) {
-	hi := globalN * globalN * globalN
-	if hi < 1 || globalN > 1<<21 { // n³ overflows beyond 2^21.3; saturate.
-		hi = math.MaxUint64
-	}
-	for i := range s.IDs {
-		s.IDs[i] = 1 + rng.Uint64N(hi)
-	}
-}
-
-// CollidingIDs reports whether any two points across the given sets share an
-// ID. It is the verification counterpart of AssignRandomIDs.
-func CollidingIDs[P any](sets ...*Set[P]) bool {
-	seen := make(map[uint64]bool)
-	for _, s := range sets {
-		for _, id := range s.IDs {
-			if seen[id] {
-				return true
-			}
-			seen[id] = true
-		}
-	}
-	return false
 }
 
 // BruteKNN returns the l items nearest to q in ascending key order by fully

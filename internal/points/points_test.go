@@ -125,32 +125,6 @@ func TestBruteKNNClampsL(t *testing.T) {
 	}
 }
 
-func TestAssignRandomIDsUniqueWHP(t *testing.T) {
-	rng := xrand.New(3)
-	s := GenUniformScalars(rng, 2000, PaperDomain)
-	s.AssignRandomIDs(rng, 2000)
-	if CollidingIDs(s) {
-		t.Errorf("random IDs in [1,n^3] collided for n=2000 (prob ~ 1/n) — suspicious")
-	}
-	for _, id := range s.IDs {
-		if id == 0 {
-			t.Fatalf("random ID must be >= 1")
-		}
-	}
-}
-
-func TestAssignRandomIDsSaturatesLargeN(t *testing.T) {
-	rng := xrand.New(4)
-	s := GenUniformScalars(rng, 10, PaperDomain)
-	// globalN beyond 2^21 would overflow n³; must not panic and must keep IDs >= 1.
-	s.AssignRandomIDs(rng, 1<<30)
-	for _, id := range s.IDs {
-		if id == 0 {
-			t.Fatalf("saturated ID assignment produced 0")
-		}
-	}
-}
-
 func TestGenerators(t *testing.T) {
 	rng := xrand.New(9)
 	us := GenUniformScalars(rng, 100, PaperDomain)

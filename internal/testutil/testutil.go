@@ -24,7 +24,7 @@ func StartCluster[P any](t *testing.T, pt distknn.PointType[P], k int, seed uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := distknn.DialTypedCluster(pt, srv.Addr())
+	rc, err := distknn.DialTypedClusterOptions(pt, srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
 		srv.Close()
 		t.Fatal(err)

@@ -166,10 +166,12 @@ func (c *Client) drop(m *muxConn) {
 }
 
 // poison kills the connection after a transport or framing failure: the
-// socket closes (stopping both loops), every in-flight waiter fails with
-// the cause, and the incarnation detaches from the Client so the next
-// attempt reconnects. Idempotent; only the first cause sticks.
+// incarnation detaches from the Client first, so a waiter woken below
+// already reconnects on its next attempt; then the socket closes (stopping
+// both loops) and every in-flight waiter fails with the cause. Idempotent;
+// only the first cause sticks.
 func (m *muxConn) poison(cause error) {
+	m.c.drop(m)
 	m.mu.Lock()
 	if m.broken == nil {
 		m.broken = cause
@@ -184,7 +186,6 @@ func (m *muxConn) poison(cause error) {
 		m.noteOutstandingLocked()
 	}
 	m.mu.Unlock()
-	m.c.drop(m)
 }
 
 // forget abandons one call's waiter (deadline, cancellation, client

@@ -31,6 +31,10 @@ import (
 // ErrTruncated is reported when a reader runs out of bytes mid-value.
 var ErrTruncated = errors.New("wire: truncated message")
 
+// errOverlongVarint is reported for a varint longer than its value's minimal
+// encoding, which would give one value two encodings.
+var errOverlongVarint = errors.New("wire: non-minimal varint")
+
 // Writer accumulates an encoded message. The zero value is ready to use.
 type Writer struct {
 	buf []byte
@@ -169,7 +173,8 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Varint reads an unsigned LEB128 varint.
+// Varint reads an unsigned LEB128 varint in its minimal encoding, the one
+// Writer.Varint produces.
 func (r *Reader) Varint() uint64 {
 	if r.err != nil {
 		return 0
@@ -177,6 +182,10 @@ func (r *Reader) Varint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail(ErrTruncated)
+		return 0
+	}
+	if n != VarintLen(v) {
+		r.fail(errOverlongVarint)
 		return 0
 	}
 	r.off += n

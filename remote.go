@@ -25,8 +25,8 @@ import (
 // is a RemoteCluster, which offers the same KNN/Classify/Regress/KNNBatch
 // surface as Cluster but executes every call as one BSP epoch on the remote
 // mesh — a whole KNNBatch travels as a single batched dispatch.
-// ServeTypedLocal wires a whole loopback deployment together in one process
-// for tests, benchmarks and demos.
+// ServeTypedLocalOptions wires a whole loopback deployment together in one
+// process for tests, benchmarks and demos.
 //
 // What a point type needs to cross this stack is bundled in a PointType:
 // the wire codec (tag + encode/decode), the distance metric, and the local
@@ -654,14 +654,8 @@ type RemoteCluster[P any] struct {
 // aliased type.
 type ClientOptions = tcp.ClientOptions
 
-// DialTypedCluster connects to a serving cluster's frontend that serves
-// pt's point type, with default ClientOptions.
-func DialTypedCluster[P any](pt PointType[P], addr string) (*RemoteCluster[P], error) {
-	return DialTypedClusterOptions(pt, addr, ClientOptions{})
-}
-
 // DialTypedClusterOptions connects to a serving cluster's frontend that
-// serves pt's point type.
+// serves pt's point type. The zero ClientOptions are the defaults.
 func DialTypedClusterOptions[P any](pt PointType[P], addr string, opts ClientOptions) (*RemoteCluster[P], error) {
 	c, err := tcp.DialFrontendOptions(addr, opts)
 	if err != nil {
@@ -816,22 +810,16 @@ func (rc *RemoteCluster[P]) Close() error { return rc.client.Close() }
 
 // LocalServer is a whole loopback serving deployment running in one
 // process: a Frontend plus k resident nodes. Dial it with
-// DialTypedCluster on s.Addr(); Leader, EvictNode and Close are documented
+// DialTypedClusterOptions on s.Addr(); Leader, EvictNode and Close are documented
 // on the aliased type.
 type LocalServer = tcp.LocalCluster
 
-// ServeTypedLocal starts a loopback TCP serving cluster for any served
-// point type: a frontend and k resident nodes, each holding the shard that
-// shards(id, k) builds. It returns once the cluster is meshed, elected and
-// ready to serve.
-func ServeTypedLocal[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions) (*LocalServer, error) {
-	return ServeTypedLocalOptions(pt, k, seed, shards, opts, FrontendOptions{})
-}
-
-// ServeTypedLocalOptions starts a loopback TCP serving cluster with an
-// explicit epoch scheduler configuration (pipelining window, server-side
-// batching). The k in-process nodes share opts, so a NodeOptions.Metrics
-// registry receives their node_* counters as cluster-wide totals.
+// ServeTypedLocalOptions starts a loopback TCP serving cluster for any
+// served point type: a frontend configured by fopts (zero value = defaults)
+// and k resident nodes, each holding the shard that shards(id, k) builds. It
+// returns once the cluster is meshed, elected and ready to serve. The k
+// in-process nodes share opts, so a NodeOptions.Metrics registry receives
+// their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
 	return tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
 		return &typedHandler[P]{pt: pt, shards: shards}

@@ -66,7 +66,7 @@ func TestRemoteChurnBitIdenticalAfterRejoin(t *testing.T) {
 	}
 
 	// The churned cluster: same seed, same shards, same stream.
-	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRemoteChurnVectorRejoinRebuildsIndex(t *testing.T) {
 		l       = 5
 	)
 	shards := distknn.UniformVectorShards(seed, perNode, dim)
-	srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRemoteClientRidesOutChurnTransparently(t *testing.T) {
 		l       = 5
 	)
 	shards := remoteShards(seed, perNode)
-	srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{})
+	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

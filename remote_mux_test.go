@@ -85,13 +85,13 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 	// against a default (unpipelined, unbatched) frontend.
 	want := make([]muxAnswer, queries)
 	func() {
-		srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{}, distknn.FrontendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		for c := 0; c < outstanding; c++ {
-			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 
 	want := make([]muxAnswer, queries)
 	func() {
-		srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, distknn.FrontendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		for c := 0; c < outstanding; c++ {
-			rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
+			rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
+	rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,12 +80,12 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 	// client, one query at a time.
 	want := make([]serialAnswer, queries)
 	func() {
-		srv, err := distknn.ServeTypedLocal(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), distknn.NodeOptions{}, distknn.FrontendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+		rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 			if err != nil {
 				t.Errorf("client %d: %v", c, err)
 				return
@@ -164,12 +164,12 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 
 	want := make([]serialAnswer, queries)
 	func() {
-		srv, err := distknn.ServeTypedLocal(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{})
+		srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, distknn.FrontendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
+		rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rc, err := distknn.DialTypedCluster(distknn.VectorPoints(), srv.Addr())
+			rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 			if err != nil {
 				t.Errorf("client %d: %v", c, err)
 				return

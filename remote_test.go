@@ -54,7 +54,10 @@ func startRemote(t *testing.T, k int, seed uint64, perNode int, opts distknn.Nod
 // TestRemoteClusterMatchesInProcess is the headline acceptance test: a
 // resident TCP cluster answers a long stream of sequential queries over one
 // mesh, and every answer is bit-identical to the in-process Cluster serving
-// the same global dataset.
+// the same global dataset. It also pins the premise that makes that Cluster
+// the oracle: at the sockets' 8 KiB link budget it elects the served leader
+// and charges every query exactly the served rounds, messages, bytes,
+// selection iterations and prune survivors.
 func TestRemoteClusterMatchesInProcess(t *testing.T) {
 	const (
 		k       = 4
@@ -63,14 +66,17 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 		queries = 110
 		l       = 15
 	)
-	_, rc := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
+	srv, rc := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
 
 	values, labels := mergedData(t, seed, k, perNode)
-	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: k, Seed: seed})
+	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: k, Seed: seed, BandwidthBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer local.Close()
+	if srv.Leader() != local.Leader() {
+		t.Fatalf("served leader %d, in-process leader %d", srv.Leader(), local.Leader())
+	}
 
 	queryAt := func(i int) distknn.Scalar {
 		return distknn.Scalar(xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain))
@@ -93,11 +99,10 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 				t.Fatalf("query %d neighbor %d: remote %+v != local %+v", i, j, remote[j], want[j])
 			}
 		}
-		if rstats.Boundary != lstats.Boundary {
-			t.Fatalf("query %d: boundary remote %v != local %v", i, rstats.Boundary, lstats.Boundary)
-		}
-		if rstats.Rounds <= 0 || rstats.Messages <= 0 {
-			t.Fatalf("query %d: implausible remote stats %+v", i, rstats)
+		if rstats.Boundary != lstats.Boundary || rstats.Leader != lstats.Leader ||
+			rstats.Rounds != lstats.Rounds || rstats.Messages != lstats.Messages || rstats.Bytes != lstats.Bytes ||
+			rstats.Iterations != lstats.Iterations || rstats.Survivors != lstats.Survivors {
+			t.Fatalf("query %d: remote stats %+v != local %+v", i, *rstats, *lstats)
 		}
 	}
 
@@ -183,7 +188,7 @@ func TestRemoteClusterConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rc, err := distknn.DialTypedCluster(distknn.ScalarPoints(), srv.Addr())
+			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
 			if err != nil {
 				errs <- err
 				return
