@@ -19,7 +19,7 @@ type BatchResult struct {
 // only the O(log ℓ) query protocol, back to back on the run's machines, with
 // no per-query setup at all — the paper's concluding suggestion of using the
 // algorithm as a subroutine, applied to the query stream itself. The leader
-// is already cached, so the batch does not pay an election either.
+// is computed from the seed, so the batch pays no election either.
 //
 // The per-query results are exact and identical to individual KNN calls.
 // The returned QueryStats aggregates the whole batch. KNNBatch is safe to

@@ -4,9 +4,9 @@
 // distributing.
 //
 // The coordinator (-coordinator) is a long-lived frontend; the nodes (-join)
-// mesh up once, elect a leader once, and then answer a stream of query
-// batches — one BSP epoch per batch — dispatched by the frontend to remote
-// clients (knnquery -connect, or the distknn.DialTypedClusterOptions API).
+// mesh up once as a star around the seed's leader and then answer a stream
+// of query batches — one BSP epoch per batch — dispatched by the frontend to
+// remote clients (knnquery -connect, or the distknn.DialTypedClusterOptions API).
 // With -dim > 0 the nodes hold d-dimensional vector shards indexed by k-d trees
 // instead of the paper's scalar workload (-vmetric picks the served vector
 // metric: l2, l1, linf or cosine). The frontend's epoch scheduler pipelines
@@ -335,7 +335,7 @@ func runDemo[P any](srv *distknn.LocalServer, rc *distknn.RemoteCluster[P], gen 
 	}
 	fmt.Printf("answered %d queries in %d epochs on one mesh: leader=machine %d, mean rounds/query=%.1f, mean messages/query=%.1f\n",
 		queries, epochs, srv.Leader(), float64(rounds)/float64(queries), float64(msgs)/float64(queries))
-	fmt.Printf("last query: boundary-dist=%s (election ran once, in the setup epoch)\n", distStr(lastBoundary.Dist))
+	fmt.Printf("last query: boundary-dist=%s (the leader is computed from the seed: no election rounds)\n", distStr(lastBoundary.Dist))
 }
 
 func fatalf(format string, args ...any) {

@@ -11,7 +11,6 @@ import (
 	"distknn/internal/election"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-	"distknn/internal/transport/tcp"
 	"distknn/internal/xrand"
 )
 
@@ -157,10 +156,9 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSteadyStateQueriesSkipElection verifies the headline of the persistent
-// runtime: from query #2 onward (indeed from query #1), a query's rounds are
-// strictly below what the pre-runtime path — election plus query in every
-// run — pays for the very same query execution.
+// TestSteadyStateQueriesSkipElection verifies that no query pays for the
+// leader: every query's rounds, messages and bytes are exactly those of the
+// query protocol alone, run on the same seed around the same leader.
 func TestSteadyStateQueriesSkipElection(t *testing.T) {
 	opts := Options{Machines: 8, Seed: 57}
 	c, _, _ := scalarFixture(t, 800, opts)
@@ -178,15 +176,11 @@ func TestSteadyStateQueriesSkipElection(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Replay the seed path for the same query: identical seed, same
-		// cached leader and hence an identical algorithm execution, but
-		// with the per-query election the old one-shot path ran. Its
-		// round count must exceed the steady-state query's strictly.
+		// Replay the query protocol alone on the same seed around the
+		// cached leader: an identical algorithm execution, so an
+		// identical cost.
 		leader := c.Leader()
 		prog := func(m kmachine.Env) error {
-			if _, err := election.MinGUID(m); err != nil {
-				return err
-			}
 			local := c.parts[m.ID()].TopLItems(q, l)
 			_, err := core.KNN(m, core.Config{L: l, Leader: leader}, local)
 			return err
@@ -198,9 +192,9 @@ func TestSteadyStateQueriesSkipElection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Rounds >= met.Rounds {
-			t.Errorf("query #%d: steady-state rounds %d not strictly below election-included rounds %d",
-				qi, stats.Rounds, met.Rounds)
+		if stats.Rounds != met.Rounds || stats.Messages != met.Messages || stats.Bytes != met.Bytes {
+			t.Errorf("query #%d cost %d rounds, %d messages, %d bytes; the protocol alone %d, %d, %d",
+				qi, stats.Rounds, stats.Messages, stats.Bytes, met.Rounds, met.Messages, met.Bytes)
 		}
 	}
 }
@@ -345,10 +339,10 @@ func TestClusterHoldsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestLeaderCachedAndRederivable checks the construction-time election is
+// TestLeaderCachedAndRederivable checks the construction-time leader is
 // cached and used by every query, and that it is re-derivable from the seed
-// alone: it is the min-GUID winner on the setup stream a served cluster's
-// setup epoch elects on, so a rebuild elects it again.
+// alone: it is election.Leader of the seed, which a served cluster's
+// frontend and nodes compute too, so a rebuild picks it again.
 func TestLeaderCachedAndRederivable(t *testing.T) {
 	opts := Options{Machines: 8, Seed: 67}
 	c, _, _ := scalarFixture(t, 200, opts)
@@ -363,11 +357,7 @@ func TestLeaderCachedAndRederivable(t *testing.T) {
 	if stats.Leader != cached {
 		t.Errorf("query used leader %d, cached %d", stats.Leader, cached)
 	}
-	leader, _, err := election.Once(kmachine.Config{K: 8, Seed: xrand.DeriveSeed(opts.Seed, tcp.SetupSeedStream)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leader != cached {
+	if leader := election.Leader(opts.Seed, 8); leader != cached {
 		t.Errorf("re-derived leader %d != cached %d (same seed must replay)", leader, cached)
 	}
 	if again, _, _ := scalarFixture(t, 200, opts); again.Leader() != cached {

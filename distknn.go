@@ -15,12 +15,13 @@
 // # Serving model
 //
 // A Cluster is built to serve a stream of queries rather than a single one.
-// Construction pays the one-time costs exactly once: the dataset is
-// partitioned and a leader is elected and cached. Every subsequent query
-// therefore runs zero election rounds and costs only the paper's O(log ℓ)
-// query protocol, executed as one fresh simulator run (kmachine.Run) whose
-// k machine goroutines have halted by the time the query returns. Between
-// queries a Cluster holds no goroutines; Close marks it closed.
+// Construction partitions the dataset once. The leader is the min-GUID
+// machine, and every machine's GUID derives from the seed, so it is computed
+// rather than elected over messages: no query pays an election round, and
+// each costs only the paper's O(log ℓ) query protocol, executed as one
+// fresh simulator run (kmachine.Run) whose k machine goroutines have halted
+// by the time the query returns. Between queries a Cluster holds no
+// goroutines; Close marks it closed.
 //
 // # Concurrency
 //
@@ -41,8 +42,8 @@
 // type: a Frontend plus k resident nodes (ServeTypedNode with a PointType
 // — scalar, k-d-tree-indexed vector and bit-packed Hamming shards ship —
 // or ServeTypedLocalOptions for a single-process loopback deployment) mesh up
-// once, elect a leader once, and answer each dispatched query batch as
-// one BSP epoch on the standing mesh; a batch's queries run as lockstep
+// once as a star around the seed's leader and answer each dispatched query
+// batch as one BSP epoch on the standing mesh; a batch's queries run as lockstep
 // sub-programs sharing the epoch's physical rounds, so KNNBatch over TCP
 // amortizes frames, syscalls and round latency across the batch. The
 // frontend's epoch scheduler pipelines up to FrontendOptions.Window
@@ -78,7 +79,6 @@ import (
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
-	"distknn/internal/transport/tcp"
 	"distknn/internal/xrand"
 )
 
@@ -123,8 +123,8 @@ const (
 )
 
 // Options configures a Cluster. At the default Alg2 a Cluster runs what a
-// served cluster runs — the min-GUID election once, then Las Vegas
-// Algorithm 2 with Lemma 2.3's constants — so it is the serving stack's cost
+// served cluster runs — Las Vegas Algorithm 2 with Lemma 2.3's constants
+// around the seed's min-GUID leader — so it is the serving stack's cost
 // model and oracle.
 type Options struct {
 	// Machines is k, the number of simulated machines (default 4).
@@ -132,7 +132,7 @@ type Options struct {
 	// BandwidthBytes is the per-link capacity per round; 0 selects the
 	// model default (64 B), negative means unlimited.
 	BandwidthBytes int
-	// Seed makes the cluster (partitioning, election, algorithm
+	// Seed makes the cluster (partitioning, leader, algorithm
 	// randomness) deterministic: two clusters built with equal inputs and
 	// queried serially replay identically. Under concurrent issue the
 	// per-query seeds follow arrival order, so cost metrics can vary run
@@ -152,9 +152,9 @@ func (o Options) withDefaults() Options {
 // QueryStats reports the distributed cost of one query. Each query gets its
 // own QueryStats; concurrent queries never share one.
 type QueryStats struct {
-	// Rounds, Messages and Bytes are the k-machine model costs. They
-	// cover the query protocol only: leader election happened once at
-	// cluster construction and is not charged to any query.
+	// Rounds, Messages and Bytes are the k-machine model costs of the
+	// query protocol; the leader is computed from the seed and costs
+	// nothing.
 	Rounds   int
 	Messages int64
 	Bytes    int64
@@ -179,15 +179,15 @@ type QueryStats struct {
 
 // Cluster is an in-process k-machine deployment of a labeled dataset:
 // create one with NewCluster (or the typed helpers), query it from as many
-// goroutines as you like, and Close it when done. The leader is elected once
-// at construction, so steady-state queries pay only the O(log ℓ) query
+// goroutines as you like, and Close it when done. The leader is computed
+// from the seed at construction, so queries pay only the O(log ℓ) query
 // protocol.
 type Cluster[P any] struct {
 	opts    Options
 	parts   []*points.Set[P] // immutable after construction
 	n       int
 	closed  atomic.Bool
-	leader  int           // election winner, cached at construction
+	leader  int           // election.Leader of the seed, cached at construction
 	queries atomic.Uint64 // per-query seed-derivation counter
 	// localTopL computes machine i's ℓ nearest local points. The default
 	// is the shard's block scan; NewVectorCluster installs a k-d-tree-backed
@@ -201,8 +201,7 @@ type Cluster[P any] struct {
 
 // NewCluster partitions pts (with optional labels, may be nil) across the
 // configured number of simulated machines using a balanced random partition,
-// the benign case of the model's adversarial placement, then elects the
-// leader.
+// the benign case of the model's adversarial placement.
 func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options) (*Cluster[P], error) {
 	opts = opts.withDefaults()
 	set, err := points.NewSet(pts, labels, metric, 1)
@@ -214,14 +213,9 @@ func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options
 	if err != nil {
 		return nil, fmt.Errorf("distknn: %w", err)
 	}
-	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len()}
+	// A served cluster's frontend and nodes compute the same leader.
+	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len(), leader: election.Leader(opts.Seed, opts.Machines)}
 	c.localTopL = func(i int, q P, l int) []Item { return c.parts[i].TopLItems(q, l) }
-	// The election runs on the stream a served cluster's setup epoch uses,
-	// so both elect the same leader from the same seed.
-	sim, _ := c.sim(xrand.DeriveSeed(opts.Seed, tcp.SetupSeedStream)) // not closed yet
-	if c.leader, _, err = election.Once(sim); err != nil {
-		return nil, fmt.Errorf("distknn: electing leader: %w", err)
-	}
 	return c, nil
 }
 
@@ -273,8 +267,8 @@ func (c *Cluster[P]) Close() {
 }
 
 // sim is the configuration of one simulator run seeded by seed, or
-// ErrClosed after Close. Every run the cluster makes — queries, batches,
-// selection and the election — is configured here.
+// ErrClosed after Close. Every run the cluster makes — queries, batches and
+// selection — is configured here.
 func (c *Cluster[P]) sim(seed uint64) (kmachine.Config, error) {
 	if c.closed.Load() {
 		return kmachine.Config{}, ErrClosed

@@ -1,8 +1,9 @@
 package distknn_test
 
-// Integration tests across the whole stack: every algorithm, after an
-// in-program election, must produce the same exact answer on one instance, and the
-// algorithms' cost profiles must respect the paper's ordering at scale. These tests exercise the composition paths the
+// Integration tests across the whole stack: every algorithm, around the
+// seed's min-GUID leader, must produce the same exact answer on one
+// instance, and the algorithms' cost profiles must respect the paper's
+// ordering at scale. These tests exercise the composition paths the
 // per-package suites cannot.
 
 import (
@@ -37,9 +38,9 @@ func oracleBoundary(seed uint64, k, n int, q points.Scalar, l int) keys.Key {
 	return points.Merge(parts).BruteKNN(q, l)[l-1].Key
 }
 
-// TestFullMatrixSimulator runs every algorithm inside the simulator behind a
-// MinGUID election in the same run, and checks exactness and machine
-// agreement.
+// TestFullMatrixSimulator runs every algorithm inside the simulator around
+// the seed's min-GUID leader (election.Leader), and checks exactness and
+// machine agreement.
 func TestFullMatrixSimulator(t *testing.T) {
 	const (
 		seed = uint64(2024)
@@ -57,16 +58,13 @@ func TestFullMatrixSimulator(t *testing.T) {
 		"saukas-song": core.SaukasSongKNN,
 		"binsearch":   core.BinarySearchKNN,
 	}
+	leader := election.Leader(seed, k)
 	for aname, algo := range algos {
 		t.Run(aname+"/minguid", func(t *testing.T) {
 			var mu sync.Mutex
 			bounds := make([]keys.Key, k)
 			prog := func(m kmachine.Env) error {
 				shard := shardFor(seed, m.ID(), n)
-				leader, err := election.MinGUID(m)
-				if err != nil {
-					return err
-				}
 				res, err := algo(m, core.Config{Leader: leader, L: l}, shard.TopLItems(q, l))
 				if err != nil {
 					return err

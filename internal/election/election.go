@@ -1,72 +1,38 @@
-// Package election implements leader election in the k-machine model.
+// Package election names the leader of a k-machine cluster.
 //
 // Both Algorithm 1 and Algorithm 2 of the paper open with "elect a leader
 // machine", and both need only that every machine agrees on one index. The
 // paper points to Kutten, Pandurangan, Peleg, Robinson and Trehan (TCS
-// 2015) for an O(1)-round, O(√k·log^{3/2} k)-message election; this package
-// runs the obvious protocol instead, MinGUID: every machine broadcasts its
-// GUID and the minimum wins, in one round and Θ(k²) messages,
-// deterministic given the GUIDs. The election runs once per cluster — Once
-// at an in-process cluster's construction, the setup epoch on a serving
-// mesh — and the winner is cached, so its cost amortizes to zero over the
-// query stream and no query is charged for it.
+// 2015) for an O(1)-round, O(√k·log^{3/2} k)-message election. Here every
+// machine's GUID derives from the session seed, which every party already
+// holds, so the min-GUID winner needs no messages at all: the in-process
+// Cluster, the serving frontend and every serving node each call Leader
+// and agree by construction. The election costs zero rounds, and no query
+// is charged for it.
 package election
 
-import (
-	"fmt"
+import "distknn/internal/xrand"
 
-	"distknn/internal/kmachine"
-	"distknn/internal/wire"
-)
+// setupSeedStream is the seed-derivation stream the GUIDs are drawn on. Query
+// epochs use the small positive ordinals 1, 2, 3, …, which never collide
+// with it.
+const setupSeedStream = ^uint64(0)
 
-// Once runs a single MinGUID election as one simulator run under cfg and
-// returns the agreed leader index together with the run's cost. It is the
-// construction-time path of a long-lived cluster: elect once, cache the
-// winner, and let every steady-state query skip election entirely.
-func Once(cfg kmachine.Config) (int, *kmachine.Metrics, error) {
-	leaders := make([]int, cfg.K)
-	prog := func(m kmachine.Env) error {
-		leader, err := MinGUID(m)
-		if err != nil {
-			return err
-		}
-		leaders[m.ID()] = leader
-		return nil
-	}
-	met, err := kmachine.Run(cfg, prog)
-	if err != nil {
-		return 0, nil, err
-	}
-	for i, leader := range leaders {
-		if leader != leaders[0] {
-			return 0, met, fmt.Errorf("election: machine %d elected %d, machine 0 elected %d", i, leader, leaders[0])
-		}
-	}
-	return leaders[0], met, nil
+// guid is machine i's globally unique identifier in the session with the
+// given seed.
+func guid(sessionSeed uint64, i int) uint64 {
+	return xrand.DeriveSeed(xrand.DeriveSeed(sessionSeed, setupSeedStream), uint64(i)+(1<<32))
 }
 
-// MinGUID elects the machine with the smallest GUID (ties, which cannot
-// happen with 64-bit GUIDs in practice, broken by machine index). Every
-// machine returns the winner's index after exactly one communication round.
-func MinGUID(m kmachine.Env) (int, error) {
-	if m.K() == 1 {
-		return 0, nil
-	}
-	var w wire.Writer
-	w.U64(m.GUID())
-	m.Broadcast(w.Bytes())
-	m.EndRound()
-	msgs := m.Gather(m.K() - 1)
-	best, bestID := m.GUID(), m.ID()
-	for _, msg := range msgs {
-		r := wire.NewReader(msg.Payload)
-		g := r.U64()
-		if err := r.Err(); err != nil {
-			return 0, fmt.Errorf("election: bad GUID message from %d: %w", msg.From, err)
-		}
-		if g < best || (g == best && msg.From < bestID) {
-			best, bestID = g, msg.From
+// Leader returns the index of the machine with the smallest GUID among the
+// k machines of the session with the given seed, the lowest index winning a
+// tie (which cannot happen with 64-bit GUIDs in practice).
+func Leader(sessionSeed uint64, k int) int {
+	best, bestID := uint64(0), 0
+	for i := 0; i < k; i++ {
+		if g := guid(sessionSeed, i); i == 0 || g < best {
+			best, bestID = g, i
 		}
 	}
-	return bestID, nil
+	return bestID
 }

@@ -1,100 +1,86 @@
 package election
 
-import (
-	"sync"
-	"testing"
+import "testing"
 
-	"distknn/internal/kmachine"
-)
-
-// runElection executes fn on every machine and asserts all machines agree on
-// the winner; it returns the winner and the run metrics.
-func runElection(t *testing.T, k int, seed uint64, bandwidth int,
-	fn func(m kmachine.Env) (int, error)) (int, *kmachine.Metrics) {
-	t.Helper()
-	var mu sync.Mutex
-	winners := make([]int, k)
-	met, err := kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: bandwidth},
-		func(m kmachine.Env) error {
-			w, err := fn(m)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			winners[m.ID()] = w
-			mu.Unlock()
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("election run failed: %v", err)
+// TestLeaderPinned pins Leader to the leaders the one-round MinGUID
+// protocol elected over messages before the election became a local
+// computation, so no cluster's leader moves.
+func TestLeaderPinned(t *testing.T) {
+	cases := []struct {
+		seed      uint64
+		k, leader int
+	}{
+		{1, 1, 0}, {1, 2, 0}, {1, 4, 0}, {1, 8, 0}, {1, 16, 8},
+		{7, 1, 0}, {7, 2, 1}, {7, 4, 1}, {7, 8, 1}, {7, 16, 1},
+		{42, 1, 0}, {42, 2, 0}, {42, 4, 0}, {42, 8, 7}, {42, 16, 12},
+		{0xDEADBEEF, 1, 0}, {0xDEADBEEF, 2, 1}, {0xDEADBEEF, 4, 3}, {0xDEADBEEF, 8, 7}, {0xDEADBEEF, 16, 10},
 	}
-	for i := 1; i < k; i++ {
-		if winners[i] != winners[0] {
-			t.Fatalf("machines disagree: machine %d says %d, machine 0 says %d",
-				i, winners[i], winners[0])
+	for _, c := range cases {
+		if got := Leader(c.seed, c.k); got != c.leader {
+			t.Errorf("Leader(%d, %d) = %d, want %d", c.seed, c.k, got, c.leader)
 		}
 	}
-	if winners[0] < 0 || winners[0] >= k {
-		t.Fatalf("winner %d out of range", winners[0])
-	}
-	return winners[0], met
 }
 
+// TestMinGUIDAgreement checks that Leader is a pure function of (seed, k):
+// repeated calls agree, and the winner is a machine of the cluster.
 func TestMinGUIDAgreement(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 8, 32} {
 		for seed := uint64(0); seed < 3; seed++ {
-			runElection(t, k, seed, 0, MinGUID)
+			l := Leader(seed, k)
+			if l < 0 || l >= k {
+				t.Fatalf("Leader(%d, %d) = %d, outside the cluster", seed, k, l)
+			}
+			if again := Leader(seed, k); again != l {
+				t.Fatalf("Leader(%d, %d) returned %d, then %d", seed, k, l, again)
+			}
 		}
 	}
 }
 
 func TestMinGUIDPicksActualMinimum(t *testing.T) {
-	k := 16
-	guids := make([]uint64, k)
-	var mu sync.Mutex
-	winner, _ := runElection(t, k, 5, 0, func(m kmachine.Env) (int, error) {
-		mu.Lock()
-		guids[m.ID()] = m.GUID()
-		mu.Unlock()
-		return MinGUID(m)
-	})
+	const k = 16
 	min := 0
 	for i := 1; i < k; i++ {
-		if guids[i] < guids[min] {
+		if guid(5, i) < guid(5, min) {
 			min = i
 		}
 	}
-	if winner != min {
+	if winner := Leader(5, k); winner != min {
 		t.Errorf("winner %d but min GUID at %d", winner, min)
 	}
 }
 
-func TestMinGUIDOneRound(t *testing.T) {
-	_, met := runElection(t, 8, 7, 0, MinGUID)
-	if met.Rounds != 1 {
-		t.Errorf("MinGUID took %d rounds, want 1", met.Rounds)
+// TestElectorsDeterministicPerSeed pins that the leader replays per seed
+// and that the seed, not the index, decides it.
+func TestElectorsDeterministicPerSeed(t *testing.T) {
+	seen := make(map[int]bool)
+	for seed := uint64(0); seed < 64; seed++ {
+		if Leader(seed, 32) != Leader(seed, 32) {
+			t.Fatalf("seed %d elected two leaders", seed)
+		}
+		seen[Leader(seed, 32)] = true
 	}
-	if met.Messages != 8*7 {
-		t.Errorf("MinGUID sent %d messages, want 56", met.Messages)
+	if len(seen) < 2 {
+		t.Errorf("64 seeds elected only %d distinct leaders", len(seen))
 	}
 }
 
-// TestElectorsDeterministicPerSeed pins that Once replays: the same seed
-// elects the same leader, which agrees with MinGUID run in-program.
-func TestElectorsDeterministicPerSeed(t *testing.T) {
-	cfg := kmachine.Config{K: 32, Seed: 99}
-	w1, _, err := Once(cfg)
-	if err != nil {
-		t.Fatal(err)
+func TestGUIDsUniqueAndSeedDependent(t *testing.T) {
+	const k = 32
+	seen := make(map[uint64]bool)
+	same := 0
+	for i := 0; i < k; i++ {
+		g := guid(1, i)
+		if seen[g] {
+			t.Fatalf("GUID collision")
+		}
+		seen[g] = true
+		if g == guid(2, i) {
+			same++
+		}
 	}
-	w2, _, err := Once(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1 != w2 {
-		t.Errorf("same seed elected %d then %d", w1, w2)
-	}
-	if w, _ := runElection(t, 32, 99, 0, MinGUID); w != w1 {
-		t.Errorf("Once elected %d, MinGUID %d", w1, w)
+	if same == k {
+		t.Errorf("GUIDs identical across seeds")
 	}
 }

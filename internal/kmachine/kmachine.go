@@ -137,14 +137,14 @@ func (m *Metrics) ModeledTime(c CostModel) time.Duration {
 // Env is the execution environment a protocol sees: identity, private
 // randomness, and synchronous-round messaging. The in-process simulator's
 // *Machine implements it, and so does the TCP runtime's node, so every
-// protocol in this repository runs unchanged on either.
+// protocol in this repository runs unchanged on either. An Env carries no
+// GUID: the leader every protocol is handed is computed from the session
+// seed before the run (package election).
 type Env interface {
 	// ID returns this machine's index in [0, K()).
 	ID() int
 	// K returns the number of machines.
 	K() int
-	// GUID returns this machine's globally unique random identifier.
-	GUID() uint64
 	// Bandwidth returns B, the bytes a link carries per round including
 	// MessageOverheadBytes per message; negative means unlimited. A message
 	// of at most B bytes crosses its link in one round.
@@ -177,7 +177,6 @@ type Program func(m Env) error
 type Machine struct {
 	id        int
 	k         int
-	guid      uint64
 	rng       *rand.Rand
 	bandwidth int
 
@@ -205,11 +204,6 @@ func (m *Machine) ID() int { return m.id }
 
 // K returns the number of machines.
 func (m *Machine) K() int { return m.k }
-
-// GUID returns this machine's globally unique random identifier. Machines in
-// the k-machine model have unique IDs that are not, a priori, the integers
-// 0..k−1; leader election operates on GUIDs.
-func (m *Machine) GUID() uint64 { return m.guid }
 
 // Rand returns this machine's private random stream.
 func (m *Machine) Rand() *rand.Rand { return m.rng }
@@ -302,7 +296,7 @@ func Run(cfg Config, prog Program) (*Metrics, error) {
 
 // RunPrograms executes progs[i] on machine i and returns the run's metrics.
 // The first program error (or panic) aborts the run and is returned. It is
-// safe to call concurrently: machines, GUIDs, random streams, link
+// safe to call concurrently: machines, random streams, link
 // timelines and metrics are all built fresh from cfg.Seed, so concurrent
 // runs are isolated and a run replays bit-for-bit. Every machine has halted
 // when it returns; its goroutine ends with its halt report.
@@ -329,7 +323,6 @@ func RunPrograms(cfg Config, progs []Program) (*Metrics, error) {
 		machines[i] = &Machine{
 			id:        i,
 			k:         k,
-			guid:      xrand.DeriveSeed(cfg.Seed, uint64(i)+(1<<32)),
 			rng:       xrand.NewStream(cfg.Seed, uint64(i)),
 			bandwidth: bandwidth,
 			resume:    make(chan []Message),

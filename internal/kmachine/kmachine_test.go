@@ -370,39 +370,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestGUIDsUniqueAndSeedDependent(t *testing.T) {
-	collect := func(seed uint64) []uint64 {
-		k := 32
-		guids := make([]uint64, k)
-		_, err := Run(Config{K: k, Seed: seed}, func(m Env) error {
-			guids[m.ID()] = m.GUID()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return guids
-	}
-	a := collect(1)
-	seen := make(map[uint64]bool)
-	for _, g := range a {
-		if seen[g] {
-			t.Fatalf("GUID collision")
-		}
-		seen[g] = true
-	}
-	b := collect(2)
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Errorf("GUIDs identical across seeds")
-	}
-}
-
 func TestRandStreamsIndependent(t *testing.T) {
 	k := 4
 	draws := make([]uint64, k)

@@ -10,10 +10,10 @@ import (
 )
 
 // This file is how a program runs on the mesh: as a lane of an epoch. An
-// epoch runs b programs — one for the setup epoch and for a single query, one
-// per query point for a batch — each against the full kmachine.Env surface,
-// all sharing the epoch's physical rounds: their per-round messages travel
-// in the one frame per live edge, each carrying its lane index, and are
+// epoch runs b programs — one for a single query, one per query point for a
+// batch — each against the full kmachine.Env surface, all sharing the
+// epoch's physical rounds: their per-round messages travel in the one frame
+// per live link, each carrying its lane index, and are
 // filed under that lane on arrival. An epoch of b lanes therefore costs
 // max(rounds over the b programs) physical round exchanges instead of their
 // sum: frames, syscalls and per-round latency are amortized b-fold, which is
@@ -140,10 +140,6 @@ func (l *lane) ID() int { return l.er.n.id }
 // K returns the cluster size.
 func (l *lane) K() int { return l.er.n.k }
 
-// GUID returns the node's unique identifier for this epoch, derived from
-// the epoch seed exactly as the simulator derives it.
-func (l *lane) GUID() uint64 { return l.er.guid }
-
 // Rand returns the lane's private random stream (lane 0's is the
 // simulator's stream for this machine at the epoch seed).
 func (l *lane) Rand() *rand.Rand { return l.rng }
@@ -168,11 +164,11 @@ func (l *lane) Send(to int, payload []byte) {
 	if to == n.id {
 		panic(fmt.Sprintf("tcp: node %d sending to itself", n.id))
 	}
-	if !l.er.edge(to) {
+	if !n.neighbour(to) {
 		// A program error, not a transport fault: the lane fails the epoch
 		// before anything reaches the wire, and every link stays up.
 		panic(fmt.Errorf("tcp: node %d sent to node %d in epoch %d, a star around node %d: a query program talks only to the leader",
-			n.id, to, l.er.epoch, l.er.hub))
+			n.id, to, l.er.epoch, n.leader))
 	}
 	l.out = append(l.out, laneSend{to: to, payload: payload})
 	// Charge the protocol payload only: the lane index is transport framing.

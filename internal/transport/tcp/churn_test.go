@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -357,36 +358,84 @@ func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
 }
 
-// TestChurnDoubleRejoinRestoresFullMesh loses two of three seats and
-// re-joins both concurrently. Handshakes are serialized, so the second
-// re-joiner's grant must list the first among the peers to dial — without
-// that, the two replacements never link to each other and every later
-// epoch dies on the hole in the mesh.
-func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
+// checkStar asserts that the mesh is the star around leader: every worker
+// holds exactly one healthy link, to the leader, and the leader one to
+// every worker.
+func (c *churnCluster) checkStar(k, leader int) {
+	c.t.Helper()
+	for id := 0; id < k; id++ {
+		held := 0
+		for j, p := range c.session(id).node.peerSnapshot() {
+			if p == nil {
+				continue
+			}
+			held++
+			if id != leader && j != leader {
+				c.t.Errorf("worker %d holds a link to worker %d", id, j)
+			}
+			if err := p.cause(); err != nil {
+				c.t.Errorf("node %d's link to %d is broken: %v", id, j, err)
+			}
+		}
+		want := 1
+		if id == leader {
+			want = k - 1
+		}
+		if held != want {
+			c.t.Errorf("node %d holds %d links, want %d", id, held, want)
+		}
+	}
+}
+
+// waitDegraded polls until the cluster reports exactly present of its k
+// seats held.
+func waitDegraded(t *testing.T, client *Client, k, present int) {
+	t.Helper()
+	want := fmt.Sprintf("(%d of %d nodes)", present, k)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 3))
+		if err != nil && strings.Contains(err.Error(), want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the cluster never degraded to %d of %d seats: %v", present, k, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestChurnDoubleRejoinRestoresStar checks that the mesh is the star around
+// the leader after bring-up, after a worker re-joins and after the leader
+// re-joins, and then loses the leader and a worker together and re-joins
+// both concurrently. Handshakes are serialized, so the second re-joiner's
+// grant must list the first among the peers to dial — without that, the
+// leader and the worker never link and every later epoch dies on the hole
+// in the star.
+func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	k := 3
 	c := startChurnCluster(t, k, 61, func() Handler { return &echoHandler{} })
 	leader := c.fe.Leader()
+	worker := (leader + 1) % k
 	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
+	c.checkStar(k, leader)
 
-	c.session(1).kill()
-	c.session(2).kill()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, err := client.Do(scalarQuery(wire.OpKNN, k, 3))
-		if err != nil && strings.Contains(err.Error(), "(1 of 3 nodes)") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("both kills never degraded the cluster: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	for _, id := range []int{worker, leader} {
+		c.session(id).kill()
+		waitDegraded(t, client, k, k-1)
+		c.startNode(&echoHandler{})
+		checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 4)), k, 4, leader)
+		c.checkStar(k, leader)
 	}
 
+	c.session(leader).kill()
+	c.session(worker).kill()
+	waitDegraded(t, client, k, k-2)
 	c.startNode(&echoHandler{})
 	c.startNode(&echoHandler{})
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 7)), k, 7, leader)
@@ -397,6 +446,7 @@ func TestChurnDoubleRejoinRestoresFullMesh(t *testing.T) {
 		}
 		checkEcho(t, rep, k, v, leader)
 	}
+	c.checkStar(k, leader)
 }
 
 // TestLocalClusterCloseIdempotent is the regression test for the seed bug

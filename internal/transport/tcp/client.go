@@ -487,8 +487,7 @@ type LocalCluster struct {
 // epoch scheduler configuration (pipelining window, server-side batching).
 // newHandler builds one Handler per node (each node needs its own instance,
 // since a Handler keeps per-node state); node identities are assigned at
-// join time, so handlers must discover their shard through the Env they are
-// given. nodeReg receives every node's serve-loop telemetry (the k nodes
+// join time, so handlers learn their seat from the Load call. nodeReg receives every node's serve-loop telemetry (the k nodes
 // share it, so its node_* counters are cluster-wide totals); nil records
 // nothing. The cluster is ready to serve (and Addr dialable by clients)
 // when ServeLocalOptions returns.
@@ -526,7 +525,7 @@ func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Re
 // Addr returns the frontend address clients should dial.
 func (lc *LocalCluster) Addr() string { return lc.fe.Addr() }
 
-// Leader returns the elected leader machine.
+// Leader returns the session leader machine.
 func (lc *LocalCluster) Leader() int { return lc.fe.Leader() }
 
 // EvictNode forcibly retires node id (see Frontend.EvictNode); re-join it

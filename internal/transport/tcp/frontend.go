@@ -10,15 +10,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distknn/internal/election"
 	"distknn/internal/obs"
 	"distknn/internal/wire"
 )
 
 // Frontend is the client-facing side of a serving cluster. It performs
 // rendezvous (machine indices in registration order, the mesh address book
-// to every node) and then stays resident: it keeps the control connection
-// to every node, dispatches client queries as BSP epochs, collates the
-// nodes' winner shares per epoch, and answers the clients. Protocol traffic
+// and the star neighbours to dial to every node) and then stays resident:
+// it keeps the control connection to every node, dispatches client queries
+// as BSP epochs, collates the nodes' winner shares per epoch, and answers
+// the clients. Protocol traffic
 // between nodes still flows over the mesh only; the frontend carries queries
 // in and merged results out.
 //
@@ -58,11 +60,11 @@ type Frontend struct {
 	readyErr error         // written before ready closes on failure
 
 	// rejoinMu serializes re-join handshakes: a later grant must see an
-	// earlier sealed seat in its Present list, or two concurrent
-	// re-joiners would never learn to dial each other and leave a hole in
-	// the mesh. It is never held together with work on mu's critical
-	// paths: queries, Close and evictions stay responsive during a slow
-	// handshake.
+	// earlier sealed seat in its Present list, or a leader and a worker
+	// re-joining concurrently would never learn to dial each other and
+	// leave a hole in the star. It is never held together with work on mu's
+	// critical paths: queries, Close and evictions stay responsive during a
+	// slow handshake.
 	rejoinMu sync.Mutex
 
 	// mu guards seat transitions (eviction, re-join), the address book and
@@ -71,11 +73,11 @@ type Frontend struct {
 	mu        sync.Mutex
 	slots     []*feSlot // one per machine id; nil until the session is ready
 	addrs     []string  // mesh address book, updated on re-join
-	leader    int
-	total     int64   // global point count (sum of shard sizes)
-	tag       uint8   // point encoding the nodes serve
-	shardLens []int64 // per-node shard sizes, pinned at setup to vet re-joins
-	epoch     uint64  // last assigned query-epoch ordinal
+	leader    int       // election.Leader of the session; -1 until sealed
+	total     int64     // global point count (sum of shard sizes)
+	tag       uint8     // point encoding the nodes serve
+	shardLens []int64   // per-node shard sizes, pinned at setup to vet re-joins
+	epoch     uint64    // last assigned query-epoch ordinal
 
 	clientsMu sync.Mutex
 	clients   map[net.Conn]struct{} // live client connections, for Close
@@ -257,8 +259,13 @@ func (f *Frontend) Serve() error {
 			return fail(fmt.Errorf("tcp: frontend closed with %d of %d nodes registered", len(conns), f.k))
 		}
 	}
+	// Every worker dials the leader; the leader dials no one.
+	leader := election.Leader(f.seed, f.k)
 	for id, conn := range conns {
-		a := wire.Assign{ID: id, K: f.k, Seed: f.seed, Leader: -1, Addrs: addrs}
+		a := wire.Assign{ID: id, K: f.k, Seed: f.seed, Addrs: addrs}
+		if id != leader {
+			a.Present = []int{leader}
+		}
 		if err := wire.WriteFrame(conn, wire.EncodeAssign(a)); err != nil {
 			return fail(fmt.Errorf("tcp: frontend assign to %d: %w", id, err))
 		}
@@ -277,39 +284,36 @@ func (f *Frontend) Serve() error {
 		}
 	}()
 
-	// Wait for every node's post-setup report and verify agreement. All k
-	// frames are drained before failing so that a setup error surfaces
-	// the originating node's message (origin=1) instead of whichever
-	// peer-abort echo happens to arrive on the lowest id.
-	leader, tag := -1, uint8(0)
+	// Wait for every node's ready report and verify the nodes agree. All k
+	// frames are drained before failing so that a node's own failure report
+	// surfaces instead of whichever lost connection it caused on a lower id.
+	tag := uint8(0)
 	var total int64
 	shardLens := make([]int64, f.k)
 	summaries := make([]wire.ShardSummary, f.k)
 	haveFirst := false
 	var setupErr error
-	setupOrigin := false
-	record := func(origin bool, err error) {
-		if setupErr == nil || (origin && !setupOrigin) {
-			setupErr, setupOrigin = err, origin
+	setupOwn := false
+	record := func(own bool, err error) {
+		if setupErr == nil || (own && !setupOwn) {
+			setupErr, setupOwn = err, own
 		}
 	}
 	for id, conn := range conns {
 		rdy, sum, err := readReady(conn, id)
 		if err != nil {
 			var se setupError
-			record(errors.As(err, &se) && se.origin, err)
+			record(errors.As(err, &se), err)
 			continue
 		}
 		switch {
-		case rdy.Leader < 0 || rdy.Leader >= f.k:
-			// A re-join grant names the leader; it must be a seat.
-			record(true, fmt.Errorf("tcp: node %d elected %d, outside the %d-node cluster", id, rdy.Leader, f.k))
 		case !haveFirst:
-			leader, tag, haveFirst = rdy.Leader, rdy.PointTag, true
-		case rdy.Leader != leader:
-			record(true, fmt.Errorf("tcp: node %d elected %d, an earlier node elected %d", id, rdy.Leader, leader))
+			tag, haveFirst = rdy.PointTag, true
 		case rdy.PointTag != tag:
 			record(true, fmt.Errorf("tcp: node %d serves point tag %d, an earlier node serves %d", id, rdy.PointTag, tag))
+		}
+		if rdy.ShardLen > math.MaxInt64-total {
+			record(true, fmt.Errorf("tcp: node %d's shard of %d points overflows the global point count", id, rdy.ShardLen))
 		}
 		shardLens[id] = rdy.ShardLen
 		total += rdy.ShardLen
@@ -345,13 +349,11 @@ func (f *Frontend) Serve() error {
 	return nil
 }
 
-// setupError is a node's own report that its setup failed; origin marks a
-// failure that started in that node's program rather than a peer's abort
-// echo. Only Serve's setup drain inspects it, to surface the origin.
+// setupError is a node's own report that its join failed. Only Serve's
+// ready drain inspects it, to prefer it over the lost connections it caused.
 type setupError struct {
-	id     int
-	msg    string
-	origin bool
+	id  int
+	msg string
 }
 
 func (e setupError) Error() string { return fmt.Sprintf("tcp: node %d failed setup: %s", e.id, e.msg) }
@@ -373,7 +375,7 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, er
 		if err != nil {
 			return rdy, sum, fmt.Errorf("tcp: bad setup error from node %d", id)
 		}
-		return rdy, sum, setupError{id: id, msg: ne.Msg, origin: ne.Origin}
+		return rdy, sum, setupError{id: id, msg: ne.Msg}
 	default:
 		return rdy, sum, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
 	}
@@ -560,14 +562,14 @@ func (f *Frontend) handleRejoin(conn net.Conn, addr string) {
 	// The epoch snapshot stays valid for the whole handshake: the granted
 	// seat is absent until the seal, and queries cannot consume epochs
 	// while any seat is absent. Leader, shard sizes and the point tag are
-	// immutable after setup.
+	// immutable after setup. The grant lists the seated star neighbours:
+	// the leader for a worker, every worker for the leader.
 	a := wire.Assign{
-		ID: slot.id, K: f.k, Seed: f.seed,
-		Leader: f.leader, Epoch: f.epoch,
+		ID: slot.id, K: f.k, Seed: f.seed, Epoch: f.epoch,
 		Addrs: append([]string(nil), f.addrs...),
 	}
 	for _, s := range f.slots {
-		if s.present {
+		if s.present && (slot.id == f.leader || s.id == f.leader) {
 			a.Present = append(a.Present, s.id)
 		}
 	}
@@ -579,8 +581,8 @@ func (f *Frontend) handleRejoin(conn net.Conn, addr string) {
 		conn.Close()
 		return
 	}
-	// The node now rebuilds its shard and dials the present peers; its
-	// ready report seals the seat. rejoinMu stays held across these reads —
+	// The node now dials the listed peers and rebuilds its shard; its ready
+	// report seals the seat. rejoinMu stays held across these reads —
 	// serializing the handshake is what it is for — and the conn carries the
 	// handshake deadline.
 	rdy, sum, err := readReady(conn, slot.id)
@@ -590,9 +592,6 @@ func (f *Frontend) handleRejoin(conn net.Conn, addr string) {
 	switch {
 	case err != nil:
 		deny(err.Error())
-		return
-	case rdy.Leader != f.leader:
-		deny(fmt.Sprintf("ready reports leader %d, session elected %d", rdy.Leader, f.leader))
 		return
 	case rdy.ShardLen != f.shardLens[slot.id]:
 		deny(fmt.Sprintf("shard of %d points, seat %d held %d — rebuilt data must match", rdy.ShardLen, slot.id, f.shardLens[slot.id]))
@@ -638,8 +637,8 @@ func (f *Frontend) prunableLocked() bool {
 	return true
 }
 
-// Leader returns the cluster's elected leader (-1 before the session is
-// ready).
+// Leader returns the cluster's leader, election.Leader of the session seed
+// (-1 before the session is ready).
 func (f *Frontend) Leader() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"distknn/internal/election"
 	"distknn/internal/kmachine"
 	"distknn/internal/wire"
 )
@@ -107,12 +108,12 @@ func TestEpochRejectsMessageForMissingLane(t *testing.T) {
 		}
 		<-release
 	})
-	node := newNode(1, 2)
+	node := newNode(1, 2, 0)
 	defer node.closePeers()
 	if err := dialPeer(node, 0, addr); err != nil {
 		t.Fatal(err)
 	}
-	er, err := node.beginEpoch(0, 1, -1)
+	er, err := node.beginEpoch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +141,23 @@ func TestEpochRejectsMessageForMissingLane(t *testing.T) {
 }
 
 // TestStarEpochRejectsWorkerToWorkerMessage plays a query program that
-// breaks the star contract: in a live 3-node star epoch around node 0,
-// worker 1 messages worker 2. That is the program's fault, not the mesh's:
-// the epoch must fail on every node — worker 2 learns of it only through
-// the hub — with a program error naming both nodes, without hanging and
-// without dropping a link, and the next star epoch must succeed.
+// breaks the star contract: in a live 3-node star epoch around node 0 (the
+// leader of seed 12), worker 1 messages worker 2. That is the program's
+// fault, not the mesh's: the epoch must fail on every node — worker 2 learns
+// of it only through the hub — with a program error naming both nodes,
+// without hanging and without dropping a link, and the next star epoch must
+// succeed.
 func TestStarEpochRejectsWorkerToWorkerMessage(t *testing.T) {
-	const k, hub = 3, 0
-	nodes := startMesh(t, k, 12)
+	const k, hub, seed = 3, 0, 12
+	if l := election.Leader(seed, k); l != hub {
+		t.Fatalf("seed %d elects %d, the test needs a star around %d", seed, l, hub)
+	}
+	nodes := startMesh(t, k, seed)
 	star := func(ordinal uint64, prog kmachine.Program) []error {
 		t.Helper()
 		done := make(chan []error, 1)
 		go func() {
-			_, errs := runStarEpoch(nodes, ordinal, hub, prog)
+			_, errs := runStarEpoch(nodes, ordinal, prog)
 			done <- errs
 		}()
 		select {
@@ -182,7 +187,7 @@ func TestStarEpochRejectsWorkerToWorkerMessage(t *testing.T) {
 	}
 	for i, n := range nodes {
 		for j, p := range n.peerSnapshot() {
-			if j != i && p == nil {
+			if n.neighbour(j) && p == nil {
 				t.Errorf("node %d dropped its link to %d over a program error", i, j)
 			}
 		}
@@ -239,8 +244,9 @@ func TestLinkBudgetFitsABatchFrame(t *testing.T) {
 // so ns/op is the cost of a round against the bytes it carries. linkBudget
 // is read off this curve.
 func BenchmarkStarRoundBytes(b *testing.B) {
-	const k, hub = 4, 0
-	nodes := startMesh(b, k, 31)
+	const k, seed = 4, 31
+	hub := election.Leader(seed, k)
+	nodes := startMesh(b, k, seed)
 	epoch := uint64(0)
 	for _, size := range []int{64, 4 << 10, 8 << 10, 16 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
@@ -248,7 +254,7 @@ func BenchmarkStarRoundBytes(b *testing.B) {
 			rounds := b.N
 			epoch++
 			b.ResetTimer()
-			_, errs := runStarEpoch(nodes, epoch, hub, func(m kmachine.Env) error {
+			_, errs := runStarEpoch(nodes, epoch, func(m kmachine.Env) error {
 				for range rounds {
 					if m.ID() == hub {
 						m.Broadcast(query)

@@ -8,20 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"distknn/internal/election"
 	"distknn/internal/kmachine"
 	"distknn/internal/obs"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 	"distknn/internal/xrand"
 )
-
-// SetupSeedStream is the seed-derivation stream reserved for the setup epoch
-// (leader election). It matches the stream the in-process facade reserves
-// for its construction-time election, so a serving TCP cluster and an
-// in-process Cluster built from the same session seed derive identical
-// election randomness. Query epochs use the small positive ordinals
-// 1, 2, 3, …, which never collide with it.
-const SetupSeedStream = ^uint64(0)
 
 // handshakeTimeout bounds the blocking network steps of the mesh hello/ack
 // handshake and the re-join handshake, so a wedged counterparty cannot pin
@@ -42,12 +35,9 @@ var ErrSessionLost = errors.New("tcp: serving session lost")
 // again once the absent node re-joins. Matched with errors.Is.
 var ErrDegraded = errors.New("cluster degraded")
 
-// SessionInfo is what a node's Handler learns during the setup epoch and
-// reports to the frontend in its KindReady frame.
+// SessionInfo is what a node's Handler reports once it has loaded its
+// shard; the node forwards it to the frontend in its KindReady frame.
 type SessionInfo struct {
-	// Leader is the elected leader's machine index (identical on every
-	// node — the frontend verifies agreement before serving).
-	Leader int
 	// ShardLen is the number of points this node holds; the frontend sums
 	// the shards to validate ℓ against the global point count.
 	ShardLen int
@@ -73,57 +63,57 @@ type QueryResult struct {
 	Iterations int
 }
 
-// Handler is the per-node protocol logic a resident node runs: one Setup
-// epoch at session start (leader election, shard discovery) — or one Rejoin
-// call when the node re-joins a running session — then, per dispatched
-// batch, one Query call per point of the batch, all inside a single BSP
-// epoch. Setup and Query run on the standing mesh; Rejoin is local (the
-// leader is already elected and handed down by the frontend), so it only
-// rebuilds the node's shard and index.
+// Handler is the per-node protocol logic a resident node runs: one Load
+// call once the node holds its seat — at rendezvous and on a re-join alike —
+// then, per dispatched batch, one Query call per point of the batch, all
+// inside a single BSP epoch on the standing mesh.
 //
-// Topology is part of the contract. Setup runs on the full mesh and may
-// message any node. Query runs in a star around SessionInfo.Leader: a
-// worker may only Send to the leader, and only the leader may Broadcast —
-// the shape of every core and dsel protocol. A worker that messages another
-// worker fails its epoch with a program error (no link is dropped); the
-// star is what lets a query round cost 2(k−1) frames instead of k(k−1).
+// Topology is part of the contract. Query runs in a star around the
+// session leader Load was handed: a worker may only Send to the leader, and
+// only the leader may Broadcast — the shape of every core and dsel
+// protocol. A worker that messages another worker fails its epoch with a
+// program error (no link is dropped); the star is what lets a query round
+// cost 2(k−1) frames instead of k(k−1).
 //
 // Query calls run concurrently on one receiver: every per-point call is a
 // lane of its epoch (each on its own Env; see batch.go), a batch's lanes
 // share that epoch's rounds, and the frontend's scheduler pipelines whole
 // epochs, so lanes of distinct dispatched epochs execute concurrently on the
-// same node too. Implementations must therefore keep
-// per-call state local and treat state written in Setup/Rejoin (the shard,
-// the leader) as read-only during queries. A Handler instance belongs to
-// one node.
-// Direct answers one query point of a pruned (no-mesh) dispatch: the node
-// returns its local top-ℓ winners straight from its shard, with no BSP
-// epoch and no Env — the frontend merges the shares of the contacted nodes
-// itself. The frontend only sends direct dispatches to sessions whose every
-// node reported a metric-index summary, so a Handler that leaves
-// SessionInfo.Summary unset never receives one (return an error).
+// same node too. Implementations must therefore keep per-call state local
+// and treat state written in Load (the shard, the leader) as read-only
+// during queries. A Handler instance belongs to one node.
 type Handler interface {
-	Setup(m kmachine.Env) (SessionInfo, error)
-	Rejoin(id, k, leader int) (SessionInfo, error)
+	// Load builds the shard of seat id of k and records the session
+	// leader. It runs locally, before the node reports ready.
+	Load(id, k, leader int) (SessionInfo, error)
+	// Query answers point qi of a dispatched batch as one lane of a BSP
+	// epoch.
 	Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, error)
+	// Direct answers one query point of a pruned (no-mesh) dispatch: the
+	// node returns its local top-ℓ winners straight from its shard, with
+	// no BSP epoch and no Env — the frontend merges the shares of the
+	// contacted nodes itself. The frontend only sends direct dispatches to
+	// sessions whose every node reported a metric-index summary, so a
+	// Handler that leaves SessionInfo.Summary unset never receives one
+	// (return an error).
 	Direct(q wire.Query, qi int) (QueryResult, error)
 }
 
 // ServeNodeObserved joins the serving cluster at the frontend's address and
-// stays resident: it meshes up once, runs h.Setup as the setup epoch, reports
-// readiness, and then executes one epoch per dispatched query batch until
-// the frontend shuts the session down (clean return). It is the one node
-// entry point; the node's serve-loop telemetry (epochs served, mesh
-// round/message/byte totals, control-plane frame bytes, pool traffic — see
-// metrics.go for the instrument names) is bound to reg, and a nil reg
-// records into a private registry.
+// stays resident: it dials the star neighbours its grant lists, loads its
+// shard through h.Load, reports readiness, and then executes one epoch per
+// dispatched query batch until the frontend shuts the session down (clean
+// return). It is the one node entry point; the node's serve-loop telemetry
+// (epochs served, mesh round/message/byte totals, control-plane frame
+// bytes, pool traffic — see metrics.go for the instrument names) is bound
+// to reg, and a nil reg records into a private registry.
 //
-// If the frontend is already past rendezvous and a cluster seat is absent
-// (its node died or was evicted), the Assign grant names the session's
-// leader: the node takes over the lowest absent seat, rebuilds its shard
-// via h.Rejoin, splices replacement mesh links into the resident peers, and
-// resumes serving at the session's current epoch ordinal — so a freshly
-// started process heals a degraded cluster with no extra flags.
+// The join path is the same at rendezvous and on a re-join: if the
+// frontend is already past rendezvous and a cluster seat is absent (its
+// node died or was evicted), the node takes over the lowest absent seat,
+// splices replacement star links into the resident peers, and resumes
+// serving at the session's current epoch ordinal — so a freshly started
+// process heals a degraded cluster with no extra flags.
 //
 // meshAddr is the address the node's mesh listener binds; advertise is the
 // address peers are told to dial, for deployments where the bind address is
@@ -170,54 +160,39 @@ func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*node
 	}
 	defer coord.Close()
 
-	node := newNode(a.ID, a.K)
+	node := newNode(a.ID, a.K, election.Leader(a.Seed, a.K))
 	defer node.closePeers()
-	// The accept loop runs for the whole session: it seats the initial
-	// higher-id dialers and, later, replacement links from re-joining
-	// peers.
+	// The accept loop runs for the whole session: on the leader it seats
+	// the workers' dials, on a worker the re-joined leader's.
 	go meshAcceptLoop(node, ln)
 	if hook != nil {
 		hook(&nodeSession{coord: coord, node: node, ln: ln})
 	}
 
-	var info SessionInfo
-	if a.Leader >= 0 {
-		// The grant names a leader, so the session is running: no setup
-		// epoch, and dispatched epochs continue at the session's current
-		// ordinal (the fresh mesh links carry no stale-epoch leftovers).
-		for _, j := range a.Present {
-			if err := dialPeer(node, j, a.Addrs[j]); err != nil {
-				return err
-			}
-		}
-		if info, err = h.Rejoin(a.ID, a.K, a.Leader); err != nil {
-			_ = writeNodeError(coord, a.Epoch, err)
-			return fmt.Errorf("tcp: node %d rejoin: %w", a.ID, err)
-		}
-	} else {
-		if err := buildMesh(node, a.Addrs); err != nil {
+	// The grant lists the seated star neighbours this node must dial; a
+	// dial returns once the peer acked it, so when the frontend has every
+	// ready report, every star link is installed on both ends. Dispatched
+	// epochs continue at the grant's epoch ordinal (fresh links carry no
+	// stale-epoch leftovers).
+	for _, j := range a.Present {
+		if err := dialPeer(node, j, a.Addrs[j]); err != nil {
 			return err
 		}
-		// Setup epoch (ordinal 0): elect the leader exactly once per
-		// session.
-		if _, err := node.runEpoch(0, xrand.DeriveSeed(a.Seed, SetupSeedStream), func(m kmachine.Env) error {
-			var err error
-			info, err = h.Setup(m)
-			return err
-		}); err != nil {
-			_ = writeNodeError(coord, 0, err)
-			return fmt.Errorf("tcp: node %d setup: %w", a.ID, err)
-		}
+	}
+	info, err := h.Load(a.ID, a.K, node.leader)
+	if err != nil {
+		_ = writeNodeError(coord, a.Epoch, err)
+		return fmt.Errorf("tcp: node %d load: %w", a.ID, err)
 	}
 
 	var ready wire.Writer
-	wire.AppendReady(&ready, wire.Ready{Node: a.ID, Leader: info.Leader, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
+	wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
 	if err := wire.WriteFrame(coord, ready.Bytes()); err != nil {
 		return fmt.Errorf("tcp: node %d ready: %w (%v)", a.ID, ErrSessionLost, err)
 	}
-	// The metric-index summary follows every ready frame — setup and
-	// re-join alike — so the frontend always has current centroid/radius
-	// geometry for each seated incarnation before it serves queries on it.
+	// The metric-index summary follows every ready frame, so the frontend
+	// always has current centroid/radius geometry for each seated
+	// incarnation before it serves queries on it.
 	info.Summary.Node = a.ID
 	if err := wire.WriteFrame(coord, wire.EncodeShardSummary(info.Summary)); err != nil {
 		return fmt.Errorf("tcp: node %d summary: %w (%v)", a.ID, ErrSessionLost, err)
@@ -290,10 +265,10 @@ func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*node
 			// Subscribing the epoch's frame feeds happens here, on the read
 			// loop, so subscriptions follow dispatch order (the
 			// demultiplexer requires monotonic epochs) and never race a
-			// later dispatch. A mesh with a dead link refuses the epoch
+			// later dispatch. A star with a dead link refuses the epoch
 			// with the fatal bit naming the lost peer — the frontend gates
 			// further dispatches until the implicated node re-joins.
-			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.Seed, epoch), info.Leader)
+			er, err := node.beginEpoch(epoch, xrand.DeriveSeed(a.Seed, epoch))
 			if err != nil {
 				wire.PutFrameBuf(payload)
 				// Tell the live peers too: one of them may already have
@@ -308,7 +283,7 @@ func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*node
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				nr, err := runMeshEpoch(er, q, h, a.ID, info.Leader)
+				nr, err := runMeshEpoch(er, q, h)
 				if err == nil {
 					nm.epochsServed.Inc()
 					nm.meshRounds.Add(int64(nr.Rounds))
@@ -350,7 +325,7 @@ func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*node
 // runMeshEpoch executes one dispatched BSP query epoch — one lane per point
 // of the batch — on its own goroutine and returns the node's result for the
 // frontend.
-func runMeshEpoch(er *epochRun, q wire.Query, h Handler, id, leader int) (wire.NodeResult, error) {
+func runMeshEpoch(er *epochRun, q wire.Query, h Handler) (wire.NodeResult, error) {
 	res := make([]QueryResult, len(q.Points))
 	progs := make([]kmachine.Program, len(q.Points))
 	for qi := range progs {
@@ -366,11 +341,11 @@ func runMeshEpoch(er *epochRun, q wire.Query, h Handler, id, leader int) (wire.N
 	met := er.metrics
 	nr := wire.NodeResult{
 		Epoch:    er.epoch,
-		Node:     id,
+		Node:     er.n.id,
 		Rounds:   met.Rounds,
 		Messages: met.Messages,
 		Bytes:    met.Bytes,
-		IsLeader: id == leader,
+		IsLeader: er.n.id == er.n.leader,
 		Queries:  make([]wire.NodeQueryResult, len(res)),
 	}
 	for qi, qr := range res {
@@ -406,8 +381,7 @@ func runDirectEpoch(epoch uint64, q wire.Query, h Handler, id int) (wire.NodeRes
 }
 
 // joinServe registers with the frontend and decodes its Assign grant: a
-// fresh rendezvous seat (no leader yet) or an absent seat of a running
-// session.
+// fresh rendezvous seat or an absent seat of a running session.
 func joinServe(coordAddr string, ln net.Listener, advertise string) (net.Conn, wire.Assign, error) {
 	if advertise == "" {
 		advertise = ln.Addr().String()
@@ -449,11 +423,11 @@ func joinServe(coordAddr string, ln net.Listener, advertise string) (net.Conn, w
 	}
 }
 
-// meshAcceptLoop seats incoming mesh links for the session's lifetime. The
+// meshAcceptLoop seats incoming star links for the session's lifetime. The
 // dialer identifies itself with a hello frame and gets an empty ack back
-// once the link is installed — so a re-joining peer knows this node will
-// route the next epoch through the replacement link before it reports
-// ready. Installing first publishes the link before the ack is written: an
+// once the link is installed — so the dialer knows this node will route the
+// next epoch through the link before it reports ready. A hello from a
+// machine that is not this node's star neighbour is refused. Installing first publishes the link before the ack is written: an
 // epoch of this node that pins it may put round frames on the socket ahead
 // of the ack (every frame is one Write, so they never interleave), which is
 // why the dialer's link reader — not dialPeer — consumes the ack. A hello
@@ -464,10 +438,6 @@ func meshAcceptLoop(n *Node, ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			n.peersMu.Lock()
-			n.acceptDown = true
-			n.peersCond.Broadcast()
-			n.peersMu.Unlock()
 			return
 		}
 		go func(conn net.Conn) {
@@ -479,7 +449,7 @@ func meshAcceptLoop(n *Node, ln net.Listener) {
 			}
 			r := wire.NewReader(payload)
 			id := int(r.Varint())
-			if r.Err() != nil || id < 0 || id >= n.k || id == n.id {
+			if r.Err() != nil || id < 0 || id >= n.k || !n.neighbour(id) {
 				conn.Close()
 				return
 			}
@@ -526,38 +496,6 @@ func dialPeer(n *Node, j int, addr string) error {
 	return fmt.Errorf("tcp: node %d ack from %d: %w", n.id, j, err)
 }
 
-// buildMesh establishes the initial mesh: this node dials every lower
-// machine index and waits until the accept loop has seated every higher one.
-func buildMesh(n *Node, addrs []string) error {
-	errs := make(chan error, n.id)
-	for j := 0; j < n.id; j++ {
-		go func(j int) { errs <- dialPeer(n, j, addrs[j]) }(j)
-	}
-	for j := 0; j < n.id; j++ {
-		if err := <-errs; err != nil {
-			return err
-		}
-	}
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	for {
-		missing := -1
-		for j := n.id + 1; j < n.k; j++ {
-			if n.peers[j] == nil {
-				missing = j
-				break
-			}
-		}
-		if missing == -1 {
-			return nil
-		}
-		if n.acceptDown {
-			return transportFault(missing, fmt.Errorf("tcp: node %d mesh listener closed waiting for peer %d", n.id, missing))
-		}
-		n.peersCond.Wait()
-	}
-}
-
 // epochErrorFrame builds a failed-epoch report in a pooled writer (frame
 // begun, ready for EndFrame): origin marks a failure of this
 // node's own program (as opposed to a peer's error frame or a transport
@@ -577,8 +515,8 @@ func epochErrorFrame(epoch uint64, err error) *wire.Writer {
 	return w
 }
 
-// writeNodeError reports a failed epoch on the control connection; the
-// setup and rejoin paths use it before the concurrent dispatch loop starts.
+// writeNodeError reports a failed epoch on the control connection; the join
+// path uses it before the concurrent dispatch loop starts.
 func writeNodeError(coord net.Conn, epoch uint64, err error) error {
 	w := epochErrorFrame(epoch, err)
 	werr := w.EndFrame(coord)

@@ -2,21 +2,21 @@ package tcp
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"distknn/internal/election"
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 )
 
-// echoHandler is a minimal serving protocol for transport tests: the setup
-// epoch elects a min-GUID leader; each query is a leader star — every worker
+// echoHandler is a minimal serving protocol for transport tests: each query
+// is a star round trip around the leader Load was handed — every worker
 // sends the leader one message, the leader answers with one broadcast —
 // plus v mod 3 idle rounds (so the lanes of a batch need different round
 // counts), and returns one synthetic "winner" per node, so the frontend's
@@ -29,18 +29,9 @@ type echoHandler struct {
 	leader int
 }
 
-func (h *echoHandler) Setup(m kmachine.Env) (SessionInfo, error) {
-	leader, err := election.MinGUID(m)
-	if err != nil {
-		return SessionInfo{}, err
-	}
+func (h *echoHandler) Load(id, k, leader int) (SessionInfo, error) {
 	h.leader = leader
-	return SessionInfo{Leader: leader, ShardLen: 10, PointTag: wire.PointScalar}, nil
-}
-
-func (h *echoHandler) Rejoin(id, k, leader int) (SessionInfo, error) {
-	h.leader = leader
-	return SessionInfo{Leader: leader, ShardLen: 10, PointTag: wire.PointScalar}, nil
+	return SessionInfo{ShardLen: 10, PointTag: wire.PointScalar}, nil
 }
 
 func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, error) {
@@ -267,9 +258,9 @@ func TestFrontendValidatesQueries(t *testing.T) {
 // the frontend must reject the session during the ready phase.
 type mismatchedTagHandler struct{ echoHandler }
 
-func (h *mismatchedTagHandler) Setup(m kmachine.Env) (SessionInfo, error) {
-	info, err := h.echoHandler.Setup(m)
-	info.PointTag += uint8(m.ID())
+func (h *mismatchedTagHandler) Load(id, k, leader int) (SessionInfo, error) {
+	info, err := h.echoHandler.Load(id, k, leader)
+	info.PointTag += uint8(id)
 	return info, err
 }
 
@@ -295,6 +286,28 @@ func TestFailedSessionReleasesNodes(t *testing.T) {
 	}
 }
 
+// registerRaw opens n raw node connections to fe and registers each; the
+// test plays the nodes from there. The connections close when the test ends.
+func registerRaw(t *testing.T, fe *Frontend, n int) []net.Conn {
+	t.Helper()
+	var conns []net.Conn
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", fe.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		var reg wire.Writer
+		reg.Kind(wire.KindRegister)
+		reg.String("127.0.0.1:1")
+		if err := wire.WriteFrame(conn, reg.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+	}
+	return conns
+}
+
 // TestFrontendCloseDuringSetupReleasesServe is the regression test for a
 // Close that lands after rendezvous but before the nodes report ready:
 // Close must close the registered connections, and Serve must return
@@ -306,21 +319,7 @@ func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- fe.Serve() }()
-	var conns []net.Conn
-	for i := 0; i < 2; i++ {
-		conn, err := net.Dial("tcp", fe.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		var reg wire.Writer
-		reg.Kind(wire.KindRegister)
-		reg.String("127.0.0.1:1")
-		if err := wire.WriteFrame(conn, reg.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, conn)
-	}
+	conns := registerRaw(t, fe, 2)
 	// Both grants out: Serve now waits for ready reports that never come.
 	for i, conn := range conns {
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -351,6 +350,50 @@ func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
 	}
 }
 
+// TestFrontendRejectsOverflowingShardCount pins the ready drain's sum check:
+// two seats of 2⁶³−1 points each would wrap the global point count negative,
+// and with it the range every query's ℓ is checked against. The session
+// must fail instead.
+func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	for _, conn := range registerRaw(t, fe, 2) {
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(payload)
+		if kind := r.Kind(); kind != wire.KindAssign {
+			t.Fatalf("got kind %d, want an assign", kind)
+		}
+		a, err := wire.DecodeAssign(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ready wire.Writer
+		wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: math.MaxInt64, PointTag: wire.PointScalar})
+		if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, wire.EncodeShardSummary(wire.ShardSummary{Node: a.ID})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-serveDone:
+		if err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("Serve with an overflowing point count: got %v, want an overflow error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve neither failed nor returned")
+	}
+}
+
 // TestJoinRejectsAssignBeyondPayload pins the join's bounds check: an
 // Assign whose cluster size k promises more addresses than the frame holds
 // fails the join with an error instead of allocating from that varint.
@@ -365,7 +408,6 @@ func TestJoinRejectsAssignBeyondPayload(t *testing.T) {
 		w.Varint(0)       // seat
 		w.Varint(1 << 40) // k
 		w.U64(1)          // seed
-		w.Varint(0)       // no leader
 		w.Varint(0)       // epoch
 		w.Varint(0)       // no present peers
 		w.String("127.0.0.1:1")
@@ -391,8 +433,8 @@ func meshStub(t *testing.T, script func(conn net.Conn)) string {
 	})
 }
 
-// TestMeshHandshakeFrameOvertakesAck is the regression test for the setup
-// epoch flake: an acceptor publishes the link before it acks, so a round
+// TestMeshHandshakeFrameOvertakesAck is the regression test for the mesh
+// ack race: an acceptor publishes the link before it acks, so a round
 // frame of its own epoch can reach the dialer ahead of the ack. The dialer
 // must deliver that frame to the epoch, not consume it as the ack.
 func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
@@ -407,12 +449,12 @@ func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
 		}
 		<-release // keep the link up until the test has read its feed
 	})
-	node := newNode(1, 2)
+	node := newNode(1, 2, 0)
 	defer node.closePeers()
 	if err := dialPeer(node, 0, addr); err != nil {
 		t.Fatalf("dialPeer with a round frame ahead of the ack: %v", err)
 	}
-	er, err := node.beginEpoch(0, 1, -1)
+	er, err := node.beginEpoch(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +481,7 @@ func TestMeshHandshakeUnackedDialIsBounded(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	addr := meshStub(t, func(conn net.Conn) { <-release })
-	node := newNode(1, 2)
+	node := newNode(1, 2, 0)
 	defer node.closePeers()
 	done := make(chan error, 1)
 	go func() { done <- dialPeer(node, 0, addr) }()

@@ -1,16 +1,16 @@
 // Package tcp runs k-machine programs over real TCP sockets: one process (or
-// goroutine) per machine, a full connection mesh between them, and a
-// frontend that performs rendezvous (ID assignment and address exchange).
+// goroutine) per machine, a star of connections around the session leader,
+// and a frontend that performs rendezvous (ID assignment and address
+// exchange).
 //
 // The synchronous-round semantics match the in-process simulator exactly:
 // messages sent in round r are delivered at the start of round r+1. Rounds
 // are implemented BSP-style — at the end of each round a node sends exactly
-// one frame (possibly empty) along each of its live edges and waits for one
-// frame back on each, so no global barrier service is needed. An epoch's
-// edges are its topology: the setup epoch (leader election) is a full mesh,
-// k(k−1) frames a round, while a query epoch is a star around the session
-// leader — a worker exchanges frames with the leader only, the leader with
-// every worker — so it costs 2(k−1) frames a round. A socket has no
+// one frame (possibly empty) along each of its live links and waits for one
+// frame back on each, so no global barrier service is needed. The mesh is a
+// star: every party computes the leader from the session seed
+// (election.Leader), a worker links to the leader only and the leader to
+// every worker, so an epoch costs 2(k−1) frames a round. A socket has no
 // per-round byte cap, so the mesh does not stagger messages the way the
 // simulator's links do; instead every program sees one link budget,
 // linkBudget, as its Env's Bandwidth, and the protocols keep what they send
@@ -21,14 +21,13 @@
 //
 // A node that finishes marks its final frame with a halt flag; peers stop
 // expecting frames from it. A node that fails sends an error flag along its
-// edges, which aborts the receivers' runs; in a star the leader's own abort
+// links, which aborts the receivers' runs; the leader's own abort
 // carries a worker's failure on to the other workers.
 //
 // There is one deployment style, the resident session (Frontend,
 // ServeNodeObserved, ServeLocalOptions, Client), the socket counterpart of
-// the in-process simulator: the nodes stay resident after rendezvous, run
-// a setup epoch once (leader election), and then execute one BSP epoch per
-// query dispatched by the frontend, which also answers remote clients. Each
+// the in-process simulator: the nodes stay resident after rendezvous and
+// execute one BSP epoch per query dispatched by the frontend, which also answers remote clients. Each
 // epoch is an isolated run on the standing mesh — fresh round numbering,
 // fresh per-epoch randomness derived from the session seed — so a serving
 // cluster is deterministic per (seed, query stream) exactly like the
@@ -48,7 +47,6 @@ import (
 
 	"distknn/internal/kmachine"
 	"distknn/internal/wire"
-	"distknn/internal/xrand"
 )
 
 // Frame flags.
@@ -323,22 +321,27 @@ func (p *peer) cause() error {
 	return p.err
 }
 
-// Node owns one machine's standing mesh: the peer links, the session
+// Node owns one machine's standing mesh: the star links, the session
 // identity, and the bookkeeping shared by every epoch that runs on the
 // mesh. Per-epoch execution state lives in epochRun — a Node can have any
 // number of epochs in flight at once, which is what lets the frontend's
 // scheduler pipeline query epochs over one mesh.
 type Node struct {
-	id, k int
+	id, k, leader int
 
-	// peers is indexed by machine id (self entry nil). The mesh mutates it —
-	// links of lost peers are dropped, and the mesh accept loop installs
-	// replacement links when a peer re-joins — so every access goes through
-	// peersMu. A nil entry means "link down, waiting for re-join".
-	peersMu    sync.Mutex
-	peersCond  *sync.Cond
-	peers      []*peer
-	acceptDown bool // the serving mesh accept loop has exited
+	// peers is indexed by machine id; only star links are ever installed
+	// (neighbour). The mesh mutates it — links of lost peers are dropped,
+	// and the mesh accept loop installs replacement links when a peer
+	// re-joins — so every access goes through peersMu. A nil neighbour
+	// entry means "link down, waiting for re-join".
+	peersMu sync.Mutex
+	peers   []*peer
+}
+
+// neighbour reports whether the star links this node to machine j: a worker
+// to the leader, the leader to every worker.
+func (n *Node) neighbour(j int) bool {
+	return j != n.id && (n.id == n.leader || j == n.leader)
 }
 
 // installPeer replaces machine j's mesh link with conn (closing any prior
@@ -350,7 +353,6 @@ func (n *Node) installPeer(j int, conn net.Conn, dialed bool) *peer {
 	n.peersMu.Lock()
 	old := n.peers[j]
 	n.peers[j] = p
-	n.peersCond.Broadcast()
 	n.peersMu.Unlock()
 	if old != nil {
 		old.conn.Close()
@@ -384,19 +386,17 @@ func (n *Node) peerSnapshot() []*peer {
 
 // closePeers shuts every mesh connection.
 func (n *Node) closePeers() {
-	for j, p := range n.peerSnapshot() {
-		if j != n.id && p != nil {
+	for _, p := range n.peerSnapshot() {
+		if p != nil {
 			p.conn.Close()
 		}
 	}
 }
 
-// newNode builds the mesh owner with every link down; the mesh accept loop
-// and dialPeer install them.
-func newNode(id, k int) *Node {
-	n := &Node{id: id, k: k, peers: make([]*peer, k)}
-	n.peersCond = sync.NewCond(&n.peersMu)
-	return n
+// newNode builds the mesh owner of seat id in a star around leader with
+// every link down; the mesh accept loop and dialPeer install them.
+func newNode(id, k, leader int) *Node {
+	return &Node{id: id, k: k, leader: leader, peers: make([]*peer, k)}
 }
 
 // laneMsg is one protocol message on the wire: the payload and the lane
@@ -408,7 +408,7 @@ type laneMsg struct {
 }
 
 // epochRun is the physical round layer of one isolated BSP epoch on the
-// standing mesh: its own round numbering and topology, per-peer outbox,
+// standing mesh: its own round numbering, per-peer outbox,
 // frame feeds, halt/error frames and metrics, plus the barrier its lanes
 // (batch.go) meet at — the last active lane to arrive performs the round
 // exchange for all of them. Any number of epochRuns may be in flight on one
@@ -418,11 +418,9 @@ type epochRun struct {
 	n     *Node
 	epoch uint64
 	seed  uint64
-	guid  uint64
-	hub   int // star center; -1 runs the full mesh
 
 	peers  []*peer        // pinned link snapshot for this epoch
-	feeds  []<-chan frame // per-peer frame feed (nil for self / absent)
+	feeds  []<-chan frame // per-peer frame feed (nil off the star)
 	halted []bool         // peers that sent their final frame this epoch
 
 	// Everything below is guarded by mu once run has started the lanes.
@@ -441,24 +439,17 @@ type epochRun struct {
 	inbox   [][]kmachine.Message // per-lane deliveries of the last exchange
 }
 
-// beginEpoch pins the current mesh and subscribes the epoch's frame feeds.
-// The epoch ordinal must be strictly greater than any previously begun
-// ordinal on this node (the demultiplexer's stash pruning relies on it);
-// epochSeed is derived by the caller from the session seed. hub chooses the
-// epoch's topology, and this is the only place one is chosen: -1 runs the
-// full mesh (the setup epoch — election is not a star), a machine index runs
-// a star around it (every query epoch, around the session leader), where
-// frames travel only between the hub and each worker. Every link is
-// subscribed either way, so a star epoch too needs the whole mesh. It fails
-// with a transport error naming the lowest absent or broken link, so a
-// serving node never starts an epoch on an incomplete mesh.
-func (n *Node) beginEpoch(epoch, epochSeed uint64, hub int) (*epochRun, error) {
+// beginEpoch pins the current mesh and subscribes the epoch's frame feeds,
+// one per star link. The epoch ordinal must be strictly greater than any
+// previously begun ordinal on this node (the demultiplexer's stash pruning
+// relies on it); epochSeed is derived by the caller from the session seed.
+// It fails with a transport error naming the lowest absent or broken star
+// link, so a serving node never starts an epoch on an incomplete star.
+func (n *Node) beginEpoch(epoch, epochSeed uint64) (*epochRun, error) {
 	er := &epochRun{
 		n:      n,
 		epoch:  epoch,
 		seed:   epochSeed,
-		guid:   xrand.DeriveSeed(epochSeed, uint64(n.id)+(1<<32)),
-		hub:    hub,
 		outbox: make([][]laneMsg, n.k),
 		errs:   make([]error, n.k),
 		peers:  n.peerSnapshot(),
@@ -467,7 +458,7 @@ func (n *Node) beginEpoch(epoch, epochSeed uint64, hub int) (*epochRun, error) {
 	}
 	er.cond = sync.NewCond(&er.mu)
 	for j, p := range er.peers {
-		if j == n.id {
+		if !n.neighbour(j) {
 			continue
 		}
 		if p == nil {
@@ -488,22 +479,15 @@ func (n *Node) beginEpoch(epoch, epochSeed uint64, hub int) (*epochRun, error) {
 // final halt frames) are dropped by the demultiplexer from here on.
 func (er *epochRun) release() {
 	for j, p := range er.peers {
-		if j != er.n.id && p != nil && er.feeds[j] != nil {
+		if er.feeds[j] != nil {
 			p.unsubscribe(er.epoch)
 		}
 	}
 }
 
-// edge reports whether this epoch's topology links this node to peer j:
-// every peer in the full mesh, only the hub for a star worker, every worker
-// for the hub.
-func (er *epochRun) edge(j int) bool {
-	return er.hub < 0 || er.hub == er.n.id || j == er.hub
-}
-
 // live reports whether peer j still exchanges frames in this epoch.
 func (er *epochRun) live(j int) bool {
-	return j != er.n.id && er.feeds[j] != nil && !er.halted[j] && er.edge(j)
+	return er.feeds[j] != nil && !er.halted[j]
 }
 
 // send writes this round's frame (with the given flag) to every live peer,
@@ -532,7 +516,7 @@ func (er *epochRun) send(flag byte) {
 // exchange is one physical round: it writes this round's data frame to every
 // live peer, then reads one frame from each, files the delivered messages
 // under their lanes (ascending sender within a lane) and advances the round.
-// A star worker's round therefore ends when the hub's frame arrives. A lost
+// A worker's round therefore ends when the leader's frame arrives. A lost
 // link, an out-of-step frame or a message for a lane this epoch does not
 // have is a transport fault naming the peer; a peer's error frame ends the
 // epoch with errPeerAbort.
@@ -594,27 +578,15 @@ func (er *epochRun) exchange() error {
 	return nil
 }
 
-// runEpoch executes prog as a one-lane full-mesh epoch on the standing
-// mesh — the serving path uses it for the setup epoch; dispatched query
-// epochs begin as stars on the read loop (serve.go) and call run themselves.
-func (n *Node) runEpoch(epoch, epochSeed uint64, prog kmachine.Program) (Metrics, error) {
-	er, err := n.beginEpoch(epoch, epochSeed, -1)
-	if err != nil {
-		return Metrics{}, err
-	}
-	err = er.run([]kmachine.Program{prog})
-	return er.metrics, err
-}
-
 // abortEpoch tells every live peer that this node will never run the given
-// epoch (beginEpoch refused it — e.g. a dead link to a third peer), so a
-// peer that already started the epoch aborts it instead of waiting forever
-// for this node's frames. Error frames are epoch-level: receivers honor
-// them at any round, and a peer that never starts the epoch drops the
-// frame as a leftover.
+// epoch (beginEpoch refused it — e.g. the leader's link to one worker is
+// dead), so a peer that already started the epoch aborts it instead of
+// waiting forever for this node's frames. Error frames are epoch-level:
+// receivers honor them at any round, and a peer that never starts the epoch
+// drops the frame as a leftover.
 func (n *Node) abortEpoch(epoch uint64) {
-	for j, p := range n.peerSnapshot() {
-		if j != n.id && p != nil {
+	for _, p := range n.peerSnapshot() {
+		if p != nil {
 			_ = writeRoundFrame(p.conn, flagErr, epoch, 0, nil)
 		}
 	}

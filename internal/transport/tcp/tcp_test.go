@@ -28,10 +28,11 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 	return s
 }
 
-// startMesh brings up a real resident mesh of k nodes and returns them
+// startMesh brings up a real resident star of k nodes and returns them
 // indexed by machine id. It is the production bring-up minus the Handler:
-// Frontend rendezvous, joinServe, meshAcceptLoop + buildMesh. The mesh stays
-// up until the test ends, as a resident one outlives its epochs.
+// Frontend rendezvous, joinServe, meshAcceptLoop, then a dial of every star
+// neighbour the grant lists. The mesh stays up until the test ends, as a
+// resident one outlives its epochs.
 func startMesh(t testing.TB, k int, seed uint64) []*Node {
 	t.Helper()
 	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
@@ -66,12 +67,14 @@ func startMesh(t testing.TB, k int, seed uint64) []*Node {
 				return
 			}
 			t.Cleanup(func() { coord.Close() })
-			node := newNode(a.ID, a.K)
+			node := newNode(a.ID, a.K, election.Leader(a.Seed, a.K))
 			t.Cleanup(node.closePeers)
 			go meshAcceptLoop(node, ln)
-			if err := buildMesh(node, a.Addrs); err != nil {
-				t.Error(err)
-				return
+			for _, j := range a.Present {
+				if err := dialPeer(node, j, a.Addrs[j]); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			nodes[a.ID] = node
 		}()
@@ -101,22 +104,12 @@ func onEveryNode(nodes []*Node, epoch func(n *Node) (Metrics, error)) ([]Metrics
 	return metrics, errs
 }
 
-// runSetupEpoch runs prog as the setup epoch (ordinal 0, full mesh) of a
-// fresh mesh at the setup epoch's derived seed — so a simulator twin seeds
-// kmachine.Run with xrand.DeriveSeed(seed, SetupSeedStream).
-func runSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) ([]Metrics, []error) {
-	t.Helper()
-	return onEveryNode(startMesh(t, k, seed), func(n *Node) (Metrics, error) {
-		return n.runEpoch(0, xrand.DeriveSeed(seed, SetupSeedStream), prog)
-	})
-}
-
-// runStarEpoch runs prog as the one-lane star epoch ordinal (ordinals
-// above 0 are query epochs) around hub on every node of a standing mesh,
-// as a dispatched query epoch runs.
-func runStarEpoch(nodes []*Node, ordinal uint64, hub int, prog kmachine.Program) ([]Metrics, []error) {
+// runStarEpoch runs prog as the one-lane epoch ordinal on every node of a
+// standing star, as a dispatched query epoch runs, with the ordinal as its
+// epoch seed — so a simulator twin seeds kmachine.Run with the ordinal.
+func runStarEpoch(nodes []*Node, ordinal uint64, prog kmachine.Program) ([]Metrics, []error) {
 	return onEveryNode(nodes, func(n *Node) (Metrics, error) {
-		er, err := n.beginEpoch(ordinal, ordinal, hub)
+		er, err := n.beginEpoch(ordinal, ordinal)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -125,10 +118,11 @@ func runStarEpoch(nodes []*Node, ordinal uint64, hub int, prog kmachine.Program)
 	})
 }
 
-// mustRunSetupEpoch is runSetupEpoch for programs every node must finish.
-func mustRunSetupEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) []Metrics {
+// mustRunStarEpoch brings up a fresh k-node star for the session seed and
+// runs prog as its epoch seed, a program every node must finish.
+func mustRunStarEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) []Metrics {
 	t.Helper()
-	metrics, errs := runSetupEpoch(t, k, seed, prog)
+	metrics, errs := runStarEpoch(startMesh(t, k, seed), seed, prog)
 	for i, e := range errs {
 		if e != nil {
 			t.Fatalf("node %d: %v", i, e)
@@ -155,61 +149,72 @@ func TestPingPongOverTCP(t *testing.T) {
 		m.Send(0, []byte("pong"))
 		return nil
 	}
-	metrics := mustRunSetupEpoch(t, 2, 1, prog)
+	metrics := mustRunStarEpoch(t, 2, 1, prog)
 	if metrics[0].Messages != 1 || metrics[1].Messages != 1 {
 		t.Errorf("metrics: %+v", metrics)
 	}
 }
 
+// TestBroadcastGatherOverTCP runs one star round trip: every worker sends
+// the leader its id, the leader gathers them all and broadcasts its own.
 func TestBroadcastGatherOverTCP(t *testing.T) {
-	k := 5
+	const k, seed = 5, 2
+	leader := election.Leader(seed, k)
 	prog := func(m kmachine.Env) error {
-		m.Broadcast([]byte{byte(m.ID())})
+		want := 1
+		if m.ID() == leader {
+			want = k - 1
+			m.Broadcast([]byte{byte(m.ID())})
+		} else {
+			m.Send(leader, []byte{byte(m.ID())})
+		}
 		m.EndRound()
-		msgs := m.Gather(k - 1)
 		seen := make(map[int]bool)
-		for _, msg := range msgs {
+		for _, msg := range m.Gather(want) {
 			if int(msg.Payload[0]) != msg.From {
 				return fmt.Errorf("corrupt payload from %d", msg.From)
 			}
 			seen[msg.From] = true
 		}
-		if len(seen) != k-1 {
-			return fmt.Errorf("saw %d peers", len(seen))
+		if len(seen) != want {
+			return fmt.Errorf("saw %d peers, want %d", len(seen), want)
 		}
 		return nil
 	}
-	mustRunSetupEpoch(t, k, 2, prog)
+	mustRunStarEpoch(t, k, seed, prog)
 }
 
 func TestStaggeredHalts(t *testing.T) {
-	// Machines halt at different rounds; later rounds must keep working
-	// between the survivors.
-	k := 4
+	// Workers halt at different rounds; later rounds must keep working
+	// between the leader and the last worker.
+	const k, seed = 4, 3
+	leader := election.Leader(seed, k)
+	last := (leader + k - 1) % k
 	prog := func(m kmachine.Env) error {
-		// Machine i spins i*3 rounds, then (if not machine 0) halts;
-		// machine 0 keeps talking to machine 3 the whole time.
+		// The worker at distance d from the leader spins d*3 rounds, then
+		// (unless it is the last) halts; the leader keeps talking to the
+		// last worker the whole time.
 		switch m.ID() {
-		case 0:
+		case leader:
 			for r := 0; r < 9; r++ {
-				m.Send(3, []byte{byte(r)})
+				m.Send(last, []byte{byte(r)})
 				m.EndRound()
 			}
 			return nil
-		case 3:
+		case last:
 			got := 0
 			for got < 9 {
 				got += len(m.WaitAny())
 			}
 			return nil
 		default:
-			for r := 0; r < m.ID()*3; r++ {
+			for r := 0; r < (m.ID()-leader+k)%k*3; r++ {
 				m.EndRound()
 			}
 			return nil
 		}
 	}
-	mustRunSetupEpoch(t, k, 3, prog)
+	mustRunStarEpoch(t, k, seed, prog)
 }
 
 func TestErrorPropagatesAcrossCluster(t *testing.T) {
@@ -220,10 +225,10 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 			return boom
 		}
 		for {
-			m.EndRound() // spins until aborted by peer 1's error frame
+			m.EndRound() // spins until aborted by node 1's error frame
 		}
 	}
-	_, errs := runSetupEpoch(t, 3, 4, prog)
+	_, errs := runStarEpoch(startMesh(t, 3, 4), 4, prog)
 	if !errors.Is(errs[1], boom) {
 		t.Errorf("node 1 error = %v", errs[1])
 	}
@@ -235,11 +240,12 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 }
 
 func TestFullKNNPipelineOverTCP(t *testing.T) {
-	// The headline integration: election + Algorithm 2 over real sockets,
-	// then the Classify fold over the winner shares the nodes collected,
-	// validated against a brute-force oracle.
+	// The headline integration: Algorithm 2 around the seed's leader over
+	// real sockets, then the Classify fold over the winner shares the nodes
+	// collected, validated against a brute-force oracle.
 	k, n, l := 4, 400, 25
 	seed := uint64(99)
+	leader := election.Leader(seed, k)
 	// Four classes, so the vote has real contenders.
 	instance := func(id int) *points.Set[points.Scalar] {
 		set := instanceFor(seed, id, n)
@@ -255,10 +261,6 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 
 	prog := func(m kmachine.Env) error {
 		set := instance(m.ID())
-		leader, err := election.MinGUID(m)
-		if err != nil {
-			return err
-		}
 		res, err := core.KNN(m, core.Config{Leader: leader, L: l}, set.TopLItems(q, l))
 		if err != nil {
 			return err
@@ -269,7 +271,7 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	mustRunSetupEpoch(t, k, seed, prog)
+	mustRunStarEpoch(t, k, seed, prog)
 
 	// Oracle: merge all machines' data and brute-force the query.
 	var parts []*points.Set[points.Scalar]
@@ -314,11 +316,12 @@ func TestTCPMatchesSimulator(t *testing.T) {
 	k, n, l := 3, 200, 10
 	seed := uint64(55)
 	q := points.Scalar(12345678)
+	leader := election.Leader(seed, k)
 
 	prog := func(record func(id int, res core.Result)) kmachine.Program {
 		return func(m kmachine.Env) error {
 			set := instanceFor(seed, m.ID(), n)
-			res, err := core.KNN(m, core.Config{Leader: 0, L: l}, set.TopLItems(q, l))
+			res, err := core.KNN(m, core.Config{Leader: leader, L: l}, set.TopLItems(q, l))
 			if err != nil {
 				return err
 			}
@@ -336,10 +339,10 @@ func TestTCPMatchesSimulator(t *testing.T) {
 	}
 
 	tcpRes := make([]core.Result, k)
-	tcpMet := mustRunSetupEpoch(t, k, seed, prog(recordInto(tcpRes)))
+	tcpMet := mustRunStarEpoch(t, k, seed, prog(recordInto(tcpRes)))
 
 	simRes := make([]core.Result, k)
-	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: xrand.DeriveSeed(seed, SetupSeedStream), BandwidthBytes: linkBudget},
+	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: linkBudget},
 		prog(recordInto(simRes)))
 	if err != nil {
 		t.Fatal(err)
@@ -370,16 +373,15 @@ func TestTCPMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestEpochFrameBudget pins what an epoch's topology costs on the wire.
-// Every node runs R rounds of a leader-star exchange (the hub broadcasts,
-// each worker sends it one message) and halts. On the full mesh that costs
-// k(k−1) frames a round; in a star around the same hub, 2(k−1): each worker
+// TestEpochFrameBudget pins what an epoch costs on the wire. Every node runs
+// R rounds of a leader-star exchange (the hub broadcasts, each worker sends
+// it one message) and halts. That costs 2(k−1) frames a round: each worker
 // writes only to the hub, the hub to each worker. The final halt frames
-// cost one more round's worth either way — every node halts in round R, so
-// none has seen another's halt before writing its own. The messages are the
-// same in both: Frames is transport, not protocol.
+// cost one more round's worth — every node halts in round R, so none has
+// seen another's halt before writing its own.
 func TestEpochFrameBudget(t *testing.T) {
-	const k, hub, R = 4, 2, 5
+	const k, seed, R = 4, 5, 5
+	hub := election.Leader(seed, k)
 	prog := func(m kmachine.Env) error {
 		for r := 0; r < R; r++ {
 			if m.ID() == hub {
@@ -391,55 +393,28 @@ func TestEpochFrameBudget(t *testing.T) {
 		}
 		return nil
 	}
-	check := func(name string, metrics []Metrics, errs []error, perRound int64) {
-		t.Helper()
-		var frames, messages int64
-		for i, met := range metrics {
-			if errs[i] != nil {
-				t.Fatalf("%s: node %d: %v", name, i, errs[i])
-			}
-			if met.Rounds != R {
-				t.Errorf("%s: node %d ran %d rounds, want %d", name, i, met.Rounds, R)
-			}
-			frames += met.Frames
-			messages += met.Messages
+	var frames, messages int64
+	for i, met := range mustRunStarEpoch(t, k, seed, prog) {
+		if met.Rounds != R {
+			t.Errorf("node %d ran %d rounds, want %d", i, met.Rounds, R)
 		}
-		if want := perRound * (R + 1); frames != want {
-			t.Errorf("%s: %d frames over %d rounds, want %d per round plus the final frames = %d", name, frames, R, perRound, want)
-		}
-		if want := int64(2 * (k - 1) * R); messages != want {
-			t.Errorf("%s: %d messages, want %d", name, messages, want)
-		}
+		frames += met.Frames
+		messages += met.Messages
 	}
-	nodes := startMesh(t, k, 5)
-	metrics, errs := onEveryNode(nodes, func(n *Node) (Metrics, error) { return n.runEpoch(0, 1, prog) })
-	check("setup epoch (full mesh)", metrics, errs, k*(k-1))
-	metrics, errs = runStarEpoch(nodes, 1, hub, prog)
-	check("query epoch (star)", metrics, errs, 2*(k-1))
+	const perRound = 2 * (k - 1)
+	if want := int64(perRound * (R + 1)); frames != want {
+		t.Errorf("%d frames over %d rounds, want %d per round plus the final frames = %d", frames, R, perRound, want)
+	}
+	if want := int64(2 * (k - 1) * R); messages != want {
+		t.Errorf("%d messages, want %d", messages, want)
+	}
 }
 
 func TestSingleNodeCluster(t *testing.T) {
-	mustRunSetupEpoch(t, 1, 7, func(m kmachine.Env) error {
+	mustRunStarEpoch(t, 1, 7, func(m kmachine.Env) error {
 		if m.K() != 1 || m.ID() != 0 {
 			return fmt.Errorf("bad identity")
 		}
 		return nil
 	})
-}
-
-func TestNodeGUIDMatchesSimulator(t *testing.T) {
-	var tcpGUID, simGUID uint64
-	mustRunSetupEpoch(t, 1, 42, func(m kmachine.Env) error {
-		tcpGUID = m.GUID()
-		return nil
-	})
-	if _, err := kmachine.Run(kmachine.Config{K: 1, Seed: xrand.DeriveSeed(42, SetupSeedStream)}, func(m kmachine.Env) error {
-		simGUID = m.GUID()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tcpGUID != simGUID {
-		t.Errorf("GUIDs differ: %d vs %d", tcpGUID, simGUID)
-	}
 }

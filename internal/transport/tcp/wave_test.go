@@ -24,7 +24,7 @@ var scalarGeometry = &metricindex.WirePruner[points.Scalar]{
 }
 
 // stubNode is a serving node reduced to its control connection: it registers,
-// reports ready (leader 0) with a metric summary, records every control
+// reports ready with a metric summary, records every control
 // frame it is sent, and answers dispatches by brute force over three points
 // around its center. It builds no mesh — a pruned frontend never needs one —
 // so a mesh dispatch is answered only when claim is set: the stub then
@@ -87,7 +87,7 @@ func (n *stubNode) serve(addr string) error {
 	n.id = id
 	n.mu.Unlock()
 	var ready wire.Writer
-	wire.AppendReady(&ready, wire.Ready{Node: id, Leader: 0, ShardLen: 3, PointTag: wire.PointScalar})
+	wire.AppendReady(&ready, wire.Ready{Node: id, ShardLen: 3, PointTag: wire.PointScalar})
 	if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func TestMeshResultLeaderFlagIsValidated(t *testing.T) {
 		claim func(id int) bool
 		ok    bool
 	}{
-		{"session leader", func(id int) bool { return id == 0 }, true},
+		{"session leader", func(id int) bool { return id == 0 }, true}, // seed 1, k = 2 elects seat 0
 		{"both seats", func(int) bool { return true }, false},
 		{"no seat", func(int) bool { return false }, false},
 		{"wrong seat", func(id int) bool { return id == 1 }, false},

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"distknn/internal/keys"
 	"distknn/internal/points"
@@ -25,8 +26,8 @@ const (
 	// KindAssign: frontend → node, the grant of a seat, for a fresh
 	// rendezvous and a re-join alike. Body: Assign.
 	KindAssign Kind = 2
-	// KindReady: node → frontend, once the setup epoch (leader election)
-	// has completed. Body: Varint id, Varint leader, Varint shard size,
+	// KindReady: node → frontend, once the node has dialled its star
+	// neighbours and loaded its shard. Body: Varint id, Varint shard size,
 	// U8 point tag.
 	KindReady Kind = 3
 	// KindDispatch: frontend → node, one query epoch answering a whole
@@ -57,8 +58,8 @@ const (
 	// Varint tag, then a Reply body.
 	KindReplyTagged Kind = 13
 	// KindSummary: node → frontend, the node's metric-index shard summary,
-	// sent immediately after every KindReady (both the setup and the
-	// re-join handshake). Body: Varint node id, U8 has; if has is 1:
+	// sent immediately after every KindReady (at rendezvous and on a
+	// re-join alike). Body: Varint node id, U8 has; if has is 1:
 	// F64 radius, then String centroid point bytes (the shard's anchor in
 	// the session's point encoding). has 0 means the shard has no metric
 	// summary (the point type is not a metric, or the shard is empty) and
@@ -66,8 +67,8 @@ const (
 	KindSummary Kind = 14
 	// KindDispatchDirect: frontend → node, one pruned (no-mesh) query
 	// epoch: the node answers its local top-ℓ for each query point from
-	// its own shard without starting a BSP epoch — no election-derived
-	// rounds, no mesh traffic — and replies with a winners-only KindResult
+	// its own shard without starting a BSP epoch — no protocol rounds,
+	// no mesh traffic — and replies with a winners-only KindResult
 	// (IsLeader 0, Rounds/Messages/Bytes 0). Body: Varint epoch, then a
 	// Query body (identical layout to KindDispatch) holding exactly the
 	// points this node must answer — the whole client batch or any
@@ -243,20 +244,19 @@ func DecodeNodeError(r *Reader) (NodeError, error) {
 }
 
 // Assign is the frontend's grant of a seat: the machine index the node
-// takes, the session parameters, and the mesh address book. A fresh
-// rendezvous grant names no leader (Leader -1: run the setup epoch), epoch 0
-// and no present peers. A re-join grant into a running session names the
-// already-elected leader (the node runs no setup epoch), the session's
-// current epoch ordinal, and the peers currently serving, which the node
-// must dial to rebuild its mesh links. It is the body of a KindAssign frame:
-// Varint id, Varint k, U64 seed, Varint leader+1 (0: no leader yet),
-// Varint epoch, Varint presentCount, presentCount × Varint id, then
-// k × String mesh addresses.
+// takes, the session parameters, the mesh address book and the star
+// neighbours the node must dial. Every party computes the leader from the
+// seed (package election), so the grant does not carry it. A rendezvous
+// grant has epoch 0 and lists the leader for a worker and no one for the
+// leader, whose workers dial it. A re-join grant into a running session
+// carries the session's current epoch ordinal and lists the seated leader
+// for a worker, or the seated workers for the leader. It is the body of a
+// KindAssign frame: Varint id, Varint k, U64 seed, Varint epoch, Varint
+// presentCount, presentCount × Varint id, then k × String mesh addresses.
 type Assign struct {
 	ID      int
 	K       int
 	Seed    uint64
-	Leader  int
 	Epoch   uint64
 	Present []int
 	Addrs   []string
@@ -269,7 +269,6 @@ func EncodeAssign(a Assign) []byte {
 	w.Varint(uint64(a.ID))
 	w.Varint(uint64(a.K))
 	w.U64(a.Seed)
-	w.Varint(uint64(a.Leader + 1))
 	w.Varint(a.Epoch)
 	w.Varint(uint64(len(a.Present)))
 	for _, id := range a.Present {
@@ -282,20 +281,20 @@ func EncodeAssign(a Assign) []byte {
 }
 
 // DecodeAssign reads an Assign body; the kind byte must already be consumed.
-// Every machine index it returns — the seat, the leader, each present peer —
-// lies inside the k-node cluster, and the present peers exclude the seat.
+// Every machine index it returns — the seat and each present peer — lies
+// inside the k-node cluster, and the present peers exclude the seat.
 func DecodeAssign(r *Reader) (Assign, error) {
-	id, k, seed, leader, epoch, count := r.Varint(), r.Varint(), r.U64(), r.Varint(), r.Varint(), r.Varint()
+	id, k, seed, epoch, count := r.Varint(), r.Varint(), r.U64(), r.Varint(), r.Varint()
 	if err := r.Err(); err != nil {
 		return Assign{}, err
 	}
 	if k > uint64(r.Remaining()) {
 		return Assign{}, fmt.Errorf("wire: assign cluster size %d exceeds payload", k)
 	}
-	if id >= k || leader > k || count > k {
-		return Assign{}, fmt.Errorf("wire: assign (seat %d, leader+1 %d, %d present peers) does not fit a %d-node cluster", id, leader, count, k)
+	if id >= k || count > k {
+		return Assign{}, fmt.Errorf("wire: assign (seat %d, %d present peers) does not fit a %d-node cluster", id, count, k)
 	}
-	a := Assign{ID: int(id), K: int(k), Seed: seed, Leader: int(leader) - 1, Epoch: epoch}
+	a := Assign{ID: int(id), K: int(k), Seed: seed, Epoch: epoch}
 	a.Present = make([]int, 0, count)
 	for i := uint64(0); i < count; i++ {
 		p := r.Varint()
@@ -314,12 +313,11 @@ func DecodeAssign(r *Reader) (Assign, error) {
 	return a, nil
 }
 
-// Ready is the body of a KindReady frame: what a node reports once its setup
-// epoch (or its re-join) has completed — its seat, the leader it elected (or
-// was handed), its shard size and the point encoding it serves.
+// Ready is the body of a KindReady frame: what a node reports once it has
+// dialled its star neighbours and loaded its shard — its seat, its shard
+// size and the point encoding it serves.
 type Ready struct {
 	Node     int
-	Leader   int
 	ShardLen int64
 	PointTag uint8
 }
@@ -328,20 +326,21 @@ type Ready struct {
 func AppendReady(w *Writer, rdy Ready) {
 	w.Kind(KindReady)
 	w.Varint(uint64(rdy.Node))
-	w.Varint(uint64(rdy.Leader))
 	w.Varint(uint64(rdy.ShardLen))
 	w.U8(rdy.PointTag)
 }
 
-// DecodeReady reads a Ready body; the kind byte must already be consumed.
+// DecodeReady reads a Ready body; the kind byte must already be consumed. It
+// rejects a shard length that does not fit an int64.
 func DecodeReady(r *Reader) (Ready, error) {
-	rdy := Ready{
-		Node:     int(r.Varint()),
-		Leader:   int(r.Varint()),
-		ShardLen: int64(r.Varint()),
-		PointTag: r.U8(),
+	node, shardLen, tag := r.Varint(), r.Varint(), r.U8()
+	if err := r.Err(); err != nil {
+		return Ready{}, err
 	}
-	return rdy, r.Err()
+	if shardLen > math.MaxInt64 {
+		return Ready{}, fmt.Errorf("wire: ready shard of %d points does not fit an int64", shardLen)
+	}
+	return Ready{Node: int(node), ShardLen: int64(shardLen), PointTag: tag}, nil
 }
 
 // ShardSummary is one node's metric-index summary of its shard: the

@@ -182,12 +182,12 @@ func FuzzDecodeNodeError(f *testing.F) {
 
 func FuzzDecodeAssign(f *testing.F) {
 	f.Add(EncodeAssign(Assign{
-		ID: 1, K: 3, Seed: 7, Leader: 0, Epoch: 42, Present: []int{0, 2},
+		ID: 1, K: 3, Seed: 7, Epoch: 42, Present: []int{0, 2},
 		Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001", "127.0.0.1:9002"},
 	})[1:])
 	f.Add([]byte{})
 	f.Add(EncodeAssign(Assign{
-		ID: 0, K: 2, Seed: 7, Leader: -1,
+		ID: 0, K: 2, Seed: 7,
 		Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001"},
 	})[1:])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,7 +195,7 @@ func FuzzDecodeAssign(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if a.ID >= a.K || a.Leader < -1 || a.Leader >= a.K || len(a.Addrs) != a.K {
+		if a.ID >= a.K || len(a.Addrs) != a.K {
 			t.Fatalf("decoder admitted an assign outside its cluster: %+v", a)
 		}
 		enc := EncodeAssign(a)
@@ -205,6 +205,35 @@ func FuzzDecodeAssign(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeAssign(a2), enc) {
 			t.Fatalf("assign is not a re-encoding fixed point")
+		}
+	})
+}
+
+// FuzzDecodeReady seeds from the ready frame docs/PROTOCOL.md quotes.
+func FuzzDecodeReady(f *testing.F) {
+	for _, ex := range docExamples() {
+		if ex.Name == "ready" {
+			f.Add(ex.Bytes[1:])
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rdy, err := DecodeReady(NewReader(data))
+		if err != nil {
+			return
+		}
+		if rdy.ShardLen < 0 {
+			t.Fatalf("decoder admitted a negative shard length: %+v", rdy)
+		}
+		var w Writer
+		AppendReady(&w, rdy)
+		enc := w.Bytes()
+		rdy2, err := DecodeReady(skipKind(t, enc, KindReady))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if rdy2 != rdy {
+			t.Fatalf("ready is not a re-encoding fixed point: %+v, then %+v", rdy, rdy2)
 		}
 	})
 }

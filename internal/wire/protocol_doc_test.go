@@ -47,7 +47,7 @@ func docExamples() []struct {
 	}}
 
 	var rdy Writer
-	AppendReady(&rdy, Ready{Node: 1, Leader: 0, ShardLen: 5000, PointTag: PointScalar})
+	AppendReady(&rdy, Ready{Node: 1, ShardLen: 5000, PointTag: PointScalar})
 
 	return []struct {
 		Name  string
@@ -56,7 +56,7 @@ func docExamples() []struct {
 		{"stream framing", []byte{3, 0, 0, 0, 'a', 'b', 'c'}},
 		{"register", reg.Bytes()},
 		{"assign", EncodeAssign(Assign{
-			ID: 1, K: 2, Seed: 7, Leader: -1,
+			ID: 1, K: 2, Seed: 7,
 			Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001"},
 		})},
 		{"mesh hello", hello.Bytes()},
@@ -87,7 +87,7 @@ func docExamples() []struct {
 		{"fatal node error", EncodeNodeError(NodeError{Epoch: 7, Fatal: true, LostPeer: 2, Msg: "lost peer 2"})},
 		{"shutdown", []byte{byte(KindShutdown)}},
 		{"rejoin assign", EncodeAssign(Assign{
-			ID: 1, K: 2, Seed: 7, Leader: 0, Epoch: 42,
+			ID: 1, K: 2, Seed: 7, Epoch: 42,
 			Present: []int{0},
 			Addrs:   []string{"127.0.0.1:9000", "127.0.0.1:9002"},
 		})},

@@ -305,3 +305,18 @@ func TestWriterGrowAndReset(t *testing.T) {
 		t.Errorf("Reset lost capacity: len %d cap %d", w.Len(), cap(w.Bytes()))
 	}
 }
+
+// TestDecodeReadyRejectsShardBeyondInt64 pins the ready decoder's range
+// check: a shard length of 2⁶⁴−1 (the varint ff ff ff ff ff ff ff ff ff 01)
+// would read as −1 and shrink the global count the frontend checks ℓ
+// against.
+func TestDecodeReadyRejectsShardBeyondInt64(t *testing.T) {
+	body := []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, PointScalar}
+	if rdy, err := DecodeReady(NewReader(body)); err == nil {
+		t.Fatalf("decoded %+v from a shard length of 2^64-1, want an error", rdy)
+	}
+	body = []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, PointScalar}
+	if rdy, err := DecodeReady(NewReader(body)); err != nil || rdy.ShardLen != math.MaxInt64 {
+		t.Fatalf("shard length 2^63-1: got %+v, %v", rdy, err)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"distknn/internal/core"
-	"distknn/internal/election"
 	"distknn/internal/kdtree"
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
@@ -93,9 +92,9 @@ type AdminServer = obs.Admin
 func ServeAdmin(addr string, o AdminOptions) (*AdminServer, error) { return obs.ServeAdmin(addr, o) }
 
 // NodeOptions configures a resident serving node. Both fields are
-// per-node. Every node runs the same protocol: the min-GUID election in the
-// setup epoch and the paper's Algorithm 2, with Lemma 2.3's constants, for
-// every query.
+// per-node. Every node runs the same protocol: the paper's Algorithm 2, with
+// Lemma 2.3's constants, for every query, around the min-GUID leader every
+// node computes from the session seed.
 type NodeOptions struct {
 	// Advertise is the mesh address peers are told to dial, for multi-host
 	// deployments where the mesh bind address is not reachable as-is
@@ -450,34 +449,39 @@ type typedHandler[P any] struct {
 	summary wire.ShardSummary
 }
 
-// load builds (or rebuilds) the node's shard, local index and metric
-// summary for machine id of k — the data half of Setup, shared with the
-// Rejoin path.
-func (h *typedHandler[P]) load(id, k int) error {
+// Load builds the node's shard, local index and metric summary for machine
+// id of k and records the session leader. It runs at rendezvous and on a
+// re-join alike. Because ShardProvider is a deterministic function of
+// (id, k), a re-joined seat's shard is identical to the one it held before,
+// which the frontend verifies via the reported shard size and metric
+// summary (and which keeps served answers bit-identical to an
+// uninterrupted cluster).
+func (h *typedHandler[P]) Load(id, k, leader int) (tcp.SessionInfo, error) {
 	shard, err := h.shards(id, k)
 	if err != nil {
-		return fmt.Errorf("distknn: shard for node %d: %w", id, err)
+		return tcp.SessionInfo{}, fmt.Errorf("distknn: shard for node %d: %w", id, err)
 	}
 	h.set, err = points.NewSet(shard.Points, shard.Labels, h.pt.metric, shard.FirstID)
 	if err != nil {
-		return fmt.Errorf("distknn: %w", err)
+		return tcp.SessionInfo{}, fmt.Errorf("distknn: %w", err)
 	}
 	if shard.IDs != nil {
 		if len(shard.IDs) != len(shard.Points) {
-			return fmt.Errorf("distknn: node %d shard has %d IDs for %d points", id, len(shard.IDs), len(shard.Points))
+			return tcp.SessionInfo{}, fmt.Errorf("distknn: node %d shard has %d IDs for %d points", id, len(shard.IDs), len(shard.Points))
 		}
 		copy(h.set.IDs, shard.IDs)
 	}
 	if h.pt.index != nil {
 		h.topL, err = h.pt.index(h.set)
 		if err != nil {
-			return fmt.Errorf("distknn: indexing node %d: %w", id, err)
+			return tcp.SessionInfo{}, fmt.Errorf("distknn: indexing node %d: %w", id, err)
 		}
 	} else {
 		h.topL = h.set.TopLItems
 	}
+	h.leader = leader
 	h.summary = h.summarize(shard)
-	return nil
+	return tcp.SessionInfo{ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
 }
 
 // summarize computes the shard's metric-index summary: its centroid (the
@@ -506,33 +510,6 @@ func (h *typedHandler[P]) summarize(shard Shard[P]) wire.ShardSummary {
 	}
 }
 
-func (h *typedHandler[P]) Setup(m kmachine.Env) (tcp.SessionInfo, error) {
-	if err := h.load(m.ID(), m.K()); err != nil {
-		return tcp.SessionInfo{}, err
-	}
-	var err error
-	h.leader, err = election.MinGUID(m)
-	if err != nil {
-		return tcp.SessionInfo{}, err
-	}
-	return tcp.SessionInfo{Leader: h.leader, ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
-}
-
-// Rejoin rebuilds the shard for a node taking over an absent seat of a
-// running session. No election runs — the session's leader is handed down
-// by the frontend — so the call is local. Because ShardProvider is a
-// deterministic function of (id, k), the rebuilt shard is identical to the
-// one the seat held before, which the frontend verifies via the reported
-// shard size and metric summary (and which keeps served answers
-// bit-identical to an uninterrupted cluster).
-func (h *typedHandler[P]) Rejoin(id, k, leader int) (tcp.SessionInfo, error) {
-	if err := h.load(id, k); err != nil {
-		return tcp.SessionInfo{}, err
-	}
-	h.leader = leader
-	return tcp.SessionInfo{Leader: leader, ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
-}
-
 // point decodes and validates query point qi of a dispatched batch against
 // the node's shard.
 func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
@@ -550,7 +527,7 @@ func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
 // share, whatever the op: the frontend folds Classify and Regress answers
 // from the shares. Calls for different points of the same batch run
 // concurrently (lockstep sub-programs of one epoch); everything mutable here
-// is call-local, and the Setup-written shard, index and leader are only
+// is call-local, and the Load-written shard, index and leader are only
 // read.
 func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.QueryResult, error) {
 	qp, err := h.point(q, qi)
@@ -582,9 +559,8 @@ func (h *typedHandler[P]) Direct(q wire.Query, qi int) (tcp.QueryResult, error) 
 
 // ServeTypedNode runs one resident serving node for any served point type:
 // it joins the frontend at coordAddr, receives its machine identity, builds
-// its shard via shards, meshes with its peers, takes part in the setup
-// election, and then answers batched query epochs until the frontend shuts
-// the session down. It blocks for the lifetime of the session; a nil return
+// its shard via shards, links to its star neighbours, and then answers
+// batched query epochs until the frontend shuts the session down. It blocks for the lifetime of the session; a nil return
 // means a clean shutdown.
 //
 // meshAddr is the address to listen on for peer connections
@@ -616,9 +592,9 @@ type FrontendOptions = tcp.FrontendOptions
 
 // NewFrontendOptions starts the serving listener for a k-node cluster with
 // an explicit epoch scheduler configuration (pipelining window, server-side
-// batching). seed is the session seed every node receives: it drives the
-// setup election and the per-query epoch seeds, so a serving cluster
-// replays deterministically for the same (seed, query stream).
+// batching). seed is the session seed every node receives: it decides the
+// leader and the per-query epoch seeds, so a serving cluster replays
+// deterministically for the same (seed, query stream).
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
 	return tcp.NewFrontendOptions(addr, k, seed, opts)
 }
@@ -638,9 +614,8 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 // issue queries from concurrent goroutines, or use KNNAsync to hold many
 // outstanding without a goroutine per call. QueryStats are the real mesh costs:
 // Rounds is the slowest node's round count and Messages/Bytes are
-// cluster-wide totals (election rounds were paid once, in the setup
-// epoch) — for a query the frontend transparently coalesced into a shared
-// epoch, they describe that whole epoch.
+// cluster-wide totals — for a query the frontend transparently coalesced
+// into a shared epoch, they describe that whole epoch.
 type RemoteCluster[P any] struct {
 	client *tcp.Client
 	codec  wire.PointCodec[P]
@@ -817,7 +792,7 @@ type LocalServer = tcp.LocalCluster
 // ServeTypedLocalOptions starts a loopback TCP serving cluster for any
 // served point type: a frontend configured by fopts (zero value = defaults)
 // and k resident nodes, each holding the shard that shards(id, k) builds. It
-// returns once the cluster is meshed, elected and ready to serve. The k
+// returns once the cluster is meshed and ready to serve. The k
 // in-process nodes share opts, so a NodeOptions.Metrics registry receives
 // their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
