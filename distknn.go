@@ -40,8 +40,8 @@
 //
 // The same serving model runs over real sockets, generic over the point
 // type: a Frontend plus k resident nodes (ServeTypedNode with a PointType
-// — scalar, k-d-tree-indexed vector and bit-packed Hamming shards ship —
-// or ServeTypedLocalOptions for a single-process loopback deployment) mesh up
+// — scalar shards and k-d-tree-indexed vector shards ship — or
+// ServeTypedLocalOptions for a single-process loopback deployment) mesh up
 // once as a star around the seed's leader and answer each dispatched query
 // batch as one BSP epoch on the standing mesh; a batch's queries run as lockstep
 // sub-programs sharing the epoch's physical rounds, so KNNBatch over TCP
@@ -96,9 +96,6 @@ type (
 	Scalar = points.Scalar
 	// Vector is a d-dimensional float64 point.
 	Vector = points.Vector
-	// BitVector is a bit-packed point compared under Hamming distance
-	// (64 features per word).
-	BitVector = points.BitVector
 	// Metric computes order-encoded distances for point type P.
 	Metric[P any] = points.Metric[P]
 )

@@ -10,8 +10,8 @@
 //   - map-order summation: a float accumulated across a map range, whose
 //     iteration order varies run to run.
 //
-// The 4-way unrolled L2 kernel in internal/points is the sanctioned
-// shape: unrolled loads feeding ONE accumulator, sequentially.
+// points.SqL2, the one squared-L2 loop, is the sanctioned shape: ONE
+// accumulator taking sequential adds.
 package fpsum
 
 import (

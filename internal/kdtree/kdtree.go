@@ -155,7 +155,7 @@ type search struct {
 func (s *search) visit(nd *node) {
 	for nd != nil {
 		p := s.t.pts[nd.idx]
-		key := keys.Key{Dist: keys.MustEncodeFloat(sq2(p, s.q)), ID: s.t.ids[nd.idx]}
+		key := keys.Key{Dist: keys.MustEncodeFloat(points.SqL2(p, s.q)), ID: s.t.ids[nd.idx]}
 		if key.Less(s.cut) {
 			s.top.Push(points.Item{Key: key, Label: s.t.labels[nd.idx]})
 			s.cut = s.top.Cut()
@@ -176,33 +176,6 @@ func (s *search) visit(nd *node) {
 	}
 }
 
-// CountWithin returns the number of points at squared Euclidean distance
-// ≤ r2 from q.
-func (t *Tree) CountWithin(q points.Vector, r2 float64) int {
-	count := 0
-	var visit func(nd *node)
-	visit = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		p := t.pts[nd.idx]
-		if sq2(p, q) <= r2 {
-			count++
-		}
-		diff := q[nd.axis] - p[nd.axis]
-		near, far := nd.left, nd.right
-		if diff > 0 {
-			near, far = nd.right, nd.left
-		}
-		visit(near)
-		if diff*diff <= r2 {
-			visit(far)
-		}
-	}
-	visit(t.root)
-	return count
-}
-
 // Height returns the tree height (0 for empty) — exposed for balance tests.
 func (t *Tree) Height() int {
 	var h func(nd *node) int
@@ -217,15 +190,6 @@ func (t *Tree) Height() int {
 		return r + 1
 	}
 	return h(t.root)
-}
-
-func sq2(a, b points.Vector) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }
 
 // MaxHeightFor returns the height bound a median-split tree must satisfy for

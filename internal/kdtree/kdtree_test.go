@@ -109,29 +109,6 @@ func TestKNNDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestCountWithinMatchesBrute(t *testing.T) {
-	tree, s := buildRandom(t, 9, 500, 3)
-	rng := xrand.New(200)
-	for trial := 0; trial < 20; trial++ {
-		q := points.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
-		r2 := rng.Float64() * 0.5
-		want := 0
-		for _, p := range s.Pts {
-			var d2 float64
-			for j := range p {
-				d := p[j] - q[j]
-				d2 += d * d
-			}
-			if d2 <= r2 {
-				want++
-			}
-		}
-		if got := tree.CountWithin(q, r2); got != want {
-			t.Fatalf("CountWithin(r2=%g) = %d, want %d", r2, got, want)
-		}
-	}
-}
-
 func TestTreeBalanced(t *testing.T) {
 	tree, _ := buildRandom(t, 10, 1023, 2)
 	if h := tree.Height(); h > MaxHeightFor(1023) {

@@ -17,8 +17,9 @@ import (
 )
 
 // Key is the (distance, id) pair the distributed algorithms select over.
-// Dist is an order-preserving encoding of the true distance (see EncodeFloat
-// and EncodeUint); ID is unique across the whole input set.
+// Dist is an order-preserving encoding of the true distance (see
+// EncodeFloat; an integer distance is its own encoding); ID is unique
+// across the whole input set.
 type Key struct {
 	Dist uint64
 	ID   uint64
@@ -91,8 +92,3 @@ func MustEncodeFloat(d float64) uint64 {
 
 // DecodeFloat inverts EncodeFloat.
 func DecodeFloat(u uint64) float64 { return math.Float64frombits(u) }
-
-// EncodeUint encodes an integer distance (e.g. |p−q| over scalar points, or a
-// Hamming distance). The identity is spelled out so call sites document that
-// the value enters the key order.
-func EncodeUint(d uint64) uint64 { return d }

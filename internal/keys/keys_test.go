@@ -156,11 +156,3 @@ func TestMustEncodeFloatPanics(t *testing.T) {
 	}()
 	MustEncodeFloat(math.NaN())
 }
-
-func TestEncodeUintIdentity(t *testing.T) {
-	for _, v := range []uint64{0, 1, 1 << 32, math.MaxUint64} {
-		if EncodeUint(v) != v {
-			t.Errorf("EncodeUint(%d) != %d", v, v)
-		}
-	}
-}

@@ -93,21 +93,3 @@ func GenRegression1D(rng *rand.Rand, n int, domain uint64, noise float64) *Set[S
 	}
 	return s
 }
-
-// GenBitVectors draws n random bit vectors of `words`×64 bits with zero
-// labels, for Hamming-metric tests.
-func GenBitVectors(rng *rand.Rand, n, words int) *Set[BitVector] {
-	pts := make([]BitVector, n)
-	for i := range pts {
-		v := make(BitVector, words)
-		for j := range v {
-			v[j] = rng.Uint64()
-		}
-		pts[i] = v
-	}
-	s, err := NewSet(pts, nil, Hamming, 1)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -16,7 +16,7 @@ import (
 type Batch[P any] func(pts []P, q P, out []uint64)
 
 // BatchOf returns the batch kernel of m: the hand-written one when m is
-// ScalarMetric, Hamming or L2, and otherwise an adaptor that calls m per
+// ScalarMetric or L2, and otherwise an adaptor that calls m per
 // point, so any metric — shipped or user-supplied — has one.
 //
 // A shipped metric is recognised by its code pointer, because a func value
@@ -28,8 +28,6 @@ func BatchOf[P any](m Metric[P]) Batch[P] {
 	switch reflect.ValueOf(m).Pointer() {
 	case scalarMetricPC:
 		hand = Batch[Scalar](scalarBatch)
-	case hammingPC:
-		hand = Batch[BitVector](hammingBatch)
 	case l2PC:
 		hand = Batch[Vector](l2Batch)
 	}
@@ -46,7 +44,6 @@ func BatchOf[P any](m Metric[P]) Batch[P] {
 
 var (
 	scalarMetricPC = reflect.ValueOf(ScalarMetric).Pointer()
-	hammingPC      = reflect.ValueOf(Hamming).Pointer()
 	l2PC           = reflect.ValueOf(L2).Pointer()
 )
 
@@ -57,38 +54,10 @@ func scalarBatch(pts []Scalar, q Scalar, out []uint64) {
 	}
 }
 
-func hammingBatch(pts []BitVector, q BitVector, out []uint64) {
-	out = out[:len(pts)]
-	for i, p := range pts {
-		out[i] = Hamming(p, q)
-	}
-}
-
-// l2Batch repeats L2's loop rather than calling it: L2 is past the
-// compiler's inlining budget, and at the low dimensions the k-center and
-// medoid passes run at, the call costs as much as the arithmetic. The adds
-// are L2's, in L2's order, into one accumulator — see the comment there.
 func l2Batch(pts []Vector, q Vector, out []uint64) {
 	out = out[:len(pts)]
-	for i, a := range pts {
-		b := q[:len(a)]
-		var sum float64
-		j := 0
-		for ; j+4 <= len(a); j += 4 {
-			d0 := a[j] - b[j]
-			sum += d0 * d0
-			d1 := a[j+1] - b[j+1]
-			sum += d1 * d1
-			d2 := a[j+2] - b[j+2]
-			sum += d2 * d2
-			d3 := a[j+3] - b[j+3]
-			sum += d3 * d3
-		}
-		for ; j < len(a); j++ {
-			d := a[j] - b[j]
-			sum += d * d
-		}
-		out[i] = keys.MustEncodeFloat(sum)
+	for i, p := range pts {
+		out[i] = keys.MustEncodeFloat(SqL2(p, q))
 	}
 }
 

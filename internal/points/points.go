@@ -12,7 +12,6 @@ package points
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"distknn/internal/keys"
@@ -30,7 +29,7 @@ type Item struct {
 
 // Metric computes the encoded distance between two points of type P. The
 // returned uint64 must order identically to the true distance (use
-// keys.EncodeFloat / keys.EncodeUint).
+// keys.EncodeFloat, or the integer distance itself).
 type Metric[P any] func(a, b P) uint64
 
 // Set is one machine's (or the whole instance's) collection of labeled
@@ -138,33 +137,24 @@ type Vector []float64
 // L2 returns the squared Euclidean distance, float64-encoded. Squaring is
 // order-preserving, so keys built from L2 rank identically to true Euclidean
 // distance while avoiding the sqrt.
-//
-// The loop is 4-way unrolled with the b slice clamped to len(a) up front,
-// which lets the compiler drop the per-element bounds checks. The single
-// accumulator and its strictly sequential adds are load-bearing: distances
-// feed (distance, id) selection keys that the determinism tests pin
-// bit-for-bit, and floating-point addition is not associative — a
+func L2(a, b Vector) uint64 { return keys.MustEncodeFloat(SqL2(a, b)) }
+
+// SqL2 is the squared Euclidean distance as a float64: the one squared-L2
+// summation every caller (L2, its batch kernel, the k-d tree) runs. The
+// single accumulator and its strictly sequential adds are load-bearing:
+// distances feed (distance, id) selection keys that the determinism tests
+// pin bit-for-bit, and floating-point addition is not associative — a
 // multi-accumulator reduction would change low-order bits and with them
-// the answers.
-func L2(a, b Vector) uint64 {
+// the answers. Clamping b to len(a) up front drops the per-element bounds
+// checks, and the loop is small enough to inline into its callers.
+func SqL2(a, b Vector) float64 {
 	b = b[:len(a)]
 	var sum float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := a[i] - b[i]
-		sum += d0 * d0
-		d1 := a[i+1] - b[i+1]
-		sum += d1 * d1
-		d2 := a[i+2] - b[i+2]
-		sum += d2 * d2
-		d3 := a[i+3] - b[i+3]
-		sum += d3 * d3
-	}
-	for ; i < len(a); i++ {
+	for i := range a {
 		d := a[i] - b[i]
 		sum += d * d
 	}
-	return keys.MustEncodeFloat(sum)
+	return sum
 }
 
 // L1 returns the Manhattan distance, float64-encoded.
@@ -216,22 +206,6 @@ func Cosine(a, b Vector) uint64 {
 		}
 	}
 	return keys.MustEncodeFloat(d)
-}
-
-// BitVector is a bit-packed point for Hamming distance (e.g. binary feature
-// sketches), 64 features per word.
-type BitVector []uint64
-
-// Hamming counts differing bits: a popcount over the xor of each word
-// pair. The straight loop inlines into the batch kernel and already keeps
-// the popcount off the critical path (measured faster than a
-// two-accumulator unroll at every dim).
-func Hamming(a, b BitVector) uint64 {
-	var n uint64
-	for i := range a {
-		n += uint64(bits.OnesCount64(a[i] ^ b[i]))
-	}
-	return n
 }
 
 // TopLItems returns the l items nearest to q in ascending key order — the

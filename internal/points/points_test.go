@@ -73,17 +73,6 @@ func TestVectorMetricOrderAgreesWithEuclidean(t *testing.T) {
 	}
 }
 
-func TestHamming(t *testing.T) {
-	a := BitVector{0b1010, 0}
-	b := BitVector{0b0110, 1}
-	if got := Hamming(a, b); got != 3 {
-		t.Errorf("Hamming = %d, want 3", got)
-	}
-	if got := Hamming(a, a); got != 0 {
-		t.Errorf("Hamming self = %d, want 0", got)
-	}
-}
-
 func TestNewSetValidation(t *testing.T) {
 	if _, err := NewSet([]Scalar{1}, nil, nil, 1); err == nil {
 		t.Errorf("nil metric must be rejected")
@@ -155,10 +144,6 @@ func TestGenerators(t *testing.T) {
 		if math.Abs(lb-want) > 0.1 {
 			t.Fatalf("regression label %g too far from %g", lb, want)
 		}
-	}
-	bv := GenBitVectors(rng, 10, 2)
-	if bv.Len() != 10 || len(bv.Pts[0]) != 2 {
-		t.Fatalf("GenBitVectors shape")
 	}
 }
 

@@ -51,11 +51,9 @@ func TestTopLItemsMatchesBruteKNNEveryMetric(t *testing.T) {
 		rng := xrand.New(uint64(n) + 1)
 		scalars := make([]Scalar, n)
 		vectors := make([]Vector, n)
-		sketches := make([]BitVector, n)
 		for i := 0; i < n; i++ {
 			scalars[i] = Scalar(rng.Uint64N(8))
 			vectors[i] = Vector{float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(2)), float64(rng.IntN(2))}
-			sketches[i] = BitVector{rng.Uint64N(4), rng.Uint64N(4) << 62, rng.Uint64N(2)}
 		}
 		checkScan(t, "Scalar", scalars, ScalarMetric, Scalar(3))
 		q := Vector{1, 0, 2, 1, 0}
@@ -63,7 +61,6 @@ func TestTopLItemsMatchesBruteKNNEveryMetric(t *testing.T) {
 		checkScan(t, "L1", vectors, L1, q)
 		checkScan(t, "LInf", vectors, LInf, q)
 		checkScan(t, "Cosine", vectors, Cosine, q)
-		checkScan(t, "Hamming", sketches, Hamming, BitVector{1, 1 << 63, 0})
 	}
 }
 
@@ -92,7 +89,7 @@ func TestTopLItemsTieAtCutoff(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchMetrics holds every batch kernel — the three written
+// TestBatchKernelsMatchMetrics holds every batch kernel — the two written
 // by hand and the adaptor behind the other shipped metrics — to its
 // per-pair metric bit for bit, on random inputs and on the inputs each
 // kernel could plausibly get wrong.
@@ -107,8 +104,8 @@ func TestBatchKernelsMatchMetrics(t *testing.T) {
 		checkBatch(t, "Scalar", scalars, ScalarMetric, q)
 	}
 
-	// Every remainder of the 4-way unroll, long vectors, and magnitudes
-	// mixed so that one reordered add would flip a low-order bit.
+	// Short and long vectors, with magnitudes mixed so that one reordered
+	// add would flip a low-order bit.
 	for _, dim := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 130} {
 		vectors := make([]Vector, 64)
 		for i := range vectors {
@@ -124,21 +121,6 @@ func TestBatchKernelsMatchMetrics(t *testing.T) {
 			checkBatch(t, "LInf", vectors, LInf, q)
 			checkBatch(t, "Cosine", vectors, Cosine, q)
 		}
-	}
-
-	for words := 0; words <= 9; words++ {
-		sketches := make([]BitVector, 64)
-		for i := range sketches {
-			sketches[i] = make(BitVector, words)
-			for j := range sketches[i] {
-				sketches[i][j] = rng.Uint64()
-			}
-		}
-		q := make(BitVector, words)
-		for j := range q {
-			q[j] = ^sketches[0][j] // saturated against the first sketch
-		}
-		checkBatch(t, "Hamming", sketches, Hamming, q)
 	}
 }
 
@@ -159,9 +141,6 @@ func TestBatchOfRecognisesShippedMetrics(t *testing.T) {
 	pc := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
 	if pc(BatchOf(ScalarMetric)) != pc(scalarBatch) {
 		t.Errorf("ScalarMetric did not get the scalar kernel")
-	}
-	if pc(BatchOf(Hamming)) != pc(hammingBatch) {
-		t.Errorf("Hamming did not get the Hamming kernel")
 	}
 	if pc(BatchOf(L2)) != pc(l2Batch) {
 		t.Errorf("L2 did not get the L2 kernel")
@@ -213,8 +192,8 @@ func TestTopLItemsAllocatesOnlyTheResult(t *testing.T) {
 
 // BenchmarkTopLScan times one local top-ℓ pass at ℓ = 256 over the shard
 // shapes the serving stack scans: the paper's scalar shard (the shape of
-// knnperf's points.topl_scan_ms probe), a bit-vector shard through the
-// Hamming kernel, and a low-dimensional L1 shard through the adaptor.
+// knnperf's points.topl_scan_ms probe) and a low-dimensional L1 shard
+// through the adaptor.
 func BenchmarkTopLScan(b *testing.B) {
 	const l = 256
 	b.Run("Scalar", func(b *testing.B) {
@@ -223,14 +202,6 @@ func BenchmarkTopLScan(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			set.TopLItems(Scalar(rng.Uint64N(PaperDomain)), l)
-		}
-	})
-	b.Run("BitVector", func(b *testing.B) {
-		set := GenBitVectors(xrand.New(1), 1<<16, 4)
-		q := BitVector{0x0123456789abcdef, 0xfedcba9876543210, 0x0f0f0f0f0f0f0f0f, 0x3333333333333333}
-		b.ReportAllocs()
-		for b.Loop() {
-			set.TopLItems(q, l)
 		}
 	})
 	b.Run("L1", func(b *testing.B) {

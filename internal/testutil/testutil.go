@@ -3,8 +3,8 @@
 // cluster, dials it, and tears both down at test cleanup — replacing the
 // per-point-type copies that had accreted across the remote_*_test.go
 // files. It lives outside the test files so every suite (scalar, vector,
-// bit-vector, metric variants, the pruned-dispatch metamorphic tests)
-// builds its cluster the same way.
+// metric variants, the pruned-dispatch metamorphic tests) builds its
+// cluster the same way.
 package testutil
 
 import (

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
+	"distknn/internal/obs"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 )
@@ -228,29 +230,59 @@ func TestServeEpochFailureKeepsSessionAlive(t *testing.T) {
 	}
 }
 
+// TestFrontendValidatesQueries sends one malformed query per check in the
+// frontend's per-query validation. Each gets a plain (non-degraded) error
+// naming what was wrong, consumes no epoch ordinal, and leaves the session
+// answering. Point tag 3 is a retired encoding no handler serves.
 func TestFrontendValidatesQueries(t *testing.T) {
-	_, client := startEchoCluster(t, 2, 9)
-	badTag := scalarQuery(wire.OpKNN, 1, 1)
-	badTag.Tag = wire.PointVector
+	const k = 2
+	reg := obs.NewRegistry()
+	lc := startEchoClusterOptions(t, k, 9, FrontendOptions{Metrics: reg}, func() Handler { return &echoHandler{} })
+	client := dialNoRetry(t, lc.Addr())
+	admitted := func() int64 { return reg.Snapshot().Counters["frontend_epochs_admitted_total"] }
+	withTag := func(tag uint8) wire.Query {
+		q := scalarQuery(wire.OpKNN, 1, 1)
+		q.Tag = tag
+		return q
+	}
 	cases := []struct {
 		name string
 		q    wire.Query
+		want string
 	}{
-		{"bad op", scalarQuery(99, 1, 1)},
-		{"bad tag", badTag},
-		{"l too small", scalarQuery(wire.OpKNN, 0, 1)},
-		{"l too large", scalarQuery(wire.OpKNN, 21, 1)},
-		{"empty batch", scalarQuery(wire.OpKNN, 1)},
+		{"bad op", scalarQuery(99, 1, 1), "unknown op 99"},
+		{"vector tag", withTag(wire.PointVector), "cluster serves point tag 1, query uses 2"},
+		{"retired tag", withTag(3), "cluster serves point tag 1, query uses 3"},
+		{"l too small", scalarQuery(wire.OpKNN, 0, 1), "l=0 out of range"},
+		{"l too large", scalarQuery(wire.OpKNN, 21, 1), "l=21 out of range"},
+		{"empty batch", scalarQuery(wire.OpKNN, 1), "batch of 0 out of range"},
 	}
+	before := admitted()
 	for _, tc := range cases {
-		if _, err := client.Do(tc.q); err == nil {
+		_, err := client.Do(tc.q)
+		switch {
+		case err == nil:
 			t.Errorf("%s: expected error", tc.name)
+		case errors.Is(err, ErrDegraded):
+			t.Errorf("%s: rejected as degraded: %v", tc.name, err)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.want)
 		}
 	}
-	// Validation failures must not have consumed an epoch or broken the
-	// session.
-	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 4)); err != nil {
+	if got := admitted(); got != before {
+		t.Fatalf("rejected queries admitted %d epochs", got-before)
+	}
+	rep, err := client.Do(scalarQuery(wire.OpKNN, k, 4))
+	if err != nil {
 		t.Fatalf("valid query after rejections: %v", err)
+	}
+	if len(rep.Results) != 1 || len(rep.Results[0].Items) != k {
+		t.Fatalf("valid query after rejections: %+v", rep)
+	}
+	for id, it := range rep.Results[0].Items {
+		if want := (keys.Key{Dist: 4*10 + uint64(id), ID: uint64(id) + 1}); it.Key != want {
+			t.Fatalf("item %d = %v, want %v", id, it.Key, want)
+		}
 	}
 }
 

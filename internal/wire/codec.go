@@ -11,9 +11,9 @@ import (
 // (RemoteCluster) uses Tag and Encode to build queries, the node side uses
 // Decode to recover the typed point before running an epoch, and the
 // frontend matches Tag without ever understanding the bytes. Codecs for the
-// three served encodings are ScalarCodec, VectorCodec and BitVectorCodec;
-// adding a point type to the wire means adding a tag constant and a codec,
-// nothing else in the transport changes.
+// two served encodings are ScalarCodec and VectorCodec; adding a point
+// type to the wire means adding a tag constant and a codec, nothing else in
+// the transport changes.
 type PointCodec[P any] struct {
 	// Tag is the wire tag (PointScalar, PointVector, …) this codec speaks.
 	Tag uint8
@@ -39,14 +39,6 @@ var VectorCodec = PointCodec[points.Vector]{
 	Tag:    PointVector,
 	Encode: EncodeVectorPoint,
 	Decode: DecodeVectorPoint,
-}
-
-// BitVectorCodec is the PointBitVector codec: Varint word count, then that
-// many U64 words.
-var BitVectorCodec = PointCodec[points.BitVector]{
-	Tag:    PointBitVector,
-	Encode: EncodeBitVectorPoint,
-	Decode: DecodeBitVectorPoint,
 }
 
 // EncodeScalarPoint encodes a scalar query point for a Query's point payload.
@@ -96,37 +88,6 @@ func DecodeVectorPoint(p []byte) (points.Vector, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("wire: vector point has %d trailing bytes", r.Remaining())
-	}
-	return v, nil
-}
-
-// EncodeBitVectorPoint encodes a bit-packed Hamming point for a Query's
-// point payload: Varint word count, then that many U64 words.
-func EncodeBitVectorPoint(v points.BitVector) []byte {
-	var w Writer
-	w.Varint(uint64(len(v)))
-	for _, x := range v {
-		w.U64(x)
-	}
-	return w.Bytes()
-}
-
-// DecodeBitVectorPoint decodes a PointBitVector payload.
-func DecodeBitVectorPoint(p []byte) (points.BitVector, error) {
-	r := NewReader(p)
-	words := r.Varint()
-	if r.Err() == nil && words > uint64(r.Remaining()/8) {
-		return nil, fmt.Errorf("wire: bit vector of %d words exceeds payload", words)
-	}
-	v := make(points.BitVector, words)
-	for i := range v {
-		v[i] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: bit vector point has %d trailing bytes", r.Remaining())
 	}
 	return v, nil
 }

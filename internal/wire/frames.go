@@ -93,10 +93,9 @@ const (
 	PointScalar = 1
 	// PointVector is a d-dimensional point: Varint dim, then dim × F64.
 	PointVector = 2
-	// PointBitVector is a bit-packed point compared under Hamming
-	// distance: Varint word count, then that many U64 words (64 bits
-	// each).
-	PointBitVector = 3
+
+	// Tag 3 (an earlier bit-packed point encoding) is retired and never
+	// reused.
 )
 
 // MaxBatch bounds the number of points one Query may carry. It keeps a

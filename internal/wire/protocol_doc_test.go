@@ -62,7 +62,6 @@ func docExamples() []struct {
 		{"mesh hello", hello.Bytes()},
 		{"mesh round frame", mesh.Bytes()},
 		{"vector point", EncodeVectorPoint(points.Vector{0.5, 1.5})},
-		{"bit vector point", EncodeBitVectorPoint(points.BitVector{5, 1})},
 		{"query", encQueryTagged(300, q)},
 		{"vector batch query", encQueryTagged(301, vq)},
 		{"dispatch", encDispatch(1, q)},

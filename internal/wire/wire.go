@@ -49,17 +49,6 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Reset empties the writer, keeping its capacity for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
-// Grow preallocates capacity for at least n more bytes, so a writer whose
-// final size is known (or bounded) encodes with a single allocation.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) >= n {
-		return
-	}
-	buf := make([]byte, len(w.buf), len(w.buf)+n)
-	copy(buf, w.buf)
-	w.buf = buf
-}
-
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 

@@ -287,22 +287,18 @@ func TestFrameBufPool(t *testing.T) {
 	PutFrameBuf(make([]byte, 2<<20))
 }
 
-func TestWriterGrowAndReset(t *testing.T) {
+func TestWriterReset(t *testing.T) {
 	var w Writer
-	w.Grow(100)
-	if cap(w.Bytes()) < 100 {
-		t.Errorf("Grow(100) left cap %d", cap(w.Bytes()))
-	}
 	w.U64(7)
-	w.Grow(8) // already fits: must not move the buffer
 	w.U64(9)
-	r := NewReader(w.Bytes())
-	if r.U64() != 7 || r.U64() != 9 {
-		t.Errorf("Grow corrupted contents")
-	}
+	c := cap(w.Bytes())
 	w.Reset()
-	if w.Len() != 0 || cap(w.Bytes()) < 100 {
-		t.Errorf("Reset lost capacity: len %d cap %d", w.Len(), cap(w.Bytes()))
+	if w.Len() != 0 || cap(w.Bytes()) != c {
+		t.Errorf("Reset lost capacity: len %d cap %d, want len 0 cap %d", w.Len(), cap(w.Bytes()), c)
+	}
+	w.U64(5)
+	if r := NewReader(w.Bytes()); r.U64() != 5 || r.Remaining() != 0 {
+		t.Errorf("writer after Reset holds %x, want only the new value", w.Bytes())
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 //
 // What a point type needs to cross this stack is bundled in a PointType:
 // the wire codec (tag + encode/decode), the distance metric, and the local
-// index the nodes answer their top-ℓ step from. Six instances ship
-// (ScalarPoints, VectorPoints, L1Points, LInfPoints, CosinePoints and
-// BitVectorPoints); the transport below never learns what a point is.
+// index the nodes answer their top-ℓ step from. Five instances ship
+// (ScalarPoints, VectorPoints, L1Points, LInfPoints and CosinePoints); the
+// transport below never learns what a point is.
 
 // ErrSessionLost marks a serving node's exit because its session died
 // under it — the frontend vanished, or the node was evicted after a mesh
@@ -137,9 +137,9 @@ type ShardProvider[P any] func(id, k int) (Shard[P], error)
 
 // PointType bundles everything the serving stack needs to handle one point
 // type: the wire codec, the distance metric, and the local top-ℓ index the
-// nodes answer from. Six instances ship: ScalarPoints, VectorPoints,
-// L1Points, LInfPoints, CosinePoints and BitVectorPoints. The TCP transport
-// itself never learns what a point is, so
+// nodes answer from. Five instances ship: ScalarPoints, VectorPoints,
+// L1Points, LInfPoints and CosinePoints. The TCP transport itself never
+// learns what a point is, so
 // supporting a new point type means writing a wire.PointCodec and a
 // PointType — no transport changes.
 type PointType[P any] struct {
@@ -150,18 +150,16 @@ type PointType[P any] struct {
 	// fills a block of distances, and only those that beat the current
 	// cutoff reach the bounded heap.
 	index func(set *points.Set[P]) (func(q P, l int) []Item, error)
-	// check validates a decoded query point against the shard (e.g. the
-	// vector dimension); nil means no validation.
-	check func(set *points.Set[P], q P) error
 	// keyDist converts an encoded distance key back to the true metric
 	// distance (e.g. the square root of a decoded squared L2 key). The
 	// true distances must satisfy the triangle inequality; nil marks a
 	// distance that is not a metric (cosine) and disables metric-index
 	// pruning for the type.
 	keyDist func(uint64) float64
-	// compat validates that a query point is comparable to a shard
-	// centroid (e.g. equal dimensions) for frontend-side pruning; nil
-	// means always comparable.
+	// compat validates that a query point is comparable to a reference
+	// point (e.g. equal dimensions): a shard centroid for frontend-side
+	// pruning, the shard's first point on the node. Nil means always
+	// comparable.
 	compat func(q, c P) error
 }
 
@@ -184,19 +182,11 @@ func (pt PointType[P]) Pruner() Pruner {
 	}
 }
 
-// vectorDimCheck rejects a query whose dimension differs from the shard's.
-func vectorDimCheck(set *points.Set[Vector], q Vector) error {
-	if set.Len() > 0 && len(q) != len(set.Pts[0]) {
-		return fmt.Errorf("query dimension %d, shard dimension %d", len(q), len(set.Pts[0]))
-	}
-	return nil
-}
-
-// vectorCompat rejects a query whose dimension differs from a shard
-// centroid's, before the frontend measures their distance.
+// vectorCompat rejects a query whose dimension differs from a reference
+// point's, before either side measures their distance.
 func vectorCompat(q, c Vector) error {
 	if len(q) != len(c) {
-		return fmt.Errorf("query dimension %d, shard centroid dimension %d", len(q), len(c))
+		return fmt.Errorf("query dimension %d, shard dimension %d", len(q), len(c))
 	}
 	return nil
 }
@@ -228,7 +218,6 @@ func VectorPoints() PointType[Vector] {
 			}
 			return tree.KNN, nil
 		},
-		check: vectorDimCheck,
 		// L2 keys encode the squared distance; the true metric distance is
 		// its square root.
 		keyDist: func(d uint64) float64 { return math.Sqrt(keys.DecodeFloat(d)) },
@@ -244,7 +233,6 @@ func L1Points() PointType[Vector] {
 	return PointType[Vector]{
 		codec:   wire.VectorCodec,
 		metric:  points.L1,
-		check:   vectorDimCheck,
 		keyDist: keys.DecodeFloat,
 		compat:  vectorCompat,
 	}
@@ -258,7 +246,6 @@ func LInfPoints() PointType[Vector] {
 	return PointType[Vector]{
 		codec:   wire.VectorCodec,
 		metric:  points.LInf,
-		check:   vectorDimCheck,
 		keyDist: keys.DecodeFloat,
 		compat:  vectorCompat,
 	}
@@ -274,32 +261,7 @@ func CosinePoints() PointType[Vector] {
 	return PointType[Vector]{
 		codec:  wire.VectorCodec,
 		metric: points.Cosine,
-		check:  vectorDimCheck,
-	}
-}
-
-// BitVectorPoints is the bit-packed Hamming workload (binary feature
-// sketches, 64 features per word), answered from the block scan with the
-// hand-written Hamming kernel — popcount distances are cheap enough that a
-// spatial index buys little. Served results are bit-identical to an in-process NewCluster built over
-// the same global data with points.Hamming.
-func BitVectorPoints() PointType[BitVector] {
-	return PointType[BitVector]{
-		codec:   wire.BitVectorCodec,
-		metric:  points.Hamming,
-		keyDist: func(d uint64) float64 { return float64(d) },
-		check: func(set *points.Set[BitVector], q BitVector) error {
-			if set.Len() > 0 && len(q) != len(set.Pts[0]) {
-				return fmt.Errorf("query has %d words, shard has %d", len(q), len(set.Pts[0]))
-			}
-			return nil
-		},
-		compat: func(q, c BitVector) error {
-			if len(q) != len(c) {
-				return fmt.Errorf("query has %d words, shard centroid has %d", len(q), len(c))
-			}
-			return nil
-		},
+		compat: vectorCompat,
 	}
 }
 
@@ -333,25 +295,6 @@ func UniformVectorShards(seed uint64, perNode, dim int) ShardProvider[Vector] {
 			labels[j] = float64((id*perNode + j) % 4)
 		}
 		return Shard[Vector]{
-			Points:  set.Pts,
-			Labels:  labels,
-			FirstID: uint64(id)*uint64(perNode) + 1,
-		}, nil
-	}
-}
-
-// UniformBitVectorShards is the bit-vector counterpart of PaperShards:
-// node id draws perNode random bit vectors of words×64 bits from stream id
-// of seed, labels cycle 0..3 by global index (so classification has a
-// target), and the node owns the ID block [id·perNode+1, (id+1)·perNode].
-func UniformBitVectorShards(seed uint64, perNode, words int) ShardProvider[BitVector] {
-	return func(id, k int) (Shard[BitVector], error) {
-		set := points.GenBitVectors(xrand.NewStream(seed, uint64(id)), perNode, words)
-		labels := make([]float64, perNode)
-		for j := range labels {
-			labels[j] = float64((id*perNode + j) % 4)
-		}
-		return Shard[BitVector]{
 			Points:  set.Pts,
 			Labels:  labels,
 			FirstID: uint64(id)*uint64(perNode) + 1,
@@ -514,8 +457,8 @@ func (h *typedHandler[P]) summarize(shard Shard[P]) wire.ShardSummary {
 // the node's shard.
 func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
 	qp, err := h.pt.codec.Decode(q.Points[qi])
-	if err == nil && h.pt.check != nil {
-		err = h.pt.check(h.set, qp)
+	if err == nil && h.pt.compat != nil && h.set.Len() > 0 {
+		err = h.pt.compat(qp, h.set.Pts[0])
 	}
 	if err != nil {
 		return qp, fmt.Errorf("query %d: %w", qi, err)

@@ -256,29 +256,44 @@ func TestPrunedGaussianPrunes(t *testing.T) {
 	compareClassify(t, pruned, full, qs[:15], l)
 }
 
-// TestPrunedBitVectorBitIdentical covers the medoid path: uniform bit-vector
-// shards pin no centroid, so each node summarizes itself around an
-// approximate medoid. Hamming balls over uniform data barely prune, but the
-// answers must not move.
-func TestPrunedBitVectorBitIdentical(t *testing.T) {
+// medoidTwins starts pruned and full-scatter sessions over uniform vector
+// shards, which pin no centroid, so each node summarizes itself around an
+// approximate medoid (metricindex.ApproxMedoid). It fails the test unless
+// the pruned session really answers through pruned dispatch: one whose
+// medoid summaries failed would serve full scatter and pass every
+// comparison without touching the pruned path.
+func medoidTwins(t *testing.T, k int, seed uint64, perNode, dim, queries, l int) (pruned, full *distknn.RemoteCluster[distknn.Vector], qs []distknn.Vector) {
+	t.Helper()
+	pruned, full = prunedTwins(t, distknn.VectorPoints(), k, seed, distknn.UniformVectorShards(seed, perNode, dim))
+	qs = make([]distknn.Vector, queries)
+	for i := range qs {
+		qs[i] = vectorQueryAt(seed, dim, i)
+	}
+	if _, st, err := pruned.KNN(qs[0], l); err != nil {
+		t.Fatal(err)
+	} else if st.Contacts == 0 {
+		t.Fatal("medoid-summarized session did not answer through pruned dispatch")
+	}
+	return pruned, full, qs
+}
+
+// TestPrunedUniformVectorBitIdentical covers the medoid path: balls over
+// uniform data barely prune, but single queries and Classify must not move.
+func TestPrunedUniformVectorBitIdentical(t *testing.T) {
 	const (
 		k       = 3
 		perNode = 100
-		words   = 2
+		dim     = 3
 		seed    = 404
 		queries = 40
 		l       = 6
 	)
-	pruned, full := prunedTwins(t, distknn.BitVectorPoints(), k, seed, distknn.UniformBitVectorShards(seed, perNode, words))
-	qs := make([]distknn.BitVector, queries)
-	for i := range qs {
-		qs[i] = bitVectorQueryAt(seed, words, i)
-	}
+	pruned, full, qs := medoidTwins(t, k, seed, perNode, dim, queries, l)
 	comparePruned(t, pruned, full, k, qs, l)
 
-	cqs := make([]distknn.BitVector, 10)
+	cqs := make([]distknn.Vector, 10)
 	for i := range cqs {
-		cqs[i] = bitVectorQueryAt(seed, words, 5000+i)
+		cqs[i] = vectorQueryAt(seed, dim, 5000+i)
 	}
 	compareClassify(t, pruned, full, cqs, l)
 }
@@ -432,23 +447,19 @@ func TestPrunedBatchVectorPrunes(t *testing.T) {
 	}
 }
 
-// TestPrunedBatchBitVectorBitIdentical covers the batched medoid path:
-// Hamming shards summarized around approximate medoids barely prune, but a
+// TestPrunedBatchUniformVectorBitIdentical covers the batched medoid path:
+// shards summarized around approximate medoids barely prune, but a ragged
 // batch's answers must not move.
-func TestPrunedBatchBitVectorBitIdentical(t *testing.T) {
+func TestPrunedBatchUniformVectorBitIdentical(t *testing.T) {
 	const (
 		k       = 3
 		perNode = 100
-		words   = 2
+		dim     = 3
 		seed    = 404
 		queries = 30
 		l       = 6
 	)
-	pruned, full := prunedTwins(t, distknn.BitVectorPoints(), k, seed, distknn.UniformBitVectorShards(seed, perNode, words))
-	qs := make([]distknn.BitVector, queries)
-	for i := range qs {
-		qs[i] = bitVectorQueryAt(seed, words, i)
-	}
+	pruned, full, qs := medoidTwins(t, k, seed, perNode, dim, queries, l)
 	for _, batch := range []int{4, 13} {
 		comparePrunedBatch(t, pruned, full, k, qs, l, batch)
 	}
