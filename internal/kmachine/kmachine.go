@@ -163,8 +163,6 @@ type Env interface {
 	EndRound()
 	// Gather advances rounds until n messages have been received.
 	Gather(n int) []Message
-	// WaitAny advances rounds until at least one message arrives.
-	WaitAny() []Message
 }
 
 // Program is the code one machine executes. It runs on its own goroutine;
@@ -281,9 +279,6 @@ func (m *Machine) Gather(n int) []Message {
 	}
 	return got
 }
-
-// WaitAny advances rounds until at least one message arrives.
-func (m *Machine) WaitAny() []Message { return m.Gather(1) }
 
 // Run executes the same program on every machine.
 func Run(cfg Config, prog Program) (*Metrics, error) {

@@ -29,14 +29,14 @@ func TestRequestResponseIsTwoRounds(t *testing.T) {
 		func(m Env) error {
 			m.Send(1, []byte("ping"))
 			m.EndRound()
-			msgs := m.WaitAny()
+			msgs := m.Gather(1)
 			if string(msgs[0].Payload) != "pong" {
 				return fmt.Errorf("got %q", msgs[0].Payload)
 			}
 			return nil
 		},
 		func(m Env) error {
-			msgs := m.WaitAny()
+			msgs := m.Gather(1)
 			if string(msgs[0].Payload) != "ping" {
 				return fmt.Errorf("got %q", msgs[0].Payload)
 			}
@@ -68,7 +68,7 @@ func TestBroadcastReachesEveryone(t *testing.T) {
 			m.Broadcast([]byte{42})
 			return nil
 		}
-		msgs := m.WaitAny()
+		msgs := m.Gather(1)
 		mu.Lock()
 		received[m.ID()] = len(msgs)
 		mu.Unlock()
@@ -102,7 +102,7 @@ func TestBandwidthStretchesLargeMessage(t *testing.T) {
 			return nil
 		},
 		func(m Env) error {
-			m.WaitAny()
+			m.Gather(1)
 			deliveredRound = m.Round()
 			return nil
 		},
@@ -205,9 +205,9 @@ func TestLinksAreIndependent(t *testing.T) {
 			m.Send(2, make([]byte, 4))    // tiny: next round on link 0→2
 			return nil
 		},
-		func(m Env) error { m.WaitAny(); return nil },
+		func(m Env) error { m.Gather(1); return nil },
 		func(m Env) error {
-			m.WaitAny()
+			m.Gather(1)
 			round2 = m.Round()
 			return nil
 		},
@@ -228,7 +228,7 @@ func TestUnlimitedBandwidth(t *testing.T) {
 			return nil
 		},
 		func(m Env) error {
-			m.WaitAny()
+			m.Gather(1)
 			round = m.Round()
 			return nil
 		},
@@ -263,7 +263,7 @@ func TestProgramErrorPropagates(t *testing.T) {
 	progs := []Program{
 		func(m Env) error { return boom },
 		func(m Env) error {
-			m.WaitAny() // would block forever without cancellation
+			m.Gather(1) // would block forever without cancellation
 			return nil
 		},
 	}
@@ -276,7 +276,7 @@ func TestProgramErrorPropagates(t *testing.T) {
 func TestProgramPanicBecomesError(t *testing.T) {
 	progs := []Program{
 		func(m Env) error { panic("exploded") },
-		func(m Env) error { m.WaitAny(); return nil },
+		func(m Env) error { m.Gather(1); return nil },
 	}
 	_, err := RunPrograms(Config{K: 2, Seed: 10}, progs)
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("exploded")) {

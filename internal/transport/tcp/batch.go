@@ -238,6 +238,3 @@ func (l *lane) Gather(want int) []kmachine.Message {
 	}
 	return got
 }
-
-// WaitAny advances rounds until at least one message arrives.
-func (l *lane) WaitAny() []kmachine.Message { return l.Gather(1) }

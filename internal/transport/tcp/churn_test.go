@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"distknn/internal/election"
 	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/wire"
@@ -46,6 +47,18 @@ type churnCluster struct {
 
 func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handler) *churnCluster {
 	t.Helper()
+	c := newChurnCluster(t, k, seed)
+	for i := 0; i < k; i++ {
+		c.startNode(newHandler())
+	}
+	c.waitReady()
+	return c
+}
+
+// newChurnCluster starts the frontend of a churn cluster with k free seats
+// and no node.
+func newChurnCluster(t *testing.T, k int, seed uint64) *churnCluster {
+	t.Helper()
 	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,19 +73,20 @@ func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handl
 		}
 		c.wg.Wait()
 	})
-	for i := 0; i < k; i++ {
-		c.startNode(newHandler())
-	}
-	<-fe.ready
-	if fe.readyErr != nil {
-		t.Fatal(fe.readyErr)
-	}
 	return c
 }
 
-// startNode launches one node session (a registration: at rendezvous a
-// fresh seat, later the lowest absent one) and records its session handle
-// by machine id.
+// waitReady waits until every seat has been sealed once.
+func (c *churnCluster) waitReady() {
+	c.t.Helper()
+	<-c.fe.ready
+	if c.fe.readyErr != nil {
+		c.t.Fatal(c.fe.readyErr)
+	}
+}
+
+// startNode launches one node session (a registration, granted the lowest
+// free seat) and records its session handle by machine id.
 func (c *churnCluster) startNode(h Handler) {
 	c.wg.Add(1)
 	go func() {
@@ -408,10 +422,10 @@ func waitDegraded(t *testing.T, client *Client, k, present int) {
 // TestChurnDoubleRejoinRestoresStar checks that the mesh is the star around
 // the leader after bring-up, after a worker re-joins and after the leader
 // re-joins, and then loses the leader and a worker together and re-joins
-// both concurrently. Handshakes are serialized, so the second re-joiner's
-// grant must list the first among the peers to dial — without that, the
-// leader and the worker never link and every later epoch dies on the hole
-// in the star.
+// both concurrently. A grant lists the neighbours already granted, so the
+// second re-joiner's grant must list the first among the peers to dial —
+// without that, the leader and the worker never link and every later epoch
+// dies on the hole in the star.
 func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	k := 3
 	c := startChurnCluster(t, k, 61, func() Handler { return &echoHandler{} })
@@ -447,6 +461,92 @@ func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 		checkEcho(t, rep, k, v, leader)
 	}
 	c.checkStar(k, leader)
+}
+
+// gatedHandler is an echoHandler whose Load waits for gate to close.
+type gatedHandler struct {
+	echoHandler
+	gate <-chan struct{}
+}
+
+func (h *gatedHandler) Load(id, k, leader int) (SessionInfo, error) {
+	<-h.gate
+	return h.echoHandler.Load(id, k, leader)
+}
+
+// TestMeshHandshakeBringUpStarAtEveryLeaderSeat brings a cluster up one
+// registration at a time, so seat i is the i-th grant, with the leader at
+// the first, a middle and the last seat. Of two star neighbours the one
+// granted second dials the first: workers granted after the leader dial it,
+// and the leader dials the workers granted before it. No shard loads until
+// every seat is granted, so every dial reaches a neighbour that is granted
+// but not yet sealed. Every bring-up must end with a complete star that
+// answers.
+func TestMeshHandshakeBringUpStarAtEveryLeaderSeat(t *testing.T) {
+	const k = 4
+	for _, tc := range []struct {
+		name   string
+		leader int
+	}{{"first", 0}, {"middle", 2}, {"last", k - 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := uint64(1)
+			for election.Leader(seed, k) != tc.leader {
+				seed++
+			}
+			c := newChurnCluster(t, k, seed)
+			gate := make(chan struct{})
+			openGate := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(openGate) // before the cluster's cleanup waits for the nodes
+			for id := 0; id < k; id++ {
+				c.startNode(&gatedHandler{gate: gate})
+				deadline := time.Now().Add(10 * time.Second)
+				for c.session(id) == nil {
+					if time.Now().After(deadline) {
+						t.Fatalf("registration %d was never granted seat %d", id, id)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			openGate()
+			c.waitReady()
+			if got := c.fe.Leader(); got != tc.leader {
+				t.Fatalf("leader = %d, want %d", got, tc.leader)
+			}
+			c.checkStar(k, tc.leader)
+			client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			rep, err := client.Do(scalarQuery(wire.OpKNN, k, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEcho(t, rep, k, 3, tc.leader)
+		})
+	}
+}
+
+// TestChurnCloseDuringRejoinReleasesHandshake pins that Close releases a
+// join handshake in progress after the session is up: a registration
+// granted the evicted seat that never reports ready has its connection
+// closed by Close, not left to its handshake deadline.
+func TestChurnCloseDuringRejoinReleasesHandshake(t *testing.T) {
+	c := startChurnCluster(t, 2, 35, func() Handler { return &echoHandler{} })
+	if err := c.fe.EvictNode(1); err != nil {
+		t.Fatal(err)
+	}
+	conn := registerRaw(t, c.fe, 1)[0]
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	payload, err := wire.ReadFrame(conn)
+	if err != nil || wire.Kind(payload[0]) != wire.KindAssign {
+		t.Fatalf("re-join registration: got % x, %v; want an assign", payload, err)
+	}
+	c.fe.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := wire.ReadFrame(conn); err != io.EOF {
+		t.Fatalf("handshake connection after Close: got %v, want it closed", err)
+	}
 }
 
 // TestLocalClusterCloseIdempotent is the regression test for the seed bug
@@ -608,8 +708,8 @@ func TestClientRetriesTransportFailureTransparently(t *testing.T) {
 }
 
 // TestClientRetriesDegradedReply checks the churn retry: a degraded reply
-// does not poison the connection, and the single retry rides out the
-// outage on the same stream.
+// does not poison the connection, and a retry within the RetryWait budget
+// rides out the outage on the same stream.
 func TestClientRetriesDegradedReply(t *testing.T) {
 	queries := make(chan struct{}, 4)
 	addr := stubFrontend(t, func(conn net.Conn) {
@@ -629,7 +729,7 @@ func TestClientRetriesDegradedReply(t *testing.T) {
 		queries <- struct{}{}
 		_ = wire.WriteFrame(conn, taggedOkReply(tag))
 	})
-	client, err := DialFrontendOptions(addr, ClientOptions{RetryWait: -1})
+	client, err := DialFrontendOptions(addr, ClientOptions{RetryWait: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ type ClientOptions struct {
 	// RetryWait is the budget for riding out a degraded cluster: Do keeps
 	// retrying a degraded failure at short intervals until it succeeds or
 	// RetryWait has elapsed, returning as soon as the lost node re-joins.
-	// Zero means the default (500ms); negative means a single immediate
-	// retry.
+	// Zero means the default (500ms); a negative budget has already
+	// elapsed, so a degraded failure is returned without a retry.
 	RetryWait time.Duration
 	// NoRetry disables the automatic retry entirely: the first failure of
 	// any kind is returned to the caller.
@@ -382,11 +382,6 @@ func (c *Client) DoContext(ctx context.Context, q wire.Query) (wire.Reply, error
 	budget := c.opts.RetryWait
 	if budget == 0 {
 		budget = defaultRetryWait
-	}
-	if budget < 0 {
-		c.cm.retries.Inc()
-		rep, _, err = c.attempt(ctx, q)
-		return rep, err
 	}
 	//knnlint:allow detsource -- retry budget is wall-clock by design; it bounds waiting, never the answer
 	deadline := time.Now().Add(budget)

@@ -15,14 +15,15 @@ import (
 	"distknn/internal/wire"
 )
 
-// Frontend is the client-facing side of a serving cluster. It performs
-// rendezvous (machine indices in registration order, the mesh address book
-// and the star neighbours to dial to every node) and then stays resident:
-// it keeps the control connection to every node, dispatches client queries
-// as BSP epochs, collates the nodes' winner shares per epoch, and answers
-// the clients. Protocol traffic
-// between nodes still flows over the mesh only; the frontend carries queries
-// in and merged results out.
+// Frontend is the client-facing side of a serving cluster. It starts with
+// k free seats and fills them through one join handshake (join), at
+// bring-up and after churn alike: a registering node gets the lowest free
+// seat, the mesh address book and the star neighbours to dial. The session
+// is ready once every seat has been sealed once. The frontend then stays
+// resident: it keeps the control connection to every node, dispatches
+// client queries as BSP epochs, collates the nodes' winner shares per
+// epoch, and answers the clients. Protocol traffic between nodes flows over
+// the mesh only; the frontend carries queries in and merged results out.
 //
 // Query epochs are pipelined by the epoch scheduler (scheduler.go): up to
 // FrontendOptions.Window epochs run on the mesh concurrently, multiplexed
@@ -41,7 +42,7 @@ import (
 // each with a retryable "cluster degraded" error (wire.Reply.Degraded);
 // while any seat is absent, new queries fail fast the same way without
 // consuming an epoch ordinal. The seat heals when a node re-registers: the
-// frontend grants it the absent slot, the node rebuilds its shard and
+// same join grants it the free seat, the node rebuilds its shard and
 // splices replacement mesh links into the resident peers, and the session
 // resumes at the current epoch ordinal — determinism per (seed, query
 // stream) is preserved because per-epoch seeds derive from the ordinal.
@@ -56,28 +57,22 @@ type Frontend struct {
 	// seat has reported a metric-index summary.
 	pruner Pruner
 
-	ready    chan struct{} // closed once serving (or failed); see readyErr
-	readyErr error         // written before ready closes on failure
+	ready    chan struct{} // closed once every seat was sealed once, or the first fill failed
+	readyErr error         // why the first fill failed; written under mu before ready closes
+	leader   int           // election.Leader of the session seed
 
-	// rejoinMu serializes re-join handshakes: a later grant must see an
-	// earlier sealed seat in its Present list, or a leader and a worker
-	// re-joining concurrently would never learn to dial each other and
-	// leave a hole in the star. It is never held together with work on mu's
-	// critical paths: queries, Close and evictions stay responsive during a
-	// slow handshake.
-	rejoinMu sync.Mutex
-
-	// mu guards seat transitions (eviction, re-join), the address book and
-	// the epoch ordinal counter. The scheduler may take its own lock while
-	// holding mu (admission), never the other way around.
-	mu        sync.Mutex
-	slots     []*feSlot // one per machine id; nil until the session is ready
-	addrs     []string  // mesh address book, updated on re-join
-	leader    int       // election.Leader of the session; -1 until sealed
-	total     int64     // global point count (sum of shard sizes)
-	tag       uint8     // point encoding the nodes serve
-	shardLens []int64   // per-node shard sizes, pinned at setup to vet re-joins
-	epoch     uint64    // last assigned query-epoch ordinal
+	// mu guards the seats (grants, seals, evictions), the address book,
+	// the session's point tag and count, and the epoch ordinal counter. A
+	// join reads and writes no frame while holding it. The scheduler may
+	// take its own lock while holding mu (admission), never the other way
+	// around.
+	mu     sync.Mutex
+	slots  []*feSlot // one per machine id
+	addrs  []string  // mesh address book, updated on every grant
+	sealed int       // seats sealed at least once; the first fill is complete at k
+	total  int64     // global point count (sum of the pinned shard sizes)
+	tag    uint8     // point encoding the nodes serve, set by the first seal
+	epoch  uint64    // last assigned query-epoch ordinal
 
 	clientsMu sync.Mutex
 	clients   map[net.Conn]struct{} // live client connections, for Close
@@ -86,11 +81,14 @@ type Frontend struct {
 }
 
 // feSlot is one machine's seat at the frontend: its control connection and
-// whether the node is present. gen distinguishes connection incarnations
-// across re-joins, so a stale pump (or a stale in-flight epoch) can never
-// evict — or satisfy — a freshly re-joined node; sinceEpoch is the epoch
-// ordinal at which the current incarnation was seated, so a fatal mesh
-// report about an older epoch can never implicate it either.
+// whether the node is present. A seat with a conn but not present is
+// granted: its join handshake is in progress. A seat without a conn is
+// free. gen counts the seat's seals, so it distinguishes connection
+// incarnations: a stale pump (or a stale in-flight epoch) can never evict —
+// or satisfy — a freshly re-joined node, and gen 0 means never sealed.
+// sinceEpoch is the epoch ordinal at which the current incarnation was
+// seated, so a fatal mesh report about an older epoch can never implicate
+// it either.
 type feSlot struct {
 	id         int
 	gen        uint64
@@ -98,12 +96,14 @@ type feSlot struct {
 	conn       net.Conn
 	present    bool
 	lastLoss   error // why the seat is absent, for degraded replies
-	// summary is the seat's metric-index shard summary, reported with every
-	// ready frame. It is a property of the seat's data, not of a connection
-	// incarnation: the deterministic shard rebuild makes a re-joining
-	// node's summary bit-identical (the re-join handshake enforces it), so
-	// it survives — and keeps gating pruning decisions across — churn.
-	summary wire.ShardSummary
+	// shardLen and summary are the first holder's shard size and
+	// metric-index summary, pinned at the seat's first seal. They are a
+	// property of the seat's data, not of a connection incarnation: the
+	// deterministic shard rebuild makes every later holder's report
+	// bit-identical (join enforces it), so the summary keeps gating pruning
+	// decisions across churn.
+	shardLen int64
+	summary  wire.ShardSummary
 }
 
 // NewFrontendOptions starts the serving listener on addr for a k-node
@@ -121,8 +121,13 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 		ln: ln, k: k, seed: seed,
 		pruner:  opts.Pruner,
 		ready:   make(chan struct{}),
-		leader:  -1,
+		leader:  election.Leader(seed, k),
+		slots:   make([]*feSlot, k),
+		addrs:   make([]string, k),
 		clients: make(map[net.Conn]struct{}),
+	}
+	for id := range f.slots {
+		f.slots[id] = &feSlot{id: id}
 	}
 	f.sched = newScheduler(f, opts)
 	return f, nil
@@ -150,8 +155,8 @@ func (f *Frontend) untrackClient(conn net.Conn) {
 func (f *Frontend) Addr() string { return f.ln.Addr().String() }
 
 // Health reports the cluster's serving state for the admin plane's
-// /healthz: OK only when the session finished rendezvous, the frontend
-// is open, and every seat is present. Absent seats carry their last
+// /healthz: OK only when every seat was sealed once, the frontend is
+// open, and every seat is present. Absent seats carry their last
 // loss cause. Wire it into an admin endpoint as obs.AdminOptions.Health.
 func (f *Frontend) Health() obs.Health {
 	f.mu.Lock()
@@ -159,7 +164,7 @@ func (f *Frontend) Health() obs.Health {
 	if f.closed.Load() {
 		return obs.Health{Detail: "frontend closed"}
 	}
-	if f.slots == nil {
+	if f.sealed < f.k {
 		return obs.Health{Detail: "waiting for node rendezvous"}
 	}
 	h := obs.Health{OK: true, Seats: make([]obs.SeatHealth, 0, len(f.slots))}
@@ -179,189 +184,78 @@ func (f *Frontend) Health() obs.Health {
 	return h
 }
 
-// Serve runs the session: it accepts the k node registrations, configures
-// the mesh, waits for every node's ready report, and then answers client
-// queries until Close. A connection's first frame decides its role —
-// KindRegister makes it a node control connection (a late one, once the
-// session is running, a node re-joining after churn), KindQueryTagged a
-// client; any other first frame closes it. Serve blocks for the life of
-// the session; run it on its own goroutine.
+// Serve runs the session: it accepts connections until Close, and a
+// connection's first frame decides its role — KindRegister makes it a node
+// taking a seat (join), KindQueryTagged a client; any other first frame
+// closes it. Clients are answered once every seat has been sealed once.
+// Serve blocks for the life of the session; run it on its own goroutine.
+// It returns the error that failed the first fill, or nil after Close.
 func (f *Frontend) Serve() error {
-	type reg struct {
-		conn net.Conn
-		addr string
-	}
-	regCh := make(chan reg)
-	acceptDone := make(chan struct{})
-	go func() {
-		defer close(acceptDone)
-		for {
-			conn, err := f.ln.Accept()
+	for {
+		conn, err := f.ln.Accept()
+		if err != nil {
+			if !f.closed.Load() {
+				// The listener died on its own (Close fails the session
+				// itself); an unfinished first fill cannot complete.
+				f.mu.Lock()
+				f.failLocked(fmt.Errorf("tcp: frontend accept: %w", err))
+				f.mu.Unlock()
+			}
+			break
+		}
+		go func() {
+			payload, err := wire.ReadFrame(conn)
 			if err != nil {
+				conn.Close()
 				return
 			}
-			go func() {
-				payload, err := wire.ReadFrame(conn)
-				if err != nil {
+			r := wire.NewReader(payload)
+			switch kind := r.Kind(); kind {
+			case wire.KindRegister:
+				addr := r.String()
+				if r.Err() != nil {
 					conn.Close()
 					return
 				}
-				r := wire.NewReader(payload)
-				switch kind := r.Kind(); kind {
-				case wire.KindRegister:
-					addr := r.String()
-					if r.Err() != nil {
-						conn.Close()
-						return
-					}
-					select {
-					case regCh <- reg{conn, addr}:
-					case <-f.ready:
-						// Late registration: the cluster is already
-						// running, so offer the newcomer an absent seat.
-						f.handleRejoin(conn, addr)
-					}
-				case wire.KindQueryTagged:
-					f.serveClient(conn, payload)
-				default:
-					conn.Close()
-				}
-			}()
-		}
-	}()
-
-	// Rendezvous: collect k registrations, assign ids in arrival order.
-	conns := make([]net.Conn, 0, f.k)
-	addrs := make([]string, 0, f.k)
-
-	fail := func(err error) error {
-		// Release every registered node — a resident node blocked on its
-		// control connection (ready wait or dispatch loop) exits cleanly
-		// on EOF — and the listener, so a failed session neither strands
-		// the cluster nor keeps the port bound after Serve returns.
-		for _, conn := range conns {
-			conn.Close()
-		}
-		f.ln.Close()
-		f.readyErr = err
-		close(f.ready)
-		if f.closed.Load() {
-			return nil
-		}
-		return err
-	}
-	for len(conns) < f.k {
-		select {
-		case r := <-regCh:
-			conns = append(conns, r.conn)
-			addrs = append(addrs, r.addr)
-		case <-acceptDone:
-			return fail(fmt.Errorf("tcp: frontend closed with %d of %d nodes registered", len(conns), f.k))
-		}
-	}
-	// Every worker dials the leader; the leader dials no one.
-	leader := election.Leader(f.seed, f.k)
-	for id, conn := range conns {
-		a := wire.Assign{ID: id, K: f.k, Seed: f.seed, Addrs: addrs}
-		if id != leader {
-			a.Present = []int{leader}
-		}
-		if err := wire.WriteFrame(conn, wire.EncodeAssign(a)); err != nil {
-			return fail(fmt.Errorf("tcp: frontend assign to %d: %w", id, err))
-		}
-	}
-	// The ready reports may never come, so Close must still release Serve:
-	// a closed listener (Close, or a dead accept loop) closes the
-	// registered connections, failing the reads below.
-	setupDone := make(chan struct{})
-	go func() {
-		select {
-		case <-acceptDone:
-			for _, conn := range conns {
+				f.join(conn, addr)
+			case wire.KindQueryTagged:
+				f.serveClient(conn, payload)
+			default:
 				conn.Close()
 			}
-		case <-setupDone:
-		}
-	}()
-
-	// Wait for every node's ready report and verify the nodes agree. All k
-	// frames are drained before failing so that a node's own failure report
-	// surfaces instead of whichever lost connection it caused on a lower id.
-	tag := uint8(0)
-	var total int64
-	shardLens := make([]int64, f.k)
-	summaries := make([]wire.ShardSummary, f.k)
-	haveFirst := false
-	var setupErr error
-	setupOwn := false
-	record := func(own bool, err error) {
-		if setupErr == nil || (own && !setupOwn) {
-			setupErr, setupOwn = err, own
-		}
+		}()
 	}
-	for id, conn := range conns {
-		rdy, sum, err := readReady(conn, id)
-		if err != nil {
-			var se setupError
-			record(errors.As(err, &se), err)
-			continue
-		}
-		switch {
-		case !haveFirst:
-			tag, haveFirst = rdy.PointTag, true
-		case rdy.PointTag != tag:
-			record(true, fmt.Errorf("tcp: node %d serves point tag %d, an earlier node serves %d", id, rdy.PointTag, tag))
-		}
-		if rdy.ShardLen > math.MaxInt64-total {
-			record(true, fmt.Errorf("tcp: node %d's shard of %d points overflows the global point count", id, rdy.ShardLen))
-		}
-		shardLens[id] = rdy.ShardLen
-		total += rdy.ShardLen
-		summaries[id] = sum
-	}
-	close(setupDone)
-	if setupErr != nil {
-		return fail(setupErr)
-	}
-
-	f.mu.Lock()
 	if f.closed.Load() {
-		// Close ran during setup and found no seat to shut down; seating
-		// now would start control pumps on a closed frontend.
-		f.mu.Unlock()
-		return fail(errors.New("tcp: frontend closed during setup"))
+		return nil
 	}
-	f.slots = make([]*feSlot, f.k)
-	for id, conn := range conns {
-		s := &feSlot{id: id, conn: conn, present: true, summary: summaries[id]}
-		f.slots[id] = s
-		go f.pump(s, s.gen, conn)
+	<-f.ready
+	return f.readyErr
+}
+
+// failLocked fails a session whose first fill has not completed; it is a
+// no-op once the fill completed or failed. It releases every node, seated
+// or mid-handshake — a resident node blocked on its control connection
+// exits on EOF — and the listener, so a failed session neither strands the
+// cluster nor keeps the port bound after Serve returns. Callers hold f.mu.
+func (f *Frontend) failLocked(err error) {
+	if f.sealed == f.k || f.readyErr != nil {
+		return
 	}
-	f.addrs = append([]string(nil), addrs...)
-	f.leader = leader
-	f.total = total
-	f.tag = tag
-	f.shardLens = shardLens
-	f.mu.Unlock()
+	for _, s := range f.slots {
+		if s.conn != nil {
+			s.conn.Close()
+			s.conn = nil
+		}
+	}
+	f.readyErr = err
+	f.ln.Close()
 	close(f.ready)
-
-	<-acceptDone
-	return nil
 }
-
-// setupError is a node's own report that its join failed. Only Serve's
-// ready drain inspects it, to prefer it over the lost connections it caused.
-type setupError struct {
-	id  int
-	msg string
-}
-
-func (e setupError) Error() string { return fmt.Sprintf("tcp: node %d failed setup: %s", e.id, e.msg) }
 
 // readReady reads seat id's ready report off its control connection: the
 // KindReady frame and the metric-index summary frame that always follows it,
 // both of which must name the seat. A KindError frame in its place — the
-// node's setup failed — comes back as a setupError.
+// node's setup failed — comes back as an error carrying the node's message.
 func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, err error) {
 	payload, err := wire.ReadFrame(conn)
 	if err != nil {
@@ -375,7 +269,7 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, er
 		if err != nil {
 			return rdy, sum, fmt.Errorf("tcp: bad setup error from node %d", id)
 		}
-		return rdy, sum, setupError{id: id, msg: ne.Msg}
+		return rdy, sum, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg)
 	default:
 		return rdy, sum, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
 	}
@@ -519,114 +413,144 @@ func (f *Frontend) EvictNode(id int) error {
 	return nil
 }
 
-// handleRejoin runs the re-join handshake for one connection: grant the
-// lowest absent seat, send the assignment, and wait for the node's ready
-// report. Which absent seat a node takes never changes an answer: every
-// shard is a pure function of (id, k), and the ready check below vets the
-// rebuilt shard against the seat. Handshakes are serialized with each
-// other (rejoinMu), but the epoch lock is held only to grant and later to
-// seal the seat — never across the handshake's network I/O, so a slow (or
-// hostile) re-joiner cannot stall degraded replies, Close, or evictions.
-// No query epoch can race the mesh-link splicing: the granted seat stays
-// absent until the seal, and an absent seat gates all dispatches.
-func (f *Frontend) handleRejoin(conn net.Conn, addr string) {
+// join runs the one join handshake, at bring-up and after churn alike:
+// grant the lowest free seat, send the Assign, read the node's ready report,
+// vet it against the session, and seal the seat. f.mu is held only to grant
+// and to vet and seal — never across the handshake's network I/O, which
+// runs under handshakeTimeout — so a slow (or hostile) joiner cannot stall
+// queries, degraded replies, Close or evictions, and shard loads run in
+// parallel. No query epoch can race the mesh-link splicing: the granted
+// seat stays absent until the seal, and an absent seat gates every mesh
+// dispatch. Until the first fill completes a failed handshake fails the
+// session; after that it is denied and the seat stays free.
+func (f *Frontend) join(conn net.Conn, addr string) {
 	deny := func(msg string) {
+		conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 		_ = wire.WriteFrame(conn, wire.EncodeNodeError(wire.NodeError{LostPeer: -1, Msg: msg}))
 		conn.Close()
 	}
-	if f.readyErr != nil {
-		deny(fmt.Sprintf("session failed: %v", f.readyErr))
-		return
-	}
-	f.rejoinMu.Lock()
-	defer f.rejoinMu.Unlock()
 	f.mu.Lock()
-	if f.closed.Load() {
-		f.mu.Unlock()
-		conn.Close()
-		return
-	}
 	var slot *feSlot
 	for _, s := range f.slots {
-		if !s.present {
+		if s.conn == nil {
 			slot = s
 			break
 		}
 	}
-	if slot == nil {
+	switch {
+	case f.closed.Load():
+		f.mu.Unlock()
+		conn.Close()
+		return
+	case f.readyErr != nil:
+		f.mu.Unlock()
+		deny(fmt.Sprintf("session failed: %v", f.readyErr))
+		return
+	case slot == nil:
 		f.mu.Unlock()
 		deny("no absent seat to re-join (cluster is full)")
 		return
 	}
+	slot.conn = conn
 	f.addrs[slot.id] = addr
-	// The epoch snapshot stays valid for the whole handshake: the granted
-	// seat is absent until the seal, and queries cannot consume epochs
-	// while any seat is absent. Leader, shard sizes and the point tag are
-	// immutable after setup. The grant lists the seated star neighbours:
-	// the leader for a worker, every worker for the leader.
+	// The grant lists the star neighbours that are seated or already
+	// granted — the leader for a worker, every worker for the leader — so
+	// of two neighbours the one granted second dials the first, whose mesh
+	// listener is bound before it registers. The epoch snapshot stays valid
+	// for the whole handshake: the granted seat is absent until the seal,
+	// and mesh queries cannot consume epochs while any seat is absent.
 	a := wire.Assign{
 		ID: slot.id, K: f.k, Seed: f.seed, Epoch: f.epoch,
 		Addrs: append([]string(nil), f.addrs...),
 	}
 	for _, s := range f.slots {
-		if s.present && (slot.id == f.leader || s.id == f.leader) {
+		if s != slot && s.conn != nil && (slot.id == f.leader || s.id == f.leader) {
 			a.Present = append(a.Present, s.id)
 		}
 	}
 	f.mu.Unlock()
 
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	//knnlint:allow lockio -- rejoinMu exists to serialize this handshake I/O; the conn carries a handshake deadline
-	if err := wire.WriteFrame(conn, wire.EncodeAssign(a)); err != nil {
-		conn.Close()
-		return
-	}
-	// The node now dials the listed peers and rebuilds its shard; its ready
-	// report seals the seat. rejoinMu stays held across these reads —
-	// serializing the handshake is what it is for — and the conn carries the
-	// handshake deadline.
-	rdy, sum, err := readReady(conn, slot.id)
-	// A deterministic shard provider must reproduce the shard length and the
-	// metric summary bit-for-bit — otherwise the frontend's ℓ validation and
-	// pruning geometry would silently diverge from the node's data.
-	switch {
-	case err != nil:
-		deny(err.Error())
-		return
-	case rdy.ShardLen != f.shardLens[slot.id]:
-		deny(fmt.Sprintf("shard of %d points, seat %d held %d — rebuilt data must match", rdy.ShardLen, slot.id, f.shardLens[slot.id]))
-		return
-	case rdy.PointTag != f.tag:
-		deny(fmt.Sprintf("point tag %d, cluster serves %d", rdy.PointTag, f.tag))
-		return
-	case sum.Has != slot.summary.Has,
-		math.Float64bits(sum.Radius) != math.Float64bits(slot.summary.Radius),
-		!bytes.Equal(sum.Center, slot.summary.Center):
-		deny(fmt.Sprintf("metric summary differs from the one seat %d held — rebuilt data must match", slot.id))
-		return
+	err := wire.WriteFrame(conn, wire.EncodeAssign(a))
+	var rdy wire.Ready
+	var sum wire.ShardSummary
+	if err == nil {
+		// The node now dials the listed peers and builds its shard; its
+		// ready report seals the seat.
+		rdy, sum, err = readReady(conn, slot.id)
 	}
 	conn.SetDeadline(time.Time{})
+
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed.Load() {
-		conn.Close()
+	if slot.conn != conn || f.closed.Load() {
+		// Close (or a failed first fill) released the handshake; a Close
+		// still on its way to f.mu closes conn with the other seats.
+		f.mu.Unlock()
 		return
+	}
+	if err == nil {
+		err = f.vetLocked(slot, rdy, sum)
+	}
+	if err != nil && f.sealed < f.k {
+		f.failLocked(err)
+		f.mu.Unlock()
+		return
+	}
+	if err != nil {
+		slot.conn = nil
+		f.mu.Unlock()
+		deny(err.Error())
+		return
+	}
+	if slot.gen == 0 {
+		if f.sealed == 0 {
+			f.tag = rdy.PointTag
+		}
+		slot.shardLen, slot.summary = rdy.ShardLen, sum
+		f.total += rdy.ShardLen
+		f.sealed++
+		if f.sealed == f.k {
+			close(f.ready)
+		}
 	}
 	slot.gen++
 	slot.sinceEpoch = f.epoch
-	slot.conn = conn
 	slot.present = true
 	slot.lastLoss = nil
 	go f.pump(slot, slot.gen, conn)
+	f.mu.Unlock()
+}
+
+// vetLocked checks a ready report for seat s against the session: every
+// seat serves the point tag of the first seal, a first holder's shard must
+// not overflow the global point count, and a later holder must reproduce
+// the first holder's shard length and metric summary bit-for-bit —
+// otherwise the frontend's ℓ validation and pruning geometry would silently
+// diverge from the node's data. Which free seat a node takes never changes
+// an answer: every shard is a pure function of (id, k). Callers hold f.mu.
+func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready, sum wire.ShardSummary) error {
+	switch {
+	case f.sealed > 0 && rdy.PointTag != f.tag:
+		return fmt.Errorf("tcp: node %d serves point tag %d, the cluster serves %d", s.id, rdy.PointTag, f.tag)
+	case s.gen == 0 && rdy.ShardLen > math.MaxInt64-f.total:
+		return fmt.Errorf("tcp: node %d's shard of %d points overflows the global point count", s.id, rdy.ShardLen)
+	case s.gen > 0 && rdy.ShardLen != s.shardLen:
+		return fmt.Errorf("shard of %d points, seat %d held %d — rebuilt data must match", rdy.ShardLen, s.id, s.shardLen)
+	case s.gen > 0 && (sum.Has != s.summary.Has ||
+		math.Float64bits(sum.Radius) != math.Float64bits(s.summary.Radius) ||
+		!bytes.Equal(sum.Center, s.summary.Center)):
+		return fmt.Errorf("metric summary differs from the one seat %d held — rebuilt data must match", s.id)
+	}
+	return nil
 }
 
 // prunableLocked reports whether pruned dispatch is available: a pruner is
-// configured and every seat reported a usable metric summary at setup.
+// configured and every seat's first holder reported a usable metric summary.
 // Presence does not matter here — an absent seat only blocks the pruned
 // queries whose ball reaches its shard (runPruned checks per dispatch).
 // Callers hold f.mu.
 func (f *Frontend) prunableLocked() bool {
-	if f.pruner == nil || f.slots == nil {
+	if f.pruner == nil {
 		return false
 	}
 	for _, s := range f.slots {
@@ -638,10 +562,13 @@ func (f *Frontend) prunableLocked() bool {
 }
 
 // Leader returns the cluster's leader, election.Leader of the session seed
-// (-1 before the session is ready).
+// (-1 until every seat has been sealed once).
 func (f *Frontend) Leader() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.sealed < f.k {
+		return -1
+	}
 	return f.leader
 }
 
@@ -649,9 +576,9 @@ func (f *Frontend) Leader() int {
 // queued and in-flight query epoch with a retryable error, asks every node
 // to shut down, and releases the control and client connections. The nodes
 // drain their in-flight epochs before tearing their meshes down, so a close
-// mid-query never strands a peer. A Close during setup, before the nodes
-// report ready, closes their connections too, and Serve returns without
-// seating them. Safe to call more than once.
+// mid-query never strands a peer. Close also closes the connection of every
+// join handshake in progress; a Close before every seat was sealed once
+// fails the session, and Serve returns nil. Safe to call more than once.
 func (f *Frontend) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
@@ -662,8 +589,12 @@ func (f *Frontend) Close() error {
 	// control pumps' death notices below.
 	f.sched.shutdown()
 	f.mu.Lock()
+	f.failLocked(errors.New("tcp: frontend closed during setup"))
 	for _, s := range f.slots {
-		if s.conn != nil {
+		if s.conn == nil {
+			continue
+		}
+		if s.present {
 			// The shutdown frame is a courtesy (the connection closes
 			// right below either way): a healthy node's socket buffer
 			// takes it instantly, and a wedged one must not hold f.mu
@@ -673,9 +604,9 @@ func (f *Frontend) Close() error {
 			s.conn.SetWriteDeadline(time.Now().Add(time.Second))
 			//knnlint:allow lockio -- courtesy shutdown frame under a 1s write deadline; a wedged node cannot hold f.mu
 			_ = wire.WriteFrame(s.conn, w.Bytes())
-			s.conn.Close()
-			s.conn = nil
 		}
+		s.conn.Close()
+		s.conn = nil
 	}
 	f.mu.Unlock()
 	// Unblock serveClient goroutines parked in ReadFrame so a long-lived

@@ -279,7 +279,7 @@ func BenchmarkStarRoundBytes(b *testing.B) {
 // package's non-test files. ROADMAP: the count should fall, not hold — lower
 // it in the commit that removes one; raising it needs the same argument in
 // review that the directive itself does.
-const maxLintAllows = 16
+const maxLintAllows = 15
 
 func TestLintAllowBudget(t *testing.T) {
 	files, err := filepath.Glob("*.go")

@@ -476,7 +476,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, mesh bool, subs [][]int) (*ep
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.slots == nil || f.closed.Load() {
+	if f.closed.Load() {
 		return nil, closingReply()
 	}
 	targets, appendFrame := f.slots, wire.AppendDispatch

@@ -17,8 +17,8 @@ import (
 )
 
 // handshakeTimeout bounds the blocking network steps of the mesh hello/ack
-// handshake and the re-join handshake, so a wedged counterparty cannot pin
-// a mesh accept goroutine — or the frontend's epoch lock — forever.
+// handshake and the frontend's join handshake, so a wedged counterparty
+// cannot pin a mesh accept goroutine — or a seat — forever.
 var handshakeTimeout = 30 * time.Second
 
 // ErrSessionLost marks a resident node's exit because its serving session
@@ -64,7 +64,7 @@ type QueryResult struct {
 }
 
 // Handler is the per-node protocol logic a resident node runs: one Load
-// call once the node holds its seat — at rendezvous and on a re-join alike —
+// call once the node holds its seat — at bring-up and on a re-join alike —
 // then, per dispatched batch, one Query call per point of the batch, all
 // inside a single BSP epoch on the standing mesh.
 //
@@ -108,12 +108,12 @@ type Handler interface {
 // bytes, pool traffic — see metrics.go for the instrument names) is bound
 // to reg, and a nil reg records into a private registry.
 //
-// The join path is the same at rendezvous and on a re-join: if the
-// frontend is already past rendezvous and a cluster seat is absent (its
-// node died or was evicted), the node takes over the lowest absent seat,
-// splices replacement star links into the resident peers, and resumes
-// serving at the session's current epoch ordinal — so a freshly started
-// process heals a degraded cluster with no extra flags.
+// The join path is the same at bring-up and on a re-join: if a seat of a
+// running session is absent (its node died or was evicted), the node takes
+// over the lowest free seat, splices replacement star links into the
+// resident peers, and resumes serving at the session's current epoch
+// ordinal — so a freshly started process heals a degraded cluster with no
+// extra flags.
 //
 // meshAddr is the address the node's mesh listener binds; advertise is the
 // address peers are told to dial, for deployments where the bind address is
@@ -380,8 +380,8 @@ func runDirectEpoch(epoch uint64, q wire.Query, h Handler, id int) (wire.NodeRes
 	return nr, nil
 }
 
-// joinServe registers with the frontend and decodes its Assign grant: a
-// fresh rendezvous seat or an absent seat of a running session.
+// joinServe registers with the frontend and decodes its Assign grant of the
+// lowest free seat.
 func joinServe(coordAddr string, ln net.Listener, advertise string) (net.Conn, wire.Assign, error) {
 	if advertise == "" {
 		advertise = ln.Addr().String()

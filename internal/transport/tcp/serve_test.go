@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -375,10 +376,53 @@ func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
 		}
 	}
 	fe.mu.Lock()
-	seated := fe.slots != nil
+	seated := false
+	for _, s := range fe.slots {
+		seated = seated || s.present
+	}
 	fe.mu.Unlock()
 	if seated {
 		t.Fatal("a closed frontend seated its nodes")
+	}
+}
+
+// TestFailedSessionOnStalledBringUpJoin pins the handshake deadline at
+// bring-up: nodes that register and never report ready fail the session
+// within handshakeTimeout, releasing their connections, instead of
+// stalling Serve until Close.
+func TestFailedSessionOnStalledBringUpJoin(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 200 * time.Millisecond
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	conns := registerRaw(t, fe, 2)
+	for i, conn := range conns {
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		payload, err := wire.ReadFrame(conn)
+		if err != nil || wire.Kind(payload[0]) != wire.KindAssign {
+			t.Fatalf("registration %d: got % x, %v; want an assign", i, payload, err)
+		}
+	}
+	select {
+	case err := <-serveDone:
+		if err == nil || !strings.Contains(err.Error(), "read ready from node") {
+			t.Fatalf("Serve with stalled joins: got %v, want a ready read's failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled joins did not fail the session")
+	}
+	for i, conn := range conns {
+		if _, err := wire.ReadFrame(conn); err != io.EOF {
+			t.Fatalf("stalled join %d's connection: got %v, want it closed", i, err)
+		}
+	}
+	if l := fe.Leader(); l != -1 {
+		t.Fatalf("leader of a failed session = %d, want -1", l)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package tcp runs k-machine programs over real TCP sockets: one process (or
 // goroutine) per machine, a star of connections around the session leader,
-// and a frontend that performs rendezvous (ID assignment and address
-// exchange).
+// and a frontend that seats the nodes (ID assignment and address exchange)
+// through one join handshake.
 //
 // The synchronous-round semantics match the in-process simulator exactly:
 // messages sent in round r are delivered at the start of round r+1. Rounds

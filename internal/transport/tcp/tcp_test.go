@@ -136,13 +136,13 @@ func TestPingPongOverTCP(t *testing.T) {
 		if m.ID() == 0 {
 			m.Send(1, []byte("ping"))
 			m.EndRound()
-			msgs := m.WaitAny()
+			msgs := m.Gather(1)
 			if string(msgs[0].Payload) != "pong" {
 				return fmt.Errorf("got %q", msgs[0].Payload)
 			}
 			return nil
 		}
-		msgs := m.WaitAny()
+		msgs := m.Gather(1)
 		if string(msgs[0].Payload) != "ping" {
 			return fmt.Errorf("got %q", msgs[0].Payload)
 		}
@@ -204,7 +204,7 @@ func TestStaggeredHalts(t *testing.T) {
 		case last:
 			got := 0
 			for got < 9 {
-				got += len(m.WaitAny())
+				got += len(m.Gather(1))
 			}
 			return nil
 		default:

@@ -245,11 +245,12 @@ func DecodeNodeError(r *Reader) (NodeError, error) {
 // Assign is the frontend's grant of a seat: the machine index the node
 // takes, the session parameters, the mesh address book and the star
 // neighbours the node must dial. Every party computes the leader from the
-// seed (package election), so the grant does not carry it. A rendezvous
-// grant has epoch 0 and lists the leader for a worker and no one for the
-// leader, whose workers dial it. A re-join grant into a running session
-// carries the session's current epoch ordinal and lists the seated leader
-// for a worker, or the seated workers for the leader. It is the body of a
+// seed (package election), so the grant does not carry it. Epoch is the
+// session's current epoch ordinal (0 at bring-up). Present lists the star
+// neighbours that are seated or already granted — the leader for a worker,
+// the workers for the leader — so of two neighbours the one granted second
+// dials the first. An address of a seat no node has registered for yet is
+// empty. It is the body of a
 // KindAssign frame: Varint id, Varint k, U64 seed, Varint epoch, Varint
 // presentCount, presentCount × Varint id, then k × String mesh addresses.
 type Assign struct {

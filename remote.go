@@ -19,7 +19,7 @@ import (
 
 // This file is the real-socket counterpart of the in-process Cluster: a
 // serving deployment over TCP, generic over the point type. The cluster
-// side is a Frontend (rendezvous + client-facing query endpoint) plus k
+// side is a Frontend (node seating + client-facing query endpoint) plus k
 // resident nodes (ServeTypedNode), each holding one shard; the client side
 // is a RemoteCluster, which offers the same KNN/Classify/Regress/KNNBatch
 // surface as Cluster but executes every call as one BSP epoch on the remote
@@ -328,24 +328,34 @@ func anchorShard[P any](pts []P, labels []float64, metric points.Metric[P], seed
 	return sh, nil
 }
 
-// AnchorShards is the anchor-clustered counterpart of PaperShards: the same
-// global dataset (the concatenation of the k per-node streams, so IDs and
-// labels match PaperShards point for point) partitioned by a deterministic
-// seeded k-center clustering instead of uniform ID blocks. Shard id holds
-// cluster id's members and pins its anchor as the centroid, giving the
-// frontend's pruned dispatch tight balls to test query ranges against —
-// answers are bit-identical to any other partition of the same data.
-func AnchorShards(seed uint64, perNode int) ShardProvider[Scalar] {
-	return func(id, k int) (Shard[Scalar], error) {
-		pts := make([]points.Scalar, 0, k*perNode)
-		labels := make([]float64, 0, k*perNode)
+// anchored re-partitions the global dataset of a block provider — the
+// concatenation of its k shards, so point j keeps ID j+1 and its label — by
+// anchorShard's seeded k-center clustering.
+func anchored[P any](block ShardProvider[P], metric points.Metric[P], seed uint64) ShardProvider[P] {
+	return func(id, k int) (Shard[P], error) {
+		var pts []P
+		var labels []float64
 		for node := 0; node < k; node++ {
-			set := points.GenUniformScalars(xrand.NewStream(seed, uint64(node)), perNode, points.PaperDomain)
-			pts = append(pts, set.Pts...)
-			labels = append(labels, set.Labels...)
+			sh, err := block(node, k)
+			if err != nil {
+				return Shard[P]{}, err
+			}
+			pts = append(pts, sh.Points...)
+			labels = append(labels, sh.Labels...)
 		}
-		return anchorShard(pts, labels, points.ScalarMetric, seed, id, k)
+		return anchorShard(pts, labels, metric, seed, id, k)
 	}
+}
+
+// AnchorShards is the anchor-clustered counterpart of PaperShards: the same
+// global dataset (IDs and labels match PaperShards point for point)
+// partitioned by a deterministic seeded k-center clustering instead of
+// uniform ID blocks. Shard id holds cluster id's members and pins its
+// anchor as the centroid, giving the frontend's pruned dispatch tight balls
+// to test query ranges against — answers are bit-identical to any other
+// partition of the same data.
+func AnchorShards(seed uint64, perNode int) ShardProvider[Scalar] {
+	return anchored(PaperShards(seed, perNode), points.ScalarMetric, seed)
 }
 
 // AnchorVectorShards is the anchor-clustered counterpart of
@@ -353,18 +363,7 @@ func AnchorShards(seed uint64, perNode int) ShardProvider[Scalar] {
 // labels match point for point) partitioned by a deterministic seeded
 // k-center clustering, with each shard's anchor pinned as its centroid.
 func AnchorVectorShards(seed uint64, perNode, dim int) ShardProvider[Vector] {
-	return func(id, k int) (Shard[Vector], error) {
-		pts := make([]points.Vector, 0, k*perNode)
-		labels := make([]float64, 0, k*perNode)
-		for node := 0; node < k; node++ {
-			set := points.GenUniformVectors(xrand.NewStream(seed, uint64(node)), perNode, dim)
-			pts = append(pts, set.Pts...)
-			for j := range set.Pts {
-				labels = append(labels, float64((node*perNode+j)%4))
-			}
-		}
-		return anchorShard(pts, labels, points.L2, seed, id, k)
-	}
+	return anchored(UniformVectorShards(seed, perNode, dim), points.L2, seed)
 }
 
 // AnchorGaussianShards is the anchor-clustered Gaussian workload: k·perNode
@@ -514,7 +513,7 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 }
 
 // Frontend is the client-facing endpoint of a TCP serving cluster: it
-// performs rendezvous for the k resident nodes and then serves remote
+// seats the k resident nodes through one join handshake and serves remote
 // clients through its epoch scheduler — up to FrontendOptions.Window query
 // epochs pipelined on the mesh at once, optionally coalescing concurrently
 // arriving single queries into lockstep batch epochs. Nodes and clients
@@ -568,8 +567,9 @@ type RemoteCluster[P any] struct {
 // ClientOptions tunes a RemoteCluster's deadlines and churn handling: a
 // per-query Timeout, the degraded-cluster RetryWait budget, NoRetry, and
 // the optional Metrics registry. The zero value is no deadline, the default
-// 500ms ride-out, and a private registry; see the field documentation on the
-// aliased type.
+// 500ms ride-out, and a private registry; a negative RetryWait is an elapsed
+// budget (no degraded retry). See the field documentation on the aliased
+// type.
 type ClientOptions = tcp.ClientOptions
 
 // DialTypedClusterOptions connects to a serving cluster's frontend that

@@ -97,6 +97,53 @@ func pruneScalarQuery(seed uint64, i int) distknn.Scalar {
 	return distknn.Scalar(xrand.NewStream(seed, 1<<45+uint64(i)).Uint64N(points.PaperDomain))
 }
 
+// TestAnchoredShardsPartitionUniformData pins what the anchor-clustered
+// providers promise: their k shards hold exactly the (ID, point, label)
+// triples of the uniform block providers they re-partition — every triple
+// once, none added — for scalars and vectors.
+func TestAnchoredShardsPartitionUniformData(t *testing.T) {
+	const seed, k, perNode, dim = 23, 4, 60, 3
+	checkPartition(t, distknn.PaperShards(seed, perNode), distknn.AnchorShards(seed, perNode), k)
+	checkPartition(t, distknn.UniformVectorShards(seed, perNode, dim), distknn.AnchorVectorShards(seed, perNode, dim), k)
+}
+
+func checkPartition[P any](t *testing.T, block, anchored distknn.ShardProvider[P], k int) {
+	t.Helper()
+	want := make(map[uint64]string)
+	for id := 0; id < k; id++ {
+		sh, err := block(id, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range sh.Points {
+			want[sh.FirstID+uint64(j)] = fmt.Sprint(p, sh.Labels[j])
+		}
+	}
+	total := len(want)
+	for id := 0; id < k; id++ {
+		sh, err := anchored(id, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sh.IDs) != len(sh.Points) || len(sh.Labels) != len(sh.Points) {
+			t.Fatalf("anchored shard %d: %d IDs, %d points, %d labels", id, len(sh.IDs), len(sh.Points), len(sh.Labels))
+		}
+		for j, p := range sh.Points {
+			w, ok := want[sh.IDs[j]]
+			if !ok {
+				t.Fatalf("anchored shard %d holds ID %d twice or from outside the uniform data", id, sh.IDs[j])
+			}
+			if got := fmt.Sprint(p, sh.Labels[j]); got != w {
+				t.Fatalf("anchored shard %d, ID %d: got %s, the uniform provider has %s", id, sh.IDs[j], got, w)
+			}
+			delete(want, sh.IDs[j])
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("the anchored shards miss %d of %d uniform points", len(want), total)
+	}
+}
+
 // TestPrunedScalarBitIdentical: anchor-clustered scalar shards answered
 // through pruned dispatch agree bit for bit with full scatter, and with the
 // brute-force oracle over the global dataset (anchor shards carry explicit
