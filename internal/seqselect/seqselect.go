@@ -129,18 +129,6 @@ func insertionSort(ks []keys.Key, lo, hi int) {
 	}
 }
 
-// CountLessEq returns |{x ∈ ks : x ≤ bound}| — the primitive every machine
-// evaluates locally when the leader broadcasts getSize(·) in Algorithm 1.
-func CountLessEq(ks []keys.Key, bound keys.Key) int {
-	n := 0
-	for _, x := range ks {
-		if x.LessEq(bound) {
-			n++
-		}
-	}
-	return n
-}
-
 // CountInRange returns |{x ∈ ks : lo < x ≤ hi}| — the half-open range count
 // used by the distributed selection loop.
 func CountInRange(ks []keys.Key, lo, hi keys.Key) int {

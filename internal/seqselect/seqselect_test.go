@@ -148,20 +148,6 @@ func TestSelectionAgreementProperty(t *testing.T) {
 	}
 }
 
-func TestCountLessEq(t *testing.T) {
-	ks := randomKeys(12, 100, 50)
-	bound := keys.Key{Dist: 25, ID: 0}
-	want := 0
-	for _, k := range ks {
-		if k.LessEq(bound) {
-			want++
-		}
-	}
-	if got := CountLessEq(ks, bound); got != want {
-		t.Errorf("CountLessEq = %d, want %d", got, want)
-	}
-}
-
 func TestCountInRangeHalfOpen(t *testing.T) {
 	ks := []keys.Key{{Dist: 1, ID: 1}, {Dist: 2, ID: 2}, {Dist: 3, ID: 3}}
 	lo := keys.Key{Dist: 1, ID: 1}
@@ -172,6 +158,23 @@ func TestCountInRangeHalfOpen(t *testing.T) {
 	}
 	if got := CountInRange(ks, keys.MinKey, keys.MaxKey); got != 3 {
 		t.Errorf("full-range count = %d, want 3", got)
+	}
+}
+
+// The ≤-bound count that getSize(·) in Algorithm 1 asks of every machine is
+// CountInRange from MinKey. randomKeys' IDs start at 1, so no key equals
+// MinKey and (MinKey, bound] is everything ≤ bound.
+func TestCountLessEq(t *testing.T) {
+	ks := randomKeys(12, 100, 50)
+	bound := keys.Key{Dist: 25, ID: 0}
+	want := 0
+	for _, k := range ks {
+		if k.LessEq(bound) {
+			want++
+		}
+	}
+	if got := CountInRange(ks, keys.MinKey, bound); got != want {
+		t.Errorf("CountInRange(MinKey, %v) = %d, want %d", bound, got, want)
 	}
 }
 
@@ -186,16 +189,17 @@ func TestFilterLessEq(t *testing.T) {
 	}
 }
 
-// Property: rank(CountLessEq(rank-l key)) == l, i.e. selection and counting
-// are mutually consistent — the exact invariant Algorithm 1's termination
-// relies on.
+// Property: the count of keys ≤ the rank-l key is l, i.e. selection and
+// counting are mutually consistent — the exact invariant Algorithm 1's
+// termination relies on. randomKeys' IDs start at 1, so no key equals
+// MinKey and (MinKey, kth] holds every key ≤ kth.
 func TestSelectCountConsistency(t *testing.T) {
 	rng := xrand.New(13)
 	for trial := 0; trial < 30; trial++ {
 		ks := randomKeys(uint64(trial)+500, 200, 1<<40)
 		l := 1 + rng.IntN(len(ks))
 		kth := SortSelect(ks, l)
-		if got := CountLessEq(ks, kth); got != l {
+		if got := CountInRange(ks, keys.MinKey, kth); got != l {
 			t.Fatalf("count(≤ rank-%d key) = %d, want %d (keys must be distinct)", l, got, l)
 		}
 	}

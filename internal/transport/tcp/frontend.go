@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +47,10 @@ import (
 // splices replacement mesh links into the resident peers, and the session
 // resumes at the current epoch ordinal — determinism per (seed, query
 // stream) is preserved because per-epoch seeds derive from the ordinal.
+//
+// One mutex, mu, guards all of the frontend's mutable state — seats,
+// scheduler and client connections — so a seat is lost in one critical
+// section (retireLocked) that also fails the epochs in flight on it.
 type Frontend struct {
 	ln   net.Listener
 	k    int
@@ -61,21 +66,20 @@ type Frontend struct {
 	readyErr error         // why the first fill failed; written under mu before ready closes
 	leader   int           // election.Leader of the session seed
 
-	// mu guards the seats (grants, seals, evictions), the address book,
-	// the session's point tag and count, and the epoch ordinal counter. A
-	// join reads and writes no frame while holding it. The scheduler may
-	// take its own lock while holding mu (admission), never the other way
-	// around.
-	mu     sync.Mutex
-	slots  []*feSlot // one per machine id
-	addrs  []string  // mesh address book, updated on every grant
-	sealed int       // seats sealed at least once; the first fill is complete at k
-	total  int64     // global point count (sum of the pinned shard sizes)
-	tag    uint8     // point encoding the nodes serve, set by the first seal
-	epoch  uint64    // last assigned query-epoch ordinal
-
-	clientsMu sync.Mutex
-	clients   map[net.Conn]struct{} // live client connections, for Close
+	// mu is the frontend's only lock. It guards the seats (grants, seals,
+	// evictions), the address book, the session's point tag and count, the
+	// epoch ordinal counter, the scheduler's window, jobs and buckets, and
+	// the client connections. It is held across network I/O in exactly two
+	// places, both deadline-bounded: dispatchWave's writes and Close's
+	// courtesy shutdown frame. A join reads and writes no frame under it.
+	mu      sync.Mutex
+	slots   []*feSlot             // one per machine id
+	addrs   []string              // mesh address book, updated on every grant
+	sealed  int                   // seats sealed at least once; the first fill is complete at k
+	total   int64                 // global point count (sum of the pinned shard sizes)
+	tag     uint8                 // point encoding the nodes serve, set by the first seal
+	epoch   uint64                // last assigned query-epoch ordinal
+	clients map[net.Conn]struct{} // live client connections, for Close
 
 	closed atomic.Bool
 }
@@ -136,8 +140,8 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 // trackClient registers a live client connection; it refuses (and the
 // caller must drop the connection) once the frontend is closed.
 func (f *Frontend) trackClient(conn net.Conn) bool {
-	f.clientsMu.Lock()
-	defer f.clientsMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed.Load() {
 		return false
 	}
@@ -146,8 +150,8 @@ func (f *Frontend) trackClient(conn net.Conn) bool {
 }
 
 func (f *Frontend) untrackClient(conn net.Conn) {
-	f.clientsMu.Lock()
-	defer f.clientsMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	delete(f.clients, conn)
 }
 
@@ -294,7 +298,7 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, er
 
 // pump reads one node's control frames for one connection incarnation and
 // pushes them into the epoch scheduler's collation. A read failure is the
-// immediate death signal: the seat is marked absent on the spot — so a node
+// immediate death signal: the seat is retired on the spot — so a node
 // dying between queries is noticed before the next dispatch — and every
 // epoch in flight on this incarnation fails with a retryable degraded
 // reply.
@@ -306,27 +310,22 @@ func (f *Frontend) pump(s *feSlot, gen uint64, conn net.Conn) {
 		payload, err := wire.ReadFrameInto(conn, buf)
 		buf = payload
 		if err != nil {
-			cause := fmt.Errorf("lost node %d: %v", s.id, err)
-			f.markAbsent(s, gen, cause)
-			f.sched.seatLost(s.id, gen, cause)
+			f.mu.Lock()
+			f.retireLocked(s, gen, fmt.Errorf("lost node %d: %v", s.id, err))
+			f.mu.Unlock()
 			return
 		}
-		f.sched.deliver(s.id, gen, payload)
+		f.sched.deliver(s, gen, payload)
 	}
 }
 
-func (f *Frontend) markAbsent(s *feSlot, gen uint64, cause error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.markAbsentLocked(s, gen, cause)
-}
-
-// markAbsentLocked retires one connection incarnation of a seat. A stale
-// gen (the seat was already re-granted to a re-joined node) is a no-op.
-// Every actual present→absent transition must be followed — after mu is
-// released — by exactly one scheduler.seatLost call for the retired
-// incarnation, so the epochs in flight on it fail instead of hanging.
-func (f *Frontend) markAbsentLocked(s *feSlot, gen uint64, cause error) {
+// retireLocked is the one way a seat is lost: it retires connection
+// incarnation gen of seat s — marks it absent, closes its connection — and
+// fails every epoch in flight on that incarnation, in ordinal order, so
+// the client-observable failure order is identical run to run. A stale gen
+// (the seat was already re-granted to a re-joined node) or an absent seat
+// is a no-op. Callers hold f.mu.
+func (f *Frontend) retireLocked(s *feSlot, gen uint64, cause error) {
 	if s.gen != gen || !s.present {
 		return
 	}
@@ -336,52 +335,42 @@ func (f *Frontend) markAbsentLocked(s *feSlot, gen uint64, cause error) {
 		s.conn.Close()
 		s.conn = nil
 	}
+	sched := f.sched
+	epochs := make([]uint64, 0, len(sched.inflight))
+	for epoch := range sched.inflight {
+		epochs = append(epochs, epoch)
+	}
+	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	for _, epoch := range epochs {
+		job := sched.inflight[epoch]
+		if job.expectMatch(s.id, gen) {
+			job.expectClear(s.id)
+			job.fail(s.id, fmt.Errorf("lost node %d mid-query: %v", s.id, cause))
+			sched.maybeFinishLocked(job)
+		}
+	}
 }
 
-// evictSeat retires incarnation gen of seat id (a malformed or
-// desynchronized control stream) and fails its in-flight epochs.
-func (f *Frontend) evictSeat(id int, gen uint64, cause error) {
-	f.mu.Lock()
-	s := f.slots[id]
-	act := s.present && s.gen == gen
-	if act {
-		f.markAbsentLocked(s, gen, cause)
-	}
-	f.mu.Unlock()
-	if act {
-		f.sched.seatLost(id, gen, cause)
-	}
-}
-
-// evictImplicated handles a fatal mesh report from (reporter, reporterGen)
-// about the given epoch: the implicated seat — the named lost peer, else
-// the reporter itself — is retired and its in-flight epochs fail. A report
-// from a reporter whose seat is already retired is the echo of the same
-// fault from the link's other endpoint (both ends blame each other when
-// one link breaks); acting on it would evict both nodes for one fault, so
-// it is ignored. A report about an epoch older than the target seat's
-// current incarnation concerns its predecessor's links (a delayed second
-// report from before a quick re-join) and is ignored the same way.
-func (f *Frontend) evictImplicated(reporter int, reporterGen, epoch uint64, lostPeer int, cause error) {
-	f.mu.Lock()
-	rs := f.slots[reporter]
+// evictImplicatedLocked handles a fatal mesh report from (reporter,
+// reporterGen) about the given epoch: the implicated seat — the named lost
+// peer, else the reporter itself — is retired. A report from a reporter
+// whose seat is already retired is the echo of the same fault from the
+// link's other endpoint (both ends blame each other when one link breaks);
+// acting on it would evict both nodes for one fault, so it is ignored. A
+// report about an epoch older than the target seat's current incarnation
+// concerns its predecessor's links (a delayed second report from before a
+// quick re-join) and is ignored the same way. Callers hold f.mu.
+func (f *Frontend) evictImplicatedLocked(rs *feSlot, reporterGen, epoch uint64, lostPeer int, cause error) {
 	if rs.gen != reporterGen || !rs.present {
-		f.mu.Unlock()
 		return
 	}
 	target := rs
-	if lostPeer >= 0 && lostPeer < f.k && lostPeer != reporter {
+	if lostPeer >= 0 && lostPeer < f.k && lostPeer != rs.id {
 		target = f.slots[lostPeer]
-		cause = fmt.Errorf("node %d lost its link to node %d: %v", reporter, lostPeer, cause)
+		cause = fmt.Errorf("node %d lost its link to node %d: %v", rs.id, lostPeer, cause)
 	}
-	gen := target.gen
-	act := target.present && epoch > target.sinceEpoch
-	if act {
-		f.markAbsentLocked(target, gen, cause)
-	}
-	f.mu.Unlock()
-	if act {
-		f.sched.seatLost(target.id, gen, cause)
+	if epoch > target.sinceEpoch {
+		f.retireLocked(target, target.gen, cause)
 	}
 }
 
@@ -400,16 +389,12 @@ func (f *Frontend) EvictNode(id int) error {
 		return fmt.Errorf("tcp: evict: no node %d in a %d-node cluster", id, f.k)
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	s := f.slots[id]
 	if !s.present {
-		f.mu.Unlock()
 		return fmt.Errorf("tcp: evict: node %d is not present", id)
 	}
-	gen := s.gen
-	cause := fmt.Errorf("node %d evicted", id)
-	f.markAbsentLocked(s, gen, cause)
-	f.mu.Unlock()
-	f.sched.seatLost(id, gen, cause)
+	f.retireLocked(s, s.gen, fmt.Errorf("node %d evicted", id))
 	return nil
 }
 
@@ -584,11 +569,12 @@ func (f *Frontend) Close() error {
 		return nil
 	}
 	err := f.ln.Close()
-	// Fail the scheduler first: in-flight collation jobs answer their
-	// clients with the retryable closing reply instead of racing the
-	// control pumps' death notices below.
-	f.sched.shutdown()
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	// In-flight collation jobs answer their clients with the retryable
+	// closing reply; the control pumps, which see the connections below
+	// drop once f.mu is free, find no job left to fail as degraded.
+	f.sched.shutdownLocked()
 	f.failLocked(errors.New("tcp: frontend closed during setup"))
 	for _, s := range f.slots {
 		if s.conn == nil {
@@ -608,11 +594,8 @@ func (f *Frontend) Close() error {
 		s.conn.Close()
 		s.conn = nil
 	}
-	f.mu.Unlock()
 	// Unblock serveClient goroutines parked in ReadFrame so a long-lived
 	// process reclaims their goroutines and sockets.
-	f.clientsMu.Lock()
-	defer f.clientsMu.Unlock()
 	//knnlint:allow detsource -- closing every client conn; close order is unobservable
 	for conn := range f.clients {
 		conn.Close()

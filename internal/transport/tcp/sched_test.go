@@ -2,11 +2,14 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"distknn/internal/points"
 	"distknn/internal/wire"
 )
 
@@ -273,6 +276,103 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	// Heal and verify the cluster answers bit-identically again.
 	c.startNode(&blockingHandler{entered: entered, release: release})
 	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, k, 8)), k, 8, leader)
+}
+
+// TestDispatchToWedgedSeatFailsWithinDeadline pins the dispatch deadline:
+// seats that report ready and then never read their control connection
+// again fill their socket buffers, so a dispatch write blocks with f.mu
+// held. Every query must still be answered degraded within dispatchTimeout
+// (plus slack), and each seat must be retired with the failed dispatch as
+// its cause. k = 1 covers the inline write, k = 2 the goroutine fan-out.
+func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
+	defer func(d time.Duration) { dispatchTimeout = d }(dispatchTimeout)
+	dispatchTimeout = 300 * time.Millisecond
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			fe, err := NewFrontendOptions("127.0.0.1:0", k, 1, FrontendOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveDone := make(chan error, 1)
+			go func() { serveDone <- fe.Serve() }()
+			defer func() {
+				fe.Close()
+				if err := <-serveDone; err != nil {
+					t.Errorf("frontend: %v", err)
+				}
+			}()
+			for _, conn := range registerRaw(t, fe, k) {
+				// Socket buffers well below one 2 MiB dispatch frame, on both
+				// ends (the frontend's below): the first wave's write blocks
+				// on every seat. Kernel autotuning would otherwise let one
+				// seat absorb a wave its neighbour could not, and a seat no
+				// write ever blocked on is not yet detectably wedged.
+				conn.(*net.TCPConn).SetReadBuffer(64 << 10)
+				payload, err := wire.ReadFrame(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := wire.NewReader(payload)
+				if kind := r.Kind(); kind != wire.KindAssign {
+					t.Fatalf("got kind %d, want an assign", kind)
+				}
+				a, err := wire.DecodeAssign(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ready wire.Writer
+				wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: 100, PointTag: wire.PointVector})
+				if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				if err := wire.WriteFrame(conn, wire.EncodeShardSummary(wire.ShardSummary{Node: a.ID})); err != nil {
+					t.Fatal(err)
+				}
+				// From here on the seat never reads again.
+			}
+			<-fe.ready
+			fe.mu.Lock()
+			for _, s := range fe.slots {
+				s.conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
+			}
+			fe.mu.Unlock()
+			client := dialNoRetry(t, fe.Addr())
+			p := wire.EncodeVectorPoint(make(points.Vector, 64))
+			q := wire.Query{Op: wire.OpKNN, L: 1, Tag: wire.PointVector, Points: make([][]byte, wire.MaxBatch)}
+			for i := range q.Points {
+				q.Points[i] = p
+			}
+			const n = 16
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			start := time.Now()
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = client.Do(q)
+				}(i)
+			}
+			wg.Wait()
+			if took := time.Since(start); took > dispatchTimeout+time.Second {
+				t.Errorf("%d queries to wedged seats took %v, want at most %v", n, took, dispatchTimeout+time.Second)
+			}
+			for i, err := range errs {
+				if !errors.Is(err, ErrDegraded) {
+					t.Errorf("query %d: got %v, want a degraded reply", i, err)
+				}
+			}
+			h := fe.Health()
+			for _, sh := range h.Seats {
+				if sh.Present || !strings.Contains(sh.Cause, fmt.Sprintf("dispatch to node %d", sh.ID)) {
+					t.Errorf("seat %d: present %v, cause %q; want it retired by its failed dispatch", sh.ID, sh.Present, sh.Cause)
+				}
+			}
+			if len(h.Seats) != k {
+				t.Errorf("health lists %d seats, want %d", len(h.Seats), k)
+			}
+		})
+	}
 }
 
 // TestFoldRejectsEmptyAnswer pins the fold's guard on node input: a point

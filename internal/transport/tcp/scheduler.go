@@ -38,7 +38,8 @@ import (
 //
 // Pipelining. Up to Window queries are in flight at once. A wave takes its
 // ordinal — and with it the deterministic per-epoch seed
-// DeriveSeed(sessionSeed, ordinal) — under the frontend lock and registers
+// DeriveSeed(sessionSeed, ordinal) — under the frontend lock, f.mu (which
+// guards every piece of scheduler state too), and registers
 // a collation job before its first write; the per-node control pumps push
 // each arriving result or error frame to its job by ordinal, so replies
 // complete out of order without any epoch waiting on an unrelated one.
@@ -69,9 +70,10 @@ import (
 // dispatchTimeout bounds one dispatch frame's control-connection write.
 // The frontend lock is held across the write phase, so the deadline is
 // what keeps a wedged node (alive but not draining its socket) from
-// stalling every client — and the EvictNode that would remove it — for
-// long: a healthy node's buffer takes a dispatch instantly, and even a
-// MaxBatch-sized frame crosses a LAN well inside this bound.
+// stalling every client — admission, collation of other epochs, and the
+// EvictNode that would remove it — for long: a healthy node's buffer takes
+// a dispatch instantly, and even a MaxBatch-sized frame crosses a LAN well
+// inside this bound.
 var dispatchTimeout = 5 * time.Second
 
 // maxWindow caps FrontendOptions.Window. The bound keeps the pipelining
@@ -150,10 +152,9 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 }
 
 // scheduler pipelines query epochs over the mesh and coalesces single
-// queries into batch epochs. Lock order: f.mu may be held while taking
-// sched.mu (admission registers jobs under both); sched.mu is never held
-// while taking f.mu — frame delivery collects any eviction it implies and
-// performs it after releasing sched.mu.
+// queries into batch epochs. Its mutable state — the window count and its
+// condition variable, the in-flight jobs and the open buckets — is guarded
+// by f.mu.
 type scheduler struct {
 	f        *Frontend
 	window   int
@@ -163,10 +164,8 @@ type scheduler struct {
 	fm *feMetrics  // always non-nil (private registry when unconfigured)
 	tr *obs.Tracer // nil disables spans; all span methods are nil-safe
 
-	mu       sync.Mutex
-	cond     *sync.Cond // admission waits here for a free window slot
-	closed   bool
-	count    int // in-flight epochs
+	cond     *sync.Cond // on f.mu; admission waits here for a free window slot
+	count    int        // queries holding a window slot
 	inflight map[uint64]*epochJob
 	buckets  map[bucketKey]*bucket
 }
@@ -183,14 +182,14 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 		inflight: make(map[uint64]*epochJob),
 		buckets:  make(map[bucketKey]*bucket),
 	}
-	sched.cond = sync.NewCond(&sched.mu)
+	sched.cond = sync.NewCond(&f.mu)
 	return sched
 }
 
 // epochJob is one in-flight wave's collation state: which (seat, connection
 // incarnation) pairs still owe a frame, each seat's result so far, and how
-// the wave ends. All fields are guarded by scheduler.mu until done closes
-// and are immutable after.
+// the wave ends. All fields are guarded by f.mu until done closes and are
+// immutable after.
 type epochJob struct {
 	epoch uint64
 	// n is the batch size and subs[id] the batch positions of the points
@@ -211,10 +210,9 @@ type epochJob struct {
 	errOrigin bool
 	// rep is the wave's outcome: the failure, or the epoch-wide cost (max
 	// rounds, total traffic) and leader of a wave whose every seat answered.
-	rep      wire.Reply
-	finished bool
-	done     chan struct{}
-	span     *obs.Span // epoch trace span; nil when tracing is off
+	rep  wire.Reply
+	done chan struct{}
+	span *obs.Span // epoch trace span; nil when tracing is off
 }
 
 // expectSet records that connection incarnation gen of seat id owes this
@@ -339,41 +337,35 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 // fresh admissions could deadlock a full window of half-done queries.
 func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	dist, radius, pruned := sched.geometry(q)
+	f := sched.f
+	f.mu.Lock()
 	if !pruned {
 		// Degraded fast-fail before admission: a mesh wave needs every
 		// seat, so a probe during an outage answers immediately — even
 		// while the window is full of doomed epochs — and consumes neither
 		// an ordinal nor a window slot.
-		f := sched.f
-		f.mu.Lock()
-		rep, ok := f.degradedLocked(f.slots)
-		f.mu.Unlock()
-		if !ok {
+		if rep, ok := f.degradedLocked(f.slots); !ok {
+			f.mu.Unlock()
 			return rep
 		}
 	}
-	sched.mu.Lock()
-	for !sched.closed && sched.count >= sched.window {
+	for !f.closed.Load() && sched.count >= sched.window {
 		sched.cond.Wait()
 	}
-	if sched.closed {
-		sched.mu.Unlock()
+	if f.closed.Load() {
+		f.mu.Unlock()
 		return closingReply()
 	}
 	sched.count++
 	sched.fm.occupancy.Observe(int64(sched.count))
 	sched.fm.inflight.Set(int64(sched.count))
-	sched.mu.Unlock()
+	f.mu.Unlock()
 	defer func() {
-		sched.mu.Lock()
-		// A concurrent shutdown already reset the counter (and closed
-		// gates all admission), so only a live scheduler's slot returns.
-		if !sched.closed {
-			sched.count--
-			sched.fm.inflight.Set(int64(sched.count))
-			sched.cond.Broadcast()
-		}
-		sched.mu.Unlock()
+		f.mu.Lock()
+		sched.count--
+		sched.fm.inflight.Set(int64(sched.count))
+		sched.cond.Broadcast()
+		f.mu.Unlock()
 	}()
 	if pruned {
 		return sched.runPruned(q, dist, radius)
@@ -387,7 +379,7 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 // selection stats only it knows — survivors, the fallback flag and the
 // iteration count.
 func (sched *scheduler) run(q wire.Query) wire.Reply {
-	job, rep := sched.runWave(q, true, nil)
+	job, rep := sched.runWave(q, nil)
 	if job == nil {
 		return rep
 	}
@@ -445,8 +437,8 @@ func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, e
 // runWave dispatches one wave and waits for its collation. It returns a nil
 // job (and the reply to send instead) when the wave could not run or did
 // not succeed.
-func (sched *scheduler) runWave(q wire.Query, mesh bool, subs [][]int) (*epochJob, wire.Reply) {
-	job, rep := sched.dispatchWave(q, mesh, subs)
+func (sched *scheduler) runWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
+	job, rep := sched.dispatchWave(q, subs)
 	if job == nil {
 		return nil, rep
 	}
@@ -470,15 +462,19 @@ func (sched *scheduler) runWave(q wire.Query, mesh bool, subs [][]int) (*epochJo
 // wave contacts is absent — any other absent seat is invisible to a direct
 // wave, because the admission test already proved its shard irrelevant. The
 // job is registered before the first write, so a result can never arrive
-// unclaimed; f.mu is held across the writes, which keeps every seat's conn
-// and gen consistent with the expectation set.
-func (sched *scheduler) dispatchWave(q wire.Query, mesh bool, subs [][]int) (*epochJob, wire.Reply) {
+// unclaimed. f.mu is held across the writes, which keeps every seat's conn
+// and gen consistent with the expectation set, and keeps Close from
+// sweeping the jobs until the wave is registered; the cost is that
+// collation of other epochs waits for the writes too — at most
+// dispatchTimeout, when a seat stopped draining its connection.
+func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed.Load() {
 		return nil, closingReply()
 	}
+	mesh := subs == nil
 	targets, appendFrame := f.slots, wire.AppendDispatch
 	if !mesh {
 		targets, appendFrame = nil, wire.AppendDispatchDirect
@@ -544,23 +540,11 @@ func (sched *scheduler) dispatchWave(q wire.Query, mesh bool, subs [][]int) (*ep
 		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), !mesh),
 	}
 	// Register the job with its full expectation set before any write, so
-	// a node answering instantly finds its job — then release sched.mu for
-	// the write phase: collation of unrelated epochs (and their client
-	// replies) must not queue behind these sockets.
-	sched.mu.Lock()
-	if sched.closed {
-		// Close won the race since the f.closed check above: shutdown()
-		// has already swept the inflight map, so registering now would
-		// strand this job past the sweep (and mislabel its failure as
-		// churn when the node connections drop).
-		sched.mu.Unlock()
-		return nil, closingReply()
-	}
+	// a node answering instantly finds its job.
 	sched.inflight[epoch] = job
 	for _, s := range targets {
 		job.expectSet(s.id, s.gen)
 	}
-	sched.mu.Unlock()
 	// The writes are bounded: a target that stopped draining its control
 	// connection (partitioned, stopped) must fail its write — and lose its
 	// seat — within one deadline rather than wedge the whole frontend,
@@ -586,77 +570,75 @@ func (sched *scheduler) dispatchWave(q wire.Query, mesh bool, subs [][]int) (*ep
 		writes.Wait()
 	}
 	job.span.MarkDispatched()
-	sched.mu.Lock()
 	for i, s := range targets {
 		if writeErrs[i] == nil {
 			s.conn.SetWriteDeadline(time.Time{})
 			continue
 		}
-		cause := fmt.Errorf("dispatch to node %d: %v", s.id, writeErrs[i])
-		gen := s.gen
-		f.markAbsentLocked(s, gen, cause)
-		// The node never received this epoch: withdraw its pre-filled
-		// expectation (unless the job already finished, e.g. a
-		// concurrent shutdown) and fail the epochs in flight on it.
-		if job.expectMatch(s.id, gen) && !job.finished {
-			job.expectClear(s.id)
-			job.fail(s.id, cause)
-		}
-		sched.seatLostLocked(s.id, gen, cause)
+		// Retiring the seat fails this wave like any other epoch on it.
+		f.retireLocked(s, s.gen, fmt.Errorf("dispatch to node %d: %v", s.id, writeErrs[i]))
 	}
-	sched.maybeFinishLocked(job)
-	sched.mu.Unlock()
 	return job, wire.Reply{}
 }
 
-// deliver routes one control frame from (seat id, connection incarnation
-// gen) to its epoch's job. Frames for unknown epochs are leftovers of
-// completed or failed epochs and are dropped; malformed frames and fatal
-// mesh reports evict the implicated seat after the bookkeeping is done
-// (never while holding sched.mu — see the lock-order note on scheduler).
-func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
-	// Peek the kind and epoch ordinal on a throwaway reader; the decoders
-	// below expect the payload with only the kind byte consumed.
+// deliver routes one control frame from connection incarnation gen of seat
+// s to its epoch's job. The frame is decoded before f.mu is taken —
+// decoding reads no shared state — so the critical section is bookkeeping
+// only. Frames for unknown epochs are leftovers of completed or failed
+// epochs and are dropped; a malformed frame or a fatal mesh report retires
+// the implicated seat once the job is settled.
+func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
+	f, id := sched.f, s.id
+	// Peek the kind and epoch ordinal on a throwaway reader (a failed decode
+	// zeroes the frame, epoch included); the decoders below expect the
+	// payload with only the kind byte consumed.
 	peek := wire.NewReader(payload)
-	kind := peek.Kind()
-	epoch := peek.Varint()
-	if peek.Err() != nil || (kind != wire.KindResult && kind != wire.KindError) {
-		cause := fmt.Errorf("node %d sent unexpected control kind %d", id, kind)
-		sched.f.evictSeat(id, gen, cause)
-		return
-	}
+	kind, epoch := peek.Kind(), peek.Varint()
+	bad := peek.Err() != nil
 	r := wire.NewReader(payload)
 	r.U8()
-	type evictReq struct {
-		implicated bool // echo-suppressed fatal report; else evict id itself
-		lostPeer   int
-		cause      error
+	var nr wire.NodeResult
+	var ne wire.NodeError
+	var derr error
+	switch kind {
+	case wire.KindResult:
+		nr, derr = wire.DecodeNodeResult(r)
+	case wire.KindError:
+		ne, derr = wire.DecodeNodeError(r)
+	default:
+		bad = true
 	}
-	var evict *evictReq
-	sched.mu.Lock()
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if bad {
+		f.retireLocked(s, gen, fmt.Errorf("node %d sent unexpected control kind %d", id, kind))
+		return
+	}
 	job := sched.inflight[epoch]
 	if job != nil && !job.expectMatch(id, gen) {
 		job = nil // a stale incarnation, or the seat already reported
 	}
+	// malformed retires seat s, fatal the seat a mesh report implicates —
+	// both after the job is finished, so it does not count the seat twice.
+	var malformed, fatal error
 	switch kind {
 	case wire.KindResult:
 		if job == nil {
 			break // leftover of a finished or failed epoch
 		}
-		nr, derr := wire.DecodeNodeResult(r)
 		// A direct wave may have sent this node only a sub-batch; its
 		// result must cover exactly the points it was sent. The leader flag
 		// must be set exactly on the session leader's result of a mesh wave,
 		// the one result the mesh plan reads the selection outcomes from.
-		want, leads := job.n, job.subs == nil && id == sched.f.leader
+		want, leads := job.n, job.subs == nil && id == f.leader
 		if job.subs != nil {
 			want = len(job.subs[id])
 		}
 		job.expectClear(id)
 		if derr != nil || nr.Node != id || len(nr.Queries) != want || nr.IsLeader != leads {
-			cause := fmt.Errorf("node %d sent a malformed result (%v)", id, derr)
-			job.fail(id, cause)
-			evict = &evictReq{cause: cause}
+			malformed = fmt.Errorf("node %d sent a malformed result (%v)", id, derr)
+			job.fail(id, malformed)
 			break
 		}
 		// The seat's share, and its view of the epoch cost (max rounds,
@@ -669,15 +651,13 @@ func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
 		job.rep.Bytes += nr.Bytes
 		job.span.MarkSeat(id)
 	case wire.KindError:
-		ne, derr := wire.DecodeNodeError(r)
 		if derr != nil {
 			if job == nil {
 				break
 			}
-			cause := fmt.Errorf("node %d sent a malformed error", id)
+			malformed = fmt.Errorf("node %d sent a malformed error", id)
 			job.expectClear(id)
-			job.fail(id, cause)
-			evict = &evictReq{cause: cause}
+			job.fail(id, malformed)
 			break
 		}
 		if job != nil {
@@ -695,12 +675,7 @@ func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
 			// moment another seat dropped): the broken link is real, and
 			// ignoring the report would leave the implicated seat standing
 			// until the next dispatched epoch trips over it.
-			cause := fmt.Errorf("node %d reported a fatal mesh failure: %s", id, ne.Msg)
-			evict = &evictReq{
-				implicated: true,
-				lostPeer:   ne.LostPeer,
-				cause:      cause,
-			}
+			fatal = fmt.Errorf("node %d reported a fatal mesh failure: %s", id, ne.Msg)
 			if job != nil {
 				// The epoch died of churn, not of its program: record the
 				// implicated seat as lost on this job so it finishes with
@@ -709,55 +684,23 @@ func (sched *scheduler) deliver(id int, gen uint64, payload []byte) {
 				// (e.g. the node answered, then died taking a link with
 				// it).
 				lost := id
-				if ne.LostPeer >= 0 && ne.LostPeer < sched.f.k {
+				if ne.LostPeer >= 0 && ne.LostPeer < f.k {
 					lost = ne.LostPeer
 				}
-				job.fail(lost, cause)
+				job.fail(lost, fatal)
 			}
 		}
 	default:
-		// Unreachable: the peek above evicted anything that is not a
-		// KindResult/KindError control frame before we got here.
+		// Unreachable: any other kind was retired above.
 	}
 	if job != nil {
 		sched.maybeFinishLocked(job)
 	}
-	sched.mu.Unlock()
-	if evict != nil {
-		if evict.implicated {
-			sched.f.evictImplicated(id, gen, epoch, evict.lostPeer, evict.cause)
-		} else {
-			sched.f.evictSeat(id, gen, evict.cause)
-		}
+	if malformed != nil {
+		f.retireLocked(s, gen, malformed)
 	}
-}
-
-// seatLost fails every in-flight epoch that was dispatched to connection
-// incarnation gen of seat id. Every present→absent seat transition is
-// followed by exactly one seatLost call for the retired incarnation.
-func (sched *scheduler) seatLost(id int, gen uint64, cause error) {
-	sched.mu.Lock()
-	sched.seatLostLocked(id, gen, cause)
-	sched.mu.Unlock()
-}
-
-func (sched *scheduler) seatLostLocked(id int, gen uint64, cause error) {
-	// Fail the doomed epochs in ordinal order, not map order: each fail
-	// finishes a job and releases its waiter, and releasing them oldest
-	// first keeps the client-observable failure order identical run to
-	// run.
-	epochs := make([]uint64, 0, len(sched.inflight))
-	for epoch := range sched.inflight {
-		epochs = append(epochs, epoch)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, epoch := range epochs {
-		job := sched.inflight[epoch]
-		if job.expectMatch(id, gen) {
-			job.expectClear(id)
-			job.fail(id, fmt.Errorf("lost node %d mid-query: %v", id, cause))
-			sched.maybeFinishLocked(job)
-		}
+	if fatal != nil {
+		f.evictImplicatedLocked(s, gen, epoch, ne.LostPeer, fatal)
 	}
 }
 
@@ -767,14 +710,14 @@ func (sched *scheduler) seatLostLocked(id int, gen uint64, cause error) {
 // for the lost peer's frames, so waiting for their reports could deadlock
 // the reply behind the very outage it describes. A lost seat wins
 // (retryable degraded reply), then an epoch failure, then success (the
-// waiter folds the collected shares); late frames for a finished epoch are
-// dropped. The window slot is the query's, not the wave's: its owner
-// (execute) returns it. Caller holds sched.mu.
+// waiter folds the collected shares). A finished job leaves sched.inflight,
+// the only place callers find jobs, so late frames for it are dropped. The
+// window slot is the query's, not the wave's: its owner (execute) returns
+// it. Caller holds f.mu.
 func (sched *scheduler) maybeFinishLocked(job *epochJob) {
-	if job.finished || (job.expectN > 0 && len(job.lost) == 0) {
+	if job.expectN > 0 && len(job.lost) == 0 {
 		return
 	}
-	job.finished = true
 	switch {
 	case len(job.lost) > 0:
 		// The epoch was consumed but the batch failed as a unit; the
@@ -801,41 +744,26 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	close(job.done)
 }
 
-// shutdown fails every queued, coalescing and in-flight query with a
-// retryable closing reply and refuses later admissions. In-flight epochs
-// may still complete on the nodes; their late results are dropped.
-func (sched *scheduler) shutdown() {
-	sched.mu.Lock()
-	if sched.closed {
-		sched.mu.Unlock()
-		return
-	}
-	sched.closed = true
+// shutdownLocked fails every queued, coalescing and in-flight query with a
+// retryable closing reply; f.closed, already set, refuses later admissions.
+// In-flight epochs may still complete on the nodes; their late results are
+// dropped. Close runs it once, holding f.mu.
+func (sched *scheduler) shutdownLocked() {
 	//knnlint:allow detsource -- shutdown fanout: every epoch gets the identical closing reply, order unobservable
 	for _, job := range sched.inflight {
-		if !job.finished {
-			job.finished = true
-			job.rep = closingReply()
-			job.span.MarkCollated(job.rep.Err, true)
-			close(job.done)
-		}
+		job.rep = closingReply()
+		job.span.MarkCollated(job.rep.Err, true)
+		close(job.done)
 	}
 	sched.inflight = make(map[uint64]*epochJob)
-	sched.count = 0
-	sched.fm.inflight.Set(0)
-	var open []*bucket
 	//knnlint:allow detsource -- shutdown fanout over independent buckets; each gets the same treatment
 	for key, b := range sched.buckets {
 		b.timer.Stop()
 		delete(sched.buckets, key)
-		open = append(open, b)
-	}
-	sched.cond.Broadcast()
-	sched.mu.Unlock()
-	for _, b := range open {
 		b.rep = closingReply()
 		close(b.done)
 	}
+	sched.cond.Broadcast()
 }
 
 // ---------------------------------------------------------------------------
@@ -852,8 +780,8 @@ type bucketKey struct {
 
 // bucket is one open coalescing batch: the accumulating query, the linger
 // timer that flushes a partial batch, and the rendezvous the waiters share.
-// The points slice is guarded by scheduler.mu until the bucket leaves the
-// map; rep and solo are written exactly once, before done closes.
+// The points slice is guarded by f.mu until the bucket leaves the map; rep
+// and solo are written exactly once, before done closes.
 type bucket struct {
 	q      wire.Query
 	timer  *time.Timer
@@ -873,17 +801,15 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	// fail — its buckets run through the pruned path, which only needs the
 	// seats the queries' admission balls reach, so an absent seat does not
 	// doom the bucket.
-	sched.f.mu.Lock()
-	prunable := sched.f.prunableLocked()
-	rep, ok := sched.f.degradedLocked(sched.f.slots)
-	sched.f.mu.Unlock()
-	if !ok && !prunable {
+	key := bucketKey{op: q.Op, l: q.L, tag: q.Tag}
+	f := sched.f
+	f.mu.Lock()
+	if rep, ok := f.degradedLocked(f.slots); !ok && !f.prunableLocked() {
+		f.mu.Unlock()
 		return rep
 	}
-	key := bucketKey{op: q.Op, l: q.L, tag: q.Tag}
-	sched.mu.Lock()
-	if sched.closed {
-		sched.mu.Unlock()
+	if f.closed.Load() {
+		f.mu.Unlock()
 		return closingReply()
 	}
 	b := sched.buckets[key]
@@ -904,7 +830,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 		delete(sched.buckets, key)
 		b.timer.Stop()
 	}
-	sched.mu.Unlock()
+	f.mu.Unlock()
 	if full {
 		sched.runBucket(b)
 	} else {
@@ -916,13 +842,13 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 // flush runs a lingered partial bucket. A bucket no longer in the map was
 // already flushed full (or shut down); the timer's flush stands down.
 func (sched *scheduler) flush(key bucketKey, b *bucket) {
-	sched.mu.Lock()
+	sched.f.mu.Lock()
 	if sched.buckets[key] != b {
-		sched.mu.Unlock()
+		sched.f.mu.Unlock()
 		return
 	}
 	delete(sched.buckets, key)
-	sched.mu.Unlock()
+	sched.f.mu.Unlock()
 	sched.runBucket(b)
 }
 
@@ -1071,7 +997,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		wave1[best] = append(wave1[best], pi)
 	}
 	got := newGather(n, f.k)
-	job, rep := sched.runWave(q, false, wave1)
+	job, rep := sched.runWave(q, wave1)
 	if job == nil {
 		return rep
 	}
@@ -1097,7 +1023,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		}
 	}
 	if waves == 2 {
-		if job, rep = sched.runWave(q, false, wave2); job == nil {
+		if job, rep = sched.runWave(q, wave2); job == nil {
 			return rep
 		}
 		job.collect(got)
