@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"distknn/internal/core"
@@ -262,9 +263,13 @@ func SamplingValidation(p Params) ([]*Table, error) {
 			"frac_over_11l", "fallbacks", "mc_bound_2_l2"},
 	}
 	in := NewInstance(p.Seed, k, p.PerMachine)
+	var atSample []string
 	for _, l := range p.ls([]int{16, 64, 256, 1024}) {
 		if l > k*p.PerMachine {
 			continue
+		}
+		if (core.Config{L: l}).CompleteSample(p.PerMachine) {
+			atSample = append(atSample, d(l))
 		}
 		a2, err := in.reps(p, p.Reps*4, l, core.Alg2, 0, core.Config{})
 		if err != nil {
@@ -283,6 +288,10 @@ func SamplingValidation(p Params) ([]*Table, error) {
 		s := stats.Summarize(surv)
 		t.AddRow(d(l), f(s.Mean), f(s.P95), f(s.Max), d(11*l),
 			f(float64(over)/float64(len(surv))), d(fallbacks), f(2/float64(l*l)))
+	}
+	if len(atSample) > 0 {
+		t.Note += fmt.Sprintf("; l=%s finish at the sample (every S_i sampled whole): no prune runs, "+
+			"survivors are the exact count it would keep and no fallback can occur", strings.Join(atSample, ","))
 	}
 	return []*Table{t}, nil
 }
@@ -471,7 +480,9 @@ func Constants(p Params) ([]*Table, error) {
 	samples := []int{2, 4, 8, 12}
 	cuts := []int{3, 7, 21, 42}
 	if p.Quick {
-		k, l = 4, 64
+		// ℓ = 128: the 32- and 96-key samples are partial, so the prune runs
+		// in every cell (at ℓ ≤ 84 the paper's factor finishes at the sample).
+		k, l = 4, 128
 		samples = []int{4, 12}
 		cuts = []int{7, 21}
 	}

@@ -10,7 +10,10 @@
 //     keep the local top-ℓ, sample 12·log ℓ of them to the leader, prune
 //     everything above the sample of rank 21·log ℓ (with high probability at
 //     most 11ℓ candidates survive, Lemma 2.3), then run Algorithm 1 on the
-//     survivors.
+//     survivors. When every machine's sample is its whole local top-ℓ
+//     (Config.CompleteSample), the leader already holds every candidate: it
+//     selects rank ℓ among the samples and broadcasts the boundary, and the
+//     query ends after two rounds.
 //
 //   - DirectKNN — Algorithm 1 applied to all ≤ kℓ local-top-ℓ candidates
 //     without the sampling step; O(log ℓ + log k) rounds (Section 2.2).
@@ -57,9 +60,6 @@ type Config struct {
 	// 21·log ℓ). Zero selects the defaults.
 	SampleFactor int
 	CutFactor    int
-	// OnPrune, if non-nil, is invoked on the leader after the prune count
-	// with the chosen threshold and the number of surviving candidates.
-	OnPrune func(threshold keys.Key, survivors int64)
 }
 
 func (c Config) sampleFactor() int {
@@ -76,6 +76,14 @@ func (c Config) cutFactor() int {
 	return DefaultCutFactor
 }
 
+// CompleteSample reports whether a machine holding n candidates samples its
+// whole local top-ℓ in Algorithm 2's step 4: min(n, ℓ) ≤ SampleFactor ·
+// ⌈log₂(ℓ+1)⌉, which holds for every ℓ ≤ 84 at the default factor. When it
+// holds on every machine, KNN finishes at the sample.
+func (c Config) CompleteSample(n int) bool {
+	return min(n, c.L) <= sampleSize(c.L, c.sampleFactor())
+}
+
 // Result is what every machine learns from a query.
 type Result struct {
 	// Winners are this machine's points among the global ℓ nearest, in
@@ -87,7 +95,10 @@ type Result struct {
 	// Iterations counts selection pivot steps (0 for SimpleKNN).
 	Iterations int
 	// Survivors is the number of candidates that survived Algorithm 2's
-	// prune (0 for the other algorithms); identical on all machines.
+	// prune (0 for the other algorithms); identical on all machines. When
+	// KNN finishes at the sample no prune runs, and Survivors is the count
+	// the prune would have kept, min(CutFactor·⌈log₂(ℓ+1)⌉, Σ|S_i|), exact
+	// because the leader then holds every candidate.
 	Survivors int64
 	// FellBack reports that the prune failed and the selection ran
 	// without it.
@@ -104,6 +115,7 @@ const (
 	kindProceed              // leader → all: usePruned flag + survivors
 	kindAllItems             // worker → leader: the entire local top-ℓ
 	kindBoundary             // leader → all: final boundary (SimpleKNN)
+	kindFinish               // leader → all: boundary + survivors (KNN's complete sample)
 )
 
 // topL returns the ≤ l smallest items — the paper's step 2: a machine with

@@ -72,7 +72,8 @@ func runAlgo(t testing.TB, seed uint64, bandwidth int, locals [][]points.Item, c
 		if results[i].Boundary != results[0].Boundary {
 			t.Fatalf("machine %d boundary %v != %v", i, results[i].Boundary, results[0].Boundary)
 		}
-		if results[i].Survivors != results[0].Survivors || results[i].FellBack != results[0].FellBack {
+		if results[i].Survivors != results[0].Survivors || results[i].FellBack != results[0].FellBack ||
+			results[i].Iterations != results[0].Iterations {
 			t.Fatalf("machines disagree on metadata: %+v vs %+v", results[i], results[0])
 		}
 		union = append(union, results[i].Winners...)
@@ -198,43 +199,69 @@ func TestKNNRoundsBeatSimpleForLargeL(t *testing.T) {
 
 func TestKNNRoundLaw(t *testing.T) {
 	// With every message inside one round's bandwidth, Algorithm 2's cost
-	// is exact: four prelude rounds (samples, prune, counts, proceed), then
+	// is exact. At ℓ = 64 every machine's sample is its whole local top-ℓ,
+	// so the leader finishes at the sample: 2 rounds (samples, finish),
+	// 2(k−1) messages, no iteration. At ℓ = 128 the 96-key samples are
+	// partial: four prelude rounds (samples, prune, counts, proceed), then
 	// Algorithm 1 at two rounds an iteration plus its statistics and finish
 	// rounds — on the pruned candidates or, after a fallback, on the whole
-	// local top-ℓ alike. A single machine never communicates. With no
-	// bandwidth cap the survivors fit one gather reply each, so Algorithm 1
-	// takes a single iteration and a query exactly 8 rounds.
-	for _, k := range []int{1, 2, 4, 8} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			locals, _, _ := makeInstance(seed, 4096, k, points.PartitionRandom)
-			res, _, met := runAlgo(t, seed, -1, locals, Config{Leader: 0, L: 64}, KNN)
-			if k == 1 {
-				if met.Messages != 0 || met.Rounds != 0 {
-					t.Errorf("k=1 seed=%d: %d messages in %d rounds, want none", seed, met.Messages, met.Rounds)
+	// local top-ℓ alike. With no bandwidth cap the survivors fit one gather
+	// reply each, so Algorithm 1 takes a single iteration and such a query
+	// exactly 8 rounds. A single machine never communicates.
+	for _, l := range []int{64, 128} {
+		for _, k := range []int{1, 2, 4, 8} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				locals, _, _ := makeInstance(seed, 4096, k, points.PartitionRandom)
+				cfg := Config{Leader: 0, L: l}
+				res, _, met := runAlgo(t, seed, -1, locals, cfg, KNN)
+				if k == 1 {
+					if met.Messages != 0 || met.Rounds != 0 {
+						t.Errorf("l=%d k=1 seed=%d: %d messages in %d rounds, want none", l, seed, met.Messages, met.Rounds)
+					}
+					continue
 				}
-				continue
-			}
-			if want := 2*res.Iterations + 6; met.Rounds != want {
-				t.Errorf("k=%d seed=%d: %d rounds for %d iterations, want %d", k, seed, met.Rounds, res.Iterations, want)
-			}
-			if res.Iterations != 1 {
-				t.Errorf("k=%d seed=%d: %d iterations at unlimited bandwidth, want 1 (the gather)", k, seed, res.Iterations)
+				if complete := completeSample(cfg, locals); complete != (l == 64) {
+					t.Fatalf("l=%d k=%d seed=%d: complete sample %v", l, k, seed, complete)
+				}
+				if l == 64 {
+					if met.Rounds != 2 || met.Messages != int64(2*(k-1)) || res.Iterations != 0 {
+						t.Errorf("l=64 k=%d seed=%d: %d rounds, %d messages, %d iterations, want 2, %d, 0",
+							k, seed, met.Rounds, met.Messages, res.Iterations, 2*(k-1))
+					}
+					continue
+				}
+				if want := 2*res.Iterations + 6; met.Rounds != want {
+					t.Errorf("l=%d k=%d seed=%d: %d rounds for %d iterations, want %d", l, k, seed, met.Rounds, res.Iterations, want)
+				}
+				if res.Iterations != 1 {
+					t.Errorf("l=%d k=%d seed=%d: %d iterations at unlimited bandwidth, want 1 (the gather)", l, k, seed, res.Iterations)
+				}
 			}
 		}
 	}
 }
 
 func TestKNNRoundsGrowLogarithmicallyInL(t *testing.T) {
-	rounds := func(l int) int {
-		locals, _, _ := makeInstance(11, 16384, 8, points.PartitionRandom)
-		_, _, met := runAlgo(t, 11, 0, locals, Config{Leader: 0, L: l}, KNN)
+	locals, _, _ := makeInstance(11, 16384, 8, points.PartitionRandom)
+	rounds := func(l int, complete bool) int {
+		cfg := Config{Leader: 0, L: l}
+		_, _, met := runAlgo(t, 11, 0, locals, cfg, KNN)
+		if got := completeSample(cfg, locals); got != complete {
+			t.Fatalf("l=%d: complete sample %v, want %v", l, got, complete)
+		}
 		return met.Rounds
 	}
-	r16, r1024 := rounds(16), rounds(1024)
-	// l grew 64×; O(log l) predicts growth ≈ log(1024)/log(16) = 2.5×.
-	// Allow up to 8× before flagging; Θ(l) growth would be ≈ 64×.
-	if r1024 > 8*r16 {
-		t.Errorf("rounds grew too fast: l=16→%d rounds, l=1024→%d rounds", r16, r1024)
+	// ℓ = 16 finishes at the sample, at its exact law for the default link:
+	// 5 rounds for each worker's 16-key sample, 1 for the finish.
+	if got := rounds(16, true); got != 6 {
+		t.Errorf("l=16 finishes at the sample in %d rounds, want 6", got)
+	}
+	// Both ℓ below take the prune path. ℓ grew 64×; O(log ℓ) predicts
+	// growth ≈ log(8192)/log(128) ≈ 1.9×. Allow up to 8× before flagging;
+	// Θ(ℓ) growth would be ≈ 64×.
+	r128, r8192 := rounds(128, false), rounds(8192, false)
+	if r8192 > 8*r128 {
+		t.Errorf("rounds grew too fast: l=128→%d rounds, l=8192→%d rounds", r128, r8192)
 	}
 }
 

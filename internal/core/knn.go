@@ -14,7 +14,9 @@ import (
 
 // KNN runs the paper's Algorithm 2 on one machine. Every machine must call
 // it with the items of its local points (distance keys to the shared query)
-// and an identical Config. O(log ℓ) rounds and O(k·log ℓ) messages w.h.p.
+// and an identical Config. O(log ℓ) rounds and O(k·log ℓ) messages w.h.p.;
+// two rounds and 2(k−1) messages when every machine's sample is its whole
+// local top-ℓ, none when k = 1.
 func KNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) {
 	if err := validateConfig(m, cfg); err != nil {
 		return Result{}, err
@@ -45,8 +47,10 @@ func KNN(m kmachine.Env, cfg Config, local []points.Item) (Result, error) {
 // knnLeader drives steps 4–9 on the leader.
 func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key) (Result, error) {
 	k := m.K()
+	nSamples := sampleSize(cfg.L, cfg.sampleFactor())
 	allSamples := ownSample
 	total := int64(len(s))
+	complete := len(ownSample) == len(s)
 	if k > 1 {
 		m.EndRound()
 		for _, msg := range m.Gather(k - 1) {
@@ -54,11 +58,19 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 			if kind := r.U8(); kind != kindSamples {
 				return Result{}, fmt.Errorf("core: expected samples from %d, got kind %d", msg.From, kind)
 			}
-			total += int64(r.Varint())
-			allSamples = append(allSamples, r.Keys()...)
+			n := r.Varint()
+			sample := r.Keys()
 			if err := r.Err(); err != nil {
 				return Result{}, fmt.Errorf("core: bad samples from %d: %w", msg.From, err)
 			}
+			// A sample of the wrong length could pass for a complete one.
+			if n > uint64(cfg.L) || len(sample) != min(nSamples, int(n)) {
+				return Result{}, fmt.Errorf("core: %d sampled keys from %d for %d local candidates, want min(%d, |S_i|) keys and |S_i| ≤ l=%d",
+					len(sample), msg.From, n, nSamples, cfg.L)
+			}
+			total += int64(n)
+			complete = complete && len(sample) == int(n)
+			allSamples = append(allSamples, sample...)
 		}
 	}
 	if int64(cfg.L) > total {
@@ -67,9 +79,19 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 
 	// Step 5: r is the sample of global rank 21·log ℓ.
 	sort.Slice(allSamples, func(a, b int) bool { return allSamples[a].Less(allSamples[b]) })
-	cut := sampleSize(cfg.L, cfg.cutFactor())
-	if cut > len(allSamples) {
-		cut = len(allSamples)
+	cut := min(sampleSize(cfg.L, cfg.cutFactor()), len(allSamples))
+
+	// Complete-sample finish: every sample is its machine's whole S_i, so
+	// the leader holds every candidate and rank ℓ among them is the answer.
+	// The prune would have kept exactly the cut smallest.
+	if complete {
+		boundary := allSamples[cfg.L-1]
+		var w wire.Writer
+		w.U8(kindFinish)
+		w.Key(boundary)
+		w.Varint(uint64(cut))
+		m.Broadcast(w.Bytes())
+		return Result{Winners: sortedWinners(s, boundary), Boundary: boundary, Survivors: int64(cut)}, nil
 	}
 	threshold := allSamples[cut-1]
 
@@ -93,9 +115,6 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 			}
 		}
 	}
-	if cfg.OnPrune != nil {
-		cfg.OnPrune(threshold, survivors)
-	}
 
 	// Verification: survivors ≥ ℓ guarantees the true answer survived the
 	// prune; otherwise the selection runs without it.
@@ -113,13 +132,23 @@ func knnLeader(m kmachine.Env, cfg Config, s []points.Item, ownSample []keys.Key
 }
 
 // knnWorker answers the leader's prune phase, then hands over to the
-// selection worker loop.
+// selection worker loop. When the leader finished at the sample, its first
+// message is the boundary itself.
 func knnWorker(m kmachine.Env, cfg Config, s []points.Item) (Result, error) {
-	// Await the prune threshold.
+	// Await the prune threshold or the finish.
 	msg := m.Gather(1)[0]
 	r := wire.NewReader(msg.Payload)
-	if kind := r.U8(); kind != kindPrune {
-		return Result{}, fmt.Errorf("core: worker %d expected prune, got kind %d", m.ID(), kind)
+	switch kind := r.U8(); kind {
+	case kindPrune:
+	case kindFinish:
+		boundary := r.Key()
+		survivors := int64(r.Varint())
+		if err := r.Err(); err != nil {
+			return Result{}, fmt.Errorf("core: bad finish message: %w", err)
+		}
+		return Result{Winners: sortedWinners(s, boundary), Boundary: boundary, Survivors: survivors}, nil
+	default:
+		return Result{}, fmt.Errorf("core: worker %d expected prune or finish, got kind %d", m.ID(), kind)
 	}
 	threshold := r.Key()
 	if err := r.Err(); err != nil {

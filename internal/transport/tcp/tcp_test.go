@@ -312,13 +312,15 @@ func bruteVote(items []points.Item) float64 {
 func TestTCPMatchesSimulator(t *testing.T) {
 	// With the same epoch seed, a one-lane TCP epoch and the simulator at the
 	// socket link budget must make bit-identical protocol decisions — the
-	// same answer at the same cost, message for message.
-	k, n, l := 3, 200, 10
+	// same answer at the same cost, message for message. At ℓ = 10 every
+	// node's sample is its whole local top-ℓ and the leader finishes at the
+	// sample; at ℓ = 128 the samples are partial and the prune runs.
+	k, n := 3, 200
 	seed := uint64(55)
 	q := points.Scalar(12345678)
 	leader := election.Leader(seed, k)
 
-	prog := func(record func(id int, res core.Result)) kmachine.Program {
+	prog := func(l int, record func(id int, res core.Result)) kmachine.Program {
 		return func(m kmachine.Env) error {
 			set := instanceFor(seed, m.ID(), n)
 			res, err := core.KNN(m, core.Config{Leader: leader, L: l}, set.TopLItems(q, l))
@@ -338,38 +340,47 @@ func TestTCPMatchesSimulator(t *testing.T) {
 		}
 	}
 
-	tcpRes := make([]core.Result, k)
-	tcpMet := mustRunStarEpoch(t, k, seed, prog(recordInto(tcpRes)))
+	for _, l := range []int{10, 128} {
+		tcpRes := make([]core.Result, k)
+		tcpMet := mustRunStarEpoch(t, k, seed, prog(l, recordInto(tcpRes)))
 
-	simRes := make([]core.Result, k)
-	simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: linkBudget},
-		prog(recordInto(simRes)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 0
-	for i := 0; i < k; i++ {
-		if tcpRes[i].Boundary != simRes[i].Boundary {
-			t.Errorf("node %d: tcp %v != sim %v", i, tcpRes[i].Boundary, simRes[i].Boundary)
+		simRes := make([]core.Result, k)
+		simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: linkBudget},
+			prog(l, recordInto(simRes)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tcpRes[i].Iterations != simRes[i].Iterations || tcpRes[i].Survivors != simRes[i].Survivors {
-			t.Errorf("node %d: tcp %d iterations / %d survivors, sim %d / %d", i,
-				tcpRes[i].Iterations, tcpRes[i].Survivors, simRes[i].Iterations, simRes[i].Survivors)
+		rounds := 0
+		for i := 0; i < k; i++ {
+			if tcpRes[i].Boundary != simRes[i].Boundary {
+				t.Errorf("l=%d node %d: tcp %v != sim %v", l, i, tcpRes[i].Boundary, simRes[i].Boundary)
+			}
+			if tcpRes[i].Iterations != simRes[i].Iterations || tcpRes[i].Survivors != simRes[i].Survivors {
+				t.Errorf("l=%d node %d: tcp %d iterations / %d survivors, sim %d / %d", l, i,
+					tcpRes[i].Iterations, tcpRes[i].Survivors, simRes[i].Iterations, simRes[i].Survivors)
+			}
+			if tcpMet[i].Messages != simMet.SentMessages[i] || tcpMet[i].Bytes != simMet.SentBytes[i] {
+				t.Errorf("l=%d node %d: tcp sent %d messages / %d bytes, sim %d / %d", l, i,
+					tcpMet[i].Messages, tcpMet[i].Bytes, simMet.SentMessages[i], simMet.SentBytes[i])
+			}
+			rounds = max(rounds, tcpMet[i].Rounds)
 		}
-		if tcpMet[i].Messages != simMet.SentMessages[i] || tcpMet[i].Bytes != simMet.SentBytes[i] {
-			t.Errorf("node %d: tcp sent %d messages / %d bytes, sim %d / %d", i,
-				tcpMet[i].Messages, tcpMet[i].Bytes, simMet.SentMessages[i], simMet.SentBytes[i])
+		// The simulator counts rounds until the last machine halts; so does
+		// the slowest node. With sim == tcp, the simulator's exact round law
+		// (core's TestKNNRoundLaw) holds on sockets too.
+		if rounds != simMet.Rounds {
+			t.Errorf("l=%d: tcp epoch took %d rounds, sim %d", l, rounds, simMet.Rounds)
 		}
-		rounds = max(rounds, tcpMet[i].Rounds)
-	}
-	// The simulator counts rounds until the last machine halts; so does the
-	// slowest node. With sim == tcp, the simulator's exact round law
-	// (core's TestKNNRoundLaw) holds on sockets too.
-	if rounds != simMet.Rounds {
-		t.Errorf("tcp epoch took %d rounds, sim %d", rounds, simMet.Rounds)
-	}
-	if want := 2*simRes[0].Iterations + 6; rounds != want {
-		t.Errorf("%d rounds for %d iterations, want %d", rounds, simRes[0].Iterations, want)
+		want := 2*simRes[0].Iterations + 6
+		if l == 10 {
+			if simRes[0].Iterations != 0 {
+				t.Errorf("l=10: %d iterations after a complete sample, want 0", simRes[0].Iterations)
+			}
+			want = 2
+		}
+		if rounds != want {
+			t.Errorf("l=%d: %d rounds for %d iterations, want %d", l, rounds, simRes[0].Iterations, want)
+		}
 	}
 }
 

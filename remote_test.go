@@ -51,6 +51,34 @@ func startRemote(t *testing.T, k int, seed uint64, perNode int, opts distknn.Nod
 	return testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), opts, distknn.FrontendOptions{})
 }
 
+// TestRemoteSingleNodeCostsNothing pins k = 1 on sockets: the leader holds
+// every candidate, sends nothing and ends the epoch in round 0, as the
+// in-process cluster does.
+func TestRemoteSingleNodeCostsNothing(t *testing.T) {
+	const seed, perNode, l = 7, 300, 20
+	_, rc := startRemote(t, 1, seed, perNode, distknn.NodeOptions{})
+	values, labels := mergedData(t, seed, 1, perNode)
+	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: 1, Seed: seed, BandwidthBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	for i := 0; i < 5; i++ {
+		q := distknn.Scalar(xrand.NewStream(seed, uint64(i)).Uint64N(points.PaperDomain))
+		_, rstats, err := rc.KNN(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lstats, err := local.KNN(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rstats.Boundary != lstats.Boundary || rstats.Rounds != 0 || rstats.Messages != 0 || lstats.Rounds != 0 {
+			t.Fatalf("query %d: remote %+v, local %+v; want the same boundary at 0 rounds and 0 messages", i, *rstats, *lstats)
+		}
+	}
+}
+
 // TestRemoteClusterMatchesInProcess is the headline acceptance test: a
 // resident TCP cluster answers a long stream of sequential queries over one
 // mesh, and every answer is bit-identical to the in-process Cluster serving
@@ -103,6 +131,12 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 			rstats.Rounds != lstats.Rounds || rstats.Messages != lstats.Messages || rstats.Bytes != lstats.Bytes ||
 			rstats.Iterations != lstats.Iterations || rstats.Survivors != lstats.Survivors {
 			t.Fatalf("query %d: remote stats %+v != local %+v", i, *rstats, *lstats)
+		}
+		// ℓ = 15 is below every node's 48-key sample, so every query
+		// finishes at the sample: 2 rounds, 2(k−1) messages, no iteration.
+		if rstats.Rounds != 2 || rstats.Messages != 2*(k-1) || rstats.Iterations != 0 {
+			t.Fatalf("query %d: %d rounds, %d messages, %d iterations, want 2, %d, 0",
+				i, rstats.Rounds, rstats.Messages, rstats.Iterations, int64(2*(k-1)))
 		}
 	}
 
