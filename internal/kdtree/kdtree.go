@@ -130,14 +130,19 @@ func (t *Tree) Len() int { return len(t.pts) }
 // KNN returns the l points nearest to q under squared Euclidean distance, as
 // Items in ascending key order — bit-identical keys to points.L2, so results
 // can be cross-checked against brute force exactly.
-func (t *Tree) KNN(q points.Vector, l int) []points.Item {
+//
+// ceil, optional, is the points.TopL ceiling: only keys strictly below it
+// are kept, so the result is the first min(l, #keys below ceil) of the
+// unbounded answer. The descent reads it as its cutoff from the start, so a
+// tight ceiling prunes slabs before the heap ever fills.
+func (t *Tree) KNN(q points.Vector, l int, ceil ...keys.Key) []points.Item {
 	if l > len(t.pts) {
 		l = len(t.pts)
 	}
 	if l < 1 {
 		return nil
 	}
-	top := points.NewTopL(l)
+	top := points.NewTopL(l, ceil...)
 	s := search{t: t, q: q, top: top, cut: top.Cut()}
 	s.visit(t.root)
 	return s.top.Sorted()
@@ -167,8 +172,8 @@ func (s *search) visit(nd *node) {
 		}
 		s.visit(near)
 		// Only cross the splitting plane if the slab could contain a
-		// closer point than the current cutoff (any slab, while fewer
-		// than l points are held: the cutoff is then keys.MaxKey).
+		// closer point than the current cutoff (the ceiling, while fewer
+		// than l points are held).
 		if math.Float64bits(diff*diff) > s.cut.Dist {
 			return
 		}

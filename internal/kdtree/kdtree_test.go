@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"distknn/internal/keys"
 	"distknn/internal/points"
 	"distknn/internal/xrand"
 )
@@ -105,6 +106,59 @@ func TestKNNDuplicatePoints(t *testing.T) {
 	for i, item := range got {
 		if item.Key.Dist != 0 || item.Key.ID != uint64(i+1) {
 			t.Errorf("rank %d: %v", i, item.Key)
+		}
+	}
+}
+
+// TestKNNCeilingMatchesBruteForce holds the ceiling to its oracle: KNN(q,
+// l, ceil) is exactly the first min(l, #keys below ceil) keys of the brute
+// force sort, for ceilings of MinKey, MaxKey, a key of the set and a key
+// strictly between two of them, for l past n, and on a set full of
+// duplicate points.
+func TestKNNCeilingMatchesBruteForce(t *testing.T) {
+	rng := xrand.New(7)
+	uniform := points.GenUniformVectors(rng, 300, 3)
+	dups := make([]points.Vector, 200)
+	for i := range dups {
+		dups[i] = points.Vector{float64(rng.IntN(3)), float64(rng.IntN(3))}
+	}
+	dupSet, err := points.NewSet(dups, nil, points.L2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*points.Set[points.Vector]{uniform, dupSet} {
+		tree, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, dim := s.Len(), len(s.Pts[0])
+		for trial := 0; trial < 10; trial++ {
+			q := make(points.Vector, dim)
+			for j := range q {
+				q[j] = float64(rng.IntN(3)) * rng.Float64()
+			}
+			sorted := s.BruteKNN(q, n)
+			ceils := []keys.Key{keys.MinKey, keys.MaxKey, sorted[n/2].Key}
+			for i := n / 3; i+1 < n; i++ {
+				if between := (keys.Key{Dist: sorted[i].Key.Dist, ID: sorted[i].Key.ID + 1}); between.Less(sorted[i+1].Key) {
+					ceils = append(ceils, between)
+					break
+				}
+			}
+			for _, ceil := range ceils {
+				below := sort.Search(n, func(i int) bool { return !sorted[i].Key.Less(ceil) })
+				for _, l := range []int{1, 16, n, n + 5} {
+					got, want := tree.KNN(q, l, ceil), sorted[:min(l, below)]
+					if len(got) != len(want) {
+						t.Fatalf("n=%d l=%d ceil=%v: %d items, want %d", n, l, ceil, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("n=%d l=%d ceil=%v rank %d: %v, want %v", n, l, ceil, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -242,6 +296,9 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkKDTreeKNN times one ℓ = 64 search unbounded, and bounded by a
+// ceiling at the 8th key — a gather-wave search whose probe already holds
+// the tight bound, so the descent prunes slabs from the start.
 func BenchmarkKDTreeKNN(b *testing.B) {
 	rng := xrand.New(1)
 	s := points.GenUniformVectors(rng, 1<<16, 3)
@@ -250,10 +307,17 @@ func BenchmarkKDTreeKNN(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := points.Vector{0.5, 0.5, 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.KNN(q, 64)
-	}
+	b.Run("unbounded", func(b *testing.B) {
+		for b.Loop() {
+			tree.KNN(q, 64)
+		}
+	})
+	ceil := tree.KNN(q, 8)[7].Key
+	b.Run("bounded", func(b *testing.B) {
+		for b.Loop() {
+			tree.KNN(q, 64, ceil)
+		}
+	})
 }
 
 func BenchmarkBruteKNNBaseline(b *testing.B) {

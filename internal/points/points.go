@@ -216,7 +216,11 @@ func Cosine(a, b Vector) uint64 {
 // anything else is read, and only the few points that beat it (about
 // ℓ·ln(n/ℓ) on unordered data) are lowered to Items and sifted into the
 // bounded heap. O(n) distance work, O(min(l, n)) memory, one allocation.
-func (s *Set[P]) TopLItems(q P, l int) []Item {
+//
+// ceil, optional, is the TopL ceiling: only keys strictly below it are
+// kept, so the result is the first min(l, #keys below ceil) of the
+// unbounded answer. The scan's cutoff test is the same compare either way.
+func (s *Set[P]) TopLItems(q P, l int, ceil ...keys.Key) []Item {
 	n := len(s.Pts)
 	if l > n {
 		l = n
@@ -224,7 +228,7 @@ func (s *Set[P]) TopLItems(q P, l int) []Item {
 	if l < 1 {
 		return nil
 	}
-	top := NewTopL(l)
+	top := NewTopL(l, ceil...)
 	cut := top.Cut()
 	s.batch.ForBlocks(s.Pts, q, func(lo int, dist []uint64) {
 		ids, labels := s.IDs[lo:lo+len(dist)], s.Labels[lo:lo+len(dist)]

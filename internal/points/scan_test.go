@@ -43,24 +43,72 @@ func checkScan[P any](t *testing.T, name string, pts []P, metric Metric[P], q P)
 	}
 }
 
-// TestTopLItemsMatchesBruteKNNEveryMetric draws every coordinate from a
+// tiedPoints draws every coordinate of n scalars and n vectors from a
 // handful of values, so each query sees a few distinct distances shared by
-// hundreds of points and the cutoff always falls inside a run of ties.
+// hundreds of points — many of them duplicate points.
+func tiedPoints(n int) ([]Scalar, []Vector) {
+	rng := xrand.New(uint64(n) + 1)
+	scalars := make([]Scalar, n)
+	vectors := make([]Vector, n)
+	for i := 0; i < n; i++ {
+		scalars[i] = Scalar(rng.Uint64N(8))
+		vectors[i] = Vector{float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(2)), float64(rng.IntN(2))}
+	}
+	return scalars, vectors
+}
+
+// TestTopLItemsMatchesBruteKNNEveryMetric holds the scan to the oracle on
+// tied points, so the cutoff always falls inside a run of ties.
 func TestTopLItemsMatchesBruteKNNEveryMetric(t *testing.T) {
 	for _, n := range scanSizes {
-		rng := xrand.New(uint64(n) + 1)
-		scalars := make([]Scalar, n)
-		vectors := make([]Vector, n)
-		for i := 0; i < n; i++ {
-			scalars[i] = Scalar(rng.Uint64N(8))
-			vectors[i] = Vector{float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(3)), float64(rng.IntN(2)), float64(rng.IntN(2))}
-		}
+		scalars, vectors := tiedPoints(n)
 		checkScan(t, "Scalar", scalars, ScalarMetric, Scalar(3))
 		q := Vector{1, 0, 2, 1, 0}
 		checkScan(t, "L2", vectors, L2, q)
 		checkScan(t, "L1", vectors, L1, q)
 		checkScan(t, "LInf", vectors, LInf, q)
 		checkScan(t, "Cosine", vectors, Cosine, q)
+	}
+}
+
+// checkScanCeiling holds TopLItems with a ceiling to the ceiling oracle —
+// the first min(l, #keys below ceil) keys of the full sort — for l around
+// n and every kind of ceiling.
+func checkScanCeiling[P any](t *testing.T, name string, pts []P, metric Metric[P], q P) {
+	t.Helper()
+	set, err := NewSet(pts, nil, metric, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(pts)
+	xrand.New(uint64(n)).Shuffle(n, func(i, j int) { set.IDs[i], set.IDs[j] = set.IDs[j], set.IDs[i] })
+	sorted := set.BruteKNN(q, n)
+	for _, ceil := range ceilingsFor(sorted) {
+		for _, l := range []int{1, n / 2, n, n + 1} {
+			got, want := set.TopLItems(q, l, ceil), belowCeil(sorted, l, ceil)
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d l=%d ceil=%v: %d items, want %d", name, n, l, ceil, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d l=%d ceil=%v rank %d: %+v, want %+v", name, n, l, ceil, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTopLItemsCeilingEveryMetric runs the ceiling property for every
+// shipped metric over the tied points, across the scan's block boundaries.
+func TestTopLItemsCeilingEveryMetric(t *testing.T) {
+	for _, n := range scanSizes {
+		scalars, vectors := tiedPoints(n)
+		checkScanCeiling(t, "Scalar", scalars, ScalarMetric, Scalar(3))
+		q := Vector{1, 0, 2, 1, 0}
+		checkScanCeiling(t, "L2", vectors, L2, q)
+		checkScanCeiling(t, "L1", vectors, L1, q)
+		checkScanCeiling(t, "LInf", vectors, LInf, q)
+		checkScanCeiling(t, "Cosine", vectors, Cosine, q)
 	}
 }
 

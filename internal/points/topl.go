@@ -11,26 +11,42 @@ import "distknn/internal/keys"
 //
 // The heap lives in the slice Sorted returns, so a whole top-ℓ pass makes
 // one allocation.
+//
+// A ceiling bounds what is kept from above: only keys strictly below it are
+// retained, so the accumulator yields the min(l, #keys below ceil) smallest.
+// It is the pruned plan's second wave — a shard that need only return the
+// keys under a bound some other shard already proved — and costs nothing
+// once the heap is full, because every retained key is then already below
+// it.
 type TopL struct {
-	items []Item // max-heap on Key: items[0] is the largest retained key
+	items []Item   // max-heap on Key: items[0] is the largest retained key
+	ceil  keys.Key // the cutoff while fewer than l items are held
 }
 
 // NewTopL returns an accumulator for the l smallest items; l < 1 keeps
 // nothing. Callers that know how many items they will offer should clamp l
 // to that count first: the l slots are reserved up front.
-func NewTopL(l int) TopL {
+//
+// ceil is optional, at most one key: the ceiling. Omitted, it is
+// keys.MaxKey, which bounds nothing. Set.TopLItems and kdtree.Tree.KNN take
+// the same optional argument and hand it straight through.
+func NewTopL(l int, ceil ...keys.Key) TopL {
 	if l < 1 {
 		return TopL{}
 	}
-	return TopL{items: make([]Item, 0, l)}
+	top := TopL{items: make([]Item, 0, l), ceil: keys.MaxKey}
+	if len(ceil) > 0 {
+		top.ceil = ceil[0]
+	}
+	return top
 }
 
 // Cut returns the key an item must order strictly before to be retained:
-// keys.MaxKey while fewer than l items are held, the largest retained key
+// the ceiling while fewer than l items are held, the largest retained key
 // after that (MinKey for an accumulator that keeps nothing).
 func (t *TopL) Cut() keys.Key {
 	if len(t.items) < cap(t.items) {
-		return keys.MaxKey
+		return t.ceil
 	}
 	if len(t.items) == 0 {
 		return keys.MinKey
@@ -39,11 +55,15 @@ func (t *TopL) Cut() keys.Key {
 }
 
 // Push offers it and reports whether it was retained, evicting the current
-// cutoff item once l are held. Callers on a hot path compare against Cut
-// themselves first and build the Item only for survivors.
+// cutoff item once l are held; a key at or above the ceiling is refused.
+// Callers on a hot path compare against Cut themselves first and build the
+// Item only for survivors.
 func (t *TopL) Push(it Item) bool {
 	h := t.items
 	if len(h) < cap(h) {
+		if !it.Key.Less(t.ceil) {
+			return false
+		}
 		// Sift up from a new leaf.
 		h = append(h, it)
 		i := len(h) - 1

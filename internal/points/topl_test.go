@@ -119,6 +119,88 @@ func TestTopLAgainstSortOracle(t *testing.T) {
 	}
 }
 
+// ceilingsFor returns the ceilings the ceiling property tests try against
+// a sorted item list: MinKey, MaxKey, a key of the list and a key strictly
+// between two neighbours of it (when the list has such a gap).
+func ceilingsFor(sorted []Item) []keys.Key {
+	cs := []keys.Key{keys.MinKey, keys.MaxKey}
+	if len(sorted) == 0 {
+		return cs
+	}
+	cs = append(cs, sorted[len(sorted)/2].Key)
+	for i := len(sorted) / 3; i+1 < len(sorted); i++ {
+		if between := (keys.Key{Dist: sorted[i].Key.Dist, ID: sorted[i].Key.ID + 1}); between.Less(sorted[i+1].Key) {
+			return append(cs, between)
+		}
+	}
+	return cs
+}
+
+// belowCeil is the ceiling oracle: the first min(l, #keys below ceil) items
+// of the sorted list.
+func belowCeil(sorted []Item, l int, ceil keys.Key) []Item {
+	n := sort.Search(len(sorted), func(i int) bool { return !sorted[i].Key.Less(ceil) })
+	return sorted[:min(max(l, 0), n)]
+}
+
+// Property: with a ceiling, TopL keeps exactly the first min(l, #keys below
+// the ceiling) keys of sort-and-truncate — for streams full of equal
+// distances, l past the stream's length, and each kind of ceiling.
+func TestTopLCeilingAgainstSortOracle(t *testing.T) {
+	prop := func(dists []uint8, rawL uint8) bool {
+		l := int(rawL%40) + 1
+		all := make([]Item, len(dists))
+		for i, d := range dists {
+			all[i] = distItem(uint64(d%16), uint64(len(dists)-i))
+		}
+		sorted := append([]Item(nil), all...)
+		SortItems(sorted)
+		for _, ceil := range ceilingsFor(sorted) {
+			top := NewTopL(l, ceil)
+			for _, it := range all {
+				top.Push(it)
+				if cut := top.Cut(); !cut.LessEq(ceil) {
+					return false
+				}
+			}
+			got, want := top.Sorted(), belowCeil(sorted, l, ceil)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Errorf("TopL with a ceiling disagrees with the sort oracle: %v", err)
+	}
+}
+
+// TestTopLCeilingCut pins what Cut reports under a ceiling: the ceiling
+// while the heap is underfilled, the largest retained key once it is full;
+// a push at the ceiling is refused.
+func TestTopLCeilingCut(t *testing.T) {
+	ceil := keys.Key{Dist: 5, ID: 3}
+	top := NewTopL(2, ceil)
+	if cut := top.Cut(); cut != ceil {
+		t.Fatalf("empty Cut = %v, want the ceiling %v", cut, ceil)
+	}
+	if top.Push(distItem(5, 3)) || top.Push(distItem(6, 1)) {
+		t.Fatalf("keys at and above the ceiling must be refused")
+	}
+	if !top.Push(distItem(5, 2)) || top.Cut() != ceil {
+		t.Fatalf("one of two held: Cut = %v, want the ceiling", top.Cut())
+	}
+	top.Push(distItem(1, 9))
+	if cut := top.Cut(); cut != (keys.Key{Dist: 5, ID: 2}) {
+		t.Fatalf("full Cut = %v, want the largest retained key (5, 2)", cut)
+	}
+}
+
 func TestTopLLargeRandom(t *testing.T) {
 	rng := xrand.New(42)
 	top := NewTopL(100)

@@ -29,6 +29,7 @@ type feMetrics struct {
 	pruneWaves     *obs.Counter   // frontend_prune_waves_total: direct dispatch waves (probe + gather)
 	pruneContacts  *obs.Counter   // frontend_prune_contacts_total: Σ per-point shard contacts of pruned queries
 	pruneSkipped   *obs.Counter   // frontend_prune_shards_skipped_total: Σ shards a pruned batch never contacted
+	pruneGathered  *obs.Counter   // frontend_prune_gather_items_total: Σ winners the gather waves (wave 2) returned, each below its point's bound
 	inflight       *obs.Gauge     // frontend_epochs_inflight: window slots in use
 	occupancy      *obs.Histogram // frontend_window_occupancy: window depth at each admission
 	batchSize      *obs.Histogram // frontend_coalesced_batch_size: points per flushed bucket
@@ -55,6 +56,7 @@ func newFeMetrics(reg *obs.Registry) *feMetrics {
 		pruneWaves:     reg.Counter("frontend_prune_waves_total"),
 		pruneContacts:  reg.Counter("frontend_prune_contacts_total"),
 		pruneSkipped:   reg.Counter("frontend_prune_shards_skipped_total"),
+		pruneGathered:  reg.Counter("frontend_prune_gather_items_total"),
 		inflight:       reg.Gauge("frontend_epochs_inflight"),
 		occupancy:      reg.Histogram("frontend_window_occupancy", obs.SizeBuckets),
 		batchSize:      reg.Histogram("frontend_coalesced_batch_size", obs.SizeBuckets),

@@ -198,6 +198,11 @@ type epochJob struct {
 	// whole batch.
 	n    int
 	subs [][]int
+	// l is the query's ℓ and bounds[pi] batch point pi's ceiling on a
+	// gather wave (nil on every other wave): deliver holds each result
+	// to them.
+	l      int
+	bounds []keys.Key
 	// shares[id] is seat id's result (zero until it reports, and for a seat
 	// the wave did not contact).
 	shares []wire.NodeResult
@@ -262,6 +267,31 @@ func (job *epochJob) collect(got [][][]points.Item) {
 			got[pi][id] = qr.Winners
 		}
 	}
+}
+
+// checkWinners holds seat id's result to what the fold assumes of a
+// winner list: strictly ascending keys (sharesWithin binary-searches it), at
+// most ℓ of them, and — on a gather wave — every key strictly below its
+// point's bound. Ascending order makes the last key the only one the bound
+// needs to check.
+func (job *epochJob) checkWinners(id int, nr wire.NodeResult) error {
+	for si, qr := range nr.Queries {
+		w := qr.Winners
+		if len(w) > job.l {
+			return fmt.Errorf("%d winners at ℓ = %d", len(w), job.l)
+		}
+		for i := 1; i < len(w); i++ {
+			if !w[i-1].Key.Less(w[i].Key) {
+				return fmt.Errorf("winners not strictly ascending at %d: %v then %v", i, w[i-1].Key, w[i].Key)
+			}
+		}
+		if job.bounds != nil && len(w) > 0 {
+			if bound := job.bounds[job.subs[id][si]]; !w[len(w)-1].Key.Less(bound) {
+				return fmt.Errorf("winner %v not below the bound %v", w[len(w)-1].Key, bound)
+			}
+		}
+	}
+	return nil
 }
 
 // newGather allocates the per-point, per-seat winner lists collect fills.
@@ -379,7 +409,7 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 // selection stats only it knows — survivors, the fallback flag and the
 // iteration count.
 func (sched *scheduler) run(q wire.Query) wire.Reply {
-	job, rep := sched.runWave(q, nil)
+	job, rep := sched.runWave(q, nil, nil)
 	if job == nil {
 		return rep
 	}
@@ -437,8 +467,8 @@ func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, e
 // runWave dispatches one wave and waits for its collation. It returns a nil
 // job (and the reply to send instead) when the wave could not run or did
 // not succeed.
-func (sched *scheduler) runWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
-	job, rep := sched.dispatchWave(q, subs)
+func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key) (*epochJob, wire.Reply) {
+	job, rep := sched.dispatchWave(q, subs, bounds)
 	if job == nil {
 		return nil, rep
 	}
@@ -454,10 +484,11 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int) (*epochJob, wire.Rep
 // its collation job. A mesh wave (subs nil) sends every seat the whole batch
 // as a KindDispatch frame; a direct wave sends seat id exactly the
 // sub-batch subs[id] of q's points as a KindDispatchDirect frame and does
-// not contact a seat whose sub-batch is empty. Every target that receives
-// the whole batch — all of them on a mesh wave, and always for a
-// single-point query — shares one encode-once frame; a strict sub-batch
-// gets a frame of its own. It returns a nil job (and the reply to send
+// not contact a seat whose sub-batch is empty; bounds, when not nil, holds
+// one ceiling per batch point, and each direct frame carries its points'
+// ceilings. Every target that receives the whole batch — all of them on a
+// mesh wave, and always for a single-point query — shares one encode-once
+// frame; a strict sub-batch gets a frame of its own. It returns a nil job (and the reply to send
 // instead) when the wave cannot run: the frontend is closing, or a seat the
 // wave contacts is absent — any other absent seat is invisible to a direct
 // wave, because the admission test already proved its shard irrelevant. The
@@ -467,7 +498,7 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int) (*epochJob, wire.Rep
 // sweeping the jobs until the wave is registered; the cost is that
 // collation of other epochs waits for the writes too — at most
 // dispatchTimeout, when a seat stopped draining its connection.
-func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wire.Reply) {
+func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key) (*epochJob, wire.Reply) {
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -475,9 +506,9 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wir
 		return nil, closingReply()
 	}
 	mesh := subs == nil
-	targets, appendFrame := f.slots, wire.AppendDispatch
+	targets := f.slots
 	if !mesh {
-		targets, appendFrame = nil, wire.AppendDispatchDirect
+		targets = nil
 		for _, s := range f.slots {
 			if len(subs[s.id]) > 0 {
 				targets = append(targets, s)
@@ -500,27 +531,35 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wir
 			wire.PutWriter(dw)
 		}
 	}()
-	encode := func(sq wire.Query) ([]byte, error) {
+	encode := func(sq wire.Query, bs []keys.Key) ([]byte, error) {
 		dw := wire.GetWriter()
 		writers = append(writers, dw)
 		dw.BeginFrame()
-		appendFrame(dw, epoch, sq)
+		if mesh {
+			wire.AppendDispatch(dw, epoch, sq)
+		} else {
+			wire.AppendDispatchDirect(dw, epoch, sq, bs)
+		}
 		return dw.FinishFrame()
 	}
 	frames := make([][]byte, len(targets))
 	var whole []byte
 	var pts [][]byte
+	var bs []keys.Key
 	for i, s := range targets {
 		var ferr error
 		switch {
 		case !mesh && len(subs[s.id]) < len(q.Points):
-			pts = pts[:0]
+			pts, bs = pts[:0], bs[:0]
 			for _, pi := range subs[s.id] {
 				pts = append(pts, q.Points[pi])
+				if bounds != nil {
+					bs = append(bs, bounds[pi])
+				}
 			}
-			frames[i], ferr = encode(wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: pts})
+			frames[i], ferr = encode(wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: pts}, bs)
 		case whole == nil:
-			whole, ferr = encode(q)
+			whole, ferr = encode(q, bounds)
 			frames[i] = whole
 		default:
 			frames[i] = whole
@@ -534,6 +573,8 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int) (*epochJob, wir
 		epoch:  epoch,
 		n:      len(q.Points),
 		subs:   subs,
+		l:      q.L,
+		bounds: bounds,
 		shares: make([]wire.NodeResult, f.k),
 		expect: make([]uint64, f.k),
 		done:   make(chan struct{}),
@@ -636,7 +677,13 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 			want = len(job.subs[id])
 		}
 		job.expectClear(id)
-		if derr != nil || nr.Node != id || len(nr.Queries) != want || nr.IsLeader != leads {
+		if derr == nil && (nr.Node != id || len(nr.Queries) != want || nr.IsLeader != leads) {
+			derr = fmt.Errorf("result of node %d for %d points, leader %v", nr.Node, len(nr.Queries), nr.IsLeader)
+		}
+		if derr == nil {
+			derr = job.checkWinners(id, nr)
+		}
+		if derr != nil {
 			malformed = fmt.Errorf("node %d sent a malformed result (%v)", id, derr)
 			job.fail(id, malformed)
 			break
@@ -942,20 +989,24 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 }
 
 // runPruned answers q by the pruned plan: up to two direct waves, mesh off.
-// Wave 1: every point probes its nearest present shard; the probe winners
-// bound each point's global ℓ-th neighbor distance from above. Wave
-// 2: each shard receives exactly the sub-batch of points whose admission
-// ball can still intersect its centroid ball (metricindex.AdmitSub) — a
-// shard admitted by zero points is skipped entirely. The shared fold then
-// selects at the frontend what the mesh plan selects among the nodes: the
-// merged local top-ℓ of the contacted shards provably contains each point's
-// global top-ℓ (metricindex.Admit), so its first ℓ keys are the answer and
-// each seat's items at or below the ℓ-th key are the winner share the mesh
-// would have left on that seat (a pruned seat holds no global winner, so
-// its empty share matches the mesh too) — the same shares, hence the same
-// Classify/Regress fold, as the mesh plan, bit-identical by construction. Cost
-// reporting follows the plan's own shape: Rounds counts dispatch waves (1 or
-// 2), Messages the total per-point shard contacts — Σ over the batch of the
+// Wave 1: every point probes its nearest present shard; the probe's ℓ-th
+// key is the point's bound, and it bounds the point's global ℓ-th neighbor
+// from above. Wave 2: each shard receives exactly the sub-batch of points
+// whose admission ball can still intersect its centroid ball
+// (metricindex.AdmitSub) — a shard admitted by zero points is skipped
+// entirely — with each point's bound, and returns only its keys strictly
+// below it. Keys are unique (distance, ID) pairs and the probe shard alone
+// holds ℓ keys at or below the bound, so every global top-ℓ key is in the
+// probe's list or is another shard's key below the bound: the merged lists
+// provably contain each point's global top-ℓ (metricindex.Admit), and the
+// shared fold selects at the frontend what the mesh plan selects among the
+// nodes. Its first ℓ keys are the answer, and each seat's items at or below
+// the ℓ-th key — the boundary, never above the bound — are the winner share
+// the mesh would have left on that seat (a pruned seat holds no global
+// winner, so its empty share matches the mesh too): the same shares, hence
+// the same Classify/Regress fold, as the mesh plan, bit-identical by
+// construction. Cost reporting follows the plan's own shape: Rounds counts
+// dispatch waves (1 or 2), Messages the total per-point shard contacts — Σ over the batch of the
 // number of shards each point was sent to, so Messages/len(Points) is the
 // contacted-nodes-per-query figure; Bytes stays 0 (no mesh traffic) and the
 // BSP selection stats (Survivors, Iterations, FellBack) do not apply.
@@ -983,6 +1034,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 	// by any point.
 	contacted := make([][]bool, f.k)
 	wave1 := make([][]int, f.k)
+	probe := make([]int, n)
 	for pi := 0; pi < n; pi++ {
 		best := present[0]
 		for _, id := range present[1:] {
@@ -995,25 +1047,33 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		}
 		contacted[best][pi] = true
 		wave1[best] = append(wave1[best], pi)
+		probe[pi] = best
 	}
 	got := newGather(n, f.k)
-	job, rep := sched.runWave(q, wave1)
+	job, rep := sched.runWave(q, wave1, nil)
 	if job == nil {
 		return rep
 	}
 	job.collect(got)
+	// A full probe list's last key — its ℓ-th, as deliver admits at most ℓ
+	// ascending keys — is the point's bound: the key wave 2 ships under and
+	// the distance its admission ball reaches. A short list bounds nothing.
 	ub := make([]float64, n)
+	bounds := make([]keys.Key, n)
 	for pi := range ub {
-		ub[pi] = math.Inf(1)
-		if probed := mergeItems(got[pi]); len(probed) >= q.L {
-			ub[pi] = f.pruner.KeyDist(probed[q.L-1].Key.Dist)
+		ub[pi], bounds[pi] = math.Inf(1), keys.MaxKey
+		if list := got[pi][probe[pi]]; len(list) == q.L {
+			bounds[pi] = list[q.L-1].Key
+			ub[pi] = f.pruner.KeyDist(bounds[pi].Dist)
 		}
 	}
 
 	// Wave 2: each shard gets the sub-batch of points whose ℓ-NN ball can
-	// intersect its centroid ball. With no bound for a point (its probe
-	// shard held fewer than ℓ points) every shard admits it and that point
-	// degenerates to a no-mesh scatter — still correct, just not cheaper.
+	// intersect its centroid ball, and returns for each only its keys
+	// strictly below the point's bound. With no bound for a point (its
+	// probe shard held fewer than ℓ points) every shard admits it, unbounded,
+	// and that point degenerates to a no-mesh scatter — still correct, just
+	// not cheaper.
 	wave2 := make([][]int, f.k)
 	waves := 1
 	for id := range wave2 {
@@ -1022,11 +1082,17 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 			waves = 2
 		}
 	}
+	var gathered int64
 	if waves == 2 {
-		if job, rep = sched.runWave(q, wave2); job == nil {
+		if job, rep = sched.runWave(q, wave2, bounds); job == nil {
 			return rep
 		}
 		job.collect(got)
+		for _, nr := range job.shares {
+			for _, qr := range nr.Queries {
+				gathered += int64(len(qr.Winners))
+			}
+		}
 	}
 
 	results, err := fold(q, got, f.leader)
@@ -1045,6 +1111,7 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 	sched.fm.pruneWaves.Add(int64(waves))
 	sched.fm.pruneContacts.Add(contacts)
 	sched.fm.pruneSkipped.Add(skipped)
+	sched.fm.pruneGathered.Add(gathered)
 	return wire.Reply{
 		Rounds:   waves,
 		Messages: contacts,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distknn/internal/election"
+	"distknn/internal/keys"
 	"distknn/internal/kmachine"
 	"distknn/internal/obs"
 	"distknn/internal/points"
@@ -92,11 +93,13 @@ type Handler interface {
 	// Direct answers one query point of a pruned (no-mesh) dispatch: the
 	// node returns its local top-ℓ winners straight from its shard, with
 	// no BSP epoch and no Env — the frontend merges the shares of the
-	// contacted nodes itself. The frontend only sends direct dispatches to
+	// contacted nodes itself. Only keys strictly below ceil may be
+	// returned: it is keys.MaxKey on a probe wave and the point's probe
+	// bound on a gather wave. The frontend only sends direct dispatches to
 	// sessions whose every node reported a metric-index summary, so a
 	// Handler that leaves SessionInfo.Summary unset never receives one
 	// (return an error).
-	Direct(q wire.Query, qi int) (QueryResult, error)
+	Direct(q wire.Query, qi int, ceil keys.Key) (QueryResult, error)
 }
 
 // ServeNodeObserved joins the serving cluster at the frontend's address and
@@ -300,16 +303,21 @@ func serveNode(coordAddr, meshAddr, advertise string, h Handler, hook func(*node
 			// epochs only — direct ordinals interleave freely), no seed,
 			// no peers. The node answers straight from its shard, for
 			// exactly the points the frame carries — the whole client batch
-			// or the sub-batch the frontend's admission test left for it.
+			// or the sub-batch the frontend's admission test left for it —
+			// and, on a gather wave, only below each point's bound.
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
+			var bounds []keys.Key
+			if err == nil {
+				bounds, err = wire.DecodeBounds(r, len(q.Points))
+			}
 			if err != nil {
 				return fmt.Errorf("tcp: node %d bad direct dispatch: %w", a.ID, err)
 			}
 			epochs.Add(1)
 			go func() {
 				defer epochs.Done()
-				nr, err := runDirectEpoch(epoch, q, h, a.ID)
+				nr, err := runDirectEpoch(epoch, q, bounds, h, a.ID)
 				if err == nil {
 					nm.directServed.Inc()
 				}
@@ -361,17 +369,22 @@ func runMeshEpoch(er *epochRun, q wire.Query, h Handler) (wire.NodeResult, error
 }
 
 // runDirectEpoch answers one pruned (no-mesh) epoch: the node's local
-// top-ℓ winners per query point, as a winners-only NodeResult (IsLeader
-// false; zero mesh cost — the frontend accounts a pruned query's cost
-// itself). A failed point fails the epoch with a recoverable error.
-func runDirectEpoch(epoch uint64, q wire.Query, h Handler, id int) (wire.NodeResult, error) {
+// top-ℓ winners per query point, each strictly below the point's bound when
+// the frame carried bounds, as a winners-only NodeResult (IsLeader false;
+// zero mesh cost — the frontend accounts a pruned query's cost itself). A
+// failed point fails the epoch with a recoverable error.
+func runDirectEpoch(epoch uint64, q wire.Query, bounds []keys.Key, h Handler, id int) (wire.NodeResult, error) {
 	nr := wire.NodeResult{
 		Epoch:   epoch,
 		Node:    id,
 		Queries: make([]wire.NodeQueryResult, len(q.Points)),
 	}
 	for qi := range q.Points {
-		res, err := h.Direct(q, qi)
+		ceil := keys.MaxKey
+		if bounds != nil {
+			ceil = bounds[qi]
+		}
+		res, err := h.Direct(q, qi, ceil)
 		if err != nil {
 			return wire.NodeResult{}, err
 		}

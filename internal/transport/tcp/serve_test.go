@@ -72,7 +72,7 @@ func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, 
 
 // Direct satisfies the Handler interface; the echo handlers never report a
 // metric summary, so no frontend in these tests direct-dispatches to them.
-func (h *echoHandler) Direct(q wire.Query, qi int) (QueryResult, error) {
+func (h *echoHandler) Direct(q wire.Query, qi int, _ keys.Key) (QueryResult, error) {
 	v, err := wire.DecodeScalarPoint(q.Points[qi])
 	if err != nil {
 		return QueryResult{}, err

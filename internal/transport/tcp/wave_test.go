@@ -26,16 +26,24 @@ var scalarGeometry = &metricindex.WirePruner[points.Scalar]{
 // stubNode is a serving node reduced to its control connection: it registers,
 // reports ready with a metric summary, records every control
 // frame it is sent, and answers dispatches by brute force over three points
-// around its center. It builds no mesh — a pruned frontend never needs one —
+// around its center — on a direct dispatch with bounds, only the keys below
+// each point's bound. It builds no mesh — a pruned frontend never needs one —
 // so a mesh dispatch is answered only when claim is set: the stub then
 // reports its local top-ℓ as its share, with the leader flag claim(id) and,
-// when it claims, stubSurvivors as every point's survivor count.
+// when it claims, stubSurvivors as every point's survivor count. A non-nil
+// mangle turns the stub rogue: it replaces every direct answer with
+// mangle(id, v, bound, honest).
 type stubNode struct {
 	mu     sync.Mutex
 	id     int
 	frames [][]byte
 	claim  func(id int) bool
+	mangle mangler
 }
+
+// mangler rewrites stub seat id's honest direct answer for point v under
+// bound.
+type mangler func(id int, v uint64, bound keys.Key, honest []points.Item) []points.Item
 
 const stubSurvivors = 7
 
@@ -117,13 +125,30 @@ func (n *stubNode) serve(addr string) error {
 			if err != nil {
 				return err
 			}
+			var bounds []keys.Key
+			if !mesh {
+				if bounds, err = wire.DecodeBounds(r, len(q.Points)); err != nil {
+					return err
+				}
+			}
 			nr := wire.NodeResult{Epoch: epoch, Node: id, IsLeader: mesh && n.claim(id), Queries: make([]wire.NodeQueryResult, len(q.Points))}
 			for qi, p := range q.Points {
 				v, err := wire.DecodeScalarPoint(p)
 				if err != nil {
 					return err
 				}
-				nr.Queries[qi].Winners = stubTopL(id, v, q.L)
+				bound := keys.MaxKey
+				if bounds != nil {
+					bound = bounds[qi]
+				}
+				w := stubTopL(id, v, q.L)
+				for len(w) > 0 && !w[len(w)-1].Key.Less(bound) {
+					w = w[:len(w)-1]
+				}
+				if !mesh && n.mangle != nil {
+					w = n.mangle(id, v, bound, w)
+				}
+				nr.Queries[qi].Winners = w
 				if nr.IsLeader {
 					nr.Queries[qi].Survivors = stubSurvivors
 				}
@@ -142,12 +167,13 @@ func (n *stubNode) serve(addr string) error {
 // TestPrunedSubBatchWaveOnTheWire pins the one dispatch shape on the wire: a
 // pruned batch whose second wave reaches a seat with a strict sub-batch
 // arrives there as a plain direct dispatch (kind 0f) carrying exactly the
-// sub-batch's points in batch order — no index list, no third kind — and
-// the frontend's own index map still files the answers under the original
-// batch positions.
+// sub-batch's points in batch order, each with its probe's ℓ-th key as its
+// bound — no index list, no third kind — and the frontend's own index map
+// still files the answers under the original batch positions. The probe
+// wave carries no bounds.
 func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	const l = 2
-	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil)
+	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil, nil)
 	client, err := DialFrontendOptions(fe.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +182,9 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	// Wave 1 probes each point's nearest seat: 100 → seat 0; 552, 1000 and
 	// 553 → seat 1. The two middle points' bounds still reach seat 0's ball,
 	// so wave 2 sends seat 0 the strict sub-batch {552, 553} — batch
-	// positions 1 and 3.
+	// positions 1 and 3 — bounded by their probes' 2nd keys, (448, 1000)
+	// and (447, 1000): seat 0 returns (447, 105) for 552 and nothing for
+	// 553.
 	batch := []uint64{100, 552, 1000, 553}
 	rep, err := client.Do(scalarQuery(wire.OpKNN, l, batch...))
 	if err != nil {
@@ -188,14 +216,14 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 			t.Fatalf("stub node: %v", err)
 		}
 	}
-	direct := func(epoch uint64, vs ...uint64) []byte {
+	direct := func(epoch uint64, bounds []keys.Key, vs ...uint64) []byte {
 		var w wire.Writer
-		wire.AppendDispatchDirect(&w, epoch, scalarQuery(wire.OpKNN, l, vs...))
+		wire.AppendDispatchDirect(&w, epoch, scalarQuery(wire.OpKNN, l, vs...), bounds)
 		return w.Bytes()
 	}
 	want := [][][]byte{
-		{direct(1, 100), direct(2, 552, 553)},
-		{direct(1, 552, 1000, 553)},
+		{direct(1, nil, 100), direct(2, []keys.Key{{Dist: 448, ID: 1000}, {Dist: 447, ID: 1000}}, 552, 553)},
+		{direct(1, nil, 552, 1000, 553)},
 	}
 	for _, n := range stubs {
 		var dispatches [][]byte
@@ -218,8 +246,9 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 // startStubs serves a two-seat frontend with opts on two stub nodes whose
 // mesh-dispatch leader flags claim decides, and returns the frontend, the
 // stubs (in start order) and the channels its Serve and the stubs' serve
-// loops report their exits on.
-func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool) (*Frontend, []*stubNode, chan error, chan error) {
+// loops report their exits on. Both stubs carry mangle (nil for honest
+// stubs).
+func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool, mangle mangler) (*Frontend, []*stubNode, chan error, chan error) {
 	t.Helper()
 	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, opts)
 	if err != nil {
@@ -227,7 +256,7 @@ func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool) (*F
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- fe.Serve() }()
-	stubs := []*stubNode{{claim: claim}, {claim: claim}}
+	stubs := []*stubNode{{claim: claim, mangle: mangle}, {claim: claim, mangle: mangle}}
 	exits := make(chan error, len(stubs))
 	for _, n := range stubs {
 		go func(n *stubNode) { exits <- n.serve(fe.Addr()) }(n)
@@ -256,7 +285,7 @@ func TestMeshResultLeaderFlagIsValidated(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const l, v = 2, 552
 			// No Pruner: every query runs by the mesh plan.
-			fe, _, serveDone, exits := startStubs(t, FrontendOptions{}, tc.claim)
+			fe, _, serveDone, exits := startStubs(t, FrontendOptions{}, tc.claim, nil)
 			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
 			if err != nil {
 				t.Fatal(err)
@@ -285,6 +314,71 @@ func TestMeshResultLeaderFlagIsValidated(t *testing.T) {
 			if len(got.Items) != l || got.Items[0] != want[0] || got.Items[1] != want[1] ||
 				got.Boundary != want[l-1].Key || got.Survivors != stubSurvivors {
 				t.Fatalf("got %v, outcome %+v; want %v, boundary %v, %d survivors", got.Items, got.QueryOutcome, want[:l], want[l-1].Key, stubSurvivors)
+			}
+		})
+	}
+}
+
+// TestRogueResultIsMalformed pins what the fold may assume of a winner
+// list: per point at most ℓ keys, strictly ascending — sharesWithin
+// binary-searches it — and, on a gather wave, every key strictly below the
+// point's bound. A node that breaks any of these is evicted and the query
+// fails, instead of answering from a list the merge and the fold would
+// misread. Query 552 at ℓ = 2 probes seat 1 ((443, 995), (448, 1000)) and
+// gathers from seat 0 under the bound (448, 1000).
+func TestRogueResultIsMalformed(t *testing.T) {
+	const l, v = 2, 552
+	cases := []struct {
+		name  string
+		rogue int
+		bad   mangler
+	}{
+		{"descending", 1, func(_ int, _ uint64, _ keys.Key, w []points.Item) []points.Item {
+			return []points.Item{w[1], w[0]}
+		}},
+		{"repeated key", 1, func(_ int, _ uint64, _ keys.Key, w []points.Item) []points.Item {
+			return []points.Item{w[0], w[0]}
+		}},
+		{"more than l", 1, func(id int, v uint64, _ keys.Key, _ []points.Item) []points.Item {
+			return stubTopL(id, v, l+1)
+		}},
+		{"at the bound", 0, func(_ int, _ uint64, bound keys.Key, _ []points.Item) []points.Item {
+			return []points.Item{{Key: bound}}
+		}},
+		{"above the bound", 0, func(id int, v uint64, _ keys.Key, _ []points.Item) []points.Item {
+			return stubTopL(id, v, l)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mangle := func(id int, v uint64, bound keys.Key, honest []points.Item) []points.Item {
+				if id != tc.rogue {
+					return honest
+				}
+				return tc.bad(id, v, bound, honest)
+			}
+			fe, _, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil, mangle)
+			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := client.Do(scalarQuery(wire.OpKNN, l, v))
+			if err == nil || !strings.Contains(err.Error(), "malformed result") {
+				t.Fatalf("rogue seat %d: reply %+v, error %v; want a malformed-result failure", tc.rogue, rep.Results, err)
+			}
+			fe.mu.Lock()
+			evicted := !fe.slots[tc.rogue].present
+			fe.mu.Unlock()
+			if !evicted {
+				t.Fatalf("rogue seat %d is still seated", tc.rogue)
+			}
+			client.Close()
+			fe.Close()
+			if err := <-serveDone; err != nil {
+				t.Fatalf("frontend: %v", err)
+			}
+			for range 2 {
+				<-exits
 			}
 		})
 	}

@@ -117,7 +117,7 @@ func BenchmarkReplyFramePath(b *testing.B) {
 
 // BenchmarkDirectDispatchFramePath is the pruned dispatch's wave encoding:
 // a pooled writer frames one whole-batch KindDispatchDirect fan-out frame
-// plus one sub-batch frame of the same kind per iteration, the way a
+// plus one bounded sub-batch frame of the same kind per iteration, the way a
 // two-wave pruned batch builds them. The encode+frame side must stay at zero
 // steady-state allocs/op, like the scatter path it reuses.
 func BenchmarkDirectDispatchFramePath(b *testing.B) {
@@ -127,11 +127,15 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 	}
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts}
 	subQ := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: pts[:5]}
+	bounds := make([]keys.Key, len(subQ.Points))
+	for i := range bounds {
+		bounds[i] = keys.Key{Dist: uint64(100 * i), ID: uint64(i)}
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := GetWriter()
 		w.BeginFrame()
-		AppendDispatchDirect(w, uint64(i), q)
+		AppendDispatchDirect(w, uint64(i), q, nil)
 		if _, err := w.FinishFrame(); err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +143,7 @@ func BenchmarkDirectDispatchFramePath(b *testing.B) {
 
 		w = GetWriter()
 		w.BeginFrame()
-		AppendDispatchDirect(w, uint64(i), subQ)
+		AppendDispatchDirect(w, uint64(i), subQ, bounds)
 		if err := w.EndFrame(io.Discard); err != nil {
 			b.Fatal(err)
 		}

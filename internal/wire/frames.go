@@ -73,7 +73,9 @@ const (
 	// Query body (identical layout to KindDispatch) holding exactly the
 	// points this node must answer — the whole client batch or any
 	// sub-batch of it; which batch positions they are is the frontend's
-	// bookkeeping.
+	// bookkeeping — then the bound list: Varint nb, nb × Key, where nb is
+	// 0 (no bounds: the probe wave) or the point count (the gather wave:
+	// the node returns only keys strictly below point i's bound).
 	KindDispatchDirect Kind = 15
 )
 
@@ -108,7 +110,8 @@ const MaxBatch = 4096
 // batch is the wire-native query shape — a single query is a batch of one —
 // and the whole batch is answered in a single BSP epoch on the serving
 // mesh, the socket analogue of the in-process KNNBatch. It is the tail of
-// the KindQueryTagged, KindDispatch and KindDispatchDirect frames.
+// the KindQueryTagged and KindDispatch frames, and KindDispatchDirect's
+// body up to its bound list.
 type Query struct {
 	Op     uint8
 	L      int
@@ -141,11 +144,30 @@ func AppendDispatch(w *Writer, epoch uint64, q Query) {
 	q.append(w)
 }
 
-// AppendDispatchDirect appends a KindDispatchDirect frame payload to w.
-func AppendDispatchDirect(w *Writer, epoch uint64, q Query) {
+// AppendDispatchDirect appends a KindDispatchDirect frame payload to w:
+// the query body, then bounds — empty, or one ceiling key per point.
+func AppendDispatchDirect(w *Writer, epoch uint64, q Query, bounds []keys.Key) {
 	w.Kind(KindDispatchDirect)
 	w.Varint(epoch)
 	q.append(w)
+	w.Keys(bounds)
+}
+
+// DecodeBounds reads the bound list that ends a KindDispatchDirect body
+// whose query holds n points: nil for an empty list, else exactly one key
+// per point. Any other count is rejected.
+func DecodeBounds(r *Reader, n int) ([]keys.Key, error) {
+	bounds := r.Keys()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	switch len(bounds) {
+	case 0:
+		return nil, nil
+	case n:
+		return bounds, nil
+	}
+	return nil, fmt.Errorf("wire: direct dispatch carries %d bounds for %d points", len(bounds), n)
 }
 
 // DecodeQuery reads a Query body; the kind byte must already be consumed.

@@ -41,6 +41,52 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
+// FuzzDecodeDispatchDirect covers the pruned dispatch frame whole: epoch,
+// query body and the trailing bound list, whose count must be 0 or the
+// point count.
+func FuzzDecodeDispatchDirect(f *testing.F) {
+	two := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)}}
+	bounds := []keys.Key{{Dist: 40, ID: 7}, keys.MaxKey}
+	f.Add(encDispatchDirect(1, two, nil))
+	f.Add(encDispatchDirect(2, two, bounds))
+	f.Add(encDispatchDirect(3, two, bounds[:1])) // one bound for two points: rejected
+	f.Add([]byte{byte(KindDispatchDirect), 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(data)
+		if r.Kind() != KindDispatchDirect {
+			return
+		}
+		epoch := r.Varint()
+		q, err := DecodeQuery(r)
+		if err != nil {
+			return
+		}
+		bs, err := DecodeBounds(r, len(q.Points))
+		if err != nil {
+			return
+		}
+		if len(bs) != 0 && len(bs) != len(q.Points) {
+			t.Fatalf("decoded %d bounds for %d points", len(bs), len(q.Points))
+		}
+		enc := encDispatchDirect(epoch, q, bs)
+		r2 := skipKind(t, enc, KindDispatchDirect)
+		if got := r2.Varint(); got != epoch {
+			t.Fatalf("epoch %d re-decoded as %d", epoch, got)
+		}
+		q2, err := DecodeQuery(r2)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		bs2, err := DecodeBounds(r2, len(q2.Points))
+		if err != nil {
+			t.Fatalf("re-decode of the bounds failed: %v", err)
+		}
+		if !bytes.Equal(encDispatchDirect(epoch, q2, bs2), enc) {
+			t.Fatalf("direct dispatch is not a re-encoding fixed point")
+		}
+	})
+}
+
 func FuzzDecodeNodeResult(f *testing.F) {
 	f.Add(encNodeResult(NodeResult{
 		Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745, IsLeader: true,
@@ -327,9 +373,9 @@ func encDispatch(epoch uint64, q Query) []byte {
 	return w.Bytes()
 }
 
-func encDispatchDirect(epoch uint64, q Query) []byte {
+func encDispatchDirect(epoch uint64, q Query, bounds []keys.Key) []byte {
 	var w Writer
-	AppendDispatchDirect(&w, epoch, q)
+	AppendDispatchDirect(&w, epoch, q, bounds)
 	return w.Bytes()
 }
 

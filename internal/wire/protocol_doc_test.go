@@ -68,11 +68,15 @@ func docExamples() []struct {
 		{"ready", rdy.Bytes()},
 		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
 		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
-		{"dispatch direct", encDispatchDirect(1, q)},
+		{"dispatch direct", encDispatchDirect(1, q, nil)},
 		{"dispatch direct sub-batch", encDispatchDirect(2, Query{
 			Op: OpKNN, L: 10, Tag: PointScalar,
 			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
-		})},
+		}, nil)},
+		{"dispatch direct bounded sub-batch", encDispatchDirect(3, Query{
+			Op: OpKNN, L: 10, Tag: PointScalar,
+			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
+		}, []keys.Key{{Dist: 40, ID: 7}, keys.MaxKey})},
 		{"result", encNodeResult(NodeResult{
 			Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745,
 			IsLeader: true,
@@ -187,6 +191,28 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 		if _, err := DecodeQuery(r); err != nil {
 			t.Fatal(err)
+		}
+	}
+	{
+		bounds := []keys.Key{{Dist: 40, ID: 7}, keys.MaxKey}
+		for _, bs := range [][]keys.Key{nil, bounds} {
+			r := NewReader(encDispatchDirect(9, q, bs))
+			if kind := r.Kind(); kind != KindDispatchDirect || r.Varint() != 9 {
+				t.Fatalf("kind %d", kind)
+			}
+			got, err := DecodeQuery(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotBounds, err := DecodeBounds(r, len(got.Points))
+			if err != nil || len(gotBounds) != len(bs) || r.Remaining() != 0 {
+				t.Fatalf("bounds round trip: %v %v", gotBounds, err)
+			}
+			for i := range bs {
+				if gotBounds[i] != bs[i] {
+					t.Fatalf("bound %d = %v, want %v", i, gotBounds[i], bs[i])
+				}
+			}
 		}
 	}
 	{
@@ -334,10 +360,43 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 		t.Fatalf("tagged degraded reply: %+v %v", got, err)
 	}
 	// The client query and both dispatch kinds share one query body
-	// encoding: behind kind+tag and kind+epoch the bytes are identical.
+	// encoding: behind kind+tag and kind+epoch the bytes are identical, and
+	// a direct dispatch appends only its bound list (here empty, one 00).
 	body := hexBytes(encQueryTagged(1, q)[2:])
-	if hexBytes(encDispatch(1, q)[2:]) != body || hexBytes(encDispatchDirect(1, q)[2:]) != body {
+	if hexBytes(encDispatch(1, q)[2:]) != body || hexBytes(encDispatchDirect(1, q, nil)[2:]) != body+" 00" {
 		t.Fatalf("dispatch body drifted from the client query body")
+	}
+}
+
+// TestDecodeBoundsCount pins the one rule of the direct dispatch's bound
+// list: it is empty (a probe wave) or holds exactly one key per point (a
+// gather wave); any other count is a malformed frame.
+func TestDecodeBoundsCount(t *testing.T) {
+	q := Query{Op: OpKNN, L: 4, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(1), EncodeScalarPoint(2)}}
+	for _, nb := range []int{0, 1, 2, 3} {
+		bs := make([]keys.Key, nb)
+		r := NewReader(encDispatchDirect(1, q, bs))
+		r.Kind()
+		r.Varint()
+		got, err := DecodeQuery(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeBounds(r, len(got.Points))
+		if ok := nb == 0 || nb == len(q.Points); ok != (err == nil) {
+			t.Fatalf("%d bounds for %d points: err %v", nb, len(q.Points), err)
+		}
+	}
+	// A frame cut inside its bound list is rejected too.
+	frame := encDispatchDirect(1, q, make([]keys.Key, 2))
+	r := NewReader(frame[:len(frame)-1])
+	r.Kind()
+	r.Varint()
+	if _, err := DecodeQuery(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBounds(r, 2); err == nil {
+		t.Fatal("a truncated bound list must be rejected")
 	}
 }
 

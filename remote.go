@@ -149,7 +149,7 @@ type PointType[P any] struct {
 	// the block scan (points.Set.TopLItems): the metric's batch kernel
 	// fills a block of distances, and only those that beat the current
 	// cutoff reach the bounded heap.
-	index func(set *points.Set[P]) (func(q P, l int) []Item, error)
+	index func(set *points.Set[P]) (func(q P, l int, ceil ...keys.Key) []Item, error)
 	// keyDist converts an encoded distance key back to the true metric
 	// distance (e.g. the square root of a decoded squared L2 key). The
 	// true distances must satisfy the triangle inequality; nil marks a
@@ -211,7 +211,7 @@ func VectorPoints() PointType[Vector] {
 	return PointType[Vector]{
 		codec:  wire.VectorCodec,
 		metric: points.L2,
-		index: func(set *points.Set[Vector]) (func(q Vector, l int) []Item, error) {
+		index: func(set *points.Set[Vector]) (func(q Vector, l int, ceil ...keys.Key) []Item, error) {
 			tree, err := kdtree.Build(set)
 			if err != nil {
 				return nil, err
@@ -386,7 +386,7 @@ type typedHandler[P any] struct {
 	shards ShardProvider[P]
 
 	set     *points.Set[P]
-	topL    func(q P, l int) []Item
+	topL    func(q P, l int, ceil ...keys.Key) []Item
 	leader  int
 	summary wire.ShardSummary
 }
@@ -489,14 +489,14 @@ func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.Query
 }
 
 // Direct answers one query point of a pruned (no-mesh) dispatch: the
-// node's local top-ℓ straight from its index, with no BSP epoch — the
-// frontend merges the contacted nodes' shares itself.
-func (h *typedHandler[P]) Direct(q wire.Query, qi int) (tcp.QueryResult, error) {
+// node's local top-ℓ below ceil straight from its index, with no BSP epoch —
+// the frontend merges the contacted nodes' shares itself.
+func (h *typedHandler[P]) Direct(q wire.Query, qi int, ceil keys.Key) (tcp.QueryResult, error) {
 	qp, err := h.point(q, qi)
 	if err != nil {
 		return tcp.QueryResult{}, err
 	}
-	return tcp.QueryResult{Winners: h.topL(qp, q.L)}, nil
+	return tcp.QueryResult{Winners: h.topL(qp, q.L, ceil)}, nil
 }
 
 // ServeTypedNode runs one resident serving node for any served point type:

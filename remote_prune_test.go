@@ -13,6 +13,7 @@ import (
 	"distknn/internal/metricindex"
 	"distknn/internal/points"
 	"distknn/internal/testutil"
+	"distknn/internal/transport/tcp"
 	"distknn/internal/wire"
 	"distknn/internal/xrand"
 )
@@ -955,5 +956,266 @@ func TestPrunedBatchChurn(t *testing.T) {
 	needy := append(append([]distknn.Scalar{}, farBatch...), g.centers[victimW])
 	if _, _, err := rc.KNNBatch(needy, l); err == nil || !errors.Is(err, distknn.ErrClusterDegraded) {
 		t.Fatalf("batch needing a dead node: got %v, want a degraded error", err)
+	}
+}
+
+// TestPrunedBoundedWaveBitIdentical pins the bounded gather wave end to end.
+// Each wave-2 shard returns only its keys below the point's probe bound, and
+// still every pruned answer — KNN, Classify and Regress, single points and
+// batches — must be bit-identical to full scatter and to a brute-force
+// oracle over the union of the shards. The oracle sums Regress's mean the way
+// the cluster defines it: leader's share first, then the other seats in
+// ascending order. The labels mix magnitudes, so that order shows in the
+// bits. The last seat is cut down to fewer than ℓ points, so a point whose
+// probe lands there has no bound: it scatters to every seat unbounded,
+// inside the same batches as bounded points. On the Gaussian blobs a bounded
+// point's gather wave must ship fewer than ℓ items per contact.
+func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
+	const (
+		k       = 4
+		perNode = 120
+		dim     = 3
+		sigma   = 0.15
+		seed    = 4242
+		queries = 24
+		batch   = 6
+		l       = 16
+		small   = 5 // points left on the last seat, fewer than ℓ
+	)
+	classes := []float64{0.1, 1e15 + 0.3, -1e15, 0.7}
+	gauss := distknn.AnchorGaussianShards(seed, perNode, dim, sigma)
+	shards := func(id, k int) (distknn.Shard[distknn.Vector], error) {
+		sh, err := gauss(id, k)
+		if err != nil {
+			return sh, err
+		}
+		if id == k-1 {
+			sh.Points, sh.Labels, sh.IDs = sh.Points[:small], sh.Labels[:small], sh.IDs[:small]
+		}
+		for j, c := range sh.Labels {
+			sh.Labels[j] = classes[int(c)%len(classes)]
+		}
+		return sh, nil
+	}
+	pt := distknn.VectorPoints()
+	reg := distknn.NewMetrics()
+	srv, pruned := testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{},
+		distknn.FrontendOptions{Pruner: pt.Pruner(), Metrics: reg})
+	_, full := testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+
+	// The oracle's view: every point with its global ID, label and seat, and
+	// each seat's anchor, which decides the seat a point probes.
+	type seatPoint struct {
+		p     distknn.Vector
+		id    uint64
+		label float64
+		seat  int
+	}
+	var all []seatPoint
+	centers := make([]distknn.Vector, k)
+	for seat := 0; seat < k; seat++ {
+		sh, err := shards(seat, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		centers[seat] = *sh.Center
+		for j, p := range sh.Points {
+			all = append(all, seatPoint{p: p, id: sh.IDs[j], label: sh.Labels[j], seat: seat})
+		}
+	}
+	oracle := func(q distknn.Vector) []seatPoint {
+		key := func(sp seatPoint) distknn.Key { return distknn.Key{Dist: points.L2(sp.p, q), ID: sp.id} }
+		sort.Slice(all, func(a, b int) bool { return key(all[a]).Less(key(all[b])) })
+		top := make([]seatPoint, l)
+		copy(top, all)
+		return top
+	}
+	wantItems := func(q distknn.Vector) []distknn.Item {
+		var items []distknn.Item
+		for _, sp := range oracle(q) {
+			items = append(items, distknn.Item{Key: distknn.Key{Dist: points.L2(sp.p, q), ID: sp.id}, Label: sp.label})
+		}
+		return items
+	}
+	wantLabel := func(q distknn.Vector) float64 {
+		count := make(map[float64]int)
+		for _, sp := range oracle(q) {
+			count[sp.label]++
+		}
+		label, best := math.Inf(1), 0
+		for lb, c := range count {
+			if c > best || (c == best && lb < label) {
+				label, best = lb, c
+			}
+		}
+		return label
+	}
+	wantMean := func(q distknn.Vector, leader int) float64 {
+		sums := make([]float64, k)
+		for _, sp := range oracle(q) {
+			sums[sp.seat] += sp.label
+		}
+		mean := sums[leader]
+		for seat, sum := range sums {
+			if seat != leader {
+				mean += sum
+			}
+		}
+		return mean / l
+	}
+	sameItems := func(what string, got, want []distknn.Item) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d items, want %d", what, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s item %d: %+v, want %+v", what, j, got[j], want[j])
+			}
+		}
+	}
+	sameBits := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %v (%x), want %v (%x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+
+	qs := gaussianQueries(seed, queries, k, perNode, dim, sigma)
+	contactsTotal := reg.Counter("frontend_prune_contacts_total")
+	gatheredTotal := reg.Counter("frontend_prune_gather_items_total")
+	var gatherContacts, gathered int64
+	unbounded := 0
+	for i, q := range qs {
+		probe := 0
+		for seat := range centers {
+			if points.L2(q, centers[seat]) < points.L2(q, centers[probe]) {
+				probe = seat
+			}
+		}
+		what := fmt.Sprintf("query %d", i)
+		contacts0, gathered0 := contactsTotal.Load(), gatheredTotal.Load()
+		items, st, err := pruned.KNN(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe != k-1 {
+			// A bounded point: its probe was one contact, the rest
+			// gather-wave contacts. The bound is the probe seat's ℓ-th key,
+			// and every seat holding a key below it is admitted, so the
+			// gather wave ships exactly min(ℓ, #keys below the bound) from
+			// each other seat.
+			var probeKeys []distknn.Key
+			for _, sp := range all {
+				if sp.seat == probe {
+					probeKeys = append(probeKeys, distknn.Key{Dist: points.L2(sp.p, q), ID: sp.id})
+				}
+			}
+			sort.Slice(probeKeys, func(a, b int) bool { return probeKeys[a].Less(probeKeys[b]) })
+			bound := probeKeys[l-1]
+			below := make([]int64, k)
+			for _, sp := range all {
+				if key := (distknn.Key{Dist: points.L2(sp.p, q), ID: sp.id}); sp.seat != probe && key.Less(bound) {
+					below[sp.seat]++
+				}
+			}
+			var want int64
+			for _, n := range below {
+				want += min(n, l)
+			}
+			got := gatheredTotal.Load() - gathered0
+			if got != want {
+				t.Fatalf("%s: the gather wave shipped %d items, want the %d keys below the bound %v", what, got, want, bound)
+			}
+			gatherContacts += contactsTotal.Load() - contacts0 - 1
+			gathered += got
+		}
+		if st.Contacts == 0 {
+			t.Fatalf("%s was not answered by the pruned plan", what)
+		}
+		if probe == k-1 {
+			// No bound: every seat is contacted.
+			unbounded++
+			if st.Contacts != k {
+				t.Fatalf("%s probes the short seat but contacted %d of %d seats", what, st.Contacts, k)
+			}
+		}
+		fitems, _, err := full.KNN(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameItems(what+" pruned", items, wantItems(q))
+		sameItems(what+" full", fitems, wantItems(q))
+
+		label, _, err := pruned.Classify(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flabel, _, err := full.Classify(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(what+" pruned classify", label, wantLabel(q))
+		sameBits(what+" full classify", flabel, wantLabel(q))
+
+		mean, rst, err := pruned.Regress(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmean, _, err := full.Regress(q, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(what+" pruned regress", mean, wantMean(q, rst.Leader))
+		sameBits(what+" full regress", fmean, wantMean(q, rst.Leader))
+	}
+	if unbounded == 0 {
+		t.Fatal("no query probed the short seat: the unbounded case went untested")
+	}
+	if gatherContacts == 0 {
+		t.Fatal("no bounded query reached a gather wave")
+	}
+	if perContact := float64(gathered) / float64(gatherContacts); perContact >= l {
+		t.Fatalf("the gather wave shipped %.2f items per contact, want fewer than ℓ = %d", perContact, l)
+	} else {
+		t.Logf("bounded gather wave: %d contacts, %.2f items per contact at ℓ = %d", gatherContacts, perContact, l)
+	}
+
+	// Batches: KNN through KNNBatch, the label folds through whole
+	// multi-point queries on the wire. Every batch mixes blobs, the short
+	// seat's included.
+	client, err := tcp.DialFrontendOptions(srv.Addr(), tcp.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for at := 0; at < queries; at += batch {
+		chunk := qs[at : at+batch]
+		res, _, err := pruned.KNNBatch(chunk, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq := wire.Query{L: l, Tag: wire.PointVector}
+		for i, q := range chunk {
+			sameItems(fmt.Sprintf("batch query %d", at+i), res[i].Neighbors, wantItems(q))
+			wq.Points = append(wq.Points, wire.EncodeVectorPoint(q))
+		}
+		wq.Op = wire.OpClassify
+		crep, err := client.Do(wq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq.Op = wire.OpRegress
+		rrep, err := client.Do(wq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crep.Messages == 0 || rrep.Messages == 0 {
+			t.Fatalf("batch at %d was not answered by the pruned plan", at)
+		}
+		for i, q := range chunk {
+			sameBits(fmt.Sprintf("batch classify %d", at+i), crep.Results[i].Value, wantLabel(q))
+			sameBits(fmt.Sprintf("batch regress %d", at+i), rrep.Results[i].Value, wantMean(q, rrep.Leader))
+		}
 	}
 }
