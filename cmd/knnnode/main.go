@@ -4,15 +4,17 @@
 // distributing.
 //
 // The coordinator (-coordinator) is a long-lived frontend; the nodes (-join)
-// mesh up once as a star around the seed's leader and then answer a stream
-// of query batches — one BSP epoch per batch — dispatched by the frontend to
-// remote clients (knnquery -connect, or the distknn.DialTypedClusterOptions API).
-// With -dim > 0 the nodes hold d-dimensional vector shards indexed by k-d trees
-// instead of the paper's scalar workload (-vmetric picks the served vector
-// metric: l2, l1, linf or cosine). The frontend's epoch scheduler pipelines
-// up to -window query epochs on the mesh concurrently, and with
-// -server-batch it coalesces concurrently arriving single queries into
-// lockstep batch epochs (flushed at 64 points or after -linger).
+// take a seat once and then answer a stream of dispatches from the
+// frontend, which answers remote clients (knnquery -connect, or the
+// distknn.DialTypedClusterOptions API): each node returns its shard's local
+// top-ℓ for the points it is sent, and the frontend selects. Nodes dial only
+// the frontend and bind no listener. With -dim > 0 the nodes hold
+// d-dimensional vector shards indexed by k-d trees instead of the paper's
+// scalar workload (-vmetric picks the served vector metric: l2, l1, linf or
+// cosine). The frontend's epoch scheduler pipelines up to -window queries
+// concurrently, and with -server-batch it coalesces concurrently arriving
+// single queries into batch queries (flushed at 64 points or after
+// -linger).
 //
 // With -anchor the nodes partition the same global dataset by a
 // deterministic seeded k-center clustering instead of uniform ID blocks,
@@ -29,9 +31,8 @@
 //	knnnode -join 127.0.0.1:7100 -points 100000 -anchor
 //	knnquery -connect 127.0.0.1:7100 -l 10
 //
-// Nodes spanning hosts listen on -mesh and may announce a different
-// reachable address with -advertise (e.g. -mesh 0.0.0.0:7101 -advertise
-// 10.0.0.5:7101); see docs/ARCHITECTURE.md for the port scheme.
+// Nodes spanning hosts need only reach the coordinator's -addr; see
+// docs/ARCHITECTURE.md for the port scheme.
 //
 // A serving cluster survives node churn: if a resident node dies, queries
 // fail fast with a retryable "cluster degraded" error until a node takes
@@ -78,7 +79,7 @@ import (
 // options holds knnnode's command line.
 type options struct {
 	coordinator, local, rejoin, serverBatch, prune, anchor bool
-	addr, join, meshAddr, advertise, vmetric, admin        string
+	addr, join, vmetric, admin                             string
 	k, perNode, dim, l, queries, batch, window             int
 	seed                                                   uint64
 	linger                                                 time.Duration
@@ -99,11 +100,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.l, "l", 10, "number of nearest neighbors the -local demo asks for")
 	fs.IntVar(&o.queries, "queries", 100, "queries the -local demo issues before exiting")
 	fs.IntVar(&o.batch, "batch", 1, "queries per dispatched batch in the -local demo")
-	fs.StringVar(&o.meshAddr, "mesh", "127.0.0.1:0", "node mesh listen address")
-	fs.StringVar(&o.advertise, "advertise", "", "reachable mesh address announced to peers (default: the -mesh listener's own address)")
 	fs.BoolVar(&o.rejoin, "rejoin", false, "with -join: re-join the session automatically whenever it is lost (eviction, frontend restart)")
-	fs.IntVar(&o.window, "window", 0, "with -coordinator: query epochs pipelined in flight at once (0 = default 8, 1 = serialized)")
-	fs.BoolVar(&o.serverBatch, "server-batch", false, "with -coordinator: coalesce concurrently arriving single queries into lockstep batch epochs")
+	fs.IntVar(&o.window, "window", 0, "with -coordinator: queries pipelined in flight at once (0 = default 8, 1 = serialized)")
+	fs.BoolVar(&o.serverBatch, "server-batch", false, "with -coordinator: coalesce concurrently arriving single queries into batch queries")
 	fs.DurationVar(&o.linger, "linger", 0, "with -coordinator -server-batch: max wait for a partial coalesced batch (0 = default 500µs)")
 	fs.BoolVar(&o.prune, "prune", false, "with -coordinator or -local: metric-index pruned dispatch — every query (single or batched, KNN/Classify/Regress) contacts only the nodes whose shard ball can hold a neighbor (answers stay bit-identical; pair with -anchor nodes for tight balls)")
 	fs.BoolVar(&o.anchor, "anchor", false, "with -join or -local: anchor-clustered shards (deterministic k-center partition of the same global dataset) instead of uniform ID blocks")
@@ -177,7 +176,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	case o.join != "":
-		opts := distknn.NodeOptions{Advertise: o.advertise}
+		var opts distknn.NodeOptions
 		if o.admin != "" {
 			opts.Metrics = distknn.NewMetrics()
 			adm, err := distknn.ServeAdmin(o.admin, distknn.AdminOptions{Metrics: opts.Metrics})
@@ -195,14 +194,14 @@ func main() {
 				}
 				fmt.Printf("resident vector node joining %s (%d %d-dim points/node, metric=%s, anchor=%v)\n",
 					o.join, o.perNode, o.dim, o.vmetric, o.anchor)
-				return distknn.ServeTypedNode(o.vectorPT(), o.join, o.meshAddr, shards, opts)
+				return distknn.ServeTypedNode(o.vectorPT(), o.join, "", shards, opts)
 			}
 			shards := distknn.PaperShards(o.seed, o.perNode)
 			if o.anchor {
 				shards = distknn.AnchorShards(o.seed, o.perNode)
 			}
 			fmt.Printf("resident node joining %s (%d points/node, anchor=%v)\n", o.join, o.perNode, o.anchor)
-			return distknn.ServeTypedNode(distknn.ScalarPoints(), o.join, o.meshAddr, shards, opts)
+			return distknn.ServeTypedNode(distknn.ScalarPoints(), o.join, "", shards, opts)
 		}
 		for attempt := 0; ; attempt++ {
 			err := serveSession()
@@ -236,9 +235,8 @@ func main() {
 }
 
 // serveLocalDemo runs the whole serving deployment in one process —
-// frontend, k resident nodes, and a client — answers -queries queries over
-// the standing mesh (in dispatched batches of -batch), and prints the
-// aggregate cost. With -prune the queries travel through the metric-index
+// frontend, k resident nodes, and a client — answers -queries queries (in
+// dispatched batches of -batch), and prints the aggregate cost. With -prune the queries travel through the metric-index
 // pruned dispatch; -anchor partitions the same global dataset by the
 // deterministic k-center clustering so the shard balls are tight.
 func serveLocalDemo(o *options) {
@@ -309,7 +307,7 @@ func serveLocalDemo(o *options) {
 // runDemo drives the -local query stream for either point type.
 func runDemo[P any](srv *distknn.LocalServer, rc *distknn.RemoteCluster[P], gen func(i int) P, l, queries, batch int, distStr func(uint64) string) {
 	var rounds, msgs int64
-	epochs := 0
+	dispatches := 0
 	var lastBoundary distknn.Key
 	for i := 0; i < queries; i += batch {
 		n := batch
@@ -326,16 +324,16 @@ func runDemo[P any](srv *distknn.LocalServer, rc *distknn.RemoteCluster[P], gen 
 		}
 		rounds += int64(stats.Rounds)
 		msgs += stats.Messages
-		epochs++
+		dispatches++
 		lastBoundary = res[len(res)-1].Boundary
 	}
 	rc.Close()
 	if err := srv.Close(); err != nil {
 		fatalf("shutdown: %v", err)
 	}
-	fmt.Printf("answered %d queries in %d epochs on one mesh: leader=machine %d, mean rounds/query=%.1f, mean messages/query=%.1f\n",
-		queries, epochs, srv.Leader(), float64(rounds)/float64(queries), float64(msgs)/float64(queries))
-	fmt.Printf("last query: boundary-dist=%s (the leader is computed from the seed: no election rounds)\n", distStr(lastBoundary.Dist))
+	fmt.Printf("answered %d queries in %d dispatches: leader=machine %d, mean waves/query=%.1f, mean node contacts/query=%.1f\n",
+		queries, dispatches, srv.Leader(), float64(rounds)/float64(queries), float64(msgs)/float64(queries))
+	fmt.Printf("last query: boundary-dist=%s\n", distStr(lastBoundary.Dist))
 }
 
 func fatalf(format string, args ...any) {

@@ -41,15 +41,15 @@
 // The same serving model runs over real sockets, generic over the point
 // type: a Frontend plus k resident nodes (ServeTypedNode with a PointType
 // — scalar shards and k-d-tree-indexed vector shards ship — or
-// ServeTypedLocalOptions for a single-process loopback deployment) mesh up
-// once as a star around the seed's leader and answer each dispatched query
-// batch as one BSP epoch on the standing mesh; a batch's queries run as lockstep
-// sub-programs sharing the epoch's physical rounds, so KNNBatch over TCP
-// amortizes frames, syscalls and round latency across the batch. The
-// frontend's epoch scheduler pipelines up to FrontendOptions.Window
-// epochs from concurrent clients on the mesh at once and can coalesce
-// concurrently arriving single queries into lockstep batch epochs
-// (FrontendOptions.ServerBatch) — answers stay bit-identical to
+// ServeTypedLocalOptions for a single-process loopback deployment). The
+// frontend takes the leader's seat of the paper's SimpleKNN: it sends each
+// query batch to the nodes, each returns its shard's local top-ℓ, and the
+// frontend selects, so KNNBatch over TCP amortizes frames and syscalls
+// across the batch. The paper's own protocols run in-process, where their
+// round and message costs are measured. The frontend's epoch scheduler
+// pipelines up to FrontendOptions.Window queries from concurrent clients
+// at once and can coalesce concurrently arriving single queries into batch
+// queries (FrontendOptions.ServerBatch) — answers stay bit-identical to
 // serialized execution. A RemoteCluster is the client handle: the same
 // KNN/Classify/Regress/KNNBatch surface, the same exact results,
 // deterministic per (seed, query stream). See remote.go,
@@ -119,10 +119,10 @@ const (
 	BinSearch = core.BinSearch
 )
 
-// Options configures a Cluster. At the default Alg2 a Cluster runs what a
-// served cluster runs — Las Vegas Algorithm 2 with Lemma 2.3's constants
-// around the seed's min-GUID leader — so it is the serving stack's cost
-// model and oracle.
+// Options configures a Cluster. At the default Alg2 a Cluster runs the
+// paper's Las Vegas Algorithm 2 with Lemma 2.3's constants around the
+// seed's min-GUID leader — the cost model — and, as every algorithm is
+// exact, its answers are the serving stack's oracle.
 type Options struct {
 	// Machines is k, the number of simulated machines (default 4).
 	Machines int
@@ -151,7 +151,9 @@ func (o Options) withDefaults() Options {
 type QueryStats struct {
 	// Rounds, Messages and Bytes are the k-machine model costs of the
 	// query protocol; the leader is computed from the seed and costs
-	// nothing.
+	// nothing. A RemoteCluster reports its dispatch cost instead: Rounds
+	// counts dispatch waves, Messages the node contacts (as Contacts) and
+	// Bytes is 0, since its nodes exchange nothing.
 	Rounds   int
 	Messages int64
 	Bytes    int64
@@ -160,17 +162,17 @@ type QueryStats struct {
 	// Boundary is the ℓ-th neighbor's key.
 	Boundary Key
 	// Survivors counts candidates after Algorithm 2's prune (0 for other
-	// algorithms); FellBack reports a Las Vegas re-run.
+	// algorithms, and over TCP); FellBack reports a Las Vegas re-run.
 	Survivors int64
 	FellBack  bool
-	// Iterations counts selection pivot steps.
+	// Iterations counts selection pivot steps (0 over TCP).
 	Iterations int
 	// Contacts is the total number of (shard, sub-batch) contacts a remote
-	// pruned dispatch made — Σ over the query batch of the number of nodes
-	// each point was sent to, so Contacts divided by the batch size is the
-	// contacted-nodes-per-query figure. 0 for full-scatter epochs and
-	// in-process clusters, where every query reaches every machine by
-	// construction.
+	// query made — Σ over the query batch of the number of nodes each point
+	// was sent to, so Contacts divided by the batch size is the
+	// contacted-nodes-per-query figure: k on full scatter, fewer when the
+	// frontend prunes. 0 for in-process clusters, where every query reaches
+	// every machine by construction.
 	Contacts int64
 }
 
@@ -210,7 +212,7 @@ func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options
 	if err != nil {
 		return nil, fmt.Errorf("distknn: %w", err)
 	}
-	// A served cluster's frontend and nodes compute the same leader.
+	// A served cluster's frontend computes the same leader.
 	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len(), leader: election.Leader(opts.Seed, opts.Machines)}
 	c.localTopL = func(i int, q P, l int) []Item { return c.parts[i].TopLItems(q, l) }
 	return c, nil
@@ -366,7 +368,7 @@ func (c *Cluster[P]) run(queries []P, l int) ([][]core.Result, *QueryStats, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	// Lemma 2.3's constants and the cached leader, as on a served cluster.
+	// Lemma 2.3's constants and the cached leader.
 	cfg := core.Config{Leader: c.leader, L: l}
 	res, met, err := core.Run(sim, c.opts.Algorithm, cfg, len(queries), func(id, qi int) []Item {
 		return c.localTopL(id, queries[qi], l)

@@ -1,12 +1,12 @@
 // TCP serving cluster: the socket example, serving a vector workload. A
 // frontend and k resident nodes — each holding a k-d-tree-indexed shard of
-// d-dimensional points — mesh up over loopback sockets as a star around the
-// seed's leader, and then answer a stream of queries through the same RemoteCluster client
-// a remote process would use. The stream is issued twice: one query per BSP
-// epoch, then in KNNBatch batches that run as lockstep sub-programs of one
-// epoch per batch, so the wall-clock delta printed at the end is pure
-// amortized frame/syscall/round overhead; rendezvous and mesh are paid
-// once, before the first query, and the leader costs nothing.
+// d-dimensional points — take their seats over loopback sockets, and then
+// answer a stream of queries through the same RemoteCluster client a remote
+// process would use: each node returns its local top-ℓ and the frontend
+// selects. The stream is issued twice: one query per dispatch, then in
+// KNNBatch batches of one dispatch each, so the wall-clock delta printed at
+// the end is pure amortized frame/syscall overhead; seating is paid once,
+// before the first query, and the leader costs nothing.
 package main
 
 import (
@@ -54,7 +54,7 @@ func main() {
 		return v
 	}
 
-	// One query per epoch.
+	// One query per dispatch.
 	var rounds int64
 	start := time.Now()
 	for i := 0; i < queries; i++ {
@@ -65,10 +65,10 @@ func main() {
 		rounds += int64(stats.Rounds)
 	}
 	soloWall := time.Since(start)
-	fmt.Printf("%d solo queries: %v (%.1f rounds/query, election: 0 per query)\n",
+	fmt.Printf("%d solo queries: %v (%.1f waves/query, election: 0 per query)\n",
 		queries, soloWall.Round(time.Millisecond), float64(rounds)/float64(queries))
 
-	// The same stream in lockstep batches — bit-identical answers.
+	// The same stream in batches — bit-identical answers.
 	rounds = 0
 	start = time.Now()
 	for i := 0; i < queries; i += batch {
@@ -87,7 +87,7 @@ func main() {
 		rounds += int64(stats.Rounds)
 	}
 	batchWall := time.Since(start)
-	fmt.Printf("%d queries in batches of %d: %v (%.1f rounds/query, %.1fx faster)\n",
+	fmt.Printf("%d queries in batches of %d: %v (%.2f waves/query, %.1fx faster)\n",
 		queries, batch, batchWall.Round(time.Millisecond),
 		float64(rounds)/float64(queries), soloWall.Seconds()/batchWall.Seconds())
 

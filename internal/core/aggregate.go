@@ -11,8 +11,8 @@ import (
 // wherever every seat's share is already in hand: the in-process Cluster,
 // whose KNN collects each machine's winners, and the serving frontend,
 // which receives them in the nodes' Result frames on both dispatch plans.
-// No protocol round carries labels; there is one fold, not a mesh-side and
-// a frontend-side pair kept in step.
+// No protocol round carries labels, and the two places share this one
+// fold.
 
 // ClassifyShares is the Classify fold: shares[id] is seat id's winner share
 // of one query (nil for a seat holding no winner), and the answer is the

@@ -6,8 +6,8 @@
 // 2015) for an O(1)-round, O(√k·log^{3/2} k)-message election. Here every
 // machine's GUID derives from the session seed, which every party already
 // holds, so the min-GUID winner needs no messages at all: the in-process
-// Cluster, the serving frontend and every serving node each call Leader
-// and agree by construction. The election costs zero rounds, and no query
+// Cluster and the serving frontend each call Leader and agree by
+// construction. The election costs zero rounds, and no query
 // is charged for it.
 package election
 

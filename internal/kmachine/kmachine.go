@@ -136,10 +136,9 @@ func (m *Metrics) ModeledTime(c CostModel) time.Duration {
 
 // Env is the execution environment a protocol sees: identity, private
 // randomness, and synchronous-round messaging. The in-process simulator's
-// *Machine implements it, and so does the TCP runtime's node, so every
-// protocol in this repository runs unchanged on either. An Env carries no
-// GUID: the leader every protocol is handed is computed from the session
-// seed before the run (package election).
+// *Machine implements it; every protocol in this repository is written
+// against it. An Env carries no GUID: the leader every protocol is handed
+// is computed from the session seed before the run (package election).
 type Env interface {
 	// ID returns this machine's index in [0, K()).
 	ID() int
@@ -166,8 +165,7 @@ type Env interface {
 }
 
 // Program is the code one machine executes. It runs on its own goroutine;
-// the Env argument is its only window to the world. Programs written against
-// Env run identically on the in-process simulator and the TCP runtime.
+// the Env argument is its only window to the world.
 type Program func(m Env) error
 
 // Machine is the per-machine execution environment handed to a Program.

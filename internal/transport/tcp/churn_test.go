@@ -10,27 +10,26 @@ import (
 	"testing"
 	"time"
 
-	"distknn/internal/election"
 	"distknn/internal/keys"
-	"distknn/internal/kmachine"
+	"distknn/internal/points"
 	"distknn/internal/wire"
 )
 
-// blockingHandler is an echoHandler whose node 1 parks inside the epoch for
-// the magic query 4242 until released — the window a churn test needs to
-// kill the node mid-query.
+// blockingHandler is an echoHandler whose node 1 parks inside the dispatch
+// for the magic query 4242 until released — the window a churn test needs
+// to kill the node mid-query.
 type blockingHandler struct {
 	echoHandler
 	entered chan<- struct{}
 	release <-chan struct{}
 }
 
-func (h *blockingHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, error) {
-	if v, _ := wire.DecodeScalarPoint(q.Points[qi]); v == 4242 && m.ID() == 1 {
+func (h *blockingHandler) Direct(q wire.Query, qi int, ceil keys.Key) ([]points.Item, error) {
+	if v, _ := wire.DecodeScalarPoint(q.Points[qi]); v == 4242 && h.id == 1 {
 		h.entered <- struct{}{}
 		<-h.release
 	}
-	return h.echoHandler.Query(m, q, qi)
+	return h.echoHandler.Direct(q, qi, ceil)
 }
 
 // churnCluster is a hand-rolled serving deployment whose node sessions are
@@ -91,9 +90,9 @@ func (c *churnCluster) startNode(h Handler) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		err := serveNode(c.fe.Addr(), "127.0.0.1:0", "", h, func(s *nodeSession) {
+		err := serveNode(c.fe.Addr(), h, func(s *nodeSession) {
 			c.mu.Lock()
-			c.sessions[s.node.id] = s
+			c.sessions[s.id] = s
 			c.mu.Unlock()
 		}, nil)
 		c.mu.Lock()
@@ -130,8 +129,8 @@ func waitHealthy(t *testing.T, client *Client, q wire.Query) wire.Reply {
 
 // checkEcho asserts the deterministic echoHandler answer for value v at
 // ℓ = k on a k-node cluster — every seat's echo winner, the last one's key
-// as the boundary, and the leader's survivor count — which a correctly
-// re-meshed, re-seated cluster must keep producing bit-identically.
+// as the boundary, and the session leader — which a correctly re-seated
+// cluster must keep producing bit-identically.
 func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
 	t.Helper()
 	if len(rep.Results) != 1 {
@@ -150,13 +149,13 @@ func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
 	if res.Boundary != res.Items[k-1].Key {
 		t.Fatalf("value %d: boundary %v, want the last item's key", v, res.Boundary)
 	}
-	if res.Survivors != int64(v) || rep.Leader != leader {
-		t.Fatalf("value %d: survivors %d leader %d, want %d and leader %d", v, res.Survivors, rep.Leader, v, leader)
+	if rep.Leader != leader {
+		t.Fatalf("value %d: leader %d, want %d", v, rep.Leader, leader)
 	}
 }
 
 // TestChurnKillMidQueryDegradesThenHeals is the headline churn walk: a node
-// dies inside a dispatched epoch; the in-flight query fails with a
+// dies inside a dispatch; the in-flight query fails with a
 // retryable degraded error, later queries fail fast the same way, and a
 // replacement registration re-seats the node and restores bit-identical
 // service.
@@ -182,9 +181,9 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 		checkEcho(t, rep, k, v, leader)
 	}
 
-	// Dispatch the magic query; node 1 parks inside the epoch, and we kill
-	// it there — sockets closed mid-flight, no goodbye, like a crashed
-	// process.
+	// Dispatch the magic query; node 1 parks inside the dispatch, and we
+	// kill it there — its socket closed mid-flight, no goodbye, like a
+	// crashed process.
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := client.Do(scalarQuery(wire.OpKNN, k, 4242))
@@ -245,7 +244,7 @@ func TestChurnEvictAndRejoin(t *testing.T) {
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 3)), k, 3, leader)
 
 	// Every seat is held: a late registration has nothing to take.
-	if err := ServeNodeObserved(c.fe.Addr(), "127.0.0.1:0", "", nil, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "cluster is full") {
+	if err := ServeNodeObserved(c.fe.Addr(), nil, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "cluster is full") {
 		t.Fatalf("registration to a full cluster: got %v, want a \"cluster is full\" rejection", err)
 	}
 	evicted := c.session(1)
@@ -331,72 +330,21 @@ func TestChurnIdleKillIsNoticedWithoutAQuery(t *testing.T) {
 	}
 }
 
-// TestChurnBrokenLinkEvictsOneEndpoint pins single-fault eviction: when
-// one mesh link breaks (both processes stay alive), both endpoints report
-// a fatal error blaming each other, but the frontend must retire exactly
-// one seat — acting on the echoed report too would evict both nodes for
-// one fault, doubling the outage.
-func TestChurnBrokenLinkEvictsOneEndpoint(t *testing.T) {
-	k := 2
-	c := startChurnCluster(t, k, 51, func() Handler { return &echoHandler{} })
-	leader := c.fe.Leader()
-	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
-
-	// Sever the 0–1 mesh link only; both node sessions keep running.
-	s := c.session(0)
-	s.node.peersMu.Lock()
-	link := s.node.peers[1].conn
-	s.node.peersMu.Unlock()
-	link.Close()
-
-	// The next epoch hits the dead link on both endpoints and fails the
-	// in-flight query; exactly one seat must fall.
-	if _, err := client.Do(scalarQuery(wire.OpKNN, k, 3)); err == nil || !errors.Is(err, ErrDegraded) {
-		t.Fatalf("query across the severed link: got %v, want a degraded error", err)
-	}
-	_, err = client.Do(scalarQuery(wire.OpKNN, k, 4))
-	if err == nil || !errors.Is(err, ErrDegraded) {
-		t.Fatalf("query after the severed link: got %v, want a degraded error", err)
-	}
-	if !strings.Contains(err.Error(), "cluster degraded (1 of 2 nodes)") {
-		t.Fatalf("one broken link must cost exactly one seat: %v", err)
-	}
-
-	// One replacement registration heals the cluster.
-	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
-}
-
-// checkStar asserts that the mesh is the star around leader: every worker
-// holds exactly one healthy link, to the leader, and the leader one to
-// every worker.
-func (c *churnCluster) checkStar(k, leader int) {
+// checkStar asserts that the cluster is the star around the frontend:
+// every seat is present and holds the control connection of the node
+// session that took it last — the one link each node has.
+func (c *churnCluster) checkStar(k int) {
 	c.t.Helper()
+	c.fe.mu.Lock()
+	defer c.fe.mu.Unlock()
 	for id := 0; id < k; id++ {
-		held := 0
-		for j, p := range c.session(id).node.peerSnapshot() {
-			if p == nil {
-				continue
-			}
-			held++
-			if id != leader && j != leader {
-				c.t.Errorf("worker %d holds a link to worker %d", id, j)
-			}
-			if err := p.cause(); err != nil {
-				c.t.Errorf("node %d's link to %d is broken: %v", id, j, err)
-			}
+		seat, s := c.fe.slots[id], c.session(id)
+		if !seat.present || seat.conn == nil {
+			c.t.Errorf("seat %d is not held", id)
+			continue
 		}
-		want := 1
-		if id == leader {
-			want = k - 1
-		}
-		if held != want {
-			c.t.Errorf("node %d holds %d links, want %d", id, held, want)
+		if got, want := seat.conn.RemoteAddr().String(), s.coord.LocalAddr().String(); got != want {
+			c.t.Errorf("seat %d holds the link from %s, its node dialed from %s", id, got, want)
 		}
 	}
 }
@@ -419,13 +367,11 @@ func waitDegraded(t *testing.T, client *Client, k, present int) {
 	}
 }
 
-// TestChurnDoubleRejoinRestoresStar checks that the mesh is the star around
-// the leader after bring-up, after a worker re-joins and after the leader
+// TestChurnDoubleRejoinRestoresStar checks that every seat holds its node's
+// control link after bring-up, after a worker re-joins and after the leader
 // re-joins, and then loses the leader and a worker together and re-joins
-// both concurrently. A grant lists the neighbours already granted, so the
-// second re-joiner's grant must list the first among the peers to dial —
-// without that, the leader and the worker never link and every later epoch
-// dies on the hole in the star.
+// both concurrently: two registrations racing for two free seats must each
+// take one, and the cluster must answer bit-identically after.
 func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	k := 3
 	c := startChurnCluster(t, k, 61, func() Handler { return &echoHandler{} })
@@ -437,14 +383,14 @@ func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	}
 	defer client.Close()
 	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
-	c.checkStar(k, leader)
+	c.checkStar(k)
 
 	for _, id := range []int{worker, leader} {
 		c.session(id).kill()
 		waitDegraded(t, client, k, k-1)
 		c.startNode(&echoHandler{})
 		checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 4)), k, 4, leader)
-		c.checkStar(k, leader)
+		c.checkStar(k)
 	}
 
 	c.session(leader).kill()
@@ -460,71 +406,7 @@ func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 		}
 		checkEcho(t, rep, k, v, leader)
 	}
-	c.checkStar(k, leader)
-}
-
-// gatedHandler is an echoHandler whose Load waits for gate to close.
-type gatedHandler struct {
-	echoHandler
-	gate <-chan struct{}
-}
-
-func (h *gatedHandler) Load(id, k, leader int) (SessionInfo, error) {
-	<-h.gate
-	return h.echoHandler.Load(id, k, leader)
-}
-
-// TestMeshHandshakeBringUpStarAtEveryLeaderSeat brings a cluster up one
-// registration at a time, so seat i is the i-th grant, with the leader at
-// the first, a middle and the last seat. Of two star neighbours the one
-// granted second dials the first: workers granted after the leader dial it,
-// and the leader dials the workers granted before it. No shard loads until
-// every seat is granted, so every dial reaches a neighbour that is granted
-// but not yet sealed. Every bring-up must end with a complete star that
-// answers.
-func TestMeshHandshakeBringUpStarAtEveryLeaderSeat(t *testing.T) {
-	const k = 4
-	for _, tc := range []struct {
-		name   string
-		leader int
-	}{{"first", 0}, {"middle", 2}, {"last", k - 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			seed := uint64(1)
-			for election.Leader(seed, k) != tc.leader {
-				seed++
-			}
-			c := newChurnCluster(t, k, seed)
-			gate := make(chan struct{})
-			openGate := sync.OnceFunc(func() { close(gate) })
-			t.Cleanup(openGate) // before the cluster's cleanup waits for the nodes
-			for id := 0; id < k; id++ {
-				c.startNode(&gatedHandler{gate: gate})
-				deadline := time.Now().Add(10 * time.Second)
-				for c.session(id) == nil {
-					if time.Now().After(deadline) {
-						t.Fatalf("registration %d was never granted seat %d", id, id)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-			openGate()
-			c.waitReady()
-			if got := c.fe.Leader(); got != tc.leader {
-				t.Fatalf("leader = %d, want %d", got, tc.leader)
-			}
-			c.checkStar(k, tc.leader)
-			client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			rep, err := client.Do(scalarQuery(wire.OpKNN, k, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEcho(t, rep, k, 3, tc.leader)
-		})
-	}
+	c.checkStar(k)
 }
 
 // TestChurnCloseDuringRejoinReleasesHandshake pins that Close releases a
@@ -640,7 +522,7 @@ func TestClientPoisonsDesyncedConnection(t *testing.T) {
 			// A non-reply frame, with trailing garbage that a desynced
 			// client would misparse as the next reply.
 			var w wire.Writer
-			w.Kind(wire.KindDispatch)
+			w.Kind(wire.KindResult)
 			w.Raw([]byte{0xde, 0xad, 0xbe, 0xef})
 			_ = wire.WriteFrame(conn, w.Bytes())
 			_ = wire.WriteFrame(conn, []byte{0xff, 0xff})

@@ -500,7 +500,7 @@ func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Re
 			// A lost session (the node was evicted, or the frontend died
 			// first) is expected churn, not a cluster failure: the caller
 			// that evicted the node re-joins it — or meant to drop it.
-			if err := ServeNodeObserved(fe.Addr(), "127.0.0.1:0", "", nodeReg, newHandler()); err != nil && !errors.Is(err, ErrSessionLost) {
+			if err := ServeNodeObserved(fe.Addr(), nodeReg, newHandler()); err != nil && !errors.Is(err, ErrSessionLost) {
 				lc.mu.Lock()
 				lc.nodeErrs = append(lc.nodeErrs, err)
 				lc.mu.Unlock()

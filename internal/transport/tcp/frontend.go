@@ -19,42 +19,35 @@ import (
 // Frontend is the client-facing side of a serving cluster. It starts with
 // k free seats and fills them through one join handshake (join), at
 // bring-up and after churn alike: a registering node gets the lowest free
-// seat, the mesh address book and the star neighbours to dial. The session
-// is ready once every seat has been sealed once. The frontend then stays
-// resident: it keeps the control connection to every node, dispatches
-// client queries as BSP epochs, collates the nodes' winner shares per
-// epoch, and answers the clients. Protocol traffic between nodes flows over
-// the mesh only; the frontend carries queries in and merged results out.
+// seat. The session is ready once every seat has been sealed once. The
+// frontend then stays resident: it keeps the control connection to every
+// node, dispatches client queries as waves of direct dispatches, collates
+// the nodes' local winner lists per wave, selects the answer itself, and
+// answers the clients. Nodes never talk to each other.
 //
-// Query epochs are pipelined by the epoch scheduler (scheduler.go): up to
-// FrontendOptions.Window epochs run on the mesh concurrently, multiplexed
-// over the epoch-tagged mesh and control frames, and with ServerBatch the
-// scheduler also coalesces concurrently arriving single queries into
-// lockstep batch epochs. Epoch ordinals (and with them the per-epoch seeds)
-// are assigned at admission in arrival order, mirroring the in-process
-// Cluster's atomic query counter; answers are bit-identical to serialized
-// execution because every algorithm is exact.
+// Queries are pipelined by the epoch scheduler (scheduler.go): up to
+// FrontendOptions.Window queries are in flight at once, multiplexed over
+// the epoch-tagged control frames, and with ServerBatch the scheduler also
+// coalesces concurrently arriving single queries into batch queries. Epoch
+// ordinals are assigned at admission in arrival order; answers are
+// bit-identical to serialized execution because the fold is exact.
 //
 // Node churn degrades the cluster instead of breaking it. A reader pump per
 // control connection notices a dead node the moment its connection drops —
-// even between queries — and marks its seat absent; a node reporting a
-// fatal (mesh-level) epoch failure gets the implicated peer evicted the
-// same way. A lost seat fails exactly the epochs that were in flight on it,
-// each with a retryable "cluster degraded" error (wire.Reply.Degraded);
-// while any seat is absent, new queries fail fast the same way without
-// consuming an epoch ordinal. The seat heals when a node re-registers: the
-// same join grants it the free seat, the node rebuilds its shard and
-// splices replacement mesh links into the resident peers, and the session
-// resumes at the current epoch ordinal — determinism per (seed, query
-// stream) is preserved because per-epoch seeds derive from the ordinal.
+// even between queries — and marks its seat absent. A lost seat fails
+// exactly the waves that were in flight on it, each with a retryable
+// "cluster degraded" error (wire.Reply.Degraded); while a seat a query
+// needs is absent, the query fails fast the same way without consuming an
+// epoch ordinal. The seat heals when a node re-registers: the same join
+// grants it the free seat, the node rebuilds its shard (bit-identical,
+// which join checks), and the session serves again.
 //
 // One mutex, mu, guards all of the frontend's mutable state — seats,
 // scheduler and client connections — so a seat is lost in one critical
 // section (retireLocked) that also fails the epochs in flight on it.
 type Frontend struct {
-	ln   net.Listener
-	k    int
-	seed uint64
+	ln net.Listener
+	k  int
 
 	sched *scheduler
 	// pruner is the metric-space geometry of the served point type
@@ -64,17 +57,18 @@ type Frontend struct {
 
 	ready    chan struct{} // closed once every seat was sealed once, or the first fill failed
 	readyErr error         // why the first fill failed; written under mu before ready closes
-	leader   int           // election.Leader of the session seed
+	// leader is election.Leader of the session seed. It selects nothing: it
+	// fixes the order in which the Regress fold sums the seats' shares.
+	leader int
 
 	// mu is the frontend's only lock. It guards the seats (grants, seals,
-	// evictions), the address book, the session's point tag and count, the
-	// epoch ordinal counter, the scheduler's window, jobs and buckets, and
-	// the client connections. It is held across network I/O in exactly two
-	// places, both deadline-bounded: dispatchWave's writes and Close's
-	// courtesy shutdown frame. A join reads and writes no frame under it.
+	// evictions), the session's point tag and count, the epoch ordinal
+	// counter, the scheduler's window, jobs and buckets, and the client
+	// connections. It is held across network I/O in exactly two places,
+	// both deadline-bounded: dispatchWave's writes and Close's courtesy
+	// shutdown frame. A join reads and writes no frame under it.
 	mu      sync.Mutex
 	slots   []*feSlot             // one per machine id
-	addrs   []string              // mesh address book, updated on every grant
 	sealed  int                   // seats sealed at least once; the first fill is complete at k
 	total   int64                 // global point count (sum of the pinned shard sizes)
 	tag     uint8                 // point encoding the nodes serve, set by the first seal
@@ -90,16 +84,12 @@ type Frontend struct {
 // free. gen counts the seat's seals, so it distinguishes connection
 // incarnations: a stale pump (or a stale in-flight epoch) can never evict —
 // or satisfy — a freshly re-joined node, and gen 0 means never sealed.
-// sinceEpoch is the epoch ordinal at which the current incarnation was
-// seated, so a fatal mesh report about an older epoch can never implicate
-// it either.
 type feSlot struct {
-	id         int
-	gen        uint64
-	sinceEpoch uint64
-	conn       net.Conn
-	present    bool
-	lastLoss   error // why the seat is absent, for degraded replies
+	id       int
+	gen      uint64
+	conn     net.Conn
+	present  bool
+	lastLoss error // why the seat is absent, for degraded replies
 	// shardLen and summary are the first holder's shard size and
 	// metric-index summary, pinned at the seat's first seal. They are a
 	// property of the seat's data, not of a connection incarnation: the
@@ -122,12 +112,11 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 		return nil, fmt.Errorf("tcp: frontend listen: %w", err)
 	}
 	f := &Frontend{
-		ln: ln, k: k, seed: seed,
+		ln: ln, k: k,
 		pruner:  opts.Pruner,
 		ready:   make(chan struct{}),
 		leader:  election.Leader(seed, k),
 		slots:   make([]*feSlot, k),
-		addrs:   make([]string, k),
 		clients: make(map[net.Conn]struct{}),
 	}
 	for id := range f.slots {
@@ -216,12 +205,7 @@ func (f *Frontend) Serve() error {
 			r := wire.NewReader(payload)
 			switch kind := r.Kind(); kind {
 			case wire.KindRegister:
-				addr := r.String()
-				if r.Err() != nil {
-					conn.Close()
-					return
-				}
-				f.join(conn, addr)
+				f.join(conn)
 			case wire.KindQueryTagged:
 				f.serveClient(conn, payload)
 			default:
@@ -351,29 +335,6 @@ func (f *Frontend) retireLocked(s *feSlot, gen uint64, cause error) {
 	}
 }
 
-// evictImplicatedLocked handles a fatal mesh report from (reporter,
-// reporterGen) about the given epoch: the implicated seat — the named lost
-// peer, else the reporter itself — is retired. A report from a reporter
-// whose seat is already retired is the echo of the same fault from the
-// link's other endpoint (both ends blame each other when one link breaks);
-// acting on it would evict both nodes for one fault, so it is ignored. A
-// report about an epoch older than the target seat's current incarnation
-// concerns its predecessor's links (a delayed second report from before a
-// quick re-join) and is ignored the same way. Callers hold f.mu.
-func (f *Frontend) evictImplicatedLocked(rs *feSlot, reporterGen, epoch uint64, lostPeer int, cause error) {
-	if rs.gen != reporterGen || !rs.present {
-		return
-	}
-	target := rs
-	if lostPeer >= 0 && lostPeer < f.k && lostPeer != rs.id {
-		target = f.slots[lostPeer]
-		cause = fmt.Errorf("node %d lost its link to node %d: %v", rs.id, lostPeer, cause)
-	}
-	if epoch > target.sinceEpoch {
-		f.retireLocked(target, target.gen, cause)
-	}
-}
-
 // EvictNode forcibly retires node id's seat and closes its control
 // connection: the node's ServeNodeObserved returns ErrSessionLost, and the seat
 // becomes re-joinable. Epochs in flight on the node fail with a retryable
@@ -404,14 +365,14 @@ func (f *Frontend) EvictNode(id int) error {
 // and to vet and seal — never across the handshake's network I/O, which
 // runs under handshakeTimeout — so a slow (or hostile) joiner cannot stall
 // queries, degraded replies, Close or evictions, and shard loads run in
-// parallel. No query epoch can race the mesh-link splicing: the granted
-// seat stays absent until the seal, and an absent seat gates every mesh
-// dispatch. Until the first fill completes a failed handshake fails the
-// session; after that it is denied and the seat stays free.
-func (f *Frontend) join(conn net.Conn, addr string) {
+// parallel. The granted seat stays absent until the seal, so no wave is
+// dispatched to it before its node is ready. Until the first fill completes
+// a failed handshake fails the session; after that it is denied and the
+// seat stays free.
+func (f *Frontend) join(conn net.Conn) {
 	deny := func(msg string) {
 		conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-		_ = wire.WriteFrame(conn, wire.EncodeNodeError(wire.NodeError{LostPeer: -1, Msg: msg}))
+		_ = wire.WriteFrame(conn, wire.EncodeNodeError(wire.NodeError{Msg: msg}))
 		conn.Close()
 	}
 	f.mu.Lock()
@@ -437,31 +398,14 @@ func (f *Frontend) join(conn net.Conn, addr string) {
 		return
 	}
 	slot.conn = conn
-	f.addrs[slot.id] = addr
-	// The grant lists the star neighbours that are seated or already
-	// granted — the leader for a worker, every worker for the leader — so
-	// of two neighbours the one granted second dials the first, whose mesh
-	// listener is bound before it registers. The epoch snapshot stays valid
-	// for the whole handshake: the granted seat is absent until the seal,
-	// and mesh queries cannot consume epochs while any seat is absent.
-	a := wire.Assign{
-		ID: slot.id, K: f.k, Seed: f.seed, Epoch: f.epoch,
-		Addrs: append([]string(nil), f.addrs...),
-	}
-	for _, s := range f.slots {
-		if s != slot && s.conn != nil && (slot.id == f.leader || s.id == f.leader) {
-			a.Present = append(a.Present, s.id)
-		}
-	}
 	f.mu.Unlock()
 
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	err := wire.WriteFrame(conn, wire.EncodeAssign(a))
+	err := wire.WriteFrame(conn, wire.EncodeAssign(wire.Assign{ID: slot.id, K: f.k}))
 	var rdy wire.Ready
 	var sum wire.ShardSummary
 	if err == nil {
-		// The node now dials the listed peers and builds its shard; its
-		// ready report seals the seat.
+		// The node now builds its shard; its ready report seals the seat.
 		rdy, sum, err = readReady(conn, slot.id)
 	}
 	conn.SetDeadline(time.Time{})
@@ -499,7 +443,6 @@ func (f *Frontend) join(conn net.Conn, addr string) {
 		}
 	}
 	slot.gen++
-	slot.sinceEpoch = f.epoch
 	slot.present = true
 	slot.lastLoss = nil
 	go f.pump(slot, slot.gen, conn)
@@ -547,7 +490,8 @@ func (f *Frontend) prunableLocked() bool {
 }
 
 // Leader returns the cluster's leader, election.Leader of the session seed
-// (-1 until every seat has been sealed once).
+// (-1 until every seat has been sealed once). The frontend itself selects;
+// the leader only fixes the order of the Regress fold's summation.
 func (f *Frontend) Leader() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -560,8 +504,8 @@ func (f *Frontend) Leader() int {
 // Close ends the session: it stops accepting connections, fails every
 // queued and in-flight query epoch with a retryable error, asks every node
 // to shut down, and releases the control and client connections. The nodes
-// drain their in-flight epochs before tearing their meshes down, so a close
-// mid-query never strands a peer. Close also closes the connection of every
+// drain their in-flight dispatches before they return. Close also closes
+// the connection of every
 // join handshake in progress; a Close before every seat was sealed once
 // fails the session, and Serve returns nil. Safe to call more than once.
 func (f *Frontend) Close() error {
@@ -710,6 +654,13 @@ func (f *Frontend) answer(q wire.Query) wire.Reply {
 	}
 	if len(q.Points) < 1 || len(q.Points) > wire.MaxBatch {
 		return wire.Reply{Err: fmt.Sprintf("batch of %d out of range [1, %d]", len(q.Points), wire.MaxBatch)}
+	}
+	// A node's result holds at most ℓ items per point it was sent, and the
+	// reply at most ℓ per point of the batch: one check keeps both inside a
+	// frame, so no node can fail to send its result or the client miss its
+	// reply.
+	if !wire.ItemsFit(len(q.Points), q.L) {
+		return wire.Reply{Err: fmt.Sprintf("batch of %d points at l=%d exceeds one frame of %d bytes", len(q.Points), q.L, wire.MaxFrame)}
 	}
 	return f.sched.submit(q)
 }

@@ -19,13 +19,13 @@ type feMetrics struct {
 	queries        *obs.Counter   // frontend_queries_total: client queries answered (a coalesced batch counts each participant)
 	repliesFail    *obs.Counter   // frontend_replies_failed_total: replies carrying a program failure
 	repliesDegr    *obs.Counter   // frontend_replies_degraded_total: replies carrying a retryable degraded failure
-	epochsAdmitted *obs.Counter   // frontend_epochs_admitted_total: epoch ordinals consumed (scatter + direct waves)
+	epochsAdmitted *obs.Counter   // frontend_epochs_admitted_total: epoch ordinals consumed (one per dispatch wave)
 	epochsFailed   *obs.Counter   // frontend_epochs_failed_total: epochs finished with a program failure
 	epochsLost     *obs.Counter   // frontend_epochs_lost_total: epochs failed by seat loss mid-flight
 	coalesced      *obs.Counter   // frontend_queries_coalesced_total: queries that joined a shared bucket epoch
-	meshRounds     *obs.Counter   // frontend_mesh_rounds_total: Σ epoch rounds reported by the mesh
-	meshMessages   *obs.Counter   // frontend_mesh_messages_total: Σ epoch messages reported by the mesh
-	meshBytes      *obs.Counter   // frontend_mesh_bytes_total: Σ epoch mesh traffic bytes
+	meshRounds     *obs.Counter   // frontend_mesh_rounds_total: Σ Rounds (dispatch waves) of answered client queries
+	meshMessages   *obs.Counter   // frontend_mesh_messages_total: Σ Messages (per-point node contacts) of answered client queries
+	meshBytes      *obs.Counter   // frontend_mesh_bytes_total: Σ Bytes of answered client queries (0: nodes exchange nothing)
 	pruneWaves     *obs.Counter   // frontend_prune_waves_total: direct dispatch waves (probe + gather)
 	pruneContacts  *obs.Counter   // frontend_prune_contacts_total: Σ per-point shard contacts of pruned queries
 	pruneSkipped   *obs.Counter   // frontend_prune_shards_skipped_total: Σ shards a pruned batch never contacted
@@ -67,13 +67,8 @@ func newFeMetrics(reg *obs.Registry) *feMetrics {
 
 // nodeMetrics is the node serve loop's instrument set.
 type nodeMetrics struct {
-	epochsServed *obs.Counter // node_epochs_served_total: mesh epochs completed
-	directServed *obs.Counter // node_direct_epochs_total: direct (no-mesh) epochs completed
-	epochErrors  *obs.Counter // node_epoch_errors_total: epochs answered with an error frame
-	meshRounds   *obs.Counter // node_mesh_rounds_total: Σ rounds of this node's mesh epochs
-	meshFrames   *obs.Counter // node_mesh_frames_total: Σ round frames this node wrote in its mesh epochs
-	meshMessages *obs.Counter // node_mesh_messages_total: Σ messages of this node's mesh epochs
-	meshBytes    *obs.Counter // node_mesh_bytes_total: Σ mesh traffic bytes of this node's epochs
+	epochsServed *obs.Counter // node_epochs_served_total: dispatches answered with a result
+	epochErrors  *obs.Counter // node_epoch_errors_total: dispatches answered with an error frame
 	ctrlIn       *obs.Counter // node_ctrl_bytes_in_total: control-plane frame bytes read from the frontend
 	ctrlOut      *obs.Counter // node_ctrl_bytes_out_total: control-plane frame bytes written to the frontend
 }
@@ -85,12 +80,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	registerPoolStats(reg)
 	return &nodeMetrics{
 		epochsServed: reg.Counter("node_epochs_served_total"),
-		directServed: reg.Counter("node_direct_epochs_total"),
 		epochErrors:  reg.Counter("node_epoch_errors_total"),
-		meshRounds:   reg.Counter("node_mesh_rounds_total"),
-		meshFrames:   reg.Counter("node_mesh_frames_total"),
-		meshMessages: reg.Counter("node_mesh_messages_total"),
-		meshBytes:    reg.Counter("node_mesh_bytes_total"),
 		ctrlIn:       reg.Counter("node_ctrl_bytes_in_total"),
 		ctrlOut:      reg.Counter("node_ctrl_bytes_out_total"),
 	}

@@ -40,8 +40,8 @@ func dialNoRetry(t *testing.T, addr string) *Client {
 }
 
 // TestSchedulerPipelinesEpochs proves distinct client queries overlap on
-// the mesh: while one epoch is parked inside a handler, a second client's
-// query is admitted, runs its own epoch concurrently, and completes. Under
+// the cluster: while one query is parked inside a handler, a second client's
+// query is admitted, runs its own wave concurrently, and completes. Under
 // the old serialized frontend the second query would queue forever behind
 // the parked one.
 func TestSchedulerPipelinesEpochs(t *testing.T) {
@@ -80,9 +80,9 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 
 // TestSchedulerCoalescesSingleQueries proves transparent server-side
 // batching: with a long linger, maxServerBatch concurrently arriving single
-// queries must share one lockstep epoch — every reply reports the whole
-// epoch's message total (every sub-program's star round trip), and each
-// caller still gets exactly its own per-query result.
+// queries must share one wave — every reply reports the whole batch's
+// contacts (every point sent to every seat), and each caller still gets
+// exactly its own per-query result.
 func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	k := 3
 	lc := startEchoClusterOptions(t, k, 81, FrontendOptions{
@@ -110,9 +110,9 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Each sub-program is one star round trip: 2(k−1) messages per query,
-	// and a coalesced epoch reports the shared total to every participant.
-	wantMsgs := int64(batch * 2 * (k - 1))
+	// Each point is sent to every seat, and a coalesced batch reports the
+	// shared total to every participant.
+	wantMsgs := int64(batch * k)
 	for i := 0; i < batch; i++ {
 		if errs[i] != nil {
 			t.Fatalf("client %d: %v", i, errs[i])

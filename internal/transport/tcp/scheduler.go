@@ -22,48 +22,45 @@ import (
 // collect → fold — and the two ways a query can run are two plans for it.
 //
 // A wave is one epoch: one ordinal, one dispatch frame per contacted seat,
-// one result frame back from each. A plan says which seats a wave contacts,
-// which points of the batch each seat is sent, and whether the contacted
-// nodes run the epoch on the mesh. The mesh plan is a single wave: every
-// seat, the whole batch, mesh on — the nodes run the paper's protocol among
-// themselves and each returns its share of the answer. The pruned plan
-// (FrontendOptions.Pruner) is up to two waves with the mesh off: each point
-// first probes its nearest shard, then reaches only the shards its
-// admission ball can still intersect — a contacted node returns its local
-// top-ℓ. Either way the caller holds one window slot for the whole query,
-// dispatchWave is the only code that consumes an ordinal and writes
-// dispatch frames, the per-seat results are filed under the batch positions
-// they answer, and one fold turns them into the answer — neighbors, boundary
-// and the Classify/Regress label alike.
+// one result frame back from each, carrying the seat's local top-ℓ for
+// every point it was sent. A plan says which seats a wave contacts and
+// which points of the batch each seat is sent. The full-scatter plan is a
+// single wave that admits every seat for the whole batch, unbounded. The
+// pruned plan (FrontendOptions.Pruner) is up to two waves: each point first
+// probes its nearest shard, then reaches only the shards its admission ball
+// can still intersect, under the probe's bound. Either way the caller holds
+// one window slot for the whole query, dispatchWave is the only code that
+// consumes an ordinal and writes dispatch frames, the per-seat results are
+// filed under the batch positions they answer, and one fold selects the
+// answer from them — neighbors, boundary and the Classify/Regress label
+// alike. The frontend is the only party that selects: this is the paper's
+// SimpleKNN with the frontend as its leader.
 //
 // Pipelining. Up to Window queries are in flight at once. A wave takes its
-// ordinal — and with it the deterministic per-epoch seed
-// DeriveSeed(sessionSeed, ordinal) — under the frontend lock, f.mu (which
-// guards every piece of scheduler state too), and registers
-// a collation job before its first write; the per-node control pumps push
-// each arriving result or error frame to its job by ordinal, so replies
-// complete out of order without any epoch waiting on an unrelated one.
-// Admission beyond the window blocks (backpressure on the client
-// connection) until a slot frees. Answers are bit-identical to serialized
-// execution: every algorithm is exact, and the ordinal-derived seeds steer
-// only sampling and round counts, never results.
+// ordinal under the frontend lock, f.mu (which guards every piece of
+// scheduler state too), and registers a collation job before its first
+// write; the per-node control pumps push each arriving result or error
+// frame to its job by ordinal, so replies complete out of order without any
+// wave waiting on an unrelated one. Admission beyond the window blocks
+// (backpressure on the client connection) until a slot frees. Answers are
+// bit-identical to serialized execution: the fold is exact.
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ, point tag) coalesce into one
 // batch query: a query joins the open bucket for its key, and the bucket
-// flushes when it reaches maxServerBatch points or after Linger —
-// whichever comes first — turning the client-side KNNBatch amortization
-// (shared physical rounds, one dispatch) into a free win for many small
-// clients. The flushed bucket runs through the same pipeline as any client
-// batch; each coalesced query receives its own result, and the epoch-wide
-// cost fields (rounds, messages, bytes) are reported to every participant.
+// flushes when it reaches maxServerBatch points (or the most whose results
+// fit one frame) or after Linger — whichever comes first — so many small
+// clients share one dispatch frame per seat. The flushed bucket runs
+// through the same pipeline as any client batch; each coalesced query
+// receives its own result, and the batch-wide cost fields (rounds,
+// messages, bytes) are reported to every participant.
 //
 // Churn interaction. A seat lost mid-flight fails exactly the waves that
 // were dispatched to it — each affected job completes with a retryable
 // degraded reply — while queued and coalescing queries never consume an
 // ordinal: they fail fast at admission with the usual degraded error until
-// the seat heals. A mesh wave needs every seat; a pruned wave only the
-// seats it contacts, so an absent seat whose shard the admission test
+// the seat heals. A full-scatter wave needs every seat; a pruned wave only
+// the seats it contacts, so an absent seat whose shard the admission test
 // prunes does not fail the query. Close fails every queued and in-flight
 // wave with a retryable error instead of racing the control pumps.
 
@@ -76,12 +73,9 @@ import (
 // inside this bound.
 var dispatchTimeout = 5 * time.Second
 
-// maxWindow caps FrontendOptions.Window. The bound keeps the pipelining
-// depth consistent with the mesh demultiplexer's stash budgets: a node may
-// receive a couple of early frames per not-yet-started epoch per link
-// (stashEpochCap), and the per-link total (stashTotalCap) must cover a
-// full window of such epochs — a window beyond that could trip the
-// flood-protection link kill on a healthy but lagging node.
+// maxWindow caps FrontendOptions.Window. Every query in the window may hold
+// a dispatch on every node — a goroutine and a pooled frame buffer each —
+// so the cap bounds what a node holds for the frontend at once.
 const maxWindow = 64
 
 // maxServerBatch caps a coalesced batch: a bucket that reaches it flushes
@@ -101,15 +95,14 @@ type Pruner interface {
 
 // FrontendOptions tunes the frontend's epoch scheduler.
 type FrontendOptions struct {
-	// Window is the maximum number of query epochs in flight at once.
-	// 1 serializes epochs (the pre-scheduler behavior); the default is 8
-	// and values are capped at 64 (the mesh demultiplexer's buffering is
-	// budgeted for that depth).
+	// Window is the maximum number of queries in flight at once. 1
+	// serializes queries; the default is 8 and values are capped at 64
+	// (what a node may hold in dispatches for the frontend at once).
 	Window int
 	// ServerBatch enables transparent server-side batching: concurrently
 	// arriving single-point queries with the same (op, ℓ, tag) coalesce
-	// into one lockstep batch epoch. Off by default — coalescing trades up
-	// to Linger of latency for throughput.
+	// into one batch query. Off by default — coalescing trades up to
+	// Linger of latency for throughput.
 	ServerBatch bool
 	// Linger bounds how long an open coalescing bucket waits for more
 	// queries before it flushes (default 500µs). Only meaningful with
@@ -120,12 +113,11 @@ type FrontendOptions struct {
 	// point of a query first probes its nearest shard for an upper bound
 	// on its ℓ-th neighbor distance, and a second wave then sends each
 	// remaining shard only the sub-batch of points whose admission ball can
-	// intersect it — no mesh epoch, shards contacted by zero points skipped
-	// entirely, answers bit-identical to full scatter (both plans end in the
-	// same frontend fold over the winner shares). Queries the
-	// path cannot bound (any query while a seat lacks a metric summary, or
-	// whose geometry rejects a point) run as ordinary scatter epochs. Nil
-	// disables pruning.
+	// intersect it — shards contacted by zero points skipped entirely,
+	// answers bit-identical to full scatter (both plans end in the same
+	// frontend fold over the winner shares). Queries the path cannot bound
+	// (any query while a seat lacks a metric summary, or whose geometry
+	// rejects a point) run as full-scatter waves. Nil disables pruning.
 	Pruner Pruner
 	// Metrics receives the frontend's runtime counters, gauges and
 	// histograms (see metrics.go for the instrument names). Nil binds the
@@ -151,8 +143,8 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 	return o
 }
 
-// scheduler pipelines query epochs over the mesh and coalesces single
-// queries into batch epochs. Its mutable state — the window count and its
+// scheduler pipelines query waves over the control connections and
+// coalesces single queries into batch queries. Its mutable state — the window count and its
 // condition variable, the in-flight jobs and the open buckets — is guarded
 // by f.mu.
 type scheduler struct {
@@ -194,8 +186,8 @@ type epochJob struct {
 	epoch uint64
 	// n is the batch size and subs[id] the batch positions of the points
 	// seat id was sent, in frame order — the seat's result must carry one
-	// entry per position. subs is nil on a mesh wave: every seat answers the
-	// whole batch.
+	// entry per position. subs is nil on a full-scatter wave: every seat
+	// answers the whole batch.
 	n    int
 	subs [][]int
 	// l is the query's ℓ and bounds[pi] batch point pi's ceiling on a
@@ -211,10 +203,10 @@ type epochJob struct {
 	expectN   int      // seats still owing a frame
 	lost      []int    // seats lost mid-epoch
 	lostCause error
-	errMsg    string // first (origin-preferred) epoch failure
-	errOrigin bool
-	// rep is the wave's outcome: the failure, or the epoch-wide cost (max
-	// rounds, total traffic) and leader of a wave whose every seat answered.
+	errMsg    string // the lowest-id failed seat's report, so the message is deterministic
+	errID     int
+	// rep is the wave's outcome: the failure, or zero once every seat
+	// answered.
 	rep  wire.Reply
 	done chan struct{}
 	span *obs.Span // epoch trace span; nil when tracing is off
@@ -318,8 +310,8 @@ func mergeItems(lists [][]points.Item) []points.Item {
 
 // sharesWithin cuts one point's per-seat winner lists (each in ascending
 // key order, as nodes report them) down to the items at or below the global
-// boundary key: seat id's share of the global top-ℓ, in the order the seat
-// itself would have summed it in a mesh epoch.
+// boundary key: seat id's share of the global top-ℓ, in ascending key
+// order — the order core's folds sum a share in.
 func sharesWithin(lists [][]points.Item, boundary keys.Key) [][]points.Item {
 	shares := make([][]points.Item, len(lists))
 	for id, items := range lists {
@@ -337,7 +329,9 @@ func closingReply() wire.Reply {
 // submit answers one validated client query through the scheduler. Single
 // queries on a batching frontend coalesce first — the shared bucket then
 // runs like any client batch, so server-side batching and pruning compose
-// instead of excluding each other.
+// instead of excluding each other. An answered query's cost fields are
+// added to the frontend_mesh_* counters here, once per client query, so
+// each counter is the Σ of the client-observed field.
 func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	// start feeds only the latency histogram below — an obs sink — which
 	// is what keeps detsource satisfied without an allow directive.
@@ -352,6 +346,9 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	sched.fm.latency.Observe(int64(time.Since(start)))
 	switch {
 	case rep.Err == "":
+		sched.fm.meshRounds.Add(int64(rep.Rounds))
+		sched.fm.meshMessages.Add(rep.Messages)
+		sched.fm.meshBytes.Add(rep.Bytes)
 	case rep.Degraded:
 		sched.fm.repliesDegr.Inc()
 	default:
@@ -361,8 +358,8 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 }
 
 // execute runs one (possibly batched) query under one window slot: by the
-// pruned plan when the geometry can bound the whole batch, else by the mesh
-// plan. The slot covers every wave of the query — the probe and the gather
+// pruned plan when the geometry can bound the whole batch, else by the
+// full-scatter plan. The slot covers every wave of the query — the probe and the gather
 // of a pruned query are halves of one answer, and parking the gather behind
 // fresh admissions could deadlock a full window of half-done queries.
 func (sched *scheduler) execute(q wire.Query) wire.Reply {
@@ -370,8 +367,8 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	f := sched.f
 	f.mu.Lock()
 	if !pruned {
-		// Degraded fast-fail before admission: a mesh wave needs every
-		// seat, so a probe during an outage answers immediately — even
+		// Degraded fast-fail before admission: a full-scatter wave needs
+		// every seat, so a probe during an outage answers immediately — even
 		// while the window is full of doomed epochs — and consumes neither
 		// an ordinal nor a window slot.
 		if rep, ok := f.degradedLocked(f.slots); !ok {
@@ -403,11 +400,10 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	return sched.run(q)
 }
 
-// run answers q by the mesh plan: one wave to every seat, the whole batch,
-// mesh on. The nodes select the global top-ℓ among themselves, so the
-// shares fold (see fold) cuts nothing; the leader's result then adds the
-// selection stats only it knows — survivors, the fallback flag and the
-// iteration count.
+// run answers q by the full-scatter plan: one wave that admits every seat
+// for the whole batch, with no bound — each seat returns its local top-ℓ —
+// and the fold selects. Its cost is the wave's: 1 round and one contact per
+// point per seat.
 func (sched *scheduler) run(q wire.Query) wire.Reply {
 	job, rep := sched.runWave(q, nil, nil)
 	if job == nil {
@@ -415,27 +411,31 @@ func (sched *scheduler) run(q wire.Query) wire.Reply {
 	}
 	got := newGather(len(q.Points), sched.f.k)
 	job.collect(got)
+	return sched.reply(q, got, 1, int64(sched.f.k*len(q.Points)))
+}
+
+// reply folds the collected lists into the reply of a query that took
+// waves dispatch waves and contacts per-point seat contacts. Rounds counts
+// the waves and Messages the contacts (Σ over the batch of the seats each
+// point was sent to, so Messages/len(Points) is the contacted-nodes-per-query
+// figure); Bytes stays 0, as nodes exchange nothing, and the selection
+// stats (Survivors, Iterations, FellBack) are those of a protocol that
+// does not run here, so they stay 0 too.
+func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
 	results, err := fold(q, got, sched.f.leader)
 	if err != nil {
 		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
 	}
-	rep = job.rep
-	rep.Results = results
-	// deliver admitted a leader claim from the session leader only, so its
-	// result is the one that carries the outcomes.
-	for pi, lq := range job.shares[sched.f.leader].Queries {
-		qr := &rep.Results[pi]
-		qr.Survivors, qr.FellBack, qr.Iterations = lq.Survivors, lq.FellBack, lq.Iterations
-	}
-	return rep
+	return wire.Reply{Rounds: waves, Messages: contacts, Leader: sched.f.leader, Results: results}
 }
 
 // fold answers every point of q from its per-seat winner lists — the one
-// fold both plans end in. Per point it merges the seats' lists in key order
-// and cuts them to ℓ; the ℓ-th key is the boundary, and a Classify or
-// Regress answer is core's fold over each seat's items at or below it. On
-// the mesh plan each list is already the seat's share of the global top-ℓ;
-// on the pruned plan it is the seat's local top-ℓ, and the cut selects.
+// fold both plans end in. Per point it merges the seats' lists (each a
+// seat's local top-ℓ, below the point's bound on a gather wave) in key
+// order and cuts them to ℓ: the cut selects. The ℓ-th key is the boundary,
+// and a Classify or Regress answer is core's fold over each seat's items at
+// or below it; Regress sums the leader's share first, then the others in
+// seat order.
 func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, error) {
 	results := make([]wire.QueryReply, len(got))
 	for pi, lists := range got {
@@ -481,17 +481,17 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key) (
 }
 
 // dispatchWave assigns the epoch ordinal, ships one wave of q and registers
-// its collation job. A mesh wave (subs nil) sends every seat the whole batch
-// as a KindDispatch frame; a direct wave sends seat id exactly the
-// sub-batch subs[id] of q's points as a KindDispatchDirect frame and does
-// not contact a seat whose sub-batch is empty; bounds, when not nil, holds
-// one ceiling per batch point, and each direct frame carries its points'
-// ceilings. Every target that receives the whole batch — all of them on a
-// mesh wave, and always for a single-point query — shares one encode-once
-// frame; a strict sub-batch gets a frame of its own. It returns a nil job (and the reply to send
-// instead) when the wave cannot run: the frontend is closing, or a seat the
-// wave contacts is absent — any other absent seat is invisible to a direct
-// wave, because the admission test already proved its shard irrelevant. The
+// its collation job. A full-scatter wave (subs nil) sends every seat the
+// whole batch; otherwise seat id is sent exactly the sub-batch subs[id] of
+// q's points, and a seat whose sub-batch is empty is not contacted; bounds,
+// when not nil, holds one ceiling per batch point, and each frame carries
+// its points' ceilings. Every target that receives the whole batch — all of
+// them on a full-scatter wave, and always for a single-point query — shares
+// one encode-once frame; a strict sub-batch gets a frame of its own. It
+// returns a nil job (and the reply to send instead) when the wave cannot
+// run: the frontend is closing, or a seat the wave contacts is absent — any
+// other absent seat is invisible to the wave, because the admission test
+// already proved its shard irrelevant. The
 // job is registered before the first write, so a result can never arrive
 // unclaimed. f.mu is held across the writes, which keeps every seat's conn
 // and gen consistent with the expectation set, and keeps Close from
@@ -505,9 +505,8 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 	if f.closed.Load() {
 		return nil, closingReply()
 	}
-	mesh := subs == nil
 	targets := f.slots
-	if !mesh {
+	if subs != nil {
 		targets = nil
 		for _, s := range f.slots {
 			if len(subs[s.id]) > 0 {
@@ -535,11 +534,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 		dw := wire.GetWriter()
 		writers = append(writers, dw)
 		dw.BeginFrame()
-		if mesh {
-			wire.AppendDispatch(dw, epoch, sq)
-		} else {
-			wire.AppendDispatchDirect(dw, epoch, sq, bs)
-		}
+		wire.AppendDispatchDirect(dw, epoch, sq, bs)
 		return dw.FinishFrame()
 	}
 	frames := make([][]byte, len(targets))
@@ -549,7 +544,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 	for i, s := range targets {
 		var ferr error
 		switch {
-		case !mesh && len(subs[s.id]) < len(q.Points):
+		case subs != nil && len(subs[s.id]) < len(q.Points):
 			pts, bs = pts[:0], bs[:0]
 			for _, pi := range subs[s.id] {
 				pts = append(pts, q.Points[pi])
@@ -578,7 +573,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 		shares: make([]wire.NodeResult, f.k),
 		expect: make([]uint64, f.k),
 		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), !mesh),
+		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), subs != nil),
 	}
 	// Register the job with its full expectation set before any write, so
 	// a node answering instantly finds its job.
@@ -626,8 +621,8 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 // s to its epoch's job. The frame is decoded before f.mu is taken —
 // decoding reads no shared state — so the critical section is bookkeeping
 // only. Frames for unknown epochs are leftovers of completed or failed
-// epochs and are dropped; a malformed frame or a fatal mesh report retires
-// the implicated seat once the job is settled.
+// epochs and are dropped; a malformed frame retires seat s once the job is
+// settled.
 func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 	f, id := sched.f, s.id
 	// Peek the kind and epoch ordinal on a throwaway reader (a failed decode
@@ -657,28 +652,24 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 		return
 	}
 	job := sched.inflight[epoch]
-	if job != nil && !job.expectMatch(id, gen) {
-		job = nil // a stale incarnation, or the seat already reported
+	if job == nil || !job.expectMatch(id, gen) {
+		return // a leftover of a finished epoch, a stale incarnation, or a repeat
 	}
-	// malformed retires seat s, fatal the seat a mesh report implicates —
-	// both after the job is finished, so it does not count the seat twice.
-	var malformed, fatal error
+	job.expectClear(id)
+	// malformed retires seat s after the job is finished, so the job does
+	// not count the seat twice.
+	var malformed error
 	switch kind {
 	case wire.KindResult:
-		if job == nil {
-			break // leftover of a finished or failed epoch
-		}
-		// A direct wave may have sent this node only a sub-batch; its
-		// result must cover exactly the points it was sent. The leader flag
-		// must be set exactly on the session leader's result of a mesh wave,
-		// the one result the mesh plan reads the selection outcomes from.
-		want, leads := job.n, job.subs == nil && id == f.leader
+		// The node's result must cover exactly the points it was sent — a
+		// sub-batch on a pruned wave — and hold winner lists the fold can
+		// read.
+		want := job.n
 		if job.subs != nil {
 			want = len(job.subs[id])
 		}
-		job.expectClear(id)
-		if derr == nil && (nr.Node != id || len(nr.Queries) != want || nr.IsLeader != leads) {
-			derr = fmt.Errorf("result of node %d for %d points, leader %v", nr.Node, len(nr.Queries), nr.IsLeader)
+		if derr == nil && (nr.Node != id || len(nr.Queries) != want) {
+			derr = fmt.Errorf("result of node %d for %d points", nr.Node, len(nr.Queries))
 		}
 		if derr == nil {
 			derr = job.checkWinners(id, nr)
@@ -688,79 +679,34 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 			job.fail(id, malformed)
 			break
 		}
-		// The seat's share, and its view of the epoch cost (max rounds,
-		// total traffic).
 		job.shares[id] = nr
-		if nr.Rounds > job.rep.Rounds {
-			job.rep.Rounds = nr.Rounds
-		}
-		job.rep.Messages += nr.Messages
-		job.rep.Bytes += nr.Bytes
 		job.span.MarkSeat(id)
 	case wire.KindError:
 		if derr != nil {
-			if job == nil {
-				break
-			}
 			malformed = fmt.Errorf("node %d sent a malformed error", id)
-			job.expectClear(id)
 			job.fail(id, malformed)
 			break
 		}
-		if job != nil {
-			job.expectClear(id)
-			if job.errMsg == "" || (ne.Origin && !job.errOrigin) {
-				job.errMsg = fmt.Sprintf("node %d: %s", id, ne.Msg)
-				job.errOrigin = ne.Origin
-			}
-		}
-		if ne.Fatal {
-			// A dead mesh, not a failed program: retire the implicated
-			// seat — its holder (if alive at all) must re-join with fresh
-			// links before the cluster serves again. This runs even when
-			// the epoch's job already finished (e.g. it was failed the
-			// moment another seat dropped): the broken link is real, and
-			// ignoring the report would leave the implicated seat standing
-			// until the next dispatched epoch trips over it.
-			fatal = fmt.Errorf("node %d reported a fatal mesh failure: %s", id, ne.Msg)
-			if job != nil {
-				// The epoch died of churn, not of its program: record the
-				// implicated seat as lost on this job so it finishes with
-				// the retryable degraded reply — even if that seat's own
-				// result already arrived before its mesh fault surfaced
-				// (e.g. the node answered, then died taking a link with
-				// it).
-				lost := id
-				if ne.LostPeer >= 0 && ne.LostPeer < f.k {
-					lost = ne.LostPeer
-				}
-				job.fail(lost, fatal)
-			}
+		if job.errMsg == "" || id < job.errID {
+			job.errMsg, job.errID = fmt.Sprintf("node %d: %s", id, ne.Msg), id
 		}
 	default:
 		// Unreachable: any other kind was retired above.
 	}
-	if job != nil {
-		sched.maybeFinishLocked(job)
-	}
+	sched.maybeFinishLocked(job)
 	if malformed != nil {
 		f.retireLocked(s, gen, malformed)
-	}
-	if fatal != nil {
-		f.evictImplicatedLocked(s, gen, epoch, ne.LostPeer, fatal)
 	}
 }
 
 // maybeFinishLocked completes the job once every dispatched-to seat has
-// been accounted for — or immediately when any seat was lost: the epoch is
-// doomed as a unit, and the surviving nodes may be parked inside it waiting
-// for the lost peer's frames, so waiting for their reports could deadlock
-// the reply behind the very outage it describes. A lost seat wins
-// (retryable degraded reply), then an epoch failure, then success (the
-// waiter folds the collected shares). A finished job leaves sched.inflight,
-// the only place callers find jobs, so late frames for it are dropped. The
-// window slot is the query's, not the wave's: its owner (execute) returns
-// it. Caller holds f.mu.
+// been accounted for — or immediately when any seat was lost: the wave is
+// doomed as a unit, so the reply does not wait for the other seats. A lost
+// seat wins (retryable degraded reply), then a node's failure report, then
+// success (the waiter folds the collected shares). A finished job leaves
+// sched.inflight, the only place callers find jobs, so late frames for it
+// are dropped. The window slot is the query's, not the wave's: its owner
+// (execute) returns it. Caller holds f.mu.
 func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	if job.expectN > 0 && len(job.lost) == 0 {
 		return
@@ -780,11 +726,6 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	case job.errMsg != "":
 		job.rep = wire.Reply{Err: fmt.Sprintf("query failed: %s", job.errMsg)}
 		sched.fm.epochsFailed.Inc()
-	default:
-		job.rep.Leader = sched.f.leader
-		sched.fm.meshRounds.Add(int64(job.rep.Rounds))
-		sched.fm.meshMessages.Add(job.rep.Messages)
-		sched.fm.meshBytes.Add(job.rep.Bytes)
 	}
 	job.span.MarkCollated(job.rep.Err, job.rep.Degraded)
 	delete(sched.inflight, job.epoch)
@@ -839,7 +780,7 @@ type bucket struct {
 }
 
 // coalesce joins (or opens) the bucket for q's key and waits for the shared
-// batch epoch's outcome. The joiner that fills the bucket runs the epoch
+// batch query's outcome. The joiner that fills the bucket runs the epoch
 // itself; otherwise the linger timer flushes the partial batch.
 func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	// Degraded fast-fail before joining a bucket: during an outage a
@@ -872,7 +813,9 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	sched.fm.coalesced.Inc()
 	idx := len(b.q.Points)
 	b.q.Points = append(b.q.Points, q.Points[0])
-	full := len(b.q.Points) >= maxServerBatch
+	// A bucket is full at maxServerBatch points, or sooner when one more
+	// point's results would not fit the frame the batch answers in.
+	full := len(b.q.Points) >= maxServerBatch || !wire.ItemsFit(len(b.q.Points)+1, q.L)
 	if full {
 		delete(sched.buckets, key)
 		b.timer.Stop()
@@ -899,13 +842,13 @@ func (sched *scheduler) flush(key bucketKey, b *bucket) {
 	sched.runBucket(b)
 }
 
-// runBucket executes the coalesced batch epoch and publishes its outcome.
-// A batch epoch fails as a unit, but a coalesced batch's participants are
+// runBucket executes the coalesced batch query and publishes its outcome.
+// A batch fails as a unit, but a coalesced batch's participants are
 // strangers — a client-chosen KNNBatch accepts shared fate, a coalesced
-// single query must not inherit another client's bad point. So a program
-// failure of the shared epoch (not churn: a degraded failure is already
-// retryable for everyone) falls back to re-running each participant's
-// query as its own solo epoch, isolating the error to the offender.
+// single query must not inherit another client's bad point. So a node's
+// failure report for the shared batch (not churn: a degraded failure is
+// already retryable for everyone) falls back to re-running each
+// participant's query alone, isolating the error to the offender.
 func (sched *scheduler) runBucket(b *bucket) {
 	sched.fm.batchSize.Observe(int64(len(b.q.Points)))
 	sched.fm.linger.ObserveSince(b.opened)
@@ -921,9 +864,9 @@ func (sched *scheduler) runBucket(b *bucket) {
 }
 
 // bucketReply extracts one coalesced query's share of the shared batch
-// outcome: its solo fallback reply if the shared epoch failed, else its
-// slice of the batch reply — with the epoch-wide cost fields, which
-// describe the shared epoch, reported to every participant.
+// outcome: its solo fallback reply if the shared batch failed, else its
+// slice of the batch reply — with the batch-wide cost fields, which
+// describe the shared waves, reported to every participant.
 func bucketReply(b *bucket, idx int) wire.Reply {
 	if b.solo != nil {
 		return b.solo[idx]
@@ -950,7 +893,7 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 // when a Pruner is configured, every seat reported a metric summary, and
 // the geometry can speak for every point of the batch; every query shape
 // rides it — KNN, Classify and Regress, single points and whole batches
-// alike. ok=false selects the mesh plan.
+// alike. ok=false selects the full-scatter plan.
 func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64, ok bool) {
 	f := sched.f
 	if f.pruner == nil {
@@ -978,8 +921,8 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 			d, err := f.pruner.CenterDist(p, center[id])
 			if err != nil {
 				// The geometry cannot speak for this point (e.g. a dimension
-				// mismatch); the mesh plan runs the node-side validation and
-				// reports its error.
+				// mismatch); the full-scatter plan runs the node-side
+				// validation and reports its error.
 				return nil, nil, false
 			}
 			dist[id][pi] = d
@@ -988,7 +931,7 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 	return dist, radius, true
 }
 
-// runPruned answers q by the pruned plan: up to two direct waves, mesh off.
+// runPruned answers q by the pruned plan: up to two waves.
 // Wave 1: every point probes its nearest present shard; the probe's ℓ-th
 // key is the point's bound, and it bounds the point's global ℓ-th neighbor
 // from above. Wave 2: each shard receives exactly the sub-batch of points
@@ -999,17 +942,13 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 // holds ℓ keys at or below the bound, so every global top-ℓ key is in the
 // probe's list or is another shard's key below the bound: the merged lists
 // provably contain each point's global top-ℓ (metricindex.Admit), and the
-// shared fold selects at the frontend what the mesh plan selects among the
-// nodes. Its first ℓ keys are the answer, and each seat's items at or below
-// the ℓ-th key — the boundary, never above the bound — are the winner share
-// the mesh would have left on that seat (a pruned seat holds no global
-// winner, so its empty share matches the mesh too): the same shares, hence
-// the same Classify/Regress fold, as the mesh plan, bit-identical by
-// construction. Cost reporting follows the plan's own shape: Rounds counts
-// dispatch waves (1 or 2), Messages the total per-point shard contacts — Σ over the batch of the
-// number of shards each point was sent to, so Messages/len(Points) is the
-// contacted-nodes-per-query figure; Bytes stays 0 (no mesh traffic) and the
-// BSP selection stats (Survivors, Iterations, FellBack) do not apply.
+// shared fold selects what the full-scatter plan selects. Its first ℓ keys
+// are the answer, and each seat's items at or below the ℓ-th key — the
+// boundary, never above the bound — are that seat's share of the global
+// top-ℓ (a pruned seat holds no global winner, so its share is empty under
+// both plans): the same shares, hence the same Classify/Regress fold, as
+// full scatter, bit-identical by construction. Rounds counts the waves (1
+// or 2) and Messages the per-point shard contacts (see reply).
 func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
 	f := sched.f
 	n := len(q.Points)
@@ -1072,8 +1011,8 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 	// intersect its centroid ball, and returns for each only its keys
 	// strictly below the point's bound. With no bound for a point (its
 	// probe shard held fewer than ℓ points) every shard admits it, unbounded,
-	// and that point degenerates to a no-mesh scatter — still correct, just
-	// not cheaper.
+	// and that point degenerates to full scatter — still correct, just not
+	// cheaper.
 	wave2 := make([][]int, f.k)
 	waves := 1
 	for id := range wave2 {
@@ -1095,12 +1034,6 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		}
 	}
 
-	results, err := fold(q, got, f.leader)
-	if err != nil {
-		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
-	}
-	// Contacts and skips are recorded only for a query that answers: the
-	// counter then matches the Σ of client-observed QueryStats.Contacts.
 	var contacts, skipped int64
 	for id := range wave1 {
 		contacts += int64(len(wave1[id]) + len(wave2[id]))
@@ -1108,14 +1041,14 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 			skipped++
 		}
 	}
-	sched.fm.pruneWaves.Add(int64(waves))
-	sched.fm.pruneContacts.Add(contacts)
-	sched.fm.pruneSkipped.Add(skipped)
-	sched.fm.pruneGathered.Add(gathered)
-	return wire.Reply{
-		Rounds:   waves,
-		Messages: contacts,
-		Leader:   f.leader,
-		Results:  results,
+	rep = sched.reply(q, got, waves, contacts)
+	if rep.Err == "" {
+		// Recorded only for a query that answers, like the frontend_mesh_*
+		// counters.
+		sched.fm.pruneWaves.Add(int64(waves))
+		sched.fm.pruneContacts.Add(contacts)
+		sched.fm.pruneSkipped.Add(skipped)
+		sched.fm.pruneGathered.Add(gathered)
 	}
+	return rep
 }

@@ -6,80 +6,42 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"distknn/internal/keys"
-	"distknn/internal/kmachine"
 	"distknn/internal/obs"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 )
 
-// echoHandler is a minimal serving protocol for transport tests: each query
-// is a star round trip around the leader Load was handed — every worker
-// sends the leader one message, the leader answers with one broadcast —
-// plus v mod 3 idle rounds (so the lanes of a batch need different round
-// counts), and returns one synthetic "winner" per node, so the frontend's
-// per-query merge path is exercised; the leader reports v as its survivor
-// count, an outcome the frontend takes from the leader alone. A query for
-// the magic value 1313 fails on the worker after the leader before it sends
-// anything, exercising epoch-failure recovery: the other workers only learn
-// of the failure through the leader's abort.
+// echoHandler is a minimal serving protocol for transport tests: a shard of
+// ten points that answers every query point v with one synthetic winner,
+// key (10v + id, id + 1), so the frontend's merge path is exercised. A
+// query for the magic value 1313 fails on node 1 only, exercising a failed
+// dispatch.
 type echoHandler struct {
-	leader int
+	id int
 }
 
-func (h *echoHandler) Load(id, k, leader int) (SessionInfo, error) {
-	h.leader = leader
+func (h *echoHandler) Load(id, k int) (SessionInfo, error) {
+	h.id = id
 	return SessionInfo{ShardLen: 10, PointTag: wire.PointScalar}, nil
 }
 
-func (h *echoHandler) Query(m kmachine.Env, q wire.Query, qi int) (QueryResult, error) {
+func (h *echoHandler) Direct(q wire.Query, qi int, _ keys.Key) ([]points.Item, error) {
 	v, err := wire.DecodeScalarPoint(q.Points[qi])
 	if err != nil {
-		return QueryResult{}, err
+		return nil, err
 	}
-	if v == 1313 && m.ID() == (h.leader+1)%m.K() {
-		return QueryResult{}, fmt.Errorf("unlucky query")
+	if v == 1313 && h.id == 1 {
+		return nil, fmt.Errorf("unlucky query")
 	}
-	// One star round trip, so every query exercises the mesh: two rounds.
-	if m.ID() == h.leader {
-		if got := len(m.Gather(m.K() - 1)); got != m.K()-1 {
-			return QueryResult{}, fmt.Errorf("leader gathered %d of %d", got, m.K()-1)
-		}
-		m.Broadcast([]byte{byte(m.ID())})
-	} else {
-		m.Send(h.leader, []byte{byte(m.ID())})
-		m.EndRound()
-		if got := len(m.Gather(1)); got != 1 {
-			return QueryResult{}, fmt.Errorf("worker gathered %d replies", got)
-		}
-	}
-	for r := uint64(0); r < v%3; r++ {
-		m.EndRound()
-	}
-	out := QueryResult{
-		Winners: []points.Item{{Key: keys.Key{Dist: v*10 + uint64(m.ID()), ID: uint64(m.ID()) + 1}}},
-	}
-	if m.ID() == h.leader {
-		out.Survivors = int64(v)
-	}
-	return out, nil
-}
-
-// Direct satisfies the Handler interface; the echo handlers never report a
-// metric summary, so no frontend in these tests direct-dispatches to them.
-func (h *echoHandler) Direct(q wire.Query, qi int, _ keys.Key) (QueryResult, error) {
-	v, err := wire.DecodeScalarPoint(q.Points[qi])
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return QueryResult{
-		Winners: []points.Item{{Key: keys.Key{Dist: v * 10, ID: 1}}},
-	}, nil
+	return []points.Item{{Key: keys.Key{Dist: v*10 + uint64(h.id), ID: uint64(h.id) + 1}}}, nil
 }
 
 func scalarQuery(op uint8, l int, vs ...uint64) wire.Query {
@@ -135,18 +97,19 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 				t.Fatalf("query %d item %d = %v, want %v", v, id, it.Key, want)
 			}
 		}
-		if res.Boundary != res.Items[k-1].Key || res.Survivors != int64(v) || rep.Leader != lc.Leader() {
+		if res.Boundary != res.Items[k-1].Key || rep.Leader != lc.Leader() {
 			t.Fatalf("query %d: outcome %+v leader %d", v, res.QueryOutcome, rep.Leader)
 		}
-		// A star round trip: k−1 worker messages, k−1 leader replies.
-		if rep.Rounds != 2+int(v%3) || rep.Messages != int64(2*(k-1)) {
-			t.Fatalf("query %d: cost rounds=%d msgs=%d, want %d and %d", v, rep.Rounds, rep.Messages, 2+v%3, 2*(k-1))
+		// One full-scatter wave: one round, one contact per seat, and no
+		// bytes between nodes.
+		if rep.Rounds != 1 || rep.Messages != int64(k) || rep.Bytes != 0 {
+			t.Fatalf("query %d: cost rounds=%d msgs=%d bytes=%d, want 1, %d, 0", v, rep.Rounds, rep.Messages, rep.Bytes, k)
 		}
 	}
 }
 
 // TestServeBatchedEpoch drives a whole batch through one dispatch and
-// checks per-query merge order and the single shared epoch cost.
+// checks per-query merge order and the single shared wave's cost.
 func TestServeBatchedEpoch(t *testing.T) {
 	k := 3
 	lc, client := startEchoCluster(t, k, 11)
@@ -169,19 +132,17 @@ func TestServeBatchedEpoch(t *testing.T) {
 				t.Fatalf("query %d item %d = %v, want %v", qi, id, it.Key, want)
 			}
 		}
-		if res.Boundary != res.Items[k-1].Key || res.Survivors != int64(v) {
+		if res.Boundary != res.Items[k-1].Key {
 			t.Fatalf("query %d: outcome %+v", qi, res.QueryOutcome)
 		}
 	}
 	if rep.Leader != lc.Leader() {
 		t.Fatalf("leader %d, want %d", rep.Leader, lc.Leader())
 	}
-	// The batch is one epoch of len(vs) lanes: every answer equals the same
-	// query asked alone in a one-lane epoch, the lanes share the physical
-	// rounds (the epoch takes as many as its slowest lane, not their sum),
-	// and messages and bytes add up.
-	var rounds int
-	var messages, bytes int64
+	// The batch is one wave: every answer equals the same query asked alone,
+	// the batch takes one round as each query alone does, and the contacts
+	// add up.
+	var messages int64
 	for qi, v := range vs {
 		single, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
@@ -190,18 +151,13 @@ func TestServeBatchedEpoch(t *testing.T) {
 		if !reflect.DeepEqual(rep.Results[qi], single.Results[0]) {
 			t.Fatalf("query %d: batched answer %+v, asked alone %+v", qi, rep.Results[qi], single.Results[0])
 		}
-		if want := 2 + int(v%3); single.Rounds != want {
-			t.Fatalf("query %d alone took %d rounds, want %d", qi, single.Rounds, want)
+		if single.Rounds != 1 {
+			t.Fatalf("query %d alone took %d rounds, want 1", qi, single.Rounds)
 		}
-		rounds = max(rounds, single.Rounds)
 		messages += single.Messages
-		bytes += single.Bytes
 	}
-	if rep.Rounds != rounds {
-		t.Fatalf("batch rounds=%d, want the slowest lane's %d", rep.Rounds, rounds)
-	}
-	if rep.Messages != messages || rep.Bytes != bytes {
-		t.Fatalf("batch sent %d messages / %d bytes, its queries alone %d / %d", rep.Messages, rep.Bytes, messages, bytes)
+	if rep.Rounds != 1 || rep.Messages != messages || rep.Bytes != 0 {
+		t.Fatalf("batch cost %d rounds / %d messages / %d bytes, want 1 / %d (its queries alone) / 0", rep.Rounds, rep.Messages, rep.Bytes, messages)
 	}
 }
 
@@ -221,11 +177,11 @@ func TestServeEpochFailureKeepsSessionAlive(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unlucky") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// A failing query inside a batch fails the whole batch (one epoch).
+	// A failing query inside a batch fails the whole batch (one wave).
 	if _, err := client.Do(scalarQuery(wire.OpKNN, 1, 4, 1313, 6)); err == nil {
 		t.Fatal("batch containing the magic query should fail")
 	}
-	// The session must survive failed epochs.
+	// The session must survive failed waves.
 	for v := uint64(20); v < 30; v++ {
 		ok(v)
 	}
@@ -291,8 +247,8 @@ func TestFrontendValidatesQueries(t *testing.T) {
 // the frontend must reject the session during the ready phase.
 type mismatchedTagHandler struct{ echoHandler }
 
-func (h *mismatchedTagHandler) Load(id, k, leader int) (SessionInfo, error) {
-	info, err := h.echoHandler.Load(id, k, leader)
+func (h *mismatchedTagHandler) Load(id, k int) (SessionInfo, error) {
+	info, err := h.echoHandler.Load(id, k)
 	info.PointTag += uint8(id)
 	return info, err
 }
@@ -330,10 +286,7 @@ func registerRaw(t *testing.T, fe *Frontend, n int) []net.Conn {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		var reg wire.Writer
-		reg.Kind(wire.KindRegister)
-		reg.String("127.0.0.1:1")
-		if err := wire.WriteFrame(conn, reg.Bytes()); err != nil {
+		if err := wire.WriteFrame(conn, []byte{byte(wire.KindRegister)}); err != nil {
 			t.Fatal(err)
 		}
 		conns = append(conns, conn)
@@ -471,105 +424,58 @@ func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
 }
 
 // TestJoinRejectsAssignBeyondPayload pins the join's bounds check: an
-// Assign whose cluster size k promises more addresses than the frame holds
-// fails the join with an error instead of allocating from that varint.
+// Assign whose cluster size k does not fit an int32 — or whose seat lies
+// outside its cluster — fails the join with an error instead of seating
+// the node in a cluster nothing can allocate for.
 func TestJoinRejectsAssignBeyondPayload(t *testing.T) {
-	addr := stubFrontend(t, func(conn net.Conn) {
-		defer conn.Close()
-		if _, err := wire.ReadFrame(conn); err != nil {
-			return
+	for _, a := range []struct{ id, k uint64 }{{0, 1 << 40}, {3, 3}} {
+		addr := stubFrontend(t, func(conn net.Conn) {
+			defer conn.Close()
+			if _, err := wire.ReadFrame(conn); err != nil {
+				return
+			}
+			var w wire.Writer
+			w.Kind(wire.KindAssign)
+			w.Varint(a.id)
+			w.Varint(a.k)
+			_ = wire.WriteFrame(conn, w.Bytes())
+		})
+		err := ServeNodeObserved(addr, nil, &echoHandler{})
+		if err == nil || !strings.Contains(err.Error(), "does not fit") {
+			t.Fatalf("join against an assign of seat %d of %d: got %v, want a bounds error", a.id, a.k, err)
 		}
-		var w wire.Writer
-		w.Kind(wire.KindAssign)
-		w.Varint(0)       // seat
-		w.Varint(1 << 40) // k
-		w.U64(1)          // seed
-		w.Varint(0)       // epoch
-		w.Varint(0)       // no present peers
-		w.String("127.0.0.1:1")
-		_ = wire.WriteFrame(conn, w.Bytes())
-	})
-	err := ServeNodeObserved(addr, "127.0.0.1:0", "", nil, &echoHandler{})
-	if err == nil || !strings.Contains(err.Error(), "exceeds payload") {
-		t.Fatalf("join against an assign with k beyond its payload: got %v, want a bounds error", err)
 	}
 }
 
-// meshStub is a fake mesh acceptor on a raw listener: it reads the dialer's
-// hello and hands the connection to script.
-func meshStub(t *testing.T, script func(conn net.Conn)) string {
-	t.Helper()
-	return stubFrontend(t, func(conn net.Conn) {
-		defer conn.Close()
-		if _, err := wire.ReadFrame(conn); err != nil {
-			t.Errorf("stub acceptor read hello: %v", err)
-			return
-		}
-		script(conn)
-	})
-}
+// maxLintAllows is the number of audited //knnlint:allow directives in this
+// package's non-test files. ROADMAP: the count should fall, not hold — lower
+// it in the commit that removes one; raising it needs the same argument in
+// review that the directive itself does.
+const maxLintAllows = 12
 
-// TestMeshHandshakeFrameOvertakesAck is the regression test for the mesh
-// ack race: an acceptor publishes the link before it acks, so a round
-// frame of its own epoch can reach the dialer ahead of the ack. The dialer
-// must deliver that frame to the epoch, not consume it as the ack.
-func TestMeshHandshakeFrameOvertakesAck(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	addr := meshStub(t, func(conn net.Conn) {
-		if err := writeRoundFrame(conn, flagData, 0, 0, []laneMsg{{payload: []byte("early")}}); err != nil {
-			t.Errorf("stub acceptor round frame: %v", err)
-		}
-		if err := wire.WriteFrame(conn, nil); err != nil {
-			t.Errorf("stub acceptor ack: %v", err)
-		}
-		<-release // keep the link up until the test has read its feed
-	})
-	node := newNode(1, 2, 0)
-	defer node.closePeers()
-	if err := dialPeer(node, 0, addr); err != nil {
-		t.Fatalf("dialPeer with a round frame ahead of the ack: %v", err)
-	}
-	er, err := node.beginEpoch(0, 1)
+// TestLintAllowBudget keeps the package's //knnlint:allow directives at the
+// audited count: it fails when one is added, and when one goes without the
+// budget following it down.
+func TestLintAllowBudget(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer er.release()
-	select {
-	case f, ok := <-er.feeds[0]:
-		if !ok {
-			t.Fatalf("link died instead of delivering the frame: %v", er.peers[0].cause())
+	n := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
 		}
-		if f.flag != flagData || f.epoch != 0 || f.round != 0 || len(f.msgs) != 1 || f.msgs[0].lane != 0 || string(f.msgs[0].payload) != "early" {
-			t.Fatalf("epoch 0 feed delivered %+v, want the round-0 frame written ahead of the ack", f)
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the round-0 frame written ahead of the ack never reached epoch 0's feed")
+		n += strings.Count(string(src), "//knnlint:allow ")
 	}
-}
-
-// TestMeshHandshakeUnackedDialIsBounded is the other half: an acceptor that
-// never acks costs the dialer handshakeTimeout, not forever, and the
-// half-open link does not stay installed.
-func TestMeshHandshakeUnackedDialIsBounded(t *testing.T) {
-	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
-	handshakeTimeout = 100 * time.Millisecond
-	release := make(chan struct{})
-	defer close(release)
-	addr := meshStub(t, func(conn net.Conn) { <-release })
-	node := newNode(1, 2, 0)
-	defer node.closePeers()
-	done := make(chan error, 1)
-	go func() { done <- dialPeer(node, 0, addr) }()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "ack from 0") {
-			t.Fatalf("dialPeer against a silent acceptor: got %v, want an ack timeout", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("dialPeer against a silent acceptor did not return within the handshake timeout")
+	if n > maxLintAllows {
+		t.Errorf("%d //knnlint:allow directives in internal/transport/tcp, budget is %d", n, maxLintAllows)
 	}
-	if p := node.peerSnapshot()[0]; p != nil {
-		t.Fatal("an unacked link stayed installed")
+	if n < maxLintAllows {
+		t.Errorf("%d //knnlint:allow directives left — lower maxLintAllows from %d to lock the gain in", n, maxLintAllows)
 	}
 }

@@ -1,19 +1,17 @@
 package tcp
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"distknn/internal/core"
 	"distknn/internal/election"
 	"distknn/internal/keys"
-	"distknn/internal/kmachine"
+	"distknn/internal/obs"
 	"distknn/internal/points"
+	"distknn/internal/wire"
 	"distknn/internal/xrand"
 )
 
@@ -28,269 +26,94 @@ func instanceFor(seed uint64, id, n int) *points.Set[points.Scalar] {
 	return s
 }
 
-// startMesh brings up a real resident star of k nodes and returns them
-// indexed by machine id. It is the production bring-up minus the Handler:
-// Frontend rendezvous, joinServe, meshAcceptLoop, then a dial of every star
-// neighbour the grant lists. The mesh stays up until the test ends, as a
-// resident one outlives its epochs.
-func startMesh(t testing.TB, k int, seed uint64) []*Node {
-	t.Helper()
-	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
+// setHandler serves seat id's instanceFor shard from its block scan, as a
+// served scalar node does; relabel, when set, rewrites the shard's labels.
+type setHandler struct {
+	seed    uint64
+	n       int
+	relabel func(labels []float64)
+	set     *points.Set[points.Scalar]
+}
+
+func (h *setHandler) Load(id, k int) (SessionInfo, error) {
+	h.set = instanceFor(h.seed, id, h.n)
+	if h.relabel != nil {
+		h.relabel(h.set.Labels)
+	}
+	return SessionInfo{ShardLen: h.n, PointTag: wire.PointScalar}, nil
+}
+
+func (h *setHandler) Direct(q wire.Query, qi int, ceil keys.Key) ([]points.Item, error) {
+	v, err := wire.DecodeScalarPoint(q.Points[qi])
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- fe.Serve() }()
-	// The fe.Close below releases Serve from its wait for ready reports
-	// that never come.
-	t.Cleanup(func() {
-		if err := <-serveDone; err != nil {
-			t.Errorf("frontend: %v", err)
-		}
-	})
-
-	nodes := make([]*Node, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			t.Cleanup(func() { ln.Close() })
-			coord, a, err := joinServe(fe.Addr(), ln, "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			t.Cleanup(func() { coord.Close() })
-			node := newNode(a.ID, a.K, election.Leader(a.Seed, a.K))
-			t.Cleanup(node.closePeers)
-			go meshAcceptLoop(node, ln)
-			for _, j := range a.Present {
-				if err := dialPeer(node, j, a.Addrs[j]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			nodes[a.ID] = node
-		}()
-	}
-	wg.Wait()
-	fe.Close()
-	if t.Failed() {
-		t.FailNow()
-	}
-	return nodes
+	return h.set.TopLItems(points.Scalar(v), q.L, ceil), nil
 }
 
-// onEveryNode runs one epoch on every node of a mesh concurrently and
-// returns each node's metrics and error, indexed by machine id.
-func onEveryNode(nodes []*Node, epoch func(n *Node) (Metrics, error)) ([]Metrics, []error) {
-	metrics := make([]Metrics, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			metrics[i], errs[i] = epoch(n)
-		}()
-	}
-	wg.Wait()
-	return metrics, errs
-}
-
-// runStarEpoch runs prog as the one-lane epoch ordinal on every node of a
-// standing star, as a dispatched query epoch runs, with the ordinal as its
-// epoch seed — so a simulator twin seeds kmachine.Run with the ordinal.
-func runStarEpoch(nodes []*Node, ordinal uint64, prog kmachine.Program) ([]Metrics, []error) {
-	return onEveryNode(nodes, func(n *Node) (Metrics, error) {
-		er, err := n.beginEpoch(ordinal, ordinal)
-		if err != nil {
-			return Metrics{}, err
-		}
-		err = er.run([]kmachine.Program{prog})
-		return er.metrics, err
-	})
-}
-
-// mustRunStarEpoch brings up a fresh k-node star for the session seed and
-// runs prog as its epoch seed, a program every node must finish.
-func mustRunStarEpoch(t *testing.T, k int, seed uint64, prog kmachine.Program) []Metrics {
-	t.Helper()
-	metrics, errs := runStarEpoch(startMesh(t, k, seed), seed, prog)
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("node %d: %v", i, e)
-		}
-	}
-	return metrics
-}
-
-func TestPingPongOverTCP(t *testing.T) {
-	prog := func(m kmachine.Env) error {
-		if m.ID() == 0 {
-			m.Send(1, []byte("ping"))
-			m.EndRound()
-			msgs := m.Gather(1)
-			if string(msgs[0].Payload) != "pong" {
-				return fmt.Errorf("got %q", msgs[0].Payload)
-			}
-			return nil
-		}
-		msgs := m.Gather(1)
-		if string(msgs[0].Payload) != "ping" {
-			return fmt.Errorf("got %q", msgs[0].Payload)
-		}
-		m.Send(0, []byte("pong"))
-		return nil
-	}
-	metrics := mustRunStarEpoch(t, 2, 1, prog)
-	if metrics[0].Messages != 1 || metrics[1].Messages != 1 {
-		t.Errorf("metrics: %+v", metrics)
-	}
-}
-
-// TestBroadcastGatherOverTCP runs one star round trip: every worker sends
-// the leader its id, the leader gathers them all and broadcasts its own.
-func TestBroadcastGatherOverTCP(t *testing.T) {
-	const k, seed = 5, 2
-	leader := election.Leader(seed, k)
-	prog := func(m kmachine.Env) error {
-		want := 1
-		if m.ID() == leader {
-			want = k - 1
-			m.Broadcast([]byte{byte(m.ID())})
-		} else {
-			m.Send(leader, []byte{byte(m.ID())})
-		}
-		m.EndRound()
-		seen := make(map[int]bool)
-		for _, msg := range m.Gather(want) {
-			if int(msg.Payload[0]) != msg.From {
-				return fmt.Errorf("corrupt payload from %d", msg.From)
-			}
-			seen[msg.From] = true
-		}
-		if len(seen) != want {
-			return fmt.Errorf("saw %d peers, want %d", len(seen), want)
-		}
-		return nil
-	}
-	mustRunStarEpoch(t, k, seed, prog)
-}
-
-func TestStaggeredHalts(t *testing.T) {
-	// Workers halt at different rounds; later rounds must keep working
-	// between the leader and the last worker.
-	const k, seed = 4, 3
-	leader := election.Leader(seed, k)
-	last := (leader + k - 1) % k
-	prog := func(m kmachine.Env) error {
-		// The worker at distance d from the leader spins d*3 rounds, then
-		// (unless it is the last) halts; the leader keeps talking to the
-		// last worker the whole time.
-		switch m.ID() {
-		case leader:
-			for r := 0; r < 9; r++ {
-				m.Send(last, []byte{byte(r)})
-				m.EndRound()
-			}
-			return nil
-		case last:
-			got := 0
-			for got < 9 {
-				got += len(m.Gather(1))
-			}
-			return nil
-		default:
-			for r := 0; r < (m.ID()-leader+k)%k*3; r++ {
-				m.EndRound()
-			}
-			return nil
-		}
-	}
-	mustRunStarEpoch(t, k, seed, prog)
-}
-
-func TestErrorPropagatesAcrossCluster(t *testing.T) {
-	boom := errors.New("boom")
-	prog := func(m kmachine.Env) error {
-		if m.ID() == 1 {
-			m.EndRound()
-			return boom
-		}
-		for {
-			m.EndRound() // spins until aborted by node 1's error frame
-		}
-	}
-	_, errs := runStarEpoch(startMesh(t, 3, 4), 4, prog)
-	if !errors.Is(errs[1], boom) {
-		t.Errorf("node 1 error = %v", errs[1])
-	}
-	for _, i := range []int{0, 2} {
-		if errs[i] == nil || !strings.Contains(errs[i].Error(), "abort") {
-			t.Errorf("node %d should abort, got %v", i, errs[i])
-		}
-	}
-}
-
+// TestFullKNNPipelineOverTCP is the headline integration: a served cluster
+// over real sockets answers KNN, Classify and Regress, each node shipping
+// its local top-ℓ and the frontend selecting and folding, validated against
+// a brute-force oracle over the merged data.
 func TestFullKNNPipelineOverTCP(t *testing.T) {
-	// The headline integration: Algorithm 2 around the seed's leader over
-	// real sockets, then the Classify fold over the winner shares the nodes
-	// collected, validated against a brute-force oracle.
-	k, n, l := 4, 400, 25
-	seed := uint64(99)
-	leader := election.Leader(seed, k)
+	const k, n, l, seed = 4, 400, 25, 99
 	// Four classes, so the vote has real contenders.
-	instance := func(id int) *points.Set[points.Scalar] {
-		set := instanceFor(seed, id, n)
-		for j, label := range set.Labels {
-			set.Labels[j] = math.Floor(4 * label)
+	relabel := func(labels []float64) {
+		for j, label := range labels {
+			labels[j] = math.Floor(4 * label)
 		}
-		return set
 	}
-	q := points.Scalar(xrand.NewStream(seed, 1<<40).Uint64N(points.PaperDomain))
-	var mu sync.Mutex
-	boundaries := make([]keys.Key, k)
-	shares := make([][]points.Item, k)
-
-	prog := func(m kmachine.Env) error {
-		set := instance(m.ID())
-		res, err := core.KNN(m, core.Config{Leader: leader, L: l}, set.TopLItems(q, l))
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		boundaries[m.ID()] = res.Boundary
-		shares[m.ID()] = res.Winners
-		mu.Unlock()
-		return nil
-	}
-	mustRunStarEpoch(t, k, seed, prog)
-
-	// Oracle: merge all machines' data and brute-force the query.
+	lc := startEchoClusterOptions(t, k, seed, FrontendOptions{}, func() Handler {
+		return &setHandler{seed: seed, n: n, relabel: relabel}
+	})
+	client := dialNoRetry(t, lc.Addr())
 	var parts []*points.Set[points.Scalar]
 	for i := 0; i < k; i++ {
-		parts = append(parts, instance(i))
+		set := instanceFor(seed, i, n)
+		relabel(set.Labels)
+		parts = append(parts, set)
 	}
-	want := points.Merge(parts).BruteKNN(q, l)
-	wantBoundary := want[l-1].Key
-	for i := 0; i < k; i++ {
-		if boundaries[i] != wantBoundary {
-			t.Errorf("node %d boundary %v, want %v", i, boundaries[i], wantBoundary)
+	all := points.Merge(parts)
+	for i := 0; i < 10; i++ {
+		v := xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain)
+		want := all.BruteKNN(points.Scalar(v), l)
+		rep, err := client.Do(scalarQuery(wire.OpKNN, l, v))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	label, err := core.ClassifyShares(shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := bruteVote(want); label != v {
-		t.Errorf("classified %g from the collected shares, brute-force vote %g", label, v)
+		got := rep.Results[0]
+		if len(got.Items) != l || got.Boundary != want[l-1].Key {
+			t.Fatalf("query %d: %d items, boundary %v; want %d, %v", i, len(got.Items), got.Boundary, l, want[l-1].Key)
+		}
+		for j := range want {
+			if got.Items[j] != want[j] {
+				t.Fatalf("query %d item %d: %+v, want %+v", i, j, got.Items[j], want[j])
+			}
+		}
+		rep, err = client.Do(scalarQuery(wire.OpClassify, l, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if label := rep.Results[0].Value; label != bruteVote(want) {
+			t.Errorf("query %d: classified %g, brute-force vote %g", i, label, bruteVote(want))
+		}
+		// Regress sums each seat's share in key order, the leader's first.
+		shares := make([][]points.Item, k)
+		for _, it := range want {
+			seat := int((it.Key.ID - 1) / n)
+			shares[seat] = append(shares[seat], it)
+		}
+		mean, err := core.RegressShares(shares, election.Leader(seed, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err = client.Do(scalarQuery(wire.OpRegress, l, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Results[0].Value; math.Float64bits(got) != math.Float64bits(mean) {
+			t.Errorf("query %d: regressed %v, leader-ordered brute-force mean %v", i, got, mean)
+		}
 	}
 }
 
@@ -309,123 +132,93 @@ func bruteVote(items []points.Item) float64 {
 	return best
 }
 
-func TestTCPMatchesSimulator(t *testing.T) {
-	// With the same epoch seed, a one-lane TCP epoch and the simulator at the
-	// socket link budget must make bit-identical protocol decisions — the
-	// same answer at the same cost, message for message. At ℓ = 10 every
-	// node's sample is its whole local top-ℓ and the leader finishes at the
-	// sample; at ℓ = 128 the samples are partial and the prune runs.
-	k, n := 3, 200
-	seed := uint64(55)
-	q := points.Scalar(12345678)
-	leader := election.Leader(seed, k)
+// failingHandler is an echoHandler whose every seat from 1 up fails the
+// magic value 99, each with its own message.
+type failingHandler struct{ echoHandler }
 
-	prog := func(l int, record func(id int, res core.Result)) kmachine.Program {
-		return func(m kmachine.Env) error {
-			set := instanceFor(seed, m.ID(), n)
-			res, err := core.KNN(m, core.Config{Leader: leader, L: l}, set.TopLItems(q, l))
-			if err != nil {
-				return err
-			}
-			record(m.ID(), res)
-			return nil
+func (h *failingHandler) Direct(q wire.Query, qi int, ceil keys.Key) ([]points.Item, error) {
+	if v, _ := wire.DecodeScalarPoint(q.Points[qi]); v == 99 && h.id >= 1 {
+		return nil, fmt.Errorf("boom on node %d", h.id)
+	}
+	return h.echoHandler.Direct(q, qi, ceil)
+}
+
+// TestErrorPropagatesAcrossCluster pins how a node's failure reaches the
+// client: the wave fails as a whole with a plain (not degraded) error, and
+// when several seats fail it, the client is told the lowest seat's message
+// every time, whatever order the reports arrive in. No seat is lost, so the
+// next query answers.
+func TestErrorPropagatesAcrossCluster(t *testing.T) {
+	const k = 3
+	lc := startEchoClusterOptions(t, k, 4, FrontendOptions{}, func() Handler { return &failingHandler{} })
+	client := dialNoRetry(t, lc.Addr())
+	for i := 0; i < 10; i++ {
+		_, err := client.Do(scalarQuery(wire.OpKNN, k, 99))
+		if err == nil || !strings.Contains(err.Error(), "query failed: node 1: boom on node 1") || strings.Contains(err.Error(), "degraded") {
+			t.Fatalf("attempt %d: got %v, want node 1's failure", i, err)
 		}
 	}
-	recordInto := func(out []core.Result) func(int, core.Result) {
-		var mu sync.Mutex
-		return func(id int, res core.Result) {
-			mu.Lock()
-			out[id] = res
-			mu.Unlock()
-		}
+	rep, err := client.Do(scalarQuery(wire.OpKNN, k, 5))
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkEcho(t, rep, k, 5, lc.Leader())
+}
 
-	for _, l := range []int{10, 128} {
-		tcpRes := make([]core.Result, k)
-		tcpMet := mustRunStarEpoch(t, k, seed, prog(l, recordInto(tcpRes)))
-
-		simRes := make([]core.Result, k)
-		simMet, err := kmachine.Run(kmachine.Config{K: k, Seed: seed, BandwidthBytes: linkBudget},
-			prog(l, recordInto(simRes)))
-		if err != nil {
+// TestEpochFrameBudget pins what a query costs on the wire: one wave is one
+// dispatch frame to every seat and one result frame back from each, and
+// nothing else crosses a node's connection — the node counters hold exactly
+// those frames' bytes, and each node answered every wave once.
+func TestEpochFrameBudget(t *testing.T) {
+	const k, queries = 4, 6
+	reg := obs.NewRegistry()
+	lc, err := ServeLocalOptions(k, 5, FrontendOptions{}, reg, func() Handler { return &echoHandler{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	client := dialNoRetry(t, lc.Addr())
+	before := reg.Snapshot().Counters
+	var in, out int64
+	for i := 0; i < queries; i++ {
+		v := uint64(i + 3)
+		if _, err := client.Do(scalarQuery(wire.OpKNN, k, v)); err != nil {
 			t.Fatal(err)
 		}
-		rounds := 0
-		for i := 0; i < k; i++ {
-			if tcpRes[i].Boundary != simRes[i].Boundary {
-				t.Errorf("l=%d node %d: tcp %v != sim %v", l, i, tcpRes[i].Boundary, simRes[i].Boundary)
-			}
-			if tcpRes[i].Iterations != simRes[i].Iterations || tcpRes[i].Survivors != simRes[i].Survivors {
-				t.Errorf("l=%d node %d: tcp %d iterations / %d survivors, sim %d / %d", l, i,
-					tcpRes[i].Iterations, tcpRes[i].Survivors, simRes[i].Iterations, simRes[i].Survivors)
-			}
-			if tcpMet[i].Messages != simMet.SentMessages[i] || tcpMet[i].Bytes != simMet.SentBytes[i] {
-				t.Errorf("l=%d node %d: tcp sent %d messages / %d bytes, sim %d / %d", l, i,
-					tcpMet[i].Messages, tcpMet[i].Bytes, simMet.SentMessages[i], simMet.SentBytes[i])
-			}
-			rounds = max(rounds, tcpMet[i].Rounds)
+		epoch := uint64(i + 1)
+		var dw wire.Writer
+		wire.AppendDispatchDirect(&dw, epoch, scalarQuery(wire.OpKNN, k, v), nil)
+		in += k * int64(dw.Len()+4)
+		for id := 0; id < k; id++ {
+			var rw wire.Writer
+			wire.AppendNodeResult(&rw, wire.NodeResult{Epoch: epoch, Node: id, Queries: []wire.NodeQueryResult{{
+				Winners: []points.Item{{Key: keys.Key{Dist: v*10 + uint64(id), ID: uint64(id) + 1}}},
+			}}})
+			out += int64(rw.Len() + 4)
 		}
-		// The simulator counts rounds until the last machine halts; so does
-		// the slowest node. With sim == tcp, the simulator's exact round law
-		// (core's TestKNNRoundLaw) holds on sockets too.
-		if rounds != simMet.Rounds {
-			t.Errorf("l=%d: tcp epoch took %d rounds, sim %d", l, rounds, simMet.Rounds)
-		}
-		want := 2*simRes[0].Iterations + 6
-		if l == 10 {
-			if simRes[0].Iterations != 0 {
-				t.Errorf("l=10: %d iterations after a complete sample, want 0", simRes[0].Iterations)
-			}
-			want = 2
-		}
-		if rounds != want {
-			t.Errorf("l=%d: %d rounds for %d iterations, want %d", l, rounds, simRes[0].Iterations, want)
+	}
+	after := reg.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"node_epochs_served_total":  k * queries,
+		"node_ctrl_bytes_in_total":  in,
+		"node_ctrl_bytes_out_total": out,
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s grew by %d over %d queries, want %d", name, got, queries, want)
 		}
 	}
 }
 
-// TestEpochFrameBudget pins what an epoch costs on the wire. Every node runs
-// R rounds of a leader-star exchange (the hub broadcasts, each worker sends
-// it one message) and halts. That costs 2(k−1) frames a round: each worker
-// writes only to the hub, the hub to each worker. The final halt frames
-// cost one more round's worth — every node halts in round R, so none has
-// seen another's halt before writing its own.
-func TestEpochFrameBudget(t *testing.T) {
-	const k, seed, R = 4, 5, 5
-	hub := election.Leader(seed, k)
-	prog := func(m kmachine.Env) error {
-		for r := 0; r < R; r++ {
-			if m.ID() == hub {
-				m.Broadcast([]byte{byte(r)})
-			} else {
-				m.Send(hub, []byte{byte(r)})
-			}
-			m.EndRound()
-		}
-		return nil
-	}
-	var frames, messages int64
-	for i, met := range mustRunStarEpoch(t, k, seed, prog) {
-		if met.Rounds != R {
-			t.Errorf("node %d ran %d rounds, want %d", i, met.Rounds, R)
-		}
-		frames += met.Frames
-		messages += met.Messages
-	}
-	const perRound = 2 * (k - 1)
-	if want := int64(perRound * (R + 1)); frames != want {
-		t.Errorf("%d frames over %d rounds, want %d per round plus the final frames = %d", frames, R, perRound, want)
-	}
-	if want := int64(2 * (k - 1) * R); messages != want {
-		t.Errorf("%d messages, want %d", messages, want)
-	}
-}
-
+// TestSingleNodeCluster serves one seat: its local top-ℓ is the answer, at
+// the wave's cost of one round and one contact.
 func TestSingleNodeCluster(t *testing.T) {
-	mustRunStarEpoch(t, 1, 7, func(m kmachine.Env) error {
-		if m.K() != 1 || m.ID() != 0 {
-			return fmt.Errorf("bad identity")
-		}
-		return nil
-	})
+	lc, client := startEchoCluster(t, 1, 7)
+	rep, err := client.Do(scalarQuery(wire.OpKNN, 1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEcho(t, rep, 1, 8, lc.Leader())
+	if rep.Rounds != 1 || rep.Messages != 1 || rep.Bytes != 0 {
+		t.Fatalf("cost %d rounds / %d messages / %d bytes, want 1 / 1 / 0", rep.Rounds, rep.Messages, rep.Bytes)
+	}
 }

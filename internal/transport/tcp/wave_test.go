@@ -24,28 +24,21 @@ var scalarGeometry = &metricindex.WirePruner[points.Scalar]{
 }
 
 // stubNode is a serving node reduced to its control connection: it registers,
-// reports ready with a metric summary, records every control
-// frame it is sent, and answers dispatches by brute force over three points
-// around its center — on a direct dispatch with bounds, only the keys below
-// each point's bound. It builds no mesh — a pruned frontend never needs one —
-// so a mesh dispatch is answered only when claim is set: the stub then
-// reports its local top-ℓ as its share, with the leader flag claim(id) and,
-// when it claims, stubSurvivors as every point's survivor count. A non-nil
-// mangle turns the stub rogue: it replaces every direct answer with
-// mangle(id, v, bound, honest).
+// reports ready with a metric summary, records every control frame it is
+// sent, and answers dispatches by brute force over three points around its
+// center — on a dispatch with bounds, only the keys below each point's
+// bound. A non-nil mangle turns the stub rogue: it replaces every answer
+// with mangle(id, v, bound, honest).
 type stubNode struct {
 	mu     sync.Mutex
 	id     int
 	frames [][]byte
-	claim  func(id int) bool
 	mangle mangler
 }
 
 // mangler rewrites stub seat id's honest direct answer for point v under
 // bound.
 type mangler func(id int, v uint64, bound keys.Key, honest []points.Item) []points.Item
-
-const stubSurvivors = 7
 
 var stubCenters = []uint64{100, 1000}
 
@@ -72,10 +65,7 @@ func (n *stubNode) serve(addr string) error {
 		return err
 	}
 	defer conn.Close()
-	var reg wire.Writer
-	reg.Kind(wire.KindRegister)
-	reg.String("stub:0")
-	if err := wire.WriteFrame(conn, reg.Bytes()); err != nil {
+	if err := wire.WriteFrame(conn, []byte{byte(wire.KindRegister)}); err != nil {
 		return err
 	}
 	payload, err := wire.ReadFrame(conn)
@@ -115,23 +105,17 @@ func (n *stubNode) serve(addr string) error {
 		switch kind := r.Kind(); kind {
 		case wire.KindShutdown:
 			return nil
-		case wire.KindDispatch, wire.KindDispatchDirect:
-			mesh := kind == wire.KindDispatch
-			if mesh && n.claim == nil {
-				return fmt.Errorf("stub: unexpected mesh dispatch")
-			}
+		case wire.KindDispatchDirect:
 			epoch := r.Varint()
 			q, err := wire.DecodeQuery(r)
 			if err != nil {
 				return err
 			}
-			var bounds []keys.Key
-			if !mesh {
-				if bounds, err = wire.DecodeBounds(r, len(q.Points)); err != nil {
-					return err
-				}
+			bounds, err := wire.DecodeBounds(r, len(q.Points))
+			if err != nil {
+				return err
 			}
-			nr := wire.NodeResult{Epoch: epoch, Node: id, IsLeader: mesh && n.claim(id), Queries: make([]wire.NodeQueryResult, len(q.Points))}
+			nr := wire.NodeResult{Epoch: epoch, Node: id, Queries: make([]wire.NodeQueryResult, len(q.Points))}
 			for qi, p := range q.Points {
 				v, err := wire.DecodeScalarPoint(p)
 				if err != nil {
@@ -145,13 +129,10 @@ func (n *stubNode) serve(addr string) error {
 				for len(w) > 0 && !w[len(w)-1].Key.Less(bound) {
 					w = w[:len(w)-1]
 				}
-				if !mesh && n.mangle != nil {
+				if n.mangle != nil {
 					w = n.mangle(id, v, bound, w)
 				}
 				nr.Queries[qi].Winners = w
-				if nr.IsLeader {
-					nr.Queries[qi].Survivors = stubSurvivors
-				}
 			}
 			var res wire.Writer
 			wire.AppendNodeResult(&res, nr)
@@ -173,7 +154,7 @@ func (n *stubNode) serve(addr string) error {
 // wave carries no bounds.
 func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	const l = 2
-	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil, nil)
+	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil)
 	client, err := DialFrontendOptions(fe.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -216,15 +197,25 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 			t.Fatalf("stub node: %v", err)
 		}
 	}
-	direct := func(epoch uint64, bounds []keys.Key, vs ...uint64) []byte {
-		var w wire.Writer
-		wire.AppendDispatchDirect(&w, epoch, scalarQuery(wire.OpKNN, l, vs...), bounds)
-		return w.Bytes()
-	}
 	want := [][][]byte{
-		{direct(1, nil, 100), direct(2, []keys.Key{{Dist: 448, ID: 1000}, {Dist: 447, ID: 1000}}, 552, 553)},
-		{direct(1, nil, 552, 1000, 553)},
+		{direct(1, l, nil, 100), direct(2, l, []keys.Key{{Dist: 448, ID: 1000}, {Dist: 447, ID: 1000}}, 552, 553)},
+		{direct(1, l, nil, 552, 1000, 553)},
 	}
+	checkDispatches(t, stubs, want)
+}
+
+// direct is the dispatch frame payload of epoch for a KNN query of the
+// scalar points vs at ℓ = l under bounds.
+func direct(epoch uint64, l int, bounds []keys.Key, vs ...uint64) []byte {
+	var w wire.Writer
+	wire.AppendDispatchDirect(&w, epoch, scalarQuery(wire.OpKNN, l, vs...), bounds)
+	return w.Bytes()
+}
+
+// checkDispatches compares, per stub seat, the dispatch frames the seat
+// received with want[seat], byte for byte.
+func checkDispatches(t *testing.T, stubs []*stubNode, want [][][]byte) {
+	t.Helper()
 	for _, n := range stubs {
 		var dispatches [][]byte
 		for _, frame := range n.frames {
@@ -243,12 +234,11 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	}
 }
 
-// startStubs serves a two-seat frontend with opts on two stub nodes whose
-// mesh-dispatch leader flags claim decides, and returns the frontend, the
-// stubs (in start order) and the channels its Serve and the stubs' serve
-// loops report their exits on. Both stubs carry mangle (nil for honest
-// stubs).
-func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool, mangle mangler) (*Frontend, []*stubNode, chan error, chan error) {
+// startStubs serves a two-seat frontend with opts on two stub nodes, and
+// returns the frontend, the stubs (in start order) and the channels its
+// Serve and the stubs' serve loops report their exits on. Both stubs carry
+// mangle (nil for honest stubs).
+func startStubs(t *testing.T, opts FrontendOptions, mangle mangler) (*Frontend, []*stubNode, chan error, chan error) {
 	t.Helper()
 	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, opts)
 	if err != nil {
@@ -256,7 +246,7 @@ func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool, man
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- fe.Serve() }()
-	stubs := []*stubNode{{claim: claim, mangle: mangle}, {claim: claim, mangle: mangle}}
+	stubs := []*stubNode{{mangle: mangle}, {mangle: mangle}}
 	exits := make(chan error, len(stubs))
 	for _, n := range stubs {
 		go func(n *stubNode) { exits <- n.serve(fe.Addr()) }(n)
@@ -264,59 +254,48 @@ func startStubs(t *testing.T, opts FrontendOptions, claim func(id int) bool, man
 	return fe, stubs, serveDone, exits
 }
 
-// TestMeshResultLeaderFlagIsValidated pins where a mesh wave's selection
-// outcome comes from: exactly the session leader's result claims
-// leadership. A result whose leader flag disagrees with its seat — both
-// seats claiming, neither, or the wrong one — is malformed: its seat is
-// evicted and the query fails, instead of answering with whichever claim
-// arrived last or with a zero outcome.
-func TestMeshResultLeaderFlagIsValidated(t *testing.T) {
-	cases := []struct {
-		name  string
-		claim func(id int) bool
-		ok    bool
-	}{
-		{"session leader", func(id int) bool { return id == 0 }, true}, // seed 1, k = 2 elects seat 0
-		{"both seats", func(int) bool { return true }, false},
-		{"no seat", func(int) bool { return false }, false},
-		{"wrong seat", func(id int) bool { return id == 1 }, false},
+// TestFullScatterWaveOnTheWire pins the plan of a frontend without a
+// Pruner: every query is one wave that sends every seat the whole batch,
+// unbounded, in one shared frame — and the frontend selects the answer from
+// the seats' local top-ℓ lists. Its cost is the wave's: 1 round, one contact
+// per point per seat, 0 bytes.
+func TestFullScatterWaveOnTheWire(t *testing.T) {
+	const l = 2
+	fe, stubs, serveDone, exits := startStubs(t, FrontendOptions{}, nil)
+	client, err := DialFrontendOptions(fe.Addr(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const l, v = 2, 552
-			// No Pruner: every query runs by the mesh plan.
-			fe, _, serveDone, exits := startStubs(t, FrontendOptions{}, tc.claim, nil)
-			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := client.Do(scalarQuery(wire.OpKNN, l, v))
-			client.Close()
-			fe.Close()
-			if err := <-serveDone; err != nil {
-				t.Fatalf("frontend: %v", err)
-			}
-			for range 2 {
-				<-exits
-			}
-			if !tc.ok {
-				if err == nil || !strings.Contains(err.Error(), "malformed result") {
-					t.Fatalf("query with a bad leader claim: reply %+v, error %v; want a malformed-result failure", rep.Results, err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append(stubTopL(0, v, l), stubTopL(1, v, l)...)
-			points.SortItems(want)
-			got := rep.Results[0]
-			if len(got.Items) != l || got.Items[0] != want[0] || got.Items[1] != want[1] ||
-				got.Boundary != want[l-1].Key || got.Survivors != stubSurvivors {
-				t.Fatalf("got %v, outcome %+v; want %v, boundary %v, %d survivors", got.Items, got.QueryOutcome, want[:l], want[l-1].Key, stubSurvivors)
-			}
-		})
+	batch := []uint64{100, 552}
+	rep, err := client.Do(scalarQuery(wire.OpRegress, l, batch...))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.Rounds != 1 || rep.Messages != 4 || rep.Bytes != 0 || rep.Leader != 0 {
+		t.Fatalf("full-scatter cost = %d rounds, %d contacts, %d bytes, leader %d; want 1, 4, 0, 0", rep.Rounds, rep.Messages, rep.Bytes, rep.Leader)
+	}
+	for pi, q := range batch {
+		want := append(stubTopL(0, q, l), stubTopL(1, q, l)...)
+		points.SortItems(want)
+		want = want[:l]
+		got := rep.Results[pi]
+		if mean := (want[0].Label + want[1].Label) / 2; got.Boundary != want[l-1].Key || got.Value != mean {
+			t.Fatalf("point %d (%d): boundary %v value %v, want %v and %v", pi, q, got.Boundary, got.Value, want[l-1].Key, mean)
+		}
+	}
+	client.Close()
+	fe.Close()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	for range stubs {
+		if err := <-exits; err != nil && err != io.EOF {
+			t.Fatalf("stub node: %v", err)
+		}
+	}
+	var w wire.Writer
+	wire.AppendDispatchDirect(&w, 1, scalarQuery(wire.OpRegress, l, batch...), nil)
+	checkDispatches(t, stubs, [][][]byte{{w.Bytes()}, {w.Bytes()}})
 }
 
 // TestRogueResultIsMalformed pins what the fold may assume of a winner
@@ -357,7 +336,7 @@ func TestRogueResultIsMalformed(t *testing.T) {
 				}
 				return tc.bad(id, v, bound, honest)
 			}
-			fe, _, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, nil, mangle)
+			fe, _, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, mangle)
 			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
 			if err != nil {
 				t.Fatal(err)

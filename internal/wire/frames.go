@@ -8,11 +8,10 @@ import (
 	"distknn/internal/points"
 )
 
-// Control-plane frame kinds. Every frame crossing a rendezvous, serving or
-// client connection starts with one of these bytes; the mesh (node↔node)
-// frames are the only ones that do not, since the mesh carries exactly one
-// frame shape. The full layouts are specified in docs/PROTOCOL.md and
-// pinned by golden-byte tests in this package.
+// Control-plane frame kinds. Every frame crossing a node's control
+// connection or a client connection starts with one of these bytes; nodes
+// never talk to each other. The full layouts are specified in
+// docs/PROTOCOL.md and pinned by golden-byte tests in this package.
 
 // Kind identifies a control-plane frame type. It is a named type (rather
 // than a bare byte) so every dispatch site switches on a wire.Kind value,
@@ -21,33 +20,26 @@ import (
 type Kind uint8
 
 const (
-	// KindRegister: node → coordinator. Body: String mesh-listen address.
+	// KindRegister: node → frontend, asking for a seat. Empty body.
 	KindRegister Kind = 1
 	// KindAssign: frontend → node, the grant of a seat, for a fresh
 	// rendezvous and a re-join alike. Body: Assign.
 	KindAssign Kind = 2
-	// KindReady: node → frontend, once the node has dialled its star
-	// neighbours and loaded its shard. Body: Varint id, Varint shard size,
-	// U8 point tag.
+	// KindReady: node → frontend, once the node has loaded its shard.
+	// Body: Varint id, Varint shard size, U8 point tag.
 	KindReady Kind = 3
-	// KindDispatch: frontend → node, one query epoch answering a whole
-	// batch. Body: Varint epoch, then a Query body.
-	KindDispatch Kind = 4
 	// KindResult: node → frontend, one epoch's outcome. Body: NodeResult.
 	KindResult Kind = 5
 	// KindError: node → frontend, the epoch failed. Body: NodeError —
-	// Varint epoch, U8 origin (1 if the failure originated in this node's
-	// program), U8 fatal (1 if the node's mesh broke, as opposed to a
-	// recoverable program failure), Varint lostPeer+1 (0 when no specific
-	// peer was implicated), String message.
+	// Varint epoch, String message.
 	KindError Kind = 6
 	// KindShutdown: frontend → node, clean stop. Empty body.
 	KindShutdown Kind = 7
 
-	// Kinds 8 and 9 (the untagged client query/reply pair), 10 and 11 (the
-	// seat-claiming Rejoin request and its separate grant) and 16 (the
-	// pruned sub-batch dispatch with an index list) are retired and never
-	// reused.
+	// Kinds 4 (the mesh-epoch dispatch), 8 and 9 (the untagged client
+	// query/reply pair), 10 and 11 (the seat-claiming Rejoin request and its
+	// separate grant) and 16 (the pruned sub-batch dispatch with an index
+	// list) are retired and never reused.
 
 	// KindQueryTagged: client → frontend, one query. Body: Varint tag
 	// (client-chosen request id, echoed verbatim in the reply), then a Query
@@ -65,17 +57,15 @@ const (
 	// summary (the point type is not a metric, or the shard is empty) and
 	// disables pruned dispatch for the whole session.
 	KindSummary Kind = 14
-	// KindDispatchDirect: frontend → node, one pruned (no-mesh) query
-	// epoch: the node answers its local top-ℓ for each query point from
-	// its own shard without starting a BSP epoch — no protocol rounds,
-	// no mesh traffic — and replies with a winners-only KindResult
-	// (IsLeader 0, Rounds/Messages/Bytes 0). Body: Varint epoch, then a
-	// Query body (identical layout to KindDispatch) holding exactly the
-	// points this node must answer — the whole client batch or any
-	// sub-batch of it; which batch positions they are is the frontend's
-	// bookkeeping — then the bound list: Varint nb, nb × Key, where nb is
-	// 0 (no bounds: the probe wave) or the point count (the gather wave:
-	// the node returns only keys strictly below point i's bound).
+	// KindDispatchDirect: frontend → node, one query epoch, the only
+	// dispatch: the node answers its local top-ℓ for each query point from
+	// its own shard and replies with a KindResult. Body: Varint epoch, then
+	// a Query body holding exactly the points this node must answer — the
+	// whole client batch or any sub-batch of it; which batch positions they
+	// are is the frontend's bookkeeping — then the bound list: Varint nb,
+	// nb × Key, where nb is 0 (no bounds: a full-scatter or probe wave) or
+	// the point count (a gather wave: the node returns only keys strictly
+	// below point i's bound).
 	KindDispatchDirect Kind = 15
 )
 
@@ -108,10 +98,9 @@ const MaxBatch = 4096
 // Query is one client request: which operation to run, how many neighbors,
 // and a batch of one or more query points in their tagged encoding. The
 // batch is the wire-native query shape — a single query is a batch of one —
-// and the whole batch is answered in a single BSP epoch on the serving
-// mesh, the socket analogue of the in-process KNNBatch. It is the tail of
-// the KindQueryTagged and KindDispatch frames, and KindDispatchDirect's
-// body up to its bound list.
+// and the whole batch is answered in one dispatch wave, the socket analogue
+// of the in-process KNNBatch. It is the tail of the KindQueryTagged frame,
+// and KindDispatchDirect's body up to its bound list.
 type Query struct {
 	Op     uint8
 	L      int
@@ -134,13 +123,6 @@ func (q Query) append(w *Writer) {
 func AppendQueryTagged(w *Writer, tag uint64, q Query) {
 	w.Kind(KindQueryTagged)
 	w.Varint(tag)
-	q.append(w)
-}
-
-// AppendDispatch appends a KindDispatch frame payload to w.
-func AppendDispatch(w *Writer, epoch uint64, q Query) {
-	w.Kind(KindDispatch)
-	w.Varint(epoch)
 	q.append(w)
 }
 
@@ -212,19 +194,12 @@ func DecodeQueryInto(r *Reader, q *Query) error {
 	return nil
 }
 
-// NodeError is a node's report that an epoch failed. Origin distinguishes
-// the node whose own program failed from the k−1 peers that merely observed
-// the abort; Fatal marks a broken mesh (the node cannot serve further
-// epochs until the failed peer — or the node itself — re-joins), as opposed
-// to a recoverable program failure. LostPeer names the machine whose link
-// died when the node could attribute the fault (-1 otherwise). It is the
-// body of a KindError frame.
+// NodeError is a node's report that an epoch failed: the epoch ordinal
+// and the failure's message. It is the body of a KindError frame, and of
+// the frontend's refusal of a registration.
 type NodeError struct {
-	Epoch    uint64
-	Origin   bool
-	Fatal    bool
-	LostPeer int
-	Msg      string
+	Epoch uint64
+	Msg   string
 }
 
 // EncodeNodeError builds a KindError frame payload.
@@ -238,26 +213,13 @@ func EncodeNodeError(ne NodeError) []byte {
 func AppendNodeError(w *Writer, ne NodeError) {
 	w.Kind(KindError)
 	w.Varint(ne.Epoch)
-	w.U8(b2u(ne.Origin))
-	w.U8(b2u(ne.Fatal))
-	if ne.LostPeer < 0 {
-		w.Varint(0)
-	} else {
-		w.Varint(uint64(ne.LostPeer) + 1)
-	}
 	w.String(ne.Msg)
 }
 
 // DecodeNodeError reads a NodeError body; the kind byte must already be
 // consumed.
 func DecodeNodeError(r *Reader) (NodeError, error) {
-	ne := NodeError{
-		Epoch:    r.Varint(),
-		Origin:   r.U8() == 1,
-		Fatal:    r.U8() == 1,
-		LostPeer: int(r.Varint()) - 1,
-		Msg:      r.String(),
-	}
+	ne := NodeError{Epoch: r.Varint(), Msg: r.String()}
 	if err := r.Err(); err != nil {
 		return NodeError{}, err
 	}
@@ -265,23 +227,11 @@ func DecodeNodeError(r *Reader) (NodeError, error) {
 }
 
 // Assign is the frontend's grant of a seat: the machine index the node
-// takes, the session parameters, the mesh address book and the star
-// neighbours the node must dial. Every party computes the leader from the
-// seed (package election), so the grant does not carry it. Epoch is the
-// session's current epoch ordinal (0 at bring-up). Present lists the star
-// neighbours that are seated or already granted — the leader for a worker,
-// the workers for the leader — so of two neighbours the one granted second
-// dials the first. An address of a seat no node has registered for yet is
-// empty. It is the body of a
-// KindAssign frame: Varint id, Varint k, U64 seed, Varint epoch, Varint
-// presentCount, presentCount × Varint id, then k × String mesh addresses.
+// takes and the cluster size, which together decide the shard the node
+// builds. It is the body of a KindAssign frame: Varint id, Varint k.
 type Assign struct {
-	ID      int
-	K       int
-	Seed    uint64
-	Epoch   uint64
-	Present []int
-	Addrs   []string
+	ID int
+	K  int
 }
 
 // EncodeAssign builds a KindAssign frame payload.
@@ -290,54 +240,26 @@ func EncodeAssign(a Assign) []byte {
 	w.Kind(KindAssign)
 	w.Varint(uint64(a.ID))
 	w.Varint(uint64(a.K))
-	w.U64(a.Seed)
-	w.Varint(a.Epoch)
-	w.Varint(uint64(len(a.Present)))
-	for _, id := range a.Present {
-		w.Varint(uint64(id))
-	}
-	for _, addr := range a.Addrs {
-		w.String(addr)
-	}
 	return w.Bytes()
 }
 
 // DecodeAssign reads an Assign body; the kind byte must already be consumed.
-// Every machine index it returns — the seat and each present peer — lies
-// inside the k-node cluster, and the present peers exclude the seat.
+// The seat it returns lies inside the cluster, and the cluster size fits an
+// int.
 func DecodeAssign(r *Reader) (Assign, error) {
-	id, k, seed, epoch, count := r.Varint(), r.Varint(), r.U64(), r.Varint(), r.Varint()
+	id, k := r.Varint(), r.Varint()
 	if err := r.Err(); err != nil {
 		return Assign{}, err
 	}
-	if k > uint64(r.Remaining()) {
-		return Assign{}, fmt.Errorf("wire: assign cluster size %d exceeds payload", k)
+	if id >= k || k > math.MaxInt32 {
+		return Assign{}, fmt.Errorf("wire: assign of seat %d does not fit a %d-node cluster", id, k)
 	}
-	if id >= k || count > k {
-		return Assign{}, fmt.Errorf("wire: assign (seat %d, %d present peers) does not fit a %d-node cluster", id, count, k)
-	}
-	a := Assign{ID: int(id), K: int(k), Seed: seed, Epoch: epoch}
-	a.Present = make([]int, 0, count)
-	for i := uint64(0); i < count; i++ {
-		p := r.Varint()
-		if r.Err() == nil && (p >= k || p == id) {
-			return Assign{}, fmt.Errorf("wire: assign present peer %d is the seat or outside the cluster", p)
-		}
-		a.Present = append(a.Present, int(p))
-	}
-	a.Addrs = make([]string, a.K)
-	for i := range a.Addrs {
-		a.Addrs[i] = r.String()
-	}
-	if err := r.Err(); err != nil {
-		return Assign{}, err
-	}
-	return a, nil
+	return Assign{ID: int(id), K: int(k)}, nil
 }
 
 // Ready is the body of a KindReady frame: what a node reports once it has
-// dialled its star neighbours and loaded its shard — its seat, its shard
-// size and the point encoding it serves.
+// loaded its shard — its seat, its shard size and the point encoding it
+// serves.
 type Ready struct {
 	Node     int
 	ShardLen int64
@@ -430,7 +352,9 @@ func DecodeShardSummary(r *Reader) (ShardSummary, error) {
 }
 
 // QueryOutcome is one query's selection outcome in a Reply: the boundary of
-// the answer the frontend folded and the leader's selection statistics.
+// the answer the frontend folded and the selection statistics of the
+// paper's protocol. The frontend runs no selection protocol, so it reports
+// the statistics as zero; the fields keep the client wire format stable.
 type QueryOutcome struct {
 	Boundary   keys.Key
 	Survivors  int64
@@ -438,28 +362,19 @@ type QueryOutcome struct {
 	Iterations int
 }
 
-// NodeQueryResult is one node's per-query share of an epoch result. The
-// selection statistics are meaningful on the leader only; the boundary is
-// not reported, since the frontend derives it from the merged shares.
+// NodeQueryResult is one node's answer for one point of a dispatch: its
+// local winners in ascending key order.
 type NodeQueryResult struct {
-	Winners    []points.Item
-	Survivors  int64
-	FellBack   bool
-	Iterations int
+	Winners []points.Item
 }
 
-// NodeResult is one resident node's report for one query epoch: per batched
-// query its local share of the winning points, plus its local view of the
-// whole epoch's cost, and — on the leader only — each query's selection
-// statistics.
+// NodeResult is one resident node's report for one dispatch: per point it
+// was sent, its local winners. It is the body of a KindResult frame: Varint
+// epoch, Varint node, Varint count, then count × Items.
 type NodeResult struct {
-	Epoch    uint64
-	Node     int
-	Rounds   int
-	Messages int64
-	Bytes    int64
-	IsLeader bool
-	Queries  []NodeQueryResult
+	Epoch   uint64
+	Node    int
+	Queries []NodeQueryResult
 }
 
 // AppendNodeResult appends a KindResult frame payload to w (for pooled
@@ -468,32 +383,16 @@ func AppendNodeResult(w *Writer, nr NodeResult) {
 	w.Kind(KindResult)
 	w.Varint(nr.Epoch)
 	w.Varint(uint64(nr.Node))
-	w.Varint(uint64(nr.Rounds))
-	w.Varint(uint64(nr.Messages))
-	w.Varint(uint64(nr.Bytes))
-	w.U8(b2u(nr.IsLeader))
 	w.Varint(uint64(len(nr.Queries)))
 	for _, qr := range nr.Queries {
 		w.Items(qr.Winners)
-		if nr.IsLeader {
-			w.Varint(uint64(qr.Survivors))
-			w.U8(b2u(qr.FellBack))
-			w.Varint(uint64(qr.Iterations))
-		}
 	}
 }
 
 // DecodeNodeResult reads a NodeResult body; the kind byte must already be
 // consumed.
 func DecodeNodeResult(r *Reader) (NodeResult, error) {
-	nr := NodeResult{
-		Epoch:    r.Varint(),
-		Node:     int(r.Varint()),
-		Rounds:   int(r.Varint()),
-		Messages: int64(r.Varint()),
-		Bytes:    int64(r.Varint()),
-		IsLeader: r.U8() == 1,
-	}
+	nr := NodeResult{Epoch: r.Varint(), Node: int(r.Varint())}
 	count := r.Varint()
 	if r.Err() == nil && count > MaxBatch {
 		return NodeResult{}, fmt.Errorf("wire: node result batch of %d exceeds limit %d", count, MaxBatch)
@@ -503,19 +402,24 @@ func DecodeNodeResult(r *Reader) (NodeResult, error) {
 	}
 	nr.Queries = make([]NodeQueryResult, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var qr NodeQueryResult
-		qr.Winners = r.Items()
-		if nr.IsLeader {
-			qr.Survivors = int64(r.Varint())
-			qr.FellBack = r.U8() == 1
-			qr.Iterations = int(r.Varint())
-		}
-		nr.Queries = append(nr.Queries, qr)
+		nr.Queries = append(nr.Queries, NodeQueryResult{Winners: r.Items()})
 	}
 	if err := r.Err(); err != nil {
 		return NodeResult{}, err
 	}
 	return nr, nil
+}
+
+// ItemsFit reports whether n item lists of at most l items each fit one
+// frame: a node's result for n points at ℓ = l, or the reply to an n-point
+// query, whose per-query fields the allowance of 64 bytes a list covers.
+// A query whose lists cannot fit is refused before any node answers it.
+func ItemsFit(n, l int) bool {
+	const itemBytes, listBytes = 24, 64 // Key + F64 label; a list's fixed fields
+	if n < 0 || l < 0 || l > MaxFrame/itemBytes {
+		return false
+	}
+	return int64(n)*(int64(l)*itemBytes+listBytes)+listBytes <= MaxFrame
 }
 
 // QueryReply is the answer to one query of a batch: its selection outcome

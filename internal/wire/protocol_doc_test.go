@@ -19,24 +19,6 @@ func docExamples() []struct {
 	Name  string
 	Bytes []byte
 } {
-	var reg Writer
-	reg.Kind(KindRegister)
-	reg.String("127.0.0.1:9000")
-
-	var hello Writer
-	hello.Varint(1)
-
-	var mesh Writer
-	mesh.U8(0)
-	mesh.Varint(1)
-	mesh.Varint(2)
-	mesh.Varint(2)
-	mesh.Varint(3) // lane index + payload
-	mesh.Varint(0)
-	mesh.Raw([]byte("hi"))
-	mesh.Varint(1)
-	mesh.Varint(1)
-
 	// Single-query (batch of one) scalar KNN, and its epoch-1 dispatch.
 	q := Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}
 
@@ -54,17 +36,11 @@ func docExamples() []struct {
 		Bytes []byte
 	}{
 		{"stream framing", []byte{3, 0, 0, 0, 'a', 'b', 'c'}},
-		{"register", reg.Bytes()},
-		{"assign", EncodeAssign(Assign{
-			ID: 1, K: 2, Seed: 7,
-			Addrs: []string{"127.0.0.1:9000", "127.0.0.1:9001"},
-		})},
-		{"mesh hello", hello.Bytes()},
-		{"mesh round frame", mesh.Bytes()},
+		{"register", []byte{byte(KindRegister)}},
+		{"assign", EncodeAssign(Assign{ID: 1, K: 2})},
 		{"vector point", EncodeVectorPoint(points.Vector{0.5, 1.5})},
 		{"query", encQueryTagged(300, q)},
 		{"vector batch query", encQueryTagged(301, vq)},
-		{"dispatch", encDispatch(1, q)},
 		{"ready", rdy.Bytes()},
 		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
 		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
@@ -78,29 +54,16 @@ func docExamples() []struct {
 			Points: [][]byte{EncodeScalarPoint(12345), EncodeScalarPoint(5)},
 		}, []keys.Key{{Dist: 40, ID: 7}, keys.MaxKey})},
 		{"result", encNodeResult(NodeResult{
-			Epoch: 1, Node: 0, Rounds: 26, Messages: 44, Bytes: 745,
-			IsLeader: true,
-			Queries: []NodeQueryResult{{
-				Winners:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
-				Survivors:  20,
-				Iterations: 4,
-			}},
+			Epoch: 1, Node: 0,
+			Queries: []NodeQueryResult{{Winners: []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}}}},
 		})},
-		{"node error", EncodeNodeError(NodeError{Epoch: 1, Origin: true, LostPeer: -1, Msg: "boom"})},
-		{"fatal node error", EncodeNodeError(NodeError{Epoch: 7, Fatal: true, LostPeer: 2, Msg: "lost peer 2"})},
+		{"node error", EncodeNodeError(NodeError{Epoch: 1, Msg: "boom"})},
 		{"shutdown", []byte{byte(KindShutdown)}},
-		{"rejoin assign", EncodeAssign(Assign{
-			ID: 1, K: 2, Seed: 7, Epoch: 42,
-			Present: []int{0},
-			Addrs:   []string{"127.0.0.1:9000", "127.0.0.1:9002"},
-		})},
 		{"reply", encReplyTagged(300, Reply{
-			Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
+			Rounds: 1, Messages: 2, Leader: 0,
 			Results: []QueryReply{{
-				QueryOutcome: QueryOutcome{
-					Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4,
-				},
-				Items: []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
+				QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}},
+				Items:        []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 			}},
 		})},
 		{"error reply", encReplyTagged(302, Reply{Err: "l=0 out of range [1, 10000]"})},
@@ -182,18 +145,6 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		r := NewReader(encDispatch(9, q))
-		if kind := r.Kind(); kind != KindDispatch {
-			t.Fatalf("kind %d", kind)
-		}
-		if epoch := r.Varint(); epoch != 9 {
-			t.Fatalf("epoch %d", epoch)
-		}
-		if _, err := DecodeQuery(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	{
 		bounds := []keys.Key{{Dist: 40, ID: 7}, keys.MaxKey}
 		for _, bs := range [][]keys.Key{nil, bounds} {
 			r := NewReader(encDispatchDirect(9, q, bs))
@@ -217,15 +168,8 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 	{
 		nr := NodeResult{
-			Epoch: 3, Node: 2, Rounds: 7, Messages: 11, Bytes: 400,
-			IsLeader: true,
-			Queries: []NodeQueryResult{
-				{
-					Winners:   []points.Item{{Key: keys.Key{Dist: 9, ID: 4}, Label: 1.5}},
-					Survivors: 33, FellBack: true, Iterations: 5,
-				},
-				{Survivors: 1, Iterations: 2},
-			},
+			Epoch: 3, Node: 2,
+			Queries: []NodeQueryResult{{Winners: []points.Item{{Key: keys.Key{Dist: 9, ID: 4}, Label: 1.5}}}, {}},
 		}
 		r := NewReader(encNodeResult(nr))
 		if kind := r.Kind(); kind != KindResult {
@@ -235,37 +179,29 @@ func TestFrameRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Epoch != nr.Epoch || got.Node != nr.Node || got.Rounds != nr.Rounds ||
-			got.Messages != nr.Messages || got.Bytes != nr.Bytes || !got.IsLeader ||
-			len(got.Queries) != 2 {
+		if got.Epoch != nr.Epoch || got.Node != nr.Node || len(got.Queries) != 2 || len(got.Queries[0].Winners) != 1 ||
+			got.Queries[0].Winners[0] != nr.Queries[0].Winners[0] || len(got.Queries[1].Winners) != 0 {
 			t.Fatalf("node result round trip: %+v", got)
-		}
-		for i, want := range nr.Queries {
-			g := got.Queries[i]
-			if len(g.Winners) != len(want.Winners) || (len(want.Winners) == 1 && g.Winners[0] != want.Winners[0]) ||
-				g.Survivors != want.Survivors || g.FellBack != want.FellBack || g.Iterations != want.Iterations {
-				t.Fatalf("node result query %d: %+v", i, g)
-			}
 		}
 	}
 	{
-		// A follower (non-leader) result omits the per-query leader fields.
-		nr := NodeResult{
-			Epoch: 4, Node: 1, Rounds: 3, Messages: 6, Bytes: 128,
-			Queries: []NodeQueryResult{
-				{Winners: []points.Item{{Key: keys.Key{Dist: 2, ID: 9}, Label: 1}}},
-				{},
-			},
+		ne := NodeError{Epoch: 7, Msg: "boom"}
+		r := NewReader(EncodeNodeError(ne))
+		if kind := r.Kind(); kind != KindError {
+			t.Fatalf("kind %d", kind)
 		}
-		r := NewReader(encNodeResult(nr))
-		r.U8()
-		got, err := DecodeNodeResult(r)
-		if err != nil {
-			t.Fatal(err)
+		if got, err := DecodeNodeError(r); err != nil || got != ne {
+			t.Fatalf("node error round trip: %+v %v", got, err)
 		}
-		if got.IsLeader || len(got.Queries) != 2 || len(got.Queries[0].Winners) != 1 ||
-			got.Queries[0].Winners[0] != nr.Queries[0].Winners[0] {
-			t.Fatalf("follower result round trip: %+v", got)
+	}
+	{
+		a := Assign{ID: 2, K: 3}
+		r := NewReader(EncodeAssign(a))
+		if kind := r.Kind(); kind != KindAssign {
+			t.Fatalf("kind %d", kind)
+		}
+		if got, err := DecodeAssign(r); err != nil || got != a {
+			t.Fatalf("assign round trip: %+v %v", got, err)
 		}
 	}
 	{
@@ -359,11 +295,11 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 	if got, err := DecodeReply(r); err != nil || !got.Degraded || got.Err != "degraded" {
 		t.Fatalf("tagged degraded reply: %+v %v", got, err)
 	}
-	// The client query and both dispatch kinds share one query body
-	// encoding: behind kind+tag and kind+epoch the bytes are identical, and
-	// a direct dispatch appends only its bound list (here empty, one 00).
+	// The client query and the dispatch share one query body encoding:
+	// behind kind+tag and kind+epoch the bytes are identical, and the
+	// dispatch appends only its bound list (here empty, one 00).
 	body := hexBytes(encQueryTagged(1, q)[2:])
-	if hexBytes(encDispatch(1, q)[2:]) != body || hexBytes(encDispatchDirect(1, q, nil)[2:]) != body+" 00" {
+	if hexBytes(encDispatchDirect(1, q, nil)[2:]) != body+" 00" {
 		t.Fatalf("dispatch body drifted from the client query body")
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"math"
 	"sync/atomic"
 
-	"distknn/internal/core"
 	"distknn/internal/kdtree"
 	"distknn/internal/keys"
-	"distknn/internal/kmachine"
 	"distknn/internal/metricindex"
 	"distknn/internal/obs"
 	"distknn/internal/points"
@@ -22,8 +20,10 @@ import (
 // side is a Frontend (node seating + client-facing query endpoint) plus k
 // resident nodes (ServeTypedNode), each holding one shard; the client side
 // is a RemoteCluster, which offers the same KNN/Classify/Regress/KNNBatch
-// surface as Cluster but executes every call as one BSP epoch on the remote
-// mesh — a whole KNNBatch travels as a single batched dispatch.
+// surface as Cluster. The frontend answers every call itself: it sends the
+// query's points to the nodes, each returns its local top-ℓ, and the
+// frontend selects — the paper's SimpleKNN with the frontend as leader. A
+// whole KNNBatch travels as a single batched dispatch.
 // ServeTypedLocalOptions wires a whole loopback deployment together in one
 // process for tests, benchmarks and demos.
 //
@@ -34,8 +34,7 @@ import (
 // transport below never learns what a point is.
 
 // ErrSessionLost marks a serving node's exit because its session died
-// under it — the frontend vanished, or the node was evicted after a mesh
-// fault. The node's seat is recoverable: call ServeTypedNode again and the
+// under it — the frontend vanished, or evicted the node. The node's seat is recoverable: call ServeTypedNode again and the
 // frontend re-seats the node in the running session, as cmd/knnnode's
 // -rejoin loop does. Matched with errors.Is.
 var ErrSessionLost = tcp.ErrSessionLost
@@ -91,19 +90,13 @@ type AdminServer = obs.Admin
 // slow scrape cannot stall serving.
 func ServeAdmin(addr string, o AdminOptions) (*AdminServer, error) { return obs.ServeAdmin(addr, o) }
 
-// NodeOptions configures a resident serving node. Both fields are
-// per-node. Every node runs the same protocol: the paper's Algorithm 2, with
-// Lemma 2.3's constants, for every query, around the min-GUID leader every
-// node computes from the session seed.
+// NodeOptions configures a resident serving node. Every node does the same
+// work for every query: it returns its shard's local top-ℓ for the points
+// it is sent, and the frontend selects.
 type NodeOptions struct {
-	// Advertise is the mesh address peers are told to dial, for multi-host
-	// deployments where the mesh bind address is not reachable as-is
-	// (e.g. bind "0.0.0.0:7101", advertise "10.0.0.5:7101"). Empty means
-	// the bind address itself.
-	Advertise string
-	// Metrics optionally receives the node's runtime metrics (epochs
-	// served, mesh traffic, control-plane bytes). Nil records nothing.
-	// Each node process passes its own registry.
+	// Metrics optionally receives the node's runtime metrics (dispatches
+	// served, control-plane bytes). Nil records nothing. Each node process
+	// passes its own registry.
 	Metrics *Metrics
 }
 
@@ -387,18 +380,16 @@ type typedHandler[P any] struct {
 
 	set     *points.Set[P]
 	topL    func(q P, l int, ceil ...keys.Key) []Item
-	leader  int
 	summary wire.ShardSummary
 }
 
 // Load builds the node's shard, local index and metric summary for machine
-// id of k and records the session leader. It runs at rendezvous and on a
-// re-join alike. Because ShardProvider is a deterministic function of
+// id of k. It runs at rendezvous and on a re-join alike. Because ShardProvider is a deterministic function of
 // (id, k), a re-joined seat's shard is identical to the one it held before,
 // which the frontend verifies via the reported shard size and metric
 // summary (and which keeps served answers bit-identical to an
 // uninterrupted cluster).
-func (h *typedHandler[P]) Load(id, k, leader int) (tcp.SessionInfo, error) {
+func (h *typedHandler[P]) Load(id, k int) (tcp.SessionInfo, error) {
 	shard, err := h.shards(id, k)
 	if err != nil {
 		return tcp.SessionInfo{}, fmt.Errorf("distknn: shard for node %d: %w", id, err)
@@ -421,7 +412,6 @@ func (h *typedHandler[P]) Load(id, k, leader int) (tcp.SessionInfo, error) {
 	} else {
 		h.topL = h.set.TopLItems
 	}
-	h.leader = leader
 	h.summary = h.summarize(shard)
 	return tcp.SessionInfo{ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
 }
@@ -465,58 +455,37 @@ func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
 	return qp, nil
 }
 
-// Query answers one point of the dispatched batch with the node's winner
-// share, whatever the op: the frontend folds Classify and Regress answers
-// from the shares. Calls for different points of the same batch run
-// concurrently (lockstep sub-programs of one epoch); everything mutable here
-// is call-local, and the Load-written shard, index and leader are only
-// read.
-func (h *typedHandler[P]) Query(m kmachine.Env, q wire.Query, qi int) (tcp.QueryResult, error) {
+// Direct answers one query point of a dispatch: the node's local top-ℓ
+// below ceil straight from its index — the frontend merges the contacted
+// nodes' lists and selects. Calls for different points and dispatches run
+// concurrently; everything mutable here is call-local, and the Load-written
+// shard and index are only read.
+func (h *typedHandler[P]) Direct(q wire.Query, qi int, ceil keys.Key) ([]Item, error) {
 	qp, err := h.point(q, qi)
 	if err != nil {
-		return tcp.QueryResult{}, err
+		return nil, err
 	}
-	res, err := core.KNN(m, core.Config{Leader: h.leader, L: q.L}, h.topL(qp, q.L))
-	if err != nil {
-		return tcp.QueryResult{}, fmt.Errorf("query %d: %w", qi, err)
-	}
-	return tcp.QueryResult{
-		Winners:    res.Winners,
-		Survivors:  res.Survivors,
-		FellBack:   res.FellBack,
-		Iterations: res.Iterations,
-	}, nil
-}
-
-// Direct answers one query point of a pruned (no-mesh) dispatch: the
-// node's local top-ℓ below ceil straight from its index, with no BSP epoch —
-// the frontend merges the contacted nodes' shares itself.
-func (h *typedHandler[P]) Direct(q wire.Query, qi int, ceil keys.Key) (tcp.QueryResult, error) {
-	qp, err := h.point(q, qi)
-	if err != nil {
-		return tcp.QueryResult{}, err
-	}
-	return tcp.QueryResult{Winners: h.topL(qp, q.L, ceil)}, nil
+	return h.topL(qp, q.L, ceil), nil
 }
 
 // ServeTypedNode runs one resident serving node for any served point type:
 // it joins the frontend at coordAddr, receives its machine identity, builds
-// its shard via shards, links to its star neighbours, and then answers
-// batched query epochs until the frontend shuts the session down. It blocks for the lifetime of the session; a nil return
-// means a clean shutdown.
+// its shard via shards, and then answers every dispatch until the frontend
+// shuts the session down. It blocks for the lifetime of the session; a nil
+// return means a clean shutdown. The node binds no listener and dials only
+// the frontend.
 //
-// meshAddr is the address to listen on for peer connections
-// ("127.0.0.1:0" picks a free loopback port); opts.Advertise overrides the
-// address peers dial when the bind address is not reachable across hosts.
+// meshAddr is ignored: a node talks only to the frontend, so it listens on
+// nothing. The argument is kept so existing callers still compile.
 func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards ShardProvider[P], opts NodeOptions) error {
-	return tcp.ServeNodeObserved(coordAddr, meshAddr, opts.Advertise, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards})
+	return tcp.ServeNodeObserved(coordAddr, opts.Metrics, &typedHandler[P]{pt: pt, shards: shards})
 }
 
 // Frontend is the client-facing endpoint of a TCP serving cluster: it
 // seats the k resident nodes through one join handshake and serves remote
-// clients through its epoch scheduler — up to FrontendOptions.Window query
-// epochs pipelined on the mesh at once, optionally coalescing concurrently
-// arriving single queries into lockstep batch epochs. Nodes and clients
+// clients through its epoch scheduler — up to FrontendOptions.Window
+// queries in flight at once, optionally coalescing concurrently arriving
+// single queries into batch queries. Nodes and clients
 // dial the same address; a connection's first frame decides its role. The
 // frontend is point-type agnostic — it learns the cluster's wire tag from
 // the nodes' ready reports and rejects mismatched queries. Its methods
@@ -534,9 +503,10 @@ type FrontendOptions = tcp.FrontendOptions
 
 // NewFrontendOptions starts the serving listener for a k-node cluster with
 // an explicit epoch scheduler configuration (pipelining window, server-side
-// batching). seed is the session seed every node receives: it decides the
-// leader and the per-query epoch seeds, so a serving cluster replays
-// deterministically for the same (seed, query stream).
+// batching). seed decides the session leader, which fixes the order in
+// which the Regress fold sums the seats' shares (QueryStats.Leader); every
+// answer is exact, so a serving cluster replays deterministically for the
+// same (seed, query stream).
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
 	return tcp.NewFrontendOptions(addr, k, seed, opts)
 }
@@ -544,20 +514,22 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 // RemoteCluster is a client handle on a TCP serving cluster. It satisfies
 // the same query surface as the in-process Cluster — KNN, Classify, Regress
 // and KNNBatch with identical signatures and exact results — but every call
-// travels to the cluster's frontend and runs as one BSP epoch on the
-// resident mesh; a KNNBatch ships its whole batch in one dispatch, so the
-// per-query frame, syscall and epoch overhead is amortized across the
-// batch.
+// travels to the cluster's frontend, which answers it from the nodes' local
+// top-ℓ lists; a KNNBatch ships its whole batch in one dispatch, so the
+// per-query frame and syscall overhead is amortized across the batch.
 //
 // A RemoteCluster is safe for concurrent use, and its single connection is
 // multiplexed: every query travels as a tagged frame, so any number of
 // calls can be in flight at once and complete out of order. One client
 // process can therefore saturate the frontend's whole pipelining window —
 // issue queries from concurrent goroutines, or use KNNAsync to hold many
-// outstanding without a goroutine per call. QueryStats are the real mesh costs:
-// Rounds is the slowest node's round count and Messages/Bytes are
-// cluster-wide totals — for a query the frontend transparently coalesced
-// into a shared epoch, they describe that whole epoch.
+// outstanding without a goroutine per call. QueryStats report the dispatch
+// cost: Rounds is the number of dispatch waves (1, or 2 for a pruned query
+// that gathers), Messages the per-point node contacts (also reported as
+// Contacts), and Bytes 0, as nodes exchange nothing — for a query the
+// frontend transparently coalesced into a shared batch, they describe that
+// whole batch. Survivors, Iterations and FellBack are 0: they describe the
+// paper's selection protocol, which runs only in-process.
 type RemoteCluster[P any] struct {
 	client *tcp.Client
 	codec  wire.PointCodec[P]
@@ -601,30 +573,25 @@ func (rc *RemoteCluster[P]) do(op uint8, qs []P, l int) (wire.Reply, error) {
 	return rep, nil
 }
 
-// remoteStats folds the epoch-wide costs and one query's outcome into the
-// QueryStats shape the in-process Cluster reports. A pruned dispatch is
-// recognizable by Bytes == 0 — it runs no mesh epoch, and its Messages count
-// node contacts rather than mesh messages — so that count is surfaced as
-// Contacts too.
+// remoteStats folds the batch-wide costs and one query's outcome into the
+// QueryStats shape the in-process Cluster reports. Messages count node
+// contacts, so that count is surfaced as Contacts too.
 func remoteStats(rep wire.Reply, qr wire.QueryReply) *QueryStats {
-	st := &QueryStats{
+	return &QueryStats{
 		Rounds:     rep.Rounds,
 		Messages:   rep.Messages,
 		Bytes:      rep.Bytes,
+		Contacts:   rep.Messages,
 		Leader:     rep.Leader,
 		Boundary:   qr.Boundary,
 		Survivors:  qr.Survivors,
 		FellBack:   qr.FellBack,
 		Iterations: qr.Iterations,
 	}
-	if rep.Bytes == 0 {
-		st.Contacts = rep.Messages
-	}
-	return st
 }
 
 // KNN returns the exact ℓ nearest neighbors of q in ascending distance
-// order, together with the query's distributed cost on the remote mesh.
+// order, together with the query's dispatch cost on the remote cluster.
 func (rc *RemoteCluster[P]) KNN(q P, l int) ([]Item, *QueryStats, error) {
 	rep, err := rc.do(wire.OpKNN, []P{q}, l)
 	if err != nil {
@@ -685,11 +652,10 @@ func (rc *RemoteCluster[P]) Regress(q P, l int) (float64, *QueryStats, error) {
 	return rep.Results[0].Value, remoteStats(rep, rep.Results[0]), nil
 }
 
-// KNNBatch answers many queries with as few BSP epochs as possible: the
+// KNNBatch answers many queries with as few dispatches as possible: the
 // whole batch travels in one dispatch (chunked at wire.MaxBatch) and every
-// node answers all of it back to back on one epoch — the socket analogue of
-// the in-process KNNBatch, amortizing frames, syscalls and epochs across
-// the batch. Per-query results are exact and identical to individual KNN
+// node answers all of it back to back — the socket analogue of the
+// in-process KNNBatch, amortizing frames and syscalls across the batch. Per-query results are exact and identical to individual KNN
 // calls; the returned QueryStats aggregates the whole batch.
 func (rc *RemoteCluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryStats, error) {
 	out := make([]BatchResult, 0, len(queries))
@@ -711,9 +677,7 @@ func (rc *RemoteCluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryS
 		stats.Messages += rep.Messages
 		stats.Bytes += rep.Bytes
 		stats.Leader = rep.Leader
-		if rep.Bytes == 0 {
-			stats.Contacts += rep.Messages
-		}
+		stats.Contacts += rep.Messages
 	}
 	return out, stats, nil
 }
@@ -735,7 +699,7 @@ type LocalServer = tcp.LocalCluster
 // ServeTypedLocalOptions starts a loopback TCP serving cluster for any
 // served point type: a frontend configured by fopts (zero value = defaults)
 // and k resident nodes, each holding the shard that shards(id, k) builds. It
-// returns once the cluster is meshed and ready to serve. The k
+// returns once every seat is filled and the cluster is ready to serve. The k
 // in-process nodes share opts, so a NodeOptions.Metrics registry receives
 // their node_* counters as cluster-wide totals.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {

@@ -80,11 +80,14 @@ func TestRemoteObsMetricsMatchQueryStats(t *testing.T) {
 	}
 }
 
-// TestRemoteObsFullScatterMetrics pins the full-scatter counters: mesh
-// rounds and bytes accumulate (no pruning, so no contacts), the scheduler
-// window gauge settles back to zero when the cluster is idle, and a
-// loopback cluster's nodes record into the NodeOptions.Metrics registry
-// they were given — every one of the k nodes serves every mesh epoch.
+// TestRemoteObsFullScatterMetrics pins the full-scatter counters. Each
+// frontend cost counter is the Σ of the matching client QueryStats field
+// over answered queries — singles and a batch, KNN, Classify and Regress
+// alike — with no pruning, so no prune contacts; the scheduler window gauge
+// settles back to zero when the cluster is idle; and a loopback cluster's
+// nodes record into the NodeOptions.Metrics registry they were given, where
+// node_epochs_served_total counts every wave every one of the k nodes
+// answered.
 func TestRemoteObsFullScatterMetrics(t *testing.T) {
 	const (
 		k       = 2
@@ -98,21 +101,54 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 		distknn.PaperShards(seed, perNode),
 		distknn.NodeOptions{Metrics: nodeReg}, distknn.FrontendOptions{Metrics: reg})
 
-	var wantBytes int64
+	var want distknn.QueryStats
+	add := func(st *distknn.QueryStats) {
+		want.Rounds += st.Rounds
+		want.Messages += st.Messages
+		want.Bytes += st.Bytes
+	}
 	for i := 0; i < queries; i++ {
-		_, stats, err := rc.KNN(distknn.Scalar(uint64(i)*7919), l)
+		q := distknn.Scalar(uint64(i) * 7919)
+		var st *distknn.QueryStats
+		var err error
+		switch i % 3 {
+		case 0:
+			_, st, err = rc.KNN(q, l)
+		case 1:
+			_, st, err = rc.Classify(q, l)
+		default:
+			_, st, err = rc.Regress(q, l)
+		}
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		wantBytes += stats.Bytes
+		add(st)
 	}
+	_, st, err := rc.KNNBatch([]distknn.Scalar{1, 2, 3}, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(st)
+	const answered, waves = queries + 1, queries + 1
 
 	s := reg.Snapshot()
-	if got := s.Counters["frontend_queries_total"]; got != queries {
-		t.Errorf("frontend_queries_total = %d, want %d", got, queries)
+	if got := s.Counters["frontend_queries_total"]; got != answered {
+		t.Errorf("frontend_queries_total = %d, want %d", got, answered)
 	}
-	if got := s.Counters["frontend_mesh_bytes_total"]; got != wantBytes {
-		t.Errorf("frontend_mesh_bytes_total = %d, want %d (sum of client QueryStats.Bytes)", got, wantBytes)
+	for name, want := range map[string]int64{
+		"frontend_mesh_rounds_total":   int64(want.Rounds),
+		"frontend_mesh_messages_total": want.Messages,
+		"frontend_mesh_bytes_total":    want.Bytes,
+	} {
+		if got := s.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d (the sum of the clients' QueryStats)", name, got, want)
+		}
+	}
+	if want.Rounds != waves || want.Messages != k*(queries+3) || want.Bytes != 0 {
+		t.Errorf("clients saw %d rounds, %d messages, %d bytes; want %d, %d, 0", want.Rounds, want.Messages, want.Bytes, waves, k*(queries+3))
+	}
+	if got := s.Counters["frontend_epochs_admitted_total"]; got != waves {
+		t.Errorf("frontend_epochs_admitted_total = %d, want %d", got, waves)
 	}
 	if got := s.Counters["frontend_prune_contacts_total"]; got != 0 {
 		t.Errorf("frontend_prune_contacts_total = %d, want 0 on full scatter", got)
@@ -120,8 +156,12 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 	if got := s.Gauges["frontend_epochs_inflight"]; got != 0 {
 		t.Errorf("frontend_epochs_inflight = %d after the workload drained, want 0", got)
 	}
-	if got := nodeReg.Snapshot().Counters["node_epochs_served_total"]; got != k*queries {
-		t.Errorf("node_epochs_served_total = %d, want %d (k nodes × %d mesh epochs)", got, k*queries, queries)
+	node := nodeReg.Snapshot().Counters
+	if got := node["node_epochs_served_total"]; got != k*waves {
+		t.Errorf("node_epochs_served_total = %d, want %d (k nodes × %d waves)", got, k*waves, waves)
+	}
+	if got := node["node_epoch_errors_total"]; got != 0 {
+		t.Errorf("node_epoch_errors_total = %d, want 0", got)
 	}
 }
 

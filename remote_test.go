@@ -1,11 +1,14 @@
 package distknn_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"distknn"
 	"distknn/internal/points"
@@ -51,14 +54,28 @@ func startRemote(t *testing.T, k int, seed uint64, perNode int, opts distknn.Nod
 	return testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), opts, distknn.FrontendOptions{})
 }
 
-// TestRemoteSingleNodeCostsNothing pins k = 1 on sockets: the leader holds
-// every candidate, sends nothing and ends the epoch in round 0, as the
-// in-process cluster does.
+// checkWaveCost pins the served cost law: a query the frontend answers by
+// full scatter is one wave that contacts every seat once per point, and
+// nodes exchange no bytes. Survivors, Iterations and FellBack describe the
+// paper's selection protocol, which runs only in-process, so they are 0.
+func checkWaveCost(t *testing.T, what string, st *distknn.QueryStats, k, points, leader int) {
+	t.Helper()
+	if st.Rounds != 1 || st.Messages != int64(k*points) || st.Bytes != 0 || st.Contacts != st.Messages ||
+		st.Leader != leader || st.Survivors != 0 || st.Iterations != 0 || st.FellBack {
+		t.Fatalf("%s: stats %+v, want 1 round, %d messages and contacts, 0 bytes, leader %d, no selection stats",
+			what, *st, k*points, leader)
+	}
+}
+
+// TestRemoteSingleNodeCostsNothing pins k = 1 on sockets: the one node
+// ships its local top-ℓ in one wave and nothing crosses between nodes, and
+// the answer's boundary is the in-process cluster's, whose leader holds
+// every candidate and ends the run in round 0.
 func TestRemoteSingleNodeCostsNothing(t *testing.T) {
 	const seed, perNode, l = 7, 300, 20
 	_, rc := startRemote(t, 1, seed, perNode, distknn.NodeOptions{})
 	values, labels := mergedData(t, seed, 1, perNode)
-	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: 1, Seed: seed, BandwidthBytes: 8 << 10})
+	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: 1, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,100 +90,114 @@ func TestRemoteSingleNodeCostsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rstats.Boundary != lstats.Boundary || rstats.Rounds != 0 || rstats.Messages != 0 || lstats.Rounds != 0 {
-			t.Fatalf("query %d: remote %+v, local %+v; want the same boundary at 0 rounds and 0 messages", i, *rstats, *lstats)
+		if rstats.Boundary != lstats.Boundary || lstats.Rounds != 0 || lstats.Messages != 0 {
+			t.Fatalf("query %d: remote %+v, local %+v; want the same boundary, and 0 rounds in-process", i, *rstats, *lstats)
 		}
+		checkWaveCost(t, "k = 1", rstats, 1, 1, 0)
 	}
 }
 
 // TestRemoteClusterMatchesInProcess is the headline acceptance test: a
-// resident TCP cluster answers a long stream of sequential queries over one
-// mesh, and every answer is bit-identical to the in-process Cluster serving
-// the same global dataset. It also pins the premise that makes that Cluster
-// the oracle: at the sockets' 8 KiB link budget it elects the served leader
-// and charges every query exactly the served rounds, messages, bytes,
-// selection iterations and prune survivors.
+// resident TCP cluster answers a stream of queries, and every answer is
+// bit-identical to the in-process Cluster serving the same global dataset —
+// KNN, Classify and Regress, single points and batches, at an ℓ where every
+// Algorithm 2 sample in-process is a node's whole top-ℓ (15), at one far
+// beyond that (600) and at the global point count (1 000). The served
+// leader is the in-process one, and every served query obeys the wave cost
+// law (checkWaveCost).
 func TestRemoteClusterMatchesInProcess(t *testing.T) {
 	const (
 		k       = 4
 		perNode = 250
 		seed    = 42
-		queries = 110
-		l       = 15
+		queries = 40
 	)
 	srv, rc := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
 
 	values, labels := mergedData(t, seed, k, perNode)
-	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: k, Seed: seed, BandwidthBytes: 8 << 10})
+	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: k, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	if srv.Leader() != local.Leader() {
-		t.Fatalf("served leader %d, in-process leader %d", srv.Leader(), local.Leader())
+	leader := local.Leader()
+	if srv.Leader() != leader {
+		t.Fatalf("served leader %d, in-process leader %d", srv.Leader(), leader)
 	}
-
 	queryAt := func(i int) distknn.Scalar {
 		return distknn.Scalar(xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain))
 	}
-	for i := 0; i < queries; i++ {
-		q := queryAt(i)
-		remote, rstats, err := rc.KNN(q, l)
-		if err != nil {
-			t.Fatalf("remote query %d: %v", i, err)
-		}
-		want, lstats, err := local.KNN(q, l)
-		if err != nil {
-			t.Fatalf("local query %d: %v", i, err)
-		}
-		if len(remote) != len(want) {
-			t.Fatalf("query %d: %d neighbors remote, %d local", i, len(remote), len(want))
+	sameItems := func(what string, got, want []distknn.Item) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d neighbors remote, %d local", what, len(got), len(want))
 		}
 		for j := range want {
-			if remote[j] != want[j] {
-				t.Fatalf("query %d neighbor %d: remote %+v != local %+v", i, j, remote[j], want[j])
+			if got[j] != want[j] {
+				t.Fatalf("%s neighbor %d: remote %+v != local %+v", what, j, got[j], want[j])
 			}
 		}
-		if rstats.Boundary != lstats.Boundary || rstats.Leader != lstats.Leader ||
-			rstats.Rounds != lstats.Rounds || rstats.Messages != lstats.Messages || rstats.Bytes != lstats.Bytes ||
-			rstats.Iterations != lstats.Iterations || rstats.Survivors != lstats.Survivors {
-			t.Fatalf("query %d: remote stats %+v != local %+v", i, *rstats, *lstats)
-		}
-		// ℓ = 15 is below every node's 48-key sample, so every query
-		// finishes at the sample: 2 rounds, 2(k−1) messages, no iteration.
-		if rstats.Rounds != 2 || rstats.Messages != 2*(k-1) || rstats.Iterations != 0 {
-			t.Fatalf("query %d: %d rounds, %d messages, %d iterations, want 2, %d, 0",
-				i, rstats.Rounds, rstats.Messages, rstats.Iterations, int64(2*(k-1)))
-		}
 	}
+	for _, l := range []int{15, 600, k * perNode} {
+		for i := 0; i < queries; i++ {
+			q := queryAt(l*queries + i)
+			what := fmt.Sprintf("l=%d query %d", l, i)
+			remote, rstats, err := rc.KNN(q, l)
+			if err != nil {
+				t.Fatalf("%s remote: %v", what, err)
+			}
+			want, lstats, err := local.KNN(q, l)
+			if err != nil {
+				t.Fatalf("%s local: %v", what, err)
+			}
+			sameItems(what, remote, want)
+			if rstats.Boundary != lstats.Boundary {
+				t.Fatalf("%s: boundary remote %v, local %v", what, rstats.Boundary, lstats.Boundary)
+			}
+			checkWaveCost(t, what, rstats, k, 1, leader)
 
-	// Classification and regression agree too (labels are small integers,
-	// so the regression mean is exact in float64 and summation order
-	// cannot matter).
-	for i := 0; i < 20; i++ {
-		q := queryAt(1000 + i)
-		rl, _, err := rc.Classify(q, l)
+			rl, rcst, err := rc.Classify(q, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ll, _, err := local.Classify(q, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, rrst, err := rc.Regress(q, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lm, _, err := local.Regress(q, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(rl) != math.Float64bits(ll) || math.Float64bits(rm) != math.Float64bits(lm) {
+				t.Fatalf("%s: classify remote %g local %g, regress remote %g local %g", what, rl, ll, rm, lm)
+			}
+			checkWaveCost(t, what+" classify", rcst, k, 1, leader)
+			checkWaveCost(t, what+" regress", rrst, k, 1, leader)
+		}
+		batch := make([]distknn.Scalar, 9)
+		for i := range batch {
+			batch[i] = queryAt(l*queries + queries + i)
+		}
+		rres, rstats, err := rc.KNNBatch(batch, l)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("l=%d batch remote: %v", l, err)
 		}
-		ll, _, err := local.Classify(q, l)
+		lres, _, err := local.KNNBatch(batch, l)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("l=%d batch local: %v", l, err)
 		}
-		if rl != ll {
-			t.Fatalf("classify %d: remote %g != local %g", i, rl, ll)
+		for i := range batch {
+			what := fmt.Sprintf("l=%d batch point %d", l, i)
+			sameItems(what, rres[i].Neighbors, lres[i].Neighbors)
+			if rres[i].Boundary != lres[i].Boundary {
+				t.Fatalf("%s: boundary remote %v, local %v", what, rres[i].Boundary, lres[i].Boundary)
+			}
 		}
-		rm, _, err := rc.Regress(q, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lm, _, err := local.Regress(q, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rm != lm {
-			t.Fatalf("regress %d: remote %g != local %g", i, rm, lm)
-		}
+		checkWaveCost(t, fmt.Sprintf("l=%d batch", l), rstats, k, len(batch), leader)
 	}
 }
 
@@ -432,5 +463,57 @@ func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
 		if math.Float64bits(mean) != math.Float64bits(wantMean) {
 			t.Fatalf("query %d: regressed %v (%x), leader-first brute-force mean %v (%x)", i, mean, math.Float64bits(mean), wantMean, math.Float64bits(wantMean))
 		}
+	}
+}
+
+// TestRemoteRejectsResultsBeyondOneFrame pins the frame-size admission
+// bound: a query whose ℓ items per point cannot fit one frame — as a node's
+// result, or as the reply — is refused at the frontend with a plain error,
+// before any node answers it. Without the bound, a node whose result
+// overflows wire.MaxFrame fails its write and drops its own control
+// connection, retiring its seat; and a reply that overflows is never sent,
+// so the client waits until its deadline. Both shapes are tried, each under
+// a client Timeout, and each cluster must still have every seat and answer
+// a follow-up query.
+func TestRemoteRejectsResultsBeyondOneFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		k, perNode, n, l int
+	}{
+		{"node result", 1, 3000, 1000, 3000},
+		{"reply", 4, 1000, 800, 4000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed = 5
+			reg := distknn.NewMetrics()
+			srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), tc.k, seed, remoteShards(seed, tc.perNode),
+				distknn.NodeOptions{}, distknn.FrontendOptions{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(),
+				distknn.ClientOptions{Timeout: 20 * time.Second, NoRetry: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			batch := make([]distknn.Scalar, tc.n)
+			for i := range batch {
+				batch[i] = distknn.Scalar(xrand.NewStream(seed, uint64(i)).Uint64N(points.PaperDomain))
+			}
+			_, _, err = rc.KNNBatch(batch, tc.l)
+			if err == nil || errors.Is(err, distknn.ErrClusterDegraded) || !strings.Contains(err.Error(), "exceeds one frame") {
+				t.Fatalf("batch of %d at l=%d: got %v, want a plain frame-size refusal", tc.n, tc.l, err)
+			}
+			if got := reg.Snapshot().Counters["frontend_epochs_admitted_total"]; got != 0 {
+				t.Fatalf("the refused batch consumed %d epochs, want 0", got)
+			}
+			// Every seat still answers: a retired seat would fail this
+			// query as degraded, and the client does not retry.
+			if _, _, err := rc.KNN(batch[0], tc.l); err != nil {
+				t.Fatalf("follow-up query: %v", err)
+			}
+		})
 	}
 }

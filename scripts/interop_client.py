@@ -112,8 +112,8 @@ def decode_reply(r):
         results.append((boundary, items))
     if r.off != len(r.buf):
         raise ValueError("%d trailing reply bytes" % (len(r.buf) - r.off))
-    # No floor on messages/bytes: a k=1 cluster legitimately exchanges no
-    # mesh traffic at all.
+    # No floor on messages/bytes: they count node contacts and bytes between
+    # nodes, and the nodes exchange none.
     if rounds < 1 or leader < 0:
         raise ValueError("implausible epoch cost: rounds=%d leader=%d" % (rounds, leader))
     return results
