@@ -240,14 +240,14 @@ func (f *Frontend) failLocked(err error) {
 	close(f.ready)
 }
 
-// readReady reads seat id's ready report off its control connection: the
-// KindReady frame and the metric-index summary frame that always follows it,
-// both of which must name the seat. A KindError frame in its place — the
-// node's setup failed — comes back as an error carrying the node's message.
-func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, err error) {
+// readReady reads seat id's ready report off its control connection: one
+// KindReady frame, which carries the shard's metric-index summary. A
+// KindError frame in its place — the node's setup failed — comes back as an
+// error carrying the node's message.
+func readReady(conn net.Conn, id int) (wire.Ready, error) {
 	payload, err := wire.ReadFrame(conn)
 	if err != nil {
-		return rdy, sum, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err)
+		return wire.Ready{}, fmt.Errorf("tcp: frontend read ready from node %d: %w", id, err)
 	}
 	r := wire.NewReader(payload)
 	switch kind := r.Kind(); kind {
@@ -255,29 +255,17 @@ func readReady(conn net.Conn, id int) (rdy wire.Ready, sum wire.ShardSummary, er
 	case wire.KindError:
 		ne, err := wire.DecodeNodeError(r)
 		if err != nil {
-			return rdy, sum, fmt.Errorf("tcp: bad setup error from node %d", id)
+			return wire.Ready{}, fmt.Errorf("tcp: bad setup error from node %d", id)
 		}
-		return rdy, sum, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg)
+		return wire.Ready{}, fmt.Errorf("tcp: node %d failed setup: %s", id, ne.Msg)
 	default:
-		return rdy, sum, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
+		return wire.Ready{}, fmt.Errorf("tcp: expected ready from node %d, got kind %d", id, kind)
 	}
-	if rdy, err = wire.DecodeReady(r); err != nil {
-		return rdy, sum, fmt.Errorf("tcp: bad ready from node %d: %w", id, err)
+	rdy, err := wire.DecodeReady(r)
+	if err != nil {
+		return wire.Ready{}, fmt.Errorf("tcp: bad ready from node %d: %w", id, err)
 	}
-	if rdy.Node != id {
-		return rdy, sum, fmt.Errorf("tcp: node %d reported ready as %d", id, rdy.Node)
-	}
-	if payload, err = wire.ReadFrame(conn); err != nil {
-		return rdy, sum, fmt.Errorf("tcp: frontend read summary from node %d: %w", id, err)
-	}
-	r = wire.NewReader(payload)
-	if kind := r.Kind(); kind != wire.KindSummary {
-		return rdy, sum, fmt.Errorf("tcp: expected summary from node %d, got kind %d", id, kind)
-	}
-	if sum, err = wire.DecodeShardSummary(r); err != nil || sum.Node != id {
-		return rdy, sum, fmt.Errorf("tcp: bad summary from node %d (%v)", id, err)
-	}
-	return rdy, sum, nil
+	return rdy, nil
 }
 
 // pump reads one node's control frames for one connection incarnation and
@@ -403,10 +391,9 @@ func (f *Frontend) join(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	err := wire.WriteFrame(conn, wire.EncodeAssign(wire.Assign{ID: slot.id, K: f.k}))
 	var rdy wire.Ready
-	var sum wire.ShardSummary
 	if err == nil {
 		// The node now builds its shard; its ready report seals the seat.
-		rdy, sum, err = readReady(conn, slot.id)
+		rdy, err = readReady(conn, slot.id)
 	}
 	conn.SetDeadline(time.Time{})
 
@@ -418,7 +405,7 @@ func (f *Frontend) join(conn net.Conn) {
 		return
 	}
 	if err == nil {
-		err = f.vetLocked(slot, rdy, sum)
+		err = f.vetLocked(slot, rdy)
 	}
 	if err != nil && f.sealed < f.k {
 		f.failLocked(err)
@@ -435,7 +422,7 @@ func (f *Frontend) join(conn net.Conn) {
 		if f.sealed == 0 {
 			f.tag = rdy.PointTag
 		}
-		slot.shardLen, slot.summary = rdy.ShardLen, sum
+		slot.shardLen, slot.summary = rdy.ShardLen, rdy.Summary
 		f.total += rdy.ShardLen
 		f.sealed++
 		if f.sealed == f.k {
@@ -456,7 +443,7 @@ func (f *Frontend) join(conn net.Conn) {
 // otherwise the frontend's ℓ validation and pruning geometry would silently
 // diverge from the node's data. Which free seat a node takes never changes
 // an answer: every shard is a pure function of (id, k). Callers hold f.mu.
-func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready, sum wire.ShardSummary) error {
+func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready) error {
 	switch {
 	case f.sealed > 0 && rdy.PointTag != f.tag:
 		return fmt.Errorf("tcp: node %d serves point tag %d, the cluster serves %d", s.id, rdy.PointTag, f.tag)
@@ -464,9 +451,9 @@ func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready, sum wire.ShardSummary) e
 		return fmt.Errorf("tcp: node %d's shard of %d points overflows the global point count", s.id, rdy.ShardLen)
 	case s.gen > 0 && rdy.ShardLen != s.shardLen:
 		return fmt.Errorf("shard of %d points, seat %d held %d — rebuilt data must match", rdy.ShardLen, s.id, s.shardLen)
-	case s.gen > 0 && (sum.Has != s.summary.Has ||
-		math.Float64bits(sum.Radius) != math.Float64bits(s.summary.Radius) ||
-		!bytes.Equal(sum.Center, s.summary.Center)):
+	case s.gen > 0 && (rdy.Summary.Has != s.summary.Has ||
+		math.Float64bits(rdy.Summary.Radius) != math.Float64bits(s.summary.Radius) ||
+		!bytes.Equal(rdy.Summary.Center, s.summary.Center)):
 		return fmt.Errorf("metric summary differs from the one seat %d held — rebuilt data must match", s.id)
 	}
 	return nil
@@ -606,6 +593,9 @@ func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 		}
 		var q wire.Query
 		err := wire.DecodeQueryInto(r, &q)
+		if err == nil {
+			err = r.End()
+		}
 		if f.readyErr != nil {
 			err = fmt.Errorf("cluster unavailable: %v", f.readyErr)
 		} else if err != nil {

@@ -25,7 +25,6 @@ type feMetrics struct {
 	coalesced      *obs.Counter   // frontend_queries_coalesced_total: queries that joined a shared bucket epoch
 	meshRounds     *obs.Counter   // frontend_mesh_rounds_total: Σ Rounds (dispatch waves) of answered client queries
 	meshMessages   *obs.Counter   // frontend_mesh_messages_total: Σ Messages (per-point node contacts) of answered client queries
-	meshBytes      *obs.Counter   // frontend_mesh_bytes_total: Σ Bytes of answered client queries (0: nodes exchange nothing)
 	pruneWaves     *obs.Counter   // frontend_prune_waves_total: direct dispatch waves (probe + gather)
 	pruneContacts  *obs.Counter   // frontend_prune_contacts_total: Σ per-point shard contacts of pruned queries
 	pruneSkipped   *obs.Counter   // frontend_prune_shards_skipped_total: Σ shards a pruned batch never contacted
@@ -52,7 +51,6 @@ func newFeMetrics(reg *obs.Registry) *feMetrics {
 		coalesced:      reg.Counter("frontend_queries_coalesced_total"),
 		meshRounds:     reg.Counter("frontend_mesh_rounds_total"),
 		meshMessages:   reg.Counter("frontend_mesh_messages_total"),
-		meshBytes:      reg.Counter("frontend_mesh_bytes_total"),
 		pruneWaves:     reg.Counter("frontend_prune_waves_total"),
 		pruneContacts:  reg.Counter("frontend_prune_contacts_total"),
 		pruneSkipped:   reg.Counter("frontend_prune_shards_skipped_total"),

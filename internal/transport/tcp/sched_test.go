@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"distknn/internal/keys"
 	"distknn/internal/points"
 	"distknn/internal/wire"
+	"distknn/internal/xrand"
 )
 
 // startEchoClusterOptions is startEchoCluster with an explicit scheduler
@@ -316,16 +318,12 @@ func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
 				if kind := r.Kind(); kind != wire.KindAssign {
 					t.Fatalf("got kind %d, want an assign", kind)
 				}
-				a, err := wire.DecodeAssign(r)
-				if err != nil {
+				if _, err := wire.DecodeAssign(r); err != nil {
 					t.Fatal(err)
 				}
 				var ready wire.Writer
-				wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: 100, PointTag: wire.PointVector})
+				wire.AppendReady(&ready, wire.Ready{ShardLen: 100, PointTag: wire.PointVector})
 				if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
-					t.Fatal(err)
-				}
-				if err := wire.WriteFrame(conn, wire.EncodeShardSummary(wire.ShardSummary{Node: a.ID})); err != nil {
 					t.Fatal(err)
 				}
 				// From here on the seat never reads again.
@@ -384,4 +382,84 @@ func TestFoldRejectsEmptyAnswer(t *testing.T) {
 			t.Errorf("op %d: fold over no winners succeeded", op)
 		}
 	}
+}
+
+// TestMergeTopMatchesSort pins the fold's k-way merge against a sort-based
+// reference: sorting the union of every seat's list and cutting it to ℓ
+// gives the same top-ℓ, and each seat's share is its items at or below the
+// ℓ-th key. The lists are random local top-ℓ lists over unique keys with
+// colliding distances — some seats empty, some totals below ℓ, and on a
+// gather trial every list but the probe seat's cut strictly below the probe
+// seat's ℓ-th key, as wave 2 returns them.
+func TestMergeTopMatchesSort(t *testing.T) {
+	rng := xrand.New(42)
+	for trial := range 2000 {
+		k, l := 1+rng.IntN(6), 1+rng.IntN(12)
+		// Point IDs are unique and uncorrelated with the seat order, so a
+		// merge that broke distance ties by seat would show.
+		ids := rng.Perm(k * 2 * l)
+		lists := make([][]points.Item, k)
+		for id := range lists {
+			if rng.IntN(4) == 0 {
+				continue // an empty seat
+			}
+			for range rng.IntN(2 * l) {
+				lists[id] = append(lists[id], points.Item{Key: keys.Key{Dist: rng.Uint64N(8), ID: uint64(ids[0])}, Label: float64(rng.IntN(3))})
+				ids = ids[1:]
+			}
+			points.SortItems(lists[id])
+			if len(lists[id]) > l {
+				lists[id] = lists[id][:l]
+			}
+		}
+		if probe := rng.IntN(k); trial%2 == 1 && len(lists[probe]) == l {
+			bound := lists[probe][l-1].Key
+			for id := range lists {
+				if id == probe {
+					continue
+				}
+				cut := 0
+				for cut < len(lists[id]) && lists[id][cut].Key.Less(bound) {
+					cut++
+				}
+				lists[id] = lists[id][:cut]
+			}
+		}
+
+		var all []points.Item
+		for _, items := range lists {
+			all = append(all, items...)
+		}
+		points.SortItems(all)
+		if len(all) > l {
+			all = all[:l]
+		}
+		top, shares := mergeTop(lists, l)
+		if !equalItems(top, all) {
+			t.Fatalf("trial %d: merged %v, sorted %v", trial, top, all)
+		}
+		for id, items := range lists {
+			var want []points.Item
+			for _, it := range items {
+				if len(all) > 0 && !all[len(all)-1].Key.Less(it.Key) {
+					want = append(want, it)
+				}
+			}
+			if !equalItems(shares[id], want) {
+				t.Fatalf("trial %d: seat %d share %v, want %v", trial, id, shares[id], want)
+			}
+		}
+	}
+}
+
+func equalItems(a, b []points.Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -52,8 +52,8 @@ import (
 // fit one frame) or after Linger — whichever comes first — so many small
 // clients share one dispatch frame per seat. The flushed bucket runs
 // through the same pipeline as any client batch; each coalesced query
-// receives its own result, and the batch-wide cost fields (rounds,
-// messages, bytes) are reported to every participant.
+// receives its own result, and the batch-wide cost fields (rounds and
+// messages) are reported to every participant.
 //
 // Churn interaction. A seat lost mid-flight fails exactly the waves that
 // were dispatched to it — each affected job completes with a retryable
@@ -262,10 +262,10 @@ func (job *epochJob) collect(got [][][]points.Item) {
 }
 
 // checkWinners holds seat id's result to what the fold assumes of a
-// winner list: strictly ascending keys (sharesWithin binary-searches it), at
-// most ℓ of them, and — on a gather wave — every key strictly below its
-// point's bound. Ascending order makes the last key the only one the bound
-// needs to check.
+// winner list: strictly ascending keys (mergeTop merges them as sorted
+// runs), at most ℓ of them, and — on a gather wave — every key strictly
+// below its point's bound. Ascending order makes the last key the only one
+// the bound needs to check.
 func (job *epochJob) checkWinners(id int, nr wire.NodeResult) error {
 	for si, qr := range nr.Queries {
 		w := qr.Winners
@@ -295,29 +295,36 @@ func newGather(n, k int) [][][]points.Item {
 	return got
 }
 
-// mergeItems merges one point's per-seat winner lists into ascending key
-// order. Keys are unique (distance, ID) pairs, so the order is total and
+// mergeTop merges one point's per-seat winner lists — each strictly
+// ascending, as checkWinners holds them — into the first l keys of their
+// union, in ascending order, by a k-way merge that stops at l. shares[id]
+// is the prefix of seat id's list the merge consumed: the seat's share of
+// the global top-l, in ascending key order — the order core's folds sum a
+// share in. Keys are unique (distance, ID) pairs, so the order is total and
 // the merge has exactly one outcome regardless of which seat contributed
 // which item.
-func mergeItems(lists [][]points.Item) []points.Item {
-	var all []points.Item
+func mergeTop(lists [][]points.Item, l int) (top []points.Item, shares [][]points.Item) {
+	total := 0
 	for _, items := range lists {
-		all = append(all, items...)
+		total += len(items)
 	}
-	points.SortItems(all)
-	return all
-}
-
-// sharesWithin cuts one point's per-seat winner lists (each in ascending
-// key order, as nodes report them) down to the items at or below the global
-// boundary key: seat id's share of the global top-ℓ, in ascending key
-// order — the order core's folds sum a share in.
-func sharesWithin(lists [][]points.Item, boundary keys.Key) [][]points.Item {
-	shares := make([][]points.Item, len(lists))
+	top = make([]points.Item, 0, min(total, l))
+	next := make([]int, len(lists)) // per seat, the first item not yet merged
+	for len(top) < cap(top) {
+		best := -1
+		for id, items := range lists {
+			if next[id] < len(items) && (best < 0 || items[next[id]].Key.Less(lists[best][next[best]].Key)) {
+				best = id
+			}
+		}
+		top = append(top, lists[best][next[best]])
+		next[best]++
+	}
+	shares = make([][]points.Item, len(lists))
 	for id, items := range lists {
-		shares[id] = items[:sort.Search(len(items), func(i int) bool { return boundary.Less(items[i].Key) })]
+		shares[id] = items[:next[id]]
 	}
-	return shares
+	return top, shares
 }
 
 // closingReply is the retryable failure every queued, coalescing and
@@ -348,7 +355,6 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	case rep.Err == "":
 		sched.fm.meshRounds.Add(int64(rep.Rounds))
 		sched.fm.meshMessages.Add(rep.Messages)
-		sched.fm.meshBytes.Add(rep.Bytes)
 	case rep.Degraded:
 		sched.fm.repliesDegr.Inc()
 	default:
@@ -418,9 +424,7 @@ func (sched *scheduler) run(q wire.Query) wire.Reply {
 // waves dispatch waves and contacts per-point seat contacts. Rounds counts
 // the waves and Messages the contacts (Σ over the batch of the seats each
 // point was sent to, so Messages/len(Points) is the contacted-nodes-per-query
-// figure); Bytes stays 0, as nodes exchange nothing, and the selection
-// stats (Survivors, Iterations, FellBack) are those of a protocol that
-// does not run here, so they stay 0 too.
+// figure).
 func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
 	results, err := fold(q, got, sched.f.leader)
 	if err != nil {
@@ -432,19 +436,16 @@ func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, co
 // fold answers every point of q from its per-seat winner lists — the one
 // fold both plans end in. Per point it merges the seats' lists (each a
 // seat's local top-ℓ, below the point's bound on a gather wave) in key
-// order and cuts them to ℓ: the cut selects. The ℓ-th key is the boundary,
+// order and stops at ℓ: the cut selects. The ℓ-th key is the boundary,
 // and a Classify or Regress answer is core's fold over each seat's items at
 // or below it; Regress sums the leader's share first, then the others in
 // seat order.
 func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, error) {
 	results := make([]wire.QueryReply, len(got))
 	for pi, lists := range got {
-		items := mergeItems(lists)
+		items, shares := mergeTop(lists, q.L)
 		if len(items) == 0 {
 			return nil, fmt.Errorf("no winners for point %d", pi)
-		}
-		if len(items) > q.L {
-			items = items[:q.L]
 		}
 		qr := &results[pi]
 		qr.Boundary = items[len(items)-1].Key
@@ -453,9 +454,9 @@ func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, e
 		case wire.OpKNN:
 			qr.Items = items
 		case wire.OpClassify:
-			qr.Value, err = core.ClassifyShares(sharesWithin(lists, qr.Boundary))
+			qr.Value, err = core.ClassifyShares(shares)
 		case wire.OpRegress:
-			qr.Value, err = core.RegressShares(sharesWithin(lists, qr.Boundary), leader)
+			qr.Value, err = core.RegressShares(shares, leader)
 		}
 		if err != nil {
 			return nil, err
@@ -877,7 +878,6 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 	return wire.Reply{
 		Rounds:   b.rep.Rounds,
 		Messages: b.rep.Messages,
-		Bytes:    b.rep.Bytes,
 		Leader:   b.rep.Leader,
 		Results:  []wire.QueryReply{b.rep.Results[idx]},
 	}

@@ -47,22 +47,6 @@ var ErrSessionLost = errors.New("tcp: serving session lost")
 // again once the absent node re-joins. Matched with errors.Is.
 var ErrDegraded = errors.New("cluster degraded")
 
-// SessionInfo is what a node's Handler reports once it has loaded its
-// shard; the node forwards it to the frontend in its KindReady frame.
-type SessionInfo struct {
-	// ShardLen is the number of points this node holds; the frontend sums
-	// the shards to validate ℓ against the global point count.
-	ShardLen int
-	// PointTag is the wire encoding this node's shard understands
-	// (wire.PointScalar, …); the frontend rejects mismatched queries.
-	PointTag uint8
-	// Summary is the shard's metric-index summary (centroid + radius),
-	// reported right after the ready frame. A zero value (Has false)
-	// means the shard has no metric geometry and disables pruned dispatch
-	// for the session.
-	Summary wire.ShardSummary
-}
-
 // Handler is the per-node logic a resident node runs: one Load call once
 // the node holds its seat — at bring-up and on a re-join alike — then one
 // Direct call per point of every dispatch it is sent.
@@ -74,8 +58,12 @@ type SessionInfo struct {
 // Handler instance belongs to one node.
 type Handler interface {
 	// Load builds the shard of seat id of k. It runs locally, before the
-	// node reports ready.
-	Load(id, k int) (SessionInfo, error)
+	// node reports ready, and returns the ready report the node sends: the
+	// shard size (the frontend sums the shards to validate ℓ against the
+	// global point count), the point encoding the shard understands (the
+	// frontend rejects mismatched queries) and the shard's metric-index
+	// summary (a zero summary disables pruned dispatch for the session).
+	Load(id, k int) (wire.Ready, error)
 	// Direct answers point qi of a dispatch: the node's local top-ℓ
 	// winners in ascending key order, straight from its shard — the
 	// frontend merges the shares of the contacted nodes itself. Only keys
@@ -128,23 +116,18 @@ func serveNode(coordAddr string, h Handler, hook func(*nodeSession), reg *obs.Re
 		hook(&nodeSession{id: a.ID, coord: coord})
 	}
 
-	info, err := h.Load(a.ID, a.K)
+	rdy, err := h.Load(a.ID, a.K)
 	if err != nil {
 		_ = wire.WriteFrame(coord, wire.EncodeNodeError(wire.NodeError{Msg: err.Error()}))
 		return fmt.Errorf("tcp: node %d load: %w", a.ID, err)
 	}
-
+	// The ready report carries the shard's metric-index summary, so the
+	// frontend has current centroid/radius geometry for each seated
+	// incarnation before it serves queries on it.
 	var ready wire.Writer
-	wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: int64(info.ShardLen), PointTag: info.PointTag})
+	wire.AppendReady(&ready, rdy)
 	if err := wire.WriteFrame(coord, ready.Bytes()); err != nil {
 		return fmt.Errorf("tcp: node %d ready: %w (%v)", a.ID, ErrSessionLost, err)
-	}
-	// The metric-index summary follows every ready frame, so the frontend
-	// always has current centroid/radius geometry for each seated
-	// incarnation before it serves queries on it.
-	info.Summary.Node = a.ID
-	if err := wire.WriteFrame(coord, wire.EncodeShardSummary(info.Summary)); err != nil {
-		return fmt.Errorf("tcp: node %d summary: %w (%v)", a.ID, ErrSessionLost, err)
 	}
 
 	// Dispatches are answered concurrently — the frontend's scheduler
@@ -168,14 +151,16 @@ func serveNode(coordAddr string, h Handler, hook func(*nodeSession), reg *obs.Re
 			nm.epochsServed.Inc()
 			wire.AppendNodeResult(w, nr)
 		}
+		// The frame is counted before it is written: once the frontend has
+		// the result it may answer its client, and a counter bumped after
+		// the write could still miss a reply the client already holds. A
+		// failed write ends the session, so its count is never relied on.
+		nm.ctrlOut.Add(int64(len(w.Bytes()))) // header placeholder + payload
 		ctrlMu.Lock()
 		//knnlint:allow lockio -- ctrlMu exists to serialize exactly this control write; no other state hides behind it
 		werr := w.EndFrame(coord)
 		ctrlMu.Unlock()
-		if werr == nil {
-			// The writer still holds the whole frame after EndFrame.
-			nm.ctrlOut.Add(int64(len(w.Bytes())))
-		} else {
+		if werr != nil {
 			coord.Close()
 		}
 		wire.PutWriter(w)

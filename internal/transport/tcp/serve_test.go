@@ -28,9 +28,9 @@ type echoHandler struct {
 	id int
 }
 
-func (h *echoHandler) Load(id, k int) (SessionInfo, error) {
+func (h *echoHandler) Load(id, k int) (wire.Ready, error) {
 	h.id = id
-	return SessionInfo{ShardLen: 10, PointTag: wire.PointScalar}, nil
+	return wire.Ready{ShardLen: 10, PointTag: wire.PointScalar}, nil
 }
 
 func (h *echoHandler) Direct(q wire.Query, qi int, _ keys.Key) ([]points.Item, error) {
@@ -98,12 +98,11 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 			}
 		}
 		if res.Boundary != res.Items[k-1].Key || rep.Leader != lc.Leader() {
-			t.Fatalf("query %d: outcome %+v leader %d", v, res.QueryOutcome, rep.Leader)
+			t.Fatalf("query %d: boundary %v leader %d", v, res.Boundary, rep.Leader)
 		}
-		// One full-scatter wave: one round, one contact per seat, and no
-		// bytes between nodes.
-		if rep.Rounds != 1 || rep.Messages != int64(k) || rep.Bytes != 0 {
-			t.Fatalf("query %d: cost rounds=%d msgs=%d bytes=%d, want 1, %d, 0", v, rep.Rounds, rep.Messages, rep.Bytes, k)
+		// One full-scatter wave: one round and one contact per seat.
+		if rep.Rounds != 1 || rep.Messages != int64(k) {
+			t.Fatalf("query %d: cost rounds=%d msgs=%d, want 1, %d", v, rep.Rounds, rep.Messages, k)
 		}
 	}
 }
@@ -133,7 +132,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 			}
 		}
 		if res.Boundary != res.Items[k-1].Key {
-			t.Fatalf("query %d: outcome %+v", qi, res.QueryOutcome)
+			t.Fatalf("query %d: boundary %v", qi, res.Boundary)
 		}
 	}
 	if rep.Leader != lc.Leader() {
@@ -156,8 +155,8 @@ func TestServeBatchedEpoch(t *testing.T) {
 		}
 		messages += single.Messages
 	}
-	if rep.Rounds != 1 || rep.Messages != messages || rep.Bytes != 0 {
-		t.Fatalf("batch cost %d rounds / %d messages / %d bytes, want 1 / %d (its queries alone) / 0", rep.Rounds, rep.Messages, rep.Bytes, messages)
+	if rep.Rounds != 1 || rep.Messages != messages {
+		t.Fatalf("batch cost %d rounds / %d messages, want 1 / %d (its queries alone)", rep.Rounds, rep.Messages, messages)
 	}
 }
 
@@ -247,10 +246,10 @@ func TestFrontendValidatesQueries(t *testing.T) {
 // the frontend must reject the session during the ready phase.
 type mismatchedTagHandler struct{ echoHandler }
 
-func (h *mismatchedTagHandler) Load(id, k int) (SessionInfo, error) {
-	info, err := h.echoHandler.Load(id, k)
-	info.PointTag += uint8(id)
-	return info, err
+func (h *mismatchedTagHandler) Load(id, k int) (wire.Ready, error) {
+	rdy, err := h.echoHandler.Load(id, k)
+	rdy.PointTag += uint8(id)
+	return rdy, err
 }
 
 func TestFailedSessionReleasesNodes(t *testing.T) {
@@ -400,16 +399,12 @@ func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
 		if kind := r.Kind(); kind != wire.KindAssign {
 			t.Fatalf("got kind %d, want an assign", kind)
 		}
-		a, err := wire.DecodeAssign(r)
-		if err != nil {
+		if _, err := wire.DecodeAssign(r); err != nil {
 			t.Fatal(err)
 		}
 		var ready wire.Writer
-		wire.AppendReady(&ready, wire.Ready{Node: a.ID, ShardLen: math.MaxInt64, PointTag: wire.PointScalar})
+		wire.AppendReady(&ready, wire.Ready{ShardLen: math.MaxInt64, PointTag: wire.PointScalar})
 		if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.WriteFrame(conn, wire.EncodeShardSummary(wire.ShardSummary{Node: a.ID})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,6 +415,75 @@ func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve neither failed nor returned")
+	}
+}
+
+// TestRetiredSummaryKindIsRefused pins what became of the Summary frame
+// (kind 0e), whose body is now the tail of Ready: a join is exactly
+// Register, Assign and Ready. A node that reports in the retired layout —
+// Ready led by its node id, then a Summary frame — fails its handshake; a
+// kind-0e frame from a seated node retires the seat like any unexpected
+// control kind; and as a connection's first frame it closes the connection
+// without a reply, like any frame without a role.
+func TestRetiredSummaryKindIsRefused(t *testing.T) {
+	start := func(ready []byte) (*Frontend, net.Conn, chan error) {
+		fe, err := NewFrontendOptions("127.0.0.1:0", 1, 1, FrontendOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fe.Close() })
+		serveDone := make(chan error, 1)
+		go func() { serveDone <- fe.Serve() }()
+		conn := registerRaw(t, fe, 1)[0]
+		if _, err := wire.ReadFrame(conn); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, ready); err != nil {
+			t.Fatal(err)
+		}
+		return fe, conn, serveDone
+	}
+	summary := []byte{0x0e, 0x00, 0x00} // node 0, no centroid
+
+	// Node 0, 5 points, scalar tag: read today, a shard of 0 points whose
+	// summary is cut off.
+	_, conn, serveDone := start([]byte{byte(wire.KindReady), 0x00, 0x05, wire.PointScalar})
+	_ = wire.WriteFrame(conn, summary) // the frontend may have closed the connection already
+	select {
+	case err := <-serveDone:
+		if err == nil || !strings.Contains(err.Error(), "bad ready") {
+			t.Fatalf("a ready frame in the retired layout: Serve returned %v, want a bad-ready failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a ready frame in the retired layout sealed the seat")
+	}
+
+	var ready wire.Writer
+	wire.AppendReady(&ready, wire.Ready{ShardLen: 5, PointTag: wire.PointScalar})
+	fe, conn, _ := start(ready.Bytes())
+	<-fe.ready
+	if err := wire.WriteFrame(conn, summary); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for h := fe.Health(); h.Seats[0].Present || !strings.Contains(h.Seats[0].Cause, "unexpected control kind 14"); h = fe.Health() {
+		if time.Now().After(deadline) {
+			t.Fatalf("a kind-0e frame from a seated node left the seat %+v", h.Seats[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	first, err := net.Dial("tcp", fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := wire.WriteFrame(first, summary); err != nil {
+		t.Fatal(err)
+	}
+	first.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if payload, err := wire.ReadFrame(first); err != io.EOF {
+		t.Fatalf("a first frame of kind 0e got payload % x, err %v; want the connection closed without a reply", payload, err)
 	}
 }
 

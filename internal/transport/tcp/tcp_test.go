@@ -35,12 +35,12 @@ type setHandler struct {
 	set     *points.Set[points.Scalar]
 }
 
-func (h *setHandler) Load(id, k int) (SessionInfo, error) {
+func (h *setHandler) Load(id, k int) (wire.Ready, error) {
 	h.set = instanceFor(h.seed, id, h.n)
 	if h.relabel != nil {
 		h.relabel(h.set.Labels)
 	}
-	return SessionInfo{ShardLen: h.n, PointTag: wire.PointScalar}, nil
+	return wire.Ready{ShardLen: int64(h.n), PointTag: wire.PointScalar}, nil
 }
 
 func (h *setHandler) Direct(q wire.Query, qi int, ceil keys.Key) ([]points.Item, error) {
@@ -218,7 +218,7 @@ func TestSingleNodeCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEcho(t, rep, 1, 8, lc.Leader())
-	if rep.Rounds != 1 || rep.Messages != 1 || rep.Bytes != 0 {
-		t.Fatalf("cost %d rounds / %d messages / %d bytes, want 1 / 1 / 0", rep.Rounds, rep.Messages, rep.Bytes)
+	if rep.Rounds != 1 || rep.Messages != 1 {
+		t.Fatalf("cost %d rounds / %d messages, want 1 / 1", rep.Rounds, rep.Messages)
 	}
 }

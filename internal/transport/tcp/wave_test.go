@@ -85,12 +85,10 @@ func (n *stubNode) serve(addr string) error {
 	n.id = id
 	n.mu.Unlock()
 	var ready wire.Writer
-	wire.AppendReady(&ready, wire.Ready{Node: id, ShardLen: 3, PointTag: wire.PointScalar})
+	wire.AppendReady(&ready, wire.Ready{ShardLen: 3, PointTag: wire.PointScalar, Summary: wire.ShardSummary{
+		Has: true, Radius: 30, Center: wire.EncodeScalarPoint(stubCenters[id]),
+	}})
 	if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
-		return err
-	}
-	sum := wire.ShardSummary{Node: id, Has: true, Radius: 30, Center: wire.EncodeScalarPoint(stubCenters[id])}
-	if err := wire.WriteFrame(conn, wire.EncodeShardSummary(sum)); err != nil {
 		return err
 	}
 	for {
@@ -171,8 +169,8 @@ func TestPrunedSubBatchWaveOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != 2 || rep.Messages != 6 || rep.Bytes != 0 {
-		t.Fatalf("pruned cost = %d waves, %d contacts, %d bytes; want 2, 6, 0", rep.Rounds, rep.Messages, rep.Bytes)
+	if rep.Rounds != 2 || rep.Messages != 6 {
+		t.Fatalf("pruned cost = %d waves, %d contacts; want 2, 6", rep.Rounds, rep.Messages)
 	}
 	if len(rep.Results) != len(batch) {
 		t.Fatalf("%d results for %d points", len(rep.Results), len(batch))
@@ -271,8 +269,8 @@ func TestFullScatterWaveOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != 1 || rep.Messages != 4 || rep.Bytes != 0 || rep.Leader != 0 {
-		t.Fatalf("full-scatter cost = %d rounds, %d contacts, %d bytes, leader %d; want 1, 4, 0, 0", rep.Rounds, rep.Messages, rep.Bytes, rep.Leader)
+	if rep.Rounds != 1 || rep.Messages != 4 || rep.Leader != 0 {
+		t.Fatalf("full-scatter cost = %d rounds, %d contacts, leader %d; want 1, 4, 0", rep.Rounds, rep.Messages, rep.Leader)
 	}
 	for pi, q := range batch {
 		want := append(stubTopL(0, q, l), stubTopL(1, q, l)...)
@@ -299,8 +297,8 @@ func TestFullScatterWaveOnTheWire(t *testing.T) {
 }
 
 // TestRogueResultIsMalformed pins what the fold may assume of a winner
-// list: per point at most ℓ keys, strictly ascending — sharesWithin
-// binary-searches it — and, on a gather wave, every key strictly below the
+// list: per point at most ℓ keys, strictly ascending — mergeTop merges
+// them as sorted runs — and, on a gather wave, every key strictly below the
 // point's bound. A node that breaks any of these is evicted and the query
 // fails, instead of answering from a list the merge and the fold would
 // misread. Query 552 at ℓ = 2 probes seat 1 ((443, 995), (448, 1000)) and

@@ -20,10 +20,10 @@ func benchReply() Reply {
 		items[i] = points.Item{Key: keys.Key{Dist: uint64(i), ID: uint64(i)}, Label: 1}
 	}
 	return Reply{
-		Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
+		Rounds: 1, Messages: 4, Leader: 0,
 		Results: []QueryReply{{
-			QueryOutcome: QueryOutcome{Boundary: items[9].Key, Survivors: 20, Iterations: 4},
-			Items:        items,
+			Boundary: items[9].Key,
+			Items:    items,
 		}},
 	}
 }

@@ -52,11 +52,8 @@ func EncodeScalarPoint(v uint64) []byte {
 func DecodeScalarPoint(p []byte) (uint64, error) {
 	r := NewReader(p)
 	v := r.U64()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return 0, err
-	}
-	if r.Remaining() != 0 {
-		return 0, fmt.Errorf("wire: scalar point has %d trailing bytes", r.Remaining())
 	}
 	return v, nil
 }
@@ -83,11 +80,8 @@ func DecodeVectorPoint(p []byte) (points.Vector, error) {
 	for i := range v {
 		v[i] = r.F64()
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("wire: vector point has %d trailing bytes", r.Remaining())
 	}
 	return v, nil
 }

@@ -25,8 +25,11 @@ const (
 	// KindAssign: frontend → node, the grant of a seat, for a fresh
 	// rendezvous and a re-join alike. Body: Assign.
 	KindAssign Kind = 2
-	// KindReady: node → frontend, once the node has loaded its shard.
-	// Body: Varint id, Varint shard size, U8 point tag.
+	// KindReady: node → frontend, once the node has loaded its shard, at
+	// rendezvous and on a re-join alike. Body: Ready — Varint shard size, U8
+	// point tag, then the shard's metric-index summary: U8 has; if has is 1,
+	// F64 radius and String centroid point bytes (the shard's anchor in the
+	// session's point encoding).
 	KindReady Kind = 3
 	// KindResult: node → frontend, one epoch's outcome. Body: NodeResult.
 	KindResult Kind = 5
@@ -38,8 +41,9 @@ const (
 
 	// Kinds 4 (the mesh-epoch dispatch), 8 and 9 (the untagged client
 	// query/reply pair), 10 and 11 (the seat-claiming Rejoin request and its
-	// separate grant) and 16 (the pruned sub-batch dispatch with an index
-	// list) are retired and never reused.
+	// separate grant), 14 (the shard summary once sent after every ready
+	// frame, now part of it) and 16 (the pruned sub-batch dispatch with an
+	// index list) are retired and never reused.
 
 	// KindQueryTagged: client → frontend, one query. Body: Varint tag
 	// (client-chosen request id, echoed verbatim in the reply), then a Query
@@ -49,14 +53,6 @@ const (
 	// KindReplyTagged: frontend → client, the answer to one query. Body:
 	// Varint tag, then a Reply body.
 	KindReplyTagged Kind = 13
-	// KindSummary: node → frontend, the node's metric-index shard summary,
-	// sent immediately after every KindReady (at rendezvous and on a
-	// re-join alike). Body: Varint node id, U8 has; if has is 1:
-	// F64 radius, then String centroid point bytes (the shard's anchor in
-	// the session's point encoding). has 0 means the shard has no metric
-	// summary (the point type is not a metric, or the shard is empty) and
-	// disables pruned dispatch for the whole session.
-	KindSummary Kind = 14
 	// KindDispatchDirect: frontend → node, one query epoch, the only
 	// dispatch: the node answers its local top-ℓ for each query point from
 	// its own shard and replies with a KindResult. Body: Varint epoch, then
@@ -137,10 +133,10 @@ func AppendDispatchDirect(w *Writer, epoch uint64, q Query, bounds []keys.Key) {
 
 // DecodeBounds reads the bound list that ends a KindDispatchDirect body
 // whose query holds n points: nil for an empty list, else exactly one key
-// per point. Any other count is rejected.
+// per point. Any other count, and any byte after the list, is rejected.
 func DecodeBounds(r *Reader, n int) ([]keys.Key, error) {
 	bounds := r.Keys()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	switch len(bounds) {
@@ -153,6 +149,8 @@ func DecodeBounds(r *Reader, n int) ([]keys.Key, error) {
 }
 
 // DecodeQuery reads a Query body; the kind byte must already be consumed.
+// The body need not end the frame (a dispatch's bound list follows it), so
+// the caller checks the frame's end.
 func DecodeQuery(r *Reader) (Query, error) {
 	var q Query
 	if err := DecodeQueryInto(r, &q); err != nil {
@@ -220,7 +218,7 @@ func AppendNodeError(w *Writer, ne NodeError) {
 // consumed.
 func DecodeNodeError(r *Reader) (NodeError, error) {
 	ne := NodeError{Epoch: r.Varint(), Msg: r.String()}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return NodeError{}, err
 	}
 	return ne, nil
@@ -248,7 +246,7 @@ func EncodeAssign(a Assign) []byte {
 // int.
 func DecodeAssign(r *Reader) (Assign, error) {
 	id, k := r.Varint(), r.Varint()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return Assign{}, err
 	}
 	if id >= k || k > math.MaxInt32 {
@@ -258,33 +256,13 @@ func DecodeAssign(r *Reader) (Assign, error) {
 }
 
 // Ready is the body of a KindReady frame: what a node reports once it has
-// loaded its shard — its seat, its shard size and the point encoding it
-// serves.
+// loaded its shard — its shard size, the point encoding it serves and the
+// shard's metric-index summary. It names no seat: the Assign on the same
+// connection fixed that.
 type Ready struct {
-	Node     int
 	ShardLen int64
 	PointTag uint8
-}
-
-// AppendReady appends a KindReady frame payload to w.
-func AppendReady(w *Writer, rdy Ready) {
-	w.Kind(KindReady)
-	w.Varint(uint64(rdy.Node))
-	w.Varint(uint64(rdy.ShardLen))
-	w.U8(rdy.PointTag)
-}
-
-// DecodeReady reads a Ready body; the kind byte must already be consumed. It
-// rejects a shard length that does not fit an int64.
-func DecodeReady(r *Reader) (Ready, error) {
-	node, shardLen, tag := r.Varint(), r.Varint(), r.U8()
-	if err := r.Err(); err != nil {
-		return Ready{}, err
-	}
-	if shardLen > math.MaxInt64 {
-		return Ready{}, fmt.Errorf("wire: ready shard of %d points does not fit an int64", shardLen)
-	}
-	return Ready{Node: int(node), ShardLen: int64(shardLen), PointTag: tag}, nil
+	Summary  ShardSummary
 }
 
 // ShardSummary is one node's metric-index summary of its shard: the
@@ -293,26 +271,24 @@ func DecodeReady(r *Reader) (Ready, error) {
 // the triangle-inequality admission test against them to prune query
 // dispatches; Has false (no centroid — the point type is not a metric, or
 // the shard is empty without an explicit anchor) disables pruning for the
-// session. It is the body of a KindSummary frame, reported right after
-// every KindReady.
+// session.
 type ShardSummary struct {
-	Node   int
 	Has    bool
 	Radius float64
 	Center []byte
 }
 
-// EncodeShardSummary builds a KindSummary frame payload.
-func EncodeShardSummary(s ShardSummary) []byte {
-	var w Writer
-	AppendShardSummary(&w, s)
-	return w.Bytes()
+// AppendReady appends a KindReady frame payload to w.
+func AppendReady(w *Writer, rdy Ready) {
+	w.Kind(KindReady)
+	w.Varint(uint64(rdy.ShardLen))
+	w.U8(rdy.PointTag)
+	AppendShardSummary(w, rdy.Summary)
 }
 
-// AppendShardSummary appends a KindSummary frame payload to w.
+// AppendShardSummary appends s to w as the tail of a Ready body: a has
+// flag and, when set, the radius and the length-prefixed centroid.
 func AppendShardSummary(w *Writer, s ShardSummary) {
-	w.Kind(KindSummary)
-	w.Varint(uint64(s.Node))
 	w.U8(b2u(s.Has))
 	if s.Has {
 		w.F64(s.Radius)
@@ -321,11 +297,13 @@ func AppendShardSummary(w *Writer, s ShardSummary) {
 	}
 }
 
-// DecodeShardSummary reads a ShardSummary body; the kind byte must already
-// be consumed. The centroid bytes are copied out of the reader's buffer (a
-// summary outlives its handshake frame).
+// DecodeShardSummary reads the summary tail of a Ready body, leaving the
+// reader after it. It rejects a negative or NaN radius; a +Inf radius is
+// accepted (the admission test then admits the seat to every query). The
+// centroid bytes are copied out of the reader's buffer, as a summary
+// outlives its handshake frame.
 func DecodeShardSummary(r *Reader) (ShardSummary, error) {
-	s := ShardSummary{Node: int(r.Varint())}
+	var s ShardSummary
 	switch has := r.U8(); has {
 	case 0:
 	case 1:
@@ -351,15 +329,22 @@ func DecodeShardSummary(r *Reader) (ShardSummary, error) {
 	return s, nil
 }
 
-// QueryOutcome is one query's selection outcome in a Reply: the boundary of
-// the answer the frontend folded and the selection statistics of the
-// paper's protocol. The frontend runs no selection protocol, so it reports
-// the statistics as zero; the fields keep the client wire format stable.
-type QueryOutcome struct {
-	Boundary   keys.Key
-	Survivors  int64
-	FellBack   bool
-	Iterations int
+// DecodeReady reads a Ready body; the kind byte must already be consumed.
+// It rejects a shard length that does not fit an int64 and whatever
+// DecodeShardSummary rejects in the summary tail.
+func DecodeReady(r *Reader) (Ready, error) {
+	shardLen, tag := r.Varint(), r.U8()
+	sum, err := DecodeShardSummary(r)
+	if err != nil {
+		return Ready{}, err
+	}
+	if err := r.End(); err != nil {
+		return Ready{}, err
+	}
+	if shardLen > math.MaxInt64 {
+		return Ready{}, fmt.Errorf("wire: ready shard of %d points does not fit an int64", shardLen)
+	}
+	return Ready{ShardLen: int64(shardLen), PointTag: tag, Summary: sum}, nil
 }
 
 // NodeQueryResult is one node's answer for one point of a dispatch: its
@@ -404,7 +389,7 @@ func DecodeNodeResult(r *Reader) (NodeResult, error) {
 	for i := uint64(0); i < count; i++ {
 		nr.Queries = append(nr.Queries, NodeQueryResult{Winners: r.Items()})
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return NodeResult{}, err
 	}
 	return nr, nil
@@ -422,14 +407,14 @@ func ItemsFit(n, l int) bool {
 	return int64(n)*(int64(l)*itemBytes+listBytes)+listBytes <= MaxFrame
 }
 
-// QueryReply is the answer to one query of a batch: its selection outcome
-// and — for OpKNN — the full merged neighbor list in ascending key order,
-// or — for OpClassify and OpRegress — the label the frontend folded from
-// the winner shares.
+// QueryReply is the answer to one query of a batch: the boundary (its ℓ-th
+// key) and — for OpKNN — the full merged neighbor list in ascending key
+// order, or — for OpClassify and OpRegress — the label the frontend folded
+// from the winner shares.
 type QueryReply struct {
-	QueryOutcome
-	Value float64 // classification label or regression mean
-	Items []points.Item
+	Boundary keys.Key
+	Value    float64 // classification label or regression mean
+	Items    []points.Item
 }
 
 // Reply is the frontend's answer to one client query batch: either an error
@@ -445,9 +430,8 @@ type Reply struct {
 	Err      string // non-empty means the batch failed
 	Degraded bool   // the failure is churn-induced and retryable
 
-	Rounds   int
-	Messages int64
-	Bytes    int64
+	Rounds   int   // dispatch waves
+	Messages int64 // per-point node contacts
 	Leader   int
 	Results  []QueryReply // one per query, in batch order
 }
@@ -465,14 +449,10 @@ func (rep Reply) append(w *Writer) {
 	w.U8(0)
 	w.Varint(uint64(rep.Rounds))
 	w.Varint(uint64(rep.Messages))
-	w.Varint(uint64(rep.Bytes))
 	w.Varint(uint64(rep.Leader))
 	w.Varint(uint64(len(rep.Results)))
 	for _, qr := range rep.Results {
 		w.Key(qr.Boundary)
-		w.Varint(uint64(qr.Survivors))
-		w.U8(b2u(qr.FellBack))
-		w.Varint(uint64(qr.Iterations))
 		w.F64(qr.Value)
 		w.Items(qr.Items)
 	}
@@ -492,7 +472,7 @@ func DecodeReply(r *Reader) (Reply, error) {
 		// Fall through to the result body below.
 	case 1, 2:
 		rep := Reply{Err: r.String(), Degraded: status == 2}
-		if err := r.Err(); err != nil {
+		if err := r.End(); err != nil {
 			return Reply{}, err
 		}
 		if rep.Err == "" {
@@ -508,7 +488,6 @@ func DecodeReply(r *Reader) (Reply, error) {
 	rep := Reply{
 		Rounds:   int(r.Varint()),
 		Messages: int64(r.Varint()),
-		Bytes:    int64(r.Varint()),
 		Leader:   int(r.Varint()),
 	}
 	count := r.Varint()
@@ -520,16 +499,9 @@ func DecodeReply(r *Reader) (Reply, error) {
 	}
 	rep.Results = make([]QueryReply, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var qr QueryReply
-		qr.Boundary = r.Key()
-		qr.Survivors = int64(r.Varint())
-		qr.FellBack = r.U8() == 1
-		qr.Iterations = int(r.Varint())
-		qr.Value = r.F64()
-		qr.Items = r.Items()
-		rep.Results = append(rep.Results, qr)
+		rep.Results = append(rep.Results, QueryReply{Boundary: r.Key(), Value: r.F64(), Items: r.Items()})
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return Reply{}, err
 	}
 	return rep, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"distknn/internal/keys"
@@ -11,9 +12,15 @@ import (
 
 // The fuzz harnesses below check two properties on arbitrary bytes:
 // decoders never panic or over-read, and anything that decodes re-encodes
-// canonically (encode(decode(b)) is a fixed point). The f.Add seeds are
-// valid frames, so a plain `go test` run (and CI) exercises the corpus as
-// ordinary unit tests; `go test -fuzz` explores from there.
+// to exactly the bytes it was decoded from — every encoding is canonical,
+// and a decoder that reads a whole frame rejects trailing bytes, so a frame
+// in another layout cannot decode as a shorter valid one. The f.Add seeds
+// are valid frames, plus one per decoder that carries a trailing byte, so a
+// plain `go test` run (and CI) exercises the corpus as ordinary unit tests;
+// `go test -fuzz` explores from there.
+
+// trailing returns b with one extra byte appended.
+func trailing(b []byte) []byte { return append(append([]byte(nil), b...), 0) }
 
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add(queryBody(Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}}))
@@ -22,20 +29,21 @@ func FuzzDecodeQuery(f *testing.F) {
 	}}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1, 255})
+	f.Add(trailing(queryBody(Query{Op: OpKNN, L: 10, Tag: PointScalar, Points: [][]byte{EncodeScalarPoint(12345)}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeQuery(NewReader(data))
+		// A client query body ends its frame.
+		r := NewReader(data)
+		q, err := DecodeQuery(r)
+		if err == nil {
+			err = r.End()
+		}
 		if err != nil {
 			return
 		}
 		if len(q.Points) > MaxBatch {
 			t.Fatalf("decoded batch of %d beyond MaxBatch", len(q.Points))
 		}
-		enc := queryBody(q)
-		q2, err := DecodeQuery(NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(queryBody(q2), enc) {
+		if !bytes.Equal(queryBody(q), data) {
 			t.Fatalf("query is not a re-encoding fixed point")
 		}
 	})
@@ -50,6 +58,7 @@ func FuzzDecodeDispatchDirect(f *testing.F) {
 	f.Add(encDispatchDirect(1, two, nil))
 	f.Add(encDispatchDirect(2, two, bounds))
 	f.Add(encDispatchDirect(3, two, bounds[:1])) // one bound for two points: rejected
+	f.Add(trailing(encDispatchDirect(4, two, bounds)))
 	f.Add([]byte{byte(KindDispatchDirect), 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
@@ -68,20 +77,7 @@ func FuzzDecodeDispatchDirect(f *testing.F) {
 		if len(bs) != 0 && len(bs) != len(q.Points) {
 			t.Fatalf("decoded %d bounds for %d points", len(bs), len(q.Points))
 		}
-		enc := encDispatchDirect(epoch, q, bs)
-		r2 := skipKind(t, enc, KindDispatchDirect)
-		if got := r2.Varint(); got != epoch {
-			t.Fatalf("epoch %d re-decoded as %d", epoch, got)
-		}
-		q2, err := DecodeQuery(r2)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		bs2, err := DecodeBounds(r2, len(q2.Points))
-		if err != nil {
-			t.Fatalf("re-decode of the bounds failed: %v", err)
-		}
-		if !bytes.Equal(encDispatchDirect(epoch, q2, bs2), enc) {
+		if !bytes.Equal(encDispatchDirect(epoch, q, bs), data) {
 			t.Fatalf("direct dispatch is not a re-encoding fixed point")
 		}
 	})
@@ -96,18 +92,14 @@ func FuzzDecodeNodeResult(f *testing.F) {
 		Epoch: 2, Node: 1,
 		Queries: []NodeQueryResult{{Winners: []points.Item{{Key: keys.Key{Dist: 4, ID: 7}, Label: 1}}}, {}},
 	})[1:])
+	f.Add(trailing(encNodeResult(NodeResult{Epoch: 3, Node: 1, Queries: []NodeQueryResult{{}}})[1:]))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nr, err := DecodeNodeResult(NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := encNodeResult(nr)
-		nr2, err := DecodeNodeResult(skipKind(t, enc, KindResult))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(encNodeResult(nr2), enc) {
+		if !bytes.Equal(encNodeResult(nr)[1:], data) {
 			t.Fatalf("node result is not a re-encoding fixed point")
 		}
 	})
@@ -115,30 +107,26 @@ func FuzzDecodeNodeResult(f *testing.F) {
 
 func FuzzDecodeReply(f *testing.F) {
 	f.Add(replyBody(Reply{
-		Rounds: 26, Messages: 44, Bytes: 745, Leader: 0,
+		Rounds: 1, Messages: 4, Leader: 0,
 		Results: []QueryReply{{
-			QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}, Survivors: 20, Iterations: 4},
-			Items:        []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
+			Boundary: keys.Key{Dist: 5, ID: 2},
+			Items:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 		}},
 	}))
 	f.Add(replyBody(Reply{
-		Rounds: 26, Messages: 44, Bytes: 745, Leader: 1,
-		Results: []QueryReply{{QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}}, Value: 2}},
+		Rounds: 2, Messages: 3, Leader: 1,
+		Results: []QueryReply{{Boundary: keys.Key{Dist: 5, ID: 2}, Value: 2}},
 	}))
 	f.Add(replyBody(Reply{Err: "nope"}))
 	f.Add(replyBody(Reply{Err: "cluster degraded (1 of 2 nodes)", Degraded: true}))
 	f.Add([]byte{0})
+	f.Add(trailing(replyBody(Reply{Rounds: 1, Messages: 2, Results: []QueryReply{{Value: 1}}})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReply(NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := replyBody(rep)
-		rep2, err := DecodeReply(NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(replyBody(rep2), enc) {
+		if !bytes.Equal(replyBody(rep), data) {
 			t.Fatalf("reply is not a re-encoding fixed point")
 		}
 	})
@@ -157,43 +145,31 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 	}))
 	f.Add(encReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
 	f.Add([]byte{byte(KindQueryTagged), 0x80})
+	f.Add(trailing(encQueryTagged(9, q)))
+	f.Add(trailing(encReplyTagged(9, Reply{Err: "nope"})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		switch r.Kind() {
 		case KindQueryTagged:
+			// The frontend's client loop: tag, query body, end of frame.
 			tag := r.Varint()
 			q, err := DecodeQuery(r)
-			if err != nil || r.Err() != nil {
+			if err == nil {
+				err = r.End()
+			}
+			if err != nil {
 				return
 			}
-			enc := encQueryTagged(tag, q)
-			r2 := skipKind(t, enc, KindQueryTagged)
-			if got := r2.Varint(); got != tag {
-				t.Fatalf("tag %d re-decoded as %d", tag, got)
-			}
-			q2, err := DecodeQuery(r2)
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !bytes.Equal(encQueryTagged(tag, q2), enc) {
+			if !bytes.Equal(encQueryTagged(tag, q), data) {
 				t.Fatalf("tagged query is not a re-encoding fixed point")
 			}
 		case KindReplyTagged:
 			tag := r.Varint()
 			rep, err := DecodeReply(r)
-			if err != nil || r.Err() != nil {
+			if err != nil {
 				return
 			}
-			enc := encReplyTagged(tag, rep)
-			r2 := skipKind(t, enc, KindReplyTagged)
-			if got := r2.Varint(); got != tag {
-				t.Fatalf("tag %d re-decoded as %d", tag, got)
-			}
-			rep2, err := DecodeReply(r2)
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !bytes.Equal(encReplyTagged(tag, rep2), enc) {
+			if !bytes.Equal(encReplyTagged(tag, rep), data) {
 				t.Fatalf("tagged reply is not a re-encoding fixed point")
 			}
 		default:
@@ -206,17 +182,13 @@ func FuzzDecodeNodeError(f *testing.F) {
 	f.Add(EncodeNodeError(NodeError{Epoch: 1, Msg: "boom"})[1:])
 	f.Add(EncodeNodeError(NodeError{Epoch: 7, Msg: "no absent seat to re-join (cluster is full)"})[1:])
 	f.Add([]byte{})
+	f.Add(trailing(EncodeNodeError(NodeError{Epoch: 1, Msg: "boom"})[1:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ne, err := DecodeNodeError(NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := EncodeNodeError(ne)
-		ne2, err := DecodeNodeError(skipKind(t, enc, KindError))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeNodeError(ne2), enc) {
+		if !bytes.Equal(EncodeNodeError(ne)[1:], data) {
 			t.Fatalf("node error is not a re-encoding fixed point")
 		}
 	})
@@ -226,6 +198,7 @@ func FuzzDecodeAssign(f *testing.F) {
 	f.Add(EncodeAssign(Assign{ID: 1, K: 3})[1:])
 	f.Add([]byte{})
 	f.Add(EncodeAssign(Assign{ID: 0, K: 2})[1:])
+	f.Add(trailing(EncodeAssign(Assign{ID: 1, K: 3})[1:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeAssign(NewReader(data))
 		if err != nil {
@@ -234,25 +207,25 @@ func FuzzDecodeAssign(f *testing.F) {
 		if a.ID < 0 || a.ID >= a.K {
 			t.Fatalf("decoder admitted an assign outside its cluster: %+v", a)
 		}
-		enc := EncodeAssign(a)
-		a2, err := DecodeAssign(skipKind(t, enc, KindAssign))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeAssign(a2), enc) {
+		if !bytes.Equal(EncodeAssign(a)[1:], data) {
 			t.Fatalf("assign is not a re-encoding fixed point")
 		}
 	})
 }
 
-// FuzzDecodeReady seeds from the ready frame docs/PROTOCOL.md quotes.
+// FuzzDecodeReady seeds from the ready frames docs/PROTOCOL.md quotes —
+// with and without a metric summary — and from malformed summaries.
 func FuzzDecodeReady(f *testing.F) {
 	for _, ex := range docExamples() {
-		if ex.Name == "ready" {
+		if strings.HasPrefix(ex.Name, "ready") {
 			f.Add(ex.Bytes[1:])
 		}
 	}
 	f.Add([]byte{})
+	f.Add(encReady(Ready{ShardLen: 3, PointTag: PointScalar, Summary: ShardSummary{Has: true}})[1:]) // radius 0, empty centroid
+	f.Add([]byte{1, PointScalar, 2})                                                                 // unknown has flag
+	f.Add([]byte{1, PointScalar, 1, 0, 0, 0, 0, 0, 0, 0, 0, 255})                                    // centroid length beyond payload
+	f.Add(trailing(encReady(Ready{ShardLen: 5000, PointTag: PointScalar})[1:]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rdy, err := DecodeReady(NewReader(data))
 		if err != nil {
@@ -261,40 +234,33 @@ func FuzzDecodeReady(f *testing.F) {
 		if rdy.ShardLen < 0 {
 			t.Fatalf("decoder admitted a negative shard length: %+v", rdy)
 		}
-		var w Writer
-		AppendReady(&w, rdy)
-		enc := w.Bytes()
-		rdy2, err := DecodeReady(skipKind(t, enc, KindReady))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		if r := rdy.Summary.Radius; rdy.Summary.Has && (r < 0 || r != r) {
+			t.Fatalf("decoder admitted out-of-range radius %g", r)
 		}
-		if rdy2 != rdy {
-			t.Fatalf("ready is not a re-encoding fixed point: %+v, then %+v", rdy, rdy2)
+		if !bytes.Equal(encReady(rdy)[1:], data) {
+			t.Fatalf("ready is not a re-encoding fixed point")
 		}
 	})
 }
 
 func FuzzDecodeShardSummary(f *testing.F) {
-	f.Add(EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})[1:])
-	f.Add(EncodeShardSummary(ShardSummary{Node: 0, Has: true, Radius: 0, Center: nil})[1:])
-	f.Add(EncodeShardSummary(ShardSummary{Node: 2})[1:])
+	f.Add(encSummary(ShardSummary{Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)}))
+	f.Add(encSummary(ShardSummary{Has: true, Radius: 0, Center: nil}))
+	f.Add(encSummary(ShardSummary{}))
 	f.Add([]byte{})
-	f.Add([]byte{1, 2})                              // truncated after the has flag
-	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 255}) // centroid length beyond payload
+	f.Add([]byte{1})                              // truncated after the has flag
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 255}) // centroid length beyond payload
+	f.Add(trailing(encSummary(ShardSummary{})))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeShardSummary(NewReader(data))
-		if err != nil {
+		r := NewReader(data)
+		s, err := DecodeShardSummary(r)
+		if err != nil || r.End() != nil {
 			return
 		}
 		if s.Has && (s.Radius < 0 || s.Radius != s.Radius) {
 			t.Fatalf("decoder admitted out-of-range radius %g", s.Radius)
 		}
-		enc := EncodeShardSummary(s)
-		s2, err := DecodeShardSummary(skipKind(t, enc, KindSummary))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(EncodeShardSummary(s2), enc) {
+		if !bytes.Equal(encSummary(s), data) {
 			t.Fatalf("shard summary is not a re-encoding fixed point")
 		}
 	})
@@ -363,6 +329,18 @@ func encDispatchDirect(epoch uint64, q Query, bounds []keys.Key) []byte {
 	return w.Bytes()
 }
 
+func encSummary(s ShardSummary) []byte {
+	var w Writer
+	AppendShardSummary(&w, s)
+	return w.Bytes()
+}
+
+func encReady(rdy Ready) []byte {
+	var w Writer
+	AppendReady(&w, rdy)
+	return w.Bytes()
+}
+
 func encNodeResult(nr NodeResult) []byte {
 	var w Writer
 	AppendNodeResult(&w, nr)
@@ -380,14 +358,3 @@ func encReplyTagged(tag uint64, rep Reply) []byte {
 // stripped.
 func queryBody(q Query) []byte   { return encQueryTagged(0, q)[2:] }
 func replyBody(rep Reply) []byte { return encReplyTagged(0, rep)[2:] }
-
-// skipKind wraps an encoded frame in a Reader positioned after its kind
-// byte, asserting the kind on the way.
-func skipKind(t *testing.T, frame []byte, kind Kind) *Reader {
-	t.Helper()
-	r := NewReader(frame)
-	if got := r.Kind(); got != kind {
-		t.Fatalf("kind %d, want %d", got, kind)
-	}
-	return r
-}

@@ -28,9 +28,6 @@ func docExamples() []struct {
 		EncodeVectorPoint(points.Vector{2, -1}),
 	}}
 
-	var rdy Writer
-	AppendReady(&rdy, Ready{Node: 1, ShardLen: 5000, PointTag: PointScalar})
-
 	return []struct {
 		Name  string
 		Bytes []byte
@@ -41,9 +38,10 @@ func docExamples() []struct {
 		{"vector point", EncodeVectorPoint(points.Vector{0.5, 1.5})},
 		{"query", encQueryTagged(300, q)},
 		{"vector batch query", encQueryTagged(301, vq)},
-		{"ready", rdy.Bytes()},
-		{"summary", EncodeShardSummary(ShardSummary{Node: 1, Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345)})},
-		{"empty summary", EncodeShardSummary(ShardSummary{Node: 2})},
+		{"ready", encReady(Ready{ShardLen: 5000, PointTag: PointScalar, Summary: ShardSummary{
+			Has: true, Radius: 0.25, Center: EncodeScalarPoint(12345),
+		}})},
+		{"ready without summary", encReady(Ready{ShardLen: 5000, PointTag: PointScalar})},
 		{"dispatch direct", encDispatchDirect(1, q, nil)},
 		{"dispatch direct sub-batch", encDispatchDirect(2, Query{
 			Op: OpKNN, L: 10, Tag: PointScalar,
@@ -62,8 +60,8 @@ func docExamples() []struct {
 		{"reply", encReplyTagged(300, Reply{
 			Rounds: 1, Messages: 2, Leader: 0,
 			Results: []QueryReply{{
-				QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 5, ID: 2}},
-				Items:        []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
+				Boundary: keys.Key{Dist: 5, ID: 2},
+				Items:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 			}},
 		})},
 		{"error reply", encReplyTagged(302, Reply{Err: "l=0 out of range [1, 10000]"})},
@@ -206,19 +204,14 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 	{
 		rep := Reply{
-			Rounds: 6, Messages: 13, Bytes: 512, Leader: 1,
+			Rounds: 2, Messages: 13, Leader: 1,
 			Results: []QueryReply{
 				{
-					QueryOutcome: QueryOutcome{
-						Boundary: keys.Key{Dist: 77, ID: 8}, Survivors: 40, FellBack: true,
-						Iterations: 2,
-					},
-					Value: 3.25,
-					Items: []points.Item{{Key: keys.Key{Dist: 1, ID: 2}, Label: 0}},
+					Boundary: keys.Key{Dist: 77, ID: 8},
+					Value:    3.25,
+					Items:    []points.Item{{Key: keys.Key{Dist: 1, ID: 2}, Label: 0}},
 				},
-				{
-					QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 80, ID: 9}, Iterations: 1},
-				},
+				{Boundary: keys.Key{Dist: 80, ID: 9}},
 			},
 		}
 		r := NewReader(encReplyTagged(9, rep))
@@ -229,14 +222,14 @@ func TestFrameRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Rounds != rep.Rounds || got.Leader != rep.Leader || len(got.Results) != 2 {
+		if got.Rounds != rep.Rounds || got.Messages != rep.Messages || got.Leader != rep.Leader || len(got.Results) != 2 {
 			t.Fatalf("reply round trip: %+v", got)
 		}
-		if got.Results[0].QueryOutcome != rep.Results[0].QueryOutcome || got.Results[0].Value != rep.Results[0].Value ||
+		if got.Results[0].Boundary != rep.Results[0].Boundary || got.Results[0].Value != rep.Results[0].Value ||
 			len(got.Results[0].Items) != 1 || got.Results[0].Items[0] != rep.Results[0].Items[0] {
 			t.Fatalf("reply query 0: %+v", got.Results[0])
 		}
-		if got.Results[1].QueryOutcome != rep.Results[1].QueryOutcome || len(got.Results[1].Items) != 0 {
+		if got.Results[1].Boundary != rep.Results[1].Boundary || len(got.Results[1].Items) != 0 {
 			t.Fatalf("reply query 1: %+v", got.Results[1])
 		}
 	}
@@ -269,10 +262,10 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 		}
 	}
 	rep := Reply{
-		Rounds: 3, Messages: 5, Bytes: 99, Leader: 1,
+		Rounds: 2, Messages: 5, Leader: 1,
 		Results: []QueryReply{{
-			QueryOutcome: QueryOutcome{Boundary: keys.Key{Dist: 8, ID: 3}, Survivors: 12, Iterations: 2},
-			Items:        []points.Item{{Key: keys.Key{Dist: 4, ID: 9}, Label: 1}},
+			Boundary: keys.Key{Dist: 8, ID: 3},
+			Items:    []points.Item{{Key: keys.Key{Dist: 4, ID: 9}, Label: 1}},
 		}},
 	}
 	r := NewReader(encReplyTagged(77, rep))
@@ -284,7 +277,7 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 	}
 	got, err := DecodeReply(r)
 	if err != nil || got.Rounds != rep.Rounds || len(got.Results) != 1 ||
-		got.Results[0].QueryOutcome != rep.Results[0].QueryOutcome ||
+		got.Results[0].Boundary != rep.Results[0].Boundary ||
 		got.Results[0].Items[0] != rep.Results[0].Items[0] {
 		t.Fatalf("tagged reply round trip: %+v %v", got, err)
 	}

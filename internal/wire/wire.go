@@ -125,6 +125,16 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// End closes the decoding of a whole message: it returns the first decoding
+// error, or an error when bytes remain unread, so a message in another
+// layout cannot decode as a shorter valid one.
+func (r *Reader) End() error {
+	if r.err == nil && r.Remaining() != 0 {
+		r.fail(fmt.Errorf("wire: %d trailing bytes", r.Remaining()))
+	}
+	return r.err
+}
+
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err

@@ -307,12 +307,55 @@ func TestWriterReset(t *testing.T) {
 // would read as −1 and shrink the global count the frontend checks ℓ
 // against.
 func TestDecodeReadyRejectsShardBeyondInt64(t *testing.T) {
-	body := []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, PointScalar}
+	body := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, PointScalar, 0}
 	if rdy, err := DecodeReady(NewReader(body)); err == nil {
 		t.Fatalf("decoded %+v from a shard length of 2^64-1, want an error", rdy)
 	}
-	body = []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, PointScalar}
+	body = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, PointScalar, 0}
 	if rdy, err := DecodeReady(NewReader(body)); err != nil || rdy.ShardLen != math.MaxInt64 {
 		t.Fatalf("shard length 2^63-1: got %+v, %v", rdy, err)
+	}
+}
+
+// TestDecodeReadyRadius pins the radius contract of the ready report's
+// summary: any non-negative radius, +Inf included, is accepted — a node
+// whose farthest distance key decodes to +Inf sends it, and the admission
+// test then admits that seat to every query, which keeps pruning sound —
+// while a negative or NaN radius is refused.
+func TestDecodeReadyRadius(t *testing.T) {
+	for _, tc := range []struct {
+		radius float64
+		ok     bool
+	}{{0.25, true}, {math.Inf(1), true}, {-1, false}, {math.NaN(), false}} {
+		enc := encReady(Ready{ShardLen: 3, PointTag: PointScalar, Summary: ShardSummary{
+			Has: true, Radius: tc.radius, Center: EncodeScalarPoint(7),
+		}})
+		r := NewReader(enc)
+		r.Kind()
+		rdy, err := DecodeReady(r)
+		if (err == nil) != tc.ok {
+			t.Errorf("radius %g: err %v, want accepted %v", tc.radius, err, tc.ok)
+		}
+		if tc.ok && math.Float64bits(rdy.Summary.Radius) != math.Float64bits(tc.radius) {
+			t.Errorf("radius %g decoded as %g", tc.radius, rdy.Summary.Radius)
+		}
+	}
+}
+
+// TestDecodersRejectRetiredLayouts pins the end-of-frame check: frames in
+// a retired layout are refused instead of decoding as a shorter valid
+// frame. The reply carried bytes, survivors, fellBack and iterations — read
+// in today's layout it is an empty batch followed by 53 trailing bytes —
+// and the ready frame carried a node id before the shard size.
+func TestDecodersRejectRetiredLayouts(t *testing.T) {
+	oldReply := []byte{0x00, 0x01, 0x02, 0x00, 0x00, 0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 0x02, 0, 0, 0, 0, 0, 0, 0,
+		0x00, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x03, 0, 0, 0, 0, 0, 0, 0, 0x01, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0x40}
+	if rep, err := DecodeReply(NewReader(oldReply)); err == nil {
+		t.Errorf("a reply in the retired layout decoded as %+v", rep)
+	}
+	// Node 1, 2 points, scalar tag, then has 0: the retired ready layout.
+	if rdy, err := DecodeReady(NewReader([]byte{0x01, 0x02, PointScalar, 0x00})); err == nil {
+		t.Errorf("a ready frame in the retired layout decoded as %+v", rdy)
 	}
 }

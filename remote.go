@@ -378,42 +378,41 @@ type typedHandler[P any] struct {
 	pt     PointType[P]
 	shards ShardProvider[P]
 
-	set     *points.Set[P]
-	topL    func(q P, l int, ceil ...keys.Key) []Item
-	summary wire.ShardSummary
+	set  *points.Set[P]
+	topL func(q P, l int, ceil ...keys.Key) []Item
 }
 
 // Load builds the node's shard, local index and metric summary for machine
-// id of k. It runs at rendezvous and on a re-join alike. Because ShardProvider is a deterministic function of
-// (id, k), a re-joined seat's shard is identical to the one it held before,
-// which the frontend verifies via the reported shard size and metric
-// summary (and which keeps served answers bit-identical to an
-// uninterrupted cluster).
-func (h *typedHandler[P]) Load(id, k int) (tcp.SessionInfo, error) {
+// id of k, and returns the ready report that carries them to the frontend.
+// It runs at rendezvous and on a re-join alike. Because ShardProvider is a
+// deterministic function of (id, k), a re-joined seat's shard is identical
+// to the one it held before, which the frontend verifies via the reported
+// shard size and metric summary (and which keeps served answers
+// bit-identical to an uninterrupted cluster).
+func (h *typedHandler[P]) Load(id, k int) (wire.Ready, error) {
 	shard, err := h.shards(id, k)
 	if err != nil {
-		return tcp.SessionInfo{}, fmt.Errorf("distknn: shard for node %d: %w", id, err)
+		return wire.Ready{}, fmt.Errorf("distknn: shard for node %d: %w", id, err)
 	}
 	h.set, err = points.NewSet(shard.Points, shard.Labels, h.pt.metric, shard.FirstID)
 	if err != nil {
-		return tcp.SessionInfo{}, fmt.Errorf("distknn: %w", err)
+		return wire.Ready{}, fmt.Errorf("distknn: %w", err)
 	}
 	if shard.IDs != nil {
 		if len(shard.IDs) != len(shard.Points) {
-			return tcp.SessionInfo{}, fmt.Errorf("distknn: node %d shard has %d IDs for %d points", id, len(shard.IDs), len(shard.Points))
+			return wire.Ready{}, fmt.Errorf("distknn: node %d shard has %d IDs for %d points", id, len(shard.IDs), len(shard.Points))
 		}
 		copy(h.set.IDs, shard.IDs)
 	}
 	if h.pt.index != nil {
 		h.topL, err = h.pt.index(h.set)
 		if err != nil {
-			return tcp.SessionInfo{}, fmt.Errorf("distknn: indexing node %d: %w", id, err)
+			return wire.Ready{}, fmt.Errorf("distknn: indexing node %d: %w", id, err)
 		}
 	} else {
 		h.topL = h.set.TopLItems
 	}
-	h.summary = h.summarize(shard)
-	return tcp.SessionInfo{ShardLen: h.set.Len(), PointTag: h.pt.codec.Tag, Summary: h.summary}, nil
+	return wire.Ready{ShardLen: int64(h.set.Len()), PointTag: h.pt.codec.Tag, Summary: h.summarize(shard)}, nil
 }
 
 // summarize computes the shard's metric-index summary: its centroid (the
@@ -525,11 +524,11 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 // issue queries from concurrent goroutines, or use KNNAsync to hold many
 // outstanding without a goroutine per call. QueryStats report the dispatch
 // cost: Rounds is the number of dispatch waves (1, or 2 for a pruned query
-// that gathers), Messages the per-point node contacts (also reported as
-// Contacts), and Bytes 0, as nodes exchange nothing — for a query the
-// frontend transparently coalesced into a shared batch, they describe that
-// whole batch. Survivors, Iterations and FellBack are 0: they describe the
-// paper's selection protocol, which runs only in-process.
+// that gathers) and Messages the per-point node contacts (also reported as
+// Contacts) — for a query the frontend transparently coalesced into a
+// shared batch, they describe that whole batch. Bytes, Survivors,
+// Iterations and FellBack are 0: they describe the node↔node traffic and
+// the selection of the paper's protocol, which runs only in-process.
 type RemoteCluster[P any] struct {
 	client *tcp.Client
 	codec  wire.PointCodec[P]
@@ -573,20 +572,16 @@ func (rc *RemoteCluster[P]) do(op uint8, qs []P, l int) (wire.Reply, error) {
 	return rep, nil
 }
 
-// remoteStats folds the batch-wide costs and one query's outcome into the
+// remoteStats folds the batch-wide costs and one query's boundary into the
 // QueryStats shape the in-process Cluster reports. Messages count node
 // contacts, so that count is surfaced as Contacts too.
 func remoteStats(rep wire.Reply, qr wire.QueryReply) *QueryStats {
 	return &QueryStats{
-		Rounds:     rep.Rounds,
-		Messages:   rep.Messages,
-		Bytes:      rep.Bytes,
-		Contacts:   rep.Messages,
-		Leader:     rep.Leader,
-		Boundary:   qr.Boundary,
-		Survivors:  qr.Survivors,
-		FellBack:   qr.FellBack,
-		Iterations: qr.Iterations,
+		Rounds:   rep.Rounds,
+		Messages: rep.Messages,
+		Contacts: rep.Messages,
+		Leader:   rep.Leader,
+		Boundary: qr.Boundary,
 	}
 }
 
@@ -675,7 +670,6 @@ func (rc *RemoteCluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryS
 		}
 		stats.Rounds += rep.Rounds
 		stats.Messages += rep.Messages
-		stats.Bytes += rep.Bytes
 		stats.Leader = rep.Leader
 		stats.Contacts += rep.Messages
 	}

@@ -138,7 +138,6 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 	for name, want := range map[string]int64{
 		"frontend_mesh_rounds_total":   int64(want.Rounds),
 		"frontend_mesh_messages_total": want.Messages,
-		"frontend_mesh_bytes_total":    want.Bytes,
 	} {
 		if got := s.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d (the sum of the clients' QueryStats)", name, got, want)

@@ -100,22 +100,19 @@ def decode_reply(r):
     status = r.u8()
     if status:
         raise ValueError("remote error (status %d): %s" % (status, r.string()))
-    rounds, messages, nbytes, leader = r.varint(), r.varint(), r.varint(), r.varint()
+    rounds, messages, leader = r.varint(), r.varint(), r.varint()
     results = []
     for _ in range(r.varint()):
         boundary = (r.u64(), r.u64())
-        r.varint()  # survivors
-        r.u8()      # fellBack
-        r.varint()  # iterations
-        r.f64()     # value (classify/regress only)
+        r.f64()  # value (classify/regress only)
         items = [(r.u64(), r.u64(), r.f64()) for _ in range(r.varint())]
         results.append((boundary, items))
     if r.off != len(r.buf):
         raise ValueError("%d trailing reply bytes" % (len(r.buf) - r.off))
-    # No floor on messages/bytes: they count node contacts and bytes between
-    # nodes, and the nodes exchange none.
-    if rounds < 1 or leader < 0:
-        raise ValueError("implausible epoch cost: rounds=%d leader=%d" % (rounds, leader))
+    # Every point of the batch contacts at least one node.
+    if rounds < 1 or messages < len(results) or leader < 0:
+        raise ValueError("implausible cost: rounds=%d messages=%d leader=%d"
+                         % (rounds, messages, leader))
     return results
 
 
