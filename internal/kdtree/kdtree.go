@@ -7,6 +7,14 @@
 // own points. This package provides exactly that role — machines may use it
 // to compute their local top-ℓ in O(ℓ log(n/k)) expected time instead of a
 // linear scan — and doubles as the sequential single-machine baseline.
+//
+// The tree is flat, as PANDA lays its trees out: the nodes live in one
+// slice with implicit children 2i+1 and 2i+2, splitting stops at leaf
+// buckets of at most bucket points, and the tree keeps its own copy of the
+// coordinates in leaf order, each point's dim values contiguous, with IDs
+// and labels permuted to match. A search visits a bucket as one contiguous
+// run of memory instead of chasing a pointer per point, and the set the
+// tree was built from is not retained.
 package kdtree
 
 import (
@@ -17,29 +25,40 @@ import (
 	"distknn/internal/points"
 )
 
-// Tree is an immutable k-d tree over a vector set. Build once, query many.
+// bucket is the most points a leaf holds: a range of more is split.
+const bucket = 8
+
+// Tree is an immutable k-d tree over a vector set. Build once, query many;
+// any number of goroutines may query one tree at once.
 type Tree struct {
-	dim    int
-	pts    []points.Vector
+	dim int
+	// nodes[0] covers every point; an inner node i splits its range
+	// between nodes 2i+1 and 2i+2. Slots under a leaf stay zero.
+	nodes []node
+	// coords holds point j's coordinates at [j·dim, (j+1)·dim), points in
+	// leaf order; ids and labels are in the same order.
+	coords []float64
 	ids    []uint64
 	labels []float64
-	// nodes is laid out as a binary tree over index permutation perm:
-	// node i covers perm[start..end); axis cycles with depth.
-	perm []int
-	root *node
 }
 
+// node covers points [lo, hi). A node of more than bucket points is inner:
+// its left child covers [lo, mid) and its right child [mid, hi), mid =
+// (lo+hi)/2, every left point's axis coordinate is ≤ split and every right
+// point's ≥ split, split being point mid's. A node of at most bucket points
+// is a leaf and split and axis are unused.
 type node struct {
-	idx         int // index into pts of the splitting point
-	axis        int
-	left, right *node
+	split  float64
+	axis   int32
+	lo, hi int32
 }
 
 // Build constructs a k-d tree from the set. The set must contain vectors of
 // equal dimension; an empty set yields a tree whose queries return nothing.
+// The tree copies what it needs, so the set may be dropped afterwards.
 func Build(s *points.Set[points.Vector]) (*Tree, error) {
 	n := s.Len()
-	t := &Tree{pts: s.Pts, ids: s.IDs, labels: s.Labels}
+	t := &Tree{}
 	if n == 0 {
 		return t, nil
 	}
@@ -52,36 +71,70 @@ func Build(s *points.Set[points.Vector]) (*Tree, error) {
 			return nil, fmt.Errorf("kdtree: point %d has dim %d, want %d", i, len(p), t.dim)
 		}
 	}
-	t.perm = make([]int, n)
-	for i := range t.perm {
-		t.perm[i] = i
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("kdtree: %d points, at most %d fit", n, math.MaxInt32)
 	}
-	t.root = t.build(0, n, 0)
+	// Every range at depth d holds ⌊n/2^d⌋ or ⌈n/2^d⌉ points, so the
+	// deepest leaf sits at the first depth whose ranges all fit a bucket.
+	depth := 0
+	for (n+(1<<depth)-1)>>depth > bucket {
+		depth++
+	}
+	t.nodes = make([]node, 1<<(depth+1)-1)
+	b := builder{dim: t.dim, ids: s.IDs, flat: make([]float64, 0, n*t.dim), perm: make([]int32, n)}
+	for i, p := range s.Pts {
+		b.flat = append(b.flat, p...)
+		b.perm[i] = int32(i)
+	}
+	b.build(t.nodes, 0, 0, n, 0)
+	t.coords = make([]float64, 0, n*t.dim)
+	t.ids, t.labels = make([]uint64, n), make([]float64, n)
+	for j, i := range b.perm {
+		t.coords = append(t.coords, b.point(i)...)
+		t.ids[j], t.labels[j] = s.IDs[i], s.Labels[i]
+	}
 	return t, nil
 }
 
-// build recursively splits perm[lo:hi) at the median along axis.
-func (t *Tree) build(lo, hi, axis int) *node {
-	if lo >= hi {
-		return nil
-	}
-	mid := (lo + hi) / 2
-	t.selectByAxis(lo, hi, mid, axis)
-	nd := &node{idx: t.perm[mid], axis: axis}
-	next := (axis + 1) % t.dim
-	nd.left = t.build(lo, mid, next)
-	nd.right = t.build(mid+1, hi, next)
-	return nd
+// builder holds the permutation of the set that Build rearranges, range by
+// range, into leaf order. The selection reads the set's coordinates from
+// flat, a row-major copy in set order, rather than through a slice header
+// per point.
+type builder struct {
+	dim  int
+	ids  []uint64
+	flat []float64
+	perm []int32
 }
 
-// before orders point a ahead of point b along axis, ties broken by ID —
-// a strict total order, so every range has exactly one median.
-func (t *Tree) before(a, b, axis int) bool {
-	va, vb := t.pts[a][axis], t.pts[b][axis]
-	if va != vb {
-		return va < vb
+// point returns the coordinates of set point i.
+func (b *builder) point(i int32) []float64 {
+	return b.flat[int(i)*b.dim : int(i+1)*b.dim]
+}
+
+// build fills node i, which covers perm[lo:hi), splitting it at the median
+// along axis unless it fits a bucket.
+func (b *builder) build(nodes []node, i, lo, hi, axis int) {
+	nodes[i].lo, nodes[i].hi = int32(lo), int32(hi)
+	if hi-lo <= bucket {
+		return
 	}
-	return t.ids[a] < t.ids[b]
+	mid := (lo + hi) / 2
+	b.selectByAxis(lo, hi, mid, axis)
+	nodes[i].split, nodes[i].axis = b.point(b.perm[mid])[axis], int32(axis)
+	next := (axis + 1) % b.dim
+	b.build(nodes, 2*i+1, lo, mid, next)
+	b.build(nodes, 2*i+2, mid, hi, next)
+}
+
+// before orders point a ahead of point c along axis, ties broken by ID —
+// a strict total order, so every range has exactly one median.
+func (b *builder) before(a, c int32, axis int) bool {
+	va, vc := b.flat[int(a)*b.dim+axis], b.flat[int(c)*b.dim+axis]
+	if va != vc {
+		return va < vc
+	}
+	return b.ids[a] < b.ids[c]
 }
 
 // selectByAxis reorders perm[lo:hi) so that perm[nth] holds the point of
@@ -90,24 +143,24 @@ func (t *Tree) before(a, b, axis int) bool {
 // pivot, expected O(hi−lo). Which points land on each side is decided by
 // the order alone, not by how the selection got there, so the tree is
 // node for node the one a full sort of every range would build.
-func (t *Tree) selectByAxis(lo, hi, nth, axis int) {
-	perm := t.perm
+func (b *builder) selectByAxis(lo, hi, nth, axis int) {
+	perm := b.perm
 	for hi-lo > 1 {
 		// Median of first, middle and last goes to the end as the pivot.
 		mid, last := lo+(hi-lo)/2, hi-1
-		if t.before(perm[mid], perm[lo], axis) {
+		if b.before(perm[mid], perm[lo], axis) {
 			perm[lo], perm[mid] = perm[mid], perm[lo]
 		}
-		if t.before(perm[last], perm[lo], axis) {
+		if b.before(perm[last], perm[lo], axis) {
 			perm[lo], perm[last] = perm[last], perm[lo]
 		}
-		if t.before(perm[mid], perm[last], axis) {
+		if b.before(perm[mid], perm[last], axis) {
 			perm[mid], perm[last] = perm[last], perm[mid]
 		}
 		pivot := perm[last]
 		store := lo
 		for i := lo; i < last; i++ {
-			if t.before(perm[i], pivot, axis) {
+			if b.before(perm[i], pivot, axis) {
 				perm[i], perm[store] = perm[store], perm[i]
 				store++
 			}
@@ -125,7 +178,7 @@ func (t *Tree) selectByAxis(lo, hi, nth, axis int) {
 }
 
 // Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
+func (t *Tree) Len() int { return len(t.ids) }
 
 // KNN returns the l points nearest to q under squared Euclidean distance, as
 // Items in ascending key order — bit-identical keys to points.L2, so results
@@ -136,15 +189,15 @@ func (t *Tree) Len() int { return len(t.pts) }
 // unbounded answer. The descent reads it as its cutoff from the start, so a
 // tight ceiling prunes slabs before the heap ever fills.
 func (t *Tree) KNN(q points.Vector, l int, ceil ...keys.Key) []points.Item {
-	if l > len(t.pts) {
-		l = len(t.pts)
+	if l > len(t.ids) {
+		l = len(t.ids)
 	}
 	if l < 1 {
 		return nil
 	}
 	top := points.NewTopL(l, ceil...)
 	s := search{t: t, q: q, top: top, cut: top.Cut()}
-	s.visit(t.root)
+	s.visit(0)
 	return s.top.Sorted()
 }
 
@@ -157,48 +210,42 @@ type search struct {
 	cut keys.Key
 }
 
-func (s *search) visit(nd *node) {
-	for nd != nil {
-		p := s.t.pts[nd.idx]
-		key := keys.Key{Dist: keys.MustEncodeFloat(points.SqL2(p, s.q)), ID: s.t.ids[nd.idx]}
-		if key.Less(s.cut) {
-			s.top.Push(points.Item{Key: key, Label: s.t.labels[nd.idx]})
-			s.cut = s.top.Cut()
+func (s *search) visit(i int) {
+	for {
+		nd := &s.t.nodes[i]
+		if nd.hi-nd.lo <= bucket {
+			s.scan(int(nd.lo), int(nd.hi))
+			return
 		}
-		diff := s.q[nd.axis] - p[nd.axis]
-		near, far := nd.left, nd.right
-		if diff > 0 {
+		// Ties on split fall on both sides, so a query on the plane may
+		// descend either way first; the plane test below then never prunes.
+		diff := s.q[nd.axis] - nd.split
+		near, far := 2*i+1, 2*i+2
+		if diff >= 0 {
 			near, far = far, near
 		}
 		s.visit(near)
 		// Only cross the splitting plane if the slab could contain a
 		// closer point than the current cutoff (the ceiling, while fewer
-		// than l points are held).
+		// than l points are held): every point across it is at least |diff|
+		// away along the axis, float subtraction and squaring are monotone,
+		// and adding the other axes' squares cannot shrink a float sum, so
+		// its key is at least diff².
 		if math.Float64bits(diff*diff) > s.cut.Dist {
 			return
 		}
-		nd = far
+		i = far
 	}
 }
 
-// Height returns the tree height (0 for empty) — exposed for balance tests.
-func (t *Tree) Height() int {
-	var h func(nd *node) int
-	h = func(nd *node) int {
-		if nd == nil {
-			return 0
+// scan offers the bucket's points [lo, hi) to the accumulator.
+func (s *search) scan(lo, hi int) {
+	t, dim := s.t, s.t.dim
+	for j := lo; j < hi; j++ {
+		key := keys.Key{Dist: keys.MustEncodeFloat(points.SqL2(t.coords[j*dim:(j+1)*dim], s.q)), ID: t.ids[j]}
+		if key.Less(s.cut) {
+			s.top.Push(points.Item{Key: key, Label: t.labels[j]})
+			s.cut = s.top.Cut()
 		}
-		l, r := h(nd.left), h(nd.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
 	}
-	return h(t.root)
-}
-
-// MaxHeightFor returns the height bound a median-split tree must satisfy for
-// n points: ceil(log2(n+1)).
-func MaxHeightFor(n int) int {
-	return int(math.Ceil(math.Log2(float64(n + 1))))
 }

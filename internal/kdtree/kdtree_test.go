@@ -2,10 +2,13 @@ package kdtree
 
 import (
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"distknn/internal/keys"
+	"distknn/internal/metricindex"
 	"distknn/internal/points"
 	"distknn/internal/xrand"
 )
@@ -30,7 +33,7 @@ func TestBuildEmpty(t *testing.T) {
 	if got := tree.KNN(points.Vector{0.5}, 3); got != nil {
 		t.Errorf("empty tree KNN = %v, want nil", got)
 	}
-	if tree.Height() != 0 || tree.Len() != 0 {
+	if len(tree.nodes) != 0 || tree.Len() != 0 {
 		t.Errorf("empty tree shape wrong")
 	}
 }
@@ -163,10 +166,35 @@ func TestKNNCeilingMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestTreeBalanced: median splits keep the tree full — fewer than n/2
+// nodes (so the slice stays a fraction of the points), every leaf at least
+// half a bucket unless the root is one, and no leaf more than one level
+// above the deepest.
 func TestTreeBalanced(t *testing.T) {
-	tree, _ := buildRandom(t, 10, 1023, 2)
-	if h := tree.Height(); h > MaxHeightFor(1023) {
-		t.Errorf("height %d exceeds balanced bound %d", h, MaxHeightFor(1023))
+	for _, n := range []int{1, 8, 9, 17, 100, 1023, 4096} {
+		tree, _ := buildRandom(t, 10, n, 2)
+		if limit := max(1, n/2); len(tree.nodes) > limit {
+			t.Errorf("n=%d: %d nodes, want at most %d", n, len(tree.nodes), limit)
+		}
+		var depths []int
+		var walk func(i, depth int)
+		walk = func(i, depth int) {
+			nd := tree.nodes[i]
+			size := int(nd.hi - nd.lo)
+			if size > bucket {
+				walk(2*i+1, depth+1)
+				walk(2*i+2, depth+1)
+				return
+			}
+			if i > 0 && size < bucket/2 {
+				t.Errorf("n=%d: leaf %d holds %d points, want at least %d", n, i, size, bucket/2)
+			}
+			depths = append(depths, depth)
+		}
+		walk(0, 0)
+		if lo, hi := slices.Min(depths), slices.Max(depths); hi-lo > 1 || 1<<(hi+1)-1 != len(tree.nodes) {
+			t.Errorf("n=%d: leaves at depths %d..%d in %d node slots", n, lo, hi, len(tree.nodes))
+		}
 	}
 }
 
@@ -190,10 +218,17 @@ func TestKNNKeysMatchL2Encoding(t *testing.T) {
 
 // buildBySort is the reference Build is held to: the same recursion, with
 // every range fully sorted by (axis coordinate, ID) before its middle
-// element becomes the node — what Build did before it selected the median.
-func buildBySort(s *points.Set[points.Vector], perm []int, axis int) *node {
-	if len(perm) == 0 {
-		return nil
+// element becomes the split — what Build did before it selected the median.
+// It fills nodes (grown as needed) and leaves each leaf's points in its
+// range of perm.
+func buildBySort(s *points.Set[points.Vector], nodes *[]node, perm []int, i, lo, axis int) {
+	for len(*nodes) <= i {
+		*nodes = append(*nodes, node{})
+	}
+	hi := lo + len(perm)
+	(*nodes)[i].lo, (*nodes)[i].hi = int32(lo), int32(hi)
+	if len(perm) <= bucket {
+		return
 	}
 	sort.Slice(perm, func(a, b int) bool {
 		va, vb := s.Pts[perm[a]][axis], s.Pts[perm[b]][axis]
@@ -203,34 +238,18 @@ func buildBySort(s *points.Set[points.Vector], perm []int, axis int) *node {
 		return s.IDs[perm[a]] < s.IDs[perm[b]]
 	})
 	mid := len(perm) / 2
+	(*nodes)[i].split, (*nodes)[i].axis = s.Pts[perm[mid]][axis], int32(axis)
 	next := (axis + 1) % len(s.Pts[0])
-	return &node{
-		idx:   perm[mid],
-		axis:  axis,
-		left:  buildBySort(s, perm[:mid], next),
-		right: buildBySort(s, perm[mid+1:], next),
-	}
-}
-
-func sameTree(t *testing.T, got, want *node, path string) {
-	t.Helper()
-	if got == nil || want == nil {
-		if got != want {
-			t.Fatalf("node %q: present in one tree only", path)
-		}
-		return
-	}
-	if got.idx != want.idx || got.axis != want.axis {
-		t.Fatalf("node %q: point %d on axis %d, reference has point %d on axis %d", path, got.idx, got.axis, want.idx, want.axis)
-	}
-	sameTree(t, got.left, want.left, path+"L")
-	sameTree(t, got.right, want.right, path+"R")
+	buildBySort(s, nodes, perm[:mid], 2*i+1, lo, next)
+	buildBySort(s, nodes, perm[mid:], 2*i+2, lo+mid, next)
 }
 
 // TestBuildMatchesFullSortReference: selecting the median must produce, node
-// for node, the tree that sorting every range produces — on distinct
-// coordinates, on coordinates drawn from three values (long runs of ties
-// broken by ID), and when every point is the same point.
+// for node, the tree that sorting every range produces — the same split,
+// axis and range, and each leaf holding the same points (in any order),
+// stored with their own coordinates and labels — on distinct coordinates,
+// on coordinates drawn from three values (long runs of ties broken by ID),
+// and when every point is the same point.
 func TestBuildMatchesFullSortReference(t *testing.T) {
 	rng := xrand.New(31)
 	inputs := map[string]func() points.Vector{
@@ -239,12 +258,13 @@ func TestBuildMatchesFullSortReference(t *testing.T) {
 		"all-equal": func() points.Vector { return points.Vector{0.5, 0.5} },
 	}
 	for name, draw := range inputs {
-		for _, n := range []int{1, 2, 3, 10, 257, 1000} {
+		for _, n := range []int{1, 7, 8, 9, 16, 17, 257, 1000} {
 			pts := make([]points.Vector, n)
+			labels := make([]float64, n)
 			for i := range pts {
-				pts[i] = draw()
+				pts[i], labels[i] = draw(), float64(i)
 			}
-			s, err := points.NewSet(pts, nil, points.L2, 1)
+			s, err := points.NewSet(pts, labels, points.L2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,9 +278,162 @@ func TestBuildMatchesFullSortReference(t *testing.T) {
 			for i := range perm {
 				perm[i] = i
 			}
-			sameTree(t, tree.root, buildBySort(s, perm, 0), name+":")
+			var want []node
+			buildBySort(s, &want, perm, 0, 0, 0)
+			if len(tree.nodes) != len(want) {
+				t.Fatalf("%s n=%d: %d node slots, reference has %d", name, n, len(tree.nodes), len(want))
+			}
+			for i := range want {
+				if tree.nodes[i] != want[i] {
+					t.Fatalf("%s n=%d node %d: %+v, reference %+v", name, n, i, tree.nodes[i], want[i])
+				}
+			}
+			// Within a bucket the scan order is free, so each leaf is held
+			// to the reference's points as a set.
+			byID := make(map[uint64]int, n)
+			for i, id := range s.IDs {
+				byID[id] = i
+			}
+			for _, nd := range want {
+				if nd.hi-nd.lo > bucket {
+					continue
+				}
+				got := slices.Sorted(slices.Values(tree.ids[nd.lo:nd.hi]))
+				ref := make([]uint64, 0, bucket)
+				for _, i := range perm[nd.lo:nd.hi] {
+					ref = append(ref, s.IDs[i])
+				}
+				if slices.Sort(ref); !slices.Equal(got, ref) {
+					t.Fatalf("%s n=%d leaf [%d, %d): IDs %v, reference %v", name, n, nd.lo, nd.hi, got, ref)
+				}
+			}
+			dim := len(pts[0])
+			for j, id := range tree.ids {
+				if i := byID[id]; tree.labels[j] != labels[i] || !slices.Equal(tree.coords[j*dim:(j+1)*dim], pts[i]) {
+					t.Fatalf("%s n=%d leaf slot %d: coordinates or label are not those of ID %d", name, n, j, id)
+				}
+			}
 		}
 	}
+}
+
+// TestKNNBucketsAndSplitTies holds the bucket scan and the plane test to
+// brute force where they can go wrong: every n from one point to three
+// buckets and one, coordinates from three values so that points equal to a
+// split fall on both of its sides, and queries that lie exactly on a
+// splitting plane, for l of 1, a bucket, n and past n, with and without a
+// ceiling.
+func TestKNNBucketsAndSplitTies(t *testing.T) {
+	rng := xrand.New(44)
+	tiesLeft := 0
+	for _, dim := range []int{1, 3, 8} {
+		for n := 1; n <= 3*bucket+1; n++ {
+			pts := make([]points.Vector, n)
+			for i := range pts {
+				pts[i] = make(points.Vector, dim)
+				for a := range pts[i] {
+					pts[i][a] = float64(rng.IntN(3))
+				}
+			}
+			s, err := points.NewSet(pts, nil, points.L2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng.Shuffle(n, func(i, j int) { s.IDs[i], s.IDs[j] = s.IDs[j], s.IDs[i] })
+			tree, err := Build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Queries: every point, and each inner node's plane through a
+			// point, besides a few off the grid.
+			var queries []points.Vector
+			for _, nd := range tree.nodes {
+				if nd.hi-nd.lo <= bucket {
+					continue
+				}
+				for j := nd.lo; j < (nd.lo+nd.hi)/2; j++ {
+					if tree.coords[int(j)*dim+int(nd.axis)] == nd.split {
+						tiesLeft++
+					}
+				}
+				q := slices.Clone(pts[rng.IntN(n)])
+				q[nd.axis] = nd.split
+				queries = append(queries, q)
+			}
+			for range 3 {
+				q := make(points.Vector, dim)
+				for a := range q {
+					q[a] = 2.5*rng.Float64() - 0.25
+				}
+				queries = append(queries, q, pts[rng.IntN(n)])
+			}
+			for _, q := range queries {
+				sorted := s.BruteKNN(q, n)
+				for _, ceil := range []keys.Key{keys.MaxKey, sorted[n/2].Key, sorted[n-1].Key} {
+					below := sort.Search(n, func(i int) bool { return !sorted[i].Key.Less(ceil) })
+					for _, l := range []int{1, bucket, n, n + 5} {
+						got, want := tree.KNN(q, l), sorted[:min(l, below)]
+						if ceil != keys.MaxKey {
+							got = tree.KNN(q, l, ceil)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("dim=%d n=%d q=%v l=%d ceil=%v:\n got %v\nwant %v", dim, n, q, l, ceil, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if tiesLeft == 0 {
+		t.Errorf("no split had a tie on its left side: the input does not exercise split ties")
+	}
+}
+
+// TestKNNAllocatesOnlyTheResult pins a search at one allocation per call —
+// the returned slice — bounded and unbounded.
+func TestKNNAllocatesOnlyTheResult(t *testing.T) {
+	tree, _ := buildRandom(t, 12, 4096, 3)
+	q := points.Vector{0.5, 0.5, 0.5}
+	ceil := tree.KNN(q, 8)[7].Key
+	if allocs := testing.AllocsPerRun(100, func() { tree.KNN(q, 64) }); allocs != 1 {
+		t.Errorf("unbounded KNN made %v allocations per call, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tree.KNN(q, 64, ceil) }); allocs != 1 {
+		t.Errorf("bounded KNN made %v allocations per call, want 1", allocs)
+	}
+}
+
+// TestKNNConcurrentReaders: a node answers dispatches concurrently from one
+// tree, so concurrent searches must each get the sequential answer (and,
+// under -race, share nothing mutable).
+func TestKNNConcurrentReaders(t *testing.T) {
+	tree, _ := buildRandom(t, 13, 2000, 3)
+	rng := xrand.New(14)
+	queries := make([]points.Vector, 64)
+	want := make([][]points.Item, len(queries))
+	for i := range queries {
+		queries[i] = points.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
+		want[i] = tree.KNN(queries[i], 16)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 4 * len(queries) {
+				i := (r + g*7) % len(queries)
+				if got := tree.KNN(queries[i], 16, want[i][12].Key); !slices.Equal(got, want[i][:12]) {
+					t.Errorf("goroutine %d query %d bounded: %v, want %v", g, i, got, want[i][:12])
+					return
+				}
+				if got := tree.KNN(queries[i], 16); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d query %d: %v, want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestKNNClampsL: asked for far more neighbours than it indexes, the tree
@@ -298,7 +471,12 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkKDTreeKNN times one ℓ = 64 search unbounded, and bounded by a
 // ceiling at the 8th key — a gather-wave search whose probe already holds
-// the tight bound, so the descent prunes slabs from the start.
+// the tight bound, so the descent prunes slabs from the start. Both repeat
+// one query, so the tree's path stays in cache; stream and clustered_l512
+// time what a serving node sees: stream is one op per query of a fresh
+// query stream over four 65 536-point uniform shards (one ℓ = 64 search on
+// each, as a full-scatter wave runs them), clustered_l512 one ℓ = 512
+// search on pruned_mixed's first blob shard from a query near its anchor.
 func BenchmarkKDTreeKNN(b *testing.B) {
 	rng := xrand.New(1)
 	s := points.GenUniformVectors(rng, 1<<16, 3)
@@ -316,6 +494,51 @@ func BenchmarkKDTreeKNN(b *testing.B) {
 	b.Run("bounded", func(b *testing.B) {
 		for b.Loop() {
 			tree.KNN(q, 64, ceil)
+		}
+	})
+
+	const shards, dim, sigma = 4, 3, 0.1
+	uniform := []*Tree{tree}
+	for len(uniform) < shards {
+		t, err := Build(points.GenUniformVectors(rng, 1<<16, dim))
+		if err != nil {
+			b.Fatal(err)
+		}
+		uniform = append(uniform, t)
+	}
+	b.Run("stream", func(b *testing.B) {
+		for b.Loop() {
+			q := points.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
+			for _, t := range uniform {
+				t.KNN(q, 64)
+			}
+		}
+	})
+
+	blobs, _ := points.GenGaussianClusters(rng, shards<<16, dim, shards, sigma)
+	cl := metricindex.KCenter(blobs.Pts, points.L2, shards, 1)
+	var shard []points.Vector
+	for j, c := range cl.Assign {
+		if c == 0 {
+			shard = append(shard, blobs.Pts[j])
+		}
+	}
+	set, err := points.NewSet(shard, nil, points.L2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clustered, err := Build(set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	anchor := blobs.Pts[cl.Anchors[0]]
+	b.Run("clustered_l512", func(b *testing.B) {
+		for b.Loop() {
+			q := make(points.Vector, dim)
+			for j := range q {
+				q[j] = anchor[j] + rng.NormFloat64()*sigma
+			}
+			clustered.KNN(q, 512)
 		}
 	})
 }

@@ -378,8 +378,12 @@ type typedHandler[P any] struct {
 	pt     PointType[P]
 	shards ShardProvider[P]
 
-	set  *points.Set[P]
-	topL func(q P, l int, ceil ...keys.Key) []Item
+	// shardLen and first (the shard's first point, which compat checks
+	// queries against) are all the handler reads of its shard itself: an
+	// indexed type keeps its points only in the index.
+	shardLen int
+	first    P
+	topL     func(q P, l int, ceil ...keys.Key) []Item
 }
 
 // Load builds the node's shard, local index and metric summary for machine
@@ -394,7 +398,7 @@ func (h *typedHandler[P]) Load(id, k int) (wire.Ready, error) {
 	if err != nil {
 		return wire.Ready{}, fmt.Errorf("distknn: shard for node %d: %w", id, err)
 	}
-	h.set, err = points.NewSet(shard.Points, shard.Labels, h.pt.metric, shard.FirstID)
+	set, err := points.NewSet(shard.Points, shard.Labels, h.pt.metric, shard.FirstID)
 	if err != nil {
 		return wire.Ready{}, fmt.Errorf("distknn: %w", err)
 	}
@@ -402,17 +406,21 @@ func (h *typedHandler[P]) Load(id, k int) (wire.Ready, error) {
 		if len(shard.IDs) != len(shard.Points) {
 			return wire.Ready{}, fmt.Errorf("distknn: node %d shard has %d IDs for %d points", id, len(shard.IDs), len(shard.Points))
 		}
-		copy(h.set.IDs, shard.IDs)
+		copy(set.IDs, shard.IDs)
 	}
 	if h.pt.index != nil {
-		h.topL, err = h.pt.index(h.set)
+		h.topL, err = h.pt.index(set)
 		if err != nil {
 			return wire.Ready{}, fmt.Errorf("distknn: indexing node %d: %w", id, err)
 		}
 	} else {
-		h.topL = h.set.TopLItems
+		h.topL = set.TopLItems
 	}
-	return wire.Ready{ShardLen: int64(h.set.Len()), PointTag: h.pt.codec.Tag, Summary: h.summarize(shard)}, nil
+	h.shardLen = set.Len()
+	if h.shardLen > 0 {
+		h.first = set.Pts[0]
+	}
+	return wire.Ready{ShardLen: int64(h.shardLen), PointTag: h.pt.codec.Tag, Summary: h.summarize(shard)}, nil
 }
 
 // summarize computes the shard's metric-index summary: its centroid (the
@@ -445,8 +453,8 @@ func (h *typedHandler[P]) summarize(shard Shard[P]) wire.ShardSummary {
 // the node's shard.
 func (h *typedHandler[P]) point(q wire.Query, qi int) (P, error) {
 	qp, err := h.pt.codec.Decode(q.Points[qi])
-	if err == nil && h.pt.compat != nil && h.set.Len() > 0 {
-		err = h.pt.compat(qp, h.set.Pts[0])
+	if err == nil && h.pt.compat != nil && h.shardLen > 0 {
+		err = h.pt.compat(qp, h.first)
 	}
 	if err != nil {
 		return qp, fmt.Errorf("query %d: %w", qi, err)
