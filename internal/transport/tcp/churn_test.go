@@ -168,7 +168,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	})
 	leader := c.fe.Leader()
 
-	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestChurnEvictAndRejoin(t *testing.T) {
 	k := 2
 	c := startChurnCluster(t, k, 31, func() Handler { return &echoHandler{} })
 	leader := c.fe.Leader()
-	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestFrontendClosesRetiredRejoinKind(t *testing.T) {
 func TestChurnIdleKillIsNoticedWithoutAQuery(t *testing.T) {
 	k := 2
 	c := startChurnCluster(t, k, 41, func() Handler { return &echoHandler{} })
-	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	c := startChurnCluster(t, k, 61, func() Handler { return &echoHandler{} })
 	leader := c.fe.Leader()
 	worker := (leader + 1) % k
-	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestClientPoisonsDesyncedConnection(t *testing.T) {
 			_ = wire.WriteFrame(conn, taggedOkReply(tag))
 		},
 	)
-	client, err := DialFrontendOptions(addr, ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(addr, ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,12 +44,10 @@ type ClientOptions struct {
 	// RetryWait is the budget for riding out a degraded cluster: Do keeps
 	// retrying a degraded failure at short intervals until it succeeds or
 	// RetryWait has elapsed, returning as soon as the lost node re-joins.
-	// Zero means the default (500ms); a negative budget has already
-	// elapsed, so a degraded failure is returned without a retry.
+	// Zero means the default (500ms). A negative RetryWait disables the
+	// automatic retry entirely: the first failure of any kind — degraded or
+	// transport — is returned to the caller.
 	RetryWait time.Duration
-	// NoRetry disables the automatic retry entirely: the first failure of
-	// any kind is returned to the caller.
-	NoRetry bool
 	// Metrics receives the client's runtime counters (queries, retries,
 	// degraded replies, reconnects, timeouts, outstanding tags — see
 	// metrics.go). Nil binds the instrumentation to a private registry.
@@ -72,9 +70,11 @@ type ClientOptions struct {
 // affected Do reconnects (lazily, on its retry) and retries its query
 // once, which is safe because every query op is an idempotent read. A
 // degraded reply (the cluster lost a node; errors.Is(err, ErrDegraded))
-// is retried within the RetryWait budget, riding out a quick re-join.
-// Close wakes every in-flight call and every degraded-retry sleep
-// promptly.
+// is retried within the RetryWait budget, riding out a quick re-join. A
+// negative RetryWait turns both retries off. A connection the frontend
+// dropped while idle (it sent no query within the frontend's handshake
+// deadline) is redialed by the next query the same way. Close wakes every
+// in-flight call and every degraded-retry sleep promptly.
 type Client struct {
 	addr string
 	opts ClientOptions
@@ -361,7 +361,7 @@ func (c *Client) Do(q wire.Query) (wire.Reply, error) {
 func (c *Client) DoContext(ctx context.Context, q wire.Query) (wire.Reply, error) {
 	c.cm.queries.Inc()
 	rep, transport, err := c.attempt(ctx, q)
-	if err == nil || c.opts.NoRetry || ctx.Err() != nil {
+	if err == nil || c.opts.RetryWait < 0 || ctx.Err() != nil {
 		return rep, err
 	}
 	if !errors.Is(err, ErrDegraded) {

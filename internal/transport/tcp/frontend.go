@@ -63,17 +63,19 @@ type Frontend struct {
 
 	// mu is the frontend's only lock. It guards the seats (grants, seals,
 	// evictions), the session's point tag and count, the epoch ordinal
-	// counter, the scheduler's window, jobs and buckets, and the client
+	// counter, the scheduler's window, jobs and buckets, and the accepted
 	// connections. It is held across network I/O in exactly two places,
 	// both deadline-bounded: dispatchWave's writes and Close's courtesy
 	// shutdown frame. A join reads and writes no frame under it.
-	mu      sync.Mutex
-	slots   []*feSlot             // one per machine id
-	sealed  int                   // seats sealed at least once; the first fill is complete at k
-	total   int64                 // global point count (sum of the pinned shard sizes)
-	tag     uint8                 // point encoding the nodes serve, set by the first seal
-	epoch   uint64                // last assigned query-epoch ordinal
-	clients map[net.Conn]struct{} // live client connections, for Close
+	mu     sync.Mutex
+	slots  []*feSlot // one per machine id
+	sealed int       // seats sealed at least once; the first fill is complete at k
+	total  int64     // global point count (sum of the pinned shard sizes)
+	tag    uint8     // point encoding the nodes serve, set by the first seal
+	epoch  uint64    // last assigned query-epoch ordinal
+	// conns holds every accepted connection that is not a seat's: those
+	// still owing their first frame, and the clients. Close closes them.
+	conns map[net.Conn]struct{}
 
 	closed atomic.Bool
 }
@@ -113,11 +115,11 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 	}
 	f := &Frontend{
 		ln: ln, k: k,
-		pruner:  opts.Pruner,
-		ready:   make(chan struct{}),
-		leader:  election.Leader(seed, k),
-		slots:   make([]*feSlot, k),
-		clients: make(map[net.Conn]struct{}),
+		pruner: opts.Pruner,
+		ready:  make(chan struct{}),
+		leader: election.Leader(seed, k),
+		slots:  make([]*feSlot, k),
+		conns:  make(map[net.Conn]struct{}),
 	}
 	for id := range f.slots {
 		f.slots[id] = &feSlot{id: id}
@@ -126,22 +128,22 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 	return f, nil
 }
 
-// trackClient registers a live client connection; it refuses (and the
+// track registers an accepted connection for Close; it refuses (and the
 // caller must drop the connection) once the frontend is closed.
-func (f *Frontend) trackClient(conn net.Conn) bool {
+func (f *Frontend) track(conn net.Conn) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed.Load() {
 		return false
 	}
-	f.clients[conn] = struct{}{}
+	f.conns[conn] = struct{}{}
 	return true
 }
 
-func (f *Frontend) untrackClient(conn net.Conn) {
+func (f *Frontend) untrack(conn net.Conn) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.clients, conn)
+	delete(f.conns, conn)
 }
 
 // Addr returns the frontend's dialable address (nodes and clients share it).
@@ -180,7 +182,9 @@ func (f *Frontend) Health() obs.Health {
 // Serve runs the session: it accepts connections until Close, and a
 // connection's first frame decides its role — KindRegister makes it a node
 // taking a seat (join), KindQueryTagged a client; any other first frame
-// closes it. Clients are answered once every seat has been sealed once.
+// closes it. The first frame is due within handshakeTimeout, and Close
+// closes a connection still waiting for it, so a peer that never sends one
+// holds nothing. Clients are answered once every seat has been sealed once.
 // Serve blocks for the life of the session; run it on its own goroutine.
 // It returns the error that failed the first fill, or nil after Close.
 func (f *Frontend) Serve() error {
@@ -196,14 +200,24 @@ func (f *Frontend) Serve() error {
 			}
 			break
 		}
+		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 		go func() {
-			payload, err := wire.ReadFrame(conn)
-			if err != nil {
+			if !f.track(conn) {
 				conn.Close()
 				return
 			}
-			r := wire.NewReader(payload)
-			switch kind := r.Kind(); kind {
+			payload, err := wire.ReadFrame(conn)
+			conn.SetReadDeadline(time.Time{})
+			var kind wire.Kind // no kind when the first frame never came
+			if err == nil {
+				kind = wire.NewReader(payload).Kind()
+			}
+			if kind != wire.KindQueryTagged {
+				// Only a client stays in conns; a joiner's connection becomes
+				// a seat's, which Close releases with the seats.
+				f.untrack(conn)
+			}
+			switch kind {
 			case wire.KindRegister:
 				f.join(conn)
 			case wire.KindQueryTagged:
@@ -462,7 +476,7 @@ func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready) error {
 // prunableLocked reports whether pruned dispatch is available: a pruner is
 // configured and every seat's first holder reported a usable metric summary.
 // Presence does not matter here — an absent seat only blocks the pruned
-// queries whose ball reaches its shard (runPruned checks per dispatch).
+// queries whose ball reaches its shard (dispatchWave checks per wave).
 // Callers hold f.mu.
 func (f *Frontend) prunableLocked() bool {
 	if f.pruner == nil {
@@ -490,11 +504,13 @@ func (f *Frontend) Leader() int {
 
 // Close ends the session: it stops accepting connections, fails every
 // queued and in-flight query epoch with a retryable error, asks every node
-// to shut down, and releases the control and client connections. The nodes
-// drain their in-flight dispatches before they return. Close also closes
-// the connection of every
-// join handshake in progress; a Close before every seat was sealed once
-// fails the session, and Serve returns nil. Safe to call more than once.
+// to shut down, and releases the control and client connections and every
+// connection still owing its first frame. A coalescing bucket still open
+// fails the same way when it flushes, at most Linger later. The nodes drain
+// their in-flight dispatches before they return. Close also closes the
+// connection of every join handshake in progress; a Close before every seat
+// was sealed once fails the session, and Serve returns nil. Safe to call
+// more than once.
 func (f *Frontend) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
@@ -525,13 +541,14 @@ func (f *Frontend) Close() error {
 		s.conn.Close()
 		s.conn = nil
 	}
-	// Unblock serveClient goroutines parked in ReadFrame so a long-lived
-	// process reclaims their goroutines and sockets.
-	//knnlint:allow detsource -- closing every client conn; close order is unobservable
-	for conn := range f.clients {
+	// Unblock the goroutines parked in ReadFrame — clients, and connections
+	// still owing their first frame — so a long-lived process reclaims their
+	// goroutines and sockets.
+	//knnlint:allow detsource -- closing every accepted conn; close order is unobservable
+	for conn := range f.conns {
 		conn.Close()
 	}
-	f.clients = nil
+	f.conns = nil
 	return err
 }
 
@@ -555,10 +572,7 @@ const maxClientOutstanding = 256
 // payload) is dead.
 func (f *Frontend) serveClient(conn net.Conn, first []byte) {
 	defer conn.Close()
-	if !f.trackClient(conn) {
-		return
-	}
-	defer f.untrackClient(conn)
+	defer f.untrack(conn)
 	<-f.ready
 
 	var wmu sync.Mutex // serializes reply frames (query goroutines race)
@@ -656,12 +670,8 @@ func (f *Frontend) answer(q wire.Query) wire.Reply {
 }
 
 // degradedLocked builds the retryable degraded reply naming the absent
-// seats among need (nil: every seat), or returns ok=true when all of them
-// are filled.
+// seats among need, or returns ok=true when all of them are filled.
 func (f *Frontend) degradedLocked(need []*feSlot) (wire.Reply, bool) {
-	if need == nil {
-		need = f.slots
-	}
 	var absent []int
 	var cause error
 	for _, s := range need {

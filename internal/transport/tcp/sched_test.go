@@ -33,7 +33,7 @@ func startEchoClusterOptions(t *testing.T, k int, seed uint64, opts FrontendOpti
 
 func dialNoRetry(t *testing.T, addr string) *Client {
 	t.Helper()
-	client, err := DialFrontendOptions(addr, ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(addr, ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 		Linger:      10 * time.Second, // only the full bucket may flush
 	}, func() Handler { return &echoHandler{} })
 	leader := lc.Leader()
-	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{NoRetry: true})
+	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +233,75 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 	}
 	if err := lc.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestFrontendCloseFailsOpenBucket pins how a coalescing bucket still open at
+// Close ends: through its own flush, whose execute sees the frontend closed.
+// Every participant fails retryably within Linger (plus slack) of the Close,
+// as TestFrontendCloseFailsInFlightQueries's in-flight query does, the
+// bucket's outcome is the closing reply, and no epoch ordinal is consumed.
+func TestFrontendCloseFailsOpenBucket(t *testing.T) {
+	const k, linger = 3, 200 * time.Millisecond
+	lc, err := ServeLocalOptions(k, 93, FrontendOptions{ServerBatch: true, Linger: linger}, nil, func() Handler {
+		return &echoHandler{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := dialNoRetry(t, lc.Addr())
+	errCh := make(chan error, k)
+	for v := uint64(10); v < 10+k; v++ {
+		go func() {
+			_, err := client.Do(scalarQuery(wire.OpKNN, k, v))
+			errCh <- err
+		}()
+	}
+	// Park all k queries in the one bucket, well inside its linger.
+	var b *bucket
+	for start := time.Now(); b == nil; time.Sleep(time.Millisecond) {
+		lc.fe.mu.Lock()
+		if open := lc.fe.sched.buckets[bucketKey{op: wire.OpKNN, l: k}]; open != nil && len(open.q.Points) == k {
+			b = open
+		}
+		lc.fe.mu.Unlock()
+		if b == nil && time.Since(start) > linger/2 {
+			t.Fatal("the queries did not share one open bucket")
+		}
+	}
+
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- lc.Close() }()
+	deadline := time.After(linger + time.Second)
+	for i := 0; i < k; i++ {
+		select {
+		case err := <-errCh:
+			if err == nil {
+				t.Fatal("a coalesced query across Close: expected an error")
+			}
+			if !errors.Is(err, ErrDegraded) && !strings.Contains(err.Error(), "read reply") && !strings.Contains(err.Error(), "send query") {
+				t.Fatalf("a coalesced query across Close: got a non-retryable failure: %v", err)
+			}
+		case <-deadline:
+			t.Fatal("a coalesced query hung across Close")
+		}
+	}
+	select {
+	case <-b.done:
+	case <-deadline:
+		t.Fatal("the open bucket did not end within its linger")
+	}
+	if b.rep.Err != closingReply().Err || !b.rep.Degraded {
+		t.Fatalf("open bucket across Close: %+v, want the closing reply", b.rep)
+	}
+	lc.fe.mu.Lock()
+	epoch := lc.fe.epoch
+	lc.fe.mu.Unlock()
+	if epoch != 0 {
+		t.Fatalf("an open bucket across Close consumed epoch ordinal %d", epoch)
+	}
+	if err := <-closeDone; err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 

@@ -18,23 +18,25 @@ import (
 
 // This file is the frontend's epoch scheduler: the layer between the
 // client-serving goroutines and the nodes. Every query runs through one
-// pipeline — plan → contact set → per-seat sub-batch → dispatch wave →
-// collect → fold — and the two ways a query can run are two plans for it.
+// plan (run): contact set → per-seat sub-batch → dispatch wave → collect →
+// fold.
 //
 // A wave is one epoch: one ordinal, one dispatch frame per contacted seat,
 // one result frame back from each, carrying the seat's local top-ℓ for
-// every point it was sent. A plan says which seats a wave contacts and
-// which points of the batch each seat is sent. The full-scatter plan is a
-// single wave that admits every seat for the whole batch, unbounded. The
-// pruned plan (FrontendOptions.Pruner) is up to two waves: each point first
-// probes its nearest shard, then reaches only the shards its admission ball
-// can still intersect, under the probe's bound. Either way the caller holds
-// one window slot for the whole query, dispatchWave is the only code that
-// consumes an ordinal and writes dispatch frames, the per-seat results are
-// filed under the batch positions they answer, and one fold selects the
-// answer from them — neighbors, boundary and the Classify/Regress label
-// alike. The frontend is the only party that selects: this is the paper's
-// SimpleKNN with the frontend as its leader.
+// every point it was sent. The plan says which seats a wave contacts and
+// which points of the batch each seat is sent. When the geometry cannot
+// bound the query (no Pruner, a seat without a metric summary, a point the
+// geometry rejects) it is a single wave that admits every seat for the
+// whole batch, unbounded: full scatter, the admission that admits everyone.
+// Otherwise (FrontendOptions.Pruner) it is up to two waves: each point
+// first probes its nearest shard, then reaches only the shards its
+// admission ball can still intersect, under the probe's bound. Either way
+// the caller holds one window slot for the whole query, dispatchWave is the
+// only code that consumes an ordinal and writes dispatch frames, the
+// per-seat results are filed under the batch positions they answer, and one
+// fold selects the answer from them — neighbors, boundary and the
+// Classify/Regress label alike. The frontend is the only party that
+// selects: this is the paper's SimpleKNN with the frontend as its leader.
 //
 // Pipelining. Up to Window queries are in flight at once. A wave takes its
 // ordinal under the frontend lock, f.mu (which guards every piece of
@@ -46,14 +48,15 @@ import (
 // bit-identical to serialized execution: the fold is exact.
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
-// single-point queries that agree on (op, ℓ, point tag) coalesce into one
-// batch query: a query joins the open bucket for its key, and the bucket
-// flushes when it reaches maxServerBatch points (or the most whose results
-// fit one frame) or after Linger — whichever comes first — so many small
-// clients share one dispatch frame per seat. The flushed bucket runs
-// through the same pipeline as any client batch; each coalesced query
-// receives its own result, and the batch-wide cost fields (rounds and
-// messages) are reported to every participant.
+// single-point queries that agree on (op, ℓ) coalesce into one batch query
+// (answer admits only the session's point tag, so the tag always agrees): a
+// query joins the open bucket for its key, and the bucket flushes when it
+// reaches maxServerBatch points (or the most whose results fit one frame)
+// or after Linger — whichever comes first — so many small clients share one
+// dispatch frame per seat. The flushed bucket runs through the same
+// pipeline as any client batch; each coalesced query receives its own
+// result, and the batch-wide cost fields (rounds and messages) are reported
+// to every participant.
 //
 // Churn interaction. A seat lost mid-flight fails exactly the waves that
 // were dispatched to it — each affected job completes with a retryable
@@ -62,7 +65,9 @@ import (
 // the seat heals. A full-scatter wave needs every seat; a pruned wave only
 // the seats it contacts, so an absent seat whose shard the admission test
 // prunes does not fail the query. Close fails every queued and in-flight
-// wave with a retryable error instead of racing the control pumps.
+// wave with a retryable error instead of racing the control pumps; a bucket
+// still open ends through its own flush, at most Linger later, whose
+// execute sees the frontend closed and fails the same way.
 
 // dispatchTimeout bounds one dispatch frame's control-connection write.
 // The frontend lock is held across the write phase, so the deadline is
@@ -184,11 +189,9 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 // immutable after.
 type epochJob struct {
 	epoch uint64
-	// n is the batch size and subs[id] the batch positions of the points
-	// seat id was sent, in frame order — the seat's result must carry one
-	// entry per position. subs is nil on a full-scatter wave: every seat
-	// answers the whole batch.
-	n    int
+	// subs[id] is the batch positions of the points seat id was sent, in
+	// frame order — the seat's result must carry one entry per position. On
+	// a full-scatter wave every seat's list is the whole batch.
 	subs [][]int
 	// l is the query's ℓ and bounds[pi] batch point pi's ceiling on a
 	// gather wave (nil on every other wave): deliver holds each result
@@ -252,11 +255,7 @@ func (job *epochJob) fail(id int, cause error) {
 func (job *epochJob) collect(got [][][]points.Item) {
 	for id, nr := range job.shares {
 		for si, qr := range nr.Queries {
-			pi := si
-			if job.subs != nil {
-				pi = job.subs[id][si]
-			}
-			got[pi][id] = qr.Winners
+			got[job.subs[id][si]][id] = qr.Winners
 		}
 	}
 }
@@ -363,31 +362,33 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 	return rep
 }
 
-// execute runs one (possibly batched) query under one window slot: by the
-// pruned plan when the geometry can bound the whole batch, else by the
-// full-scatter plan. The slot covers every wave of the query — the probe and the gather
-// of a pruned query are halves of one answer, and parking the gather behind
+// execute runs one (possibly batched) query under one window slot. The
+// slot covers every wave of the query — the probe and the gather of a
+// pruned query are halves of one answer, and parking the gather behind
 // fresh admissions could deadlock a full window of half-done queries.
 func (sched *scheduler) execute(q wire.Query) wire.Reply {
-	dist, radius, pruned := sched.geometry(q)
+	dist, radius := sched.geometry(q)
 	f := sched.f
 	f.mu.Lock()
-	if !pruned {
-		// Degraded fast-fail before admission: a full-scatter wave needs
-		// every seat, so a probe during an outage answers immediately — even
-		// while the window is full of doomed epochs — and consumes neither
-		// an ordinal nor a window slot.
-		if rep, ok := f.degradedLocked(f.slots); !ok {
+	for {
+		if f.closed.Load() {
 			f.mu.Unlock()
-			return rep
+			return closingReply()
 		}
-	}
-	for !f.closed.Load() && sched.count >= sched.window {
+		if dist == nil {
+			// Degraded fast-fail before admission: a full-scatter wave needs
+			// every seat, so a probe during an outage answers immediately —
+			// even while the window is full of doomed epochs — and consumes
+			// neither an ordinal nor a window slot.
+			if rep, ok := f.degradedLocked(f.slots); !ok {
+				f.mu.Unlock()
+				return rep
+			}
+		}
+		if sched.count < sched.window {
+			break
+		}
 		sched.cond.Wait()
-	}
-	if f.closed.Load() {
-		f.mu.Unlock()
-		return closingReply()
 	}
 	sched.count++
 	sched.fm.occupancy.Observe(int64(sched.count))
@@ -400,24 +401,7 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 		sched.cond.Broadcast()
 		f.mu.Unlock()
 	}()
-	if pruned {
-		return sched.runPruned(q, dist, radius)
-	}
-	return sched.run(q)
-}
-
-// run answers q by the full-scatter plan: one wave that admits every seat
-// for the whole batch, with no bound — each seat returns its local top-ℓ —
-// and the fold selects. Its cost is the wave's: 1 round and one contact per
-// point per seat.
-func (sched *scheduler) run(q wire.Query) wire.Reply {
-	job, rep := sched.runWave(q, nil, nil)
-	if job == nil {
-		return rep
-	}
-	got := newGather(len(q.Points), sched.f.k)
-	job.collect(got)
-	return sched.reply(q, got, 1, int64(sched.f.k*len(q.Points)))
+	return sched.run(q, dist, radius)
 }
 
 // reply folds the collected lists into the reply of a query that took
@@ -434,7 +418,7 @@ func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, co
 }
 
 // fold answers every point of q from its per-seat winner lists — the one
-// fold both plans end in. Per point it merges the seats' lists (each a
+// fold every query ends in. Per point it merges the seats' lists (each a
 // seat's local top-ℓ, below the point's bound on a gather wave) in key
 // order and stops at ℓ: the cut selects. The ℓ-th key is the boundary,
 // and a Classify or Regress answer is core's fold over each seat's items at
@@ -468,8 +452,8 @@ func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, e
 // runWave dispatches one wave and waits for its collation. It returns a nil
 // job (and the reply to send instead) when the wave could not run or did
 // not succeed.
-func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key) (*epochJob, wire.Reply) {
-	job, rep := sched.dispatchWave(q, subs, bounds)
+func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
+	job, rep := sched.dispatchWave(q, subs, bounds, pruned)
 	if job == nil {
 		return nil, rep
 	}
@@ -482,13 +466,13 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key) (
 }
 
 // dispatchWave assigns the epoch ordinal, ships one wave of q and registers
-// its collation job. A full-scatter wave (subs nil) sends every seat the
-// whole batch; otherwise seat id is sent exactly the sub-batch subs[id] of
-// q's points, and a seat whose sub-batch is empty is not contacted; bounds,
+// its collation job. Seat id is sent exactly the sub-batch subs[id] of q's
+// points, and a seat whose sub-batch is empty is not contacted; bounds,
 // when not nil, holds one ceiling per batch point, and each frame carries
-// its points' ceilings. Every target that receives the whole batch — all of
-// them on a full-scatter wave, and always for a single-point query — shares
-// one encode-once frame; a strict sub-batch gets a frame of its own. It
+// its points' ceilings. pruned marks the wave's trace span Direct: a wave
+// of a query the geometry bounds. Every target that receives the whole batch — all of them on
+// a full-scatter wave, and always for a single-point query — shares one
+// encode-once frame; a strict sub-batch gets a frame of its own. It
 // returns a nil job (and the reply to send instead) when the wave cannot
 // run: the frontend is closing, or a seat the wave contacts is absent — any
 // other absent seat is invisible to the wave, because the admission test
@@ -499,20 +483,17 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key) (
 // sweeping the jobs until the wave is registered; the cost is that
 // collation of other epochs waits for the writes too — at most
 // dispatchTimeout, when a seat stopped draining its connection.
-func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key) (*epochJob, wire.Reply) {
+func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
 	f := sched.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed.Load() {
 		return nil, closingReply()
 	}
-	targets := f.slots
-	if subs != nil {
-		targets = nil
-		for _, s := range f.slots {
-			if len(subs[s.id]) > 0 {
-				targets = append(targets, s)
-			}
+	targets := make([]*feSlot, 0, len(f.slots))
+	for _, s := range f.slots {
+		if len(subs[s.id]) > 0 {
+			targets = append(targets, s)
 		}
 	}
 	if rep, ok := f.degradedLocked(targets); !ok {
@@ -545,7 +526,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 	for i, s := range targets {
 		var ferr error
 		switch {
-		case subs != nil && len(subs[s.id]) < len(q.Points):
+		case len(subs[s.id]) < len(q.Points):
 			pts, bs = pts[:0], bs[:0]
 			for _, pi := range subs[s.id] {
 				pts = append(pts, q.Points[pi])
@@ -567,14 +548,13 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 	sched.fm.epochsAdmitted.Inc()
 	job := &epochJob{
 		epoch:  epoch,
-		n:      len(q.Points),
 		subs:   subs,
 		l:      q.L,
 		bounds: bounds,
 		shares: make([]wire.NodeResult, f.k),
 		expect: make([]uint64, f.k),
 		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), subs != nil),
+		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), pruned),
 	}
 	// Register the job with its full expectation set before any write, so
 	// a node answering instantly finds its job.
@@ -665,11 +645,7 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 		// The node's result must cover exactly the points it was sent — a
 		// sub-batch on a pruned wave — and hold winner lists the fold can
 		// read.
-		want := job.n
-		if job.subs != nil {
-			want = len(job.subs[id])
-		}
-		if derr == nil && (nr.Node != id || len(nr.Queries) != want) {
+		if derr == nil && (nr.Node != id || len(nr.Queries) != len(job.subs[id])) {
 			derr = fmt.Errorf("result of node %d for %d points", nr.Node, len(nr.Queries))
 		}
 		if derr == nil {
@@ -733,10 +709,12 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	close(job.done)
 }
 
-// shutdownLocked fails every queued, coalescing and in-flight query with a
-// retryable closing reply; f.closed, already set, refuses later admissions.
-// In-flight epochs may still complete on the nodes; their late results are
-// dropped. Close runs it once, holding f.mu.
+// shutdownLocked fails every queued and in-flight query with a retryable
+// closing reply; f.closed, already set, refuses later admissions. In-flight
+// epochs may still complete on the nodes; their late results are dropped.
+// A coalescing bucket still open is left to its linger timer: its flush
+// runs execute, which sees f.closed and fails the bucket the same way. Close
+// runs it once, holding f.mu.
 func (sched *scheduler) shutdownLocked() {
 	//knnlint:allow detsource -- shutdown fanout: every epoch gets the identical closing reply, order unobservable
 	for _, job := range sched.inflight {
@@ -745,13 +723,6 @@ func (sched *scheduler) shutdownLocked() {
 		close(job.done)
 	}
 	sched.inflight = make(map[uint64]*epochJob)
-	//knnlint:allow detsource -- shutdown fanout over independent buckets; each gets the same treatment
-	for key, b := range sched.buckets {
-		b.timer.Stop()
-		delete(sched.buckets, key)
-		b.rep = closingReply()
-		close(b.done)
-	}
 	sched.cond.Broadcast()
 }
 
@@ -759,12 +730,12 @@ func (sched *scheduler) shutdownLocked() {
 // Server-side batching
 // ---------------------------------------------------------------------------
 
-// bucketKey identifies queries that may share one lockstep batch epoch: a
-// wire.Query carries a single (op, ℓ, tag) for its whole batch.
+// bucketKey identifies queries that may share one batch: a wire.Query
+// carries a single (op, ℓ, tag) for its whole batch, and every query that
+// reaches the scheduler carries the session's tag.
 type bucketKey struct {
-	op  uint8
-	l   int
-	tag uint8
+	op uint8
+	l  int
 }
 
 // bucket is one open coalescing batch: the accumulating query, the linger
@@ -787,10 +758,10 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	// Degraded fast-fail before joining a bucket: during an outage a
 	// query answers immediately instead of lingering in a batch that is
 	// doomed to the same degraded reply. A prunable session skips the fast
-	// fail — its buckets run through the pruned path, which only needs the
+	// fail — its buckets run as pruned waves, which only need the
 	// seats the queries' admission balls reach, so an absent seat does not
 	// doom the bucket.
-	key := bucketKey{op: q.Op, l: q.L, tag: q.Tag}
+	key := bucketKey{op: q.Op, l: q.L}
 	f := sched.f
 	f.mu.Lock()
 	if rep, ok := f.degradedLocked(f.slots); !ok && !f.prunableLocked() {
@@ -831,7 +802,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 }
 
 // flush runs a lingered partial bucket. A bucket no longer in the map was
-// already flushed full (or shut down); the timer's flush stands down.
+// already flushed full; the timer's flush stands down.
 func (sched *scheduler) flush(key bucketKey, b *bucket) {
 	sched.f.mu.Lock()
 	if sched.buckets[key] != b {
@@ -884,25 +855,24 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 }
 
 // ---------------------------------------------------------------------------
-// The pruned plan
+// The plan
 // ---------------------------------------------------------------------------
 
-// geometry decides whether q can run by the pruned plan and, if so, returns
-// what the plan is computed from: dist[id][pi], the true distance from batch
-// point pi to shard id's centroid, and each shard's radius. It is eligible
-// when a Pruner is configured, every seat reported a metric summary, and
-// the geometry can speak for every point of the batch; every query shape
-// rides it — KNN, Classify and Regress, single points and whole batches
-// alike. ok=false selects the full-scatter plan.
-func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64, ok bool) {
+// geometry returns what bounds q, when anything does: dist[id][pi], the true
+// distance from batch point pi to shard id's centroid, and each shard's
+// radius. It returns nils — q takes full scatter — unless a Pruner is
+// configured, every seat reported a metric summary, and the geometry can
+// speak for every point of the batch; every query shape rides it — KNN,
+// Classify and Regress, single points and whole batches alike.
+func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64) {
 	f := sched.f
 	if f.pruner == nil {
-		return nil, nil, false
+		return nil, nil
 	}
 	f.mu.Lock()
 	if !f.prunableLocked() {
 		f.mu.Unlock()
-		return nil, nil, false
+		return nil, nil
 	}
 	// Summaries are immutable for a seat's lifetime (a re-joining node must
 	// reproduce its summary bit-for-bit), so the geometry is snapshotted
@@ -921,115 +891,137 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 			d, err := f.pruner.CenterDist(p, center[id])
 			if err != nil {
 				// The geometry cannot speak for this point (e.g. a dimension
-				// mismatch); the full-scatter plan runs the node-side
-				// validation and reports its error.
-				return nil, nil, false
+				// mismatch); full scatter runs the node-side validation and
+				// reports its error.
+				return nil, nil
 			}
 			dist[id][pi] = d
 		}
 	}
-	return dist, radius, true
+	return dist, radius
 }
 
-// runPruned answers q by the pruned plan: up to two waves.
-// Wave 1: every point probes its nearest present shard; the probe's ℓ-th
-// key is the point's bound, and it bounds the point's global ℓ-th neighbor
-// from above. Wave 2: each shard receives exactly the sub-batch of points
-// whose admission ball can still intersect its centroid ball
-// (metricindex.AdmitSub) — a shard admitted by zero points is skipped
-// entirely — with each point's bound, and returns only its keys strictly
-// below it. Keys are unique (distance, ID) pairs and the probe shard alone
-// holds ℓ keys at or below the bound, so every global top-ℓ key is in the
-// probe's list or is another shard's key below the bound: the merged lists
-// provably contain each point's global top-ℓ (metricindex.Admit), and the
-// shared fold selects what the full-scatter plan selects. Its first ℓ keys
-// are the answer, and each seat's items at or below the ℓ-th key — the
-// boundary, never above the bound — are that seat's share of the global
-// top-ℓ (a pruned seat holds no global winner, so its share is empty under
-// both plans): the same shares, hence the same Classify/Regress fold, as
-// full scatter, bit-identical by construction. Rounds counts the waves (1
-// or 2) and Messages the per-point shard contacts (see reply).
-func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
+// run answers q by the one plan: one or two waves, then one fold.
+//
+// Without geometry (dist nil) wave 1 sends every seat the whole batch,
+// unbounded — full scatter — and is the only wave: each seat returns its
+// local top-ℓ and the fold selects.
+//
+// With geometry, wave 1 sends every point to its nearest present shard (the
+// probe); the probe's ℓ-th key is the point's bound, and it bounds the
+// point's global ℓ-th neighbor from above. Wave 2 sends each shard exactly
+// the sub-batch of points whose admission ball can still intersect its
+// centroid ball (metricindex.AdmitSub) — a shard admitted by zero points is
+// skipped entirely — with each point's bound, and the shard returns only
+// its keys strictly below it. Keys are unique (distance, ID) pairs and the
+// probe shard alone holds ℓ keys at or below the bound, so every global
+// top-ℓ key is in the probe's list or is another shard's key below the
+// bound: the merged lists provably contain each point's global top-ℓ
+// (metricindex.Admit), and the fold selects what full scatter selects. Its
+// first ℓ keys are the answer, and each seat's items at or below the ℓ-th
+// key — the boundary, never above the bound — are that seat's share of the
+// global top-ℓ (a pruned seat holds no global winner, so its share is empty
+// either way): the same shares, hence the same Classify/Regress fold,
+// bit-identical by construction.
+//
+// Rounds counts the waves (1, or 2 when a pruned query gathers) and
+// Messages the per-point seat contacts — k × points under full scatter (see
+// reply).
+func (sched *scheduler) run(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
 	f := sched.f
 	n := len(q.Points)
+	pruned := dist != nil
 
-	// Wave 1: per point, pick the present seat nearest the point (ties
-	// toward the lower id) and group the picks into per-seat sub-batches.
-	f.mu.Lock()
-	var present []int
-	for _, s := range f.slots {
-		if s.present {
-			present = append(present, s.id)
-		}
-	}
-	if len(present) == 0 {
-		rep, _ := f.degradedLocked(f.slots)
-		f.mu.Unlock()
-		return rep
-	}
-	f.mu.Unlock()
-	// contacted[id][pi] records that point pi was sent to seat id in wave
-	// 1, so wave 2's admission skips the pair; nil until seat id is probed
-	// by any point.
-	contacted := make([][]bool, f.k)
+	// Wave 1: full scatter sends every seat the whole batch; a pruned query
+	// sends each point to the present seat nearest it (ties toward the
+	// lower id). contacted[id][pi] records that point pi was probed at seat
+	// id, so wave 2's admission skips the pair; nil until seat id is
+	// probed by any point.
 	wave1 := make([][]int, f.k)
-	probe := make([]int, n)
-	for pi := 0; pi < n; pi++ {
-		best := present[0]
-		for _, id := range present[1:] {
-			if dist[id][pi] < dist[best][pi] {
-				best = id
+	var probe []int
+	var contacted [][]bool
+	if !pruned {
+		all := make([]int, n)
+		for pi := range all {
+			all[pi] = pi
+		}
+		for id := range wave1 {
+			wave1[id] = all
+		}
+	} else {
+		f.mu.Lock()
+		var present []int
+		for _, s := range f.slots {
+			if s.present {
+				present = append(present, s.id)
 			}
 		}
-		if contacted[best] == nil {
-			contacted[best] = make([]bool, n)
+		if len(present) == 0 {
+			rep, _ := f.degradedLocked(f.slots)
+			f.mu.Unlock()
+			return rep
 		}
-		contacted[best][pi] = true
-		wave1[best] = append(wave1[best], pi)
-		probe[pi] = best
+		f.mu.Unlock()
+		probe = make([]int, n)
+		contacted = make([][]bool, f.k)
+		for pi := 0; pi < n; pi++ {
+			best := present[0]
+			for _, id := range present[1:] {
+				if dist[id][pi] < dist[best][pi] {
+					best = id
+				}
+			}
+			if contacted[best] == nil {
+				contacted[best] = make([]bool, n)
+			}
+			contacted[best][pi] = true
+			wave1[best] = append(wave1[best], pi)
+			probe[pi] = best
+		}
 	}
 	got := newGather(n, f.k)
-	job, rep := sched.runWave(q, wave1, nil)
+	job, rep := sched.runWave(q, wave1, nil, pruned)
 	if job == nil {
 		return rep
 	}
 	job.collect(got)
-	// A full probe list's last key — its ℓ-th, as deliver admits at most ℓ
-	// ascending keys — is the point's bound: the key wave 2 ships under and
-	// the distance its admission ball reaches. A short list bounds nothing.
-	ub := make([]float64, n)
-	bounds := make([]keys.Key, n)
-	for pi := range ub {
-		ub[pi], bounds[pi] = math.Inf(1), keys.MaxKey
-		if list := got[pi][probe[pi]]; len(list) == q.L {
-			bounds[pi] = list[q.L-1].Key
-			ub[pi] = f.pruner.KeyDist(bounds[pi].Dist)
-		}
-	}
 
-	// Wave 2: each shard gets the sub-batch of points whose ℓ-NN ball can
-	// intersect its centroid ball, and returns for each only its keys
-	// strictly below the point's bound. With no bound for a point (its
-	// probe shard held fewer than ℓ points) every shard admits it, unbounded,
-	// and that point degenerates to full scatter — still correct, just not
-	// cheaper.
+	// Wave 2, only with geometry: each shard gets the sub-batch of points
+	// whose ℓ-NN ball can intersect its centroid ball, and returns for each
+	// only its keys strictly below the point's bound. A full probe list's
+	// last key — its ℓ-th, as deliver admits at most ℓ ascending keys — is
+	// the point's bound: the key wave 2 ships under and the distance its
+	// admission ball reaches. A short list bounds nothing: every shard
+	// admits that point, unbounded, and it degenerates to full scatter —
+	// still correct, just not cheaper.
 	wave2 := make([][]int, f.k)
 	waves := 1
-	for id := range wave2 {
-		wave2[id] = metricindex.AdmitSub(dist[id], ub, radius[id], contacted[id])
-		if len(wave2[id]) > 0 {
-			waves = 2
-		}
-	}
 	var gathered int64
-	if waves == 2 {
-		if job, rep = sched.runWave(q, wave2, bounds); job == nil {
-			return rep
+	if pruned {
+		ub := make([]float64, n)
+		bounds := make([]keys.Key, n)
+		for pi := range ub {
+			ub[pi], bounds[pi] = math.Inf(1), keys.MaxKey
+			if list := got[pi][probe[pi]]; len(list) == q.L {
+				bounds[pi] = list[q.L-1].Key
+				ub[pi] = f.pruner.KeyDist(bounds[pi].Dist)
+			}
 		}
-		job.collect(got)
-		for _, nr := range job.shares {
-			for _, qr := range nr.Queries {
-				gathered += int64(len(qr.Winners))
+		for id := range wave2 {
+			wave2[id] = metricindex.AdmitSub(dist[id], ub, radius[id], contacted[id])
+			if len(wave2[id]) > 0 {
+				waves = 2
+			}
+		}
+		if waves == 2 {
+			if job, rep = sched.runWave(q, wave2, bounds, true); job == nil {
+				return rep
+			}
+			job.collect(got)
+			for _, nr := range job.shares {
+				for _, qr := range nr.Queries {
+					gathered += int64(len(qr.Winners))
+				}
 			}
 		}
 	}
@@ -1042,9 +1034,9 @@ func (sched *scheduler) runPruned(q wire.Query, dist [][]float64, radius []float
 		}
 	}
 	rep = sched.reply(q, got, waves, contacts)
-	if rep.Err == "" {
-		// Recorded only for a query that answers, like the frontend_mesh_*
-		// counters.
+	if rep.Err == "" && pruned {
+		// Recorded only for a pruned query that answers, like the
+		// frontend_mesh_* counters.
 		sched.fm.pruneWaves.Add(int64(waves))
 		sched.fm.pruneContacts.Add(contacts)
 		sched.fm.pruneSkipped.Add(skipped)

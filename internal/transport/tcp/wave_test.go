@@ -12,6 +12,7 @@ import (
 
 	"distknn/internal/keys"
 	"distknn/internal/metricindex"
+	"distknn/internal/obs"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 )
@@ -296,6 +297,57 @@ func TestFullScatterWaveOnTheWire(t *testing.T) {
 	checkDispatches(t, stubs, [][][]byte{{w.Bytes()}, {w.Bytes()}})
 }
 
+// TestTraceSpanDirectFlag pins the trace span's Direct flag, which splits
+// the per-layer trace rows: a full-scatter wave's span reads false, and a
+// pruned query's probe and gather spans read true. Query 552 at ℓ = 2 is
+// one full-scatter wave without a Pruner, and with one probes seat 1 and
+// gathers from seat 0.
+func TestTraceSpanDirectFlag(t *testing.T) {
+	const l, v = 2, 552
+	cases := []struct {
+		name   string
+		pruner Pruner
+		want   []bool // per wave, in order
+	}{
+		{"full scatter", nil, []bool{false}},
+		{"pruned", scalarGeometry, []bool{true, true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer(0)
+			fe, _, serveDone, exits := startStubs(t, FrontendOptions{Pruner: tc.pruner, Trace: tr}, nil)
+			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{RetryWait: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := client.Do(scalarQuery(wire.OpKNN, l, v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Rounds != len(tc.want) {
+				t.Fatalf("%d waves, want %d", rep.Rounds, len(tc.want))
+			}
+			spans := tr.Recent()
+			if len(spans) != len(tc.want) {
+				t.Fatalf("%d spans, want %d", len(spans), len(tc.want))
+			}
+			for i, sp := range spans {
+				if !sp.Done || sp.Direct != tc.want[i] {
+					t.Fatalf("wave %d span: done %v, direct %v; want done, direct %v", i+1, sp.Done, sp.Direct, tc.want[i])
+				}
+			}
+			client.Close()
+			fe.Close()
+			if err := <-serveDone; err != nil {
+				t.Fatalf("frontend: %v", err)
+			}
+			for range 2 {
+				<-exits
+			}
+		})
+	}
+}
+
 // TestRogueResultIsMalformed pins what the fold may assume of a winner
 // list: per point at most ℓ keys, strictly ascending — mergeTop merges
 // them as sorted runs — and, on a gather wave, every key strictly below the
@@ -335,7 +387,7 @@ func TestRogueResultIsMalformed(t *testing.T) {
 				return tc.bad(id, v, bound, honest)
 			}
 			fe, _, serveDone, exits := startStubs(t, FrontendOptions{Pruner: scalarGeometry}, mangle)
-			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{NoRetry: true})
+			client, err := DialFrontendOptions(fe.Addr(), ClientOptions{RetryWait: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -544,11 +544,11 @@ type RemoteCluster[P any] struct {
 }
 
 // ClientOptions tunes a RemoteCluster's deadlines and churn handling: a
-// per-query Timeout, the degraded-cluster RetryWait budget, NoRetry, and
-// the optional Metrics registry. The zero value is no deadline, the default
-// 500ms ride-out, and a private registry; a negative RetryWait is an elapsed
-// budget (no degraded retry). See the field documentation on the aliased
-// type.
+// per-query Timeout, the degraded-cluster RetryWait budget, and the
+// optional Metrics registry. The zero value is no deadline, the default
+// 500ms ride-out, and a private registry; a negative RetryWait turns every
+// automatic retry off, degraded and transport alike. See the field
+// documentation on the aliased type.
 type ClientOptions = tcp.ClientOptions
 
 // DialTypedClusterOptions connects to a serving cluster's frontend that

@@ -71,7 +71,7 @@ func TestRemoteChurnBitIdenticalAfterRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{NoRetry: true})
+	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRemoteChurnVectorRejoinRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{NoRetry: true})
+	rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

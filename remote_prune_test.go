@@ -796,7 +796,7 @@ func TestPrunedChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{NoRetry: true})
+	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -916,7 +916,7 @@ func TestPrunedBatchChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{NoRetry: true})
+	rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -493,7 +493,7 @@ func TestRemoteRejectsResultsBeyondOneFrame(t *testing.T) {
 			}
 			defer srv.Close()
 			rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(),
-				distknn.ClientOptions{Timeout: 20 * time.Second, NoRetry: true})
+				distknn.ClientOptions{Timeout: 20 * time.Second, RetryWait: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
