@@ -171,7 +171,7 @@ func main() {
 			defer adm.Close()
 			fmt.Printf("admin endpoint on http://%s/metrics\n", adm.Addr())
 		}
-		fmt.Printf("serving frontend on %s waiting for %d nodes (seed=%d)\n", fe.Addr(), o.k, o.seed)
+		fmt.Printf("serving frontend on %s waiting for %d nodes\n", fe.Addr(), o.k)
 		if err := fe.Serve(); err != nil {
 			fatalf("%v", err)
 		}
@@ -331,8 +331,8 @@ func runDemo[P any](srv *distknn.LocalServer, rc *distknn.RemoteCluster[P], gen 
 	if err := srv.Close(); err != nil {
 		fatalf("shutdown: %v", err)
 	}
-	fmt.Printf("answered %d queries in %d dispatches: leader=machine %d, mean waves/query=%.1f, mean node contacts/query=%.1f\n",
-		queries, dispatches, srv.Leader(), float64(rounds)/float64(queries), float64(msgs)/float64(queries))
+	fmt.Printf("answered %d queries in %d dispatches: mean waves/query=%.1f, mean node contacts/query=%.1f\n",
+		queries, dispatches, float64(rounds)/float64(queries), float64(msgs)/float64(queries))
 	fmt.Printf("last query: boundary-dist=%s\n", distStr(lastBoundary.Dist))
 }
 

@@ -192,8 +192,12 @@ func answer[P any](knn func(P, int) ([]distknn.Item, *distknn.QueryStats, error)
 }
 
 func printResult(items []distknn.Item, stats *distknn.QueryStats, show int, distStr func(keys.Key) string) {
-	fmt.Printf("leader=machine %d  rounds=%d  messages=%d  traffic=%dB",
-		stats.Leader, stats.Rounds, stats.Messages, stats.Bytes)
+	if stats.Contacts == 0 {
+		// An in-process run's leader; a served query reports contacts
+		// instead, and its frontend has no leader.
+		fmt.Printf("leader=machine %d  ", stats.Leader)
+	}
+	fmt.Printf("rounds=%d  messages=%d  traffic=%dB", stats.Rounds, stats.Messages, stats.Bytes)
 	if stats.Contacts > 0 {
 		fmt.Printf("  contacted-nodes=%d", stats.Contacts)
 	}

@@ -51,8 +51,7 @@
 // at once and can coalesce concurrently arriving single queries into batch
 // queries (FrontendOptions.ServerBatch) — answers stay bit-identical to
 // serialized execution. A RemoteCluster is the client handle: the same
-// KNN/Classify/Regress/KNNBatch surface, the same exact results,
-// deterministic per (seed, query stream). See remote.go,
+// KNN/Classify/Regress/KNNBatch surface, the same exact results. See remote.go,
 // docs/ARCHITECTURE.md and docs/PROTOCOL.md.
 //
 // Quickstart:
@@ -157,7 +156,10 @@ type QueryStats struct {
 	Rounds   int
 	Messages int64
 	Bytes    int64
-	// Leader is the cluster's cached leader machine.
+	// Leader is the in-process cluster's cached leader machine. A
+	// RemoteCluster reports 0, kept only for existing callers: the serving
+	// frontend selects itself and has no leader, and seat 0 is the first
+	// term of the Regress fold's ascending seat order.
 	Leader int
 	// Boundary is the ℓ-th neighbor's key.
 	Boundary Key
@@ -212,7 +214,6 @@ func NewCluster[P any](pts []P, labels []float64, metric Metric[P], opts Options
 	if err != nil {
 		return nil, fmt.Errorf("distknn: %w", err)
 	}
-	// A served cluster's frontend computes the same leader.
 	c := &Cluster[P]{opts: opts, parts: parts, n: set.Len(), leader: election.Leader(opts.Seed, opts.Machines)}
 	c.localTopL = func(i int, q P, l int) []Item { return c.parts[i].TopLItems(q, l) }
 	return c, nil
@@ -302,15 +303,15 @@ func (c *Cluster[P]) Classify(q P, l int) (float64, *QueryStats, error) {
 	return label, stats, nil
 }
 
-// Regress returns the mean label of the ℓ nearest neighbors of q: the
-// leader's share summed first, then every other machine's in ascending
-// order. Like Classify, it costs exactly what KNN costs.
+// Regress returns the mean label of the ℓ nearest neighbors of q: each
+// machine's share summed in key order, then the machines' sums added in
+// ascending machine order. Like Classify, it costs exactly what KNN costs.
 func (c *Cluster[P]) Regress(q P, l int) (float64, *QueryStats, error) {
 	shares, stats, err := c.query(q, l)
 	if err != nil {
 		return 0, nil, err
 	}
-	mean, err := core.RegressShares(shares, stats.Leader)
+	mean, err := core.RegressShares(shares)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -6,7 +6,7 @@
 // selects. The stream is issued twice: one query per dispatch, then in
 // KNNBatch batches of one dispatch each, so the wall-clock delta printed at
 // the end is pure amortized frame/syscall overhead; seating is paid once,
-// before the first query, and the leader costs nothing.
+// before the first query.
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("serving cluster up: %d nodes x %d %d-dim points (k-d-tree-indexed), leader=machine %d\n",
-		k, perNode, dim, srv.Leader())
+	fmt.Printf("serving cluster up: %d nodes x %d %d-dim points (k-d-tree-indexed)\n", k, perNode, dim)
 
 	rc, err := distknn.DialTypedClusterOptions(distknn.VectorPoints(), srv.Addr(), distknn.ClientOptions{})
 	if err != nil {
@@ -65,7 +64,7 @@ func main() {
 		rounds += int64(stats.Rounds)
 	}
 	soloWall := time.Since(start)
-	fmt.Printf("%d solo queries: %v (%.1f waves/query, election: 0 per query)\n",
+	fmt.Printf("%d solo queries: %v (%.1f waves/query)\n",
 		queries, soloWall.Round(time.Millisecond), float64(rounds)/float64(queries))
 
 	// The same stream in batches — bit-identical answers.

@@ -26,14 +26,13 @@ func ClassifyShares(shares [][]points.Item) (float64, error) {
 }
 
 // RegressShares is the Regress fold: shares[id] is seat id's winner share
-// of one query in the order the seat sums it (ascending key order), and
-// leader is the session's elected leader, whose partial is added first.
-func RegressShares(shares [][]points.Item, leader int) (float64, error) {
+// of one query in the order the seat sums it (ascending key order).
+func RegressShares(shares [][]points.Item) (float64, error) {
 	parts := make([]Partial, len(shares))
 	for id, winners := range shares {
 		parts[id] = sumLabels(winners)
 	}
-	return FoldMean(parts, leader)
+	return FoldMean(parts)
 }
 
 // Vote is the Classify fold over the merged label histogram: the most
@@ -59,19 +58,19 @@ type Partial struct {
 	Count int64
 }
 
-// FoldMean is the Regress fold over the per-seat partials: the leader's own
-// partial first, then every other seat's in ascending seat order — a seat
+// FoldMean is the Regress fold over the per-seat partials of k ≥ 1 seats:
+// seat 0's partial, then every other seat's in ascending seat order — a seat
 // without winners contributes an exact 0.0 — and one division at the end.
 // float64 addition is neither associative nor commutative under rounding,
 // so this order is the definition of the answer, not an implementation
-// detail.
-func FoldMean(parts []Partial, leader int) (float64, error) {
-	sum, count := parts[leader].Sum, parts[leader].Count
-	for id, p := range parts {
-		if id != leader {
-			sum += p.Sum
-			count += p.Count
-		}
+// detail. No seat is special: the order depends on nothing but the seat
+// ids, so the in-process Cluster and the serving frontend agree bit for
+// bit whatever their session seed.
+func FoldMean(parts []Partial) (float64, error) {
+	sum, count := parts[0].Sum, parts[0].Count
+	for _, p := range parts[1:] {
+		sum += p.Sum
+		count += p.Count
 	}
 	if count == 0 {
 		return 0, fmt.Errorf("core: regress with no winners")

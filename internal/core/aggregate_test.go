@@ -11,11 +11,10 @@ import (
 
 // TestSharesFoldsMatchReference pins the label folds against a reference
 // computed straight from the shares: the brute-force majority vote (ties to
-// the smallest label), and the mean summed seat by seat in share order with
-// the leader's sum first and the others in ascending seat order — compared
-// by bit pattern, over seeded random shares with empty seats, every choice
-// of leader, few distinct labels (real vote ties) and labels whose sum is
-// order-sensitive under rounding.
+// the smallest label), and the mean summed seat by seat in share order and
+// then across seats in ascending seat order — compared by bit pattern, over
+// seeded random shares with empty seats, few distinct labels (real vote
+// ties) and labels whose sum is order-sensitive under rounding.
 func TestSharesFoldsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
 	for trial := 0; trial < 200; trial++ {
@@ -45,23 +44,21 @@ func TestSharesFoldsMatchReference(t *testing.T) {
 		if want := bruteMajority(all); math.Float64bits(gotC) != math.Float64bits(want) {
 			t.Fatalf("trial %d (k=%d): ClassifyShares = %v, brute-force vote %v", trial, k, gotC, want)
 		}
-		for leader := 0; leader < k; leader++ {
-			gotR, err := RegressShares(shares, leader)
-			if err != nil {
-				t.Fatalf("trial %d: RegressShares: %v", trial, err)
-			}
-			if want := leaderFirstMean(shares, leader); math.Float64bits(gotR) != math.Float64bits(want) {
-				t.Fatalf("trial %d (k=%d leader=%d): RegressShares = %x, reference %x", trial, k, leader,
-					math.Float64bits(gotR), math.Float64bits(want))
-			}
+		gotR, err := RegressShares(shares)
+		if err != nil {
+			t.Fatalf("trial %d: RegressShares: %v", trial, err)
+		}
+		if want := seatOrderMean(shares); math.Float64bits(gotR) != math.Float64bits(want) {
+			t.Fatalf("trial %d (k=%d): RegressShares = %x, reference %x", trial, k,
+				math.Float64bits(gotR), math.Float64bits(want))
 		}
 	}
 }
 
-// leaderFirstMean is the Regress reference: each seat sums its own share
-// from zero in share order, then the leader's sum is taken first and every
+// seatOrderMean is the Regress reference: each seat sums its own share
+// from zero in share order, then seat 0's sum is taken first and every
 // other seat's added in ascending seat order.
-func leaderFirstMean(shares [][]points.Item, leader int) float64 {
+func seatOrderMean(shares [][]points.Item) float64 {
 	sums := make([]float64, len(shares))
 	n := 0
 	for seat, share := range shares {
@@ -70,37 +67,36 @@ func leaderFirstMean(shares [][]points.Item, leader int) float64 {
 		}
 		n += len(share)
 	}
-	total := sums[leader]
-	for seat, s := range sums {
-		if seat != leader {
-			total += s
-		}
+	total := sums[0]
+	for _, s := range sums[1:] {
+		total += s
 	}
 	return total / float64(n)
 }
 
-// TestRegressSharesSumsLeaderFirst pins one case where the summation order
-// changes the bits: with the leader's −1e16 first, 1e16 cancels it exactly
-// and the 1 survives (mean 1/3); in ascending seat order the 1 is absorbed
-// into 1e16 before the cancellation (mean 0).
-func TestRegressSharesSumsLeaderFirst(t *testing.T) {
+// TestRegressSharesSumsInSeatOrder pins one case where the summation order
+// changes the bits: the same three labels on permuted seats. With 1e16 on
+// seat 0, the 1 on seat 1 is absorbed into it before −1e16 cancels it
+// (mean 0); with −1e16 on seat 0 and 1e16 on seat 1 they cancel exactly
+// first and the 1 survives (mean 1/3). The seat ids alone decide which.
+func TestRegressSharesSumsInSeatOrder(t *testing.T) {
 	item := func(id uint64, label float64) []points.Item {
 		return []points.Item{{Key: keys.Key{Dist: id, ID: id}, Label: label}}
 	}
-	shares := [][]points.Item{item(1, 1e16), item(2, 1), item(3, -1e16)}
-	got, err := RegressShares(shares, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1.0 / 3; math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("leader 2: RegressShares = %v (%x), want %v (%x)", got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	ascending, err := RegressShares(shares, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(ascending) != 0 {
-		t.Fatalf("leader 0 (ascending seat order): RegressShares = %v, want exactly 0", ascending)
+	for _, c := range []struct {
+		shares [][]points.Item
+		want   float64
+	}{
+		{[][]points.Item{item(1, 1e16), item(2, 1), item(3, -1e16)}, 0},
+		{[][]points.Item{item(3, -1e16), item(1, 1e16), item(2, 1)}, 1.0 / 3},
+	} {
+		got, err := RegressShares(c.shares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Fatalf("seats %v: RegressShares = %v (%x), want %v (%x)", c.shares, got, math.Float64bits(got), c.want, math.Float64bits(c.want))
+		}
 	}
 }
 
@@ -110,7 +106,7 @@ func TestSharesFoldsRejectNoWinners(t *testing.T) {
 	if _, err := ClassifyShares(make([][]points.Item, 3)); err == nil {
 		t.Error("ClassifyShares over no winners must fail")
 	}
-	if _, err := RegressShares(make([][]points.Item, 3), 1); err == nil {
+	if _, err := RegressShares(make([][]points.Item, 3)); err == nil {
 		t.Error("RegressShares over no winners must fail")
 	}
 }

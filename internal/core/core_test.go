@@ -349,14 +349,12 @@ func TestRegressMean(t *testing.T) {
 		{{Key: keys.Key{Dist: 3, ID: 3}, Label: 6}},
 		nil, // machine with no winners
 	}
-	for leader := range shares {
-		v, err := RegressShares(shares, leader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 3 {
-			t.Errorf("leader %d: regressed %g, want 3", leader, v)
-		}
+	v, err := RegressShares(shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 3 {
+		t.Errorf("regressed %g, want 3", v)
 	}
 }
 

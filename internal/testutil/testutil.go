@@ -18,9 +18,9 @@ import (
 // client and the server with the test. fopts configures the frontend's
 // epoch scheduler (zero value = defaults); pass a Pruner there to serve
 // with metric-index pruned dispatch.
-func StartCluster[P any](t *testing.T, pt distknn.PointType[P], k int, seed uint64, shards distknn.ShardProvider[P], opts distknn.NodeOptions, fopts distknn.FrontendOptions) (*distknn.LocalServer, *distknn.RemoteCluster[P]) {
+func StartCluster[P any](t *testing.T, pt distknn.PointType[P], k int, shards distknn.ShardProvider[P], opts distknn.NodeOptions, fopts distknn.FrontendOptions) (*distknn.LocalServer, *distknn.RemoteCluster[P]) {
 	t.Helper()
-	srv, err := distknn.ServeTypedLocalOptions(pt, k, seed, shards, opts, fopts)
+	srv, err := distknn.ServeTypedLocalOptions(pt, k, 0, shards, opts, fopts)
 	if err != nil {
 		t.Fatal(err)
 	}

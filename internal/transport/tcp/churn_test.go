@@ -44,9 +44,9 @@ type churnCluster struct {
 	exitErrs []error
 }
 
-func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handler) *churnCluster {
+func startChurnCluster(t *testing.T, k int, newHandler func() Handler) *churnCluster {
 	t.Helper()
-	c := newChurnCluster(t, k, seed)
+	c := newChurnCluster(t, k)
 	for i := 0; i < k; i++ {
 		c.startNode(newHandler())
 	}
@@ -56,9 +56,9 @@ func startChurnCluster(t *testing.T, k int, seed uint64, newHandler func() Handl
 
 // newChurnCluster starts the frontend of a churn cluster with k free seats
 // and no node.
-func newChurnCluster(t *testing.T, k int, seed uint64) *churnCluster {
+func newChurnCluster(t *testing.T, k int) *churnCluster {
 	t.Helper()
-	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, FrontendOptions{})
+	fe, err := NewFrontendOptions("127.0.0.1:0", k, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func waitHealthy(t *testing.T, client *Client, q wire.Query) wire.Reply {
 }
 
 // checkEcho asserts the deterministic echoHandler answer for value v at
-// ℓ = k on a k-node cluster — every seat's echo winner, the last one's key
-// as the boundary, and the session leader — which a correctly re-seated
-// cluster must keep producing bit-identically.
-func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
+// ℓ = k on a k-node cluster — every seat's echo winner and the last one's
+// key as the boundary — which a correctly re-seated cluster must keep
+// producing bit-identically.
+func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64) {
 	t.Helper()
 	if len(rep.Results) != 1 {
 		t.Fatalf("value %d: %d results", v, len(rep.Results))
@@ -149,9 +149,6 @@ func checkEcho(t *testing.T, rep wire.Reply, k int, v uint64, leader int) {
 	if res.Boundary != res.Items[k-1].Key {
 		t.Fatalf("value %d: boundary %v, want the last item's key", v, res.Boundary)
 	}
-	if rep.Leader != leader {
-		t.Fatalf("value %d: leader %d, want %d", v, rep.Leader, leader)
-	}
 }
 
 // TestChurnKillMidQueryDegradesThenHeals is the headline churn walk: a node
@@ -163,10 +160,9 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 	k := 3
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	c := startChurnCluster(t, k, 21, func() Handler {
+	c := startChurnCluster(t, k, func() Handler {
 		return &blockingHandler{entered: entered, release: release}
 	})
-	leader := c.fe.Leader()
 
 	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
@@ -178,7 +174,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pre-churn query %d: %v", v, err)
 		}
-		checkEcho(t, rep, k, v, leader)
+		checkEcho(t, rep, k, v)
 	}
 
 	// Dispatch the magic query; node 1 parks inside the dispatch, and we
@@ -216,7 +212,7 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-rejoin query %d: %v", v, err)
 		}
-		checkEcho(t, rep, k, v, leader)
+		checkEcho(t, rep, k, v)
 	}
 
 	// The killed session must have exited as a recoverable loss.
@@ -234,14 +230,13 @@ func TestChurnKillMidQueryDegradesThenHeals(t *testing.T) {
 // observes ErrSessionLost), and a plain registration takes the seat back.
 func TestChurnEvictAndRejoin(t *testing.T) {
 	k := 2
-	c := startChurnCluster(t, k, 31, func() Handler { return &echoHandler{} })
-	leader := c.fe.Leader()
+	c := startChurnCluster(t, k, func() Handler { return &echoHandler{} })
 	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 3)), k, 3, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 3)), k, 3)
 
 	// Every seat is held: a late registration has nothing to take.
 	if err := ServeNodeObserved(c.fe.Addr(), nil, &echoHandler{}); err == nil || !strings.Contains(err.Error(), "cluster is full") {
@@ -255,19 +250,19 @@ func TestChurnEvictAndRejoin(t *testing.T) {
 		t.Fatalf("query after evict: got %v, want a degraded error", err)
 	}
 	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5)
 	if s := c.session(1); s == nil || s == evicted {
 		t.Fatal("the registration did not take back seat 1")
 	}
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5, leader)
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 6)), k, 6, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 5)), k, 5)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 6)), k, 6)
 }
 
 // TestFrontendClosesRetiredRejoinKind pins what became of the seat-claiming
 // Rejoin request (kind 0a): like any first frame without a role it closes
 // the connection without a reply, and the absent seat it names stays absent.
 func TestFrontendClosesRetiredRejoinKind(t *testing.T) {
-	c := startChurnCluster(t, 2, 33, func() Handler { return &echoHandler{} })
+	c := startChurnCluster(t, 2, func() Handler { return &echoHandler{} })
 	if err := c.fe.EvictNode(1); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +294,7 @@ func TestFrontendClosesRetiredRejoinKind(t *testing.T) {
 // the session.
 func TestChurnIdleKillIsNoticedWithoutAQuery(t *testing.T) {
 	k := 2
-	c := startChurnCluster(t, k, 41, func() Handler { return &echoHandler{} })
+	c := startChurnCluster(t, k, func() Handler { return &echoHandler{} })
 	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -368,43 +363,42 @@ func waitDegraded(t *testing.T, client *Client, k, present int) {
 }
 
 // TestChurnDoubleRejoinRestoresStar checks that every seat holds its node's
-// control link after bring-up, after a worker re-joins and after the leader
-// re-joins, and then loses the leader and a worker together and re-joins
-// both concurrently: two registrations racing for two free seats must each
-// take one, and the cluster must answer bit-identically after.
+// control link after bring-up, after seat 1's node re-joins and after seat
+// 0's re-joins, and then loses both together and re-joins them
+// concurrently: two registrations racing for two free seats must each take
+// one, and the cluster must answer bit-identically after.
 func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 	k := 3
-	c := startChurnCluster(t, k, 61, func() Handler { return &echoHandler{} })
-	leader := c.fe.Leader()
-	worker := (leader + 1) % k
+	c := startChurnCluster(t, k, func() Handler { return &echoHandler{} })
+	first, second := 0, 1
 	client, err := DialFrontendOptions(c.fe.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 2)), k, 2)
 	c.checkStar(k)
 
-	for _, id := range []int{worker, leader} {
+	for _, id := range []int{second, first} {
 		c.session(id).kill()
 		waitDegraded(t, client, k, k-1)
 		c.startNode(&echoHandler{})
-		checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 4)), k, 4, leader)
+		checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 4)), k, 4)
 		c.checkStar(k)
 	}
 
-	c.session(leader).kill()
-	c.session(worker).kill()
+	c.session(first).kill()
+	c.session(second).kill()
 	waitDegraded(t, client, k, k-2)
 	c.startNode(&echoHandler{})
 	c.startNode(&echoHandler{})
-	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 7)), k, 7, leader)
+	checkEcho(t, waitHealthy(t, client, scalarQuery(wire.OpKNN, k, 7)), k, 7)
 	for v := uint64(8); v <= 12; v++ {
 		rep, err := client.Do(scalarQuery(wire.OpKNN, k, v))
 		if err != nil {
 			t.Fatalf("query %d after double re-join: %v", v, err)
 		}
-		checkEcho(t, rep, k, v, leader)
+		checkEcho(t, rep, k, v)
 	}
 	c.checkStar(k)
 }
@@ -414,7 +408,7 @@ func TestChurnDoubleRejoinRestoresStar(t *testing.T) {
 // granted the evicted seat that never reports ready has its connection
 // closed by Close, not left to its handshake deadline.
 func TestChurnCloseDuringRejoinReleasesHandshake(t *testing.T) {
-	c := startChurnCluster(t, 2, 35, func() Handler { return &echoHandler{} })
+	c := startChurnCluster(t, 2, func() Handler { return &echoHandler{} })
 	if err := c.fe.EvictNode(1); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +428,7 @@ func TestChurnCloseDuringRejoinReleasesHandshake(t *testing.T) {
 // TestLocalClusterCloseIdempotent is the regression test for the seed bug
 // where a second Close blocked forever on the drained serveErr channel.
 func TestLocalClusterCloseIdempotent(t *testing.T) {
-	lc, err := ServeLocalOptions(2, 5, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(2, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -486,8 +486,8 @@ type LocalCluster struct {
 // share it, so its node_* counters are cluster-wide totals); nil records
 // nothing. The cluster is ready to serve (and Addr dialable by clients)
 // when ServeLocalOptions returns.
-func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Registry, newHandler func() Handler) (*LocalCluster, error) {
-	fe, err := NewFrontendOptions("127.0.0.1:0", k, seed, opts)
+func ServeLocalOptions(k int, opts FrontendOptions, nodeReg *obs.Registry, newHandler func() Handler) (*LocalCluster, error) {
+	fe, err := NewFrontendOptions("127.0.0.1:0", k, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -519,9 +519,6 @@ func ServeLocalOptions(k int, seed uint64, opts FrontendOptions, nodeReg *obs.Re
 
 // Addr returns the frontend address clients should dial.
 func (lc *LocalCluster) Addr() string { return lc.fe.Addr() }
-
-// Leader returns the session leader machine.
-func (lc *LocalCluster) Leader() int { return lc.fe.Leader() }
 
 // EvictNode forcibly retires node id (see Frontend.EvictNode); re-join it
 // with a fresh ServeNodeObserved against Addr.

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distknn/internal/election"
 	"distknn/internal/obs"
 	"distknn/internal/wire"
 )
@@ -54,12 +53,16 @@ type Frontend struct {
 	// (FrontendOptions.Pruner); non-nil enables pruned dispatch once every
 	// seat has reported a metric-index summary.
 	pruner Pruner
+	// radius and center are every seat's metric-index summary, captured
+	// once when the first fill completes: nil without a pruner or when any
+	// seat reported no summary. Every re-join must reproduce its seat's
+	// summary bit for bit (vetLocked), so they never change; written under
+	// mu before ready closes, they are read without the lock after it.
+	radius []float64
+	center [][]byte
 
 	ready    chan struct{} // closed once every seat was sealed once, or the first fill failed
 	readyErr error         // why the first fill failed; written under mu before ready closes
-	// leader is election.Leader of the session seed. It selects nothing: it
-	// fixes the order in which the Regress fold sums the seats' shares.
-	leader int
 
 	// mu is the frontend's only lock. It guards the seats (grants, seals,
 	// evictions), the session's point tag and count, the epoch ordinal
@@ -103,9 +106,9 @@ type feSlot struct {
 }
 
 // NewFrontendOptions starts the serving listener on addr for a k-node
-// cluster with the given session seed and epoch scheduler configuration
-// (pipelining window, server-side batching). Call Serve to run the session.
-func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
+// cluster with the given epoch scheduler configuration (pipelining window,
+// server-side batching, pruning). Call Serve to run the session.
+func NewFrontendOptions(addr string, k int, opts FrontendOptions) (*Frontend, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("tcp: frontend needs k >= 1, got %d", k)
 	}
@@ -117,7 +120,6 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 		ln: ln, k: k,
 		pruner: opts.Pruner,
 		ready:  make(chan struct{}),
-		leader: election.Leader(seed, k),
 		slots:  make([]*feSlot, k),
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -440,6 +442,7 @@ func (f *Frontend) join(conn net.Conn) {
 		f.total += rdy.ShardLen
 		f.sealed++
 		if f.sealed == f.k {
+			f.captureGeometryLocked()
 			close(f.ready)
 		}
 	}
@@ -473,33 +476,38 @@ func (f *Frontend) vetLocked(s *feSlot, rdy wire.Ready) error {
 	return nil
 }
 
-// prunableLocked reports whether pruned dispatch is available: a pruner is
-// configured and every seat's first holder reported a usable metric summary.
-// Presence does not matter here — an absent seat only blocks the pruned
-// queries whose ball reaches its shard (dispatchWave checks per wave).
-// Callers hold f.mu.
-func (f *Frontend) prunableLocked() bool {
+// captureGeometryLocked pins the pruning geometry when the first fill
+// completes: every seat's radius and centre, or nothing when no pruner is
+// configured or any seat reported no usable summary — then every query
+// takes full scatter. Presence does not matter here: an absent seat only
+// blocks the pruned queries whose ball reaches its shard (dispatchWave
+// checks per wave). Callers hold f.mu.
+func (f *Frontend) captureGeometryLocked() {
 	if f.pruner == nil {
-		return false
+		return
 	}
-	for _, s := range f.slots {
+	radius := make([]float64, f.k)
+	center := make([][]byte, f.k)
+	for i, s := range f.slots {
 		if !s.summary.Has {
-			return false
+			return
 		}
+		radius[i], center[i] = s.summary.Radius, s.summary.Center
 	}
-	return true
+	f.radius, f.center = radius, center
 }
 
-// Leader returns the cluster's leader, election.Leader of the session seed
-// (-1 until every seat has been sealed once). The frontend itself selects;
-// the leader only fixes the order of the Regress fold's summation.
+// Leader is kept only for existing callers: the frontend selects every
+// answer itself and no seat leads anything. It returns -1 until every seat
+// has been sealed once, and 0 after — seat 0, the first term of the
+// Regress fold's ascending seat order.
 func (f *Frontend) Leader() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.sealed < f.k {
 		return -1
 	}
-	return f.leader
+	return 0
 }
 
 // Close ends the session: it stops accepting connections, fails every

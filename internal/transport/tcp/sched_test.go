@@ -17,9 +17,9 @@ import (
 
 // startEchoClusterOptions is startEchoCluster with an explicit scheduler
 // configuration and handler factory.
-func startEchoClusterOptions(t *testing.T, k int, seed uint64, opts FrontendOptions, newHandler func() Handler) *LocalCluster {
+func startEchoClusterOptions(t *testing.T, k int, opts FrontendOptions, newHandler func() Handler) *LocalCluster {
 	t.Helper()
-	lc, err := ServeLocalOptions(k, seed, opts, nil, newHandler)
+	lc, err := ServeLocalOptions(k, opts, nil, newHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,9 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 	k := 3
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	lc := startEchoClusterOptions(t, k, 71, FrontendOptions{Window: 4}, func() Handler {
+	lc := startEchoClusterOptions(t, k, FrontendOptions{Window: 4}, func() Handler {
 		return &blockingHandler{entered: entered, release: release}
 	})
-	leader := lc.Leader()
 
 	blocked := dialNoRetry(t, lc.Addr())
 	free := dialNoRetry(t, lc.Addr())
@@ -71,7 +70,7 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d while an epoch is parked: %v", v, err)
 		}
-		checkEcho(t, rep, k, v, leader)
+		checkEcho(t, rep, k, v)
 	}
 
 	close(release)
@@ -87,12 +86,11 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 // exactly its own per-query result.
 func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 	k := 3
-	lc := startEchoClusterOptions(t, k, 81, FrontendOptions{
+	lc := startEchoClusterOptions(t, k, FrontendOptions{
 		Window:      2,
 		ServerBatch: true,
 		Linger:      10 * time.Second, // only the full bucket may flush
 	}, func() Handler { return &echoHandler{} })
-	leader := lc.Leader()
 	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +117,7 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("client %d: %v", i, errs[i])
 		}
-		checkEcho(t, reps[i], k, uint64(i)+10, leader)
+		checkEcho(t, reps[i], k, uint64(i)+10)
 		if reps[i].Messages != wantMsgs {
 			t.Fatalf("client %d reports %d messages, want the shared epoch total %d — queries did not coalesce",
 				i, reps[i].Messages, wantMsgs)
@@ -134,12 +132,11 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 // back to solo epochs — while the offender gets its own error.
 func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 	k := 3
-	lc := startEchoClusterOptions(t, k, 111, FrontendOptions{
+	lc := startEchoClusterOptions(t, k, FrontendOptions{
 		Window:      2,
 		ServerBatch: true,
 		Linger:      10 * time.Second, // only the full bucket may flush
 	}, func() Handler { return &echoHandler{} })
-	leader := lc.Leader()
 	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{RetryWait: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +170,7 @@ func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 		if err := outs[i+1].err; err != nil {
 			t.Fatalf("innocent coalesced query %d failed with its neighbor: %v", v, err)
 		}
-		checkEcho(t, outs[i+1].rep, k, v, leader)
+		checkEcho(t, outs[i+1].rep, k, v)
 	}
 }
 
@@ -185,7 +182,7 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 	k := 3
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	lc, err := ServeLocalOptions(k, 91, FrontendOptions{Window: 4}, nil, func() Handler {
+	lc, err := ServeLocalOptions(k, FrontendOptions{Window: 4}, nil, func() Handler {
 		return &blockingHandler{entered: entered, release: release}
 	})
 	if err != nil {
@@ -243,7 +240,7 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 // bucket's outcome is the closing reply, and no epoch ordinal is consumed.
 func TestFrontendCloseFailsOpenBucket(t *testing.T) {
 	const k, linger = 3, 200 * time.Millisecond
-	lc, err := ServeLocalOptions(k, 93, FrontendOptions{ServerBatch: true, Linger: linger}, nil, func() Handler {
+	lc, err := ServeLocalOptions(k, FrontendOptions{ServerBatch: true, Linger: linger}, nil, func() Handler {
 		return &echoHandler{}
 	})
 	if err != nil {
@@ -314,10 +311,9 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	k := 3
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	c := startChurnCluster(t, k, 101, func() Handler {
+	c := startChurnCluster(t, k, func() Handler {
 		return &blockingHandler{entered: entered, release: release}
 	})
-	leader := c.fe.Leader()
 	blocked := dialNoRetry(t, c.fe.Addr())
 	free := dialNoRetry(t, c.fe.Addr())
 
@@ -334,7 +330,7 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipelined query before evict: %v", err)
 	}
-	checkEcho(t, rep, k, 3, leader)
+	checkEcho(t, rep, k, 3)
 
 	if err := c.fe.EvictNode(1); err != nil {
 		t.Fatal(err)
@@ -346,7 +342,7 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 
 	// Heal and verify the cluster answers bit-identically again.
 	c.startNode(&blockingHandler{entered: entered, release: release})
-	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, k, 8)), k, 8, leader)
+	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, k, 8)), k, 8)
 }
 
 // TestDispatchToWedgedSeatFailsWithinDeadline pins the dispatch deadline:
@@ -360,7 +356,7 @@ func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
 	dispatchTimeout = 300 * time.Millisecond
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			fe, err := NewFrontendOptions("127.0.0.1:0", k, 1, FrontendOptions{})
+			fe, err := NewFrontendOptions("127.0.0.1:0", k, FrontendOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +443,7 @@ func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
 // an empty answer.
 func TestFoldRejectsEmptyAnswer(t *testing.T) {
 	for _, op := range []uint8{wire.OpKNN, wire.OpClassify, wire.OpRegress} {
-		if _, err := fold(scalarQuery(op, 3, 7), newGather(1, 2), 0); err == nil {
+		if _, err := fold(scalarQuery(op, 3, 7), newGather(1, 2)); err == nil {
 			t.Errorf("op %d: fold over no winners succeeded", op)
 		}
 	}

@@ -410,11 +410,11 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 // point was sent to, so Messages/len(Points) is the contacted-nodes-per-query
 // figure).
 func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
-	results, err := fold(q, got, sched.f.leader)
+	results, err := fold(q, got)
 	if err != nil {
 		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
 	}
-	return wire.Reply{Rounds: waves, Messages: contacts, Leader: sched.f.leader, Results: results}
+	return wire.Reply{Rounds: waves, Messages: contacts, Results: results}
 }
 
 // fold answers every point of q from its per-seat winner lists — the one
@@ -422,9 +422,8 @@ func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, co
 // seat's local top-ℓ, below the point's bound on a gather wave) in key
 // order and stops at ℓ: the cut selects. The ℓ-th key is the boundary,
 // and a Classify or Regress answer is core's fold over each seat's items at
-// or below it; Regress sums the leader's share first, then the others in
-// seat order.
-func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, error) {
+// or below it; Regress adds the seats' sums in ascending seat order.
+func fold(q wire.Query, got [][][]points.Item) ([]wire.QueryReply, error) {
 	results := make([]wire.QueryReply, len(got))
 	for pi, lists := range got {
 		items, shares := mergeTop(lists, q.L)
@@ -440,7 +439,7 @@ func fold(q wire.Query, got [][][]points.Item, leader int) ([]wire.QueryReply, e
 		case wire.OpClassify:
 			qr.Value, err = core.ClassifyShares(shares)
 		case wire.OpRegress:
-			qr.Value, err = core.RegressShares(shares, leader)
+			qr.Value, err = core.RegressShares(shares)
 		}
 		if err != nil {
 			return nil, err
@@ -764,7 +763,7 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 	key := bucketKey{op: q.Op, l: q.L}
 	f := sched.f
 	f.mu.Lock()
-	if rep, ok := f.degradedLocked(f.slots); !ok && !f.prunableLocked() {
+	if rep, ok := f.degradedLocked(f.slots); !ok && f.radius == nil {
 		f.mu.Unlock()
 		return rep
 	}
@@ -849,7 +848,6 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 	return wire.Reply{
 		Rounds:   b.rep.Rounds,
 		Messages: b.rep.Messages,
-		Leader:   b.rep.Leader,
 		Results:  []wire.QueryReply{b.rep.Results[idx]},
 	}
 }
@@ -860,35 +858,22 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 
 // geometry returns what bounds q, when anything does: dist[id][pi], the true
 // distance from batch point pi to shard id's centroid, and each shard's
-// radius. It returns nils — q takes full scatter — unless a Pruner is
-// configured, every seat reported a metric summary, and the geometry can
-// speak for every point of the batch; every query shape rides it — KNN,
-// Classify and Regress, single points and whole batches alike.
+// radius. It returns nils — q takes full scatter — unless the frontend
+// pinned a geometry at ready (captureGeometryLocked: a Pruner is configured
+// and every seat reported a metric summary) and it can speak for every
+// point of the batch; every query shape rides it — KNN, Classify and
+// Regress, single points and whole batches alike. The pinned geometry never
+// changes after ready, so it is read without the lock.
 func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64) {
 	f := sched.f
-	if f.pruner == nil {
+	if f.radius == nil {
 		return nil, nil
 	}
-	f.mu.Lock()
-	if !f.prunableLocked() {
-		f.mu.Unlock()
-		return nil, nil
-	}
-	// Summaries are immutable for a seat's lifetime (a re-joining node must
-	// reproduce its summary bit-for-bit), so the geometry is snapshotted
-	// once and used lock-free below.
-	radius = make([]float64, f.k)
-	center := make([][]byte, f.k)
-	for i, s := range f.slots {
-		radius[i] = s.summary.Radius
-		center[i] = s.summary.Center
-	}
-	f.mu.Unlock()
 	dist = make([][]float64, f.k)
-	for id := range center {
+	for id, center := range f.center {
 		dist[id] = make([]float64, len(q.Points))
 		for pi, p := range q.Points {
-			d, err := f.pruner.CenterDist(p, center[id])
+			d, err := f.pruner.CenterDist(p, center)
 			if err != nil {
 				// The geometry cannot speak for this point (e.g. a dimension
 				// mismatch); full scatter runs the node-side validation and
@@ -898,7 +883,7 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 			dist[id][pi] = d
 		}
 	}
-	return dist, radius
+	return dist, f.radius
 }
 
 // run answers q by the one plan: one or two waves, then one fold.

@@ -52,9 +52,9 @@ func scalarQuery(op uint8, l int, vs ...uint64) wire.Query {
 	return wire.Query{Op: op, L: l, Tag: wire.PointScalar, Points: pts}
 }
 
-func startEchoCluster(t *testing.T, k int, seed uint64) (*LocalCluster, *Client) {
+func startEchoCluster(t *testing.T, k int) (*LocalCluster, *Client) {
 	t.Helper()
-	lc, err := ServeLocalOptions(k, seed, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(k, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func startEchoCluster(t *testing.T, k int, seed uint64) (*LocalCluster, *Client)
 
 func TestServeManyEpochsOverOneMesh(t *testing.T) {
 	k := 3
-	lc, client := startEchoCluster(t, k, 7)
-	if l := lc.Leader(); l < 0 || l >= k {
-		t.Fatalf("leader = %d", l)
+	lc, client := startEchoCluster(t, k)
+	if l := lc.fe.Leader(); l != 0 {
+		t.Fatalf("Leader() of a ready session = %d, want 0", l)
 	}
 	for v := uint64(1); v <= 50; v++ {
 		// ℓ = k keeps every node's echo winner in the merged answer.
@@ -97,8 +97,8 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 				t.Fatalf("query %d item %d = %v, want %v", v, id, it.Key, want)
 			}
 		}
-		if res.Boundary != res.Items[k-1].Key || rep.Leader != lc.Leader() {
-			t.Fatalf("query %d: boundary %v leader %d", v, res.Boundary, rep.Leader)
+		if res.Boundary != res.Items[k-1].Key {
+			t.Fatalf("query %d: boundary %v", v, res.Boundary)
 		}
 		// One full-scatter wave: one round and one contact per seat.
 		if rep.Rounds != 1 || rep.Messages != int64(k) {
@@ -111,7 +111,7 @@ func TestServeManyEpochsOverOneMesh(t *testing.T) {
 // checks per-query merge order and the single shared wave's cost.
 func TestServeBatchedEpoch(t *testing.T) {
 	k := 3
-	lc, client := startEchoCluster(t, k, 11)
+	_, client := startEchoCluster(t, k)
 	vs := []uint64{4, 9, 2, 7}
 	rep, err := client.Do(scalarQuery(wire.OpKNN, k, vs...))
 	if err != nil {
@@ -134,9 +134,6 @@ func TestServeBatchedEpoch(t *testing.T) {
 		if res.Boundary != res.Items[k-1].Key {
 			t.Fatalf("query %d: boundary %v", qi, res.Boundary)
 		}
-	}
-	if rep.Leader != lc.Leader() {
-		t.Fatalf("leader %d, want %d", rep.Leader, lc.Leader())
 	}
 	// The batch is one wave: every answer equals the same query asked alone,
 	// the batch takes one round as each query alone does, and the contacts
@@ -161,7 +158,7 @@ func TestServeBatchedEpoch(t *testing.T) {
 }
 
 func TestServeEpochFailureKeepsSessionAlive(t *testing.T) {
-	_, client := startEchoCluster(t, 3, 8)
+	_, client := startEchoCluster(t, 3)
 	ok := func(v uint64) wire.Reply {
 		t.Helper()
 		rep, err := client.Do(scalarQuery(wire.OpKNN, 1, v))
@@ -193,7 +190,7 @@ func TestServeEpochFailureKeepsSessionAlive(t *testing.T) {
 func TestFrontendValidatesQueries(t *testing.T) {
 	const k = 2
 	reg := obs.NewRegistry()
-	lc := startEchoClusterOptions(t, k, 9, FrontendOptions{Metrics: reg}, func() Handler { return &echoHandler{} })
+	lc := startEchoClusterOptions(t, k, FrontendOptions{Metrics: reg}, func() Handler { return &echoHandler{} })
 	client := dialNoRetry(t, lc.Addr())
 	admitted := func() int64 { return reg.Snapshot().Counters["frontend_epochs_admitted_total"] }
 	withTag := func(tag uint8) wire.Query {
@@ -259,7 +256,7 @@ func TestFailedSessionReleasesNodes(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		lc, err := ServeLocalOptions(3, 4, FrontendOptions{}, nil, func() Handler { return &mismatchedTagHandler{} })
+		lc, err := ServeLocalOptions(3, FrontendOptions{}, nil, func() Handler { return &mismatchedTagHandler{} })
 		if err == nil {
 			lc.Close()
 			t.Error("mismatched point tags must fail the session")
@@ -298,7 +295,7 @@ func registerRaw(t *testing.T, fe *Frontend, n int) []net.Conn {
 // Close must close the registered connections, and Serve must return
 // instead of waiting forever for ready reports (and must not seat anyone).
 func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
-	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +342,7 @@ func TestFrontendCloseDuringSetupReleasesServe(t *testing.T) {
 func TestFailedSessionOnStalledBringUpJoin(t *testing.T) {
 	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
 	handshakeTimeout = 200 * time.Millisecond
-	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +412,7 @@ func checkFirstFrameDue(t *testing.T, first []byte) {
 	// The deadline drops the connection, and the session serves on.
 	handshakeTimeout = 300 * time.Millisecond
 	const k = 2
-	lc, err := ServeLocalOptions(k, 5, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(k, FrontendOptions{}, nil, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +422,7 @@ func checkFirstFrameDue(t *testing.T, first []byte) {
 	if err != nil {
 		t.Fatalf("query after the drop: %v", err)
 	}
-	checkEcho(t, rep, k, 7, lc.Leader())
+	checkEcho(t, rep, k, 7)
 	client.Close()
 	if err := lc.Close(); err != nil {
 		t.Fatal(err)
@@ -433,7 +430,7 @@ func checkFirstFrameDue(t *testing.T, first []byte) {
 
 	// Under a deadline far beyond the wait, only Close can drop it.
 	handshakeTimeout = time.Minute
-	fe, err := NewFrontendOptions("127.0.0.1:0", 1, 1, FrontendOptions{})
+	fe, err := NewFrontendOptions("127.0.0.1:0", 1, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +460,7 @@ func checkFirstFrameDue(t *testing.T, first []byte) {
 // and with it the range every query's ℓ is checked against. The session
 // must fail instead.
 func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
-	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, FrontendOptions{})
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, FrontendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +504,7 @@ func TestFrontendRejectsOverflowingShardCount(t *testing.T) {
 // without a reply, like any frame without a role.
 func TestRetiredSummaryKindIsRefused(t *testing.T) {
 	start := func(ready []byte) (*Frontend, net.Conn, chan error) {
-		fe, err := NewFrontendOptions("127.0.0.1:0", 1, 1, FrontendOptions{})
+		fe, err := NewFrontendOptions("127.0.0.1:0", 1, FrontendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"distknn/internal/core"
-	"distknn/internal/election"
 	"distknn/internal/keys"
 	"distknn/internal/obs"
 	"distknn/internal/points"
@@ -63,7 +62,7 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 			labels[j] = math.Floor(4 * label)
 		}
 	}
-	lc := startEchoClusterOptions(t, k, seed, FrontendOptions{}, func() Handler {
+	lc := startEchoClusterOptions(t, k, FrontendOptions{}, func() Handler {
 		return &setHandler{seed: seed, n: n, relabel: relabel}
 	})
 	client := dialNoRetry(t, lc.Addr())
@@ -97,13 +96,14 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 		if label := rep.Results[0].Value; label != bruteVote(want) {
 			t.Errorf("query %d: classified %g, brute-force vote %g", i, label, bruteVote(want))
 		}
-		// Regress sums each seat's share in key order, the leader's first.
+		// Regress sums each seat's share in key order, then the seats' sums
+		// in ascending seat order.
 		shares := make([][]points.Item, k)
 		for _, it := range want {
 			seat := int((it.Key.ID - 1) / n)
 			shares[seat] = append(shares[seat], it)
 		}
-		mean, err := core.RegressShares(shares, election.Leader(seed, k))
+		mean, err := core.RegressShares(shares)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestFullKNNPipelineOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := rep.Results[0].Value; math.Float64bits(got) != math.Float64bits(mean) {
-			t.Errorf("query %d: regressed %v, leader-ordered brute-force mean %v", i, got, mean)
+			t.Errorf("query %d: regressed %v, seat-ordered brute-force mean %v", i, got, mean)
 		}
 	}
 }
@@ -150,7 +150,7 @@ func (h *failingHandler) Direct(q wire.Query, qi int, ceil keys.Key) ([]points.I
 // next query answers.
 func TestErrorPropagatesAcrossCluster(t *testing.T) {
 	const k = 3
-	lc := startEchoClusterOptions(t, k, 4, FrontendOptions{}, func() Handler { return &failingHandler{} })
+	lc := startEchoClusterOptions(t, k, FrontendOptions{}, func() Handler { return &failingHandler{} })
 	client := dialNoRetry(t, lc.Addr())
 	for i := 0; i < 10; i++ {
 		_, err := client.Do(scalarQuery(wire.OpKNN, k, 99))
@@ -162,7 +162,7 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEcho(t, rep, k, 5, lc.Leader())
+	checkEcho(t, rep, k, 5)
 }
 
 // TestEpochFrameBudget pins what a query costs on the wire: one wave is one
@@ -172,7 +172,7 @@ func TestErrorPropagatesAcrossCluster(t *testing.T) {
 func TestEpochFrameBudget(t *testing.T) {
 	const k, queries = 4, 6
 	reg := obs.NewRegistry()
-	lc, err := ServeLocalOptions(k, 5, FrontendOptions{}, reg, func() Handler { return &echoHandler{} })
+	lc, err := ServeLocalOptions(k, FrontendOptions{}, reg, func() Handler { return &echoHandler{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,12 @@ func TestEpochFrameBudget(t *testing.T) {
 // TestSingleNodeCluster serves one seat: its local top-ℓ is the answer, at
 // the wave's cost of one round and one contact.
 func TestSingleNodeCluster(t *testing.T) {
-	lc, client := startEchoCluster(t, 1, 7)
+	_, client := startEchoCluster(t, 1)
 	rep, err := client.Do(scalarQuery(wire.OpKNN, 1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEcho(t, rep, 1, 8, lc.Leader())
+	checkEcho(t, rep, 1, 8)
 	if rep.Rounds != 1 || rep.Messages != 1 {
 		t.Fatalf("cost %d rounds / %d messages, want 1 / 1", rep.Rounds, rep.Messages)
 	}

@@ -239,7 +239,7 @@ func checkDispatches(t *testing.T, stubs []*stubNode, want [][][]byte) {
 // mangle (nil for honest stubs).
 func startStubs(t *testing.T, opts FrontendOptions, mangle mangler) (*Frontend, []*stubNode, chan error, chan error) {
 	t.Helper()
-	fe, err := NewFrontendOptions("127.0.0.1:0", 2, 1, opts)
+	fe, err := NewFrontendOptions("127.0.0.1:0", 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +270,8 @@ func TestFullScatterWaveOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Rounds != 1 || rep.Messages != 4 || rep.Leader != 0 {
-		t.Fatalf("full-scatter cost = %d rounds, %d contacts, leader %d; want 1, 4, 0", rep.Rounds, rep.Messages, rep.Leader)
+	if rep.Rounds != 1 || rep.Messages != 4 {
+		t.Fatalf("full-scatter cost = %d rounds, %d contacts; want 1, 4", rep.Rounds, rep.Messages)
 	}
 	for pi, q := range batch {
 		want := append(stubTopL(0, q, l), stubTopL(1, q, l)...)
@@ -418,7 +418,7 @@ func TestRogueResultIsMalformed(t *testing.T) {
 // connection closes without a reply — it is just no longer served, and it
 // consumes no epoch ordinal.
 func TestRetiredClientKindIsRejected(t *testing.T) {
-	lc, client := startEchoCluster(t, 2, 3)
+	lc, client := startEchoCluster(t, 2)
 	conn, err := net.Dial("tcp", lc.Addr())
 	if err != nil {
 		t.Fatal(err)

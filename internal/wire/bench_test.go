@@ -20,7 +20,7 @@ func benchReply() Reply {
 		items[i] = points.Item{Key: keys.Key{Dist: uint64(i), ID: uint64(i)}, Label: 1}
 	}
 	return Reply{
-		Rounds: 1, Messages: 4, Leader: 0,
+		Rounds: 1, Messages: 4,
 		Results: []QueryReply{{
 			Boundary: items[9].Key,
 			Items:    items,

@@ -430,9 +430,8 @@ type Reply struct {
 	Err      string // non-empty means the batch failed
 	Degraded bool   // the failure is churn-induced and retryable
 
-	Rounds   int   // dispatch waves
-	Messages int64 // per-point node contacts
-	Leader   int
+	Rounds   int          // dispatch waves
+	Messages int64        // per-point node contacts
 	Results  []QueryReply // one per query, in batch order
 }
 
@@ -449,7 +448,6 @@ func (rep Reply) append(w *Writer) {
 	w.U8(0)
 	w.Varint(uint64(rep.Rounds))
 	w.Varint(uint64(rep.Messages))
-	w.Varint(uint64(rep.Leader))
 	w.Varint(uint64(len(rep.Results)))
 	for _, qr := range rep.Results {
 		w.Key(qr.Boundary)
@@ -488,7 +486,6 @@ func DecodeReply(r *Reader) (Reply, error) {
 	rep := Reply{
 		Rounds:   int(r.Varint()),
 		Messages: int64(r.Varint()),
-		Leader:   int(r.Varint()),
 	}
 	count := r.Varint()
 	if r.Err() == nil && count > MaxBatch {

@@ -107,14 +107,14 @@ func FuzzDecodeNodeResult(f *testing.F) {
 
 func FuzzDecodeReply(f *testing.F) {
 	f.Add(replyBody(Reply{
-		Rounds: 1, Messages: 4, Leader: 0,
+		Rounds: 1, Messages: 4,
 		Results: []QueryReply{{
 			Boundary: keys.Key{Dist: 5, ID: 2},
 			Items:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
 		}},
 	}))
 	f.Add(replyBody(Reply{
-		Rounds: 2, Messages: 3, Leader: 1,
+		Rounds: 2, Messages: 3,
 		Results: []QueryReply{{Boundary: keys.Key{Dist: 5, ID: 2}, Value: 2}},
 	}))
 	f.Add(replyBody(Reply{Err: "nope"}))
@@ -140,7 +140,7 @@ func FuzzDecodeTaggedFrame(f *testing.F) {
 	f.Add(encQueryTagged(math.MaxUint64, q))
 	f.Add(encReplyTagged(7, Reply{Err: "nope"}))
 	f.Add(encReplyTagged(300, Reply{
-		Rounds: 1, Leader: 0,
+		Rounds:  1,
 		Results: []QueryReply{{Items: []points.Item{{Key: keys.Key{Dist: 1, ID: 2}}}}},
 	}))
 	f.Add(encReplyTagged(5, Reply{Err: "degraded", Degraded: true}))
@@ -299,6 +299,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(framed.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255})
+	f.Add([]byte{0, 0, 0, 4}) // a MaxFrame header and no payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {

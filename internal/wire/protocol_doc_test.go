@@ -58,7 +58,7 @@ func docExamples() []struct {
 		{"node error", EncodeNodeError(NodeError{Epoch: 1, Msg: "boom"})},
 		{"shutdown", []byte{byte(KindShutdown)}},
 		{"reply", encReplyTagged(300, Reply{
-			Rounds: 1, Messages: 2, Leader: 0,
+			Rounds: 1, Messages: 2,
 			Results: []QueryReply{{
 				Boundary: keys.Key{Dist: 5, ID: 2},
 				Items:    []points.Item{{Key: keys.Key{Dist: 3, ID: 1}, Label: 2}},
@@ -204,7 +204,7 @@ func TestFrameRoundTrips(t *testing.T) {
 	}
 	{
 		rep := Reply{
-			Rounds: 2, Messages: 13, Leader: 1,
+			Rounds: 2, Messages: 13,
 			Results: []QueryReply{
 				{
 					Boundary: keys.Key{Dist: 77, ID: 8},
@@ -222,7 +222,7 @@ func TestFrameRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Rounds != rep.Rounds || got.Messages != rep.Messages || got.Leader != rep.Leader || len(got.Results) != 2 {
+		if got.Rounds != rep.Rounds || got.Messages != rep.Messages || len(got.Results) != 2 {
 			t.Fatalf("reply round trip: %+v", got)
 		}
 		if got.Results[0].Boundary != rep.Results[0].Boundary || got.Results[0].Value != rep.Results[0].Value ||
@@ -262,7 +262,7 @@ func TestTaggedFrameRoundTrips(t *testing.T) {
 		}
 	}
 	rep := Reply{
-		Rounds: 2, Messages: 5, Leader: 1,
+		Rounds: 2, Messages: 5,
 		Results: []QueryReply{{
 			Boundary: keys.Key{Dist: 8, ID: 3},
 			Items:    []points.Item{{Key: keys.Key{Dist: 4, ID: 9}, Label: 1}},

@@ -393,11 +393,20 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return ReadFrameInto(r, nil)
 }
 
+// frameStep is how far ahead of the bytes already received ReadFrameInto
+// may allocate for a frame that outgrows its buffer: at most
+// max(frameStep, bytes received). Every frame of up to frameStep bytes is
+// read with one allocation of its exact size, and a peer that sends a
+// header alone pins frameStep bytes, not the MaxFrame its length word may
+// claim.
+const frameStep = 64 << 10
+
 // ReadFrameInto reads one length-prefixed payload from r into buf,
-// growing it only when the frame exceeds its capacity. The returned slice
-// aliases (a possibly grown) buf; pass it back as the next call's buf to
-// amortize the allocation to zero. The caller owns the buffer: reuse it
-// only once the previous payload is fully consumed or copied.
+// growing it only when the frame exceeds its capacity, and then only as
+// the payload arrives (see frameStep). The returned slice aliases (a
+// possibly grown) buf; pass it back as the next call's buf to amortize the
+// allocation to zero. The caller owns the buffer: reuse it only once the
+// previous payload is fully consumed or copied.
 func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	// The header is read into the reusable buffer itself (and overwritten
 	// by the payload right after): a stack array would escape through the
@@ -413,12 +422,25 @@ func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", n)
 	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
+	size := int(n)
+	if cap(buf) < size {
+		buf = make([]byte, 0, min(size, frameStep))
 	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	payload := buf[:0]
+	for len(payload) < size {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(size, 2*len(payload)))
+			copy(grown, payload)
+			payload = grown
+		}
+		got, err := io.ReadFull(r, payload[len(payload):min(size, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }

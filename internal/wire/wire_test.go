@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"distknn/internal/keys"
@@ -200,6 +205,48 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
+// TestReadFrameHeaderOnlyBoundsAllocation pins the read-side memory bound:
+// a peer that sends only a header claiming MaxFrame bytes, and then
+// nothing, costs the reader at most frameStep bytes, not the 64 MiB the
+// header claims.
+func TestReadFrameHeaderOnlyBoundsAllocation(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("header-only frame: err %v, want EOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a header-only MaxFrame stream allocated %d bytes", grew)
+	}
+}
+
+// TestReadFrameGrowsAsPayloadArrives reads a frame several frameSteps long
+// a byte at a time, into a buffer too small for it, and cut short: the
+// whole frame arrives intact, and a frame cut mid-payload is an unexpected
+// EOF, as a truncated small frame is.
+func TestReadFrameGrowsAsPayloadArrives(t *testing.T) {
+	payload := make([]byte, 5*frameStep+3)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var framed bytes.Buffer
+	if err := WriteFrame(&framed, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrameInto(iotest.OneByteReader(bytes.NewReader(framed.Bytes())), make([]byte, 0, 100))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("grown frame: %d bytes, %v; want %d bytes intact", len(got), err, len(payload))
+	}
+	for _, cut := range []int{4 + 1, 4 + frameStep, 4 + 3*frameStep + 1} {
+		if _, err := ReadFrame(bytes.NewReader(framed.Bytes()[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("frame cut after %d payload bytes: err %v, want unexpected EOF", cut-4, err)
+		}
+	}
+}
+
 func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	var buf bytes.Buffer
 	for _, p := range [][]byte{bytes.Repeat([]byte{7}, 64), {1, 2}, {}, bytes.Repeat([]byte{9}, 128)} {
@@ -344,15 +391,24 @@ func TestDecodeReadyRadius(t *testing.T) {
 
 // TestDecodersRejectRetiredLayouts pins the end-of-frame check: frames in
 // a retired layout are refused instead of decoding as a shorter valid
-// frame. The reply carried bytes, survivors, fellBack and iterations — read
-// in today's layout it is an empty batch followed by 53 trailing bytes —
-// and the ready frame carried a node id before the shard size.
+// frame. Two retired ok replies: one carried bytes and leader after
+// messages and per-query survivors, fellBack and iterations, the next only
+// the leader. Today's layout reads the byte after messages as the count, so
+// each is an empty batch followed by trailing bytes. The ready frame
+// carried a node id before the shard size.
 func TestDecodersRejectRetiredLayouts(t *testing.T) {
 	oldReply := []byte{0x00, 0x01, 0x02, 0x00, 0x00, 0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 0x02, 0, 0, 0, 0, 0, 0, 0,
 		0x00, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x03, 0, 0, 0, 0, 0, 0, 0, 0x01, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0x40}
-	if rep, err := DecodeReply(NewReader(oldReply)); err == nil {
-		t.Errorf("a reply in the retired layout decoded as %+v", rep)
+	// The previous layout's documented example: rounds 1, messages 2,
+	// leader 0, one query with boundary (5, 2) and one item.
+	leaderReply := []byte{0x00, 0x01, 0x02, 0x00, 0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 0x02, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x03, 0, 0, 0, 0, 0, 0, 0, 0x01, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0x40}
+	for _, old := range [][]byte{oldReply, leaderReply} {
+		if rep, err := DecodeReply(NewReader(old)); err == nil {
+			t.Errorf("a reply in a retired layout (% x) decoded as %+v", old, rep)
+		}
 	}
 	// Node 1, 2 points, scalar tag, then has 0: the retired ready layout.
 	if rdy, err := DecodeReady(NewReader([]byte{0x01, 0x02, PointScalar, 0x00})); err == nil {

@@ -3,7 +3,6 @@ package distknn
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"distknn/internal/kdtree"
 	"distknn/internal/keys"
@@ -496,8 +495,8 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 // dial the same address; a connection's first frame decides its role. The
 // frontend is point-type agnostic — it learns the cluster's wire tag from
 // the nodes' ready reports and rejects mismatched queries. Its methods
-// (Serve, Close, Addr, Leader, EvictNode, Health) are documented on the
-// aliased type.
+// (Serve, Close, Addr, EvictNode, Health, and Leader, kept only for
+// existing callers) are documented on the aliased type.
 type Frontend = tcp.Frontend
 
 // FrontendOptions tunes the frontend's epoch scheduler: the pipelining
@@ -510,12 +509,14 @@ type FrontendOptions = tcp.FrontendOptions
 
 // NewFrontendOptions starts the serving listener for a k-node cluster with
 // an explicit epoch scheduler configuration (pipelining window, server-side
-// batching). seed decides the session leader, which fixes the order in
-// which the Regress fold sums the seats' shares (QueryStats.Leader); every
-// answer is exact, so a serving cluster replays deterministically for the
-// same (seed, query stream).
+// batching). Every answer is exact and the Regress fold adds the seats'
+// sums in ascending seat order, so a serving cluster replays
+// deterministically for the same query stream.
+//
+// seed is ignored: the frontend has no leader, so nothing in a session
+// depends on it. The argument is kept so existing callers still compile.
 func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (*Frontend, error) {
-	return tcp.NewFrontendOptions(addr, k, seed, opts)
+	return tcp.NewFrontendOptions(addr, k, opts)
 }
 
 // RemoteCluster is a client handle on a TCP serving cluster. It satisfies
@@ -536,11 +537,11 @@ func NewFrontendOptions(addr string, k int, seed uint64, opts FrontendOptions) (
 // Contacts) — for a query the frontend transparently coalesced into a
 // shared batch, they describe that whole batch. Bytes, Survivors,
 // Iterations and FellBack are 0: they describe the node↔node traffic and
-// the selection of the paper's protocol, which runs only in-process.
+// the selection of the paper's protocol, which runs only in-process, and
+// Leader is 0: the frontend selects, and no seat leads.
 type RemoteCluster[P any] struct {
 	client *tcp.Client
 	codec  wire.PointCodec[P]
-	leader atomic.Int64
 }
 
 // ClientOptions tunes a RemoteCluster's deadlines and churn handling: a
@@ -558,9 +559,7 @@ func DialTypedClusterOptions[P any](pt PointType[P], addr string, opts ClientOpt
 	if err != nil {
 		return nil, err
 	}
-	rc := &RemoteCluster[P]{client: c, codec: pt.codec}
-	rc.leader.Store(-1)
-	return rc, nil
+	return &RemoteCluster[P]{client: c, codec: pt.codec}, nil
 }
 
 // do ships one batch and returns the validated reply.
@@ -576,7 +575,6 @@ func (rc *RemoteCluster[P]) do(op uint8, qs []P, l int) (wire.Reply, error) {
 	if len(rep.Results) != len(qs) {
 		return wire.Reply{}, fmt.Errorf("distknn: %d results for %d queries", len(rep.Results), len(qs))
 	}
-	rc.leader.Store(int64(rep.Leader))
 	return rep, nil
 }
 
@@ -588,7 +586,6 @@ func remoteStats(rep wire.Reply, qr wire.QueryReply) *QueryStats {
 		Rounds:   rep.Rounds,
 		Messages: rep.Messages,
 		Contacts: rep.Messages,
-		Leader:   rep.Leader,
 		Boundary: qr.Boundary,
 	}
 }
@@ -662,7 +659,7 @@ func (rc *RemoteCluster[P]) Regress(q P, l int) (float64, *QueryStats, error) {
 // calls; the returned QueryStats aggregates the whole batch.
 func (rc *RemoteCluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryStats, error) {
 	out := make([]BatchResult, 0, len(queries))
-	stats := &QueryStats{Leader: rc.Leader()}
+	stats := &QueryStats{}
 	for len(queries) > 0 {
 		chunk := queries
 		if len(chunk) > wire.MaxBatch {
@@ -678,15 +675,10 @@ func (rc *RemoteCluster[P]) KNNBatch(queries []P, l int) ([]BatchResult, *QueryS
 		}
 		stats.Rounds += rep.Rounds
 		stats.Messages += rep.Messages
-		stats.Leader = rep.Leader
 		stats.Contacts += rep.Messages
 	}
 	return out, stats, nil
 }
-
-// Leader returns the remote cluster's leader as last reported by a query
-// (-1 before the first successful query).
-func (rc *RemoteCluster[P]) Leader() int { return int(rc.leader.Load()) }
 
 // Close releases the connection to the frontend. The remote cluster keeps
 // serving other clients.
@@ -694,7 +686,7 @@ func (rc *RemoteCluster[P]) Close() error { return rc.client.Close() }
 
 // LocalServer is a whole loopback serving deployment running in one
 // process: a Frontend plus k resident nodes. Dial it with
-// DialTypedClusterOptions on s.Addr(); Leader, EvictNode and Close are documented
+// DialTypedClusterOptions on s.Addr(); EvictNode and Close are documented
 // on the aliased type.
 type LocalServer = tcp.LocalCluster
 
@@ -704,8 +696,11 @@ type LocalServer = tcp.LocalCluster
 // returns once every seat is filled and the cluster is ready to serve. The k
 // in-process nodes share opts, so a NodeOptions.Metrics registry receives
 // their node_* counters as cluster-wide totals.
+//
+// seed is ignored, as NewFrontendOptions's is; the argument is kept so
+// existing callers still compile.
 func ServeTypedLocalOptions[P any](pt PointType[P], k int, seed uint64, shards ShardProvider[P], opts NodeOptions, fopts FrontendOptions) (*LocalServer, error) {
-	return tcp.ServeLocalOptions(k, seed, fopts, opts.Metrics, func() tcp.Handler {
+	return tcp.ServeLocalOptions(k, fopts, opts.Metrics, func() tcp.Handler {
 		return &typedHandler[P]{pt: pt, shards: shards}
 	})
 }

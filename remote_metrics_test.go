@@ -39,7 +39,7 @@ func TestRemoteMetricsMatchInProcess(t *testing.T) {
 	for _, mc := range vectorMetricCases() {
 		t.Run(mc.name, func(t *testing.T) {
 			shards := distknn.UniformVectorShards(seed, perNode, dim)
-			_, rc := testutil.StartCluster(t, mc.pt, k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+			_, rc := testutil.StartCluster(t, mc.pt, k, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 
 			vecs, labels := testutil.Merged(t, shards, k)
 			local, err := distknn.NewCluster(vecs, labels, mc.metric, distknn.Options{Machines: k, Seed: seed})
@@ -131,7 +131,7 @@ func TestRemoteMetricsDimMismatch(t *testing.T) {
 	)
 	for _, mc := range vectorMetricCases() {
 		t.Run(mc.name, func(t *testing.T) {
-			_, rc := testutil.StartCluster(t, mc.pt, k, seed,
+			_, rc := testutil.StartCluster(t, mc.pt, k,
 				distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, distknn.FrontendOptions{})
 			if _, _, err := rc.KNN(make(distknn.Vector, dim+2), l); err == nil {
 				t.Fatal("mismatched dimension should fail")

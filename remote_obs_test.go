@@ -26,7 +26,7 @@ func TestRemoteObsMetricsMatchQueryStats(t *testing.T) {
 	reg := distknn.NewMetrics()
 	tr := distknn.NewTracer(0)
 	shards := distknn.AnchorShards(seed, perNode)
-	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards,
+	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{
 			Pruner:  distknn.ScalarPoints().Pruner(),
 			Metrics: reg,
@@ -97,7 +97,7 @@ func TestRemoteObsFullScatterMetrics(t *testing.T) {
 		l       = 4
 	)
 	reg, nodeReg := distknn.NewMetrics(), distknn.NewMetrics()
-	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed,
+	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k,
 		distknn.PaperShards(seed, perNode),
 		distknn.NodeOptions{Metrics: nodeReg}, distknn.FrontendOptions{Metrics: reg})
 
@@ -179,7 +179,7 @@ func TestQueryStatsConcurrentPrunedBatches(t *testing.T) {
 		l       = 5
 	)
 	shards := distknn.AnchorShards(seed, perNode)
-	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards,
+	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{
 			Pruner: distknn.ScalarPoints().Pruner(),
 		})

@@ -25,9 +25,9 @@ import (
 // *what* it returns.
 func prunedTwins[P any](t *testing.T, pt distknn.PointType[P], k int, seed uint64, shards distknn.ShardProvider[P]) (pruned, full *distknn.RemoteCluster[P]) {
 	t.Helper()
-	_, pruned = testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{},
+	_, pruned = testutil.StartCluster(t, pt, k, shards, distknn.NodeOptions{},
 		distknn.FrontendOptions{Pruner: pt.Pruner()})
-	_, full = testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+	_, full = testutil.StartCluster(t, pt, k, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 	return pruned, full
 }
 
@@ -536,8 +536,8 @@ func TestPrunedBatchMaxBatchBoundary(t *testing.T) {
 // float64 summation whose rounding depends on evaluation order, so
 // bit-equality (math.Float64bits, not ==) across pruned and full scatter
 // proves both plans fold the same per-seat shares — partials in ascending
-// key order, the leader's first, then the others in ascending seat order
-// with 0.0 for seats holding no winners. The Gaussian workload also checks that some
+// key order, added in ascending seat order with 0.0 for seats holding no
+// winners. The Gaussian workload also checks that some
 // of those pruned Regress queries really skipped nodes.
 func TestPrunedRegressBitIdentical(t *testing.T) {
 	const (
@@ -608,9 +608,9 @@ func TestPrunedServerBatchBitIdentical(t *testing.T) {
 		l       = 5
 	)
 	shards := distknn.AnchorGaussianShards(seed, perNode, dim, sigma)
-	_, full := testutil.StartCluster(t, distknn.VectorPoints(), k, seed, shards,
+	_, full := testutil.StartCluster(t, distknn.VectorPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{})
-	_, pruned := testutil.StartCluster(t, distknn.VectorPoints(), k, seed, shards,
+	_, pruned := testutil.StartCluster(t, distknn.VectorPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{
 			Pruner:      distknn.VectorPoints().Pruner(),
 			ServerBatch: true,
@@ -777,7 +777,7 @@ func TestPrunedChurn(t *testing.T) {
 	}
 
 	// Full-scatter twin supplies the reference stream.
-	_, full := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards,
+	_, full := testutil.StartCluster(t, distknn.ScalarPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{})
 	refAt := func(q distknn.Scalar) []distknn.Item {
 		t.Helper()
@@ -908,7 +908,7 @@ func TestPrunedBatchChurn(t *testing.T) {
 		t.Fatal("workload yields no seat avoided by 7 queries — victim unfindable")
 	}
 
-	_, full := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards,
+	_, full := testutil.StartCluster(t, distknn.ScalarPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{})
 	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{Pruner: distknn.ScalarPoints().Pruner()})
@@ -964,9 +964,9 @@ func TestPrunedBatchChurn(t *testing.T) {
 // still every pruned answer — KNN, Classify and Regress, single points and
 // batches — must be bit-identical to full scatter and to a brute-force
 // oracle over the union of the shards. The oracle sums Regress's mean the way
-// the cluster defines it: leader's share first, then the other seats in
-// ascending order. The labels mix magnitudes, so that order shows in the
-// bits. The last seat is cut down to fewer than ℓ points, so a point whose
+// the cluster defines it: each seat's share summed in key order, then the
+// seats' sums in ascending seat order. The labels mix magnitudes, so that
+// order shows in the bits. The last seat is cut down to fewer than ℓ points, so a point whose
 // probe lands there has no bound: it scatters to every seat unbounded,
 // inside the same batches as bounded points. On the Gaussian blobs a bounded
 // point's gather wave must ship fewer than ℓ items per contact.
@@ -999,9 +999,9 @@ func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
 	}
 	pt := distknn.VectorPoints()
 	reg := distknn.NewMetrics()
-	srv, pruned := testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{},
+	srv, pruned := testutil.StartCluster(t, pt, k, shards, distknn.NodeOptions{},
 		distknn.FrontendOptions{Pruner: pt.Pruner(), Metrics: reg})
-	_, full := testutil.StartCluster(t, pt, k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+	_, full := testutil.StartCluster(t, pt, k, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
 
 	// The oracle's view: every point with its global ID, label and seat, and
 	// each seat's anchor, which decides the seat a point probes.
@@ -1050,16 +1050,14 @@ func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
 		}
 		return label
 	}
-	wantMean := func(q distknn.Vector, leader int) float64 {
+	wantMean := func(q distknn.Vector) float64 {
 		sums := make([]float64, k)
 		for _, sp := range oracle(q) {
 			sums[sp.seat] += sp.label
 		}
-		mean := sums[leader]
-		for seat, sum := range sums {
-			if seat != leader {
-				mean += sum
-			}
+		mean := sums[0]
+		for _, sum := range sums[1:] {
+			mean += sum
 		}
 		return mean / l
 	}
@@ -1158,7 +1156,7 @@ func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
 		sameBits(what+" pruned classify", label, wantLabel(q))
 		sameBits(what+" full classify", flabel, wantLabel(q))
 
-		mean, rst, err := pruned.Regress(q, l)
+		mean, _, err := pruned.Regress(q, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1166,8 +1164,8 @@ func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(what+" pruned regress", mean, wantMean(q, rst.Leader))
-		sameBits(what+" full regress", fmean, wantMean(q, rst.Leader))
+		sameBits(what+" pruned regress", mean, wantMean(q))
+		sameBits(what+" full regress", fmean, wantMean(q))
 	}
 	if unbounded == 0 {
 		t.Fatal("no query probed the short seat: the unbounded case went untested")
@@ -1215,7 +1213,7 @@ func TestPrunedBoundedWaveBitIdentical(t *testing.T) {
 		}
 		for i, q := range chunk {
 			sameBits(fmt.Sprintf("batch classify %d", at+i), crep.Results[i].Value, wantLabel(q))
-			sameBits(fmt.Sprintf("batch regress %d", at+i), rrep.Results[i].Value, wantMean(q, rrep.Leader))
+			sameBits(fmt.Sprintf("batch regress %d", at+i), rrep.Results[i].Value, wantMean(q))
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"distknn"
+	"distknn/internal/election"
 	"distknn/internal/points"
 	"distknn/internal/testutil"
 	"distknn/internal/xrand"
@@ -51,19 +52,20 @@ func mergedData(t *testing.T, seed uint64, k, perNode int) ([]uint64, []float64)
 
 func startRemote(t *testing.T, k int, seed uint64, perNode int, opts distknn.NodeOptions) (*distknn.LocalServer, *distknn.RemoteCluster[distknn.Scalar]) {
 	t.Helper()
-	return testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, remoteShards(seed, perNode), opts, distknn.FrontendOptions{})
+	return testutil.StartCluster(t, distknn.ScalarPoints(), k, remoteShards(seed, perNode), opts, distknn.FrontendOptions{})
 }
 
 // checkWaveCost pins the served cost law: a query the frontend answers by
 // full scatter is one wave that contacts every seat once per point, and
 // nodes exchange no bytes. Survivors, Iterations and FellBack describe the
-// paper's selection protocol, which runs only in-process, so they are 0.
-func checkWaveCost(t *testing.T, what string, st *distknn.QueryStats, k, points, leader int) {
+// paper's selection protocol, which runs only in-process, so they are 0,
+// and so is Leader: no seat leads.
+func checkWaveCost(t *testing.T, what string, st *distknn.QueryStats, k, points int) {
 	t.Helper()
 	if st.Rounds != 1 || st.Messages != int64(k*points) || st.Bytes != 0 || st.Contacts != st.Messages ||
-		st.Leader != leader || st.Survivors != 0 || st.Iterations != 0 || st.FellBack {
-		t.Fatalf("%s: stats %+v, want 1 round, %d messages and contacts, 0 bytes, leader %d, no selection stats",
-			what, *st, k*points, leader)
+		st.Leader != 0 || st.Survivors != 0 || st.Iterations != 0 || st.FellBack {
+		t.Fatalf("%s: stats %+v, want 1 round, %d messages and contacts, 0 bytes, leader 0, no selection stats",
+			what, *st, k*points)
 	}
 }
 
@@ -93,7 +95,7 @@ func TestRemoteSingleNodeCostsNothing(t *testing.T) {
 		if rstats.Boundary != lstats.Boundary || lstats.Rounds != 0 || lstats.Messages != 0 {
 			t.Fatalf("query %d: remote %+v, local %+v; want the same boundary, and 0 rounds in-process", i, *rstats, *lstats)
 		}
-		checkWaveCost(t, "k = 1", rstats, 1, 1, 0)
+		checkWaveCost(t, "k = 1", rstats, 1, 1)
 	}
 }
 
@@ -102,9 +104,8 @@ func TestRemoteSingleNodeCostsNothing(t *testing.T) {
 // bit-identical to the in-process Cluster serving the same global dataset —
 // KNN, Classify and Regress, single points and batches, at an ℓ where every
 // Algorithm 2 sample in-process is a node's whole top-ℓ (15), at one far
-// beyond that (600) and at the global point count (1 000). The served
-// leader is the in-process one, and every served query obeys the wave cost
-// law (checkWaveCost).
+// beyond that (600) and at the global point count (1 000). Every served
+// query obeys the wave cost law (checkWaveCost).
 func TestRemoteClusterMatchesInProcess(t *testing.T) {
 	const (
 		k       = 4
@@ -112,7 +113,7 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 		seed    = 42
 		queries = 40
 	)
-	srv, rc := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
+	_, rc := startRemote(t, k, seed, perNode, distknn.NodeOptions{})
 
 	values, labels := mergedData(t, seed, k, perNode)
 	local, err := distknn.NewScalarCluster(values, labels, distknn.Options{Machines: k, Seed: seed})
@@ -120,10 +121,6 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	leader := local.Leader()
-	if srv.Leader() != leader {
-		t.Fatalf("served leader %d, in-process leader %d", srv.Leader(), leader)
-	}
 	queryAt := func(i int) distknn.Scalar {
 		return distknn.Scalar(xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain))
 	}
@@ -154,7 +151,7 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 			if rstats.Boundary != lstats.Boundary {
 				t.Fatalf("%s: boundary remote %v, local %v", what, rstats.Boundary, lstats.Boundary)
 			}
-			checkWaveCost(t, what, rstats, k, 1, leader)
+			checkWaveCost(t, what, rstats, k, 1)
 
 			rl, rcst, err := rc.Classify(q, l)
 			if err != nil {
@@ -175,8 +172,8 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 			if math.Float64bits(rl) != math.Float64bits(ll) || math.Float64bits(rm) != math.Float64bits(lm) {
 				t.Fatalf("%s: classify remote %g local %g, regress remote %g local %g", what, rl, ll, rm, lm)
 			}
-			checkWaveCost(t, what+" classify", rcst, k, 1, leader)
-			checkWaveCost(t, what+" regress", rrst, k, 1, leader)
+			checkWaveCost(t, what+" classify", rcst, k, 1)
+			checkWaveCost(t, what+" regress", rrst, k, 1)
 		}
 		batch := make([]distknn.Scalar, 9)
 		for i := range batch {
@@ -197,7 +194,7 @@ func TestRemoteClusterMatchesInProcess(t *testing.T) {
 				t.Fatalf("%s: boundary remote %v, local %v", what, rres[i].Boundary, lres[i].Boundary)
 			}
 		}
-		checkWaveCost(t, fmt.Sprintf("l=%d batch", l), rstats, k, len(batch), leader)
+		checkWaveCost(t, fmt.Sprintf("l=%d batch", l), rstats, k, len(batch))
 	}
 }
 
@@ -367,39 +364,33 @@ func TestRemoteLabelFoldsCostWhatKNNCosts(t *testing.T) {
 	}
 }
 
-// TestRemoteLabelFoldsMatchBruteForce checks mesh-plan Classify and Regress
-// over sockets against a brute-force oracle that shares nothing with the
-// serving stack, by Float64bits: the majority label with ties toward the
-// lowest, and the mean summed the way the cluster defines it — each seat
-// adds its own winners in ascending key order, then the leader's sum comes
-// first and the other seats' follow in ascending seat order. The four
-// class labels mix magnitudes, so the float64 sum depends on that order,
-// and the seed elects a leader other than seat 0, where leader-first and
-// ascending seat order would coincide.
-func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
-	const (
-		k       = 4
-		perNode = 200
-		seed    = 13
-		l       = 25
-	)
+// mixedLabelShards is remoteShards(seed, perNode) with the four classes
+// relabelled to labels of mixed magnitude, so a float64 sum of them
+// depends on its order.
+func mixedLabelShards(seed uint64, perNode int) distknn.ShardProvider[distknn.Scalar] {
 	classes := []float64{0.1, 1e15 + 0.3, -1e15, 0.7}
-	shards := func(id, k int) (distknn.Shard[distknn.Scalar], error) {
+	return func(id, k int) (distknn.Shard[distknn.Scalar], error) {
 		sh, err := remoteShards(seed, perNode)(id, k)
 		for j, c := range sh.Labels {
 			sh.Labels[j] = classes[int(c)]
 		}
 		return sh, err
 	}
-	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, seed, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
-	// The union of the shards as the oracle sees it: each point's value,
-	// global ID, label and seat.
-	type seatPoint struct {
-		value uint64
-		id    uint64
-		label float64
-		seat  int
-	}
+}
+
+// seatPoint is one point of the union of the shards as a brute-force
+// oracle sees it: its value, global ID, label and seat.
+type seatPoint struct {
+	value uint64
+	id    uint64
+	label float64
+	seat  int
+}
+
+// seatTopL returns a brute-force top-ℓ over the union of k shards, in
+// ascending key order, sharing nothing with the serving stack.
+func seatTopL(t *testing.T, shards distknn.ShardProvider[distknn.Scalar], k int) func(q uint64, l int) []seatPoint {
+	t.Helper()
 	var all []seatPoint
 	for seat := 0; seat < k; seat++ {
 		sh, err := shards(seat, k)
@@ -417,11 +408,51 @@ func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
 		}
 		return distknn.Key{Dist: d, ID: p.id}
 	}
+	return func(q uint64, l int) []seatPoint {
+		sort.Slice(all, func(a, b int) bool { return key(all[a], q).Less(key(all[b], q)) })
+		return append([]seatPoint(nil), all[:l]...)
+	}
+}
+
+// seatMean is the mean label of top in the order the cluster defines it:
+// each seat adds its own winners in ascending key order (top is in that
+// order), then the seats' sums are added in ascending seat order — seat
+// first's sum first, when first is not 0, which is how builds whose
+// session had a leader folded.
+func seatMean(top []seatPoint, k, first int) float64 {
+	sums := make([]float64, k)
+	for _, p := range top {
+		sums[p.seat] += p.label
+	}
+	mean := sums[first]
+	for seat, sum := range sums {
+		if seat != first {
+			mean += sum
+		}
+	}
+	return mean / float64(len(top))
+}
+
+// TestRemoteLabelFoldsMatchBruteForce checks Classify and Regress over
+// sockets against a brute-force oracle that shares nothing with the
+// serving stack, by Float64bits: the majority label with ties toward the
+// lowest, and the mean summed the way the cluster defines it — each seat
+// adds its own winners in ascending key order, then the seats' sums are
+// added in ascending seat order. The four class labels mix magnitudes, so
+// the float64 sum depends on that order.
+func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
+	const (
+		k       = 4
+		perNode = 200
+		seed    = 13
+		l       = 25
+	)
+	shards := mixedLabelShards(seed, perNode)
+	_, rc := testutil.StartCluster(t, distknn.ScalarPoints(), k, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+	topL := seatTopL(t, shards, k)
 	for i := 0; i < 20; i++ {
 		q := xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain)
-		sort.Slice(all, func(a, b int) bool { return key(all[a], q).Less(key(all[b], q)) })
-		top := all[:l]
-
+		top := topL(q, l)
 		count := make(map[float64]int)
 		for _, p := range top {
 			count[p.label]++
@@ -432,37 +463,85 @@ func TestRemoteLabelFoldsMatchBruteForce(t *testing.T) {
 				wantLabel, best = label, c
 			}
 		}
-		label, stats, err := rc.Classify(distknn.Scalar(q), l)
+		label, _, err := rc.Classify(distknn.Scalar(q), l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(label) != math.Float64bits(wantLabel) {
 			t.Fatalf("query %d: classified %v, brute-force vote %v", i, label, wantLabel)
 		}
-		if stats.Leader == 0 {
-			t.Fatal("the seed elected seat 0, where the summation orders coincide; pick another seed")
-		}
-
-		// top is in ascending key order, so each seat's sum runs in its own
-		// share order.
-		sums := make([]float64, k)
-		for _, p := range top {
-			sums[p.seat] += p.label
-		}
-		wantMean := sums[stats.Leader]
-		for seat, sum := range sums {
-			if seat != stats.Leader {
-				wantMean += sum
-			}
-		}
-		wantMean /= l
+		wantMean := seatMean(top, k, 0)
 		mean, _, err := rc.Regress(distknn.Scalar(q), l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(mean) != math.Float64bits(wantMean) {
-			t.Fatalf("query %d: regressed %v (%x), leader-first brute-force mean %v (%x)", i, mean, math.Float64bits(mean), wantMean, math.Float64bits(wantMean))
+			t.Fatalf("query %d: regressed %v (%x), seat-ordered brute-force mean %v (%x)", i, mean, math.Float64bits(mean), wantMean, math.Float64bits(wantMean))
 		}
+	}
+}
+
+// TestRemoteRegressIndependentOfSessionSeed serves the same shards under
+// two session seeds whose min-GUID leaders differ (election.Leader 0 and 2)
+// and demands bit-identical Regress answers from both, each equal to the
+// brute-force ascending-seat fold: the frontend has no leader, so its seed
+// decides nothing. The labels mix magnitudes, and the test checks that on
+// some query a fold starting from seat 2 — what a session led by seat 2
+// once answered — differs in the bits, so a seed-dependent fold cannot
+// pass.
+func TestRemoteRegressIndependentOfSessionSeed(t *testing.T) {
+	const (
+		k       = 4
+		perNode = 200
+		seed    = 13
+		l       = 25
+	)
+	sessionSeeds := []uint64{1, 13}
+	if a, b := election.Leader(sessionSeeds[0], k), election.Leader(sessionSeeds[1], k); a != 0 || b != 2 {
+		t.Fatalf("session seeds elect %d and %d, want 0 and 2", a, b)
+	}
+	shards := mixedLabelShards(seed, perNode)
+	var rcs []*distknn.RemoteCluster[distknn.Scalar]
+	for _, s := range sessionSeeds {
+		srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, s, shards, distknn.NodeOptions{}, distknn.FrontendOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := distknn.DialTypedClusterOptions(distknn.ScalarPoints(), srv.Addr(), distknn.ClientOptions{})
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			rc.Close()
+			if err := srv.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		})
+		rcs = append(rcs, rc)
+	}
+	topL := seatTopL(t, shards, k)
+	orderShows := false
+	for i := 0; i < 20; i++ {
+		q := xrand.NewStream(seed, 1<<40+uint64(i)).Uint64N(points.PaperDomain)
+		top := topL(q, l)
+		want := seatMean(top, k, 0)
+		if math.Float64bits(seatMean(top, k, 2)) != math.Float64bits(want) {
+			orderShows = true
+		}
+		for j, rc := range rcs {
+			mean, stats, err := rc.Regress(distknn.Scalar(q), l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(mean) != math.Float64bits(want) || stats.Leader != 0 {
+				t.Fatalf("session seed %d, query %d: regressed %v (%x), leader %d; want the ascending-seat mean %v (%x), leader 0",
+					sessionSeeds[j], i, mean, math.Float64bits(mean), stats.Leader, want, math.Float64bits(want))
+			}
+		}
+	}
+	if !orderShows {
+		t.Fatal("no query's mean depends on which seat is summed first; the labels test nothing")
 	}
 }
 

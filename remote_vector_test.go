@@ -29,7 +29,7 @@ func vectorQueryAt(seed uint64, dim, i int) distknn.Vector {
 
 func startVectorRemote(t *testing.T, k int, seed uint64, perNode, dim int) (*distknn.LocalServer, *distknn.RemoteCluster[distknn.Vector]) {
 	t.Helper()
-	return testutil.StartCluster(t, distknn.VectorPoints(), k, seed,
+	return testutil.StartCluster(t, distknn.VectorPoints(), k,
 		distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, distknn.FrontendOptions{})
 }
 

@@ -100,7 +100,7 @@ def decode_reply(r):
     status = r.u8()
     if status:
         raise ValueError("remote error (status %d): %s" % (status, r.string()))
-    rounds, messages, leader = r.varint(), r.varint(), r.varint()
+    rounds, messages = r.varint(), r.varint()
     results = []
     for _ in range(r.varint()):
         boundary = (r.u64(), r.u64())
@@ -110,9 +110,9 @@ def decode_reply(r):
     if r.off != len(r.buf):
         raise ValueError("%d trailing reply bytes" % (len(r.buf) - r.off))
     # Every point of the batch contacts at least one node.
-    if rounds < 1 or messages < len(results) or leader < 0:
-        raise ValueError("implausible cost: rounds=%d messages=%d leader=%d"
-                         % (rounds, messages, leader))
+    if rounds < 1 or messages < len(results):
+        raise ValueError("implausible cost: rounds=%d messages=%d"
+                         % (rounds, messages))
     return results
 
 
