@@ -12,9 +12,9 @@
 // d-dimensional vector shards indexed by k-d trees instead of the paper's
 // scalar workload (-vmetric picks the served vector metric: l2, l1, linf or
 // cosine). The frontend's epoch scheduler pipelines up to -window queries
-// concurrently, and with -server-batch it coalesces concurrently arriving
-// single queries into batch queries (flushed at 64 points or after
-// -linger).
+// concurrently, and with -server-batch it coalesces single queries that
+// arrive while the window is full into batch queries (each run as soon as
+// a window slot frees, or sealed at 64 points).
 //
 // With -anchor the nodes partition the same global dataset by a
 // deterministic seeded k-center clustering instead of uniform ID blocks,
@@ -26,7 +26,7 @@
 // the sub-batch of points that admit it), with answers bit-identical to
 // full scatter:
 //
-//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2 -seed 1 -prune
+//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2 -prune
 //	knnnode -join 127.0.0.1:7100 -points 100000 -anchor
 //	knnnode -join 127.0.0.1:7100 -points 100000 -anchor
 //	knnquery -connect 127.0.0.1:7100 -l 10
@@ -44,14 +44,14 @@
 //
 // Serving demo (three terminals plus any number of clients):
 //
-//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2 -seed 1
+//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2
 //	knnnode -join 127.0.0.1:7100 -points 100000
 //	knnnode -join 127.0.0.1:7100 -points 100000
 //	knnquery -connect 127.0.0.1:7100 -l 10
 //
 // The same, serving 8-dimensional vectors:
 //
-//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2 -seed 1
+//	knnnode -coordinator -addr 127.0.0.1:7100 -k 2
 //	knnnode -join 127.0.0.1:7100 -points 100000 -dim 8
 //	knnnode -join 127.0.0.1:7100 -points 100000 -dim 8
 //	knnquery -connect 127.0.0.1:7100 -metric vector -dim 8 -l 10
@@ -82,7 +82,6 @@ type options struct {
 	addr, join, vmetric, admin                             string
 	k, perNode, dim, l, queries, batch, window             int
 	seed                                                   uint64
-	linger                                                 time.Duration
 }
 
 // defineFlags declares every knnnode flag on fs; cmd/knnnode's doc test
@@ -94,7 +93,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.join, "join", "", "coordinator address to join as a resident node")
 	fs.BoolVar(&o.local, "local", false, "run the frontend, all k nodes and a demo client in this process")
 	fs.IntVar(&o.k, "k", 4, "cluster size (coordinator/local mode)")
-	fs.Uint64Var(&o.seed, "seed", 1, "shared cluster seed")
+	fs.Uint64Var(&o.seed, "seed", 1, "shared cluster seed: generates each node's shard with -join or -local (ignored by -coordinator, which holds no data)")
 	fs.IntVar(&o.perNode, "points", 1<<16, "points generated per node")
 	fs.IntVar(&o.dim, "dim", 0, "vector dimension of the served shards (0 = the paper's scalar workload)")
 	fs.IntVar(&o.l, "l", 10, "number of nearest neighbors the -local demo asks for")
@@ -103,7 +102,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.rejoin, "rejoin", false, "with -join: re-join the session automatically whenever it is lost (eviction, frontend restart)")
 	fs.IntVar(&o.window, "window", 0, "with -coordinator: queries pipelined in flight at once (0 = default 8, 1 = serialized)")
 	fs.BoolVar(&o.serverBatch, "server-batch", false, "with -coordinator: coalesce concurrently arriving single queries into batch queries")
-	fs.DurationVar(&o.linger, "linger", 0, "with -coordinator -server-batch: max wait for a partial coalesced batch (0 = default 500µs)")
 	fs.BoolVar(&o.prune, "prune", false, "with -coordinator or -local: metric-index pruned dispatch — every query (single or batched, KNN/Classify/Regress) contacts only the nodes whose shard ball can hold a neighbor (answers stay bit-identical; pair with -anchor nodes for tight balls)")
 	fs.BoolVar(&o.anchor, "anchor", false, "with -join or -local: anchor-clustered shards (deterministic k-center partition of the same global dataset) instead of uniform ID blocks")
 	fs.StringVar(&o.vmetric, "vmetric", "l2", "vector metric served when -dim > 0: l2|l1|linf|cosine")
@@ -137,7 +135,6 @@ func main() {
 		fopts := distknn.FrontendOptions{
 			Window:      o.window,
 			ServerBatch: o.serverBatch,
-			Linger:      o.linger,
 		}
 		if o.admin != "" {
 			fopts.Metrics = distknn.NewMetrics()

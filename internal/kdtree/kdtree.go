@@ -8,13 +8,15 @@
 // to compute their local top-ℓ in O(ℓ log(n/k)) expected time instead of a
 // linear scan — and doubles as the sequential single-machine baseline.
 //
-// The tree is flat, as PANDA lays its trees out: the nodes live in one
-// slice with implicit children 2i+1 and 2i+2, splitting stops at leaf
-// buckets of at most bucket points, and the tree keeps its own copy of the
-// coordinates in leaf order, each point's dim values contiguous, with IDs
-// and labels permuted to match. A search visits a bucket as one contiguous
-// run of memory instead of chasing a pointer per point, and the set the
-// tree was built from is not retained.
+// The tree is flat, as PANDA lays its trees out: it stores only the split
+// value of each inner node, in one slice with implicit children 2i+1 and
+// 2i+2, and keeps its own copy of the coordinates in leaf order, each
+// point's dim values contiguous, with IDs and labels permuted to match.
+// Everything else about a node is derived during the descent: the root
+// covers [0, n), a range splits at its middle, a range of at most bucket
+// points is a leaf, and a node's axis is its depth mod dim. A search visits
+// a bucket as one contiguous run of memory instead of chasing a pointer per
+// point, and the set the tree was built from is not retained.
 package kdtree
 
 import (
@@ -32,25 +34,20 @@ const bucket = 8
 // any number of goroutines may query one tree at once.
 type Tree struct {
 	dim int
-	// nodes[0] covers every point; an inner node i splits its range
-	// between nodes 2i+1 and 2i+2. Slots under a leaf stay zero.
-	nodes []node
+	// splits[i] is inner node i's split value. Node 0 covers points [0, n);
+	// a node covering [lo, hi) with more than bucket points is inner: its
+	// children 2i+1 and 2i+2 cover [lo, mid) and [mid, hi), mid =
+	// (lo+hi)/2, every left point's axis coordinate is ≤ the split and
+	// every right point's ≥ it, the split being point mid's, and the axis
+	// is the node's depth mod dim. A node of at most bucket points is a
+	// leaf; a leaf's slot, if it has one, stays zero. The slice holds the
+	// 2^depth − 1 slots above the deepest leaves.
+	splits []float64
 	// coords holds point j's coordinates at [j·dim, (j+1)·dim), points in
 	// leaf order; ids and labels are in the same order.
 	coords []float64
 	ids    []uint64
 	labels []float64
-}
-
-// node covers points [lo, hi). A node of more than bucket points is inner:
-// its left child covers [lo, mid) and its right child [mid, hi), mid =
-// (lo+hi)/2, every left point's axis coordinate is ≤ split and every right
-// point's ≥ split, split being point mid's. A node of at most bucket points
-// is a leaf and split and axis are unused.
-type node struct {
-	split  float64
-	axis   int32
-	lo, hi int32
 }
 
 // Build constructs a k-d tree from the set. The set must contain vectors of
@@ -80,13 +77,13 @@ func Build(s *points.Set[points.Vector]) (*Tree, error) {
 	for (n+(1<<depth)-1)>>depth > bucket {
 		depth++
 	}
-	t.nodes = make([]node, 1<<(depth+1)-1)
+	t.splits = make([]float64, 1<<depth-1)
 	b := builder{dim: t.dim, ids: s.IDs, flat: make([]float64, 0, n*t.dim), perm: make([]int32, n)}
 	for i, p := range s.Pts {
 		b.flat = append(b.flat, p...)
 		b.perm[i] = int32(i)
 	}
-	b.build(t.nodes, 0, 0, n, 0)
+	b.build(t.splits, 0, 0, n, 0)
 	t.coords = make([]float64, 0, n*t.dim)
 	t.ids, t.labels = make([]uint64, n), make([]float64, n)
 	for j, i := range b.perm {
@@ -114,17 +111,16 @@ func (b *builder) point(i int32) []float64 {
 
 // build fills node i, which covers perm[lo:hi), splitting it at the median
 // along axis unless it fits a bucket.
-func (b *builder) build(nodes []node, i, lo, hi, axis int) {
-	nodes[i].lo, nodes[i].hi = int32(lo), int32(hi)
+func (b *builder) build(splits []float64, i, lo, hi, axis int) {
 	if hi-lo <= bucket {
 		return
 	}
 	mid := (lo + hi) / 2
 	b.selectByAxis(lo, hi, mid, axis)
-	nodes[i].split, nodes[i].axis = b.point(b.perm[mid])[axis], int32(axis)
+	splits[i] = b.point(b.perm[mid])[axis]
 	next := (axis + 1) % b.dim
-	b.build(nodes, 2*i+1, lo, mid, next)
-	b.build(nodes, 2*i+2, mid, hi, next)
+	b.build(splits, 2*i+1, lo, mid, next)
+	b.build(splits, 2*i+2, mid, hi, next)
 }
 
 // before orders point a ahead of point c along axis, ties broken by ID —
@@ -197,7 +193,7 @@ func (t *Tree) KNN(q points.Vector, l int, ceil ...keys.Key) []points.Item {
 	}
 	top := points.NewTopL(l, ceil...)
 	s := search{t: t, q: q, top: top, cut: top.Cut()}
-	s.visit(0)
+	s.visit(0, 0, len(t.ids), 0)
 	return s.top.Sorted()
 }
 
@@ -210,21 +206,24 @@ type search struct {
 	cut keys.Key
 }
 
-func (s *search) visit(i int) {
-	for {
-		nd := &s.t.nodes[i]
-		if nd.hi-nd.lo <= bucket {
-			s.scan(int(nd.lo), int(nd.hi))
-			return
+// visit searches node i, which covers points [lo, hi) and splits along
+// axis.
+func (s *search) visit(i, lo, hi, axis int) {
+	for hi-lo > bucket {
+		mid, next := (lo+hi)/2, axis+1
+		if next == s.t.dim {
+			next = 0
 		}
 		// Ties on split fall on both sides, so a query on the plane may
 		// descend either way first; the plane test below then never prunes.
-		diff := s.q[nd.axis] - nd.split
-		near, far := 2*i+1, 2*i+2
+		diff := s.q[axis] - s.t.splits[i]
+		farI, farLo, farHi := 2*i+2, mid, hi
 		if diff >= 0 {
-			near, far = far, near
+			s.visit(2*i+2, mid, hi, next)
+			farI, farLo, farHi = 2*i+1, lo, mid
+		} else {
+			s.visit(2*i+1, lo, mid, next)
 		}
-		s.visit(near)
 		// Only cross the splitting plane if the slab could contain a
 		// closer point than the current cutoff (the ceiling, while fewer
 		// than l points are held): every point across it is at least |diff|
@@ -234,8 +233,9 @@ func (s *search) visit(i int) {
 		if math.Float64bits(diff*diff) > s.cut.Dist {
 			return
 		}
-		i = far
+		i, lo, hi, axis = farI, farLo, farHi, next
 	}
+	s.scan(lo, hi)
 }
 
 // scan offers the bucket's points [lo, hi) to the accumulator.

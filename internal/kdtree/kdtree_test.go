@@ -24,6 +24,33 @@ func buildRandom(t testing.TB, seed uint64, n, dim int) (*Tree, *points.Set[poin
 	return tree, s
 }
 
+// span is one node of a tree as the descent derives it: slot i covers
+// points [lo, hi) at depth, and splits along axis when it is inner.
+type span struct{ i, lo, hi, depth, axis int }
+
+// inner reports whether the node splits rather than being a bucket.
+func (sp span) inner() bool { return sp.hi-sp.lo > bucket }
+
+// spans walks tree's derived ranges from the root, parents before children
+// and left before right, as KNN's descent reads them.
+func spans(tree *Tree) []span {
+	var out []span
+	var walk func(sp span)
+	walk = func(sp span) {
+		out = append(out, sp)
+		if !sp.inner() {
+			return
+		}
+		mid, next := (sp.lo+sp.hi)/2, (sp.axis+1)%tree.dim
+		walk(span{2*sp.i + 1, sp.lo, mid, sp.depth + 1, next})
+		walk(span{2*sp.i + 2, mid, sp.hi, sp.depth + 1, next})
+	}
+	if tree.Len() > 0 {
+		walk(span{0, 0, tree.Len(), 0, 0})
+	}
+	return out
+}
+
 func TestBuildEmpty(t *testing.T) {
 	s, _ := points.NewSet([]points.Vector{}, nil, points.L2, 1)
 	tree, err := Build(s)
@@ -33,7 +60,7 @@ func TestBuildEmpty(t *testing.T) {
 	if got := tree.KNN(points.Vector{0.5}, 3); got != nil {
 		t.Errorf("empty tree KNN = %v, want nil", got)
 	}
-	if len(tree.nodes) != 0 || tree.Len() != 0 {
+	if len(tree.splits) != 0 || tree.Len() != 0 {
 		t.Errorf("empty tree shape wrong")
 	}
 }
@@ -166,34 +193,31 @@ func TestKNNCeilingMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTreeBalanced: median splits keep the tree full — fewer than n/2
-// nodes (so the slice stays a fraction of the points), every leaf at least
-// half a bucket unless the root is one, and no leaf more than one level
-// above the deepest.
+// TestTreeBalanced: median splits keep the tree full — fewer than n/4
+// split slots (so the slice stays a small fraction of the points), every
+// inner node inside the slice, every leaf at least half a bucket unless the
+// root is one, no leaf more than one level above the deepest, and the
+// slice exactly the slots above the deepest leaves.
 func TestTreeBalanced(t *testing.T) {
 	for _, n := range []int{1, 8, 9, 17, 100, 1023, 4096} {
 		tree, _ := buildRandom(t, 10, n, 2)
-		if limit := max(1, n/2); len(tree.nodes) > limit {
-			t.Errorf("n=%d: %d nodes, want at most %d", n, len(tree.nodes), limit)
+		if limit := n / 4; len(tree.splits) > limit {
+			t.Errorf("n=%d: %d split slots, want at most %d", n, len(tree.splits), limit)
 		}
 		var depths []int
-		var walk func(i, depth int)
-		walk = func(i, depth int) {
-			nd := tree.nodes[i]
-			size := int(nd.hi - nd.lo)
-			if size > bucket {
-				walk(2*i+1, depth+1)
-				walk(2*i+2, depth+1)
-				return
+		for _, sp := range spans(tree) {
+			switch {
+			case sp.inner() && sp.i >= len(tree.splits):
+				t.Errorf("n=%d: inner node %d past the %d split slots", n, sp.i, len(tree.splits))
+			case sp.inner():
+			case sp.i > 0 && sp.hi-sp.lo < bucket/2:
+				t.Errorf("n=%d: leaf %d holds %d points, want at least %d", n, sp.i, sp.hi-sp.lo, bucket/2)
+			default:
+				depths = append(depths, sp.depth)
 			}
-			if i > 0 && size < bucket/2 {
-				t.Errorf("n=%d: leaf %d holds %d points, want at least %d", n, i, size, bucket/2)
-			}
-			depths = append(depths, depth)
 		}
-		walk(0, 0)
-		if lo, hi := slices.Min(depths), slices.Max(depths); hi-lo > 1 || 1<<(hi+1)-1 != len(tree.nodes) {
-			t.Errorf("n=%d: leaves at depths %d..%d in %d node slots", n, lo, hi, len(tree.nodes))
+		if lo, hi := slices.Min(depths), slices.Max(depths); hi-lo > 1 || 1<<hi-1 != len(tree.splits) {
+			t.Errorf("n=%d: leaves at depths %d..%d over %d split slots", n, lo, hi, len(tree.splits))
 		}
 	}
 }
@@ -219,16 +243,14 @@ func TestKNNKeysMatchL2Encoding(t *testing.T) {
 // buildBySort is the reference Build is held to: the same recursion, with
 // every range fully sorted by (axis coordinate, ID) before its middle
 // element becomes the split — what Build did before it selected the median.
-// It fills nodes (grown as needed) and leaves each leaf's points in its
-// range of perm.
-func buildBySort(s *points.Set[points.Vector], nodes *[]node, perm []int, i, lo, axis int) {
-	for len(*nodes) <= i {
-		*nodes = append(*nodes, node{})
-	}
-	hi := lo + len(perm)
-	(*nodes)[i].lo, (*nodes)[i].hi = int32(lo), int32(hi)
+// It records each inner node's split in splits (grown as needed) and leaves
+// each leaf's points in its range of perm.
+func buildBySort(s *points.Set[points.Vector], splits *[]float64, perm []int, i, axis int) {
 	if len(perm) <= bucket {
 		return
+	}
+	for len(*splits) <= i {
+		*splits = append(*splits, 0)
 	}
 	sort.Slice(perm, func(a, b int) bool {
 		va, vb := s.Pts[perm[a]][axis], s.Pts[perm[b]][axis]
@@ -238,18 +260,18 @@ func buildBySort(s *points.Set[points.Vector], nodes *[]node, perm []int, i, lo,
 		return s.IDs[perm[a]] < s.IDs[perm[b]]
 	})
 	mid := len(perm) / 2
-	(*nodes)[i].split, (*nodes)[i].axis = s.Pts[perm[mid]][axis], int32(axis)
+	(*splits)[i] = s.Pts[perm[mid]][axis]
 	next := (axis + 1) % len(s.Pts[0])
-	buildBySort(s, nodes, perm[:mid], 2*i+1, lo, next)
-	buildBySort(s, nodes, perm[mid:], 2*i+2, lo+mid, next)
+	buildBySort(s, splits, perm[:mid], 2*i+1, next)
+	buildBySort(s, splits, perm[mid:], 2*i+2, next)
 }
 
-// TestBuildMatchesFullSortReference: selecting the median must produce, node
-// for node, the tree that sorting every range produces — the same split,
-// axis and range, and each leaf holding the same points (in any order),
-// stored with their own coordinates and labels — on distinct coordinates,
-// on coordinates drawn from three values (long runs of ties broken by ID),
-// and when every point is the same point.
+// TestBuildMatchesFullSortReference: selecting the median must produce, slot
+// for slot, the splits that sorting every range produces, and each derived
+// leaf range holding the same points (in any order), stored with their own
+// coordinates and labels — on distinct coordinates, on coordinates drawn
+// from three values (long runs of ties broken by ID), and when every point
+// is the same point.
 func TestBuildMatchesFullSortReference(t *testing.T) {
 	rng := xrand.New(31)
 	inputs := map[string]func() points.Vector{
@@ -278,15 +300,10 @@ func TestBuildMatchesFullSortReference(t *testing.T) {
 			for i := range perm {
 				perm[i] = i
 			}
-			var want []node
-			buildBySort(s, &want, perm, 0, 0, 0)
-			if len(tree.nodes) != len(want) {
-				t.Fatalf("%s n=%d: %d node slots, reference has %d", name, n, len(tree.nodes), len(want))
-			}
-			for i := range want {
-				if tree.nodes[i] != want[i] {
-					t.Fatalf("%s n=%d node %d: %+v, reference %+v", name, n, i, tree.nodes[i], want[i])
-				}
+			var want []float64
+			buildBySort(s, &want, perm, 0, 0)
+			if !slices.Equal(tree.splits, want) {
+				t.Fatalf("%s n=%d: splits %v, reference %v", name, n, tree.splits, want)
 			}
 			// Within a bucket the scan order is free, so each leaf is held
 			// to the reference's points as a set.
@@ -294,17 +311,17 @@ func TestBuildMatchesFullSortReference(t *testing.T) {
 			for i, id := range s.IDs {
 				byID[id] = i
 			}
-			for _, nd := range want {
-				if nd.hi-nd.lo > bucket {
+			for _, sp := range spans(tree) {
+				if sp.inner() {
 					continue
 				}
-				got := slices.Sorted(slices.Values(tree.ids[nd.lo:nd.hi]))
+				got := slices.Sorted(slices.Values(tree.ids[sp.lo:sp.hi]))
 				ref := make([]uint64, 0, bucket)
-				for _, i := range perm[nd.lo:nd.hi] {
+				for _, i := range perm[sp.lo:sp.hi] {
 					ref = append(ref, s.IDs[i])
 				}
 				if slices.Sort(ref); !slices.Equal(got, ref) {
-					t.Fatalf("%s n=%d leaf [%d, %d): IDs %v, reference %v", name, n, nd.lo, nd.hi, got, ref)
+					t.Fatalf("%s n=%d leaf [%d, %d): IDs %v, reference %v", name, n, sp.lo, sp.hi, got, ref)
 				}
 			}
 			dim := len(pts[0])
@@ -347,17 +364,18 @@ func TestKNNBucketsAndSplitTies(t *testing.T) {
 			// Queries: every point, and each inner node's plane through a
 			// point, besides a few off the grid.
 			var queries []points.Vector
-			for _, nd := range tree.nodes {
-				if nd.hi-nd.lo <= bucket {
+			for _, sp := range spans(tree) {
+				if !sp.inner() {
 					continue
 				}
-				for j := nd.lo; j < (nd.lo+nd.hi)/2; j++ {
-					if tree.coords[int(j)*dim+int(nd.axis)] == nd.split {
+				split := tree.splits[sp.i]
+				for j := sp.lo; j < (sp.lo+sp.hi)/2; j++ {
+					if tree.coords[j*dim+sp.axis] == split {
 						tiesLeft++
 					}
 				}
 				q := slices.Clone(pts[rng.IntN(n)])
-				q[nd.axis] = nd.split
+				q[sp.axis] = split
 				queries = append(queries, q)
 			}
 			for range 3 {

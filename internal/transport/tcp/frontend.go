@@ -514,11 +514,11 @@ func (f *Frontend) Leader() int {
 // queued and in-flight query epoch with a retryable error, asks every node
 // to shut down, and releases the control and client connections and every
 // connection still owing its first frame. A coalescing bucket still open
-// fails the same way when it flushes, at most Linger later. The nodes drain
-// their in-flight dispatches before they return. Close also closes the
-// connection of every join handshake in progress; a Close before every seat
-// was sealed once fails the session, and Serve returns nil. Safe to call
-// more than once.
+// fails the same way at once, because its opener is queued at admission.
+// The nodes drain their in-flight dispatches before they return. Close also
+// closes the connection of every join handshake in progress; a Close before
+// every seat was sealed once fails the session, and Serve returns nil. Safe
+// to call more than once.
 func (f *Frontend) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil

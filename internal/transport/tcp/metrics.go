@@ -31,8 +31,8 @@ type feMetrics struct {
 	pruneGathered  *obs.Counter   // frontend_prune_gather_items_total: Σ winners the gather waves (wave 2) returned, each below its point's bound
 	inflight       *obs.Gauge     // frontend_epochs_inflight: window slots in use
 	occupancy      *obs.Histogram // frontend_window_occupancy: window depth at each admission
-	batchSize      *obs.Histogram // frontend_coalesced_batch_size: points per flushed bucket
-	linger         *obs.Histogram // frontend_bucket_linger_ns: bucket open -> flush
+	batchSize      *obs.Histogram // frontend_coalesced_batch_size: points per bucket run
+	linger         *obs.Histogram // frontend_bucket_linger_ns: bucket open -> seal
 	latency        *obs.Histogram // frontend_query_latency_ns: submit -> reply, per client query
 }
 

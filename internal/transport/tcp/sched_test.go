@@ -79,24 +79,62 @@ func TestSchedulerPipelinesEpochs(t *testing.T) {
 	}
 }
 
+// parkWindow fills a window of the given size with magic 4242 queries, each
+// parked inside node 1's blockingHandler until release closes; the returned
+// channel receives their outcomes. Each is sent only once the previous one
+// is parked, so no two share a bucket: while they are parked, every new
+// query queues at admission.
+func parkWindow(client *Client, k, window int, entered <-chan struct{}) <-chan error {
+	errs := make(chan error, window)
+	for range window {
+		go func() {
+			_, err := client.Do(scalarQuery(wire.OpKNN, k, 4242))
+			errs <- err
+		}()
+		<-entered
+	}
+	return errs
+}
+
+// waitCoalesced waits until n queries have entered a coalescing bucket. The
+// counter moves under the same f.mu hold that adds the query's point, so
+// every counted point is in its bucket before any bucket can be sealed by a
+// freed slot.
+func waitCoalesced(t *testing.T, lc *LocalCluster, n int64) {
+	t.Helper()
+	for start := time.Now(); lc.fe.sched.fm.coalesced.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 20*time.Second {
+			t.Fatalf("%d of %d queries reached a bucket", lc.fe.sched.fm.coalesced.Load(), n)
+		}
+	}
+}
+
 // TestSchedulerCoalescesSingleQueries proves transparent server-side
-// batching: with a long linger, maxServerBatch concurrently arriving single
-// queries must share one wave — every reply reports the whole batch's
-// contacts (every point sent to every seat), and each caller still gets
-// exactly its own per-query result.
+// batching without a clock. On an idle frontend a lone single query runs at
+// once, as a batch of one. Behind a window held full by parked queries,
+// maxServerBatch concurrently arriving single queries pile into one bucket,
+// which runs when the window frees and shares one wave: every reply reports
+// the whole batch's contacts (every point sent to every seat), and each
+// caller still gets exactly its own per-query result.
 func TestSchedulerCoalescesSingleQueries(t *testing.T) {
-	k := 3
-	lc := startEchoClusterOptions(t, k, FrontendOptions{
-		Window:      2,
-		ServerBatch: true,
-		Linger:      10 * time.Second, // only the full bucket may flush
-	}, func() Handler { return &echoHandler{} })
-	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{})
+	const k, window = 3, 2
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	lc := startEchoClusterOptions(t, k, FrontendOptions{Window: window, ServerBatch: true}, func() Handler {
+		return &blockingHandler{entered: entered, release: release}
+	})
+	client := dialNoRetry(t, lc.Addr())
+
+	rep, err := client.Do(scalarQuery(wire.OpKNN, k, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	checkEcho(t, rep, k, 7)
+	if rep.Messages != k {
+		t.Fatalf("a lone query on an idle frontend reports %d messages, want %d: it waited for company", rep.Messages, k)
+	}
 
+	parked := parkWindow(client, k, window, entered)
 	const batch = maxServerBatch
 	var wg sync.WaitGroup
 	reps := make([]wire.Reply, batch)
@@ -108,7 +146,14 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 			reps[i], errs[i] = client.Do(scalarQuery(wire.OpKNN, k, uint64(i)+10))
 		}(i)
 	}
+	waitCoalesced(t, lc, 1+window+batch)
+	close(release)
 	wg.Wait()
+	for range window {
+		if err := <-parked; err != nil {
+			t.Fatalf("parked query: %v", err)
+		}
+	}
 
 	// Each point is sent to every seat, and a coalesced batch reports the
 	// shared total to every participant.
@@ -131,19 +176,30 @@ func TestSchedulerCoalescesSingleQueries(t *testing.T) {
 // the innocent co-batched queries must still succeed — the scheduler falls
 // back to solo epochs — while the offender gets its own error.
 func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
-	k := 3
-	lc := startEchoClusterOptions(t, k, FrontendOptions{
-		Window:      2,
-		ServerBatch: true,
-		Linger:      10 * time.Second, // only the full bucket may flush
-	}, func() Handler { return &echoHandler{} })
-	client, err := DialFrontendOptions(lc.Addr(), ClientOptions{RetryWait: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	checkCoalescedFailureIsolated(t, 2)
+}
 
-	// One offender and enough innocents to fill the bucket.
+// TestSchedulerIsolatesCoalescedFailureInOneSlot runs the solo fallback on
+// a one-slot window: the fallback re-runs each participant inside the slot
+// its bucket already holds, so it finishes instead of queueing behind
+// itself.
+func TestSchedulerIsolatesCoalescedFailureInOneSlot(t *testing.T) {
+	checkCoalescedFailureIsolated(t, 1)
+}
+
+// checkCoalescedFailureIsolated piles one offender and enough innocents to
+// fill a bucket behind a window held full, releases the window, and holds
+// every participant to its own outcome.
+func checkCoalescedFailureIsolated(t *testing.T, window int) {
+	const k = 3
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	lc := startEchoClusterOptions(t, k, FrontendOptions{Window: window, ServerBatch: true}, func() Handler {
+		return &blockingHandler{entered: entered, release: release}
+	})
+	client := dialNoRetry(t, lc.Addr())
+	parked := parkWindow(client, k, window, entered)
+
 	vs := []uint64{1313}
 	for v := uint64(10); len(vs) < maxServerBatch; v++ {
 		vs = append(vs, v)
@@ -161,7 +217,20 @@ func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 			outs[i].rep, outs[i].err = client.Do(scalarQuery(wire.OpKNN, k, v))
 		}(i, v)
 	}
-	wg.Wait()
+	waitCoalesced(t, lc, int64(window+len(vs)))
+	close(release)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("window %d: the coalesced batch and its solo fallback did not finish", window)
+	}
+	for range window {
+		if err := <-parked; err != nil {
+			t.Fatalf("parked query: %v", err)
+		}
+	}
 
 	if outs[0].err == nil || !strings.Contains(outs[0].err.Error(), "unlucky") {
 		t.Fatalf("offending query: got %v, want its own program error", outs[0].err)
@@ -171,6 +240,9 @@ func TestSchedulerIsolatesCoalescedFailure(t *testing.T) {
 			t.Fatalf("innocent coalesced query %d failed with its neighbor: %v", v, err)
 		}
 		checkEcho(t, outs[i+1].rep, k, v)
+		if outs[i+1].rep.Messages != k {
+			t.Fatalf("innocent query %d reports %d messages, want its solo epoch's %d", v, outs[i+1].rep.Messages, k)
+		}
 	}
 }
 
@@ -233,20 +305,24 @@ func TestFrontendCloseFailsInFlightQueries(t *testing.T) {
 	}
 }
 
-// TestFrontendCloseFailsOpenBucket pins how a coalescing bucket still open at
-// Close ends: through its own flush, whose execute sees the frontend closed.
-// Every participant fails retryably within Linger (plus slack) of the Close,
-// as TestFrontendCloseFailsInFlightQueries's in-flight query does, the
-// bucket's outcome is the closing reply, and no epoch ordinal is consumed.
+// TestFrontendCloseFailsOpenBucket pins how a coalescing bucket parked
+// behind a full window ends at Close: at once, through the same admission
+// wake-up that fails every queued query. Every participant fails retryably
+// and promptly, as TestFrontendCloseFailsInFlightQueries's in-flight query
+// does, the bucket's outcome is the closing reply, and the bucket consumes
+// no epoch ordinal — only the parked query holding the window did.
 func TestFrontendCloseFailsOpenBucket(t *testing.T) {
-	const k, linger = 3, 200 * time.Millisecond
-	lc, err := ServeLocalOptions(k, FrontendOptions{ServerBatch: true, Linger: linger}, nil, func() Handler {
-		return &echoHandler{}
+	const k = 3
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	lc, err := ServeLocalOptions(k, FrontendOptions{Window: 1, ServerBatch: true}, nil, func() Handler {
+		return &blockingHandler{entered: entered, release: release}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := dialNoRetry(t, lc.Addr())
+	parked := parkWindow(client, k, 1, entered)
 	errCh := make(chan error, k)
 	for v := uint64(10); v < 10+k; v++ {
 		go func() {
@@ -254,7 +330,7 @@ func TestFrontendCloseFailsOpenBucket(t *testing.T) {
 			errCh <- err
 		}()
 	}
-	// Park all k queries in the one bucket, well inside its linger.
+	// All k queries share the one bucket, queued behind the parked query.
 	var b *bucket
 	for start := time.Now(); b == nil; time.Sleep(time.Millisecond) {
 		lc.fe.mu.Lock()
@@ -262,23 +338,27 @@ func TestFrontendCloseFailsOpenBucket(t *testing.T) {
 			b = open
 		}
 		lc.fe.mu.Unlock()
-		if b == nil && time.Since(start) > linger/2 {
+		if b == nil && time.Since(start) > 20*time.Second {
 			t.Fatal("the queries did not share one open bucket")
 		}
 	}
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- lc.Close() }()
-	deadline := time.After(linger + time.Second)
+	retryable := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s across Close: expected an error", what)
+		}
+		if !errors.Is(err, ErrDegraded) && !strings.Contains(err.Error(), "read reply") && !strings.Contains(err.Error(), "send query") {
+			t.Fatalf("%s across Close: got a non-retryable failure: %v", what, err)
+		}
+	}
+	deadline := time.After(5 * time.Second)
 	for i := 0; i < k; i++ {
 		select {
 		case err := <-errCh:
-			if err == nil {
-				t.Fatal("a coalesced query across Close: expected an error")
-			}
-			if !errors.Is(err, ErrDegraded) && !strings.Contains(err.Error(), "read reply") && !strings.Contains(err.Error(), "send query") {
-				t.Fatalf("a coalesced query across Close: got a non-retryable failure: %v", err)
-			}
+			retryable("a coalesced query", err)
 		case <-deadline:
 			t.Fatal("a coalesced query hung across Close")
 		}
@@ -286,17 +366,20 @@ func TestFrontendCloseFailsOpenBucket(t *testing.T) {
 	select {
 	case <-b.done:
 	case <-deadline:
-		t.Fatal("the open bucket did not end within its linger")
+		t.Fatal("the open bucket did not end at Close")
 	}
 	if b.rep.Err != closingReply().Err || !b.rep.Degraded {
 		t.Fatalf("open bucket across Close: %+v, want the closing reply", b.rep)
 	}
+	retryable("the parked query", <-parked)
 	lc.fe.mu.Lock()
 	epoch := lc.fe.epoch
 	lc.fe.mu.Unlock()
-	if epoch != 0 {
-		t.Fatalf("an open bucket across Close consumed epoch ordinal %d", epoch)
+	if epoch != 1 {
+		t.Fatalf("epoch ordinal %d after Close, want 1: the open bucket consumed an ordinal", epoch)
 	}
+	// The parked epoch still runs on node 1; release it so the nodes drain.
+	close(release)
 	if err := <-closeDone; err != nil {
 		t.Fatalf("close: %v", err)
 	}

@@ -49,25 +49,29 @@ import (
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ) coalesce into one batch query
-// (answer admits only the session's point tag, so the tag always agrees): a
-// query joins the open bucket for its key, and the bucket flushes when it
-// reaches maxServerBatch points (or the most whose results fit one frame)
-// or after Linger — whichever comes first — so many small clients share one
-// dispatch frame per seat. The flushed bucket runs through the same
-// pipeline as any client batch; each coalesced query receives its own
-// result, and the batch-wide cost fields (rounds and messages) are reported
-// to every participant.
+// (answer admits only the session's point tag, so the tag always agrees).
+// The query that opens a bucket queues for a window slot like any other
+// query; later arrivals with its key join it while it waits. The bucket is
+// sealed under the same f.mu hold in which its opener takes a free slot, or
+// sooner, once it reaches maxServerBatch points (or the most whose results
+// fit one frame). Nothing waits on a clock: on an idle frontend a single query runs
+// at once as a batch of one, and under load a bucket grows for exactly as
+// long as the window is full, so many small clients share one dispatch
+// frame per seat. The sealed bucket runs through the same pipeline as any
+// client batch; each coalesced query receives its own result, and the
+// batch-wide cost fields (rounds and messages) are reported to every
+// participant.
 //
 // Churn interaction. A seat lost mid-flight fails exactly the waves that
 // were dispatched to it — each affected job completes with a retryable
-// degraded reply — while queued and coalescing queries never consume an
+// degraded reply — while queued queries and open buckets never consume an
 // ordinal: they fail fast at admission with the usual degraded error until
 // the seat heals. A full-scatter wave needs every seat; a pruned wave only
 // the seats it contacts, so an absent seat whose shard the admission test
 // prunes does not fail the query. Close fails every queued and in-flight
-// wave with a retryable error instead of racing the control pumps; a bucket
-// still open ends through its own flush, at most Linger later, whose
-// execute sees the frontend closed and fails the same way.
+// wave with a retryable error instead of racing the control pumps, and an
+// open bucket with them: its opener waits at admission like any queued
+// query, so the same wake-up ends it.
 
 // dispatchTimeout bounds one dispatch frame's control-connection write.
 // The frontend lock is held across the write phase, so the deadline is
@@ -83,8 +87,8 @@ var dispatchTimeout = 5 * time.Second
 // so the cap bounds what a node holds for the frontend at once.
 const maxWindow = 64
 
-// maxServerBatch caps a coalesced batch: a bucket that reaches it flushes
-// immediately instead of lingering.
+// maxServerBatch caps a coalesced batch: a bucket that reaches it is sealed
+// at once, and the next arrival opens a new one.
 const maxServerBatch = 64
 
 // Pruner gives the frontend the metric-space geometry of the served point
@@ -104,15 +108,12 @@ type FrontendOptions struct {
 	// serializes queries; the default is 8 and values are capped at 64
 	// (what a node may hold in dispatches for the frontend at once).
 	Window int
-	// ServerBatch enables transparent server-side batching: concurrently
-	// arriving single-point queries with the same (op, ℓ, tag) coalesce
-	// into one batch query. Off by default — coalescing trades up to
-	// Linger of latency for throughput.
+	// ServerBatch enables transparent server-side batching: single-point
+	// queries with the same (op, ℓ, tag) that arrive while the window is
+	// full coalesce into one batch query, which takes the next free slot.
+	// No query waits on a clock: with a slot free, a single query runs at
+	// once. Off by default.
 	ServerBatch bool
-	// Linger bounds how long an open coalescing bucket waits for more
-	// queries before it flushes (default 500µs). Only meaningful with
-	// ServerBatch.
-	Linger time.Duration
 	// Pruner enables metric-index pruned dispatch for every query shape —
 	// KNN, Classify and Regress, single points and batches alike. Each
 	// point of a query first probes its nearest shard for an upper bound
@@ -142,9 +143,6 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 	if o.Window > maxWindow {
 		o.Window = maxWindow
 	}
-	if o.Linger <= 0 {
-		o.Linger = 500 * time.Microsecond
-	}
 	return o
 }
 
@@ -155,7 +153,6 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 type scheduler struct {
 	f        *Frontend
 	window   int
-	linger   time.Duration
 	batching bool
 
 	fm *feMetrics  // always non-nil (private registry when unconfigured)
@@ -172,7 +169,6 @@ func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
 	sched := &scheduler{
 		f:        f,
 		window:   opts.Window,
-		linger:   opts.Linger,
 		batching: opts.ServerBatch,
 		fm:       newFeMetrics(opts.Metrics),
 		tr:       opts.Trace,
@@ -370,20 +366,24 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	dist, radius := sched.geometry(q)
 	f := sched.f
 	f.mu.Lock()
+	rep, ok := sched.admitLocked(dist == nil)
+	f.mu.Unlock()
+	if !ok {
+		return rep
+	}
+	defer sched.release()
+	return sched.run(q, dist, radius)
+}
+
+// admitLocked is the one admission path, for a plain query and a bucket's
+// opener alike: it waits for a free window slot and takes it, unless
+// refuseLocked turns the query away first. Caller holds f.mu; the wait
+// releases it, so a bucket's joiners get in while its opener queues. A slot
+// taken here is returned by release.
+func (sched *scheduler) admitLocked(needsAll bool) (wire.Reply, bool) {
 	for {
-		if f.closed.Load() {
-			f.mu.Unlock()
-			return closingReply()
-		}
-		if dist == nil {
-			// Degraded fast-fail before admission: a full-scatter wave needs
-			// every seat, so a probe during an outage answers immediately —
-			// even while the window is full of doomed epochs — and consumes
-			// neither an ordinal nor a window slot.
-			if rep, ok := f.degradedLocked(f.slots); !ok {
-				f.mu.Unlock()
-				return rep
-			}
+		if rep, refused := sched.refuseLocked(needsAll); refused {
+			return rep, false
 		}
 		if sched.count < sched.window {
 			break
@@ -393,15 +393,36 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 	sched.count++
 	sched.fm.occupancy.Observe(int64(sched.count))
 	sched.fm.inflight.Set(int64(sched.count))
+	return wire.Reply{}, true
+}
+
+// refuseLocked reports whether a query is turned away, and with what reply,
+// instead of waiting for a slot: once the frontend is closing, and — for a
+// query that needs every seat (full scatter) — while the cluster is
+// degraded. A probe during an outage so answers immediately, even while the
+// window is full of doomed epochs, and consumes neither an ordinal nor a
+// slot. Caller holds f.mu.
+func (sched *scheduler) refuseLocked(needsAll bool) (wire.Reply, bool) {
+	f := sched.f
+	if f.closed.Load() {
+		return closingReply(), true
+	}
+	if needsAll {
+		if rep, ok := f.degradedLocked(f.slots); !ok {
+			return rep, true
+		}
+	}
+	return wire.Reply{}, false
+}
+
+// release returns a window slot admitLocked granted and wakes the queue.
+func (sched *scheduler) release() {
+	f := sched.f
+	f.mu.Lock()
+	sched.count--
+	sched.fm.inflight.Set(int64(sched.count))
+	sched.cond.Broadcast()
 	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		sched.count--
-		sched.fm.inflight.Set(int64(sched.count))
-		sched.cond.Broadcast()
-		f.mu.Unlock()
-	}()
-	return sched.run(q, dist, radius)
 }
 
 // reply folds the collected lists into the reply of a query that took
@@ -682,7 +703,7 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 // success (the waiter folds the collected shares). A finished job leaves
 // sched.inflight, the only place callers find jobs, so late frames for it
 // are dropped. The window slot is the query's, not the wave's: its owner
-// (execute) returns it. Caller holds f.mu.
+// (execute or runBucket) returns it. Caller holds f.mu.
 func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 	if job.expectN > 0 && len(job.lost) == 0 {
 		return
@@ -711,9 +732,9 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 // shutdownLocked fails every queued and in-flight query with a retryable
 // closing reply; f.closed, already set, refuses later admissions. In-flight
 // epochs may still complete on the nodes; their late results are dropped.
-// A coalescing bucket still open is left to its linger timer: its flush
-// runs execute, which sees f.closed and fails the bucket the same way. Close
-// runs it once, holding f.mu.
+// The Broadcast wakes every query queued at admission, an open bucket's
+// opener among them; each sees f.closed and fails the same way, so an open
+// bucket ends at once. Close runs it once, holding f.mu.
 func (sched *scheduler) shutdownLocked() {
 	//knnlint:allow detsource -- shutdown fanout: every epoch gets the identical closing reply, order unobservable
 	for _, job := range sched.inflight {
@@ -737,97 +758,92 @@ type bucketKey struct {
 	l  int
 }
 
-// bucket is one open coalescing batch: the accumulating query, the linger
-// timer that flushes a partial batch, and the rendezvous the waiters share.
-// The points slice is guarded by f.mu until the bucket leaves the map; rep
-// and solo are written exactly once, before done closes.
+// bucket is one coalescing batch: the accumulating query and the
+// rendezvous its participants share. The points slice is guarded by f.mu
+// until the bucket is sealed (leaves the map); rep and solo are written
+// exactly once, before done closes.
 type bucket struct {
 	q      wire.Query
-	timer  *time.Timer
 	done   chan struct{}
 	rep    wire.Reply
 	solo   []wire.Reply  // per-query fallback replies; see runBucket
-	opened obs.Stopwatch // bucket open instant, for the linger histogram
+	opened obs.Stopwatch // bucket open instant, for the open → seal histogram
 }
 
-// coalesce joins (or opens) the bucket for q's key and waits for the shared
-// batch query's outcome. The joiner that fills the bucket runs the epoch
-// itself; otherwise the linger timer flushes the partial batch.
+// coalesce joins or opens the bucket for q's key and returns q's share of
+// the shared batch query's outcome. A joiner waits for the bucket's outcome;
+// the opener queues for a window slot and, once it holds one, seals the
+// bucket and runs it. A bucket that fills seals at once but still runs in
+// its opener's slot: every bucket is admitted exactly once.
 func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
-	// Degraded fast-fail before joining a bucket: during an outage a
-	// query answers immediately instead of lingering in a batch that is
-	// doomed to the same degraded reply. A prunable session skips the fast
-	// fail — its buckets run as pruned waves, which only need the
-	// seats the queries' admission balls reach, so an absent seat does not
-	// doom the bucket.
 	key := bucketKey{op: q.Op, l: q.L}
 	f := sched.f
 	f.mu.Lock()
-	if rep, ok := f.degradedLocked(f.slots); !ok && f.radius == nil {
+	// A bucket fails fast where a queued query would. Only a session that
+	// prunes runs its buckets without every seat: as pruned waves, which
+	// need only the seats the queries' admission balls reach.
+	needsAll := f.radius == nil
+	if rep, refused := sched.refuseLocked(needsAll); refused {
 		f.mu.Unlock()
 		return rep
 	}
-	if f.closed.Load() {
-		f.mu.Unlock()
-		return closingReply()
-	}
-	b := sched.buckets[key]
-	if b == nil {
-		b = &bucket{
-			q:      wire.Query{Op: q.Op, L: q.L, Tag: q.Tag},
-			done:   make(chan struct{}),
-			opened: obs.StartTimer(),
-		}
-		sched.buckets[key] = b
-		b.timer = time.AfterFunc(sched.linger, func() { sched.flush(key, b) })
-	}
 	sched.fm.coalesced.Inc()
-	idx := len(b.q.Points)
-	b.q.Points = append(b.q.Points, q.Points[0])
-	// A bucket is full at maxServerBatch points, or sooner when one more
-	// point's results would not fit the frame the batch answers in.
-	full := len(b.q.Points) >= maxServerBatch || !wire.ItemsFit(len(b.q.Points)+1, q.L)
-	if full {
-		delete(sched.buckets, key)
-		b.timer.Stop()
+	if b := sched.buckets[key]; b != nil {
+		idx := len(b.q.Points)
+		b.q.Points = append(b.q.Points, q.Points[0])
+		// A bucket is full at maxServerBatch points, or sooner when one more
+		// point's results would not fit the frame the batch answers in.
+		if len(b.q.Points) >= maxServerBatch || !wire.ItemsFit(len(b.q.Points)+1, q.L) {
+			sched.sealLocked(key, b)
+		}
+		f.mu.Unlock()
+		<-b.done
+		return bucketReply(b, idx)
+	}
+	b := &bucket{
+		q:      wire.Query{Op: q.Op, L: q.L, Tag: q.Tag, Points: [][]byte{q.Points[0]}},
+		done:   make(chan struct{}),
+		opened: obs.StartTimer(),
+	}
+	sched.buckets[key] = b
+	rep, ok := sched.admitLocked(needsAll)
+	if sched.buckets[key] == b {
+		sched.sealLocked(key, b)
 	}
 	f.mu.Unlock()
-	if full {
-		sched.runBucket(b)
+	if !ok {
+		b.rep = rep
+		close(b.done)
 	} else {
-		<-b.done
+		sched.runBucket(b)
 	}
-	return bucketReply(b, idx)
+	return bucketReply(b, 0)
 }
 
-// flush runs a lingered partial bucket. A bucket no longer in the map was
-// already flushed full; the timer's flush stands down.
-func (sched *scheduler) flush(key bucketKey, b *bucket) {
-	sched.f.mu.Lock()
-	if sched.buckets[key] != b {
-		sched.f.mu.Unlock()
-		return
-	}
+// sealLocked closes bucket b to new participants; the next query with its
+// key opens a new bucket. Caller holds f.mu.
+func (sched *scheduler) sealLocked(key bucketKey, b *bucket) {
 	delete(sched.buckets, key)
-	sched.f.mu.Unlock()
-	sched.runBucket(b)
+	sched.fm.linger.ObserveSince(b.opened)
 }
 
-// runBucket executes the coalesced batch query and publishes its outcome.
-// A batch fails as a unit, but a coalesced batch's participants are
-// strangers — a client-chosen KNNBatch accepts shared fate, a coalesced
-// single query must not inherit another client's bad point. So a node's
-// failure report for the shared batch (not churn: a degraded failure is
-// already retryable for everyone) falls back to re-running each
-// participant's query alone, isolating the error to the offender.
+// runBucket executes the sealed batch query in the window slot its opener
+// holds, publishes its outcome and returns the slot. A batch fails as a
+// unit, but a coalesced batch's participants are strangers — a
+// client-chosen KNNBatch accepts shared fate, a coalesced single query must
+// not inherit another client's bad point. So a node's failure report for
+// the shared batch (not churn: a degraded failure is already retryable for
+// everyone) falls back to re-running each participant's query alone, in
+// the same slot — so the fallback never queues behind its own bucket —
+// isolating the error to the offender.
 func (sched *scheduler) runBucket(b *bucket) {
+	defer sched.release()
 	sched.fm.batchSize.Observe(int64(len(b.q.Points)))
-	sched.fm.linger.ObserveSince(b.opened)
-	rep := sched.execute(b.q)
+	rep := sched.plan(b.q)
 	if rep.Err != "" && !rep.Degraded && len(b.q.Points) > 1 {
 		b.solo = make([]wire.Reply, len(b.q.Points))
 		for i, p := range b.q.Points {
-			b.solo[i] = sched.execute(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
+			b.solo[i] = sched.plan(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
 		}
 	}
 	b.rep = rep
@@ -884,6 +900,12 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 		}
 	}
 	return dist, f.radius
+}
+
+// plan answers q by the one plan in a window slot the caller already holds.
+func (sched *scheduler) plan(q wire.Query) wire.Reply {
+	dist, radius := sched.geometry(q)
+	return sched.run(q, dist, radius)
 }
 
 // run answers q by the one plan: one or two waves, then one fold.

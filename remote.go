@@ -500,8 +500,9 @@ func ServeTypedNode[P any](pt PointType[P], coordAddr, meshAddr string, shards S
 type Frontend = tcp.Frontend
 
 // FrontendOptions tunes the frontend's epoch scheduler: the pipelining
-// Window, transparent server-side batching (ServerBatch, Linger; a
-// coalesced batch holds at most 64 points), metric-index pruned dispatch
+// Window, transparent server-side batching (ServerBatch: single queries
+// that arrive while the window is full share a batch, which runs as soon as
+// a slot frees and holds at most 64 points), metric-index pruned dispatch
 // (Pruner — pass the served PointType's Pruner()), and the optional Metrics
 // registry and per-epoch Trace. The zero value is a pipelined, unbatched, unpruned,
 // unobserved frontend; see the field documentation on the aliased type.

@@ -107,8 +107,9 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 		}
 	}()
 
+	reg := distknn.NewMetrics()
 	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed,
-		remoteShards(seed, perNode), distknn.NodeOptions{}, schedFrontendOptions())
+		remoteShards(seed, perNode), distknn.NodeOptions{}, schedFrontendOptions(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +120,7 @@ func TestMuxClientDeterministicScalar(t *testing.T) {
 	}
 	defer rc.Close()
 	muxReplay(t, rc, qs, l, outstanding, want)
+	checkCoalesced(t, reg)
 }
 
 // TestMuxClientDeterministicVector runs the same one-connection
@@ -166,8 +168,9 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 		}
 	}()
 
+	reg := distknn.NewMetrics()
 	srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed,
-		distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, schedFrontendOptions())
+		distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, schedFrontendOptions(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,4 +181,5 @@ func TestMuxClientDeterministicVector(t *testing.T) {
 	}
 	defer rc.Close()
 	muxReplay(t, rc, qs, l, outstanding, want)
+	checkCoalesced(t, reg)
 }

@@ -610,11 +610,15 @@ func TestPrunedServerBatchBitIdentical(t *testing.T) {
 	shards := distknn.AnchorGaussianShards(seed, perNode, dim, sigma)
 	_, full := testutil.StartCluster(t, distknn.VectorPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{})
+	// A window of 2 under 6 concurrent callers keeps it full, so arrivals
+	// coalesce; checkCoalesced proves they did.
+	reg := distknn.NewMetrics()
 	_, pruned := testutil.StartCluster(t, distknn.VectorPoints(), k, shards,
 		distknn.NodeOptions{}, distknn.FrontendOptions{
 			Pruner:      distknn.VectorPoints().Pruner(),
+			Window:      2,
 			ServerBatch: true,
-			Linger:      2 * time.Millisecond,
+			Metrics:     reg,
 		})
 
 	qs := gaussianQueries(seed, queries, k, perNode, dim, sigma)
@@ -663,6 +667,7 @@ func TestPrunedServerBatchBitIdentical(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checkCoalesced(t, reg)
 }
 
 // scalarGeom mirrors, client-side, the exact geometry the pruned frontend

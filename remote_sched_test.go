@@ -3,7 +3,6 @@ package distknn_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"distknn"
 	"distknn/internal/points"
@@ -20,13 +19,26 @@ import (
 // results.
 
 // schedFrontendOptions is the pipelining-plus-coalescing configuration the
-// determinism tests exercise: a wide window and an exaggerated linger so
-// concurrently arriving queries actually coalesce.
-func schedFrontendOptions() distknn.FrontendOptions {
+// determinism tests exercise, recording into reg: a window of 2, narrower
+// than the tests' 8 or 16 concurrent callers, so queries that arrive while
+// it is full coalesce. checkCoalesced then proves they did.
+func schedFrontendOptions(reg *distknn.Metrics) distknn.FrontendOptions {
 	return distknn.FrontendOptions{
-		Window:      8,
+		Window:      2,
 		ServerBatch: true,
-		Linger:      2 * time.Millisecond,
+		Metrics:     reg,
+	}
+}
+
+// checkCoalesced fails unless the frontend recording into reg ran some
+// coalesced batch of more than one point — more points than batches — so a
+// suite meant to compare coalesced answers cannot pass having coalesced
+// nothing.
+func checkCoalesced(t *testing.T, reg *distknn.Metrics) {
+	t.Helper()
+	h := reg.Snapshot().Histograms["frontend_coalesced_batch_size"]
+	if h.Count == 0 || h.Sum <= h.Count {
+		t.Fatalf("%d coalesced batches held %d points: no batch of more than one point ran", h.Count, h.Sum)
 	}
 }
 
@@ -105,8 +117,9 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 
 	// Concurrent replay: same shards and seed, pipelined window plus
 	// transparent server-side batching, 8 independent client connections.
+	reg := distknn.NewMetrics()
 	srv, err := distknn.ServeTypedLocalOptions(distknn.ScalarPoints(), k, seed,
-		remoteShards(seed, perNode), distknn.NodeOptions{}, schedFrontendOptions())
+		remoteShards(seed, perNode), distknn.NodeOptions{}, schedFrontendOptions(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +152,7 @@ func TestSchedulerDeterministicScalar(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	checkCoalesced(t, reg)
 }
 
 // TestSchedulerDeterministicVector runs the same concurrent-vs-serial
@@ -187,8 +201,9 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 		}
 	}()
 
+	reg := distknn.NewMetrics()
 	srv, err := distknn.ServeTypedLocalOptions(distknn.VectorPoints(), k, seed,
-		distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, schedFrontendOptions())
+		distknn.UniformVectorShards(seed, perNode, dim), distknn.NodeOptions{}, schedFrontendOptions(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,4 +236,5 @@ func TestSchedulerDeterministicVector(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	checkCoalesced(t, reg)
 }

@@ -20,7 +20,7 @@ go build -o "$bin/knnquery" ./cmd/knnquery
 addr=127.0.0.1:7951
 admin=127.0.0.1:7952
 
-"$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 -admin "$admin" &
+"$bin/knnnode" -coordinator -addr "$addr" -k 2 -admin "$admin" &
 for _ in $(seq 1 100); do
   (exec 3<>"/dev/tcp/127.0.0.1/7952") 2>/dev/null && break
   sleep 0.1

@@ -24,7 +24,7 @@ go build -o "$bin/knnquery" ./cmd/knnquery
 addr=127.0.0.1:7941
 
 start_frontend() {
-  "$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 &
+  "$bin/knnnode" -coordinator -addr "$addr" -k 2 &
   frontend=$!
   # Wait for the frontend to listen before the nodes dial it.
   for _ in $(seq 1 100); do

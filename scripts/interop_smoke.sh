@@ -20,7 +20,7 @@ go build -o "$bin/knnnode" ./cmd/knnnode
 
 addr=127.0.0.1:7951
 
-"$bin/knnnode" -coordinator -addr "$addr" -k 2 -seed 1 -server-batch &
+"$bin/knnnode" -coordinator -addr "$addr" -k 2 -server-batch &
 for _ in $(seq 1 100); do
   (exec 3<>"/dev/tcp/127.0.0.1/7951") 2>/dev/null && break
   sleep 0.1
