@@ -104,6 +104,7 @@ func Partition[P any](s *Set[P], k int, strategy Partitioner, rng *rand.Rand) ([
 			Labels: make([]float64, sz),
 			metric: s.metric,
 			batch:  s.batch,
+			topL:   s.topL,
 		}
 		for j := 0; j < sz; j++ {
 			src := idx[pos]
@@ -123,7 +124,7 @@ func Merge[P any](parts []*Set[P]) *Set[P] {
 	out := &Set[P]{}
 	for _, p := range parts {
 		if out.metric == nil {
-			out.metric, out.batch = p.metric, p.batch
+			out.metric, out.batch, out.topL = p.metric, p.batch, p.topL
 		}
 		out.Pts = append(out.Pts, p.Pts...)
 		out.IDs = append(out.IDs, p.IDs...)

@@ -35,13 +35,15 @@ type Metric[P any] func(a, b P) uint64
 // Set is one machine's (or the whole instance's) collection of labeled
 // points together with the metric that compares them. Build one with NewSet
 // (or Partition / Merge over sets built that way): the constructors pair
-// the metric with its batch kernel, which TopLItems scans with.
+// the metric with its batch kernel and its top-ℓ scan, which TopLItems
+// runs.
 type Set[P any] struct {
 	Pts    []P
 	IDs    []uint64
 	Labels []float64
 	metric Metric[P]
-	batch  Batch[P] // BatchOf(metric)
+	batch  Batch[P]    // BatchOf(metric)
+	topL   topLScan[P] // topLOf(metric)
 }
 
 // NewSet builds a Set with sequential unique IDs starting at firstID.
@@ -60,7 +62,7 @@ func NewSet[P any](pts []P, labels []float64, metric Metric[P], firstID uint64) 
 	if labels == nil {
 		labels = make([]float64, len(pts))
 	}
-	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, metric: metric, batch: BatchOf(metric)}, nil
+	return &Set[P]{Pts: pts, IDs: ids, Labels: labels, metric: metric, batch: BatchOf(metric), topL: topLOf(metric)}, nil
 }
 
 // Len returns the number of points in the set.
@@ -211,11 +213,14 @@ func Cosine(a, b Vector) uint64 {
 // TopLItems returns the l items nearest to q in ascending key order — the
 // local preprocessing step every distributed ℓ-NN algorithm starts from
 // ("if a machine has more than ℓ points it keeps the ℓ closest", Section
-// 2.2). It is a block scan: the set's batch kernel fills a block of
-// distances, each distance is compared with the current cutoff before
-// anything else is read, and only the few points that beat it (about
+// 2.2). It reads every point once and compares it with the current cutoff
+// before anything else is read; only the few points that beat it (about
 // ℓ·ln(n/ℓ) on unordered data) are lowered to Items and sifted into the
-// bounded heap. O(n) distance work, O(min(l, n)) memory, one allocation.
+// bounded heap. The scan is the one NewSet resolved for the metric: for
+// ScalarMetric a window of values around q, which skips most points with
+// one subtract and one compare and no distance; for any other metric the
+// batch kernel's block pass. O(n) work, O(min(l, n)) memory, one
+// allocation.
 //
 // ceil, optional, is the TopL ceiling: only keys strictly below it are
 // kept, so the result is the first min(l, #keys below ceil) of the
@@ -228,17 +233,5 @@ func (s *Set[P]) TopLItems(q P, l int, ceil ...keys.Key) []Item {
 	if l < 1 {
 		return nil
 	}
-	top := NewTopL(l, ceil...)
-	cut := top.Cut()
-	s.batch.ForBlocks(s.Pts, q, func(lo int, dist []uint64) {
-		ids, labels := s.IDs[lo:lo+len(dist)], s.Labels[lo:lo+len(dist)]
-		for i, d := range dist {
-			if d > cut.Dist || (d == cut.Dist && ids[i] >= cut.ID) {
-				continue
-			}
-			top.Push(Item{Key: keys.Key{Dist: d, ID: ids[i]}, Label: labels[i]})
-			cut = top.Cut()
-		}
-	})
-	return top.Sorted()
+	return s.topL(s, q, NewTopL(l, ceil...))
 }

@@ -201,6 +201,42 @@ func TestBatchOfRecognisesShippedMetrics(t *testing.T) {
 			t.Errorf("%s got the L2 kernel", name)
 		}
 	}
+
+	// The top-ℓ scan is recognised the same way, and by the metric alone:
+	// a Set[Scalar] over a closure wrapping ScalarMetric gets the adaptor
+	// and the same answers.
+	scalars, _ := tiedPoints(3*scanBlock + 7)
+	set, err := NewSet(scalars, nil, ScalarMetric, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc(set.topL) != pc(scalarTopL) {
+		t.Errorf("ScalarMetric did not get the scalar top-ℓ scan")
+	}
+	parts, err := Partition(set, 3, PartitionRandom, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, part := range append(parts, Merge(parts)) {
+		if pc(part.topL) != pc(scalarTopL) {
+			t.Errorf("part %d of a ScalarMetric set lost the scalar top-ℓ scan", i)
+		}
+	}
+	wrapped, err := NewSet(scalars, nil, func(a, b Scalar) uint64 { return ScalarMetric(a, b) }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc(wrapped.topL) == pc(scalarTopL) {
+		t.Errorf("wrapped ScalarMetric got the scalar top-ℓ scan")
+	}
+	for _, q := range []Scalar{0, 3, 7, math.MaxUint64} {
+		for _, l := range []int{1, 100, len(scalars)} {
+			got, want := wrapped.TopLItems(q, l), set.TopLItems(q, l)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("q=%d l=%d: adaptor and scalar scan disagree", q, l)
+			}
+		}
+	}
 }
 
 // TestTopLItemsClampsL: l is validated upstream against the summed shard
@@ -229,12 +265,21 @@ func TestTopLItemsClampsL(t *testing.T) {
 	}
 }
 
-// TestTopLItemsAllocatesOnlyTheResult pins the scan at one allocation per
-// call — the returned slice.
+// TestTopLItemsAllocatesOnlyTheResult pins both scans, ScalarMetric's
+// value window and the block adaptor, at one allocation per call — the
+// returned slice.
 func TestTopLItemsAllocatesOnlyTheResult(t *testing.T) {
 	set := GenUniformScalars(xrand.New(4), 4*scanBlock+9, PaperDomain)
 	if allocs := testing.AllocsPerRun(100, func() { set.TopLItems(Scalar(1<<31), 64) }); allocs != 1 {
-		t.Errorf("TopLItems made %v allocations per call, want 1", allocs)
+		t.Errorf("scalar TopLItems made %v allocations per call, want 1", allocs)
+	}
+	vectors, err := NewSet(GenUniformVectors(xrand.New(4), 4*scanBlock+9, 3).Pts, nil, L1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Vector{0.25, 0.5, 0.75}
+	if allocs := testing.AllocsPerRun(100, func() { vectors.TopLItems(q, 64) }); allocs != 1 {
+		t.Errorf("L1 TopLItems made %v allocations per call, want 1", allocs)
 	}
 }
 

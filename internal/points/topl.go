@@ -4,7 +4,7 @@ import "distknn/internal/keys"
 
 // TopL keeps the l smallest Items of a stream by key: a bounded binary
 // max-heap whose root is the current cutoff. It is the one accumulator of
-// the local top-ℓ stage — the block scan (Set.TopLItems), the k-d tree
+// the local top-ℓ stage — the un-indexed scans (Set.TopLItems), the k-d tree
 // search and the protocol's "keep the ℓ closest" step all push into it —
 // and it compares keys.Key directly, with no func-valued ordering, so a
 // push compiles to two integer compares per sift level.

@@ -138,9 +138,10 @@ type PointType[P any] struct {
 	codec  wire.PointCodec[P]
 	metric points.Metric[P]
 	// index builds the local top-ℓ accelerator for a shard; nil selects
-	// the block scan (points.Set.TopLItems): the metric's batch kernel
-	// fills a block of distances, and only those that beat the current
-	// cutoff reach the bounded heap.
+	// the un-indexed scan (points.Set.TopLItems), which reads every point
+	// and lets only those that beat the current cutoff reach the bounded
+	// heap: a window of values around the query for ScalarMetric, the
+	// metric's batch kernel a block at a time for any other.
 	index func(set *points.Set[P]) (func(q P, l int, ceil ...keys.Key) []Item, error)
 	// keyDist converts an encoded distance key back to the true metric
 	// distance (e.g. the square root of a decoded squared L2 key). The
@@ -184,9 +185,9 @@ func vectorCompat(q, c Vector) error {
 }
 
 // ScalarPoints is the paper's workload: one-dimensional integer points
-// under |a−b| distance, answered from the block scan with the hand-written
-// scalar kernel — deliberately no index: this is the paper's un-indexed
-// local step.
+// under |a−b| distance, answered from ScalarMetric's value-window scan —
+// deliberately no index: this is the paper's un-indexed local step, which
+// reads every point on every query.
 func ScalarPoints() PointType[Scalar] {
 	return PointType[Scalar]{
 		codec:   wire.ScalarCodec,
