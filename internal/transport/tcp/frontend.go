@@ -48,7 +48,12 @@ type Frontend struct {
 	ln net.Listener
 	k  int
 
-	sched *scheduler
+	window   int  // FrontendOptions.Window: queries holding a slot at once
+	batching bool // FrontendOptions.ServerBatch
+
+	fm *feMetrics  // always non-nil (private registry when unconfigured)
+	tr *obs.Tracer // nil disables spans; all span methods are nil-safe
+
 	// pruner is the metric-space geometry of the served point type
 	// (FrontendOptions.Pruner); non-nil enables pruned dispatch once every
 	// seat has reported a metric-index summary.
@@ -78,7 +83,11 @@ type Frontend struct {
 	epoch  uint64    // last assigned query-epoch ordinal
 	// conns holds every accepted connection that is not a seat's: those
 	// still owing their first frame, and the clients. Close closes them.
-	conns map[net.Conn]struct{}
+	conns    map[net.Conn]struct{}
+	cond     *sync.Cond // on mu; admission waits here for a free window slot
+	count    int        // queries holding a window slot
+	inflight map[uint64]*epochJob
+	buckets  map[bucketKey]*bucket
 
 	closed atomic.Bool
 }
@@ -116,17 +125,24 @@ func NewFrontendOptions(addr string, k int, opts FrontendOptions) (*Frontend, er
 	if err != nil {
 		return nil, fmt.Errorf("tcp: frontend listen: %w", err)
 	}
+	opts = opts.withDefaults()
 	f := &Frontend{
 		ln: ln, k: k,
-		pruner: opts.Pruner,
-		ready:  make(chan struct{}),
-		slots:  make([]*feSlot, k),
-		conns:  make(map[net.Conn]struct{}),
+		window:   opts.Window,
+		batching: opts.ServerBatch,
+		fm:       newFeMetrics(opts.Metrics),
+		tr:       opts.Trace,
+		pruner:   opts.Pruner,
+		ready:    make(chan struct{}),
+		slots:    make([]*feSlot, k),
+		conns:    make(map[net.Conn]struct{}),
+		inflight: make(map[uint64]*epochJob),
+		buckets:  make(map[bucketKey]*bucket),
 	}
+	f.cond = sync.NewCond(&f.mu)
 	for id := range f.slots {
 		f.slots[id] = &feSlot{id: id}
 	}
-	f.sched = newScheduler(f, opts)
 	return f, nil
 }
 
@@ -303,7 +319,7 @@ func (f *Frontend) pump(s *feSlot, gen uint64, conn net.Conn) {
 			f.mu.Unlock()
 			return
 		}
-		f.sched.deliver(s, gen, payload)
+		f.deliver(s, gen, payload)
 	}
 }
 
@@ -323,18 +339,17 @@ func (f *Frontend) retireLocked(s *feSlot, gen uint64, cause error) {
 		s.conn.Close()
 		s.conn = nil
 	}
-	sched := f.sched
-	epochs := make([]uint64, 0, len(sched.inflight))
-	for epoch := range sched.inflight {
+	epochs := make([]uint64, 0, len(f.inflight))
+	for epoch := range f.inflight {
 		epochs = append(epochs, epoch)
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	for _, epoch := range epochs {
-		job := sched.inflight[epoch]
+		job := f.inflight[epoch]
 		if job.expectMatch(s.id, gen) {
 			job.expectClear(s.id)
 			job.fail(s.id, fmt.Errorf("lost node %d mid-query: %v", s.id, cause))
-			sched.maybeFinishLocked(job)
+			f.maybeFinishLocked(job)
 		}
 	}
 }
@@ -529,7 +544,7 @@ func (f *Frontend) Close() error {
 	// In-flight collation jobs answer their clients with the retryable
 	// closing reply; the control pumps, which see the connections below
 	// drop once f.mu is free, find no job left to fail as degraded.
-	f.sched.shutdownLocked()
+	f.shutdownLocked()
 	f.failLocked(errors.New("tcp: frontend closed during setup"))
 	for _, s := range f.slots {
 		if s.conn == nil {
@@ -674,7 +689,7 @@ func (f *Frontend) answer(q wire.Query) wire.Reply {
 	if !wire.ItemsFit(len(q.Points), q.L) {
 		return wire.Reply{Err: fmt.Sprintf("batch of %d points at l=%d exceeds one frame of %d bytes", len(q.Points), q.L, wire.MaxFrame)}
 	}
-	return f.sched.submit(q)
+	return f.submit(q)
 }
 
 // degradedLocked builds the retryable degraded reply naming the absent

@@ -102,9 +102,9 @@ func parkWindow(client *Client, k, window int, entered <-chan struct{}) <-chan e
 // freed slot.
 func waitCoalesced(t *testing.T, lc *LocalCluster, n int64) {
 	t.Helper()
-	for start := time.Now(); lc.fe.sched.fm.coalesced.Load() < n; time.Sleep(time.Millisecond) {
+	for start := time.Now(); lc.fe.fm.coalesced.Load() < n; time.Sleep(time.Millisecond) {
 		if time.Since(start) > 20*time.Second {
-			t.Fatalf("%d of %d queries reached a bucket", lc.fe.sched.fm.coalesced.Load(), n)
+			t.Fatalf("%d of %d queries reached a bucket", lc.fe.fm.coalesced.Load(), n)
 		}
 	}
 }
@@ -334,7 +334,7 @@ func TestFrontendCloseFailsOpenBucket(t *testing.T) {
 	var b *bucket
 	for start := time.Now(); b == nil; time.Sleep(time.Millisecond) {
 		lc.fe.mu.Lock()
-		if open := lc.fe.sched.buckets[bucketKey{op: wire.OpKNN, l: k}]; open != nil && len(open.q.Points) == k {
+		if open := lc.fe.buckets[bucketKey{op: wire.OpKNN, l: k}]; open != nil && len(open.q.Points) == k {
 			b = open
 		}
 		lc.fe.mu.Unlock()

@@ -146,39 +146,6 @@ func (o FrontendOptions) withDefaults() FrontendOptions {
 	return o
 }
 
-// scheduler pipelines query waves over the control connections and
-// coalesces single queries into batch queries. Its mutable state — the window count and its
-// condition variable, the in-flight jobs and the open buckets — is guarded
-// by f.mu.
-type scheduler struct {
-	f        *Frontend
-	window   int
-	batching bool
-
-	fm *feMetrics  // always non-nil (private registry when unconfigured)
-	tr *obs.Tracer // nil disables spans; all span methods are nil-safe
-
-	cond     *sync.Cond // on f.mu; admission waits here for a free window slot
-	count    int        // queries holding a window slot
-	inflight map[uint64]*epochJob
-	buckets  map[bucketKey]*bucket
-}
-
-func newScheduler(f *Frontend, opts FrontendOptions) *scheduler {
-	opts = opts.withDefaults()
-	sched := &scheduler{
-		f:        f,
-		window:   opts.Window,
-		batching: opts.ServerBatch,
-		fm:       newFeMetrics(opts.Metrics),
-		tr:       opts.Trace,
-		inflight: make(map[uint64]*epochJob),
-		buckets:  make(map[bucketKey]*bucket),
-	}
-	sched.cond = sync.NewCond(&f.mu)
-	return sched
-}
-
 // epochJob is one in-flight wave's collation state: which (seat, connection
 // incarnation) pairs still owe a frame, each seat's result so far, and how
 // the wave ends. All fields are guarded by f.mu until done closes and are
@@ -334,26 +301,26 @@ func closingReply() wire.Reply {
 // instead of excluding each other. An answered query's cost fields are
 // added to the frontend_mesh_* counters here, once per client query, so
 // each counter is the Σ of the client-observed field.
-func (sched *scheduler) submit(q wire.Query) wire.Reply {
+func (f *Frontend) submit(q wire.Query) wire.Reply {
 	// start feeds only the latency histogram below — an obs sink — which
 	// is what keeps detsource satisfied without an allow directive.
 	start := time.Now()
-	sched.fm.queries.Inc()
+	f.fm.queries.Inc()
 	var rep wire.Reply
-	if sched.batching && len(q.Points) == 1 {
-		rep = sched.coalesce(q)
+	if f.batching && len(q.Points) == 1 {
+		rep = f.coalesce(q)
 	} else {
-		rep = sched.execute(q)
+		rep = f.execute(q)
 	}
-	sched.fm.latency.Observe(int64(time.Since(start)))
+	f.fm.latency.Observe(int64(time.Since(start)))
 	switch {
 	case rep.Err == "":
-		sched.fm.meshRounds.Add(int64(rep.Rounds))
-		sched.fm.meshMessages.Add(rep.Messages)
+		f.fm.meshRounds.Add(int64(rep.Rounds))
+		f.fm.meshMessages.Add(rep.Messages)
 	case rep.Degraded:
-		sched.fm.repliesDegr.Inc()
+		f.fm.repliesDegr.Inc()
 	default:
-		sched.fm.repliesFail.Inc()
+		f.fm.repliesFail.Inc()
 	}
 	return rep
 }
@@ -362,17 +329,16 @@ func (sched *scheduler) submit(q wire.Query) wire.Reply {
 // slot covers every wave of the query — the probe and the gather of a
 // pruned query are halves of one answer, and parking the gather behind
 // fresh admissions could deadlock a full window of half-done queries.
-func (sched *scheduler) execute(q wire.Query) wire.Reply {
-	dist, radius := sched.geometry(q)
-	f := sched.f
+func (f *Frontend) execute(q wire.Query) wire.Reply {
+	dist, radius := f.geometry(q)
 	f.mu.Lock()
-	rep, ok := sched.admitLocked(dist == nil)
+	rep, ok := f.admitLocked(dist == nil)
 	f.mu.Unlock()
 	if !ok {
 		return rep
 	}
-	defer sched.release()
-	return sched.run(q, dist, radius)
+	defer f.release()
+	return f.run(q, dist, radius)
 }
 
 // admitLocked is the one admission path, for a plain query and a bucket's
@@ -380,19 +346,19 @@ func (sched *scheduler) execute(q wire.Query) wire.Reply {
 // refuseLocked turns the query away first. Caller holds f.mu; the wait
 // releases it, so a bucket's joiners get in while its opener queues. A slot
 // taken here is returned by release.
-func (sched *scheduler) admitLocked(needsAll bool) (wire.Reply, bool) {
+func (f *Frontend) admitLocked(needsAll bool) (wire.Reply, bool) {
 	for {
-		if rep, refused := sched.refuseLocked(needsAll); refused {
+		if rep, refused := f.refuseLocked(needsAll); refused {
 			return rep, false
 		}
-		if sched.count < sched.window {
+		if f.count < f.window {
 			break
 		}
-		sched.cond.Wait()
+		f.cond.Wait()
 	}
-	sched.count++
-	sched.fm.occupancy.Observe(int64(sched.count))
-	sched.fm.inflight.Set(int64(sched.count))
+	f.count++
+	f.fm.occupancy.Observe(int64(f.count))
+	f.fm.inflight.Set(int64(f.count))
 	return wire.Reply{}, true
 }
 
@@ -402,8 +368,7 @@ func (sched *scheduler) admitLocked(needsAll bool) (wire.Reply, bool) {
 // degraded. A probe during an outage so answers immediately, even while the
 // window is full of doomed epochs, and consumes neither an ordinal nor a
 // slot. Caller holds f.mu.
-func (sched *scheduler) refuseLocked(needsAll bool) (wire.Reply, bool) {
-	f := sched.f
+func (f *Frontend) refuseLocked(needsAll bool) (wire.Reply, bool) {
 	if f.closed.Load() {
 		return closingReply(), true
 	}
@@ -416,12 +381,11 @@ func (sched *scheduler) refuseLocked(needsAll bool) (wire.Reply, bool) {
 }
 
 // release returns a window slot admitLocked granted and wakes the queue.
-func (sched *scheduler) release() {
-	f := sched.f
+func (f *Frontend) release() {
 	f.mu.Lock()
-	sched.count--
-	sched.fm.inflight.Set(int64(sched.count))
-	sched.cond.Broadcast()
+	f.count--
+	f.fm.inflight.Set(int64(f.count))
+	f.cond.Broadcast()
 	f.mu.Unlock()
 }
 
@@ -430,7 +394,7 @@ func (sched *scheduler) release() {
 // the waves and Messages the contacts (Σ over the batch of the seats each
 // point was sent to, so Messages/len(Points) is the contacted-nodes-per-query
 // figure).
-func (sched *scheduler) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
+func (f *Frontend) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
 	results, err := fold(q, got)
 	if err != nil {
 		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
@@ -472,8 +436,8 @@ func fold(q wire.Query, got [][][]points.Item) ([]wire.QueryReply, error) {
 // runWave dispatches one wave and waits for its collation. It returns a nil
 // job (and the reply to send instead) when the wave could not run or did
 // not succeed.
-func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
-	job, rep := sched.dispatchWave(q, subs, bounds, pruned)
+func (f *Frontend) runWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
+	job, rep := f.dispatchWave(q, subs, bounds, pruned)
 	if job == nil {
 		return nil, rep
 	}
@@ -503,8 +467,7 @@ func (sched *scheduler) runWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 // sweeping the jobs until the wave is registered; the cost is that
 // collation of other epochs waits for the writes too — at most
 // dispatchTimeout, when a seat stopped draining its connection.
-func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
-	f := sched.f
+func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed.Load() {
@@ -565,7 +528,7 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
 		}
 	}
-	sched.fm.epochsAdmitted.Inc()
+	f.fm.epochsAdmitted.Inc()
 	job := &epochJob{
 		epoch:  epoch,
 		subs:   subs,
@@ -574,11 +537,11 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 		shares: make([]wire.NodeResult, f.k),
 		expect: make([]uint64, f.k),
 		done:   make(chan struct{}),
-		span:   sched.tr.Begin(epoch, q.Op, len(q.Points), pruned),
+		span:   f.tr.Begin(epoch, q.Op, len(q.Points), pruned),
 	}
 	// Register the job with its full expectation set before any write, so
 	// a node answering instantly finds its job.
-	sched.inflight[epoch] = job
+	f.inflight[epoch] = job
 	for _, s := range targets {
 		job.expectSet(s.id, s.gen)
 	}
@@ -624,8 +587,8 @@ func (sched *scheduler) dispatchWave(q wire.Query, subs [][]int, bounds []keys.K
 // only. Frames for unknown epochs are leftovers of completed or failed
 // epochs and are dropped; a malformed frame retires seat s once the job is
 // settled.
-func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
-	f, id := sched.f, s.id
+func (f *Frontend) deliver(s *feSlot, gen uint64, payload []byte) {
+	id := s.id
 	// Peek the kind and epoch ordinal on a throwaway reader (a failed decode
 	// zeroes the frame, epoch included); the decoders below expect the
 	// payload with only the kind byte consumed.
@@ -652,7 +615,7 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 		f.retireLocked(s, gen, fmt.Errorf("node %d sent unexpected control kind %d", id, kind))
 		return
 	}
-	job := sched.inflight[epoch]
+	job := f.inflight[epoch]
 	if job == nil || !job.expectMatch(id, gen) {
 		return // a leftover of a finished epoch, a stale incarnation, or a repeat
 	}
@@ -690,7 +653,7 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 	default:
 		// Unreachable: any other kind was retired above.
 	}
-	sched.maybeFinishLocked(job)
+	f.maybeFinishLocked(job)
 	if malformed != nil {
 		f.retireLocked(s, gen, malformed)
 	}
@@ -701,10 +664,10 @@ func (sched *scheduler) deliver(s *feSlot, gen uint64, payload []byte) {
 // doomed as a unit, so the reply does not wait for the other seats. A lost
 // seat wins (retryable degraded reply), then a node's failure report, then
 // success (the waiter folds the collected shares). A finished job leaves
-// sched.inflight, the only place callers find jobs, so late frames for it
+// f.inflight, the only place callers find jobs, so late frames for it
 // are dropped. The window slot is the query's, not the wave's: its owner
 // (execute or runBucket) returns it. Caller holds f.mu.
-func (sched *scheduler) maybeFinishLocked(job *epochJob) {
+func (f *Frontend) maybeFinishLocked(job *epochJob) {
 	if job.expectN > 0 && len(job.lost) == 0 {
 		return
 	}
@@ -714,18 +677,18 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 		// client may retry it (idempotent reads) once the seat heals.
 		sort.Ints(job.lost)
 		msg := fmt.Sprintf("cluster degraded (%d of %d nodes): lost node(s) %v",
-			sched.f.k-len(job.lost), sched.f.k, job.lost)
+			f.k-len(job.lost), f.k, job.lost)
 		if job.lostCause != nil {
 			msg += fmt.Sprintf(" (%v)", job.lostCause)
 		}
 		job.rep = wire.Reply{Err: msg, Degraded: true}
-		sched.fm.epochsLost.Inc()
+		f.fm.epochsLost.Inc()
 	case job.errMsg != "":
 		job.rep = wire.Reply{Err: fmt.Sprintf("query failed: %s", job.errMsg)}
-		sched.fm.epochsFailed.Inc()
+		f.fm.epochsFailed.Inc()
 	}
 	job.span.MarkCollated(job.rep.Err, job.rep.Degraded)
-	delete(sched.inflight, job.epoch)
+	delete(f.inflight, job.epoch)
 	close(job.done)
 }
 
@@ -735,15 +698,15 @@ func (sched *scheduler) maybeFinishLocked(job *epochJob) {
 // The Broadcast wakes every query queued at admission, an open bucket's
 // opener among them; each sees f.closed and fails the same way, so an open
 // bucket ends at once. Close runs it once, holding f.mu.
-func (sched *scheduler) shutdownLocked() {
+func (f *Frontend) shutdownLocked() {
 	//knnlint:allow detsource -- shutdown fanout: every epoch gets the identical closing reply, order unobservable
-	for _, job := range sched.inflight {
+	for _, job := range f.inflight {
 		job.rep = closingReply()
 		job.span.MarkCollated(job.rep.Err, true)
 		close(job.done)
 	}
-	sched.inflight = make(map[uint64]*epochJob)
-	sched.cond.Broadcast()
+	f.inflight = make(map[uint64]*epochJob)
+	f.cond.Broadcast()
 }
 
 // ---------------------------------------------------------------------------
@@ -775,26 +738,25 @@ type bucket struct {
 // the opener queues for a window slot and, once it holds one, seals the
 // bucket and runs it. A bucket that fills seals at once but still runs in
 // its opener's slot: every bucket is admitted exactly once.
-func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
+func (f *Frontend) coalesce(q wire.Query) wire.Reply {
 	key := bucketKey{op: q.Op, l: q.L}
-	f := sched.f
 	f.mu.Lock()
 	// A bucket fails fast where a queued query would. Only a session that
 	// prunes runs its buckets without every seat: as pruned waves, which
 	// need only the seats the queries' admission balls reach.
 	needsAll := f.radius == nil
-	if rep, refused := sched.refuseLocked(needsAll); refused {
+	if rep, refused := f.refuseLocked(needsAll); refused {
 		f.mu.Unlock()
 		return rep
 	}
-	sched.fm.coalesced.Inc()
-	if b := sched.buckets[key]; b != nil {
+	f.fm.coalesced.Inc()
+	if b := f.buckets[key]; b != nil {
 		idx := len(b.q.Points)
 		b.q.Points = append(b.q.Points, q.Points[0])
 		// A bucket is full at maxServerBatch points, or sooner when one more
 		// point's results would not fit the frame the batch answers in.
 		if len(b.q.Points) >= maxServerBatch || !wire.ItemsFit(len(b.q.Points)+1, q.L) {
-			sched.sealLocked(key, b)
+			f.sealLocked(key, b)
 		}
 		f.mu.Unlock()
 		<-b.done
@@ -805,26 +767,26 @@ func (sched *scheduler) coalesce(q wire.Query) wire.Reply {
 		done:   make(chan struct{}),
 		opened: obs.StartTimer(),
 	}
-	sched.buckets[key] = b
-	rep, ok := sched.admitLocked(needsAll)
-	if sched.buckets[key] == b {
-		sched.sealLocked(key, b)
+	f.buckets[key] = b
+	rep, ok := f.admitLocked(needsAll)
+	if f.buckets[key] == b {
+		f.sealLocked(key, b)
 	}
 	f.mu.Unlock()
 	if !ok {
 		b.rep = rep
 		close(b.done)
 	} else {
-		sched.runBucket(b)
+		f.runBucket(b)
 	}
 	return bucketReply(b, 0)
 }
 
 // sealLocked closes bucket b to new participants; the next query with its
 // key opens a new bucket. Caller holds f.mu.
-func (sched *scheduler) sealLocked(key bucketKey, b *bucket) {
-	delete(sched.buckets, key)
-	sched.fm.linger.ObserveSince(b.opened)
+func (f *Frontend) sealLocked(key bucketKey, b *bucket) {
+	delete(f.buckets, key)
+	f.fm.linger.ObserveSince(b.opened)
 }
 
 // runBucket executes the sealed batch query in the window slot its opener
@@ -836,14 +798,14 @@ func (sched *scheduler) sealLocked(key bucketKey, b *bucket) {
 // everyone) falls back to re-running each participant's query alone, in
 // the same slot — so the fallback never queues behind its own bucket —
 // isolating the error to the offender.
-func (sched *scheduler) runBucket(b *bucket) {
-	defer sched.release()
-	sched.fm.batchSize.Observe(int64(len(b.q.Points)))
-	rep := sched.plan(b.q)
+func (f *Frontend) runBucket(b *bucket) {
+	defer f.release()
+	f.fm.batchSize.Observe(int64(len(b.q.Points)))
+	rep := f.plan(b.q)
 	if rep.Err != "" && !rep.Degraded && len(b.q.Points) > 1 {
 		b.solo = make([]wire.Reply, len(b.q.Points))
 		for i, p := range b.q.Points {
-			b.solo[i] = sched.plan(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
+			b.solo[i] = f.plan(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
 		}
 	}
 	b.rep = rep
@@ -880,8 +842,7 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 // point of the batch; every query shape rides it — KNN, Classify and
 // Regress, single points and whole batches alike. The pinned geometry never
 // changes after ready, so it is read without the lock.
-func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float64) {
-	f := sched.f
+func (f *Frontend) geometry(q wire.Query) (dist [][]float64, radius []float64) {
 	if f.radius == nil {
 		return nil, nil
 	}
@@ -903,9 +864,9 @@ func (sched *scheduler) geometry(q wire.Query) (dist [][]float64, radius []float
 }
 
 // plan answers q by the one plan in a window slot the caller already holds.
-func (sched *scheduler) plan(q wire.Query) wire.Reply {
-	dist, radius := sched.geometry(q)
-	return sched.run(q, dist, radius)
+func (f *Frontend) plan(q wire.Query) wire.Reply {
+	dist, radius := f.geometry(q)
+	return f.run(q, dist, radius)
 }
 
 // run answers q by the one plan: one or two waves, then one fold.
@@ -934,8 +895,7 @@ func (sched *scheduler) plan(q wire.Query) wire.Reply {
 // Rounds counts the waves (1, or 2 when a pruned query gathers) and
 // Messages the per-point seat contacts — k × points under full scatter (see
 // reply).
-func (sched *scheduler) run(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
-	f := sched.f
+func (f *Frontend) run(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
 	n := len(q.Points)
 	pruned := dist != nil
 
@@ -987,7 +947,7 @@ func (sched *scheduler) run(q wire.Query, dist [][]float64, radius []float64) wi
 		}
 	}
 	got := newGather(n, f.k)
-	job, rep := sched.runWave(q, wave1, nil, pruned)
+	job, rep := f.runWave(q, wave1, nil, pruned)
 	if job == nil {
 		return rep
 	}
@@ -1021,7 +981,7 @@ func (sched *scheduler) run(q wire.Query, dist [][]float64, radius []float64) wi
 			}
 		}
 		if waves == 2 {
-			if job, rep = sched.runWave(q, wave2, bounds, true); job == nil {
+			if job, rep = f.runWave(q, wave2, bounds, true); job == nil {
 				return rep
 			}
 			job.collect(got)
@@ -1040,14 +1000,14 @@ func (sched *scheduler) run(q wire.Query, dist [][]float64, radius []float64) wi
 			skipped++
 		}
 	}
-	rep = sched.reply(q, got, waves, contacts)
+	rep = f.reply(q, got, waves, contacts)
 	if rep.Err == "" && pruned {
 		// Recorded only for a pruned query that answers, like the
 		// frontend_mesh_* counters.
-		sched.fm.pruneWaves.Add(int64(waves))
-		sched.fm.pruneContacts.Add(contacts)
-		sched.fm.pruneSkipped.Add(skipped)
-		sched.fm.pruneGathered.Add(gathered)
+		f.fm.pruneWaves.Add(int64(waves))
+		f.fm.pruneContacts.Add(contacts)
+		f.fm.pruneSkipped.Add(skipped)
+		f.fm.pruneGathered.Add(gathered)
 	}
 	return rep
 }
