@@ -8,7 +8,8 @@
 // The analysis is block-structured and per-function: it tracks which
 // mutexes are held (x.Lock() .. x.Unlock(), with defer x.Unlock() holding
 // to function end) and reports, inside held regions, calls that perform
-// network I/O (net.Conn/net.Listener methods, net.Dial*, io.Copy/ReadFull,
+// network I/O (net.Conn/net.Listener methods, net.Dial* and a net.Dialer's
+// Dial/DialContext, io.Copy/ReadFull,
 // wire frame I/O, Writer.EndFrame) and channel sends/receives. Function
 // literals are analyzed as separate bodies: a goroutine spawned under a
 // lock does not run under it.
@@ -39,6 +40,10 @@ var blockingConnMethods = map[string]bool{
 	"Read": true, "Write": true, "Accept": true,
 	"ReadFrom": true, "WriteTo": true,
 }
+
+// blockingDialerMethods are the net.Dialer methods that wait on a peer: a
+// dial with no Timeout waits as long as the kernel's connect does.
+var blockingDialerMethods = map[string]bool{"Dial": true, "DialContext": true}
 
 func run(pass *knnlint.Pass) error {
 	inScope := false
@@ -77,7 +82,7 @@ func checkBody(pass *knnlint.Pass, body *ast.BlockStmt) {
 }
 
 // scanStmts walks a statement list in order, maintaining the set of held
-// mutexes (keyed by the receiver expression text, e.g. "sched.mu").
+// mutexes (keyed by the receiver expression text, e.g. "f.mu").
 // Nested blocks inherit a copy of the held set, so a conditional unlock
 // inside an if-branch does not end the critical section outside it.
 func scanStmts(pass *knnlint.Pass, stmts []ast.Stmt, held map[string]bool) {
@@ -241,14 +246,17 @@ func blockingCall(pass *knnlint.Pass, call *ast.CallExpr) string {
 		}
 	}
 
-	// Methods: blocking net.Conn/net.Listener calls, and Writer.EndFrame
-	// (which writes the frame to its destination socket).
+	// Methods: blocking net.Conn/net.Listener calls, net.Dialer dials, and
+	// Writer.EndFrame (which writes the frame to its destination socket).
 	recv := pass.TypesInfo.TypeOf(sel.X)
 	if recv == nil {
 		return ""
 	}
 	if name == "EndFrame" && isWireWriter(recv) {
 		return "Writer.EndFrame (socket write)"
+	}
+	if blockingDialerMethods[name] && isNetType(recv) {
+		return "net.Dialer." + name
 	}
 	if blockingConnMethods[name] && isNetType(recv) {
 		return "net connection " + name

@@ -54,6 +54,14 @@ func (p *peer) badDial(addr string) {
 	net.Dial("tcp", addr) // want `net.Dial while holding p.mu`
 }
 
+func (p *peer) badDialer(addr string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	d := net.Dialer{Timeout: time.Second}
+	d.Dial("tcp", addr)             // want `net.Dialer.Dial while holding p.mu`
+	d.DialContext(nil, "tcp", addr) // want `net.Dialer.DialContext while holding p.mu`
+}
+
 func (p *peer) badEndFrame(w *wire.Writer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

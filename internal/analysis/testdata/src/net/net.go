@@ -1,6 +1,6 @@
 // Package net is a fixture stub: a connection type whose blocking methods
-// (Read/Write) and quick methods (Close, Set*Deadline) let the lockio
-// analyzer's testdata typecheck hermetically.
+// (Read/Write) and quick methods (Close, Set*Deadline), and a dialer whose
+// dials block, let the lockio analyzer's testdata typecheck hermetically.
 package net
 
 import "time"
@@ -14,3 +14,10 @@ func (c *TCPConn) SetDeadline(t time.Time) error      { return nil }
 func (c *TCPConn) SetWriteDeadline(t time.Time) error { return nil }
 
 func Dial(network, address string) (*TCPConn, error) { return nil, nil }
+
+type Dialer struct{ Timeout time.Duration }
+
+func (d *Dialer) Dial(network, address string) (*TCPConn, error) { return nil, nil }
+func (d *Dialer) DialContext(ctx any, network, address string) (*TCPConn, error) {
+	return nil, nil
+}

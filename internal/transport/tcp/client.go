@@ -123,20 +123,34 @@ func DialFrontendOptions(addr string, opts ClientOptions) (*Client, error) {
 }
 
 // conn returns the live connection incarnation, dialing a fresh one if the
-// previous was poisoned (or none exists yet).
+// previous was poisoned (or none exists yet). The dial runs without c.mu, so
+// Close and the calls on a live incarnation never wait on it; when the
+// client closed or another caller installed an incarnation meanwhile, the
+// spare connection is closed and only an installed one counts as a
+// reconnect.
 func (c *Client) conn() (*muxConn, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	closed, mc := c.closed, c.mc
+	c.mu.Unlock()
+	if closed {
 		return nil, errClientClosed
 	}
-	if c.mc != nil {
-		return c.mc, nil
+	if mc != nil {
+		return mc, nil
 	}
 	d := net.Dialer{Timeout: c.opts.Timeout}
 	conn, err := d.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: dial frontend: %w", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.mc != nil {
+		conn.Close()
+		if c.closed {
+			return nil, errClientClosed
+		}
+		return c.mc, nil
 	}
 	if c.dialed {
 		c.cm.reconnects.Inc()

@@ -42,8 +42,9 @@ import (
 // which join checks), and the session serves again.
 //
 // One mutex, mu, guards all of the frontend's mutable state — seats,
-// scheduler and client connections — so a seat is lost in one critical
-// section (retireLocked) that also fails the epochs in flight on it.
+// window, jobs, buckets and client connections — so a seat is lost in one
+// critical section (retireLocked) that also fails the epochs in flight on
+// it. mu never covers a socket read or write.
 type Frontend struct {
 	ln net.Listener
 	k  int
@@ -71,10 +72,11 @@ type Frontend struct {
 
 	// mu is the frontend's only lock. It guards the seats (grants, seals,
 	// evictions), the session's point tag and count, the epoch ordinal
-	// counter, the scheduler's window, jobs and buckets, and the accepted
-	// connections. It is held across network I/O in exactly two places,
-	// both deadline-bounded: dispatchWave's writes and Close's courtesy
-	// shutdown frame. A join reads and writes no frame under it.
+	// counter, the window, jobs and buckets, and the accepted connections.
+	// It guards state and never covers a socket: a join, dispatchWave and
+	// Close snapshot the connections they need under it and read and write
+	// after releasing it, and the write deadlines bound a wedged seat's own
+	// waves, not the lock.
 	mu     sync.Mutex
 	slots  []*feSlot // one per machine id
 	sealed int       // seats sealed at least once; the first fill is complete at k
@@ -104,6 +106,9 @@ type feSlot struct {
 	conn     net.Conn
 	present  bool
 	lastLoss error // why the seat is absent, for degraded replies
+	// writes counts the dispatch writes registered on this incarnation and
+	// not yet finished (see send).
+	writes int
 	// shardLen and summary are the first holder's shard size and
 	// metric-index summary, pinned at the seat's first seal. They are a
 	// property of the seat's data, not of a connection incarnation: the
@@ -462,6 +467,7 @@ func (f *Frontend) join(conn net.Conn) {
 		}
 	}
 	slot.gen++
+	slot.writes = 0
 	slot.present = true
 	slot.lastLoss = nil
 	go f.pump(slot, slot.gen, conn)
@@ -540,29 +546,19 @@ func (f *Frontend) Close() error {
 	}
 	err := f.ln.Close()
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	// In-flight collation jobs answer their clients with the retryable
 	// closing reply; the control pumps, which see the connections below
-	// drop once f.mu is free, find no job left to fail as degraded.
+	// drop, find no job left to fail as degraded.
 	f.shutdownLocked()
 	f.failLocked(errors.New("tcp: frontend closed during setup"))
+	// Detach every seat's connection (a join in progress then finds its
+	// seat released); they are written and closed below, after f.mu.
+	var seats []feSlot
 	for _, s := range f.slots {
-		if s.conn == nil {
-			continue
+		if s.conn != nil {
+			seats = append(seats, *s)
+			s.conn = nil
 		}
-		if s.present {
-			// The shutdown frame is a courtesy (the connection closes
-			// right below either way): a healthy node's socket buffer
-			// takes it instantly, and a wedged one must not hold f.mu
-			// hostage, so the write gets a short deadline.
-			var w wire.Writer
-			w.Kind(wire.KindShutdown)
-			s.conn.SetWriteDeadline(time.Now().Add(time.Second))
-			//knnlint:allow lockio -- courtesy shutdown frame under a 1s write deadline; a wedged node cannot hold f.mu
-			_ = wire.WriteFrame(s.conn, w.Bytes())
-		}
-		s.conn.Close()
-		s.conn = nil
 	}
 	// Unblock the goroutines parked in ReadFrame — clients, and connections
 	// still owing their first frame — so a long-lived process reclaims their
@@ -572,6 +568,17 @@ func (f *Frontend) Close() error {
 		conn.Close()
 	}
 	f.conns = nil
+	f.mu.Unlock()
+	for _, s := range seats {
+		if s.present {
+			// The shutdown frame is a courtesy (the connection closes right
+			// below either way): a healthy node's socket buffer takes it
+			// instantly, and a wedged one gets a short deadline.
+			s.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			_ = wire.WriteFrame(s.conn, []byte{byte(wire.KindShutdown)})
+		}
+		s.conn.Close()
+	}
 	return err
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distknn/internal/keys"
+	"distknn/internal/obs"
 	"distknn/internal/points"
 	"distknn/internal/wire"
 	"distknn/internal/xrand"
@@ -428,66 +429,81 @@ func TestEvictFailsOnlyInFlightEpochs(t *testing.T) {
 	checkEcho(t, waitHealthy(t, free, scalarQuery(wire.OpKNN, k, 8)), k, 8)
 }
 
+// wedgedFrontend serves a k-seat frontend whose seats are raw connections
+// that report ready and then never read their control connection again.
+// Socket buffers sit well below one 2 MiB dispatch frame, on both ends: the
+// first wave's write blocks on every seat. Kernel autotuning would otherwise
+// let one seat absorb a wave its neighbour could not, and a seat no write
+// ever blocked on is not yet detectably wedged.
+func wedgedFrontend(t *testing.T, k int) *Frontend {
+	t.Helper()
+	fe, err := NewFrontendOptions("127.0.0.1:0", k, FrontendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- fe.Serve() }()
+	t.Cleanup(func() {
+		fe.Close()
+		if err := <-serveDone; err != nil {
+			t.Errorf("frontend: %v", err)
+		}
+	})
+	for _, conn := range registerRaw(t, fe, k) {
+		conn.(*net.TCPConn).SetReadBuffer(64 << 10)
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(payload)
+		if kind := r.Kind(); kind != wire.KindAssign {
+			t.Fatalf("got kind %d, want an assign", kind)
+		}
+		if _, err := wire.DecodeAssign(r); err != nil {
+			t.Fatal(err)
+		}
+		var ready wire.Writer
+		wire.AppendReady(&ready, wire.Ready{ShardLen: 100, PointTag: wire.PointVector})
+		if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		// From here on the seat never reads again.
+	}
+	<-fe.ready
+	fe.mu.Lock()
+	for _, s := range fe.slots {
+		s.conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
+	}
+	fe.mu.Unlock()
+	return fe
+}
+
+// wedgingQuery is a MaxBatch query whose dispatch frame (about 2 MiB)
+// overflows a wedged seat's socket buffers.
+func wedgingQuery() wire.Query {
+	p := wire.EncodeVectorPoint(make(points.Vector, 64))
+	q := wire.Query{Op: wire.OpKNN, L: 1, Tag: wire.PointVector, Points: make([][]byte, wire.MaxBatch)}
+	for i := range q.Points {
+		q.Points[i] = p
+	}
+	return q
+}
+
 // TestDispatchToWedgedSeatFailsWithinDeadline pins the dispatch deadline:
 // seats that report ready and then never read their control connection
-// again fill their socket buffers, so a dispatch write blocks with f.mu
-// held. Every query must still be answered degraded within dispatchTimeout
-// (plus slack), and each seat must be retired with the failed dispatch as
-// its cause. k = 1 covers the inline write, k = 2 the goroutine fan-out.
+// again fill their socket buffers, so a dispatch write blocks. Every query
+// must still be answered degraded within dispatchTimeout (plus slack), and
+// each seat must be retired with the failed dispatch as its cause. At k = 1
+// the wave's caller writes the one frame itself; k = 2 adds one writing
+// goroutine.
 func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
 	defer func(d time.Duration) { dispatchTimeout = d }(dispatchTimeout)
 	dispatchTimeout = 300 * time.Millisecond
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			fe, err := NewFrontendOptions("127.0.0.1:0", k, FrontendOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			serveDone := make(chan error, 1)
-			go func() { serveDone <- fe.Serve() }()
-			defer func() {
-				fe.Close()
-				if err := <-serveDone; err != nil {
-					t.Errorf("frontend: %v", err)
-				}
-			}()
-			for _, conn := range registerRaw(t, fe, k) {
-				// Socket buffers well below one 2 MiB dispatch frame, on both
-				// ends (the frontend's below): the first wave's write blocks
-				// on every seat. Kernel autotuning would otherwise let one
-				// seat absorb a wave its neighbour could not, and a seat no
-				// write ever blocked on is not yet detectably wedged.
-				conn.(*net.TCPConn).SetReadBuffer(64 << 10)
-				payload, err := wire.ReadFrame(conn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := wire.NewReader(payload)
-				if kind := r.Kind(); kind != wire.KindAssign {
-					t.Fatalf("got kind %d, want an assign", kind)
-				}
-				if _, err := wire.DecodeAssign(r); err != nil {
-					t.Fatal(err)
-				}
-				var ready wire.Writer
-				wire.AppendReady(&ready, wire.Ready{ShardLen: 100, PointTag: wire.PointVector})
-				if err := wire.WriteFrame(conn, ready.Bytes()); err != nil {
-					t.Fatal(err)
-				}
-				// From here on the seat never reads again.
-			}
-			<-fe.ready
-			fe.mu.Lock()
-			for _, s := range fe.slots {
-				s.conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
-			}
-			fe.mu.Unlock()
+			fe := wedgedFrontend(t, k)
 			client := dialNoRetry(t, fe.Addr())
-			p := wire.EncodeVectorPoint(make(points.Vector, 64))
-			q := wire.Query{Op: wire.OpKNN, L: 1, Tag: wire.PointVector, Points: make([][]byte, wire.MaxBatch)}
-			for i := range q.Points {
-				q.Points[i] = p
-			}
+			q := wedgingQuery()
 			const n = 16
 			errs := make([]error, n)
 			var wg sync.WaitGroup
@@ -518,6 +534,108 @@ func TestDispatchToWedgedSeatFailsWithinDeadline(t *testing.T) {
 				t.Errorf("health lists %d seats, want %d", len(h.Seats), k)
 			}
 		})
+	}
+}
+
+// TestFrontendLockFreeDuringWedgedDispatch pins that f.mu never covers a
+// socket write: while a dispatch write to a wedged seat is blocked, /healthz
+// and the eviction that unsticks the seat answer at once, and the eviction
+// fails the blocked query degraded long before the write deadline.
+func TestFrontendLockFreeDuringWedgedDispatch(t *testing.T) {
+	defer func(d time.Duration) { dispatchTimeout = d }(dispatchTimeout)
+	dispatchTimeout = 10 * time.Second
+	fe := wedgedFrontend(t, 1)
+	client := dialNoRetry(t, fe.Addr())
+	queryErr := make(chan error, 1)
+	go func() {
+		_, err := client.Do(wedgingQuery())
+		queryErr <- err
+	}()
+	for start := time.Now(); fe.fm.epochsAdmitted.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the query's wave was never admitted")
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // let the write fill the buffers and block
+
+	within := func(what string, call func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			call()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(500 * time.Millisecond):
+			t.Fatalf("%s blocked for over 500ms behind a wedged dispatch write", what)
+		}
+	}
+	var h obs.Health
+	within("Health", func() { h = fe.Health() })
+	if !h.OK {
+		t.Errorf("health before the eviction: %+v, want OK", h)
+	}
+	var err error
+	within("EvictNode", func() { err = fe.EvictNode(0) })
+	if err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	select {
+	case err = <-queryErr:
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("query on the evicted seat: got %v, want a degraded reply", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the query on the evicted seat did not fail within 2s")
+	}
+}
+
+// TestWedgedSeatDeadlineIgnoresLaterWaves pins what the dispatch write
+// deadline measures: time without progress on the seat. Waves that keep
+// arriving at a wedged seat queue their writes behind the stuck one and must
+// not extend its deadline, so the seat is retired one dispatchTimeout after
+// the first wave, however long later waves keep coming.
+func TestWedgedSeatDeadlineIgnoresLaterWaves(t *testing.T) {
+	defer func(d time.Duration) { dispatchTimeout = d }(dispatchTimeout)
+	dispatchTimeout = 500 * time.Millisecond
+	fe := wedgedFrontend(t, 1)
+	client := dialNoRetry(t, fe.Addr())
+	const n = 6 // within the default window, so every query registers a wave
+	errs := make(chan error, n)
+	ask := func() {
+		_, err := client.Do(wedgingQuery())
+		errs <- err
+	}
+	go ask()
+	for start := time.Now(); fe.fm.epochsAdmitted.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the first wave was never admitted")
+		}
+	}
+	first := time.Now()
+	// Later waves arrive for longer than the deadline; had each extended
+	// the stuck write's deadline, the seat would outlive the last of them
+	// by a whole dispatchTimeout.
+	go func() {
+		for i := 1; i < n; i++ {
+			time.Sleep(150 * time.Millisecond)
+			go ask()
+		}
+	}()
+	for fe.Health().OK {
+		if time.Since(first) > 5*time.Second {
+			t.Fatal("the wedged seat was never retired")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if took := time.Since(first); took > dispatchTimeout+300*time.Millisecond {
+		t.Errorf("wedged seat retired %v after the first wave, want at most %v", took, dispatchTimeout+300*time.Millisecond)
+	}
+	for range n {
+		if err := <-errs; !errors.Is(err, ErrDegraded) {
+			t.Errorf("query on the wedged seat: got %v, want a degraded reply", err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package tcp
 import (
 	"fmt"
 	"math"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -16,8 +15,8 @@ import (
 	"distknn/internal/wire"
 )
 
-// This file is the frontend's epoch scheduler: the layer between the
-// client-serving goroutines and the nodes. Every query runs through one
+// This file is the frontend's epoch scheduler: the Frontend methods between
+// the client-serving goroutines and the nodes. Every query runs through one
 // plan (run): contact set → per-seat sub-batch → dispatch wave → collect →
 // fold.
 //
@@ -39,13 +38,15 @@ import (
 // selects: this is the paper's SimpleKNN with the frontend as its leader.
 //
 // Pipelining. Up to Window queries are in flight at once. A wave takes its
-// ordinal under the frontend lock, f.mu (which guards every piece of
-// scheduler state too), and registers a collation job before its first
-// write; the per-node control pumps push each arriving result or error
-// frame to its job by ordinal, so replies complete out of order without any
-// wave waiting on an unrelated one. Admission beyond the window blocks
-// (backpressure on the client connection) until a slot frees. Answers are
-// bit-identical to serialized execution: the fold is exact.
+// ordinal under the frontend's one lock, f.mu, and registers a collation
+// job before its first write; the per-node control pumps push each arriving
+// result or error frame to its job by ordinal, so replies complete out of
+// order without any wave waiting on an unrelated one. f.mu guards state and
+// never covers a socket: the wave's frames are written after it is
+// released, and the write deadlines bound a wedged seat's own waves.
+// Admission beyond the window blocks (backpressure on the client
+// connection) until a slot frees. Answers are bit-identical to serialized
+// execution: the fold is exact.
 //
 // Server-side batching. With ServerBatch enabled, concurrently arriving
 // single-point queries that agree on (op, ℓ) coalesce into one batch query
@@ -73,13 +74,12 @@ import (
 // open bucket with them: its opener waits at admission like any queued
 // query, so the same wake-up ends it.
 
-// dispatchTimeout bounds one dispatch frame's control-connection write.
-// The frontend lock is held across the write phase, so the deadline is
-// what keeps a wedged node (alive but not draining its socket) from
-// stalling every client — admission, collation of other epochs, and the
-// EvictNode that would remove it — for long: a healthy node's buffer takes
-// a dispatch instantly, and even a MaxBatch-sized frame crosses a LAN well
-// inside this bound.
+// dispatchTimeout bounds how long a seat's dispatch writes may make no
+// progress (see send). f.mu guards state and never covers a socket, so a
+// wedged node (alive but not draining its socket) stalls only the waves
+// written to it; the deadline bounds those, and retires the seat when it
+// expires. A healthy node's buffer takes a dispatch instantly, and even a
+// MaxBatch-sized frame crosses a LAN well inside this bound.
 var dispatchTimeout = 5 * time.Second
 
 // maxWindow caps FrontendOptions.Window. Every query in the window may hold
@@ -330,15 +330,14 @@ func (f *Frontend) submit(q wire.Query) wire.Reply {
 // pruned query are halves of one answer, and parking the gather behind
 // fresh admissions could deadlock a full window of half-done queries.
 func (f *Frontend) execute(q wire.Query) wire.Reply {
-	dist, radius := f.geometry(q)
 	f.mu.Lock()
-	rep, ok := f.admitLocked(dist == nil)
+	rep, ok := f.admitLocked()
 	f.mu.Unlock()
 	if !ok {
 		return rep
 	}
 	defer f.release()
-	return f.run(q, dist, radius)
+	return f.run(q)
 }
 
 // admitLocked is the one admission path, for a plain query and a bucket's
@@ -346,9 +345,9 @@ func (f *Frontend) execute(q wire.Query) wire.Reply {
 // refuseLocked turns the query away first. Caller holds f.mu; the wait
 // releases it, so a bucket's joiners get in while its opener queues. A slot
 // taken here is returned by release.
-func (f *Frontend) admitLocked(needsAll bool) (wire.Reply, bool) {
+func (f *Frontend) admitLocked() (wire.Reply, bool) {
 	for {
-		if rep, refused := f.refuseLocked(needsAll); refused {
+		if rep, refused := f.refuseLocked(); refused {
 			return rep, false
 		}
 		if f.count < f.window {
@@ -363,16 +362,19 @@ func (f *Frontend) admitLocked(needsAll bool) (wire.Reply, bool) {
 }
 
 // refuseLocked reports whether a query is turned away, and with what reply,
-// instead of waiting for a slot: once the frontend is closing, and — for a
-// query that needs every seat (full scatter) — while the cluster is
-// degraded. A probe during an outage so answers immediately, even while the
-// window is full of doomed epochs, and consumes neither an ordinal nor a
-// slot. Caller holds f.mu.
-func (f *Frontend) refuseLocked(needsAll bool) (wire.Reply, bool) {
+// instead of waiting for a slot: once the frontend is closing, and — on a
+// session without a pinned geometry, where every query is a full scatter
+// that needs every seat — while the cluster is degraded. A probe during an
+// outage so answers immediately, even while the window is full of doomed
+// epochs, and consumes neither an ordinal nor a slot. A session that prunes
+// admits its queries without every seat: as pruned waves they need only
+// the seats their admission balls reach, and dispatchWave refuses a wave
+// whose own seats are absent. Caller holds f.mu.
+func (f *Frontend) refuseLocked() (wire.Reply, bool) {
 	if f.closed.Load() {
 		return closingReply(), true
 	}
-	if needsAll {
+	if f.radius == nil {
 		if rep, ok := f.degradedLocked(f.slots); !ok {
 			return rep, true
 		}
@@ -449,43 +451,28 @@ func (f *Frontend) runWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned
 	return job, wire.Reply{}
 }
 
-// dispatchWave assigns the epoch ordinal, ships one wave of q and registers
-// its collation job. Seat id is sent exactly the sub-batch subs[id] of q's
-// points, and a seat whose sub-batch is empty is not contacted; bounds,
-// when not nil, holds one ceiling per batch point, and each frame carries
-// its points' ceilings. pruned marks the wave's trace span Direct: a wave
-// of a query the geometry bounds. Every target that receives the whole batch — all of them on
-// a full-scatter wave, and always for a single-point query — shares one
-// encode-once frame; a strict sub-batch gets a frame of its own. It
-// returns a nil job (and the reply to send instead) when the wave cannot
-// run: the frontend is closing, or a seat the wave contacts is absent — any
-// other absent seat is invisible to the wave, because the admission test
-// already proved its shard irrelevant. The
-// job is registered before the first write, so a result can never arrive
-// unclaimed. f.mu is held across the writes, which keeps every seat's conn
-// and gen consistent with the expectation set, and keeps Close from
-// sweeping the jobs until the wave is registered; the cost is that
-// collation of other epochs waits for the writes too — at most
-// dispatchTimeout, when a seat stopped draining its connection.
+// dispatchWave assigns the epoch ordinal, registers the wave's collation
+// job and ships one wave of q. Seat id is sent exactly the sub-batch
+// subs[id] of q's points, and a seat whose sub-batch is empty is not
+// contacted; bounds, when not nil, holds one ceiling per batch point, and
+// each frame carries its points' ceilings. pruned marks the wave's trace
+// span Direct: a wave of a query the geometry bounds. Every target that
+// receives the whole batch — all of them on a full-scatter wave, and always
+// for a single-point query — shares one encode-once frame; a strict
+// sub-batch gets a frame of its own. It returns a nil job (and the reply to
+// send instead) when the wave cannot run: the frontend is closing, or a seat
+// the wave contacts is absent — any other absent seat is invisible to the
+// wave, because the admission test already proved its shard irrelevant.
+//
+// Under f.mu it takes the ordinal, encodes the frames, registers the job
+// with its full expectation set — so a result can never arrive unclaimed,
+// and Close, a retirement or a lost pump fails the job like any other —
+// and snapshots each target's connection incarnation. The writes run after
+// f.mu is released: the caller writes the first frame and one goroutine
+// each writes the rest (send), so a seat that stopped draining its socket
+// stalls only the waves written to it, for at most dispatchTimeout after
+// its last finished write.
 func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, pruned bool) (*epochJob, wire.Reply) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed.Load() {
-		return nil, closingReply()
-	}
-	targets := make([]*feSlot, 0, len(f.slots))
-	for _, s := range f.slots {
-		if len(subs[s.id]) > 0 {
-			targets = append(targets, s)
-		}
-	}
-	if rep, ok := f.degradedLocked(targets); !ok {
-		// No epoch is consumed: the query never ran, so the seed schedule
-		// of the successful query stream is unchanged by the outage.
-		return nil, rep
-	}
-	f.epoch++
-	epoch := f.epoch
 	// Frames are built in pooled writers, which stay checked out until the
 	// writes are done because the framed bytes alias their buffers — and
 	// are read-only across the concurrent writes below.
@@ -495,6 +482,25 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 			wire.PutWriter(dw)
 		}
 	}()
+	f.mu.Lock()
+	if f.closed.Load() {
+		f.mu.Unlock()
+		return nil, closingReply()
+	}
+	var need []*feSlot
+	for _, s := range f.slots {
+		if len(subs[s.id]) > 0 {
+			need = append(need, s)
+		}
+	}
+	if rep, ok := f.degradedLocked(need); !ok {
+		// No epoch is consumed: the query never ran, so the seed schedule
+		// of the successful query stream is unchanged by the outage.
+		f.mu.Unlock()
+		return nil, rep
+	}
+	f.epoch++
+	epoch := f.epoch
 	encode := func(sq wire.Query, bs []keys.Key) ([]byte, error) {
 		dw := wire.GetWriter()
 		writers = append(writers, dw)
@@ -502,11 +508,15 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 		wire.AppendDispatchDirect(dw, epoch, sq, bs)
 		return dw.FinishFrame()
 	}
-	frames := make([][]byte, len(targets))
+	// targets are copies of the contacted seats as registered: the
+	// connection incarnations the job expects frames from.
+	targets := make([]feSlot, len(need))
+	frames := make([][]byte, len(need))
 	var whole []byte
 	var pts [][]byte
 	var bs []keys.Key
-	for i, s := range targets {
+	for i, s := range need {
+		targets[i] = *s
 		var ferr error
 		switch {
 		case len(subs[s.id]) < len(q.Points):
@@ -525,6 +535,7 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 			frames[i] = whole
 		}
 		if ferr != nil {
+			f.mu.Unlock()
 			return nil, wire.Reply{Err: fmt.Sprintf("dispatch too large: %v", ferr)}
 		}
 	}
@@ -539,46 +550,55 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 		done:   make(chan struct{}),
 		span:   f.tr.Begin(epoch, q.Op, len(q.Points), pruned),
 	}
-	// Register the job with its full expectation set before any write, so
-	// a node answering instantly finds its job.
 	f.inflight[epoch] = job
-	for _, s := range targets {
+	for _, s := range need {
 		job.expectSet(s.id, s.gen)
-	}
-	// The writes are bounded: a target that stopped draining its control
-	// connection (partitioned, stopped) must fail its write — and lose its
-	// seat — within one deadline rather than wedge the whole frontend,
-	// including the EvictNode that would remove it. A one-target wave — the
-	// common case for a pruned single query — writes inline, skipping the
-	// goroutine fan-out and its allocations.
-	writeErrs := make([]error, len(targets))
-	if len(targets) == 1 {
-		conn := targets[0].conn
-		conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-		//knnlint:allow lockio -- deadline-bounded inline dispatch write; f.mu keeps the seat's conn/gen stable across it
-		_, writeErrs[0] = conn.Write(frames[0])
-	} else {
-		var writes sync.WaitGroup
-		for i, s := range targets {
-			writes.Add(1)
-			go func(i int, conn net.Conn) {
-				defer writes.Done()
-				conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-				_, writeErrs[i] = conn.Write(frames[i])
-			}(i, s.conn)
+		if s.writes == 0 {
+			s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
 		}
-		writes.Wait()
+		s.writes++
 	}
+	f.mu.Unlock()
+
+	var writes sync.WaitGroup
+	for i := 1; i < len(targets); i++ {
+		writes.Add(1)
+		go func(i int) {
+			defer writes.Done()
+			f.send(targets[i], frames[i])
+		}(i)
+	}
+	f.send(targets[0], frames[0])
+	writes.Wait()
 	job.span.MarkDispatched()
-	for i, s := range targets {
-		if writeErrs[i] == nil {
-			s.conn.SetWriteDeadline(time.Time{})
-			continue
-		}
-		// Retiring the seat fails this wave like any other epoch on it.
-		f.retireLocked(s, s.gen, fmt.Errorf("dispatch to node %d: %v", s.id, writeErrs[i]))
-	}
 	return job, wire.Reply{}
+}
+
+// send writes one dispatch frame to seat t's connection incarnation
+// without f.mu. Concurrent waves share a seat's connection; net.Conn
+// serialises whole Write calls, so their frames never interleave. The write
+// deadline measures time without progress on the seat: dispatchWave arms it
+// when a wave's write is the seat's only one registered, and send re-arms
+// it when a write finishes while others wait, so a later wave never extends
+// the deadline of a stuck write. A failed write retires the incarnation,
+// which fails every epoch in flight on it, this wave included; a retired
+// incarnation's bookkeeping is a no-op, because the retirement already
+// failed them.
+func (f *Frontend) send(t feSlot, frame []byte) {
+	_, err := t.conn.Write(frame)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.slots[t.id]
+	if s.gen != t.gen || !s.present {
+		return
+	}
+	s.writes--
+	switch {
+	case err != nil:
+		f.retireLocked(s, t.gen, fmt.Errorf("dispatch to node %d: %v", t.id, err))
+	case s.writes > 0:
+		t.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+	}
 }
 
 // deliver routes one control frame from connection incarnation gen of seat
@@ -741,11 +761,8 @@ type bucket struct {
 func (f *Frontend) coalesce(q wire.Query) wire.Reply {
 	key := bucketKey{op: q.Op, l: q.L}
 	f.mu.Lock()
-	// A bucket fails fast where a queued query would. Only a session that
-	// prunes runs its buckets without every seat: as pruned waves, which
-	// need only the seats the queries' admission balls reach.
-	needsAll := f.radius == nil
-	if rep, refused := f.refuseLocked(needsAll); refused {
+	// A bucket fails fast where a queued query would.
+	if rep, refused := f.refuseLocked(); refused {
 		f.mu.Unlock()
 		return rep
 	}
@@ -768,7 +785,7 @@ func (f *Frontend) coalesce(q wire.Query) wire.Reply {
 		opened: obs.StartTimer(),
 	}
 	f.buckets[key] = b
-	rep, ok := f.admitLocked(needsAll)
+	rep, ok := f.admitLocked()
 	if f.buckets[key] == b {
 		f.sealLocked(key, b)
 	}
@@ -801,11 +818,11 @@ func (f *Frontend) sealLocked(key bucketKey, b *bucket) {
 func (f *Frontend) runBucket(b *bucket) {
 	defer f.release()
 	f.fm.batchSize.Observe(int64(len(b.q.Points)))
-	rep := f.plan(b.q)
+	rep := f.run(b.q)
 	if rep.Err != "" && !rep.Degraded && len(b.q.Points) > 1 {
 		b.solo = make([]wire.Reply, len(b.q.Points))
 		for i, p := range b.q.Points {
-			b.solo[i] = f.plan(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
+			b.solo[i] = f.run(wire.Query{Op: b.q.Op, L: b.q.L, Tag: b.q.Tag, Points: [][]byte{p}})
 		}
 	}
 	b.rep = rep
@@ -835,18 +852,18 @@ func bucketReply(b *bucket, idx int) wire.Reply {
 // ---------------------------------------------------------------------------
 
 // geometry returns what bounds q, when anything does: dist[id][pi], the true
-// distance from batch point pi to shard id's centroid, and each shard's
-// radius. It returns nils — q takes full scatter — unless the frontend
-// pinned a geometry at ready (captureGeometryLocked: a Pruner is configured
-// and every seat reported a metric summary) and it can speak for every
-// point of the batch; every query shape rides it — KNN, Classify and
+// distance from batch point pi to shard id's centroid (f.radius holds each
+// shard's radius). It returns nil — q takes full scatter — unless the
+// frontend pinned a geometry at ready (captureGeometryLocked: a Pruner is
+// configured and every seat reported a metric summary) and it can speak for
+// every point of the batch; every query shape rides it — KNN, Classify and
 // Regress, single points and whole batches alike. The pinned geometry never
 // changes after ready, so it is read without the lock.
-func (f *Frontend) geometry(q wire.Query) (dist [][]float64, radius []float64) {
+func (f *Frontend) geometry(q wire.Query) [][]float64 {
 	if f.radius == nil {
-		return nil, nil
+		return nil
 	}
-	dist = make([][]float64, f.k)
+	dist := make([][]float64, f.k)
 	for id, center := range f.center {
 		dist[id] = make([]float64, len(q.Points))
 		for pi, p := range q.Points {
@@ -855,21 +872,16 @@ func (f *Frontend) geometry(q wire.Query) (dist [][]float64, radius []float64) {
 				// The geometry cannot speak for this point (e.g. a dimension
 				// mismatch); full scatter runs the node-side validation and
 				// reports its error.
-				return nil, nil
+				return nil
 			}
 			dist[id][pi] = d
 		}
 	}
-	return dist, f.radius
+	return dist
 }
 
-// plan answers q by the one plan in a window slot the caller already holds.
-func (f *Frontend) plan(q wire.Query) wire.Reply {
-	dist, radius := f.geometry(q)
-	return f.run(q, dist, radius)
-}
-
-// run answers q by the one plan: one or two waves, then one fold.
+// run answers q by the one plan — one or two waves, then one fold — in a
+// window slot the caller already holds (execute's or a bucket opener's).
 //
 // Without geometry (dist nil) wave 1 sends every seat the whole batch,
 // unbounded — full scatter — and is the only wave: each seat returns its
@@ -895,7 +907,8 @@ func (f *Frontend) plan(q wire.Query) wire.Reply {
 // Rounds counts the waves (1, or 2 when a pruned query gathers) and
 // Messages the per-point seat contacts — k × points under full scatter (see
 // reply).
-func (f *Frontend) run(q wire.Query, dist [][]float64, radius []float64) wire.Reply {
+func (f *Frontend) run(q wire.Query) wire.Reply {
+	dist := f.geometry(q)
 	n := len(q.Points)
 	pruned := dist != nil
 
@@ -975,7 +988,7 @@ func (f *Frontend) run(q wire.Query, dist [][]float64, radius []float64) wire.Re
 			}
 		}
 		for id := range wave2 {
-			wave2[id] = metricindex.AdmitSub(dist[id], ub, radius[id], contacted[id])
+			wave2[id] = metricindex.AdmitSub(dist[id], ub, f.radius[id], contacted[id])
 			if len(wave2[id]) > 0 {
 				waves = 2
 			}

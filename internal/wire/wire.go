@@ -362,28 +362,17 @@ func (w *Writer) FinishFrame() ([]byte, error) {
 	return w.buf, nil
 }
 
-// frameScratch recycles the header+payload staging buffers used by
-// WriteFrame for callers that hold an already-encoded payload.
-var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
-
 // WriteFrame writes a length-prefixed payload to w. Header and payload go
 // out in a single Write, so a frame over a socket costs one syscall (and
-// cannot be torn between header and body by a concurrent writer). The
-// staging buffer is pooled: steady-state frame writes do not allocate.
+// cannot be torn between header and body by a concurrent writer). Every
+// caller writes a cold frame (register, assign, deny, ready, shutdown), so
+// the frame is staged in a local Writer; hot paths encode into a pooled
+// Writer and flush it with EndFrame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
-	}
-	bp := frameScratch.Get().(*[]byte)
-	buf := append((*bp)[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	if cap(buf) <= maxPooledCap {
-		*bp = buf[:0]
-		frameScratch.Put(bp)
-	}
-	return err
+	fw := Writer{buf: make([]byte, 0, 4+len(payload))}
+	fw.BeginFrame()
+	fw.Raw(payload)
+	return fw.EndFrame(w)
 }
 
 // ReadFrame reads one length-prefixed payload from r, allocating a fresh
