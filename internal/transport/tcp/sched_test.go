@@ -601,7 +601,7 @@ func TestWedgedSeatDeadlineIgnoresLaterWaves(t *testing.T) {
 	dispatchTimeout = 500 * time.Millisecond
 	fe := wedgedFrontend(t, 1)
 	client := dialNoRetry(t, fe.Addr())
-	const n = 6 // within the default window, so every query registers a wave
+	const n = 6 // within the default window: no query waits for a slot
 	errs := make(chan error, n)
 	ask := func() {
 		_, err := client.Do(wedgingQuery())
