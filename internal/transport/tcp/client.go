@@ -83,8 +83,9 @@ type Client struct {
 	closedCh chan struct{} // closed by Close; wakes calls and retry sleeps
 
 	mu     sync.Mutex
-	mc     *muxConn // live connection incarnation; nil until (re)dialed
-	dialed bool     // a connection has succeeded before (reconnect accounting)
+	mc      *muxConn      // live connection incarnation; nil until (re)dialed
+	dialing chan struct{} // non-nil while a dial runs; closed when it ends
+	dialed  bool          // a connection has succeeded before (reconnect accounting)
 	closed bool
 }
 
@@ -124,33 +125,41 @@ func DialFrontendOptions(addr string, opts ClientOptions) (*Client, error) {
 
 // conn returns the live connection incarnation, dialing a fresh one if the
 // previous was poisoned (or none exists yet). The dial runs without c.mu, so
-// Close and the calls on a live incarnation never wait on it; when the
-// client closed or another caller installed an incarnation meanwhile, the
-// spare connection is closed and only an installed one counts as a
-// reconnect.
+// Close and the calls on a live incarnation never wait on it, and callers
+// that find a dial in flight wait for it instead of dialing their own: one
+// poisoned incarnation costs one dial.
 func (c *Client) conn() (*muxConn, error) {
 	c.mu.Lock()
-	closed, mc := c.closed, c.mc
-	c.mu.Unlock()
-	if closed {
+	defer c.mu.Unlock()
+	for c.dialing != nil && !c.closed {
+		dialing := c.dialing
+		c.mu.Unlock()
+		select {
+		case <-dialing:
+		case <-c.closedCh:
+		}
+		c.mu.Lock()
+	}
+	if c.closed {
 		return nil, errClientClosed
 	}
-	if mc != nil {
-		return mc, nil
+	if c.mc != nil {
+		return c.mc, nil
 	}
+	dialing := make(chan struct{})
+	c.dialing = dialing
+	c.mu.Unlock()
 	d := net.Dialer{Timeout: c.opts.Timeout}
 	conn, err := d.Dial("tcp", c.addr)
+	c.mu.Lock()
+	c.dialing = nil
+	close(dialing)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: dial frontend: %w", err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.mc != nil {
+	if c.closed {
 		conn.Close()
-		if c.closed {
-			return nil, errClientClosed
-		}
-		return c.mc, nil
+		return nil, errClientClosed
 	}
 	if c.dialed {
 		c.cm.reconnects.Inc()

@@ -103,12 +103,9 @@ type Frontend struct {
 type feSlot struct {
 	id       int
 	gen      uint64
-	conn     net.Conn
+	conn     *seatConn
 	present  bool
 	lastLoss error // why the seat is absent, for degraded replies
-	// writes counts the dispatch writes registered on this incarnation and
-	// not yet finished (see send).
-	writes int
 	// shardLen and summary are the first holder's shard size and
 	// metric-index summary, pinned at the seat's first seal. They are a
 	// property of the seat's data, not of a connection incarnation: the
@@ -117,6 +114,15 @@ type feSlot struct {
 	// decisions across churn.
 	shardLen int64
 	summary  wire.ShardSummary
+}
+
+// seatConn is one connection incarnation of a seat. writes counts the
+// dispatch writes registered on it and not yet finished (see send); a wave
+// copies the pointer with the seat, so the count lives as long as the
+// incarnation and needs no reset.
+type seatConn struct {
+	net.Conn
+	writes atomic.Int32
 }
 
 // NewFrontendOptions starts the serving listener on addr for a k-node
@@ -351,8 +357,7 @@ func (f *Frontend) retireLocked(s *feSlot, gen uint64, cause error) {
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	for _, epoch := range epochs {
 		job := f.inflight[epoch]
-		if job.expectMatch(s.id, gen) {
-			job.expectClear(s.id)
+		if job.claim(s.id, gen) {
 			job.fail(s.id, fmt.Errorf("lost node %d mid-query: %v", s.id, cause))
 			f.maybeFinishLocked(job)
 		}
@@ -421,7 +426,8 @@ func (f *Frontend) join(conn net.Conn) {
 		deny("no absent seat to re-join (cluster is full)")
 		return
 	}
-	slot.conn = conn
+	sc := &seatConn{Conn: conn}
+	slot.conn = sc
 	f.mu.Unlock()
 
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
@@ -434,7 +440,7 @@ func (f *Frontend) join(conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 
 	f.mu.Lock()
-	if slot.conn != conn || f.closed.Load() {
+	if slot.conn != sc || f.closed.Load() {
 		// Close (or a failed first fill) released the handshake; a Close
 		// still on its way to f.mu closes conn with the other seats.
 		f.mu.Unlock()
@@ -467,7 +473,6 @@ func (f *Frontend) join(conn net.Conn) {
 		}
 	}
 	slot.gen++
-	slot.writes = 0
 	slot.present = true
 	slot.lastLoss = nil
 	go f.pump(slot, slot.gen, conn)
@@ -573,8 +578,9 @@ func (f *Frontend) Close() error {
 		if s.present {
 			// The shutdown frame is a courtesy (the connection closes right
 			// below either way): a healthy node's socket buffer takes it
-			// instantly, and a wedged one gets a short deadline.
-			s.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			// instantly, and a wedged one gets a short deadline, which a
+			// dispatch write still queued on it cannot extend (see send).
+			s.conn.SetWriteDeadline(time.Now().Add(shutdownTimeout))
 			_ = wire.WriteFrame(s.conn, []byte{byte(wire.KindShutdown)})
 		}
 		s.conn.Close()

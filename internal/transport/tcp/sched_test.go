@@ -472,7 +472,7 @@ func wedgedFrontend(t *testing.T, k int) *Frontend {
 	<-fe.ready
 	fe.mu.Lock()
 	for _, s := range fe.slots {
-		s.conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
+		s.conn.Conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
 	}
 	fe.mu.Unlock()
 	return fe

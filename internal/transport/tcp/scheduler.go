@@ -82,6 +82,9 @@ import (
 // MaxBatch-sized frame crosses a LAN well inside this bound.
 var dispatchTimeout = 5 * time.Second
 
+// shutdownTimeout bounds Close's courtesy shutdown frame to each seat.
+const shutdownTimeout = time.Second
+
 // maxWindow caps FrontendOptions.Window. Every query in the window may hold
 // a dispatch on every node — a goroutine and a pooled frame buffer each —
 // so the cap bounds what a node holds for the frontend at once.
@@ -178,27 +181,15 @@ type epochJob struct {
 	span *obs.Span // epoch trace span; nil when tracing is off
 }
 
-// expectSet records that connection incarnation gen of seat id owes this
-// epoch a frame.
-func (job *epochJob) expectSet(id int, gen uint64) {
-	if job.expect[id] == 0 {
-		job.expectN++
+// claim reports whether connection incarnation gen of seat id still owes
+// this epoch a frame and, if so, marks the seat accounted for.
+func (job *epochJob) claim(id int, gen uint64) bool {
+	if job.expect[id] != gen+1 {
+		return false
 	}
-	job.expect[id] = gen + 1
-}
-
-// expectMatch reports whether seat id still owes a frame from exactly
-// incarnation gen.
-func (job *epochJob) expectMatch(id int, gen uint64) bool {
-	return job.expect[id] == gen+1
-}
-
-// expectClear marks seat id as accounted for.
-func (job *epochJob) expectClear(id int) {
-	if job.expect[id] != 0 {
-		job.expect[id] = 0
-		job.expectN--
-	}
+	job.expect[id] = 0
+	job.expectN--
+	return true
 }
 
 // fail records the loss of one dispatched-to seat.
@@ -391,19 +382,6 @@ func (f *Frontend) release() {
 	f.mu.Unlock()
 }
 
-// reply folds the collected lists into the reply of a query that took
-// waves dispatch waves and contacts per-point seat contacts. Rounds counts
-// the waves and Messages the contacts (Σ over the batch of the seats each
-// point was sent to, so Messages/len(Points) is the contacted-nodes-per-query
-// figure).
-func (f *Frontend) reply(q wire.Query, got [][][]points.Item, waves int, contacts int64) wire.Reply {
-	results, err := fold(q, got)
-	if err != nil {
-		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
-	}
-	return wire.Reply{Rounds: waves, Messages: contacts, Results: results}
-}
-
 // fold answers every point of q from its per-seat winner lists — the one
 // fold every query ends in. Per point it merges the seats' lists (each a
 // seat's local top-ℓ, below the point's bound on a gather wave) in key
@@ -546,17 +524,17 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 		l:      q.L,
 		bounds: bounds,
 		shares: make([]wire.NodeResult, f.k),
-		expect: make([]uint64, f.k),
+		expect:  make([]uint64, f.k),
+		expectN: len(need),
 		done:   make(chan struct{}),
 		span:   f.tr.Begin(epoch, q.Op, len(q.Points), pruned),
 	}
 	f.inflight[epoch] = job
 	for _, s := range need {
-		job.expectSet(s.id, s.gen)
-		if s.writes == 0 {
+		job.expect[s.id] = s.gen + 1
+		if s.conn.writes.Add(1) == 1 {
 			s.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
 		}
-		s.writes++
 	}
 	f.mu.Unlock()
 
@@ -577,27 +555,28 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 // send writes one dispatch frame to seat t's connection incarnation
 // without f.mu. Concurrent waves share a seat's connection; net.Conn
 // serialises whole Write calls, so their frames never interleave. The write
-// deadline measures time without progress on the seat: dispatchWave arms it
-// when a wave's write is the seat's only one registered, and send re-arms
+// deadline measures time without progress on the incarnation: dispatchWave
+// arms it when a wave's write is the only one registered, and send re-arms
 // it when a write finishes while others wait, so a later wave never extends
-// the deadline of a stuck write. A failed write retires the incarnation,
-// which fails every epoch in flight on it, this wave included; a retired
-// incarnation's bookkeeping is a no-op, because the retirement already
-// failed them.
+// the deadline of a stuck write. Only a failed write takes f.mu: it retires
+// the incarnation, which fails every epoch in flight on it, this wave
+// included (a stale gen is a no-op, because that retirement already failed
+// them).
 func (f *Frontend) send(t feSlot, frame []byte) {
-	_, err := t.conn.Write(frame)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.slots[t.id]
-	if s.gen != t.gen || !s.present {
+	if _, err := t.conn.Write(frame); err != nil {
+		f.mu.Lock()
+		f.retireLocked(f.slots[t.id], t.gen, fmt.Errorf("dispatch to node %d: %v", t.id, err))
+		f.mu.Unlock()
 		return
 	}
-	s.writes--
-	switch {
-	case err != nil:
-		f.retireLocked(s, t.gen, fmt.Errorf("dispatch to node %d: %v", t.id, err))
-	case s.writes > 0:
+	if t.conn.writes.Add(-1) > 0 {
 		t.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
+		// Close marks the frontend closed before it arms the courtesy
+		// shutdown deadline: a re-arm that could land after that one sees
+		// the mark and restores its bound.
+		if f.closed.Load() {
+			t.conn.SetWriteDeadline(time.Now().Add(shutdownTimeout))
+		}
 	}
 }
 
@@ -636,10 +615,9 @@ func (f *Frontend) deliver(s *feSlot, gen uint64, payload []byte) {
 		return
 	}
 	job := f.inflight[epoch]
-	if job == nil || !job.expectMatch(id, gen) {
+	if job == nil || !job.claim(id, gen) {
 		return // a leftover of a finished epoch, a stale incarnation, or a repeat
 	}
-	job.expectClear(id)
 	// malformed retires seat s after the job is finished, so the job does
 	// not count the seat twice.
 	var malformed error
@@ -905,8 +883,7 @@ func (f *Frontend) geometry(q wire.Query) [][]float64 {
 // bit-identical by construction.
 //
 // Rounds counts the waves (1, or 2 when a pruned query gathers) and
-// Messages the per-point seat contacts — k × points under full scatter (see
-// reply).
+// Messages the per-point seat contacts — k × points under full scatter.
 func (f *Frontend) run(q wire.Query) wire.Reply {
 	dist := f.geometry(q)
 	n := len(q.Points)
@@ -1013,8 +990,11 @@ func (f *Frontend) run(q wire.Query) wire.Reply {
 			skipped++
 		}
 	}
-	rep = f.reply(q, got, waves, contacts)
-	if rep.Err == "" && pruned {
+	results, err := fold(q, got)
+	if err != nil {
+		return wire.Reply{Err: fmt.Sprintf("query failed: %v", err)}
+	}
+	if pruned {
 		// Recorded only for a pruned query that answers, like the
 		// frontend_mesh_* counters.
 		f.fm.pruneWaves.Add(int64(waves))
@@ -1022,5 +1002,8 @@ func (f *Frontend) run(q wire.Query) wire.Reply {
 		f.fm.pruneSkipped.Add(skipped)
 		f.fm.pruneGathered.Add(gathered)
 	}
-	return rep
+	// Rounds counts the waves and Messages the contacts: Σ over the batch
+	// of the seats each point was sent to, so Messages/len(Points) is the
+	// contacted-nodes-per-query figure.
+	return wire.Reply{Rounds: waves, Messages: contacts, Results: results}
 }

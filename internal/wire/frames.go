@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"distknn/internal/keys"
 	"distknn/internal/points"
@@ -107,13 +105,6 @@ type Query struct {
 }
 
 func (q Query) append(w *Writer) {
-	// Grow once for the whole body: a MaxBatch frame grown by doubling costs
-	// its bytes in copies several times over.
-	n := 3 + 2*binary.MaxVarintLen64
-	for _, p := range q.Points {
-		n += VarintLen(uint64(len(p))) + len(p)
-	}
-	w.buf = slices.Grow(w.buf, n)
 	w.U8(q.Op)
 	w.Varint(uint64(q.L))
 	w.U8(q.Tag)

@@ -369,6 +369,9 @@ func (w *Writer) FinishFrame() ([]byte, error) {
 // the frame is staged in a local Writer; hot paths encode into a pooled
 // Writer and flush it with EndFrame.
 func WriteFrame(w io.Writer, payload []byte) error {
+	if len(payload) > MaxFrame { // refused before it is copied
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
+	}
 	fw := Writer{buf: make([]byte, 0, 4+len(payload))}
 	fw.BeginFrame()
 	fw.Raw(payload)
