@@ -182,3 +182,75 @@ func TestClientCloseWakesDegradedRetry(t *testing.T) {
 		t.Fatal("Do slept through Close for the rest of its RetryWait budget")
 	}
 }
+
+// TestClientDialsOncePerPoison pins that callers which find the connection
+// poisoned share one redial: every caller waiting on the dial in flight gets
+// the incarnation it installs, so the frontend accepts one connection, not
+// one per caller.
+func TestClientDialsOncePerPoison(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var accepted []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepted = append(accepted, conn)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range accepted {
+			conn.Close()
+		}
+	}()
+	client, err := DialFrontendOptions(ln.Addr().String(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	first, err := client.conn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.poison(errors.New("poisoned by the test"))
+	const callers = 16
+	got := make([]*muxConn, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mc, err := client.conn()
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = mc
+		}(i)
+	}
+	wg.Wait()
+	for i, mc := range got {
+		if mc == first || mc != got[0] {
+			t.Fatalf("caller %d got incarnation %p, want the one fresh incarnation %p", i, mc, got[0])
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // let any extra dial reach Accept
+	mu.Lock()
+	n := len(accepted)
+	mu.Unlock()
+	if n != 2 {
+		t.Errorf("frontend accepted %d connections, want 2: the first dial and one redial", n)
+	}
+	if r := client.cm.reconnects.Load(); r != 1 {
+		t.Errorf("reconnects = %d, want 1", r)
+	}
+}

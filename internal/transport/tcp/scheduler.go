@@ -569,11 +569,12 @@ func (f *Frontend) send(t feSlot, frame []byte) {
 		f.mu.Unlock()
 		return
 	}
-	if t.conn.writes.Add(-1) > 0 {
+	// Once Close has begun, nothing re-arms: the queued writes then end by
+	// Close's courtesy deadline. Close marks the frontend closed before it
+	// arms that deadline, so a re-arm racing the mark sees it afterwards
+	// and restores the bound.
+	if t.conn.writes.Add(-1) > 0 && !f.closed.Load() {
 		t.conn.SetWriteDeadline(time.Now().Add(dispatchTimeout))
-		// Close marks the frontend closed before it arms the courtesy
-		// shutdown deadline: a re-arm that could land after that one sees
-		// the mark and restores its bound.
 		if f.closed.Load() {
 			t.conn.SetWriteDeadline(time.Now().Add(shutdownTimeout))
 		}
