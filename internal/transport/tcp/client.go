@@ -82,11 +82,11 @@ type Client struct {
 
 	closedCh chan struct{} // closed by Close; wakes calls and retry sleeps
 
-	mu     sync.Mutex
+	mu      sync.Mutex
 	mc      *muxConn      // live connection incarnation; nil until (re)dialed
 	dialing chan struct{} // non-nil while a dial runs; closed when it ends
 	dialed  bool          // a connection has succeeded before (reconnect accounting)
-	closed bool
+	closed  bool
 }
 
 // muxResult is what the read loop delivers to one waiter: a fully decoded

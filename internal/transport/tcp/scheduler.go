@@ -519,15 +519,15 @@ func (f *Frontend) dispatchWave(q wire.Query, subs [][]int, bounds []keys.Key, p
 	}
 	f.fm.epochsAdmitted.Inc()
 	job := &epochJob{
-		epoch:  epoch,
-		subs:   subs,
-		l:      q.L,
-		bounds: bounds,
-		shares: make([]wire.NodeResult, f.k),
+		epoch:   epoch,
+		subs:    subs,
+		l:       q.L,
+		bounds:  bounds,
+		shares:  make([]wire.NodeResult, f.k),
 		expect:  make([]uint64, f.k),
 		expectN: len(need),
-		done:   make(chan struct{}),
-		span:   f.tr.Begin(epoch, q.Op, len(q.Points), pruned),
+		done:    make(chan struct{}),
+		span:    f.tr.Begin(epoch, q.Op, len(q.Points), pruned),
 	}
 	f.inflight[epoch] = job
 	for _, s := range need {
